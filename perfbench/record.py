@@ -2,12 +2,13 @@
 
 Usage (from the root of a checkout):
 
-    python3 perfbench/record.py perfbench/trajectory/<name>.json [--seed 0] [--seconds 10] [--note TEXT]
+    python3 perfbench/record.py perfbench/trajectory/<name>.json [--note TEXT]
 
-Runs ``perfbench/run.py`` once per workload untraced and once traced, with
-the same seed and run length, and writes the machine record, each workload's
-end-to-end metrics (with the per-run samples), per-layer metrics and report
-digest to one JSON file.
+Runs ``perfbench/run.py`` once per workload untraced and once traced, at
+seed 0 (the seed the reference outputs are kept for) and BENCHMARK.json's
+``run_seconds``, and writes the machine record, each workload's end-to-end
+metrics (with the per-run samples), per-layer metrics and report digest to
+one JSON file.
 """
 
 from __future__ import annotations
@@ -19,11 +20,12 @@ import subprocess
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SEED = 0
 
 
-def bench(workload, seed, seconds, trace):
+def bench(workload, seconds, trace):
     proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(SEED),
          "--seconds", str(seconds), "--trace", str(trace)],
         cwd=ROOT, capture_output=True, text=True, check=True,
     )
@@ -39,16 +41,15 @@ def bench(workload, seed, seconds, trace):
 def main():
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("out")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--seconds", type=int, default=10)
     parser.add_argument("--note", default="")
     args = parser.parse_args()
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
         spec = json.load(fh)
-    record = {"seed": args.seed, "seconds": args.seconds, "note": args.note, "machine": None, "workloads": {}}
+    seconds = spec["run_seconds"]
+    record = {"seed": SEED, "seconds": seconds, "note": args.note, "machine": None, "workloads": {}}
     for workload in (w["name"] for w in spec["workloads"]):
-        e2e, tagged = bench(workload, args.seed, args.seconds, 0)
-        layers, _ = bench(workload, args.seed, args.seconds, 1)
+        e2e, tagged = bench(workload, seconds, 0)
+        layers, _ = bench(workload, seconds, 1)
         record["machine"] = json.loads(tagged["machine"])
         record["workloads"][workload] = {
             "correct": e2e["correct"] and layers["correct"],

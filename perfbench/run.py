@@ -2,7 +2,7 @@
 
 Usage (from the root of a checkout):
 
-    python3 perfbench/run.py --workload continual-gaussian --seed 0 --seconds 10 --trace 0
+    python3 perfbench/run.py --workload continual-gaussian --seed 0 --seconds 15 --trace 0
 
 The benchmark runs this checkout's ``src`` (``python -m posebench.cli`` with
 ``src`` on ``PYTHONPATH``); the package need not be installed. It builds the
@@ -11,7 +11,8 @@ workload's inputs with ``posebench synth --seed <seed>``, then:
 - ``--trace 0`` runs ``posebench run-*`` processes back to back (closed loop,
   one client, runs never overlap) until ``--seconds`` seconds have passed (at
   least one run) and reports the medians of the end-to-end metrics in
-  BENCHMARK.json. Set-up is timed three times and its median reported.
+  BENCHMARK.json. Set-up is repeated at least three times and for at least
+  SETUP_SECONDS, and its median reported.
 - ``--trace 1`` alternates untraced runs with traced runs of the same
   command through ``perfbench/traced.py`` until ``--seconds`` seconds have
   passed (at least one pair) and reports the per-layer metrics of the first
@@ -45,40 +46,49 @@ SRC = os.path.join(ROOT, "src")
 BENCH_DIR = os.path.join(ROOT, "perfbench")
 REFERENCE_DIR = os.path.join(BENCH_DIR, "reference")
 
+# Set-up repeats: at least 3, and for at least SETUP_SECONDS, so the ~2 s
+# continual set-ups get more samples than the ~6 s standard one.
 SETUP_REPEATS = 3
+SETUP_SECONDS = 10.0
 STARTUP_REPEATS = 3
 CONTINUAL_K = 9
 RESULTS_TOLERANCE = 1e-12
 
-# Synth arguments per protocol. "full" is what the benchmark measures: the
-# README continual quick-start config as written, and the README standard
-# quick-start scaled 2x (at 5x, three set-ups and a run take over a minute
-# on 2 cores, too long to repeat over ten seeds twice within an hour). "tiny"
-# only exercises the benchmark itself.
+# Synth arguments per input set. "full" is what the benchmark measures: the
+# README continual quick-start config as written, the same config at half the
+# frames for the knn scorer (its kernel cost grows with queries x stored rows,
+# so at full size one run takes ~30-50 s on 2 cores and a 15 s run holds a
+# single sample), and the README standard quick-start scaled 2x (at 5x, three
+# set-ups and a run take over a minute on 2 cores). "tiny" only exercises the
+# benchmark itself.
+CONTINUAL_SHAPE = ["--boost", "2.5", "--origin-step-sigma", "16", "--origin-jitter-sigma", "8"]
 SYNTH_ARGS = {
     "full": {
         "standard": ["--train-normal", "6000", "--test-normal", "4000", "--test-anomaly", "1000"],
         "continual": [
             "--train-normal", "2400", "--test-normal", "1200", "--test-anomaly", "400",
-            "--boost", "2.5", "--origin-normal", "1200",
-            "--origin-step-sigma", "16", "--origin-jitter-sigma", "8",
+            "--origin-normal", "1200", *CONTINUAL_SHAPE,
+        ],
+        "continual-half": [
+            "--train-normal", "1200", "--test-normal", "600", "--test-anomaly", "200",
+            "--origin-normal", "600", *CONTINUAL_SHAPE,
         ],
     },
     "tiny": {
         "standard": ["--train-normal", "600", "--test-normal", "400", "--test-anomaly", "100"],
         "continual": [
             "--train-normal", "600", "--test-normal", "300", "--test-anomaly", "100",
-            "--boost", "2.5", "--origin-normal", "300",
-            "--origin-step-sigma", "16", "--origin-jitter-sigma", "8",
+            "--origin-normal", "300", *CONTINUAL_SHAPE,
         ],
     },
 }
+SYNTH_ARGS["tiny"]["continual-half"] = SYNTH_ARGS["tiny"]["continual"]
 
-# workload -> (protocol, scorer)
+# workload -> (protocol, scorer, input set)
 WORKLOADS = {
-    "standard-gaussian-large": ("standard", "gaussian"),
-    "continual-gaussian": ("continual", "gaussian"),
-    "continual-knn": ("continual", "knn"),
+    "standard-gaussian-large": ("standard", "gaussian", "standard"),
+    "continual-gaussian": ("continual", "gaussian", "continual"),
+    "continual-knn": ("continual", "knn", "continual-half"),
 }
 
 REQUIRED_OUTPUTS = {
@@ -289,9 +299,9 @@ def machine_record(nproc, env):
 class Bench:
     def __init__(self, workload, seed, size, work, env):
         self.workload = workload
-        self.protocol, self.scorer = WORKLOADS[workload]
+        self.protocol, self.scorer, inputs = WORKLOADS[workload]
+        self.synth_args = SYNTH_ARGS[size][inputs]
         self.seed = seed
-        self.size = size
         self.work = work
         self.env = env
         self.inputs = os.path.join(work, "inputs")
@@ -306,12 +316,15 @@ class Bench:
         self.config_hash = RunConfig(mode=self.protocol, scorer=self.scorer, seed=seed, plan=plan).config_hash()
         self.reference = load_reference(workload) if (seed == 0 and size == "full") else None
 
-    def setup(self, repeats):
-        """Build the inputs `repeats` times; every copy must be byte-identical."""
+    def setup(self, repeats, seconds=0.0):
+        """Build the inputs at least `repeats` times and for at least `seconds`;
+        every copy must be byte-identical."""
         times, digests = [], []
-        for i in range(repeats):
+        t0 = time.perf_counter()
+        while len(times) < repeats or time.perf_counter() - t0 < seconds:
+            i = len(times)
             out = os.path.join(self.work, f"setup_{i}")
-            argv = cli_argv("synth", *SYNTH_ARGS[self.size][self.protocol], "--seed", str(self.seed), "--out", out)
+            argv = cli_argv("synth", *self.synth_args, "--seed", str(self.seed), "--out", out)
             res = timed_process(argv, self.env, os.path.join(self.work, f"setup_{i}.log"))
             if res["code"] != 0:
                 raise SystemExit(f"error: posebench synth exited {res['code']}; see {res['log']}")
@@ -400,7 +413,7 @@ def quartiles(values):
 
 
 def end_to_end(bench, seconds):
-    setup_times = bench.setup(SETUP_REPEATS)
+    setup_times = bench.setup(SETUP_REPEATS, SETUP_SECONDS)
     bench.startup_s()  # warm the file and bytecode caches so the first timed run is not special
     t0 = time.perf_counter()
     while not bench.runs or time.perf_counter() - t0 < seconds:
@@ -517,9 +530,9 @@ def per_layer(bench, seconds):
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--workload", required=True, choices=sorted(WORKLOADS))
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--seconds", type=float, default=10.0)
-    parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
+    parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--seconds", type=float, required=True)
+    parser.add_argument("--trace", type=int, choices=(0, 1), required=True)
     parser.add_argument("--size", choices=sorted(SYNTH_ARGS), default="full", help="tiny: smoke-test inputs")
     args = parser.parse_args(argv)
     if args.seed < 0:
