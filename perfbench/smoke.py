@@ -2,10 +2,10 @@
 
 Usage (from the root of a checkout): python3 perfbench/smoke.py
 
-Runs every workload once at the tiny input size, untraced and traced, and
-asserts that the last output line is the result object, that every metric
-BENCHMARK.json names prints with its unit, and that every output check
-passed. It also checks that the benchmark refuses to run, without printing a
+Runs every workload run.py knows, also those BENCHMARK.json does not gate,
+once at the tiny input size, untraced and traced, and asserts that the last
+output line is the result object, that every metric BENCHMARK.json names
+prints with its unit, and that every output check passed. It also checks that the benchmark refuses to run, without printing a
 result, in a directory that holds only BENCHMARK.json and the benchmark's
 files. Exits 1 at the first failure.
 """
@@ -19,6 +19,8 @@ import subprocess
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
+from run import WORKLOADS  # noqa: E402
 
 
 def run_bench(cwd, *args):
@@ -74,7 +76,7 @@ def main():
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
         spec = json.load(fh)
     try:
-        for workload in (w["name"] for w in spec["workloads"]):
+        for workload in sorted(WORKLOADS):
             for trace in (0, 1):
                 check_result(spec, workload, trace)
         check_refuses_without_sources()
