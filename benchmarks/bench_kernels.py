@@ -1,11 +1,12 @@
-"""Time the numba kernels against their pure-numpy fallbacks.
+"""Time the three numeric kernels at fixed problem sizes.
 
 Run directly:
 
     python benchmarks/bench_kernels.py [--repeat 5]
 
-Prints one table row per kernel and problem size. The numba column is
-skipped when numba is unavailable or POSEBENCH_NO_NUMBA is set.
+Prints one row per kernel and problem size, named as in the per-layer
+metrics of perfbench (``kernels.knn_mean_distance`` and so on), with the
+best of ``--repeat`` timings.
 """
 
 from __future__ import annotations
@@ -31,15 +32,15 @@ def bench_welford(rng, repeat: int):
     rows = []
     for n, dim in ((2_000, 51), (20_000, 51)):
         batch = rng.normal(size=(n, dim))
-        for label, fn in _paths("welford_update"):
-            mean = np.zeros(dim)
-            m2 = np.zeros(dim)
-            fn(0, mean, m2, batch[:1])  # warm up compilation outside the timer
-            def call():
-                mean[:] = 0.0
-                m2[:] = 0.0
-                fn(0, mean, m2, batch)
-            rows.append((f"welford n={n}", label, _best_of(call, repeat)))
+        mean = np.zeros(dim)
+        m2 = np.zeros(dim)
+
+        def call():
+            mean[:] = 0.0
+            m2[:] = 0.0
+            _kernels.welford_update(0, mean, m2, batch)
+
+        rows.append(("kernels.welford_update", f"n={n}", _best_of(call, repeat)))
     return rows
 
 
@@ -48,11 +49,8 @@ def bench_knn(rng, repeat: int):
     for stored_n, query_n, dim in ((5_000, 500, 816), (20_000, 500, 816)):
         stored = rng.normal(size=(stored_n, dim))
         queries = rng.normal(size=(query_n, dim))
-        for label, fn in _paths("knn_mean_distance"):
-            fn(stored[:64], queries[:4], 3)
-            rows.append(
-                (f"knn stored={stored_n}", label, _best_of(lambda: fn(stored, queries, 3), repeat))
-            )
+        seconds = _best_of(lambda: _kernels.knn_mean_distance(stored, queries, 3), repeat)
+        rows.append(("kernels.knn_mean_distance", f"stored={stored_n}", seconds))
     return rows
 
 
@@ -64,20 +62,9 @@ def bench_iou(rng, repeat: int):
         y1 = rng.uniform(0, 600, size=total)
         boxes = np.column_stack([x1, y1, x1 + rng.uniform(5, 120, total), y1 + rng.uniform(5, 120, total)])
         offsets = np.arange(0, total + 1, per_frame, dtype=np.int64)
-        for label, fn in _paths("max_iou_per_group"):
-            fn(boxes[: 4 * per_frame], offsets[:5])
-            rows.append(
-                (f"iou frames={n_frames}", label, _best_of(lambda: fn(boxes, offsets), repeat))
-            )
+        seconds = _best_of(lambda: _kernels.max_iou_per_group(boxes, offsets), repeat)
+        rows.append(("kernels.max_iou_per_group", f"frames={n_frames}", seconds))
     return rows
-
-
-def _paths(name: str):
-    out = [("numpy", getattr(_kernels, f"{name}_np"))]
-    nb = getattr(_kernels, f"{name}_nb", None)
-    if nb is not None and _kernels.HAVE_NUMBA:
-        out.append(("numba", nb))
-    return out
 
 
 def main() -> int:
@@ -92,10 +79,9 @@ def main() -> int:
     rows += bench_knn(rng, args.repeat)
     rows += bench_iou(rng, args.repeat)
 
-    print(f"active path: {_kernels.active_path()}")
-    print(f"{'case':<22} {'path':<6} {'best (ms)':>10}")
-    for case, label, seconds in rows:
-        print(f"{case:<22} {label:<6} {seconds * 1e3:>10.2f}")
+    print(f"{'kernel':<26} {'size':<14} {'best (ms)':>10}")
+    for name, size, seconds in rows:
+        print(f"{name:<26} {size:<14} {seconds * 1e3:>10.2f}")
     return 0
 
 

@@ -1,34 +1,21 @@
-"""Hot numeric kernels with two interchangeable implementations.
+"""Hot numeric kernels, one numpy implementation each.
 
-Each kernel ships a compiled numba path and a pure-numpy path. The numba
-path is used when numba imports cleanly and POSEBENCH_NO_NUMBA is unset;
-set POSEBENCH_NO_NUMBA=1 to force the numpy path. Both paths are exposed
-with ``_nb`` / ``_np`` suffixes so they can be compared directly (see
-benchmarks/bench_kernels.py and tests/test_kernels.py). Results agree to
-floating-point reordering noise; each path is deterministic on its own.
+Each kernel is exact for its contract and deterministic: the Welford update
+matches a two-pass mean/variance to rounding, the kNN distance is exact
+k-nearest, and the IoU maximum matches a pairwise scan. Time them with
+benchmarks/bench_kernels.py.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_FLAG = os.environ.get("POSEBENCH_NO_NUMBA", "").strip().lower()
-NUMBA_DISABLED = _FLAG in ("1", "true", "yes", "on")
 
-try:
-    from numba import njit
+def welford_update(count, mean, m2, batch):
+    """Fold ``batch`` rows into a running (count, mean, m2); returns the new count.
 
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - depends on environment
-    HAVE_NUMBA = False
-
-NUMBA_ENABLED = HAVE_NUMBA and not NUMBA_DISABLED
-
-
-def _welford_update_py(count, mean, m2, batch):
-    # Sequential per-row update; mean/m2 are modified in place.
+    Sequential per-row update; ``mean`` and ``m2`` are modified in place.
+    """
     c = count
     for i in range(batch.shape[0]):
         c += 1
@@ -38,28 +25,7 @@ def _welford_update_py(count, mean, m2, batch):
     return c
 
 
-def _knn_mean_distance_nb_src(stored, queries, k):
-    m = queries.shape[0]
-    n = stored.shape[0]
-    d = stored.shape[1]
-    out = np.empty(m)
-    for i in range(m):
-        d2 = np.empty(n)
-        for j in range(n):
-            acc = 0.0
-            for t in range(d):
-                diff = stored[j, t] - queries[i, t]
-                acc += diff * diff
-            d2[j] = acc
-        kd = np.partition(d2, k - 1)
-        s = 0.0
-        for t in range(k):
-            s += np.sqrt(kd[t])
-        out[i] = s / k
-    return out
-
-
-def knn_mean_distance_np(stored, queries, k, chunk=None):
+def knn_mean_distance(stored, queries, k, chunk=None):
     """Mean Euclidean distance from each query to its k nearest stored rows.
 
     Queries are processed in chunks sized so the (chunk, n, d) difference
@@ -78,36 +44,7 @@ def knn_mean_distance_np(stored, queries, k, chunk=None):
     return out
 
 
-def _max_iou_per_group_nb_src(boxes, offsets):
-    n_groups = offsets.shape[0] - 1
-    out = np.zeros(n_groups)
-    for g in range(n_groups):
-        a = offsets[g]
-        b = offsets[g + 1]
-        best = 0.0
-        for i in range(a, b):
-            for j in range(i + 1, b):
-                ix1 = max(boxes[i, 0], boxes[j, 0])
-                iy1 = max(boxes[i, 1], boxes[j, 1])
-                ix2 = min(boxes[i, 2], boxes[j, 2])
-                iy2 = min(boxes[i, 3], boxes[j, 3])
-                iw = ix2 - ix1
-                ih = iy2 - iy1
-                if iw <= 0.0 or ih <= 0.0:
-                    continue
-                inter = iw * ih
-                area_i = (boxes[i, 2] - boxes[i, 0]) * (boxes[i, 3] - boxes[i, 1])
-                area_j = (boxes[j, 2] - boxes[j, 0]) * (boxes[j, 3] - boxes[j, 1])
-                union = area_i + area_j - inter
-                if union > 0.0:
-                    v = inter / union
-                    if v > best:
-                        best = v
-        out[g] = best
-    return out
-
-
-def max_iou_per_group_np(boxes, offsets):
+def max_iou_per_group(boxes, offsets):
     """Per-group max pairwise IoU; groups with fewer than 2 boxes give 0."""
     n_groups = offsets.shape[0] - 1
     out = np.zeros(n_groups, dtype=np.float64)
@@ -129,23 +66,6 @@ def max_iou_per_group_np(boxes, offsets):
     return out
 
 
-welford_update_np = _welford_update_py
-
-if HAVE_NUMBA:
-    welford_update_nb = njit(cache=True)(_welford_update_py)
-    knn_mean_distance_nb = njit(cache=True)(_knn_mean_distance_nb_src)
-    max_iou_per_group_nb = njit(cache=True)(_max_iou_per_group_nb_src)
-
-if NUMBA_ENABLED:
-    welford_update = welford_update_nb
-    knn_mean_distance = knn_mean_distance_nb
-    max_iou_per_group = max_iou_per_group_nb
-else:
-    welford_update = welford_update_np
-    knn_mean_distance = knn_mean_distance_np
-    max_iou_per_group = max_iou_per_group_np
-
-
 def active_path() -> str:
-    """Which kernel path is live: 'numba' or 'numpy'."""
-    return "numba" if NUMBA_ENABLED else "numpy"
+    """The kernel implementation in use; always 'numpy'."""
+    return "numpy"

@@ -28,8 +28,25 @@ from .model import (
 )
 
 
+_NUMBER = frozenset((int, float))  # JSON numbers; bool is excluded on purpose
+
+
+def _integer(value, name: str, where: str) -> int:
+    if type(value) is int:
+        return value
+    if type(value) is float and value.is_integer():
+        return int(value)
+    raise ValidationError(f"{where}: {name} must be an integer, got {value!r}")
+
+
+def _list(value, name: str, where: str):
+    if not isinstance(value, (list, tuple)):
+        raise ValidationError(f"{where}: {name} must be a list, got {value!r}")
+    return value
+
+
 def _bbox_from_list(raw, where: str) -> BoundingBox:
-    if not isinstance(raw, (list, tuple)) or len(raw) != 4:
+    if not isinstance(raw, (list, tuple)) or len(raw) != 4 or not _NUMBER.issuperset(map(type, raw)):
         raise ValidationError(f"{where}: bbox must be a list of 4 numbers, got {raw!r}")
     return BoundingBox(float(raw[0]), float(raw[1]), float(raw[2]), float(raw[3]))
 
@@ -37,8 +54,10 @@ def _bbox_from_list(raw, where: str) -> BoundingBox:
 def _keypoint_from_list(raw, where: str) -> Keypoint:
     if not isinstance(raw, (list, tuple)) or len(raw) != 3:
         raise ValidationError(f"{where}: keypoint must be [x, y, visibility-or-null], got {raw!r}")
-    vis = raw[2]
-    return Keypoint(float(raw[0]), float(raw[1]), None if vis is None else float(vis))
+    x, y, vis = raw
+    if type(x) not in _NUMBER or type(y) not in _NUMBER or (vis is not None and type(vis) not in _NUMBER):
+        raise ValidationError(f"{where}: keypoint values must be numbers, got {raw!r}")
+    return Keypoint(float(x), float(y), None if vis is None else float(vis))
 
 
 def _person_from_dict(raw, where: str) -> PersonObservation:
@@ -50,9 +69,9 @@ def _person_from_dict(raw, where: str) -> PersonObservation:
         keypoints = raw["keypoints"]
     except KeyError as exc:
         raise ValidationError(f"{where}: person entry missing field {exc.args[0]!r}") from None
-    kps = tuple(_keypoint_from_list(kp, where) for kp in keypoints)
+    kps = tuple(_keypoint_from_list(kp, where) for kp in _list(keypoints, "keypoints", where))
     return PersonObservation(
-        track_id=int(track_id),
+        track_id=_integer(track_id, "track_id", where),
         bbox=_bbox_from_list(bbox, where),
         keypoints=kps,
         interpolated=bool(raw.get("interpolated", False)),
@@ -66,13 +85,15 @@ def frame_from_dict(raw: dict, where: str = "frame") -> FrameRecord:
     for key in ("camera_id", "frame_index", "label"):
         if key not in raw:
             raise ValidationError(f"{where}: missing field {key!r}")
-    frame_index = raw["frame_index"]
+    frame_index = _integer(raw["frame_index"], "frame_index", where)
     ctx = f"{where} (frame_index {frame_index})"
-    persons = tuple(_person_from_dict(p, ctx) for p in raw.get("persons", ()))
-    regions = tuple(_bbox_from_list(r, ctx) for r in raw.get("anomaly_regions", ()))
+    persons = tuple(_person_from_dict(p, ctx) for p in _list(raw.get("persons", []), "persons", ctx))
+    regions = tuple(
+        _bbox_from_list(r, ctx) for r in _list(raw.get("anomaly_regions", []), "anomaly_regions", ctx)
+    )
     return FrameRecord(
         camera_id=str(raw["camera_id"]),
-        frame_index=int(frame_index),
+        frame_index=frame_index,
         label=str(raw["label"]),
         persons=persons,
         anomaly_regions=regions,

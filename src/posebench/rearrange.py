@@ -31,7 +31,6 @@ import numpy as np
 
 from .errors import ValidationError
 from .model import CameraDataset, FrameRecord, SplitSet
-from .stats import DatasetStats, stats_from_frames
 
 TAG_TRAIN_NORMAL = "orig_train_normal"
 TAG_MOVED_NORMAL = "moved_test_normal"
@@ -226,11 +225,10 @@ def rearrange(split: SplitSet, plan: RearrangePlan) -> ContinualSplit:
     )
 
 
-def verify(cs: ContinualSplit) -> tuple[DatasetStats, DatasetStats]:
+def verify(cs: ContinualSplit) -> None:
     """Recompute counts and assert every rearrangement invariant.
 
-    Returns (train stream stats, test stats). Raises ValidationError naming
-    the first violated invariant.
+    Raises ValidationError naming the first violated invariant.
     """
     plan = cs.plan
     if plan is None:
@@ -294,8 +292,3 @@ def verify(cs: ContinualSplit) -> tuple[DatasetStats, DatasetStats]:
             raise ValidationError(
                 f"invariant violated: test frame {fr.frame_index} label does not match tag {tag!r}"
             )
-
-    return (
-        stats_from_frames(cs.train_stream, cs.camera_id),
-        stats_from_frames(cs.test.frames, cs.camera_id),
-    )

@@ -351,28 +351,39 @@ def result_to_dict(result: ContinualResult) -> dict:
 
 
 def result_from_dict(raw: dict) -> ContinualResult:
-    if raw.get("format") != RESULT_FORMAT:
+    if not isinstance(raw, dict) or raw.get("format") != RESULT_FORMAT:
         raise ValidationError("not a continual result file")
     if raw.get("version") != RESULT_VERSION:
         raise ValidationError(f"unsupported result version {raw.get('version')!r}")
 
-    def rep(d):
-        return MetricReport(
-            auc_roc=float(d["auc_roc"]),
-            auc_pr=float(d["auc_pr"]),
-            eer=float(d["eer"]),
-            ten_er=float(d["ten_er"]),
-            n_pos=int(d["n_pos"]),
-            n_neg=int(d["n_neg"]),
-        )
+    def field(name):
+        if name not in raw:
+            raise ValidationError(f"missing field {name!r}")
+        return raw[name]
 
+    def rep(name, d):
+        try:
+            return MetricReport(
+                auc_roc=float(d["auc_roc"]),
+                auc_pr=float(d["auc_pr"]),
+                eer=float(d["eer"]),
+                ten_er=float(d["ten_er"]),
+                n_pos=int(d["n_pos"]),
+                n_neg=int(d["n_neg"]),
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValidationError(f"field {name!r} is not a metric report: {exc!r}") from None
+
+    steps = field("per_step")
+    if not isinstance(steps, list):
+        raise ValidationError(f"field 'per_step' must be a list, got {type(steps).__name__}")
     return ContinualResult(
-        camera_id=raw["camera_id"],
-        baseline=rep(raw["baseline"]),
-        per_step=tuple(rep(d) for d in raw["per_step"]),
-        step_average=rep(raw["step_average"]),
-        step_best=rep(raw["step_best"]),
-        batch_training=rep(raw["batch_training"]),
+        camera_id=field("camera_id"),
+        baseline=rep("baseline", field("baseline")),
+        per_step=tuple(rep(f"per_step[{i}]", d) for i, d in enumerate(steps)),
+        step_average=rep("step_average", field("step_average")),
+        step_best=rep("step_best", field("step_best")),
+        batch_training=rep("batch_training", field("batch_training")),
     )
 
 
@@ -386,6 +397,11 @@ def load_results(path) -> ContinualResult:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
+    except OSError as exc:
+        raise ValidationError(f"cannot read {path}: {exc.strerror or exc}") from None
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path}: malformed JSON: {exc.msg}") from None
-    return result_from_dict(raw)
+    try:
+        return result_from_dict(raw)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None

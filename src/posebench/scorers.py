@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import copy
 import json
+import zipfile
 
 import numpy as np
 
@@ -315,7 +316,7 @@ def load_checkpoint(path) -> AnomalyScorer:
         with np.load(path, allow_pickle=False) as data:
             meta = json.loads(str(data["meta"]))
             arrays = {k: np.array(data[k]) for k in data.files if k != "meta"}
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, EOFError, ValueError, KeyError, zipfile.BadZipFile) as exc:
         raise ValidationError(f"not a readable checkpoint file: {path} ({exc})") from None
     if meta.get("format") != "posebench-checkpoint":
         raise ValidationError(f"not a posebench checkpoint: {path}")

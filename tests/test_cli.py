@@ -4,7 +4,10 @@ import pytest
 
 from posebench.cli import main
 from posebench.io import load_dataset, write_dataset
+from posebench.runner import result_to_dict
 from posebench.synthetic import generate_split
+
+from _golden import golden_results
 
 
 @pytest.fixture(scope="module")
@@ -39,6 +42,8 @@ class TestExitCodes:
 
     def test_missing_input_is_data_error(self, tmp_path, capsys):
         assert main(["stats", str(tmp_path / "nope.jsonl")]) == 2
+        assert "error" in capsys.readouterr().err
+        assert main(["report", "--results", str(tmp_path / "nope.json"), "--out", str(tmp_path / "o")]) == 2
         assert "error" in capsys.readouterr().err
 
     def test_corrupt_input_is_data_error(self, tmp_path, capsys):
@@ -259,3 +264,20 @@ class TestReportCommand:
         )
         capsys.readouterr()
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "damage,message",
+        [
+            (lambda raw: {k: v for k, v in raw.items() if k != "baseline"}, "missing field 'baseline'"),
+            (lambda raw: {**raw, "per_step": 5}, "field 'per_step' must be a list"),
+            (lambda raw: {**raw, "step_best": {**raw["step_best"], "eer": "x"}}, "field 'step_best'"),
+            (lambda raw: [raw], "not a continual result file"),
+        ],
+        ids=["missing-baseline", "per-step-not-a-list", "bad-metric-value", "not-an-object"],
+    )
+    def test_damaged_results_is_data_error(self, tmp_path, capsys, damage, message):
+        results = tmp_path / "results.json"
+        results.write_text(json.dumps(damage(result_to_dict(golden_results()[0]))))
+        code = main(["report", "--results", str(results), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert f"{results}: {message}" in capsys.readouterr().err

@@ -73,6 +73,30 @@ def test_malformed_json_reports_line_number(tmp_path):
         read_frames(path)
 
 
+@pytest.mark.parametrize(
+    "field,value,message",
+    [
+        (("persons",), 5, "persons must be a list"),
+        (("persons", 0, "keypoints"), 5, "keypoints must be a list"),
+        (("persons", 0, "keypoints", 0), ["a", 1, 0.5], "keypoint values must be numbers"),
+        (("persons", 0, "track_id"), 1.5, "track_id must be an integer"),
+        (("frame_index",), "x", "frame_index must be an integer"),
+    ],
+    ids=["persons", "keypoints", "coordinate", "track_id", "frame_index"],
+)
+def test_wrong_type_reports_line_number(tmp_path, field, value, message):
+    d = frame_to_dict(make_frame(1, persons=(make_obs(),)))
+    *parents, leaf = field
+    target = d
+    for key in parents:
+        target = target[key]
+    target[leaf] = value
+    path = tmp_path / "bad.jsonl"
+    path.write_text(json.dumps(frame_to_dict(make_frame(0))) + "\n" + json.dumps(d) + "\n")
+    with pytest.raises(ValidationError, match=f"bad.jsonl: line 2.*{message}"):
+        read_frames(path)
+
+
 def test_bad_keypoint_arity(tmp_path):
     d = frame_to_dict(make_frame(0, persons=(make_obs(),)))
     d["persons"][0]["keypoints"][3] = [1.0, 2.0]

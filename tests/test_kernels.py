@@ -1,11 +1,6 @@
-"""Both kernel paths must agree; the env flag selects which one runs."""
-
-import os
-import subprocess
-import sys
+"""Each kernel against a two-pass or brute-force reference."""
 
 import numpy as np
-import pytest
 
 from posebench import _kernels
 
@@ -16,45 +11,23 @@ def welford_reference(batch):
     return mean, m2
 
 
-def paths(name):
-    out = [("numpy", getattr(_kernels, f"{name}_np"))]
-    if _kernels.HAVE_NUMBA:
-        out.append(("numba", getattr(_kernels, f"{name}_nb")))
-    return out
-
-
 class TestWelfordKernel:
-    @pytest.mark.parametrize("label,fn", paths("welford_update"))
-    def test_matches_two_pass_reference(self, label, fn, rng):
+    def test_matches_two_pass_reference(self, rng):
         batch = rng.normal(size=(200, 51))
         mean = np.zeros(51)
         m2 = np.zeros(51)
-        count = fn(0, mean, m2, batch)
+        count = _kernels.welford_update(0, mean, m2, batch)
         ref_mean, ref_m2 = welford_reference(batch)
         assert count == 200
         np.testing.assert_allclose(mean, ref_mean, atol=1e-12)
         np.testing.assert_allclose(m2, ref_m2, rtol=1e-9)
 
-    def test_paths_agree_exactly(self, rng):
-        if not _kernels.HAVE_NUMBA:
-            pytest.skip("numba unavailable")
-        batch = rng.normal(size=(64, 16))
-        out = []
-        for _, fn in paths("welford_update"):
-            mean = np.zeros(16)
-            m2 = np.zeros(16)
-            fn(0, mean, m2, batch)
-            out.append((mean, m2))
-        np.testing.assert_array_equal(out[0][0], out[1][0])
-        np.testing.assert_array_equal(out[0][1], out[1][1])
-
-    @pytest.mark.parametrize("label,fn", paths("welford_update"))
-    def test_resumes_from_running_state(self, label, fn, rng):
+    def test_resumes_from_running_state(self, rng):
         batch = rng.normal(size=(120, 8))
         mean = np.zeros(8)
         m2 = np.zeros(8)
-        c = fn(0, mean, m2, batch[:50])
-        c = fn(c, mean, m2, batch[50:])
+        c = _kernels.welford_update(0, mean, m2, batch[:50])
+        c = _kernels.welford_update(c, mean, m2, batch[50:])
         ref_mean, ref_m2 = welford_reference(batch)
         assert c == 120
         np.testing.assert_allclose(mean, ref_mean, atol=1e-12)
@@ -69,29 +42,18 @@ class TestKnnKernel:
             out[i] = np.sort(d)[:k].mean()
         return out
 
-    @pytest.mark.parametrize("label,fn", paths("knn_mean_distance"))
-    def test_matches_brute_force(self, label, fn, rng):
+    def test_matches_brute_force(self, rng):
         stored = rng.normal(size=(120, 10))
         queries = rng.normal(size=(17, 10))
         for k in (1, 3, 7):
-            got = fn(stored, queries, k)
+            got = _kernels.knn_mean_distance(stored, queries, k)
             np.testing.assert_allclose(got, self.brute(stored, queries, k), atol=1e-9)
 
-    def test_paths_agree(self, rng):
-        if not _kernels.HAVE_NUMBA:
-            pytest.skip("numba unavailable")
-        stored = rng.normal(size=(90, 6))
-        queries = rng.normal(size=(11, 6))
-        a = _kernels.knn_mean_distance_np(stored, queries, 4)
-        b = _kernels.knn_mean_distance_nb(stored, queries, 4)
-        np.testing.assert_allclose(a, b, atol=1e-12)
-
-    @pytest.mark.parametrize("label,fn", paths("knn_mean_distance"))
-    def test_chunking_boundary(self, label, fn, rng):
-        # More queries than the numpy chunk size to cover the chunk loop.
+    def test_chunking_boundary(self, rng):
+        # More queries than the chunk size to cover the chunk loop.
         stored = rng.normal(size=(40, 4))
         queries = rng.normal(size=(1030, 4))
-        got = fn(stored, queries, 2)
+        got = _kernels.knn_mean_distance(stored, queries, 2)
         np.testing.assert_allclose(got, self.brute(stored, queries, 2), atol=1e-9)
 
 
@@ -115,8 +77,7 @@ class TestIouKernel:
             out[g] = best
         return out
 
-    @pytest.mark.parametrize("label,fn", paths("max_iou_per_group"))
-    def test_matches_brute_force(self, label, fn, rng):
+    def test_matches_brute_force(self, rng):
         n_groups = 25
         counts = rng.integers(0, 6, size=n_groups)
         offsets = np.zeros(n_groups + 1, dtype=np.int64)
@@ -125,21 +86,11 @@ class TestIouKernel:
         x1 = rng.uniform(0, 100, size=total)
         y1 = rng.uniform(0, 100, size=total)
         boxes = np.column_stack([x1, y1, x1 + rng.uniform(1, 30, total), y1 + rng.uniform(1, 30, total)])
-        got = fn(boxes, offsets)
+        got = _kernels.max_iou_per_group(boxes, offsets)
         np.testing.assert_allclose(got, self.brute(boxes, offsets), atol=1e-12)
 
 
 class TestEnvFlag:
     def test_active_path_reports(self):
-        assert _kernels.active_path() in ("numba", "numpy")
-
-    def test_flag_forces_numpy_path(self):
-        code = (
-            "from posebench import _kernels; "
-            "print(_kernels.active_path())"
-        )
-        env = dict(os.environ, POSEBENCH_NO_NUMBA="1")
-        out = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-        )
-        assert out.stdout.strip() == "numpy"
+        # No environment setting selects a kernel path: there is only one.
+        assert _kernels.active_path() == "numpy"

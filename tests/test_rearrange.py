@@ -177,9 +177,7 @@ class TestVerify:
     def test_accepts_valid_split(self):
         split = build_split()
         cs = rearrange(split, RearrangePlan(seed=8, inject_count=3))
-        stream_stats, test_stats = verify(cs)
-        assert stream_stats.frame_count == len(cs.train_stream)
-        assert test_stats.frame_count == len(cs.test.frames)
+        verify(cs)
 
     def test_rejects_tampered_slices(self):
         split = build_split()

@@ -224,11 +224,17 @@ class TestCheckpoints:
         probe = windows(rng, 3)
         np.testing.assert_array_equal(back.score_batch(probe), sc.score_batch(probe))
 
-    def test_rejects_garbage(self, tmp_path):
+    def test_rejects_garbage(self, rng, tmp_path):
+        sc = GaussianScorer()
+        sc.fit(windows(rng, 20))
+        real = tmp_path / "real.ckpt"
+        sc.save_checkpoint(real)
+        truncated = real.read_bytes()[:300]
         path = tmp_path / "junk.ckpt"
-        path.write_bytes(b"not a checkpoint")
-        with pytest.raises(ValidationError):
-            load_checkpoint(path)
+        for junk in (b"not a checkpoint", b"", truncated):
+            path.write_bytes(junk)
+            with pytest.raises(ValidationError):
+                load_checkpoint(path)
 
 
 class TestFactory:
