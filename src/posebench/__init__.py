@@ -18,7 +18,6 @@ from .model import (
     PersonObservation,
     SplitSet,
     Track,
-    group_tracks,
     tracks_from_frames,
 )
 from .io import load_dataset, read_frames, write_dataset, write_frames
@@ -58,7 +57,6 @@ __all__ = [
     "PersonObservation",
     "SplitSet",
     "Track",
-    "group_tracks",
     "tracks_from_frames",
     "load_dataset",
     "read_frames",

@@ -59,6 +59,8 @@ def _read_config_file(path) -> dict:
             raw = json.load(fh)
     except OSError as exc:
         raise ValidationError(f"cannot read config {path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"config {path}: not UTF-8 text ({exc.reason})") from None
     except json.JSONDecodeError as exc:
         raise ValidationError(f"config {path}: malformed JSON: {exc.msg}") from None
     if not isinstance(raw, dict):

@@ -121,8 +121,14 @@ def frame_to_dict(frame: FrameRecord) -> dict:
 def read_frames(path) -> list[FrameRecord]:
     """Read raw frame records from a JSONL file, keeping file order."""
     frames = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise ValidationError(
+                    f"{os.fspath(path)}: line {lineno}: not UTF-8 text ({exc.reason} at byte {exc.start})"
+                ) from None
             if not line.strip():
                 continue
             try:

@@ -2,13 +2,16 @@
 
 All types are immutable after construction and validate their own invariants,
 so downstream code can assume well-formed data. Frame indices are unique
-within a camera and act as the frame identity everywhere.
+within a camera and act as the frame identity everywhere. A track holds its
+observations as numpy columns, which is the form preprocessing works on.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import ValidationError
 
@@ -78,12 +81,6 @@ class BoundingBox:
             raise ValidationError(
                 f"bounding box must have positive extent, got ({self.x1}, {self.y1}, {self.x2}, {self.y2})"
             )
-
-    def center(self) -> tuple[float, float]:
-        return ((self.x1 + self.x2) / 2.0, (self.y1 + self.y2) / 2.0)
-
-    def diagonal(self) -> float:
-        return math.hypot(self.x2 - self.x1, self.y2 - self.y1)
 
     def area(self) -> float:
         return (self.x2 - self.x1) * (self.y2 - self.y1)
@@ -206,32 +203,34 @@ class SplitSet:
         return self.train.camera_id
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Track:
-    """All observations of one track id, ordered by frame_index."""
+    """All observations of one track id as columns, in strictly increasing frame order.
+
+    ``frames`` is (n,) int64, ``keypoints`` (n, 17, 2) float64 pixel
+    coordinates, ``bbox`` (n, 4) float64 as (x1, y1, x2, y2) and
+    ``interpolated`` (n,) bool.
+    """
 
     track_id: int
     camera_id: str
-    observations: tuple[tuple[int, PersonObservation], ...] = field(default=())
+    frames: np.ndarray
+    keypoints: np.ndarray
+    bbox: np.ndarray
+    interpolated: np.ndarray
 
     def __post_init__(self):
-        prev = None
-        for frame_index, obs in self.observations:
-            if obs.track_id != self.track_id:
-                raise ValidationError(
-                    f"observation track_id {obs.track_id} does not match track {self.track_id}"
-                )
-            if prev is not None and frame_index <= prev:
-                raise ValidationError(
-                    f"track {self.track_id} observations must be strictly increasing in frame_index"
-                )
-            prev = frame_index
+        n = len(self.frames)
+        shapes = (self.keypoints.shape, self.bbox.shape, self.interpolated.shape)
+        if shapes != ((n, KEYPOINT_COUNT, 2), (n, 4), (n,)):
+            raise ValidationError(f"track {self.track_id} columns disagree with {n} frames: {shapes}")
+        if np.any(np.diff(self.frames) <= 0):
+            raise ValidationError(
+                f"track {self.track_id} observations must be strictly increasing in frame_index"
+            )
 
     def __len__(self) -> int:
-        return len(self.observations)
-
-    def frame_indices(self) -> list[int]:
-        return [fi for fi, _ in self.observations]
+        return len(self.frames)
 
 
 def tracks_from_frames(frames, camera_id: str) -> list[Track]:
@@ -240,22 +239,34 @@ def tracks_from_frames(frames, camera_id: str) -> list[Track]:
     Tracks are ordered by track_id, observations by frame_index. Raises on a
     duplicate (track_id, frame_index) pair.
     """
-    buckets: dict[int, list[tuple[int, PersonObservation]]] = {}
+    buckets: dict[int, tuple[list, list, list, list]] = {}
     for fr in frames:
         for obs in fr.persons:
-            buckets.setdefault(obs.track_id, []).append((fr.frame_index, obs))
+            indices, coords, boxes, flags = buckets.setdefault(obs.track_id, ([], [], [], []))
+            indices.append(fr.frame_index)
+            for kp in obs.keypoints:
+                coords += (kp.x, kp.y)
+            boxes += obs.bbox.as_tuple()
+            flags.append(obs.interpolated)
     tracks = []
     for tid in sorted(buckets):
-        entries = sorted(buckets[tid], key=lambda e: e[0])
-        for a, b in zip(entries, entries[1:]):
-            if a[0] == b[0]:
-                raise ValidationError(
-                    f"duplicate observation for track {tid} at frame {a[0]}"
-                )
-        tracks.append(Track(track_id=tid, camera_id=camera_id, observations=tuple(entries)))
+        indices, coords, boxes, flags = buckets[tid]
+        indices = np.array(indices, dtype=np.int64)
+        order = np.argsort(indices, kind="stable")
+        track_frames = indices[order]
+        dup = np.flatnonzero(np.diff(track_frames) == 0)
+        if dup.size:
+            raise ValidationError(
+                f"duplicate observation for track {tid} at frame {track_frames[dup[0]]}"
+            )
+        tracks.append(
+            Track(
+                track_id=tid,
+                camera_id=camera_id,
+                frames=track_frames,
+                keypoints=np.array(coords, dtype=np.float64).reshape(-1, KEYPOINT_COUNT, 2)[order],
+                bbox=np.array(boxes, dtype=np.float64).reshape(-1, 4)[order],
+                interpolated=np.array(flags, dtype=bool)[order],
+            )
+        )
     return tracks
-
-
-def group_tracks(dataset: CameraDataset) -> list[Track]:
-    """Group a dataset's person observations into per-identity tracks."""
-    return tracks_from_frames(dataset.frames, dataset.camera_id)

@@ -9,19 +9,12 @@ unfilled gap splits a track into independent runs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ValidationError
-from .model import (
-    KEYPOINT_COUNT,
-    BoundingBox,
-    Keypoint,
-    PersonObservation,
-    Track,
-    tracks_from_frames,
-)
+from .model import KEYPOINT_COUNT, Track, tracks_from_frames
 
 
 @dataclass(frozen=True)
@@ -56,58 +49,43 @@ class PoseWindow:
             raise ValidationError("start_frame must equal the first covered frame")
 
 
-def _runs(entries):
-    """Split (frame_index, obs) entries into maximal consecutive-frame runs."""
-    runs = []
-    cur = []
-    prev = None
-    for entry in entries:
-        if prev is not None and entry[0] != prev + 1:
-            runs.append(cur)
-            cur = []
-        cur.append(entry)
-        prev = entry[0]
-    if cur:
-        runs.append(cur)
-    return runs
+def _runs(frames: np.ndarray) -> list[tuple[int, int]]:
+    """(start, stop) row ranges of the maximal runs of consecutive frames."""
+    edges = [0, *(np.flatnonzero(np.diff(frames) != 1) + 1).tolist(), len(frames)]
+    return list(zip(edges, edges[1:]))
 
 
 def interpolate_track(track: Track, max_gap: int = 14) -> Track:
     """Fill internal gaps of up to max_gap frames by per-keypoint linear interpolation.
 
-    Inserted observations are marked interpolated, carry no keypoint
-    visibility, and get a linearly interpolated bounding box. Original
-    observations are passed through unchanged. Gaps longer than max_gap are
-    left open; leading/trailing absence is never extrapolated.
+    Inserted rows are marked interpolated and get a linearly interpolated
+    bounding box: ``a + t * (b - a)`` with ``t = (f - f0) / (f1 - f0)``.
+    Original rows are kept bit for bit. Gaps longer than max_gap are left
+    open; leading/trailing absence is never extrapolated.
     """
     if max_gap < 1:
         raise ValidationError(f"max_gap must be >= 1, got {max_gap}")
-    obs = track.observations
-    if len(obs) < 2:
+    if len(track) < 2:
         return track
-    out = []
-    for (f0, o0), (f1, o1) in zip(obs, obs[1:]):
-        out.append((f0, o0))
-        gap = f1 - f0 - 1
-        if 1 <= gap <= max_gap:
-            span = f1 - f0
-            for f in range(f0 + 1, f1):
-                t = (f - f0) / span
-                kps = tuple(
-                    Keypoint(a.x + t * (b.x - a.x), a.y + t * (b.y - a.y), None)
-                    for a, b in zip(o0.keypoints, o1.keypoints)
-                )
-                bb = BoundingBox(
-                    o0.bbox.x1 + t * (o1.bbox.x1 - o0.bbox.x1),
-                    o0.bbox.y1 + t * (o1.bbox.y1 - o0.bbox.y1),
-                    o0.bbox.x2 + t * (o1.bbox.x2 - o0.bbox.x2),
-                    o0.bbox.y2 + t * (o1.bbox.y2 - o0.bbox.y2),
-                )
-                out.append(
-                    (f, PersonObservation(track.track_id, bb, kps, interpolated=True))
-                )
-    out.append(obs[-1])
-    return Track(track.track_id, track.camera_id, tuple(out))
+    gaps = np.diff(track.frames) - 1
+    fill = np.where((gaps >= 1) & (gaps <= max_gap), gaps, 0)
+    left = np.repeat(np.arange(fill.size), fill)
+    # Offset f - f0 of every inserted row from its gap's left frame: 1..gap.
+    step = np.arange(left.size) - np.repeat(np.cumsum(fill) - fill, fill) + 1
+    f0 = track.frames[left]
+    t = step / (track.frames[left + 1] - f0)
+    kp0, kp1 = track.keypoints[left], track.keypoints[left + 1]
+    b0, b1 = track.bbox[left], track.bbox[left + 1]
+    frames = np.concatenate([track.frames, f0 + step])
+    order = np.argsort(frames, kind="stable")
+    return Track(
+        track_id=track.track_id,
+        camera_id=track.camera_id,
+        frames=frames[order],
+        keypoints=np.concatenate([track.keypoints, kp0 + t[:, None, None] * (kp1 - kp0)])[order],
+        bbox=np.concatenate([track.bbox, b0 + t[:, None] * (b1 - b0)])[order],
+        interpolated=np.concatenate([track.interpolated, np.ones(left.size, dtype=bool)])[order],
+    )
 
 
 def _centered_moving_average(flat: np.ndarray, window: int) -> np.ndarray:
@@ -130,45 +108,34 @@ def smooth_track(track: Track, window: int = 15) -> Track:
     """Replace keypoint coordinates by a centered moving average per run.
 
     The window shrinks symmetrically near run boundaries. Window must be a
-    positive odd integer; window 1 is the identity. Bounding boxes,
-    visibilities and interpolated flags pass through unchanged.
+    positive odd integer; window 1 is the identity. Bounding boxes and
+    interpolated flags pass through unchanged.
     """
     if window < 1 or window % 2 == 0:
         raise ValidationError(f"smoothing window must be a positive odd integer, got {window}")
     if window == 1 or len(track) == 0:
         return track
-    entries = []
-    for run in _runs(track.observations):
-        coords = np.array(
-            [[(kp.x, kp.y) for kp in obs.keypoints] for _, obs in run], dtype=np.float64
-        )
-        sm = _centered_moving_average(coords.reshape(len(run), -1), window)
-        sm = sm.reshape(coords.shape)
-        for i, (fi, obs) in enumerate(run):
-            kps = tuple(
-                Keypoint(float(sm[i, j, 0]), float(sm[i, j, 1]), obs.keypoints[j].visibility)
-                for j in range(KEYPOINT_COUNT)
-            )
-            entries.append(
-                (fi, PersonObservation(obs.track_id, obs.bbox, kps, obs.interpolated))
-            )
-    return Track(track.track_id, track.camera_id, tuple(entries))
+    keypoints = np.empty_like(track.keypoints)
+    for start, stop in _runs(track.frames):
+        flat = track.keypoints[start:stop].reshape(stop - start, -1)
+        keypoints[start:stop] = _centered_moving_average(flat, window).reshape(-1, KEYPOINT_COUNT, 2)
+    return replace(track, keypoints=keypoints)
 
 
-def normalize_pose(obs: PersonObservation) -> np.ndarray:
-    """Translate keypoints so the bbox center is the origin, scale by bbox diagonal.
+def normalize_pose(keypoints: np.ndarray, bbox: np.ndarray) -> np.ndarray:
+    """Translate each row's keypoints so its bbox center is the origin, scale by the bbox diagonal.
 
-    Returns a (17, 2) float array. The result is invariant to translating
-    the person and box together and to uniform scaling about the box center.
+    ``keypoints`` is (n, 17, 2) and ``bbox`` (n, 4); returns (n, 17, 2). The
+    result is invariant to translating the person and box together and to
+    uniform scaling about the box center. The diagonal is ``math.hypot`` per
+    row, because ``np.hypot`` can differ from it in the last bit.
     """
-    cx, cy = obs.bbox.center()
-    diag = obs.bbox.diagonal()
-    if not math.isfinite(diag) or diag <= 0.0:
+    extent = bbox[:, 2:] - bbox[:, :2]
+    diag = np.array([math.hypot(w, h) for w, h in extent.tolist()], dtype=np.float64)
+    if not np.all(np.isfinite(diag) & (diag > 0.0)):
         raise ValidationError("cannot normalize pose against a degenerate bounding box")
-    pts = np.array([(kp.x, kp.y) for kp in obs.keypoints], dtype=np.float64)
-    pts[:, 0] -= cx
-    pts[:, 1] -= cy
-    return pts / diag
+    center = (bbox[:, :2] + bbox[:, 2:]) / 2.0
+    return (keypoints - center[:, None, :]) / diag[:, None, None]
 
 
 def window_track(track: Track, length: int = 24, stride: int = 6) -> list[PoseWindow]:
@@ -177,31 +144,30 @@ def window_track(track: Track, length: int = 24, stride: int = 6) -> list[PoseWi
     Windows start every ``stride`` observations within each maximal run of
     consecutive frames; a run of n observations yields
     max(0, (n - length) // stride + 1) windows. Windows never span an
-    unfilled gap.
+    unfilled gap. Every row is normalized once, and each window's features
+    are a read-only row slice of that one array.
     """
     if length < 1:
         raise ValidationError(f"window length must be >= 1, got {length}")
     if stride < 1:
         raise ValidationError(f"window stride must be >= 1, got {stride}")
+    feats = normalize_pose(track.keypoints, track.bbox)
+    feats.flags.writeable = False
+    frames = track.frames.tolist()
     windows = []
-    for run in _runs(track.observations):
-        n = len(run)
-        start = 0
-        while start + length <= n:
-            seg = run[start : start + length]
-            feats = np.stack([normalize_pose(obs) for _, obs in seg])
-            covered = tuple(fi for fi, _ in seg)
+    for start, stop in _runs(track.frames):
+        for s in range(start, stop - length + 1, stride):
+            covered = tuple(frames[s : s + length])
             windows.append(
                 PoseWindow(
                     track_id=track.track_id,
                     camera_id=track.camera_id,
                     start_frame=covered[0],
                     length=length,
-                    features=feats,
+                    features=feats[s : s + length],
                     covered_frames=covered,
                 )
             )
-            start += stride
     return windows
 
 

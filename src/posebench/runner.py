@@ -395,10 +395,14 @@ def save_results(result: ContinualResult, path):
 
 def load_results(path) -> ContinualResult:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+        with open(path, "rb") as fh:
+            data = fh.read()
+        raw = json.loads(data.decode("utf-8"))
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ValidationError(f"{path}: line {line}: not UTF-8 text ({exc.reason})") from None
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path}: malformed JSON: {exc.msg}") from None
     try:

@@ -310,42 +310,52 @@ def _write_checkpoint(state: dict, path):
         np.savez(fh, meta=np.array(json.dumps(meta)), **arrays)
 
 
+# Fields each kind's checkpoint meta must carry, with their decoded JSON types.
+_META_FIELDS = {
+    "gaussian": (("params", dict), ("count", int)),
+    "knn": (("params", dict), ("seen", int), ("rng_state", dict)),
+}
+
+
 def load_checkpoint(path) -> AnomalyScorer:
-    """Load a scorer from a .ckpt file written by save_checkpoint."""
+    """Load a scorer from a .ckpt file written by save_checkpoint.
+
+    A damaged file, a ``meta`` record missing a field or holding one of the
+    wrong type, and state the scorer rejects all raise ValidationError
+    naming the file.
+    """
     try:
         with np.load(path, allow_pickle=False) as data:
             meta = json.loads(str(data["meta"]))
             arrays = {k: np.array(data[k]) for k in data.files if k != "meta"}
     except (OSError, EOFError, ValueError, KeyError, zipfile.BadZipFile) as exc:
         raise ValidationError(f"not a readable checkpoint file: {path} ({exc})") from None
-    if meta.get("format") != "posebench-checkpoint":
+    if not isinstance(meta, dict) or meta.get("format") != "posebench-checkpoint":
         raise ValidationError(f"not a posebench checkpoint: {path}")
     if meta.get("version") != CHECKPOINT_VERSION:
         raise ValidationError(
             f"unsupported checkpoint version {meta.get('version')!r} (supported: {CHECKPOINT_VERSION})"
         )
     kind = meta.get("kind")
+    if kind not in _META_FIELDS:
+        raise ValidationError(f"unknown scorer kind {kind!r} in checkpoint {path}")
+    for name, expected in _META_FIELDS[kind]:
+        if name not in meta:
+            raise ValidationError(f"checkpoint {path}: meta lacks field {name!r}")
+        if not isinstance(meta[name], expected):
+            raise ValidationError(
+                f"checkpoint {path}: meta field {name!r} must be {expected.__name__}, got {meta[name]!r}"
+            )
+    state = {"kind": kind, "version": meta["version"], "params": meta["params"]}
     if kind == "gaussian":
-        state = {
-            "kind": kind,
-            "version": meta["version"],
-            "params": meta["params"],
-            "count": meta["count"],
-            "mean": arrays.get("mean"),
-            "m2": arrays.get("m2"),
-        }
-        if state["mean"] is None:
-            state["m2"] = None
-    elif kind == "knn":
-        rng_state = meta["rng_state"]
-        state = {
-            "kind": kind,
-            "version": meta["version"],
-            "params": meta["params"],
-            "seen": meta["seen"],
-            "store": arrays.get("store"),
-            "rng_state": rng_state,
-        }
+        state["count"] = meta["count"]
+        state["mean"] = arrays.get("mean")
+        state["m2"] = None if state["mean"] is None else arrays.get("m2")
     else:
-        raise ValidationError(f"unknown scorer kind {kind!r} in checkpoint")
-    return scorer_from_snapshot(state)
+        state["seen"] = meta["seen"]
+        state["store"] = arrays.get("store")
+        state["rng_state"] = meta["rng_state"]
+    try:
+        return scorer_from_snapshot(state)
+    except (TypeError, ValueError, KeyError) as exc:
+        raise ValidationError(f"checkpoint {path}: state rejected ({type(exc).__name__}: {exc})") from None

@@ -11,7 +11,7 @@ from posebench.model import (
     FrameRecord,
     Keypoint,
     PersonObservation,
-    Track,
+    tracks_from_frames,
 )
 
 
@@ -58,11 +58,12 @@ def make_track(frame_indices, origins=None, track_id=0, camera_id="cam0"):
     """A track with one observation per frame index."""
     if origins is None:
         origins = [(50.0 + 2.0 * i, 60.0 + i) for i in range(len(frame_indices))]
-    pairs = tuple(
-        (int(fi), make_obs(track_id=track_id, origin=o))
+    frames = [
+        make_frame(int(fi), persons=(make_obs(track_id=track_id, origin=o),), camera_id=camera_id)
         for fi, o in zip(frame_indices, origins)
-    )
-    return Track(camera_id=camera_id, track_id=track_id, observations=pairs)
+    ]
+    (track,) = tracks_from_frames(frames, camera_id)
+    return track
 
 
 def walking_dataset(n_frames, camera_id="cam0", track_id=0, start=0, label="normal"):

@@ -230,24 +230,11 @@ def test_05_preprocessing_properties(capsys):
 
     def body():
         # Midpoint: a gap of one frame lands exactly between its endpoints.
-        track = Track(
-            track_id=0,
-            camera_id="cam0",
-            observations=(
-                (0, make_obs(origin=(10.0, 20.0))),
-                (2, make_obs(origin=(14.0, 28.0))),
-            ),
-        )
+        track = make_track([0, 2], origins=[(10.0, 20.0), (14.0, 28.0)])
         filled = interpolate_track(track)
-        mid = dict(filled.observations)[1]
-        lo = dict(track.observations)[0]
-        hi = dict(track.observations)[2]
-        for kp_m, kp_l, kp_h in zip(mid.keypoints, lo.keypoints, hi.keypoints):
-            if abs(kp_m.x - (kp_l.x + kp_h.x) / 2) > 1e-9 or abs(
-                kp_m.y - (kp_l.y + kp_h.y) / 2
-            ) > 1e-9:
-                problems.append("midpoint interpolation off")
-                break
+        lo, hi = track.keypoints
+        if np.max(np.abs(filled.keypoints[1] - (lo + hi) / 2)) > 1e-9:
+            problems.append("midpoint interpolation off")
 
         # Random gaps against the np.interp oracle.
         rng = np.random.default_rng(505)
@@ -256,18 +243,12 @@ def test_05_preprocessing_properties(capsys):
             drop = set(int(i) for i in rng.choice(np.arange(1, n - 1), size=3, replace=False))
             kept = [i for i in range(n) if i not in drop]
             origins = [(20.0 + float(rng.uniform(0, 5)) * i, 30.0 + float(rng.uniform(0, 3)) * i) for i in kept]
-            obs_by = {i: make_obs(origin=o) for i, o in zip(kept, origins)}
-            track = Track(
-                track_id=0,
-                camera_id="cam0",
-                observations=tuple((i, obs_by[i]) for i in kept),
-            )
-            filled = dict(interpolate_track(track).observations)
-            pts = np.array([[[kp.x, kp.y] for kp in obs_by[i].keypoints] for i in kept])
-            want = _oracles.interp_positions(kept, pts, sorted(drop))
+            track = make_track(kept, origins=origins)
+            filled = interpolate_track(track)
+            row_of = {fi: r for r, fi in enumerate(filled.frames.tolist())}
+            want = _oracles.interp_positions(kept, track.keypoints, sorted(drop))
             for row, fi in zip(want, sorted(drop)):
-                got = np.array([[kp.x, kp.y] for kp in filled[fi].keypoints])
-                if np.max(np.abs(got - row)) > 1e-9:
+                if np.max(np.abs(filled.keypoints[row_of[fi]] - row)) > 1e-9:
                     problems.append(f"trial {trial}: interpolation differs from oracle")
                     break
             if problems:
@@ -276,23 +257,22 @@ def test_05_preprocessing_properties(capsys):
         # Impulse response: +1 at the middle frame spreads as 1/15.
         n = 61
         center = n // 2
-        obs = []
-        for i in range(n):
-            x = 100.0 + (1.0 if i == center else 0.0)
-            obs.append((i, make_obs(origin=(x, 80.0))))
-        smoothed = dict(smooth_track(Track(track_id=0, camera_id="cam0", observations=tuple(obs)), 15).observations)
-        base = dict(obs)[0].keypoints[0].x
-        got = smoothed[center].keypoints[0].x
+        origins = [(100.0 + (1.0 if i == center else 0.0), 80.0) for i in range(n)]
+        track = make_track(list(range(n)), origins=origins)
+        smoothed = smooth_track(track, 15)
+        base = track.keypoints[0, 0, 0]
+        got = smoothed.keypoints[center, 0, 0]
         if abs(got - (base + 1.0 / 15.0)) > 1e-9:
             problems.append(f"impulse response {got - base} != 1/15")
 
         # Window-count formula across 1000 random triples.
         base_track = make_track(list(range(220)))
+        columns = (base_track.frames, base_track.keypoints, base_track.bbox, base_track.interpolated)
         for trial in range(1000):
             n = int(rng.integers(1, 220))
             length = int(rng.integers(2, 40))
             stride = int(rng.integers(1, 12))
-            sub = Track(track_id=0, camera_id="cam0", observations=base_track.observations[:n])
+            sub = Track(0, "cam0", *(col[:n] for col in columns))
             want = _oracles.window_count(n, length, stride)
             if len(window_track(sub, length=length, stride=stride)) != want:
                 problems.append(f"window count off at (n={n}, length={length}, stride={stride})")

@@ -51,6 +51,15 @@ class TestExitCodes:
         bad.write_text("{not json\n")
         assert main(["stats", str(bad)]) == 2
         capsys.readouterr()
+        # A UTF-16 byte-order mark is not UTF-8: exit 2 with file and line.
+        utf16 = tmp_path / "utf16.jsonl"
+        utf16.write_bytes(b"\n\xff\xfe{}\n")
+        assert main(["stats", str(utf16)]) == 2
+        assert f"{utf16}: line 2: not UTF-8" in capsys.readouterr().err
+        assert main(["report", "--results", str(utf16), "--out", str(tmp_path / "o")]) == 2
+        assert f"{utf16}: line 2: not UTF-8" in capsys.readouterr().err
+        assert main(["run-standard", "--config", str(utf16), "--out", str(tmp_path / "o")]) == 2
+        assert f"config {utf16}: not UTF-8" in capsys.readouterr().err
 
 
 class TestSynth:

@@ -1,5 +1,6 @@
-import math
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from posebench.errors import ValidationError
@@ -11,11 +12,9 @@ from posebench.model import (
     Keypoint,
     PersonObservation,
     SplitSet,
-    Track,
-    group_tracks,
     tracks_from_frames,
 )
-from conftest import make_frame, make_keypoints, make_obs, box_around
+from conftest import make_frame, make_keypoints, make_obs, make_track, box_around
 
 
 def test_joint_layout():
@@ -48,8 +47,6 @@ class TestKeypoint:
 class TestBoundingBox:
     def test_geometry(self):
         b = BoundingBox(0.0, 0.0, 3.0, 4.0)
-        assert b.center() == (1.5, 2.0)
-        assert math.isclose(b.diagonal(), 5.0)
         assert b.area() == 12.0
 
     def test_rejects_inverted(self):
@@ -149,36 +146,37 @@ class TestSplitSet:
 
 class TestTracks:
     def test_track_orders_and_matches(self):
-        obs = make_obs(track_id=3)
+        good = make_track([1, 5])
         with pytest.raises(ValidationError):
-            Track(camera_id="cam0", track_id=3, observations=((5, obs), (5, obs)))
+            replace(good, frames=np.array([5, 5]))
         with pytest.raises(ValidationError):
-            Track(camera_id="cam0", track_id=4, observations=((1, obs),))
+            replace(good, frames=np.array([5, 1]))
+        with pytest.raises(ValidationError):
+            replace(good, bbox=good.bbox[:1])
+        with pytest.raises(ValidationError):
+            replace(good, keypoints=good.keypoints[:, :16])
 
     def test_tracks_from_frames_buckets_by_id(self):
         a0 = make_obs(track_id=0, origin=(10, 10))
         a1 = make_obs(track_id=0, origin=(12, 10))
-        b0 = make_obs(track_id=1, origin=(90, 90))
+        b0 = make_obs(track_id=1, origin=(90, 90), interpolated=True)
         frames = [
-            make_frame(0, persons=(a0, b0)),
             make_frame(1, persons=(a1,)),
+            make_frame(0, persons=(a0, b0)),
         ]
         tracks = tracks_from_frames(frames, "cam0")
         assert [t.track_id for t in tracks] == [0, 1]
-        assert tracks[0].frame_indices() == [0, 1]
-        assert tracks[1].frame_indices() == [0]
+        assert tracks[0].frames.tolist() == [0, 1]
+        assert tracks[1].frames.tolist() == [0]
+        # Every column follows the frame order, not the input order.
+        for row, obs in enumerate((a0, a1)):
+            assert tracks[0].keypoints[row].tolist() == [[kp.x, kp.y] for kp in obs.keypoints]
+            assert tuple(tracks[0].bbox[row]) == obs.bbox.as_tuple()
+        assert tracks[0].interpolated.tolist() == [False, False]
+        assert tracks[1].interpolated.tolist() == [True]
 
     def test_duplicate_track_frame_pair_rejected(self):
         a = make_obs(track_id=0)
         frames = [make_frame(0, persons=(a, a))]
         with pytest.raises(ValidationError):
             tracks_from_frames(frames, "cam0")
-
-    def test_group_tracks_on_dataset(self):
-        ds = CameraDataset(
-            camera_id="cam0",
-            frames=(make_frame(0, persons=(make_obs(track_id=7),)),),
-        )
-        tracks = group_tracks(ds)
-        assert len(tracks) == 1
-        assert tracks[0].camera_id == "cam0"

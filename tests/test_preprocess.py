@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from posebench.errors import ValidationError
-from posebench.model import BoundingBox, Keypoint, PersonObservation
+from posebench.model import BoundingBox
 from posebench.preprocess import (
     extract_windows,
     interpolate_track,
@@ -10,16 +10,8 @@ from posebench.preprocess import (
     smooth_track,
     window_track,
 )
-from conftest import make_obs, make_track, walking_dataset
+from conftest import make_track, walking_dataset
 import _oracles
-
-
-def obs_points(obs):
-    return np.array([(k.x, k.y) for k in obs.keypoints])
-
-
-def track_obs(track):
-    return [o for _, o in track.observations]
 
 
 class TestInterpolation:
@@ -27,17 +19,15 @@ class TestInterpolation:
         track = make_track([3, 4, 5])
         filled = interpolate_track(track)
         assert filled is not track
-        assert filled.frame_indices() == [3, 4, 5]
+        assert filled.frames.tolist() == [3, 4, 5]
 
     def test_midpoint(self):
         track = make_track([0, 2], origins=[(10.0, 20.0), (14.0, 28.0)])
         filled = interpolate_track(track)
-        assert filled.frame_indices() == [0, 1, 2]
-        first, mid, last = track_obs(filled)
-        assert mid.interpolated
-        np.testing.assert_allclose(
-            obs_points(mid), (obs_points(first) + obs_points(last)) / 2
-        )
+        assert filled.frames.tolist() == [0, 1, 2]
+        assert filled.interpolated.tolist() == [False, True, False]
+        first, mid, last = filled.keypoints
+        np.testing.assert_allclose(mid, (first + last) / 2)
 
     def test_matches_linear_oracle(self, rng):
         for _ in range(50):
@@ -48,37 +38,38 @@ class TestInterpolation:
             track = make_track(list(idx), origins=origins)
             filled = interpolate_track(track, max_gap=100)
             full = np.arange(idx[0], idx[-1] + 1)
-            assert filled.frame_indices() == [int(i) for i in full]
-            got = np.array([obs_points(o) for o in track_obs(filled)])
-            want = _oracles.interp_positions(
-                idx, np.array([obs_points(o) for o in track_obs(track)]), full
-            )
-            np.testing.assert_allclose(got, want, atol=1e-9)
+            assert filled.frames.tolist() == [int(i) for i in full]
+            want = _oracles.interp_positions(idx, track.keypoints, full)
+            np.testing.assert_allclose(filled.keypoints, want, atol=1e-9)
 
     def test_gap_above_limit_left_open(self):
         track = make_track([0, 20])
         filled = interpolate_track(track, max_gap=14)
-        assert filled.frame_indices() == [0, 20]
+        assert filled.frames.tolist() == [0, 20]
 
     def test_gap_at_limit_filled(self):
         track = make_track([0, 15])
         filled = interpolate_track(track, max_gap=14)
-        assert filled.frame_indices() == list(range(16))
-        assert all(o.interpolated for o in track_obs(filled)[1:-1])
+        assert filled.frames.tolist() == list(range(16))
+        assert filled.interpolated[1:-1].all()
 
     def test_interpolated_bbox_is_lerped(self):
         track = make_track([0, 2], origins=[(10.0, 20.0), (30.0, 40.0)])
         filled = interpolate_track(track)
-        b0, b1 = [o.bbox for o in track_obs(track)]
-        mid = track_obs(filled)[1].bbox
-        assert mid.x1 == pytest.approx((b0.x1 + b1.x1) / 2)
-        assert mid.y2 == pytest.approx((b0.y2 + b1.y2) / 2)
+        b0, b1 = track.bbox
+        mid = filled.bbox[1]
+        assert mid[0] == pytest.approx((b0[0] + b1[0]) / 2)
+        assert mid[3] == pytest.approx((b0[3] + b1[3]) / 2)
 
     def test_originals_pass_through_unchanged(self):
-        track = make_track([0, 2])
-        filled = interpolate_track(track)
-        assert track_obs(filled)[0] is track_obs(track)[0]
-        assert track_obs(filled)[2] is track_obs(track)[1]
+        # Original rows are bit-equal after filling, open gaps included.
+        track = make_track([0, 3, 4, 30])
+        filled = interpolate_track(track, max_gap=14)
+        kept = np.isin(filled.frames, track.frames)
+        assert filled.frames[kept].tolist() == [0, 3, 4, 30]
+        assert not filled.interpolated[kept].any()
+        assert filled.keypoints[kept].tobytes() == track.keypoints.tobytes()
+        assert filled.bbox[kept].tobytes() == track.bbox.tobytes()
 
 
 class TestSmoothing:
@@ -89,8 +80,7 @@ class TestSmoothing:
     def test_window_one_is_identity(self):
         track = make_track([0, 1, 2])
         out = smooth_track(track, window=1)
-        for a, b in zip(track_obs(out), track_obs(track)):
-            np.testing.assert_allclose(obs_points(a), obs_points(b))
+        np.testing.assert_allclose(out.keypoints, track.keypoints)
 
     def test_impulse_response_center(self):
         # A lone spike in a constant run spreads to spike/window at the
@@ -100,8 +90,7 @@ class TestSmoothing:
         origins[30] = (100.0 + 15.0, 100.0)
         track = make_track(list(range(n)), origins=origins)
         out = smooth_track(track, window=window)
-        base = obs_points(make_obs(origin=(100.0, 100.0)))
-        center = obs_points(track_obs(out)[30]) - base
+        center = out.keypoints[30] - track.keypoints[0]
         np.testing.assert_allclose(center[:, 0], 15.0 / window, atol=1e-9)
         np.testing.assert_allclose(center[:, 1], 0.0, atol=1e-9)
 
@@ -112,11 +101,8 @@ class TestSmoothing:
             origins = [(float(x), 80.0) for x in xs]
             track = make_track(list(range(n)), origins=origins)
             out = smooth_track(track, window=15)
-            got = np.array([obs_points(o)[0, 0] for o in track_obs(out)])
-            want = _oracles.moving_average_scan(
-                [obs_points(o)[0, 0] for o in track_obs(track)], 15
-            )
-            np.testing.assert_allclose(got, want, atol=1e-9)
+            want = _oracles.moving_average_scan(track.keypoints[:, 0, 0].tolist(), 15)
+            np.testing.assert_allclose(out.keypoints[:, 0, 0], want, atol=1e-9)
 
     def test_runs_are_smoothed_independently(self):
         # Two runs separated by a hole: values from one run must not bleed
@@ -124,7 +110,7 @@ class TestSmoothing:
         origins = [(10.0, 50.0), (10.0, 50.0), (1000.0, 50.0), (1000.0, 50.0)]
         track = make_track([0, 1, 10, 11], origins=origins)
         out = smooth_track(track, window=3)
-        xs = [obs_points(o)[0, 0] for o in track_obs(out)]
+        xs = out.keypoints[:, 0, 0]
         assert xs[0] == pytest.approx(10.0)
         assert xs[1] == pytest.approx(10.0)
         assert xs[2] == pytest.approx(1000.0)
@@ -133,42 +119,35 @@ class TestSmoothing:
     def test_flags_and_bbox_pass_through(self):
         track = interpolate_track(make_track([0, 2]))
         out = smooth_track(track, window=3)
-        assert [o.interpolated for o in track_obs(out)] == [False, True, False]
-        assert track_obs(out)[0].bbox == track_obs(track)[0].bbox
+        assert out.interpolated.tolist() == [False, True, False]
+        assert out.bbox.tobytes() == track.bbox.tobytes()
 
 
 class TestNormalize:
     def test_reference_values(self):
-        kps = [Keypoint(0.0, 0.0, 0.9)] * 16 + [Keypoint(3.0, 4.0, 0.9)]
-        obs = PersonObservation(
-            track_id=0, keypoints=tuple(kps), bbox=BoundingBox(0.0, 0.0, 3.0, 4.0)
-        )
-        out = normalize_pose(obs)
-        np.testing.assert_allclose(out[16], (0.3, 0.4))
-        np.testing.assert_allclose(out[0], (-0.3, -0.4))
+        kps = np.zeros((1, 17, 2))
+        kps[0, 16] = (3.0, 4.0)
+        out = normalize_pose(kps, np.array([[0.0, 0.0, 3.0, 4.0]]))
+        np.testing.assert_allclose(out[0, 16], (0.3, 0.4))
+        np.testing.assert_allclose(out[0, 0], (-0.3, -0.4))
 
     def test_translation_and_scale_invariance(self, rng):
         pts = rng.uniform(10, 50, size=(17, 2))
 
         def build(scale, shift):
-            kps = tuple(
-                Keypoint(float(x * scale + shift), float(y * scale + shift), 0.5)
-                for x, y in pts
-            )
-            xs = [k.x for k in kps]
-            ys = [k.y for k in kps]
-            bbox = BoundingBox(min(xs), min(ys), max(xs), max(ys))
-            return PersonObservation(track_id=0, keypoints=kps, bbox=bbox)
+            kps = pts * scale + shift
+            bbox = np.concatenate([kps.min(axis=0), kps.max(axis=0)])
+            return normalize_pose(kps[None], bbox[None])
 
-        a = normalize_pose(build(1.0, 0.0))
-        b = normalize_pose(build(3.0, 200.0))
-        np.testing.assert_allclose(a, b, atol=1e-12)
+        np.testing.assert_allclose(build(1.0, 0.0), build(3.0, 200.0), atol=1e-12)
 
     def test_degenerate_box_rejected_upstream(self):
-        # The bbox type itself refuses zero-extent boxes, so normalize_pose
-        # can rely on a strictly positive diagonal.
+        # The bbox type itself refuses zero-extent boxes; normalize_pose
+        # refuses them too rather than dividing by zero.
         with pytest.raises(ValidationError):
             BoundingBox(5.0, 5.0, 5.0, 5.0)
+        with pytest.raises(ValidationError):
+            normalize_pose(np.zeros((1, 17, 2)), np.array([[5.0, 5.0, 5.0, 5.0]]))
 
 
 class TestWindowing:
@@ -193,6 +172,9 @@ class TestWindowing:
         assert w.start_frame == 6
         assert w.covered_frames == tuple(range(6, 30))
         assert w.features.shape == (24, 17, 2)
+        assert w.features.flags.c_contiguous and not w.features.flags.writeable
+        want = normalize_pose(track.keypoints, track.bbox)[6:30]
+        assert w.features.tobytes() == want.tobytes()
 
     def test_windows_respect_runs(self):
         # 30 frames split into two runs of 15: too short for length 24.

@@ -1,3 +1,6 @@
+import json
+import re
+
 import numpy as np
 import pytest
 
@@ -234,6 +237,17 @@ class TestCheckpoints:
         for junk in (b"not a checkpoint", b"", truncated):
             path.write_bytes(junk)
             with pytest.raises(ValidationError):
+                load_checkpoint(path)
+        # Well-formed containers whose meta lacks a field or mistypes one.
+        base = {"format": "posebench-checkpoint", "version": 1}
+        for meta, field in (
+            ({**base, "kind": "gaussian", "count": 0}, "params"),
+            ({**base, "kind": "knn", "params": {}, "seen": 0}, "rng_state"),
+            ({**base, "kind": "gaussian", "params": [1], "count": 0}, "params"),
+        ):
+            with open(path, "wb") as fh:
+                np.savez(fh, meta=np.array(json.dumps(meta)))
+            with pytest.raises(ValidationError, match=f"{re.escape(str(path))}.*'{field}'"):
                 load_checkpoint(path)
 
 
