@@ -14,7 +14,6 @@ from .model import (
     BoundingBox,
     CameraDataset,
     FrameRecord,
-    Keypoint,
     PersonObservation,
     SplitSet,
     Track,
@@ -53,7 +52,6 @@ __all__ = [
     "BoundingBox",
     "CameraDataset",
     "FrameRecord",
-    "Keypoint",
     "PersonObservation",
     "SplitSet",
     "Track",

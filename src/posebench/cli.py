@@ -61,8 +61,8 @@ def _read_config_file(path) -> dict:
         raise ValidationError(f"cannot read config {path}: {exc.strerror or exc}") from None
     except UnicodeDecodeError as exc:
         raise ValidationError(f"config {path}: not UTF-8 text ({exc.reason})") from None
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"config {path}: malformed JSON: {exc.msg}") from None
+    except ValueError as exc:  # JSONDecodeError, or an integer literal past the digit limit
+        raise ValidationError(f"config {path}: malformed JSON: {getattr(exc, 'msg', exc)}") from None
     if not isinstance(raw, dict):
         raise ValidationError(f"config {path} must hold a JSON object")
     return raw

@@ -8,6 +8,11 @@ Line schema::
                   "interpolated": bool,
                   "keypoints": [[x, y, visibility-or-null], ... 17 entries]}]}
 
+A person's keypoints are read into one (17, 3) float64 array, ``null`` as
+NaN. Values must be JSON numbers that fit a float (never a NaN literal), ids
+integers, ``interpolated`` a boolean and ``camera_id`` and ``label`` strings;
+the model types check the rest. Every error names the file and the line.
+
 Unknown keys are accepted and ignored on read; they are not preserved on
 write (records are rebuilt from the typed model). Floats round-trip exactly
 through the default JSON encoder.
@@ -17,87 +22,96 @@ from __future__ import annotations
 
 import json
 import os
+from itertools import chain
+
+import numpy as np
 
 from .errors import ValidationError
-from .model import (
-    BoundingBox,
-    CameraDataset,
-    FrameRecord,
-    Keypoint,
-    PersonObservation,
-)
-
+from .model import BoundingBox, CameraDataset, FrameRecord, PersonObservation
 
 _NUMBER = frozenset((int, float))  # JSON numbers; bool is excluded on purpose
+_KEYPOINT_VALUE = _NUMBER | {type(None)}
+_LIST = frozenset((list, tuple))
 
 
-def _integer(value, name: str, where: str) -> int:
+def _integer(value, name: str) -> int:
     if type(value) is int:
         return value
     if type(value) is float and value.is_integer():
         return int(value)
-    raise ValidationError(f"{where}: {name} must be an integer, got {value!r}")
+    raise ValidationError(f"{name} must be an integer, got {value!r}")
 
 
-def _list(value, name: str, where: str):
-    if not isinstance(value, (list, tuple)):
-        raise ValidationError(f"{where}: {name} must be a list, got {value!r}")
+def _list(value, name: str):
+    if type(value) not in _LIST:
+        raise ValidationError(f"{name} must be a list, got {value!r}")
     return value
 
 
-def _bbox_from_list(raw, where: str) -> BoundingBox:
-    if not isinstance(raw, (list, tuple)) or len(raw) != 4 or not _NUMBER.issuperset(map(type, raw)):
-        raise ValidationError(f"{where}: bbox must be a list of 4 numbers, got {raw!r}")
-    return BoundingBox(float(raw[0]), float(raw[1]), float(raw[2]), float(raw[3]))
+def _bbox_from_list(raw) -> BoundingBox:
+    if type(raw) not in _LIST or len(raw) != 4 or not _NUMBER.issuperset(map(type, raw)):
+        raise ValidationError(f"bbox must be a list of 4 numbers, got {raw!r}")
+    return BoundingBox(*map(float, raw))
 
 
-def _keypoint_from_list(raw, where: str) -> Keypoint:
-    if not isinstance(raw, (list, tuple)) or len(raw) != 3:
-        raise ValidationError(f"{where}: keypoint must be [x, y, visibility-or-null], got {raw!r}")
-    x, y, vis = raw
-    if type(x) not in _NUMBER or type(y) not in _NUMBER or (vis is not None and type(vis) not in _NUMBER):
-        raise ValidationError(f"{where}: keypoint values must be numbers, got {raw!r}")
-    return Keypoint(float(x), float(y), None if vis is None else float(vis))
+def _keypoints_from_list(raw) -> np.ndarray:
+    """``[[x, y, visibility-or-null], ...]`` as an (n, 3) float64 array, null as NaN."""
+    if not _LIST.issuperset(map(type, _list(raw, "keypoints"))) or set(map(len, raw)) - {3}:
+        raise ValidationError("each keypoint must be a list [x, y, visibility-or-null]")
+    flat = list(chain.from_iterable(raw))
+    if not _KEYPOINT_VALUE.issuperset(map(type, flat)):
+        raise ValidationError("keypoint values must be numbers, with null only as visibility")
+    kps = np.array(flat, dtype=np.float64).reshape(-1, 3)
+    # Each null became NaN, so more NaNs than nulls means a NaN literal.
+    if np.count_nonzero(np.isnan(kps)) != flat.count(None):
+        raise ValidationError("keypoint values must not be NaN; write null for an absent visibility")
+    return kps
 
 
-def _person_from_dict(raw, where: str) -> PersonObservation:
+def _person_from_dict(raw) -> PersonObservation:
     if not isinstance(raw, dict):
-        raise ValidationError(f"{where}: person entry must be an object, got {type(raw).__name__}")
-    try:
-        track_id = raw["track_id"]
-        bbox = raw["bbox"]
-        keypoints = raw["keypoints"]
-    except KeyError as exc:
-        raise ValidationError(f"{where}: person entry missing field {exc.args[0]!r}") from None
-    kps = tuple(_keypoint_from_list(kp, where) for kp in _list(keypoints, "keypoints", where))
+        raise ValidationError(f"person entry must be an object, got {type(raw).__name__}")
     return PersonObservation(
-        track_id=_integer(track_id, "track_id", where),
-        bbox=_bbox_from_list(bbox, where),
-        keypoints=kps,
-        interpolated=bool(raw.get("interpolated", False)),
+        track_id=_integer(raw["track_id"], "track_id"),
+        bbox=_bbox_from_list(raw["bbox"]),
+        keypoints=_keypoints_from_list(raw["keypoints"]),
+        interpolated=raw.get("interpolated", False),
     )
 
 
 def frame_from_dict(raw: dict, where: str = "frame") -> FrameRecord:
-    """Build a FrameRecord from a parsed JSONL object, ignoring unknown keys."""
-    if not isinstance(raw, dict):
-        raise ValidationError(f"{where}: expected a JSON object, got {type(raw).__name__}")
-    for key in ("camera_id", "frame_index", "label"):
-        if key not in raw:
-            raise ValidationError(f"{where}: missing field {key!r}")
-    frame_index = _integer(raw["frame_index"], "frame_index", where)
-    ctx = f"{where} (frame_index {frame_index})"
-    persons = tuple(_person_from_dict(p, ctx) for p in _list(raw.get("persons", []), "persons", ctx))
-    regions = tuple(
-        _bbox_from_list(r, ctx) for r in _list(raw.get("anomaly_regions", []), "anomaly_regions", ctx)
-    )
-    return FrameRecord(
-        camera_id=str(raw["camera_id"]),
-        frame_index=frame_index,
-        label=str(raw["label"]),
-        persons=persons,
-        anomaly_regions=regions,
-    )
+    """Build a FrameRecord from a parsed JSONL object, ignoring unknown keys.
+
+    Every ``ValidationError`` names ``where`` and, once it is read, the frame index.
+    """
+    ctx = where
+    try:
+        if not isinstance(raw, dict):
+            raise ValidationError(f"expected a JSON object, got {type(raw).__name__}")
+        frame_index = _integer(raw["frame_index"], "frame_index")
+        ctx = f"{where} (frame_index {frame_index})"
+        persons = _list(raw.get("persons", []), "persons")
+        regions = _list(raw.get("anomaly_regions", []), "anomaly_regions")
+        return FrameRecord(
+            camera_id=raw["camera_id"],
+            frame_index=frame_index,
+            label=raw["label"],
+            persons=tuple(map(_person_from_dict, persons)),
+            anomaly_regions=tuple(map(_bbox_from_list, regions)),
+        )
+    except ValidationError as exc:
+        raise ValidationError(f"{ctx}: {exc}") from None
+    except KeyError as exc:
+        raise ValidationError(f"{ctx}: missing field {exc.args[0]!r}") from None
+    except OverflowError:  # float() of an integer literal past the float range
+        raise ValidationError(f"{ctx}: number too large for a float") from None
+
+
+def _keypoints_to_list(kps) -> list:
+    rows = kps.tolist()
+    for j in np.flatnonzero(np.isnan(kps[:, 2])):
+        rows[j][2] = None
+    return rows
 
 
 def frame_to_dict(frame: FrameRecord) -> dict:
@@ -111,7 +125,7 @@ def frame_to_dict(frame: FrameRecord) -> dict:
                 "track_id": obs.track_id,
                 "bbox": list(obs.bbox.as_tuple()),
                 "interpolated": obs.interpolated,
-                "keypoints": [[kp.x, kp.y, kp.visibility] for kp in obs.keypoints],
+                "keypoints": _keypoints_to_list(obs.keypoints),
             }
             for obs in frame.persons
         ],
@@ -133,8 +147,9 @@ def read_frames(path) -> list[FrameRecord]:
                 continue
             try:
                 obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValidationError(f"{os.fspath(path)}: line {lineno}: malformed JSON: {exc.msg}") from None
+            except ValueError as exc:  # JSONDecodeError, or an integer literal past the digit limit
+                detail = getattr(exc, "msg", exc)
+                raise ValidationError(f"{os.fspath(path)}: line {lineno}: malformed JSON: {detail}") from None
             try:
                 frames.append(frame_from_dict(obj, where=f"line {lineno}"))
             except ValidationError as exc:

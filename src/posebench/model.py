@@ -1,9 +1,10 @@
-"""Core data model: keypoints, person observations, frames, datasets, tracks.
+"""Core data model: person observations, frames, datasets, tracks.
 
 All types are immutable after construction and validate their own invariants,
-so downstream code can assume well-formed data. Frame indices are unique
-within a camera and act as the frame identity everywhere. A track holds its
-observations as numpy columns, which is the form preprocessing works on.
+so downstream code can assume well-formed data. Track and frame ids fit
+int64. Frame indices are unique within a camera and act as the frame
+identity everywhere. A track holds its observations as numpy columns, which
+is the form preprocessing works on.
 """
 
 from __future__ import annotations
@@ -47,20 +48,10 @@ def _finite(value) -> bool:
     return isinstance(value, (int, float)) and math.isfinite(value)
 
 
-@dataclass(frozen=True, slots=True)
-class Keypoint:
-    """A single 2-D joint location with optional detector confidence."""
-
-    x: float
-    y: float
-    visibility: float | None = None
-
-    def __post_init__(self):
-        if not _finite(self.x) or not _finite(self.y):
-            raise ValidationError(f"keypoint coordinates must be finite, got ({self.x}, {self.y})")
-        if self.visibility is not None:
-            if not _finite(self.visibility) or not 0.0 <= self.visibility <= 1.0:
-                raise ValidationError(f"keypoint visibility must be in [0, 1], got {self.visibility}")
+def _check_id(name: str, value) -> None:
+    # Ids become int64 array entries, so they must fit one.
+    if type(value) is not int or not 0 <= value < 2**63:
+        raise ValidationError(f"{name} must be a non-negative 64-bit integer, got {value!r}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -89,35 +80,50 @@ class BoundingBox:
         return (self.x1, self.y1, self.x2, self.y2)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class PersonObservation:
     """One tracked person in one frame: box, 17 keypoints, provenance flag.
 
-    ``interpolated`` is true exactly when every keypoint carries no
-    visibility, which is how gap-filled observations are marked.
+    ``keypoints`` is a (17, 3) float64 array of x, y and visibility in
+    ``JOINT_NAMES`` order, NaN where visibility is absent; it is made read-only
+    in place. ``interpolated`` is true exactly when every visibility is absent,
+    which is how gap-filled observations are marked. Equality is bit equality.
     """
 
     track_id: int
     bbox: BoundingBox
-    keypoints: tuple[Keypoint, ...]
+    keypoints: np.ndarray
     interpolated: bool = False
 
     def __post_init__(self):
-        if not isinstance(self.track_id, int) or self.track_id < 0:
-            raise ValidationError(f"track_id must be a non-negative integer, got {self.track_id!r}")
-        if len(self.keypoints) != KEYPOINT_COUNT:
-            raise ValidationError(
-                f"expected keypoint count {KEYPOINT_COUNT}, got {len(self.keypoints)} (track {self.track_id})"
-            )
-        vis_absent = all(kp.visibility is None for kp in self.keypoints)
-        if self.interpolated and not vis_absent:
-            raise ValidationError(
-                f"interpolated observation must have no keypoint visibility (track {self.track_id})"
-            )
-        if not self.interpolated and vis_absent:
-            raise ValidationError(
-                f"non-interpolated observation must carry at least one keypoint visibility (track {self.track_id})"
-            )
+        _check_id("track_id", self.track_id)
+        track = f"(track {self.track_id})"
+        kps = np.asarray(self.keypoints, dtype=np.float64)
+        if kps.shape != (KEYPOINT_COUNT, 3):
+            raise ValidationError(f"expected ({KEYPOINT_COUNT}, 3) keypoints, got shape {kps.shape} {track}")
+        finite = np.isfinite(kps[:, :2]).all(axis=1)
+        if not finite.all():
+            j = int(np.argmin(finite))
+            raise ValidationError(f"{JOINT_NAMES[j]} coordinates must be finite, got {kps[j, :2]} {track}")
+        vis = kps[:, 2]
+        lo, hi = np.fmin.reduce(vis), np.fmax.reduce(vis)  # skip NaN; NaN only when all are absent
+        if lo < 0.0 or hi > 1.0:
+            j = int(np.argmax((vis < 0.0) | (vis > 1.0)))
+            raise ValidationError(f"{JOINT_NAMES[j]} visibility must be in [0, 1], got {vis[j]} {track}")
+        if not isinstance(self.interpolated, bool):
+            raise ValidationError(f"interpolated must be a boolean, got {self.interpolated!r} {track}")
+        if self.interpolated != math.isnan(hi):
+            rule = "have no" if self.interpolated else "carry at least one"
+            kind = "interpolated" if self.interpolated else "non-interpolated"
+            raise ValidationError(f"{kind} observation must {rule} keypoint visibility {track}")
+        kps.flags.writeable = False
+        object.__setattr__(self, "keypoints", kps)
+
+    def __eq__(self, other):
+        if not isinstance(other, PersonObservation):
+            return NotImplemented
+        mine = (self.track_id, self.bbox, self.interpolated, self.keypoints.tobytes())
+        return mine == (other.track_id, other.bbox, other.interpolated, other.keypoints.tobytes())
 
 
 @dataclass(frozen=True, slots=True)
@@ -131,10 +137,9 @@ class FrameRecord:
     anomaly_regions: tuple[BoundingBox, ...] = ()
 
     def __post_init__(self):
-        if not self.camera_id:
-            raise ValidationError("camera_id must be a non-empty string")
-        if not isinstance(self.frame_index, int) or self.frame_index < 0:
-            raise ValidationError(f"frame_index must be a non-negative integer, got {self.frame_index!r}")
+        if not isinstance(self.camera_id, str) or not self.camera_id:
+            raise ValidationError(f"camera_id must be a non-empty string, got {self.camera_id!r}")
+        _check_id("frame_index", self.frame_index)
         if self.label not in LABELS:
             raise ValidationError(
                 f"label must be one of {LABELS}, got {self.label!r} (frame {self.frame_index})"
@@ -239,21 +244,14 @@ def tracks_from_frames(frames, camera_id: str) -> list[Track]:
     Tracks are ordered by track_id, observations by frame_index. Raises on a
     duplicate (track_id, frame_index) pair.
     """
-    buckets: dict[int, tuple[list, list, list, list]] = {}
+    buckets: dict[int, list] = {}
     for fr in frames:
         for obs in fr.persons:
-            indices, coords, boxes, flags = buckets.setdefault(obs.track_id, ([], [], [], []))
-            indices.append(fr.frame_index)
-            for kp in obs.keypoints:
-                coords += (kp.x, kp.y)
-            boxes += obs.bbox.as_tuple()
-            flags.append(obs.interpolated)
+            buckets.setdefault(obs.track_id, []).append((fr.frame_index, obs))
     tracks = []
     for tid in sorted(buckets):
-        indices, coords, boxes, flags = buckets[tid]
-        indices = np.array(indices, dtype=np.int64)
-        order = np.argsort(indices, kind="stable")
-        track_frames = indices[order]
+        rows = sorted(buckets[tid], key=lambda row: row[0])
+        track_frames = np.array([fi for fi, _ in rows], dtype=np.int64)
         dup = np.flatnonzero(np.diff(track_frames) == 0)
         if dup.size:
             raise ValidationError(
@@ -264,9 +262,9 @@ def tracks_from_frames(frames, camera_id: str) -> list[Track]:
                 track_id=tid,
                 camera_id=camera_id,
                 frames=track_frames,
-                keypoints=np.array(coords, dtype=np.float64).reshape(-1, KEYPOINT_COUNT, 2)[order],
-                bbox=np.array(boxes, dtype=np.float64).reshape(-1, 4)[order],
-                interpolated=np.array(flags, dtype=bool)[order],
+                keypoints=np.stack([obs.keypoints[:, :2] for _, obs in rows]),
+                bbox=np.array([obs.bbox.as_tuple() for _, obs in rows], dtype=np.float64),
+                interpolated=np.array([obs.interpolated for _, obs in rows], dtype=bool),
             )
         )
     return tracks

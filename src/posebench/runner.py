@@ -403,8 +403,8 @@ def load_results(path) -> ContinualResult:
     except UnicodeDecodeError as exc:
         line = data.count(b"\n", 0, exc.start) + 1
         raise ValidationError(f"{path}: line {line}: not UTF-8 text ({exc.reason})") from None
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"{path}: malformed JSON: {exc.msg}") from None
+    except ValueError as exc:  # JSONDecodeError, or an integer literal past the digit limit
+        raise ValidationError(f"{path}: malformed JSON: {getattr(exc, 'msg', exc)}") from None
     try:
         return result_from_dict(raw)
     except ValidationError as exc:

@@ -25,7 +25,6 @@ from .model import (
     BoundingBox,
     CameraDataset,
     FrameRecord,
-    Keypoint,
     PersonObservation,
     SplitSet,
 )
@@ -82,26 +81,17 @@ def _clamp_pos(pos: np.ndarray) -> np.ndarray:
     return pos
 
 
-def _observation(rng, track_id: int, center: np.ndarray, template: np.ndarray, jitter_sigma: float):
-    pts = center[None, :] + template + rng.normal(0.0, jitter_sigma, size=template.shape)
-    return _obs_from_points(rng, track_id, pts)
-
-
 def _obs_from_points(rng, track_id: int, pts: np.ndarray) -> PersonObservation:
-    pts = pts.copy()
-    pts[:, 0] = np.clip(pts[:, 0], 0.5, CANVAS[0] - 0.5)
-    pts[:, 1] = np.clip(pts[:, 1], 0.5, CANVAS[1] - 0.5)
+    x = np.clip(pts[:, 0], 0.5, CANVAS[0] - 0.5)
+    y = np.clip(pts[:, 1], 0.5, CANVAS[1] - 0.5)
     vis = rng.uniform(0.3, 1.0, size=pts.shape[0])
     bbox = BoundingBox(
-        max(float(pts[:, 0].min()) - _PAD, 0.0),
-        max(float(pts[:, 1].min()) - _PAD, 0.0),
-        float(pts[:, 0].max()) + _PAD,
-        float(pts[:, 1].max()) + _PAD,
+        max(float(x.min()) - _PAD, 0.0),
+        max(float(y.min()) - _PAD, 0.0),
+        float(x.max()) + _PAD,
+        float(y.max()) + _PAD,
     )
-    kps = tuple(
-        Keypoint(float(pts[j, 0]), float(pts[j, 1]), float(vis[j])) for j in range(pts.shape[0])
-    )
-    return PersonObservation(track_id=track_id, bbox=bbox, keypoints=kps)
+    return PersonObservation(track_id=track_id, bbox=bbox, keypoints=np.column_stack((x, y, vis)))
 
 
 class _Walker:
@@ -121,7 +111,8 @@ class _Walker:
         self.vel = rng.normal(0.0, step_sigma, size=2)
 
     def step(self, rng) -> PersonObservation:
-        obs = _observation(rng, self.track_id, self.pos, self.template, self.jitter_sigma)
+        pts = self.pos[None, :] + self.template + rng.normal(0.0, self.jitter_sigma, size=self.template.shape)
+        obs = _obs_from_points(rng, self.track_id, pts)
         self.vel = 0.85 * self.vel + rng.normal(0.0, self.step_sigma, size=2)
         self.pos = _clamp_pos(self.pos + self.vel)
         return obs
@@ -293,24 +284,16 @@ def generate_split(
     test_frames = []
     for t in range(test_total):
         obs = [w.step(rng) for w in walkers]
-        extra = anomaly_obs.get(t)
-        if extra is not None:
-            obs.append(extra)
-            frame = FrameRecord(
+        extra = (anomaly_obs[t],) if t in anomaly_obs else ()
+        test_frames.append(
+            FrameRecord(
                 camera_id=camera_id,
                 frame_index=train_normal + t,
-                label=LABEL_ANOMALOUS,
-                persons=tuple(obs),
-                anomaly_regions=(extra.bbox,),
+                label=LABEL_ANOMALOUS if extra else LABEL_NORMAL,
+                persons=(*obs, *extra),
+                anomaly_regions=tuple(o.bbox for o in extra),
             )
-        else:
-            frame = FrameRecord(
-                camera_id=camera_id,
-                frame_index=train_normal + t,
-                label=LABEL_NORMAL,
-                persons=tuple(obs),
-            )
-        test_frames.append(frame)
+        )
 
     train = CameraDataset(camera_id=camera_id, frames=tuple(train_frames))
     test = CameraDataset(camera_id=camera_id, frames=tuple(test_frames))

@@ -9,26 +9,30 @@ from posebench.model import (
     BoundingBox,
     CameraDataset,
     FrameRecord,
-    Keypoint,
     PersonObservation,
     tracks_from_frames,
 )
 
 
 def make_keypoints(points, visibility=0.9):
-    """17 keypoints from an iterable of (x, y); shorter input is cycled."""
+    """(17, 3) keypoint array from an iterable of (x, y); shorter input is cycled.
+
+    ``visibility=None`` gives NaN visibilities, the form of a JSONL ``null``.
+    """
     pts = list(points)
-    out = []
+    vis = np.nan if visibility is None else visibility
+    rows = []
     for i in range(17):
         x, y = pts[i % len(pts)]
-        out.append(Keypoint(float(x) + 0.01 * i, float(y) + 0.02 * i, visibility))
-    return tuple(out)
+        rows.append((float(x) + 0.01 * i, float(y) + 0.02 * i, vis))
+    return np.array(rows)
 
 
 def box_around(keypoints, pad=2.0):
-    xs = [k.x for k in keypoints]
-    ys = [k.y for k in keypoints]
-    return BoundingBox(min(xs) - pad, min(ys) - pad, max(xs) + pad, max(ys) + pad)
+    xs, ys = keypoints[:, 0], keypoints[:, 1]
+    return BoundingBox(
+        float(xs.min()) - pad, float(ys.min()) - pad, float(xs.max()) + pad, float(ys.max()) + pad
+    )
 
 
 def make_obs(track_id=0, origin=(50.0, 60.0), interpolated=False, visibility=0.9):

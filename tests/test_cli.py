@@ -3,11 +3,12 @@ import json
 import pytest
 
 from posebench.cli import main
-from posebench.io import load_dataset, write_dataset
+from posebench.io import frame_to_dict, load_dataset, write_dataset
 from posebench.runner import result_to_dict
 from posebench.synthetic import generate_split
 
 from _golden import golden_results
+from conftest import make_frame, make_obs
 
 
 @pytest.fixture(scope="module")
@@ -60,6 +61,39 @@ class TestExitCodes:
         assert f"{utf16}: line 2: not UTF-8" in capsys.readouterr().err
         assert main(["run-standard", "--config", str(utf16), "--out", str(tmp_path / "o")]) == 2
         assert f"config {utf16}: not UTF-8" in capsys.readouterr().err
+        # An integer literal past Python's digit limit is malformed JSON, not a crash.
+        huge = tmp_path / "huge.json"
+        huge.write_text('{"seed": 1' + "0" * 5000 + "}")
+        assert main(["run-standard", "--config", str(huge), "--out", str(tmp_path / "o")]) == 2
+        assert f"config {huge}: malformed JSON" in capsys.readouterr().err
+        assert main(["report", "--results", str(huge), "--out", str(tmp_path / "o")]) == 2
+        assert f"{huge}: malformed JSON" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "old,new",
+        [
+            ('"frame_index":1,', f'"frame_index":{2**63},'),
+            ('"keypoints":[[50.0,', '"keypoints":[[1e400,'),
+            ('"keypoints":[[50.0,', '"keypoints":[[1' + "0" * 400 + ","),
+            ('"frame_index":1,', '"frame_index":1' + "0" * 5000 + ","),
+            ('"interpolated":false', '"interpolated":"no"'),
+        ],
+        ids=["frame_index-past-int64", "infinite-float", "huge-int", "digit-limit", "interpolated-string"],
+    )
+    def test_hostile_value_is_data_error_with_line(self, tmp_path, capsys, old, new):
+        lines = [
+            json.dumps(frame_to_dict(make_frame(i, persons=(make_obs(),))), separators=(",", ":"))
+            for i in (0, 1)
+        ]
+        assert old in lines[1]
+        lines[1] = lines[1].replace(old, new, 1)
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("\n".join(lines) + "\n")
+        out = str(tmp_path / "o")
+        run = ["run-standard", "--train", str(bad), "--test", str(bad), "--out", out]
+        for argv in (["stats", str(bad)], run):
+            assert main(argv) == 2
+            assert f"{bad}: line 2" in capsys.readouterr().err
 
 
 class TestSynth:

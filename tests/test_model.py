@@ -9,7 +9,6 @@ from posebench.model import (
     CameraDataset,
     FrameRecord,
     JOINT_NAMES,
-    Keypoint,
     PersonObservation,
     SplitSet,
     tracks_from_frames,
@@ -23,25 +22,37 @@ def test_joint_layout():
     assert JOINT_NAMES[-1] == "right_ankle"
 
 
+def obs_with_joint(row):
+    """A valid observation whose first joint is replaced by ``row`` = (x, y, visibility)."""
+    kps = make_keypoints([(10, 10)])
+    box = box_around(kps)
+    kps[0] = row
+    return PersonObservation(track_id=0, keypoints=kps, bbox=box)
+
+
 class TestKeypoint:
+    """Per-joint rules of the (17, 3) keypoint array."""
+
     def test_valid(self):
-        kp = Keypoint(1.0, 2.0, 0.5)
-        assert (kp.x, kp.y, kp.visibility) == (1.0, 2.0, 0.5)
+        kps = obs_with_joint((1.0, 2.0, 0.5)).keypoints
+        assert kps.dtype == np.float64 and kps.shape == (17, 3)
+        assert kps[0].tolist() == [1.0, 2.0, 0.5]
+        assert not kps.flags.writeable
 
     def test_visibility_may_be_absent(self):
-        assert Keypoint(0.0, 0.0, None).visibility is None
+        assert np.isnan(obs_with_joint((0.0, 0.0, None)).keypoints[0, 2])
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
     def test_rejects_non_finite(self, bad):
-        with pytest.raises(ValidationError):
-            Keypoint(bad, 0.0, 0.5)
-        with pytest.raises(ValidationError):
-            Keypoint(0.0, bad, 0.5)
+        with pytest.raises(ValidationError, match="coordinates must be finite"):
+            obs_with_joint((bad, 0.0, 0.5))
+        with pytest.raises(ValidationError, match="coordinates must be finite"):
+            obs_with_joint((0.0, bad, 0.5))
 
     @pytest.mark.parametrize("bad", [-0.1, 1.1, 2.0])
     def test_rejects_out_of_range_visibility(self, bad):
-        with pytest.raises(ValidationError):
-            Keypoint(0.0, 0.0, bad)
+        with pytest.raises(ValidationError, match="visibility must be in"):
+            obs_with_joint((0.0, 0.0, bad))
 
 
 class TestBoundingBox:
@@ -81,7 +92,28 @@ class TestPersonObservation:
     def test_interpolated_roundtrip(self):
         obs = make_obs(interpolated=True)
         assert obs.interpolated
-        assert all(k.visibility is None for k in obs.keypoints)
+        assert np.isnan(obs.keypoints[:, 2]).all()
+
+    def test_ids_must_fit_int64(self):
+        kps = make_keypoints([(10, 10)])
+        PersonObservation(track_id=2**63 - 1, keypoints=kps, bbox=box_around(kps))
+        for bad in (2**63, -1, True, 1.0):
+            with pytest.raises(ValidationError, match="track_id must be"):
+                PersonObservation(track_id=bad, keypoints=kps, bbox=box_around(kps))
+            with pytest.raises(ValidationError, match="frame_index must be"):
+                FrameRecord(camera_id="cam0", frame_index=bad, label="normal")
+
+    def test_equality_is_bitwise_on_keypoints(self):
+        # NaN visibilities compare equal; one changed bit in one joint does not.
+        assert make_obs(interpolated=True) == make_obs(interpolated=True)
+        kps = make_keypoints([(10, 10)])
+        box = box_around(kps)
+        nudged = kps.copy()
+        nudged[16, 1] = np.nextafter(nudged[16, 1], np.inf)
+        obs = PersonObservation(track_id=0, keypoints=kps.copy(), bbox=box)
+        assert obs == PersonObservation(track_id=0, keypoints=kps, bbox=box)
+        assert obs != PersonObservation(track_id=0, keypoints=nudged, bbox=box)
+        assert obs != PersonObservation(track_id=1, keypoints=kps, bbox=box)
 
 
 class TestFrameRecord:
@@ -103,6 +135,10 @@ class TestFrameRecord:
     def test_bad_label(self):
         with pytest.raises(ValidationError):
             FrameRecord(camera_id="cam0", frame_index=0, label="odd")
+        with pytest.raises(ValidationError):
+            FrameRecord(camera_id="cam0", frame_index=0, label=7)
+        with pytest.raises(ValidationError, match="camera_id must be a non-empty string"):
+            FrameRecord(camera_id=7, frame_index=0, label="normal")
 
 
 class TestCameraDataset:
@@ -170,7 +206,7 @@ class TestTracks:
         assert tracks[1].frames.tolist() == [0]
         # Every column follows the frame order, not the input order.
         for row, obs in enumerate((a0, a1)):
-            assert tracks[0].keypoints[row].tolist() == [[kp.x, kp.y] for kp in obs.keypoints]
+            assert tracks[0].keypoints[row].tolist() == obs.keypoints[:, :2].tolist()
             assert tuple(tracks[0].bbox[row]) == obs.bbox.as_tuple()
         assert tracks[0].interpolated.tolist() == [False, False]
         assert tracks[1].interpolated.tolist() == [True]

@@ -31,9 +31,9 @@ class TestGenerateNormals:
         ds = generate_normals(200, seed=1, step_sigma=25.0)
         for frame in ds.frames:
             for obs in frame.persons:
-                for kp in obs.keypoints:
-                    assert 0.0 <= kp.x <= 1280.0
-                    assert 0.0 <= kp.y <= 720.0
+                x, y = obs.keypoints[:, 0], obs.keypoints[:, 1]
+                assert ((0.0 <= x) & (x <= 1280.0)).all()
+                assert ((0.0 <= y) & (y <= 720.0)).all()
 
     def test_wide_variant_changes_geometry(self):
         a = generate_normals(30, seed=5)
@@ -89,9 +89,7 @@ class TestGenerateSplit:
         for frame in split.test.frames:
             for obs in frame.persons:
                 if obs.track_id >= ANOMALY_TRACK_BASE:
-                    anom_pos.setdefault(obs.track_id, []).append(
-                        np.array([(k.x, k.y) for k in obs.keypoints])
-                    )
+                    anom_pos.setdefault(obs.track_id, []).append(obs.keypoints[:, :2])
         steps = []
         for seq in anom_pos.values():
             for a, b in zip(seq, seq[1:]):
@@ -105,9 +103,7 @@ class TestGenerateSplit:
         for frame in split.test.frames:
             for obs in frame.persons:
                 if obs.track_id >= ANOMALY_TRACK_BASE:
-                    by_track.setdefault(obs.track_id, []).append(
-                        np.array([(k.x, k.y) for k in obs.keypoints])
-                    )
+                    by_track.setdefault(obs.track_id, []).append(obs.keypoints[:, :2])
         for seq in by_track.values():
             for a, b in zip(seq, seq[1:]):
                 np.testing.assert_allclose(a, b, atol=1e-9)
