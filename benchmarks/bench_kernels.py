@@ -46,11 +46,12 @@ def bench_welford(rng, repeat: int):
 
 def bench_knn(rng, repeat: int):
     rows = []
-    for stored_n, query_n, dim in ((5_000, 500, 816), (20_000, 500, 816)):
+    # The first shape is the largest call of perfbench's continual-knn workload.
+    for stored_n, query_n, dim, k in ((714, 267, 816, 5), (5_000, 500, 816, 3), (20_000, 500, 816, 3)):
         stored = rng.normal(size=(stored_n, dim))
         queries = rng.normal(size=(query_n, dim))
-        seconds = _best_of(lambda: _kernels.knn_mean_distance(stored, queries, 3), repeat)
-        rows.append(("kernels.knn_mean_distance", f"stored={stored_n}", seconds))
+        seconds = _best_of(lambda: _kernels.knn_mean_distance(stored, queries, k), repeat)
+        rows.append(("kernels.knn_mean_distance", f"{query_n}x{stored_n} k={k}", seconds))
     return rows
 
 

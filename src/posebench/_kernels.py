@@ -4,11 +4,25 @@ Each kernel is exact for its contract and deterministic: the Welford update
 matches a two-pass mean/variance to rounding, the kNN distance is exact
 k-nearest, and the IoU maximum matches a pairwise scan. Time them with
 benchmarks/bench_kernels.py.
+
+kNN contract: a query's score is the mean of the square roots of its k
+smallest exact squared distances ``((q - s) ** 2).sum()``, summed in
+ascending order, so it equals a brute-force sort bit for bit. Candidates
+are chosen by the expansion |q|^2 + |s|^2 - 2 q.s, whose distance to the
+exact value is at most 4 (d + 3) eps (|q|^2 + max |s|^2). A row is
+certified when its nearest left-out row, less that bound, is no nearer than
+the k-th exact distance; a row that is not certified is scanned in full.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+# Candidates rescored exactly per query beyond the k needed.
+_SLACK = 8
+# Largest (queries, stored) expansion or (queries, candidates, d) rescoring
+# temporary, in float64 elements (32 MB).
+_BLOCK_ELEMENTS = 1 << 22
 
 
 def welford_update(count, mean, m2, batch):
@@ -25,23 +39,42 @@ def welford_update(count, mean, m2, batch):
     return c
 
 
-def knn_mean_distance(stored, queries, k, chunk=None):
+def knn_mean_distance(stored, queries, k):
     """Mean Euclidean distance from each query to its k nearest stored rows.
 
-    Queries are processed in chunks sized so the (chunk, n, d) difference
-    temporary stays around 256 MB regardless of how many rows are stored.
+    Exact under the kNN contract above: one GEMM per query block picks
+    ``k + _SLACK`` candidates, which are rescored exactly.
     """
-    m = queries.shape[0]
-    if chunk is None:
-        per_query = max(1, stored.shape[0] * stored.shape[1])
-        chunk = min(512, max(1, 32_000_000 // per_query))
-    out = np.empty(m, dtype=np.float64)
-    for s in range(0, m, chunk):
-        q = queries[s : s + chunk]
-        d2 = ((q[:, None, :] - stored[None, :, :]) ** 2).sum(axis=2)
-        kd = np.partition(d2, k - 1, axis=1)[:, :k]
-        out[s : s + chunk] = np.sqrt(kd).mean(axis=1)
+    n, d = stored.shape
+    c = min(n, k + _SLACK)
+    sq_s = np.einsum("ij,ij->i", stored, stored)
+    sq_q = np.einsum("ij,ij->i", queries, queries)
+    # Bounds |expanded - exact| for every pair of the row, both sides rounded;
+    # the subnormal term covers products that underflow.
+    fp = np.finfo(np.float64)
+    rounding = 4 * (d + 3) * (fp.eps * (sq_q + sq_s.max()) + fp.smallest_subnormal)
+    block = max(1, _BLOCK_ELEMENTS // max(n, c * d))
+    out = np.empty(queries.shape[0], dtype=np.float64)
+    for s in range(0, queries.shape[0], block):
+        q = queries[s : s + block]
+        e2 = sq_q[s : s + block, None] + sq_s - 2.0 * (q @ stored.T)
+        cand = np.argpartition(e2, c - 1, axis=1)[:, :c]
+        d2 = ((q[:, None, :] - stored[cand]) ** 2).sum(axis=2)
+        d2.sort(axis=1)
+        kd = d2[:, :k]
+        # Certificate: no row left out can be nearer than the k-th exact
+        # distance. It fails on NaN, so an overflowed expansion falls back too.
+        np.put_along_axis(e2, cand, np.inf, axis=1)
+        floor = e2.min(axis=1) - rounding[s : s + block]
+        for i in np.flatnonzero(~(floor >= kd[:, -1])):
+            kd[i] = _exact_row(stored, q[i], k)
+        out[s : s + block] = np.sqrt(kd).mean(axis=1)
     return out
+
+
+def _exact_row(stored, query, k):
+    """The k smallest exact squared distances from ``query``, ascending."""
+    return np.sort(((query - stored) ** 2).sum(axis=1))[:k]
 
 
 def max_iou_per_group(boxes, offsets):

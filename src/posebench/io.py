@@ -158,16 +158,30 @@ def read_frames(path) -> list[FrameRecord]:
 
 
 def load_dataset(path) -> CameraDataset:
-    """Load a single-camera JSONL file into a CameraDataset sorted by frame_index."""
+    """Load a single-camera JSONL file into a CameraDataset sorted by frame_index.
+
+    A second camera_id or a repeated frame_index is reported with its line
+    and the earlier line it conflicts with.
+    """
     frames = read_frames(path)
     if not frames:
         raise ValidationError(f"{os.fspath(path)}: dataset contains no frames")
-    frames.sort(key=lambda fr: fr.frame_index)
     camera_id = frames[0].camera_id
-    try:
-        return CameraDataset(camera_id=camera_id, frames=tuple(frames))
-    except ValidationError as exc:
-        raise ValidationError(f"{os.fspath(path)}: {exc}") from None
+    first = {}  # frame_index -> position of its first frame
+    for pos, fr in enumerate(frames):
+        if fr.camera_id != camera_id:
+            raise _conflict(path, pos, 0, f"camera_id {fr.camera_id!r} differs from {camera_id!r} on")
+        if first.setdefault(fr.frame_index, pos) != pos:
+            raise _conflict(path, pos, first[fr.frame_index], f"frame_index {fr.frame_index} repeats")
+    frames.sort(key=lambda fr: fr.frame_index)
+    return CameraDataset(camera_id=camera_id, frames=tuple(frames))
+
+
+def _conflict(path, pos, earlier, what) -> ValidationError:
+    """An error naming the lines of frames ``pos`` and ``earlier`` in read_frames order."""
+    with open(path, "rb") as fh:
+        lines = [n for n, raw in enumerate(fh, start=1) if raw.decode("utf-8").strip()]
+    return ValidationError(f"{os.fspath(path)}: line {lines[pos]}: {what} line {lines[earlier]}")
 
 
 def write_frames(frames, path) -> int:

@@ -170,7 +170,8 @@ class KnnScorer(AnomalyScorer):
     The reservoir keeps a uniform sample of all ingested windows once
     capacity is exceeded (algorithm R); replacement draws come from a PCG64
     generator seeded at construction, so ingestion is reproducible byte for
-    byte given the same window order.
+    byte given the same window order. The store's rows grow by doubling up
+    to capacity, so memory follows the windows held, not the capacity.
     """
 
     kind = "knn"
@@ -195,13 +196,17 @@ class KnnScorer(AnomalyScorer):
         for w in windows:
             vec = flat_features(w)
             if self._store is None:
-                self._store = np.empty((self.capacity, vec.size), dtype=np.float64)
+                self._store = np.empty((0, vec.size), dtype=np.float64)
             elif vec.size != self._store.shape[1]:
                 raise ValidationError(
                     f"feature dimension {vec.size} does not match stored dimension {self._store.shape[1]}"
                 )
             self._seen += 1
             if self._stored < self.capacity:
+                if self._stored == self._store.shape[0]:  # grow by doubling, up to capacity
+                    grown = np.empty((min(self.capacity, max(64, 2 * self._stored)), vec.size))
+                    grown[: self._stored] = self._store
+                    self._store = grown
                 self._store[self._stored] = vec
                 self._stored += 1
             else:
@@ -254,10 +259,12 @@ class KnnScorer(AnomalyScorer):
             self._store = None
             self._stored = 0
         else:
-            arr = np.array(state["store"], dtype=np.float64)
-            self._stored = arr.shape[0]
-            self._store = np.empty((self.capacity, arr.shape[1]), dtype=np.float64)
-            self._store[: self._stored] = arr
+            self._store = np.array(state["store"], dtype=np.float64)
+            if self._store.ndim != 2 or self._store.shape[0] > self.capacity:
+                raise ValidationError(
+                    f"knn store must be 2-D with at most {self.capacity} rows, got shape {self._store.shape}"
+                )
+            self._stored = self._store.shape[0]
         self._rng = np.random.default_rng()
         self._rng.bit_generator.state = copy.deepcopy(state["rng_state"])
 
@@ -357,5 +364,5 @@ def load_checkpoint(path) -> AnomalyScorer:
         state["rng_state"] = meta["rng_state"]
     try:
         return scorer_from_snapshot(state)
-    except (TypeError, ValueError, KeyError) as exc:
+    except (TypeError, ValueError, KeyError, ValidationError) as exc:
         raise ValidationError(f"checkpoint {path}: state rejected ({type(exc).__name__}: {exc})") from None

@@ -77,8 +77,13 @@ class TestExitCodes:
             ('"keypoints":[[50.0,', '"keypoints":[[1' + "0" * 400 + ","),
             ('"frame_index":1,', '"frame_index":1' + "0" * 5000 + ","),
             ('"interpolated":false', '"interpolated":"no"'),
+            ('"frame_index":1,', '"frame_index":0,'),
+            ('"camera_id":"cam0"', '"camera_id":"cam9"'),
         ],
-        ids=["frame_index-past-int64", "infinite-float", "huge-int", "digit-limit", "interpolated-string"],
+        ids=[
+            "frame_index-past-int64", "infinite-float", "huge-int", "digit-limit", "interpolated-string",
+            "repeated-frame_index", "second-camera",
+        ],
     )
     def test_hostile_value_is_data_error_with_line(self, tmp_path, capsys, old, new):
         lines = [

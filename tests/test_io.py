@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import re
 import tempfile
 from pathlib import Path
 
@@ -125,6 +126,26 @@ def test_wrong_type_reports_line_number(tmp_path, field, value, message):
     path.write_text(json.dumps(frame_to_dict(make_frame(0))) + "\n" + json.dumps(d) + "\n")
     with pytest.raises(ValidationError, match=f"bad.jsonl: line 2.*{message}"):
         read_frames(path)
+
+
+@pytest.mark.parametrize(
+    "frames,message",
+    [
+        ([make_frame(2), make_frame(3), make_frame(3)], "line 4: frame_index 3 repeats line 3"),
+        ([make_frame(3), make_frame(1), make_frame(3)], "line 4: frame_index 3 repeats line 1"),
+        (
+            [make_frame(4), make_frame(5, camera_id="cam9"), make_frame(6)],
+            "line 3: camera_id 'cam9' differs from 'cam0' on line 1",
+        ),
+    ],
+    ids=["repeat-adjacent", "repeat-out-of-order", "second-camera"],
+)
+def test_cross_line_conflict_reports_both_lines(tmp_path, frames, message):
+    lines = [json.dumps(frame_to_dict(fr)) for fr in frames]
+    path = tmp_path / "bad.jsonl"
+    path.write_text(lines[0] + "\n \n" + "\n".join(lines[1:]) + "\n")  # line 2 is blank
+    with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}: {re.escape(message)}$"):
+        load_dataset(path)
 
 
 def test_bad_keypoint_arity(tmp_path):

@@ -3,6 +3,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from posebench.errors import ValidationError
 from posebench.preprocess import PoseWindow
@@ -204,6 +206,54 @@ class TestKnnScorer:
         probe = windows(rng, 4)
         np.testing.assert_array_equal(clone.score_batch(probe), sc.score_batch(probe))
 
+    def test_store_grows_with_the_windows_held(self, rng):
+        sc = KnnScorer(k_nn=1, capacity=50_000, seed=0)
+        sc.partial_fit(windows(rng, 3, length=4))
+        assert sc._store.shape == (64, 4 * 34)
+        sc.partial_fit(windows(rng, 100, length=4))
+        assert sc._store.shape == (128, 4 * 34)
+        capped = KnnScorer(k_nn=1, capacity=100, seed=0)
+        capped.fit(windows(rng, 300, length=4))
+        assert capped._store.shape == (100, 4 * 34)
+        restored = scorer_from_snapshot(sc.snapshot())
+        assert restored._store.shape == (103, 4 * 34)
+
+
+def _snapshot_arrays(sc):
+    state = sc.snapshot()
+    if state["kind"] == "knn":
+        return state["store"], state["rng_state"], state["seen"]
+    return state["mean"], state["m2"], state["count"]
+
+
+class TestSplitInvariance:
+    @settings(deadline=None, max_examples=40)
+    @given(
+        kind=st.sampled_from(["gaussian", "knn"]),
+        n=st.integers(2, 150),
+        cuts=st.lists(st.integers(0, 150), max_size=5),
+        capacity=st.sampled_from([9, 100]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_fit_equals_any_split_of_partial_fits(self, kind, n, cuts, capacity, seed):
+        # Capacity 100 takes the knn store through a doubling (64 -> 100) and replacements.
+        rng = np.random.default_rng(seed)
+        ws = windows(rng, n, length=4)
+        probe = windows(rng, 3, length=4)
+        params = {"k_nn": 2, "capacity": capacity} if kind == "knn" else {}
+        whole = make_scorer(kind, seed=seed, params=params)
+        whole.fit(ws)
+        split = make_scorer(kind, seed=seed, params=params)
+        bounds = [0, *sorted(c for c in cuts if c <= n), n]
+        for lo, hi in zip(bounds, bounds[1:]):
+            split.partial_fit(ws[lo:hi])
+        for a, b in zip(_snapshot_arrays(whole), _snapshot_arrays(split)):
+            if isinstance(a, np.ndarray):
+                assert a.tobytes() == b.tobytes()
+            else:
+                assert a == b
+        np.testing.assert_array_equal(whole.score_batch(probe), split.score_batch(probe))
+
 
 class TestCheckpoints:
     def test_gaussian_roundtrip(self, rng, tmp_path):
@@ -248,6 +298,14 @@ class TestCheckpoints:
             with open(path, "wb") as fh:
                 np.savez(fh, meta=np.array(json.dumps(meta)))
             with pytest.raises(ValidationError, match=f"{re.escape(str(path))}.*'{field}'"):
+                load_checkpoint(path)
+        # A knn store that is not 2-D or holds more rows than the capacity.
+        meta = {**base, "kind": "knn", "params": {"k_nn": 1, "capacity": 3, "seed": 0}, "seen": 4,
+                "rng_state": np.random.default_rng(0).bit_generator.state}
+        for store in (np.zeros(4), np.zeros((4, 2))):
+            with open(path, "wb") as fh:
+                np.savez(fh, meta=np.array(json.dumps(meta)), store=store)
+            with pytest.raises(ValidationError, match=f"{re.escape(str(path))}.*knn store must be 2-D"):
                 load_checkpoint(path)
 
 
