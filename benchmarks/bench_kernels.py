@@ -1,22 +1,26 @@
-"""Time the three numeric kernels at fixed problem sizes.
+"""Time the numeric kernels and JSONL ingest at fixed problem sizes.
 
 Run directly:
 
     python benchmarks/bench_kernels.py [--repeat 5]
 
 Prints one row per kernel and problem size, named as in the per-layer
-metrics of perfbench (``kernels.knn_mean_distance`` and so on), with the
-best of ``--repeat`` timings.
+metrics of perfbench (``kernels.knn_mean_distance``, ``io.read_frames``
+and so on), with the best of ``--repeat`` timings.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
+import tempfile
 import time
 
 import numpy as np
 
-from posebench import _kernels
+from posebench import _kernels, stats
+from posebench.io import read_frames, write_dataset
+from posebench.synthetic import generate_split
 
 
 def _best_of(fn, repeat: int) -> float:
@@ -63,9 +67,19 @@ def bench_iou(rng, repeat: int):
         y1 = rng.uniform(0, 600, size=total)
         boxes = np.column_stack([x1, y1, x1 + rng.uniform(5, 120, total), y1 + rng.uniform(5, 120, total)])
         offsets = np.arange(0, total + 1, per_frame, dtype=np.int64)
-        seconds = _best_of(lambda: _kernels.max_iou_per_group(boxes, offsets), repeat)
-        rows.append(("kernels.max_iou_per_group", f"frames={n_frames}", seconds))
+        seconds = _best_of(lambda: stats.max_iou_per_group(boxes, offsets), repeat)
+        rows.append(("stats.max_iou_per_group", f"frames={n_frames}", seconds))
     return rows
+
+
+def bench_read_frames(seed: int, repeat: int):
+    # The train file of the README standard quick-start: 3000 frames, 2 persons each.
+    split = generate_split(3000, 2000, 500, seed=seed)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "train.jsonl")
+        write_dataset(split.train, path)
+        seconds = _best_of(lambda: read_frames(path), repeat)
+    return [("io.read_frames", "frames=3000", seconds)]
 
 
 def main() -> int:
@@ -79,6 +93,7 @@ def main() -> int:
     rows += bench_welford(rng, args.repeat)
     rows += bench_knn(rng, args.repeat)
     rows += bench_iou(rng, args.repeat)
+    rows += bench_read_frames(args.seed, args.repeat)
 
     print(f"{'kernel':<26} {'size':<14} {'best (ms)':>10}")
     for name, size, seconds in rows:

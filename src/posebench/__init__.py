@@ -14,6 +14,7 @@ from .model import (
     BoundingBox,
     CameraDataset,
     FrameRecord,
+    FrameTable,
     PersonObservation,
     SplitSet,
     Track,
@@ -52,6 +53,7 @@ __all__ = [
     "BoundingBox",
     "CameraDataset",
     "FrameRecord",
+    "FrameTable",
     "PersonObservation",
     "SplitSet",
     "Track",

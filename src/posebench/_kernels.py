@@ -1,9 +1,8 @@
 """Hot numeric kernels, one numpy implementation each.
 
 Each kernel is exact for its contract and deterministic: the Welford update
-matches a two-pass mean/variance to rounding, the kNN distance is exact
-k-nearest, and the IoU maximum matches a pairwise scan. Time them with
-benchmarks/bench_kernels.py.
+matches a two-pass mean/variance to rounding and the kNN distance is exact
+k-nearest. Time them with benchmarks/bench_kernels.py.
 
 kNN contract: a query's score is the mean of the square roots of its k
 smallest exact squared distances ``((q - s) ** 2).sum()``, summed in
@@ -12,6 +11,9 @@ are chosen by the expansion |q|^2 + |s|^2 - 2 q.s, whose distance to the
 exact value is at most 4 (d + 3) eps (|q|^2 + max |s|^2). A row is
 certified when its nearest left-out row, less that bound, is no nearer than
 the k-th exact distance; a row that is not certified is scanned in full.
+The exact rescoring gathers the candidates once and subtracts and squares
+in place in that one buffer: the same operations in the same order as the
+expression above, so the same bits.
 """
 
 from __future__ import annotations
@@ -20,8 +22,8 @@ import numpy as np
 
 # Candidates rescored exactly per query beyond the k needed.
 _SLACK = 8
-# Largest (queries, stored) expansion or (queries, candidates, d) rescoring
-# temporary, in float64 elements (32 MB).
+# Largest (queries, stored) expansion, or (queries, candidates, d) rescoring
+# buffer, in float64 elements (32 MB); the rescoring works in that one buffer.
 _BLOCK_ELEMENTS = 1 << 22
 
 
@@ -59,7 +61,10 @@ def knn_mean_distance(stored, queries, k):
         q = queries[s : s + block]
         e2 = sq_q[s : s + block, None] + sq_s - 2.0 * (q @ stored.T)
         cand = np.argpartition(e2, c - 1, axis=1)[:, :c]
-        d2 = ((q[:, None, :] - stored[cand]) ** 2).sum(axis=2)
+        buf = stored[cand]
+        np.subtract(q[:, None, :], buf, out=buf)
+        np.multiply(buf, buf, out=buf)
+        d2 = buf.sum(axis=2)
         d2.sort(axis=1)
         kd = d2[:, :k]
         # Certificate: no row left out can be nearer than the k-th exact
@@ -75,28 +80,6 @@ def knn_mean_distance(stored, queries, k):
 def _exact_row(stored, query, k):
     """The k smallest exact squared distances from ``query``, ascending."""
     return np.sort(((query - stored) ** 2).sum(axis=1))[:k]
-
-
-def max_iou_per_group(boxes, offsets):
-    """Per-group max pairwise IoU; groups with fewer than 2 boxes give 0."""
-    n_groups = offsets.shape[0] - 1
-    out = np.zeros(n_groups, dtype=np.float64)
-    for g in range(n_groups):
-        bb = boxes[offsets[g] : offsets[g + 1]]
-        n = bb.shape[0]
-        if n < 2:
-            continue
-        x1 = np.maximum(bb[:, None, 0], bb[None, :, 0])
-        y1 = np.maximum(bb[:, None, 1], bb[None, :, 1])
-        x2 = np.minimum(bb[:, None, 2], bb[None, :, 2])
-        y2 = np.minimum(bb[:, None, 3], bb[None, :, 3])
-        inter = np.clip(x2 - x1, 0.0, None) * np.clip(y2 - y1, 0.0, None)
-        area = (bb[:, 2] - bb[:, 0]) * (bb[:, 3] - bb[:, 1])
-        union = area[:, None] + area[None, :] - inter
-        iou = np.where(union > 0.0, inter / np.where(union > 0.0, union, 1.0), 0.0)
-        np.fill_diagonal(iou, 0.0)
-        out[g] = iou.max()
-    return out
 
 
 def active_path() -> str:

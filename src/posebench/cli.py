@@ -17,6 +17,8 @@ import os
 import sys
 from datetime import datetime, timezone
 
+import numpy as np
+
 from . import __version__
 from .errors import PosebenchError, ValidationError
 from .io import load_dataset, write_dataset, write_frames
@@ -159,18 +161,17 @@ def _cmd_rearrange(args) -> int:
     verify(cs)
     os.makedirs(args.out, exist_ok=True)
     width = max(2, len(str(plan.k)))
-    slice_of = {}
-    for i, sl in enumerate(cs.slices, start=1):
-        write_frames(sl, os.path.join(args.out, f"slice_{i:0{width}d}.jsonl"))
-        for fr in sl:
-            slice_of[fr.frame_index] = i
+    for i, rows in enumerate(cs.slices, start=1):
+        write_frames(cs.frames.take(rows), os.path.join(args.out, f"slice_{i:0{width}d}.jsonl"))
     write_dataset(cs.test, os.path.join(args.out, "test.jsonl"))
+    slice_of = np.repeat(np.arange(1, plan.k + 1), [len(rows) for rows in cs.slices])
+    stream = zip(cs.frames.frame_index[cs.train_stream].tolist(), slice_of.tolist())
     with open(os.path.join(args.out, "provenance.csv"), "w", encoding="utf-8") as fh:
         fh.write("frame_index,origin,slice\n")
-        for fr in cs.train_stream:
-            fh.write(f"{fr.frame_index},{cs.provenance[fr.frame_index]},{slice_of[fr.frame_index]}\n")
-        for fr in cs.test.frames:
-            fh.write(f"{fr.frame_index},{cs.provenance[fr.frame_index]},\n")
+        for fi, i in stream:
+            fh.write(f"{fi},{cs.provenance[fi]},{i}\n")
+        for fi in cs.test.frames.frame_index.tolist():
+            fh.write(f"{fi},{cs.provenance[fi]},\n")
     params = {
         "train": str(args.train),
         "test": str(args.test),

@@ -192,40 +192,32 @@ def compute_all(series: ScoreSeries, fnr_target: float = 0.10) -> MetricReport:
     )
 
 
-def aggregate_frame_scores(window_scores, dataset: CameraDataset, aggregator: str = "max") -> ScoreSeries:
+def aggregate_frame_scores(frames, scores, dataset: CameraDataset, aggregator: str = "max") -> ScoreSeries:
     """Fold window scores onto frames, producing one labeled score per frame.
 
-    ``window_scores`` is an iterable of (covered_frames, score) pairs. Each
-    frame aggregates the scores of every window covering it with ``max`` or
-    ``mean``; frames covered by no window receive the minimum observed score
-    (least anomalous). With no window scores at all, every frame scores 0.0.
-    Labels come from the dataset's frame records.
+    ``frames`` and ``scores`` are aligned 1-D arrays with one entry per
+    (window, covered frame) pair: the frame index and the window's score.
+    Each frame aggregates the scores of its entries with ``max`` or ``mean``
+    (summed in entry order); frames with no entry receive the minimum
+    observed score (least anomalous). With no entries at all, every frame
+    scores 0.0. Labels come from the dataset's frame table.
     """
     if aggregator not in AGGREGATORS:
         raise ValidationError(f"aggregator must be one of {AGGREGATORS}, got {aggregator!r}")
-    if not dataset.frames:
+    table = dataset.frames
+    n = len(table)
+    if not n:
         raise ValidationError("cannot aggregate scores over an empty dataset")
-    n = len(dataset.frames)
-    position = {fr.frame_index: i for i, fr in enumerate(dataset.frames)}
+    frames = np.asarray(frames, dtype=np.int64)
+    score_arr = np.asarray(scores, dtype=np.float64)
+    pos_arr = np.searchsorted(table.frame_index, frames)
+    missing = np.flatnonzero(table.frame_index[np.minimum(pos_arr, n - 1)] != frames)
+    if missing.size:
+        raise ValidationError(f"window covers frame {frames[missing[0]]} which is not in the dataset")
 
-    flat_pos = []
-    flat_score = []
-    for covered, score in window_scores:
-        for fi in covered:
-            pos = position.get(fi)
-            if pos is None:
-                raise ValidationError(f"window covers frame {fi} which is not in the dataset")
-            flat_pos.append(pos)
-            flat_score.append(score)
+    if not score_arr.size:
+        return ScoreSeries(table.frame_index, np.zeros(n), table.anomalous)
 
-    frame_index = np.array([fr.frame_index for fr in dataset.frames], dtype=np.int64)
-    labels = np.array([fr.is_anomalous for fr in dataset.frames], dtype=bool)
-
-    if not flat_score:
-        return ScoreSeries(frame_index, np.zeros(n), labels)
-
-    pos_arr = np.array(flat_pos, dtype=np.int64)
-    score_arr = np.array(flat_score, dtype=np.float64)
     if not np.all(np.isfinite(score_arr)):
         raise ValidationError("window scores must be finite")
     fill = float(score_arr.min())
@@ -244,4 +236,4 @@ def aggregate_frame_scores(window_scores, dataset: CameraDataset, aggregator: st
         agg = np.full(n, fill)
         agg[covered_mask] = total[covered_mask] / count[covered_mask]
 
-    return ScoreSeries(frame_index, agg, labels)
+    return ScoreSeries(table.frame_index, agg, table.anomalous)

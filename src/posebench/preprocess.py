@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ValidationError
-from .model import KEYPOINT_COUNT, Track, tracks_from_frames
+from .model import KEYPOINT_COUNT, FrameTable, Track, tracks_from_frames
 
 
 @dataclass(frozen=True)
@@ -172,7 +172,7 @@ def window_track(track: Track, length: int = 24, stride: int = 6) -> list[PoseWi
 
 
 def extract_windows(
-    frames,
+    frames: FrameTable,
     camera_id: str,
     *,
     length: int = 24,
@@ -180,7 +180,7 @@ def extract_windows(
     max_gap: int = 14,
     smoothing_window: int = 15,
 ) -> list[PoseWindow]:
-    """Full preprocessing pipeline from frames to pose windows.
+    """Full preprocessing pipeline from a frame table to pose windows.
 
     Deterministic: tracks are processed in track_id order and windows in
     scan order within each track.

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .model import CameraDataset, FrameRecord, SplitSet
+from .model import CameraDataset, FrameTable, SplitSet
 
 TAG_TRAIN_NORMAL = "orig_train_normal"
 TAG_MOVED_NORMAL = "moved_test_normal"
@@ -71,11 +71,18 @@ class RearrangePlan:
 
 @dataclass
 class ContinualSplit:
-    """Result of the rearrangement: slices, balanced test set, provenance."""
+    """Result of the rearrangement: slices, balanced test set, provenance.
+
+    ``frames`` holds every frame of the split, train rows then test rows.
+    ``train_stream`` is the stream as rows of ``frames`` in stream order and
+    ``slices`` are its k contiguous pieces; ``provenance`` maps each frame
+    index to its tag.
+    """
 
     camera_id: str
-    train_stream: list[FrameRecord]
-    slices: list[list[FrameRecord]]
+    frames: FrameTable
+    train_stream: np.ndarray
+    slices: list[np.ndarray]
     test: CameraDataset
     provenance: dict[int, str] = field(default_factory=dict)
     plan: RearrangePlan | None = None
@@ -111,7 +118,7 @@ def _auto_inject_count(n_train_normal: int, n_test_normal: int, n_test_anoms: in
     )
 
 
-def slice_stream(stream, k: int) -> list[list[FrameRecord]]:
+def slice_stream(stream, k: int) -> list:
     """Cut a stream into k contiguous non-empty slices, sizes differing by at most 1.
 
     Earlier slices take the remainder: 10 frames at k=3 give sizes 4, 3, 3.
@@ -122,24 +129,21 @@ def slice_stream(stream, k: int) -> list[list[FrameRecord]]:
     if n < k:
         raise ValidationError(f"cannot cut {n} frames into {k} non-empty slices")
     base, rem = divmod(n, k)
-    sizes = [base + 1] * rem + [base] * (k - rem)
-    out = []
-    start = 0
-    for size in sizes:
-        out.append(list(stream[start : start + size]))
-        start += size
-    return out
+    ends = np.cumsum([0] + [base + 1] * rem + [base] * (k - rem)).tolist()
+    return [stream[a:b] for a, b in zip(ends, ends[1:])]
 
 
 def rearrange(split: SplitSet, plan: RearrangePlan) -> ContinualSplit:
     """Rearrange a standard split into a continual training stream and balanced test set."""
     camera = split.camera_id
-    train_frames = list(split.train.frames)
-    anoms = [fr for fr in split.test.frames if fr.is_anomalous]
-    norms = [fr for fr in split.test.frames if not fr.is_anomalous]
-    if not anoms:
+    n_train = len(split.train.frames)
+    frames = FrameTable.concat(split.train.frames, split.test.frames)
+    test_rows = np.arange(n_train, len(frames))
+    anoms = test_rows[frames.anomalous[n_train:]]
+    norms = test_rows[~frames.anomalous[n_train:]]
+    if not anoms.size:
         raise ValidationError("test set has no anomalous frames to rearrange")
-    if not norms:
+    if not norms.size:
         raise ValidationError("test set has no normal frames")
 
     if plan.inject_count is not None:
@@ -149,7 +153,7 @@ def rearrange(split: SplitSet, plan: RearrangePlan) -> ContinualSplit:
                 f"inject_count {inject} must leave at least one of {len(anoms)} test anomalies"
             )
     else:
-        inject = _auto_inject_count(len(train_frames), len(norms), len(anoms), plan)
+        inject = _auto_inject_count(n_train, len(norms), len(anoms), plan)
 
     rng = np.random.default_rng(plan.seed)
 
@@ -157,9 +161,8 @@ def rearrange(split: SplitSet, plan: RearrangePlan) -> ContinualSplit:
         inj_idx = rng.choice(len(anoms), size=inject, replace=False)
     else:
         inj_idx = np.empty(0, dtype=np.int64)
-    inj_set = {int(i) for i in inj_idx}
-    injected = [anoms[int(i)] for i in inj_idx]
-    kept_anoms = [fr for i, fr in enumerate(anoms) if i not in inj_set]
+    injected = anoms[inj_idx]
+    kept_anoms = np.delete(anoms, inj_idx)
 
     kept_target = _kept_normals(len(norms), len(kept_anoms), plan.balance_tolerance)
     if kept_target is None:
@@ -167,32 +170,26 @@ def rearrange(split: SplitSet, plan: RearrangePlan) -> ContinualSplit:
             f"test set cannot be balanced within tolerance {plan.balance_tolerance}: "
             f"{len(norms)} normals vs {len(kept_anoms)} anomalies"
         )
-    if kept_target == len(norms):
-        kept_norms = norms
-        moved = []
-    else:
-        keep_idx = rng.choice(len(norms), size=kept_target, replace=False)
-        keep_set = {int(i) for i in keep_idx}
-        kept_norms = [fr for i, fr in enumerate(norms) if i in keep_set]
-        moved = [fr for i, fr in enumerate(norms) if i not in keep_set]
+    keep = np.ones(len(norms), dtype=bool)
+    if kept_target != len(norms):
+        keep[:] = False
+        keep[rng.choice(len(norms), size=kept_target, replace=False)] = True
+    kept_norms, moved = norms[keep], norms[~keep]
 
-    test_frames = sorted(kept_norms + kept_anoms, key=lambda fr: fr.frame_index)
-    test = CameraDataset(camera_id=camera, frames=tuple(test_frames))
+    test_rows = np.sort(np.concatenate([kept_norms, kept_anoms]))
+    test = CameraDataset(camera_id=camera, frames=frames.take(test_rows))
 
-    base = train_frames + moved
-    total = len(base) + len(injected)
+    stream = np.concatenate([np.arange(n_train), moved])
+    total = len(stream) + len(injected)
     if total == 0:
         raise ValidationError("training stream would be empty")
-    if injected:
+    if len(injected):
         slots = rng.choice(total, size=len(injected), replace=False)
-        slot_map = {int(pos): fr for pos, fr in zip(slots, injected)}
-        stream = []
-        base_iter = iter(base)
-        for pos in range(total):
-            hit = slot_map.get(pos)
-            stream.append(hit if hit is not None else next(base_iter))
-    else:
-        stream = list(base)
+        is_slot = np.zeros(total, dtype=bool)
+        is_slot[slots] = True
+        base, stream = stream, np.empty(total, dtype=np.int64)
+        stream[slots] = injected
+        stream[~is_slot] = base
 
     fraction = len(injected) / len(stream)
     if fraction >= plan.target_train_anomaly_ratio:
@@ -201,24 +198,21 @@ def rearrange(split: SplitSet, plan: RearrangePlan) -> ContinualSplit:
             f"{plan.target_train_anomaly_ratio}"
         )
 
-    slices = slice_stream(stream, plan.k)
-
     provenance: dict[int, str] = {}
-    for fr in train_frames:
-        provenance[fr.frame_index] = TAG_TRAIN_NORMAL
-    for fr in moved:
-        provenance[fr.frame_index] = TAG_MOVED_NORMAL
-    for fr in injected:
-        provenance[fr.frame_index] = TAG_INJECTED
-    for fr in kept_norms:
-        provenance[fr.frame_index] = TAG_TEST_NORMAL
-    for fr in kept_anoms:
-        provenance[fr.frame_index] = TAG_TEST_ANOMALY
+    for rows, tag in (
+        (np.arange(n_train), TAG_TRAIN_NORMAL),
+        (moved, TAG_MOVED_NORMAL),
+        (injected, TAG_INJECTED),
+        (kept_norms, TAG_TEST_NORMAL),
+        (kept_anoms, TAG_TEST_ANOMALY),
+    ):
+        provenance.update(dict.fromkeys(frames.frame_index[rows].tolist(), tag))
 
     return ContinualSplit(
         camera_id=camera,
+        frames=frames,
         train_stream=stream,
-        slices=slices,
+        slices=slice_stream(stream, plan.k),
         test=test,
         provenance=provenance,
         plan=plan,
@@ -236,10 +230,7 @@ def verify(cs: ContinualSplit) -> None:
 
     if len(cs.slices) != plan.k:
         raise ValidationError(f"invariant violated: expected {plan.k} slices, found {len(cs.slices)}")
-    concat = [fr for sl in cs.slices for fr in sl]
-    if len(concat) != len(cs.train_stream) or any(
-        a is not b for a, b in zip(concat, cs.train_stream)
-    ):
+    if not np.array_equal(np.concatenate(cs.slices), cs.train_stream):
         raise ValidationError("invariant violated: slices do not partition the training stream in order")
     sizes = [len(sl) for sl in cs.slices]
     if min(sizes) == 0:
@@ -247,16 +238,18 @@ def verify(cs: ContinualSplit) -> None:
     if max(sizes) - min(sizes) > 1:
         raise ValidationError(f"invariant violated: slice sizes differ by more than 1 ({sizes})")
 
-    n_inj = sum(1 for fr in cs.train_stream if fr.is_anomalous)
-    fraction = n_inj / len(cs.train_stream)
+    stream_idx = cs.frames.frame_index[cs.train_stream]
+    stream_anomalous = cs.frames.anomalous[cs.train_stream]
+    fraction = int(stream_anomalous.sum()) / len(cs.train_stream)
     if fraction >= plan.target_train_anomaly_ratio:
         raise ValidationError(
             f"invariant violated: train anomaly fraction {fraction:.6f} >= target "
             f"{plan.target_train_anomaly_ratio}"
         )
 
-    n_test_anom = sum(1 for fr in cs.test.frames if fr.is_anomalous)
-    n_test_norm = len(cs.test.frames) - n_test_anom
+    test = cs.test.frames
+    n_test_anom = int(test.anomalous.sum())
+    n_test_norm = len(test) - n_test_anom
     if n_test_anom == 0 or n_test_norm == 0:
         raise ValidationError("invariant violated: test set must keep both labels")
     if _imbalance(n_test_norm, n_test_anom) > plan.balance_tolerance:
@@ -265,30 +258,20 @@ def verify(cs: ContinualSplit) -> None:
             f"exceeds tolerance {plan.balance_tolerance}"
         )
 
-    stream_idx = {fr.frame_index for fr in cs.train_stream}
-    test_idx = {fr.frame_index for fr in cs.test.frames}
-    if len(stream_idx) != len(cs.train_stream):
+    if np.unique(stream_idx).size != stream_idx.size:
         raise ValidationError("invariant violated: duplicate frame in training stream")
-    if stream_idx & test_idx:
+    if np.intersect1d(stream_idx, test.frame_index).size:
         raise ValidationError("invariant violated: training stream and test set share frames")
 
-    for fr in cs.train_stream:
-        tag = cs.provenance.get(fr.frame_index)
-        if tag not in STREAM_TAGS:
-            raise ValidationError(
-                f"invariant violated: stream frame {fr.frame_index} carries tag {tag!r}"
-            )
-        if fr.is_anomalous != (tag == TAG_INJECTED):
-            raise ValidationError(
-                f"invariant violated: stream frame {fr.frame_index} label does not match tag {tag!r}"
-            )
-    for fr in cs.test.frames:
-        tag = cs.provenance.get(fr.frame_index)
-        if tag not in TEST_TAGS:
-            raise ValidationError(
-                f"invariant violated: test frame {fr.frame_index} carries tag {tag!r}"
-            )
-        if fr.is_anomalous != (tag == TAG_TEST_ANOMALY):
-            raise ValidationError(
-                f"invariant violated: test frame {fr.frame_index} label does not match tag {tag!r}"
-            )
+    for part, frame_index, anomalous, tags, anomaly_tag in (
+        ("stream", stream_idx, stream_anomalous, STREAM_TAGS, TAG_INJECTED),
+        ("test", test.frame_index, test.anomalous, TEST_TAGS, TAG_TEST_ANOMALY),
+    ):
+        for fi, is_anomalous in zip(frame_index.tolist(), anomalous.tolist()):
+            tag = cs.provenance.get(fi)
+            if tag not in tags:
+                raise ValidationError(f"invariant violated: {part} frame {fi} carries tag {tag!r}")
+            if is_anomalous != (tag == anomaly_tag):
+                raise ValidationError(
+                    f"invariant violated: {part} frame {fi} label does not match tag {tag!r}"
+                )

@@ -15,6 +15,7 @@ import json
 import os
 import zlib
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -222,13 +223,11 @@ def evaluate_windows(scorer, test_windows, test_dataset: CameraDataset, cfg: Run
     scores are mapped only onto frames the dataset actually contains.
     """
     scores = scorer.score_batch(test_windows)
-    present = {fr.frame_index for fr in test_dataset.frames}
-    pairs = []
-    for w, s in zip(test_windows, scores):
-        covered = tuple(fi for fi in w.covered_frames if fi in present)
-        if covered:
-            pairs.append((covered, float(s)))
-    series = aggregate_frame_scores(pairs, test_dataset, cfg.aggregator)
+    covered = [w.covered_frames for w in test_windows]
+    frames = np.fromiter(chain.from_iterable(covered), dtype=np.int64)
+    entry_scores = np.repeat(scores, [len(c) for c in covered])
+    present = np.isin(frames, test_dataset.frames.frame_index)
+    series = aggregate_frame_scores(frames[present], entry_scores[present], test_dataset, cfg.aggregator)
     return compute_all(series, cfg.fnr_target)
 
 
@@ -236,9 +235,9 @@ def run_standard(cfg: RunConfig, split: SplitSet, out_dir=None) -> MetricReport:
     """Fit once on the split's normal train frames, evaluate once on its test set."""
     if cfg.mode != "standard":
         raise ValidationError(f"run_standard needs mode 'standard', got {cfg.mode!r}")
-    if not split.train.frames:
+    if not len(split.train.frames):
         raise ValidationError("standard run requires a non-empty train dataset")
-    if not split.test.frames:
+    if not len(split.test.frames):
         raise ValidationError("standard run requires a non-empty test dataset")
     train_windows = _windows_for(split.train.frames, split.camera_id, cfg)
     if not train_windows:
@@ -253,12 +252,10 @@ def run_standard(cfg: RunConfig, split: SplitSet, out_dir=None) -> MetricReport:
 
 
 def _assert_training_allowed(frames, provenance):
-    for fr in frames:
-        tag = provenance.get(fr.frame_index)
+    for fi in frames.frame_index.tolist():
+        tag = provenance.get(fi)
         if tag not in STREAM_TAGS:
-            raise ValidationError(
-                f"test leakage: frame {fr.frame_index} (tag {tag!r}) must not be trained on"
-            )
+            raise ValidationError(f"test leakage: frame {fi} (tag {tag!r}) must not be trained on")
 
 
 def run_continual(
@@ -275,10 +272,10 @@ def run_continual(
     """
     if cfg.mode != "continual":
         raise ValidationError(f"run_continual needs mode 'continual', got {cfg.mode!r}")
-    if not origin.frames:
+    if not len(origin.frames):
         raise ValidationError("continual run requires a non-empty origin dataset")
-    origin_normals = [fr for fr in origin.frames if not fr.is_anomalous]
-    if not origin_normals:
+    origin_normals = origin.frames.take(np.flatnonzero(~origin.frames.anomalous))
+    if not len(origin_normals):
         raise ValidationError("origin dataset has no normal frames to pretrain on")
 
     cs = rearrange(split, cfg.plan)
@@ -296,7 +293,8 @@ def run_continual(
 
     per_step = []
     expected_seen = scorer.windows_seen
-    for i, sl in enumerate(cs.slices, start=1):
+    for i, rows in enumerate(cs.slices, start=1):
+        sl = cs.frames.take(rows)
         _assert_training_allowed(sl, cs.provenance)
         slice_windows = _windows_for(sl, cs.camera_id, cfg)
         scorer.partial_fit(slice_windows)
@@ -315,7 +313,7 @@ def run_continual(
             report_mod.write_step_csv(out_dir, i, cs.camera_id, step_report)
 
     batch_scorer = make_scorer(cfg.scorer, seed=scorer_seed, params=cfg.scorer_params)
-    batch_windows = _windows_for(cs.train_stream, cs.camera_id, cfg)
+    batch_windows = _windows_for(cs.frames.take(cs.train_stream), cs.camera_id, cfg)
     if not batch_windows:
         raise ValidationError("training stream produced zero pose windows")
     batch_scorer.fit(batch_windows)

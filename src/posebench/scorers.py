@@ -162,6 +162,14 @@ class GaussianScorer(AnomalyScorer):
         self._count = int(state["count"])
         self._mean = None if state["mean"] is None else np.array(state["mean"], dtype=np.float64)
         self._m2 = None if state["m2"] is None else np.array(state["m2"], dtype=np.float64)
+        if self._count < 0:
+            raise ValidationError(f"gaussian count must be >= 0, got {self._count}")
+        if (self._mean is None, self._m2 is None) != (self._count == 0,) * 2:
+            raise ValidationError("gaussian state must hold mean and m2 exactly when its count is positive")
+        if self._mean is not None and (self._mean.ndim != 1 or self._m2.shape != self._mean.shape):
+            raise ValidationError(f"gaussian m2 {self._m2.shape} must have mean's shape {self._mean.shape}")
+        if self._mean is not None and not (np.isfinite(self._mean).all() and np.isfinite(self._m2).all()):
+            raise ValidationError("gaussian mean and m2 must be finite")
 
 
 class KnnScorer(AnomalyScorer):
@@ -264,7 +272,11 @@ class KnnScorer(AnomalyScorer):
                 raise ValidationError(
                     f"knn store must be 2-D with at most {self.capacity} rows, got shape {self._store.shape}"
                 )
+            if not np.isfinite(self._store).all():
+                raise ValidationError("knn store must be finite")
             self._stored = self._store.shape[0]
+        if self._seen < self._stored:
+            raise ValidationError(f"knn seen {self._seen} must count at least the {self._stored} stored rows")
         self._rng = np.random.default_rng()
         self._rng.bit_generator.state = copy.deepcopy(state["rng_state"])
 

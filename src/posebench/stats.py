@@ -1,4 +1,4 @@
-"""Dataset statistics: box overlap, crowd density, label balance."""
+"""Dataset statistics of a frame table: box overlap, crowd density, label balance."""
 
 from __future__ import annotations
 
@@ -6,40 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
 from .errors import ValidationError
-from .model import BoundingBox, CameraDataset, FrameRecord, LABEL_ANOMALOUS
-
-
-def iou(a: BoundingBox, b: BoundingBox) -> float:
-    """Intersection over union of two boxes; 0.0 when they do not overlap."""
-    ix1 = max(a.x1, b.x1)
-    iy1 = max(a.y1, b.y1)
-    ix2 = min(a.x2, b.x2)
-    iy2 = min(a.y2, b.y2)
-    iw = ix2 - ix1
-    ih = iy2 - iy1
-    if iw <= 0.0 or ih <= 0.0:
-        return 0.0
-    inter = iw * ih
-    union = a.area() + b.area() - inter
-    if union <= 0.0:
-        return 0.0
-    return inter / union
-
-
-def frame_max_iou(frame: FrameRecord) -> float:
-    """Max pairwise IoU over the frame's person boxes; 0.0 with fewer than 2 persons."""
-    n = len(frame.persons)
-    if n < 2:
-        return 0.0
-    best = 0.0
-    for i in range(n):
-        for j in range(i + 1, n):
-            v = iou(frame.persons[i].bbox, frame.persons[j].bbox)
-            if v > best:
-                best = v
-    return best
+from .model import CameraDataset, FrameTable
 
 
 @dataclass(frozen=True)
@@ -81,36 +49,43 @@ STATS_CSV_COLUMNS = (
 )
 
 
-def stats_from_frames(frames, camera_id: str) -> DatasetStats:
-    """Compute DatasetStats over an iterable of frames (order irrelevant)."""
-    frames = list(frames)
-    if not frames:
+def max_iou_per_group(boxes, offsets):
+    """Per-group max pairwise IoU; groups with fewer than 2 boxes give 0."""
+    n_groups = offsets.shape[0] - 1
+    out = np.zeros(n_groups, dtype=np.float64)
+    for g in range(n_groups):
+        bb = boxes[offsets[g] : offsets[g + 1]]
+        n = bb.shape[0]
+        if n < 2:
+            continue
+        x1 = np.maximum(bb[:, None, 0], bb[None, :, 0])
+        y1 = np.maximum(bb[:, None, 1], bb[None, :, 1])
+        x2 = np.minimum(bb[:, None, 2], bb[None, :, 2])
+        y2 = np.minimum(bb[:, None, 3], bb[None, :, 3])
+        inter = np.clip(x2 - x1, 0.0, None) * np.clip(y2 - y1, 0.0, None)
+        area = (bb[:, 2] - bb[:, 0]) * (bb[:, 3] - bb[:, 1])
+        union = area[:, None] + area[None, :] - inter
+        iou = np.where(union > 0.0, inter / np.where(union > 0.0, union, 1.0), 0.0)
+        np.fill_diagonal(iou, 0.0)
+        out[g] = iou.max()
+    return out
+
+
+def stats_from_frames(frames: FrameTable, camera_id: str) -> DatasetStats:
+    """Compute DatasetStats over a frame table, per frame in row order."""
+    if not len(frames):
         raise ValidationError("cannot compute statistics of an empty dataset")
-    pose_count = 0
-    anomaly_frames = 0
-    hist: dict[int, int] = {}
-    boxes = []
-    offsets = [0]
-    for fr in frames:
-        n = len(fr.persons)
-        pose_count += n
-        hist[n] = hist.get(n, 0) + 1
-        if fr.label == LABEL_ANOMALOUS:
-            anomaly_frames += 1
-        for obs in fr.persons:
-            boxes.append(obs.bbox.as_tuple())
-        offsets.append(len(boxes))
-    box_arr = np.asarray(boxes, dtype=np.float64).reshape(len(boxes), 4)
-    off_arr = np.asarray(offsets, dtype=np.int64)
-    max_iou = _kernels.max_iou_per_group(box_arr, off_arr)
+    per_frame = np.bincount(frames.frame_row, minlength=len(frames))
+    sizes, counts = np.unique(per_frame, return_counts=True)
+    anomaly_frames = int(frames.anomalous.sum())
     return DatasetStats(
         camera_id=camera_id,
         frame_count=len(frames),
-        pose_count=pose_count,
+        pose_count=len(frames.frame_row),
         anomaly_frame_count=anomaly_frames,
         anomaly_fraction=anomaly_frames / len(frames),
-        density_histogram=hist,
-        max_iou_per_frame=max_iou,
+        density_histogram=dict(zip(sizes.tolist(), counts.tolist())),
+        max_iou_per_frame=max_iou_per_group(frames.bbox, np.concatenate([[0], np.cumsum(per_frame)])),
     )
 
 

@@ -25,6 +25,7 @@ from .model import (
     BoundingBox,
     CameraDataset,
     FrameRecord,
+    FrameTable,
     PersonObservation,
     SplitSet,
 )
@@ -196,7 +197,7 @@ def generate_normals(
     frames = _normal_timeline(
         rng, camera_id, start_index, n_frames, persons, 0, template, step_sigma, jitter_sigma
     )
-    return CameraDataset(camera_id=camera_id, frames=tuple(frames))
+    return CameraDataset(camera_id=camera_id, frames=FrameTable.from_records(frames))
 
 
 def generate_split(
@@ -295,6 +296,6 @@ def generate_split(
             )
         )
 
-    train = CameraDataset(camera_id=camera_id, frames=tuple(train_frames))
-    test = CameraDataset(camera_id=camera_id, frames=tuple(test_frames))
+    train = CameraDataset(camera_id=camera_id, frames=FrameTable.from_records(train_frames))
+    test = CameraDataset(camera_id=camera_id, frames=FrameTable.from_records(test_frames))
     return SplitSet(train=train, test=test)

@@ -122,6 +122,63 @@ def frame_scores_scan(window_scores, frame_indices, aggregator):
     return {fi: out.get(fi, fill) for fi in frame_indices}
 
 
+def iou(a, b):
+    """Intersection over union of two boxes with x1, y1, x2, y2 and area(); 0.0 when they do not overlap."""
+    ix1 = max(a.x1, b.x1)
+    iy1 = max(a.y1, b.y1)
+    ix2 = min(a.x2, b.x2)
+    iy2 = min(a.y2, b.y2)
+    iw = ix2 - ix1
+    ih = iy2 - iy1
+    if iw <= 0.0 or ih <= 0.0:
+        return 0.0
+    inter = iw * ih
+    union = a.area() + b.area() - inter
+    if union <= 0.0:
+        return 0.0
+    return inter / union
+
+
+def frame_max_iou(frame):
+    """Max pairwise IoU over a frame record's person boxes; 0.0 with fewer than 2 persons."""
+    n = len(frame.persons)
+    best = 0.0
+    for i in range(n):
+        for j in range(i + 1, n):
+            best = max(best, iou(frame.persons[i].bbox, frame.persons[j].bbox))
+    return best
+
+
+def tracks_by_bucketing(frames):
+    """Track assembly one observation at a time from frame records.
+
+    Buckets each person by track id, sorts a bucket by frame index and
+    stacks it. Returns ``(track_id, frames, keypoints (n, 17, 2), bbox
+    (n, 4), interpolated)`` per track in id order; raises ValueError on a
+    repeated (track_id, frame_index) pair.
+    """
+    buckets = {}
+    for fr in frames:
+        for obs in fr.persons:
+            buckets.setdefault(obs.track_id, []).append((fr.frame_index, obs))
+    tracks = []
+    for tid in sorted(buckets):
+        rows = sorted(buckets[tid], key=lambda row: row[0])
+        track_frames = np.array([fi for fi, _ in rows], dtype=np.int64)
+        if np.any(np.diff(track_frames) == 0):
+            raise ValueError(f"duplicate observation for track {tid}")
+        tracks.append(
+            (
+                tid,
+                track_frames,
+                np.stack([obs.keypoints[:, :2] for _, obs in rows]),
+                np.array([obs.bbox.as_tuple() for _, obs in rows], dtype=np.float64),
+                np.array([obs.interpolated for _, obs in rows], dtype=bool),
+            )
+        )
+    return tracks
+
+
 def iou_grid(box_a, box_b, cell=0.25):
     """IoU by counting occupancy on a regular grid of cell centers."""
     x_lo = min(box_a[0], box_b[0])

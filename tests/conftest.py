@@ -9,6 +9,7 @@ from posebench.model import (
     BoundingBox,
     CameraDataset,
     FrameRecord,
+    FrameTable,
     PersonObservation,
     tracks_from_frames,
 )
@@ -66,8 +67,13 @@ def make_track(frame_indices, origins=None, track_id=0, camera_id="cam0"):
         make_frame(int(fi), persons=(make_obs(track_id=track_id, origin=o),), camera_id=camera_id)
         for fi, o in zip(frame_indices, origins)
     ]
-    (track,) = tracks_from_frames(frames, camera_id)
+    (track,) = tracks_from_frames(FrameTable.from_records(frames), camera_id)
     return track
+
+
+def dataset(frames, camera_id="cam0"):
+    """A CameraDataset of FrameRecords, which must already be in frame order."""
+    return CameraDataset(camera_id=camera_id, frames=FrameTable.from_records(frames))
 
 
 def walking_dataset(n_frames, camera_id="cam0", track_id=0, start=0, label="normal"):
@@ -76,7 +82,7 @@ def walking_dataset(n_frames, camera_id="cam0", track_id=0, start=0, label="norm
     for i in range(n_frames):
         obs = make_obs(track_id=track_id, origin=(40.0 + 1.5 * i, 30.0 + 0.5 * i))
         frames.append(make_frame(start + i, label=label, persons=(obs,), camera_id=camera_id))
-    return CameraDataset(camera_id=camera_id, frames=tuple(frames))
+    return dataset(frames, camera_id)
 
 
 @pytest.fixture

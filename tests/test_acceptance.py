@@ -17,7 +17,7 @@ from _golden import golden_results
 from conftest import make_obs, make_track
 
 from posebench.metrics import ScoreSeries, auc_pr, auc_roc, compute_all, eer, fpr_at_fnr
-from posebench.model import CameraDataset, FrameRecord, SplitSet, Track
+from posebench.model import CameraDataset, FrameRecord, FrameTable, SplitSet, Track
 from posebench.preprocess import PoseWindow, interpolate_track, smooth_track, window_track
 from posebench.rearrange import RearrangePlan, rearrange, verify
 from posebench.report import emit_report
@@ -123,8 +123,8 @@ def test_03_large_rearrangement_fixture(capsys):
                 FrameRecord(camera_id="c0", frame_index=base + j, label="anomalous", persons=(shared,))
             )
         split = SplitSet(
-            train=CameraDataset(camera_id="c0", frames=train),
-            test=CameraDataset(camera_id="c0", frames=tuple(test)),
+            train=CameraDataset(camera_id="c0", frames=FrameTable.from_records(train)),
+            test=CameraDataset(camera_id="c0", frames=FrameTable.from_records(test)),
         )
         if len(train) + n_test_normal != 509_313:
             problems.append("fixture normals do not total 509313")
@@ -136,28 +136,29 @@ def test_03_large_rearrangement_fixture(capsys):
         stream_total = len(cs.train_stream)
         if stream_total != 487_835:
             problems.append(f"train total {stream_total} != 487835")
-        anom_pct = 100.0 * sum(fr.is_anomalous for fr in cs.train_stream) / stream_total
+        stream_anoms = int(cs.frames.anomalous[cs.train_stream].sum())
+        anom_pct = 100.0 * stream_anoms / stream_total
         if abs(anom_pct - 0.95) > 0.005:
             problems.append(f"train anomaly percentage {anom_pct:.4f} outside 0.95±0.005")
-        test_norm = sum(not fr.is_anomalous for fr in cs.test.frames)
-        test_anom = sum(fr.is_anomalous for fr in cs.test.frames)
+        test_anom = int(cs.test.frames.anomalous.sum())
+        test_norm = len(cs.test.frames) - test_anom
         if (test_norm, test_anom) != (26_093, 26_052):
             problems.append(f"test counts {test_norm}/{test_anom} != 26093/26052")
         balance = 100.0 * test_anom / (test_norm + test_anom)
         if abs(balance - 49.96) > 0.05:
             problems.append(f"balance {balance:.4f} outside 49.96±0.05")
 
-        in_idx = {fr.frame_index for fr in split.train.frames}
-        in_idx |= {fr.frame_index for fr in split.test.frames}
-        out_stream = [fr.frame_index for fr in cs.train_stream]
-        out_test = [fr.frame_index for fr in cs.test.frames]
+        in_idx = set(split.train.frames.frame_index.tolist())
+        in_idx |= set(split.test.frames.frame_index.tolist())
+        out_stream = cs.frames.frame_index[cs.train_stream].tolist()
+        out_test = cs.test.frames.frame_index.tolist()
         if set(out_stream) & set(out_test):
             problems.append("stream and test share frames")
         if set(out_stream) | set(out_test) != in_idx:
             problems.append("conservation broken: output indices differ from input")
         if len(out_stream) + len(out_test) != len(in_idx):
             problems.append("conservation broken: a frame appears twice")
-        out_anoms = sum(fr.is_anomalous for fr in cs.train_stream) + test_anom
+        out_anoms = stream_anoms + test_anom
         if out_anoms != n_test_anom:
             problems.append(f"anomaly count changed: {out_anoms} != {n_test_anom}")
 
@@ -188,34 +189,27 @@ def test_04_rearrangement_invariants(capsys):
                 problems.append(f"trial {trial}: verify rejected: {exc}")
                 break
 
-            n_inj = sum(fr.is_anomalous for fr in cs.train_stream)
+            n_inj = int(cs.frames.anomalous[cs.train_stream].sum())
             if n_inj / len(cs.train_stream) >= plan.target_train_anomaly_ratio:
                 problems.append(f"trial {trial}: anomaly cap broken")
-            t_anom = sum(fr.is_anomalous for fr in cs.test.frames)
+            t_anom = int(cs.test.frames.anomalous.sum())
             t_norm = len(cs.test.frames) - t_anom
             if abs(t_norm - t_anom) / (t_norm + t_anom) > plan.balance_tolerance:
                 problems.append(f"trial {trial}: balance tolerance broken")
-            concat = [fr for sl in cs.slices for fr in sl]
-            if [id(f) for f in concat] != [id(f) for f in cs.train_stream]:
+            if not np.array_equal(np.concatenate(cs.slices), cs.train_stream):
                 problems.append(f"trial {trial}: slices do not partition the stream")
-            in_idx = sorted(
-                [fr.frame_index for fr in split.train.frames]
-                + [fr.frame_index for fr in split.test.frames]
-            )
+            in_idx = sorted(split.train.frames.frame_index.tolist() + split.test.frames.frame_index.tolist())
             out_idx = sorted(
-                [fr.frame_index for fr in cs.train_stream]
-                + [fr.frame_index for fr in cs.test.frames]
+                cs.frames.frame_index[cs.train_stream].tolist() + cs.test.frames.frame_index.tolist()
             )
             if in_idx != out_idx:
                 problems.append(f"trial {trial}: multiset conservation broken")
 
             again = rearrange(split, plan)
-            same_stream = [fr.frame_index for fr in again.train_stream] == [
-                fr.frame_index for fr in cs.train_stream
-            ]
-            same_test = [fr.frame_index for fr in again.test.frames] == [
-                fr.frame_index for fr in cs.test.frames
-            ]
+            same_stream = np.array_equal(
+                again.frames.frame_index[again.train_stream], cs.frames.frame_index[cs.train_stream]
+            )
+            same_test = np.array_equal(again.test.frames.frame_index, cs.test.frames.frame_index)
             if not (same_stream and same_test):
                 problems.append(f"trial {trial}: rearrangement not deterministic")
             if problems:

@@ -11,14 +11,13 @@ from hypothesis import strategies as st
 
 from posebench.errors import ValidationError
 from posebench.io import (
-    frame_from_dict,
     frame_to_dict,
     load_dataset,
     read_frames,
     write_dataset,
     write_frames,
 )
-from posebench.model import LABELS, BoundingBox, FrameRecord, PersonObservation
+from posebench.model import LABELS, BoundingBox, FrameRecord, FrameTable, PersonObservation
 from posebench.synthetic import generate_normals, generate_split
 from conftest import make_frame, make_obs
 
@@ -31,21 +30,30 @@ def sample_frames():
     ]
 
 
+def read_objects(tmp_path, *objects):
+    """read_frames of a file holding one JSON line per object."""
+    path = tmp_path / "objects.jsonl"
+    path.write_text("".join(json.dumps(obj) + "\n" for obj in objects))
+    return read_frames(path)
+
+
 def test_roundtrip_preserves_everything(tmp_path):
     path = tmp_path / "frames.jsonl"
     frames = sample_frames()
-    n = write_frames(frames, path)
+    n = write_frames(FrameTable.from_records(frames), path)
     assert n == 3
     back = read_frames(path)
-    assert back == frames
+    assert back.records() == frames
+    assert back.line.tolist() == [1, 2, 3]
 
 
 def test_dataset_roundtrip_sorts(tmp_path):
     path = tmp_path / "ds.jsonl"
     frames = sample_frames()
-    write_frames([frames[2], frames[0], frames[1]], path)
+    write_frames(FrameTable.from_records([frames[2], frames[0], frames[1]]), path)
     ds = load_dataset(path)
-    assert [f.frame_index for f in ds.frames] == [0, 1, 2]
+    assert ds.frames.frame_index.tolist() == [0, 1, 2]
+    assert ds.frames.line.tolist() == [2, 3, 1]
     out = tmp_path / "copy.jsonl"
     write_dataset(ds, out)
     assert load_dataset(out) == ds
@@ -56,22 +64,22 @@ def test_interpolated_visibility_roundtrip(tmp_path):
     d = frame_to_dict(frame)
     # Interpolated keypoints serialize a null visibility.
     assert d["persons"][0]["keypoints"][0][2] is None
-    assert frame_from_dict(d) == frame
+    assert read_objects(tmp_path, d).records() == [frame]
 
 
-def test_unknown_keys_are_ignored():
+def test_unknown_keys_are_ignored(tmp_path):
     d = frame_to_dict(make_frame(0, persons=(make_obs(),)))
     d["extra"] = {"anything": 1}
     d["persons"][0]["score"] = 0.7
-    parsed = frame_from_dict(d)
-    assert parsed.frame_index == 0
+    parsed = read_objects(tmp_path, d)
+    assert parsed.frame_index.tolist() == [0]
 
 
-def test_missing_field_is_an_error():
+def test_missing_field_is_an_error(tmp_path):
     d = frame_to_dict(make_frame(0))
     del d["label"]
-    with pytest.raises(ValidationError):
-        frame_from_dict(d)
+    with pytest.raises(ValidationError, match=r"line 1 \(frame_index 0\): missing field 'label'"):
+        read_objects(tmp_path, d)
 
 
 def test_malformed_json_reports_line_number(tmp_path):
@@ -151,8 +159,8 @@ def test_cross_line_conflict_reports_both_lines(tmp_path, frames, message):
 def test_bad_keypoint_arity(tmp_path):
     d = frame_to_dict(make_frame(0, persons=(make_obs(),)))
     d["persons"][0]["keypoints"][3] = [1.0, 2.0]
-    with pytest.raises(ValidationError):
-        frame_from_dict(d)
+    with pytest.raises(ValidationError, match="each keypoint must be a list"):
+        read_objects(tmp_path, d)
 
 
 def test_empty_file_rejected_as_dataset(tmp_path):
@@ -166,12 +174,12 @@ def test_blank_lines_are_skipped(tmp_path):
     path = tmp_path / "gap.jsonl"
     line = json.dumps(frame_to_dict(make_frame(0)))
     path.write_text(line + "\n\n" + json.dumps(frame_to_dict(make_frame(1))) + "\n")
-    assert [f.frame_index for f in read_frames(path)] == [0, 1]
+    assert read_frames(path).frame_index.tolist() == [0, 1]
 
 
 def test_output_is_one_compact_object_per_line(tmp_path):
     path = tmp_path / "frames.jsonl"
-    write_frames(sample_frames(), path)
+    write_frames(FrameTable.from_records(sample_frames()), path)
     lines = path.read_text().splitlines()
     assert len(lines) == 3
     for line in lines:
@@ -191,7 +199,8 @@ def test_writer_bytes_are_pinned(tmp_path):
     origin = generate_normals(15, seed=8, persons=3, start_index=100)
     extra = make_frame(200, persons=(make_obs(track_id=5, interpolated=True), make_obs(track_id=6)))
     path = tmp_path / "pinned.jsonl"
-    write_frames([*split.train.frames, *split.test.frames, *origin.frames, extra], path)
+    extra = FrameTable.from_records([extra])
+    write_frames(FrameTable.concat(split.train.frames, split.test.frames, origin.frames, extra), path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == WRITER_SHA256
 
 
@@ -241,8 +250,8 @@ def _frames(draw):
 def test_jsonl_roundtrip_property(frames):
     with tempfile.TemporaryDirectory() as tmp:
         first, second = Path(tmp, "a.jsonl"), Path(tmp, "b.jsonl")
-        write_frames(frames, first)
+        write_frames(FrameTable.from_records(frames), first)
         back = read_frames(first)
-        assert back == frames
+        assert back.records() == frames
         write_frames(back, second)
         assert second.read_bytes() == first.read_bytes()

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from posebench import _kernels
+from posebench import _kernels, stats
 
 
 def welford_reference(batch):
@@ -194,7 +194,7 @@ class TestIouKernel:
         x1 = rng.uniform(0, 100, size=total)
         y1 = rng.uniform(0, 100, size=total)
         boxes = np.column_stack([x1, y1, x1 + rng.uniform(1, 30, total), y1 + rng.uniform(1, 30, total)])
-        got = _kernels.max_iou_per_group(boxes, offsets)
+        got = stats.max_iou_per_group(boxes, offsets)
         np.testing.assert_allclose(got, self.brute(boxes, offsets), atol=1e-12)
 
 

@@ -12,8 +12,7 @@ from posebench.metrics import (
     eer,
     fpr_at_fnr,
 )
-from conftest import make_frame, make_obs, walking_dataset
-from posebench.model import CameraDataset
+from conftest import dataset, make_frame, make_obs, walking_dataset
 import _oracles
 
 
@@ -116,6 +115,13 @@ class TestEdgeBehavior:
         assert set(d) == {"auc_roc", "auc_pr", "eer", "ten_er", "n_pos", "n_neg"}
 
 
+def fold(window_scores, ds, aggregator):
+    """aggregate_frame_scores of (covered frames, score) pairs, one entry per covered frame."""
+    frames = [fi for covered, _ in window_scores for fi in covered]
+    scores = [score for covered, score in window_scores for _ in covered]
+    return aggregate_frame_scores(frames, scores, ds, aggregator)
+
+
 class TestAggregation:
     def make_dataset(self, n=12):
         return walking_dataset(n)
@@ -123,8 +129,8 @@ class TestAggregation:
     def test_max_and_mean_reference(self):
         ds = self.make_dataset(6)
         window_scores = [((0, 1, 2), 0.2), ((1, 2, 3), 0.9)]
-        s_max = aggregate_frame_scores(window_scores, ds, "max")
-        s_mean = aggregate_frame_scores(window_scores, ds, "mean")
+        s_max = fold(window_scores, ds, "max")
+        s_mean = fold(window_scores, ds, "mean")
         by_frame_max = dict(zip(s_max.frame_index.tolist(), s_max.scores.tolist()))
         by_frame_mean = dict(zip(s_mean.frame_index.tolist(), s_mean.scores.tolist()))
         assert by_frame_max[1] == pytest.approx(0.9)
@@ -137,13 +143,13 @@ class TestAggregation:
     def test_single_window_same_under_both(self):
         ds = self.make_dataset(4)
         for agg in ("max", "mean"):
-            s = aggregate_frame_scores([((1, 2), 0.7)], ds, agg)
+            s = fold([((1, 2), 0.7)], ds, agg)
             by_frame = dict(zip(s.frame_index.tolist(), s.scores.tolist()))
             assert by_frame[1] == pytest.approx(0.7)
 
     def test_matches_scan_oracle(self, rng):
         ds = self.make_dataset(20)
-        idx = [f.frame_index for f in ds.frames]
+        idx = ds.frames.frame_index.tolist()
         for _ in range(50):
             n_windows = int(rng.integers(0, 8))
             window_scores = []
@@ -152,26 +158,26 @@ class TestAggregation:
                 b = int(rng.integers(a + 1, 21))
                 window_scores.append((tuple(range(a, b)), float(rng.uniform(0, 1))))
             for agg in ("max", "mean"):
-                got = aggregate_frame_scores(window_scores, ds, agg)
+                got = fold(window_scores, ds, agg)
                 want = _oracles.frame_scores_scan(window_scores, idx, agg)
                 for fi, sc in zip(got.frame_index.tolist(), got.scores.tolist()):
                     assert sc == pytest.approx(want[fi], abs=1e-12), (agg, fi)
 
     def test_empty_scores_give_zeros(self):
         ds = self.make_dataset(3)
-        s = aggregate_frame_scores([], ds, "max")
+        s = fold([], ds, "max")
         assert s.scores.tolist() == [0.0, 0.0, 0.0]
 
     def test_unknown_frame_rejected(self):
         ds = self.make_dataset(3)
         with pytest.raises(ValidationError):
-            aggregate_frame_scores([((2, 3), 0.5)], ds, "max")
+            fold([((2, 3), 0.5)], ds, "max")
 
     def test_labels_copied_from_dataset(self):
         frames = (
             make_frame(0),
             make_frame(1, label="anomalous", persons=(make_obs(),)),
         )
-        ds = CameraDataset(camera_id="cam0", frames=frames)
-        s = aggregate_frame_scores([((0, 1), 0.4)], ds, "max")
+        ds = dataset(frames)
+        s = fold([((0, 1), 0.4)], ds, "max")
         assert s.anomalous.tolist() == [False, True]

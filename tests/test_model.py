@@ -1,19 +1,26 @@
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import _oracles
 from posebench.errors import ValidationError
+from posebench.io import load_dataset, write_frames
 from posebench.model import (
     BoundingBox,
-    CameraDataset,
     FrameRecord,
+    FrameTable,
     JOINT_NAMES,
     PersonObservation,
+    RowError,
     SplitSet,
     tracks_from_frames,
 )
-from conftest import make_frame, make_keypoints, make_obs, make_track, box_around
+from conftest import box_around, dataset, make_frame, make_keypoints, make_obs, make_track
 
 
 def test_joint_layout():
@@ -144,39 +151,36 @@ class TestFrameRecord:
 class TestCameraDataset:
     def test_requires_increasing_frame_indices(self):
         frames = (make_frame(2), make_frame(1))
-        with pytest.raises(ValidationError):
-            CameraDataset(camera_id="cam0", frames=frames)
+        with pytest.raises(ValidationError, match="in strictly increasing frame_index"):
+            dataset(frames)
 
     def test_requires_matching_camera(self):
         frames = (make_frame(0), make_frame(1, camera_id="other"))
-        with pytest.raises(ValidationError):
-            CameraDataset(camera_id="cam0", frames=frames)
+        with pytest.raises(ValidationError, match="dataset 'cam0' must hold only its frames"):
+            dataset(frames)
 
     def test_duplicate_index_rejected(self):
         frames = (make_frame(1), make_frame(1))
         with pytest.raises(ValidationError):
-            CameraDataset(camera_id="cam0", frames=frames)
+            dataset(frames)
 
 
 class TestSplitSet:
     def test_train_must_be_normal(self):
-        train = CameraDataset(
-            camera_id="cam0",
-            frames=(make_frame(0, label="anomalous", persons=(make_obs(),)),),
-        )
-        test = CameraDataset(camera_id="cam0", frames=(make_frame(5),))
-        with pytest.raises(ValidationError):
+        train = dataset([make_frame(0, label="anomalous", persons=(make_obs(),))])
+        test = dataset([make_frame(5)])
+        with pytest.raises(ValidationError, match="train frame 0 is not labeled normal"):
             SplitSet(train=train, test=test)
 
     def test_disjoint_frame_indices(self):
-        train = CameraDataset(camera_id="cam0", frames=(make_frame(0),))
-        test = CameraDataset(camera_id="cam0", frames=(make_frame(0),))
-        with pytest.raises(ValidationError):
+        train = dataset([make_frame(0)])
+        test = dataset([make_frame(0)])
+        with pytest.raises(ValidationError, match=r"share frame indices \(e.g. 0\)"):
             SplitSet(train=train, test=test)
 
     def test_camera_id_property(self):
-        train = CameraDataset(camera_id="cam0", frames=(make_frame(0),))
-        test = CameraDataset(camera_id="cam0", frames=(make_frame(1),))
+        train = dataset([make_frame(0)])
+        test = dataset([make_frame(1)])
         assert SplitSet(train=train, test=test).camera_id == "cam0"
 
 
@@ -200,7 +204,7 @@ class TestTracks:
             make_frame(1, persons=(a1,)),
             make_frame(0, persons=(a0, b0)),
         ]
-        tracks = tracks_from_frames(frames, "cam0")
+        tracks = tracks_from_frames(FrameTable.from_records(frames), "cam0")
         assert [t.track_id for t in tracks] == [0, 1]
         assert tracks[0].frames.tolist() == [0, 1]
         assert tracks[1].frames.tolist() == [0]
@@ -214,5 +218,126 @@ class TestTracks:
     def test_duplicate_track_frame_pair_rejected(self):
         a = make_obs(track_id=0)
         frames = [make_frame(0, persons=(a, a))]
-        with pytest.raises(ValidationError):
-            tracks_from_frames(frames, "cam0")
+        with pytest.raises(ValidationError, match="duplicate observation for track 0 at frame 0"):
+            tracks_from_frames(FrameTable.from_records(frames), "cam0")
+
+
+@st.composite
+def _shuffled_frames(draw):
+    """Frame records in random order, with gaps, several tracks, and repeats when ``unique`` is false."""
+    unique = draw(st.booleans())
+    indices = draw(st.lists(st.integers(0, 60), min_size=1, max_size=20, unique=unique))
+    coord = st.floats(min_value=10.0, max_value=500.0)
+    frames = []
+    for fi in indices:
+        tracks = draw(st.lists(st.integers(0, 3), max_size=4, unique=unique))
+        persons = tuple(
+            make_obs(track_id=t, origin=(draw(coord), draw(coord)), interpolated=draw(st.booleans()))
+            for t in tracks
+        )
+        frames.append(make_frame(fi, persons=persons))
+    return draw(st.permutations(frames))
+
+
+@settings(deadline=None)
+@given(_shuffled_frames())
+def test_track_assembly_matches_bucketing_oracle(frames):
+    table = FrameTable.from_records(frames)
+    try:
+        want = _oracles.tracks_by_bucketing(frames)
+    except ValueError:
+        with pytest.raises(ValidationError, match="duplicate observation"):
+            tracks_from_frames(table, "cam0")
+        return
+    got = tracks_from_frames(table, "cam0")
+    assert [t.track_id for t in got] == [tid for tid, *_ in want]
+    for track, (_, *columns) in zip(got, want):
+        mine = (track.frames, track.keypoints, track.bbox, track.interpolated)
+        for a, b in zip(mine, columns):
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    fis = [fr.frame_index for fr in frames]
+    if len(set(fis)) == len(fis):
+        # The file round trip gives the dataset built straight from the records.
+        direct = dataset(sorted(frames, key=lambda fr: fr.frame_index))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp, "frames.jsonl")
+            write_frames(table, path)
+            assert load_dataset(path) == direct
+
+
+class TestFrameTable:
+    def frames(self):
+        return [
+            make_frame(5, persons=(make_obs(track_id=0), make_obs(track_id=1, origin=(90, 90)))),
+            make_frame(2),
+            make_frame(7, label="anomalous", persons=(make_obs(track_id=1, interpolated=True),)),
+        ]
+
+    def test_records_round_trip(self):
+        frames = self.frames()
+        table = FrameTable.from_records(frames)
+        assert table.records() == frames
+        assert table.frame_row.tolist() == [0, 0, 2]
+        assert table.region_frame.tolist() == [2]
+        assert table.line.tolist() == [1, 2, 3]
+
+    def test_take_regroups_persons_and_regions(self):
+        frames = self.frames()
+        table = FrameTable.from_records(frames)
+        taken = table.take([2, 0, 2])
+        assert taken.records() == [frames[2], frames[0], frames[2]]
+        assert taken.line.tolist() == [3, 1, 3]
+        assert taken.frame_row.tolist() == [0, 1, 1, 2]
+        assert table.take([]).records() == []
+
+    def test_concat_and_equality_ignore_lines(self):
+        frames = self.frames()
+        table = FrameTable.from_records(frames)
+        joined = FrameTable.concat(table.take([0]), table.take([1, 2]))
+        assert joined == table
+        assert joined.records() == frames
+        assert table.take([1, 0, 2]) != table
+        assert replace(table, line=np.array([4, 5, 6])) == table
+
+    @pytest.mark.parametrize(
+        "column,value,row,message",
+        [
+            ("bbox", [[0.0, 0.0, 0.0, 5.0]], 0, "bounding box must have positive extent"),
+            ("track_id", [-1], 0, "track_id must be a non-negative 64-bit integer, got -1"),
+            ("interpolated", [True], 0, "interpolated observation must have no keypoint visibility"),
+            ("frame_index", [3, -2], 1, "frame_index must be a non-negative 64-bit integer, got -2"),
+            ("camera_id", ["cam0", ""], 1, "camera_id must be a non-empty string"),
+            ("anomalous", [False, False], 1, r"normal frame must not carry anomaly regions \(frame 4\)"),
+        ],
+    )
+    def test_value_rules_name_the_row(self, column, value, row, message):
+        frames = [
+            make_frame(3, persons=(make_obs(track_id=0),)),
+            make_frame(4, label="anomalous", persons=(make_obs(track_id=1),)),
+        ]
+        table = FrameTable.from_records(frames)
+        old = getattr(table, column)
+        if column == "camera_id":
+            new = np.array(value, dtype=object)
+        else:
+            new = old.copy()
+            new[: len(value)] = value
+        with pytest.raises(RowError, match=message) as info:
+            replace(table, **{column: new})
+        assert info.value.row == row
+
+    def test_first_broken_rule_in_row_order(self):
+        table = FrameTable.from_records([make_frame(3, persons=(make_obs(),)), make_frame(4)])
+        frame_index = np.array([3, -4])
+        kps = table.keypoints.copy()
+        kps[0, 2, 0] = np.inf
+        with pytest.raises(RowError, match=r"right_eye coordinates must be finite, got \[ *inf") as info:
+            replace(table, frame_index=frame_index, keypoints=kps)
+        assert info.value.row == 0
+
+    def test_columns_must_agree(self):
+        table = FrameTable.from_records(self.frames())
+        with pytest.raises(ValidationError, match="columns disagree"):
+            replace(table, anomalous=table.anomalous[:2])
+        with pytest.raises(ValidationError, match="grouped by frame row"):
+            replace(table, frame_row=table.frame_row[::-1].copy())

@@ -14,6 +14,7 @@ import hashlib
 
 import numpy as np
 
+from posebench.model import FrameTable
 from posebench.preprocess import extract_windows
 from posebench.synthetic import generate_split
 
@@ -23,16 +24,16 @@ PINNED_SHA256 = "d8b342583a30bae2234ad18fd88262727e0b29a781bf14f7332260d04893f50
 def _holed_frames():
     split = generate_split(160, 300, 120, seed=11, persons=3)
     rng = np.random.default_rng(7)
-    first = split.test.frames[0].frame_index
+    first = int(split.test.frames.frame_index[0])
     out = []
-    for fr in split.test.frames:
+    for fr in split.test.frames.records():
         if 200 <= fr.frame_index - first < 230 or rng.random() < 0.08:
             continue
         persons = fr.persons
         if len(persons) > 1 and rng.random() < 0.05:
             persons = persons[1:]
         out.append(dataclasses.replace(fr, persons=persons))
-    return out, split.test.camera_id
+    return FrameTable.from_records(out), split.test.camera_id
 
 
 def _digest(windows):

@@ -197,7 +197,8 @@ class TestPipeline:
             assert w.camera_id == "cam0"
 
     def test_extract_windows_fills_gaps(self):
-        frames = [f for f in walking_dataset(40).frames if f.frame_index != 20]
+        all_frames = walking_dataset(40).frames
+        frames = all_frames.take(np.flatnonzero(all_frames.frame_index != 20))
         wins = extract_windows(
             frames, "cam0", length=24, stride=6, max_gap=14, smoothing_window=15
         )

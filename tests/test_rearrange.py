@@ -1,9 +1,11 @@
 from collections import Counter
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from posebench.errors import ValidationError
-from posebench.model import CameraDataset, SplitSet
+from posebench.model import SplitSet
 from posebench.rearrange import (
     RearrangePlan,
     TAG_INJECTED,
@@ -15,14 +17,11 @@ from posebench.rearrange import (
     slice_stream,
     verify,
 )
-from conftest import make_frame, make_obs
+from conftest import dataset, make_frame, make_obs
 
 
 def build_split(n_train=400, n_test_normal=120, n_test_anomaly=80, camera_id="cam0"):
-    train = CameraDataset(
-        camera_id=camera_id,
-        frames=tuple(make_frame(i, camera_id=camera_id) for i in range(n_train)),
-    )
+    train = dataset([make_frame(i, camera_id=camera_id) for i in range(n_train)], camera_id)
     test_frames = [
         make_frame(n_train + i, camera_id=camera_id) for i in range(n_test_normal)
     ]
@@ -35,12 +34,20 @@ def build_split(n_train=400, n_test_normal=120, n_test_anomaly=80, camera_id="ca
         )
         for i in range(n_test_anomaly)
     ]
-    test = CameraDataset(camera_id=camera_id, frames=tuple(test_frames))
+    test = dataset(test_frames, camera_id)
     return SplitSet(train=train, test=test)
 
 
 def frame_key(frame):
     return (frame.frame_index, frame.label)
+
+
+def stream_records(cs):
+    return cs.frames.take(cs.train_stream).records()
+
+
+def stream_index(cs):
+    return cs.frames.frame_index[cs.train_stream].tolist()
 
 
 class TestPlan:
@@ -81,12 +88,12 @@ class TestRearrange:
     def test_explicit_inject_count(self):
         split = build_split()
         cs = rearrange(split, RearrangePlan(seed=1, inject_count=3))
-        stream_anoms = [f for f in cs.train_stream if f.is_anomalous]
+        stream_anoms = [f for f in stream_records(cs) if f.is_anomalous]
         assert len(stream_anoms) == 3
         # 400 original + 3 injected + 43 normals moved out of the test set
         # by balancing (120 normals vs 77 remaining anomalies).
         assert len(cs.train_stream) == 446
-        n_anom_test = sum(f.is_anomalous for f in cs.test.frames)
+        n_anom_test = int(cs.test.frames.anomalous.sum())
         assert n_anom_test == 77
 
     def test_anomaly_ratio_under_target(self):
@@ -103,23 +110,21 @@ class TestRearrange:
     def test_auto_inject_picks_largest_feasible(self):
         split = build_split(n_train=4000, n_test_normal=600, n_test_anomaly=500)
         cs = rearrange(split, RearrangePlan(seed=2))
-        n_inject = sum(f.is_anomalous for f in cs.train_stream)
+        n_inject = int(cs.frames.anomalous[cs.train_stream].sum())
         ratio = n_inject / len(cs.train_stream)
         assert ratio < 0.01
         # One more injected frame would cross the target ratio or break
         # feasibility; check the chosen count is maximal.
         next_ratio = (n_inject + 1) / (len(cs.train_stream) + 1)
-        kept = sum(not f.is_anomalous for f in cs.test.frames)
+        kept = int((~cs.test.frames.anomalous).sum())
         remaining = 500 - (n_inject + 1)
         assert next_ratio >= 0.01 or remaining <= 0 or kept == 0
 
     def test_conservation_multiset(self):
         split = build_split()
         cs = rearrange(split, RearrangePlan(seed=3, inject_count=3))
-        before = Counter(map(frame_key, list(split.train.frames) + list(split.test.frames)))
-        after = Counter(
-            map(frame_key, list(cs.train_stream) + list(cs.test.frames))
-        )
+        before = Counter(map(frame_key, split.train.frames.records() + split.test.frames.records()))
+        after = Counter(map(frame_key, stream_records(cs) + cs.test.frames.records()))
         # Frames move between train and test but none appear or vanish.
         assert before == after
 
@@ -137,19 +142,19 @@ class TestRearrange:
         plan = RearrangePlan(seed=5, inject_count=3)
         a = rearrange(split, plan)
         b = rearrange(split, plan)
-        assert [f.frame_index for f in a.train_stream] == [f.frame_index for f in b.train_stream]
-        assert [f.frame_index for f in a.test.frames] == [f.frame_index for f in b.test.frames]
+        assert stream_index(a) == stream_index(b)
+        assert a.test.frames.frame_index.tolist() == b.test.frames.frame_index.tolist()
         assert a.provenance == b.provenance
 
     def test_different_seeds_differ(self):
         split = build_split()
         a = rearrange(split, RearrangePlan(seed=6, inject_count=3))
         b = rearrange(split, RearrangePlan(seed=7, inject_count=3))
-        assert [f.frame_index for f in a.train_stream] != [f.frame_index for f in b.train_stream]
+        assert stream_index(a) != stream_index(b)
 
     def test_needs_both_test_labels(self):
-        train = CameraDataset(camera_id="cam0", frames=(make_frame(0),))
-        test = CameraDataset(camera_id="cam0", frames=(make_frame(1),))
+        train = dataset([make_frame(0)])
+        test = dataset([make_frame(1)])
         with pytest.raises(ValidationError):
             rearrange(SplitSet(train=train, test=test), RearrangePlan(seed=0, inject_count=0))
 
@@ -160,14 +165,14 @@ class TestBalanceRule:
         # normals get sampled down to exactly 77.
         split = build_split()
         cs = rearrange(split, RearrangePlan(seed=1, inject_count=3))
-        kept = sum(not f.is_anomalous for f in cs.test.frames)
+        kept = int((~cs.test.frames.anomalous).sum())
         assert kept == 77
 
     def test_balanced_input_untouched(self):
         split = build_split(n_test_normal=100, n_test_anomaly=103)
         cs = rearrange(split, RearrangePlan(seed=1, inject_count=3))
-        kept = sum(not f.is_anomalous for f in cs.test.frames)
-        anoms = sum(f.is_anomalous for f in cs.test.frames)
+        kept = int((~cs.test.frames.anomalous).sum())
+        anoms = int(cs.test.frames.anomalous.sum())
         assert kept == 100
         assert anoms == 100
         assert abs(kept - anoms) / (kept + anoms) <= 0.002
@@ -182,15 +187,15 @@ class TestVerify:
     def test_rejects_tampered_slices(self):
         split = build_split()
         cs = rearrange(split, RearrangePlan(seed=9, inject_count=3))
-        cs.slices[0].append(cs.slices[1][0])
+        cs.slices[0] = np.append(cs.slices[0], cs.slices[1][0])
         with pytest.raises(ValidationError, match="invariant violated"):
             verify(cs)
 
     def test_rejects_label_flip(self):
         split = build_split()
         cs = rearrange(split, RearrangePlan(seed=10, inject_count=3))
-        victim = cs.train_stream[0]
-        flipped = make_frame(victim.frame_index, label="anomalous", persons=(make_obs(),))
-        cs.train_stream[0] = flipped
-        with pytest.raises(ValidationError, match="invariant violated"):
+        anomalous = cs.frames.anomalous.copy()
+        anomalous[cs.train_stream[0]] = True
+        cs.frames = replace(cs.frames, anomalous=anomalous)
+        with pytest.raises(ValidationError, match="invariant violated: stream frame .* label does not match"):
             verify(cs)

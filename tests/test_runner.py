@@ -5,7 +5,7 @@ import pytest
 
 from posebench.errors import ValidationError
 from posebench.metrics import MetricReport
-from posebench.model import CameraDataset, SplitSet
+from posebench.model import SplitSet
 from posebench.rearrange import RearrangePlan
 from posebench.runner import (
     ContinualResult,
@@ -20,7 +20,7 @@ from posebench.runner import (
     summarize_steps,
 )
 from posebench.synthetic import generate_normals, generate_split
-from conftest import make_frame
+from conftest import dataset, make_frame, make_obs
 
 
 def report(auc_roc=0.8, auc_pr=0.7, eer=0.2, ten_er=0.3):
@@ -138,17 +138,14 @@ class TestRunStandard:
         assert 0.0 <= rep.auc_roc <= 1.0
 
     def test_too_short_train_errors(self):
-        train = CameraDataset(camera_id="cam0", frames=tuple(make_frame(i) for i in range(5)))
         test = small_split().test
-        frames = tuple(
+        frames = [
             make_frame(f.frame_index + 100, label=f.label, persons=f.persons, camera_id="synthcam")
-            for f in test.frames[:50]
-        )
-        # Camera ids must match within the split, so rebuild the train side.
-        train = CameraDataset(
-            camera_id="synthcam", frames=tuple(make_frame(i, camera_id="synthcam") for i in range(5))
-        )
-        split = SplitSet(train=train, test=CameraDataset(camera_id="synthcam", frames=frames))
+            for f in test.frames.records()[:50]
+        ]
+        # Camera ids must match within the split, so build the train side for it.
+        train = dataset([make_frame(i, camera_id="synthcam") for i in range(5)], "synthcam")
+        split = SplitSet(train=train, test=dataset(frames, "synthcam"))
         with pytest.raises(ValidationError):
             run_standard(RunConfig(mode="standard", seed=0), split)
 
@@ -206,13 +203,13 @@ class TestRunContinual:
 
     def test_origin_must_hold_normals(self):
         split = small_split()
-        bad_origin = CameraDataset(
-            camera_id="x", frames=(make_frame(0, camera_id="x"),)
-        )
         cfg = RunConfig(mode="continual", seed=0, plan=RearrangePlan(seed=1))
-        with pytest.raises(ValidationError):
-            run_continual(cfg, split, CameraDataset(camera_id="x", frames=()), None)
-        del bad_origin
+        with pytest.raises(ValidationError, match="non-empty origin"):
+            run_continual(cfg, split, dataset([], "x"), None)
+        anomalous = make_frame(0, label="anomalous", persons=(make_obs(),), camera_id="x")
+        anomalous_only = dataset([anomalous], "x")
+        with pytest.raises(ValidationError, match="no normal frames to pretrain on"):
+            run_continual(cfg, split, anomalous_only, None)
 
 
 class TestResultSerialization:

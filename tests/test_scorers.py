@@ -307,6 +307,23 @@ class TestCheckpoints:
                 np.savez(fh, meta=np.array(json.dumps(meta)), store=store)
             with pytest.raises(ValidationError, match=f"{re.escape(str(path))}.*knn store must be 2-D"):
                 load_checkpoint(path)
+        # State that loads into a scorer that cannot score, or scores garbage.
+        gaussian = {**base, "kind": "gaussian", "params": {"variance_floor": 1e-8}, "count": 5}
+        knn = {**meta, "params": {"k_nn": 1, "capacity": 8, "seed": 0}}
+        for meta_fields, arrays, message in (
+            (gaussian, {"mean": np.zeros(51), "m2": np.zeros(3)}, "m2 \\(3,\\) must have mean's shape"),
+            ({**gaussian, "count": -1}, {"mean": np.zeros(51), "m2": np.zeros(51)}, "count must be >= 0"),
+            (gaussian, {"mean": np.full(51, np.nan), "m2": np.zeros(51)}, "mean and m2 must be finite"),
+            (gaussian, {"mean": np.zeros(51), "m2": np.full(51, np.inf)}, "mean and m2 must be finite"),
+            (gaussian, {}, "mean and m2 exactly when"),
+            (knn, {"store": np.array([[0.0, np.inf]])}, "knn store must be finite"),
+            ({**knn, "seen": -1}, {}, "knn seen -1 must count at least the 0 stored"),
+            ({**knn, "seen": 1}, {"store": np.zeros((2, 2))}, "seen 1 must count at least the 2 stored rows"),
+        ):
+            with open(path, "wb") as fh:
+                np.savez(fh, meta=np.array(json.dumps(meta_fields)), **arrays)
+            with pytest.raises(ValidationError, match=f"{re.escape(str(path))}.*{message}"):
+                load_checkpoint(path)
 
 
 class TestFactory:

@@ -2,16 +2,15 @@ import numpy as np
 import pytest
 
 from posebench.errors import ValidationError
-from posebench.model import BoundingBox, CameraDataset
+from posebench.model import BoundingBox, FrameTable
 from posebench.stats import (
     STATS_CSV_COLUMNS,
     compute_stats,
-    frame_max_iou,
-    iou,
     stats_from_frames,
 )
-from conftest import make_frame, make_obs
+from conftest import dataset, make_frame, make_obs
 import _oracles
+from _oracles import frame_max_iou, iou
 
 
 def bb(x1, y1, x2, y2):
@@ -67,7 +66,7 @@ class TestDatasetStats:
             make_frame(2, label="anomalous", persons=(make_obs(track_id=1),)),
             make_frame(3),
         )
-        return CameraDataset(camera_id="cam0", frames=frames)
+        return dataset(frames)
 
     def test_counts(self):
         st = compute_stats(self.build())
@@ -86,7 +85,7 @@ class TestDatasetStats:
         assert st.max_iou_per_frame.shape == (4,)
         assert st.max_iou_per_frame[0] == 0.0
         assert st.max_iou_per_frame[1] > 0.0  # overlapping neighbors
-        want = frame_max_iou(self.build().frames[1])
+        want = frame_max_iou(self.build().frames.records()[1])
         assert st.max_iou_per_frame[1] == pytest.approx(want)
 
     def test_csv_row_layout(self):
@@ -99,7 +98,7 @@ class TestDatasetStats:
 
     def test_empty_rejected(self):
         with pytest.raises(ValidationError):
-            stats_from_frames([], "cam0")
+            stats_from_frames(FrameTable.from_records([]), "cam0")
 
     def test_kernel_against_python_scan(self, rng):
         # Random crowds, compare the grouped kernel against frame_max_iou.
@@ -111,6 +110,6 @@ class TestDatasetStats:
                 for j in range(n)
             )
             frames.append(make_frame(i, persons=persons))
-        st = stats_from_frames(frames, "cam0")
+        st = stats_from_frames(FrameTable.from_records(frames), "cam0")
         for frame, got in zip(frames, st.max_iou_per_frame):
             assert got == pytest.approx(frame_max_iou(frame), abs=1e-12)

@@ -14,8 +14,8 @@ class TestGenerateNormals:
     def test_counts_and_labels(self):
         ds = generate_normals(50, seed=0)
         assert len(ds.frames) == 50
-        assert all(f.label == "normal" for f in ds.frames)
-        assert all(len(f.persons) == 2 for f in ds.frames)
+        assert all(f.label == "normal" for f in ds.frames.records())
+        assert all(len(f.persons) == 2 for f in ds.frames.records())
 
     def test_deterministic(self):
         a = generate_normals(40, seed=3)
@@ -29,7 +29,7 @@ class TestGenerateNormals:
 
     def test_keypoints_inside_canvas(self):
         ds = generate_normals(200, seed=1, step_sigma=25.0)
-        for frame in ds.frames:
+        for frame in ds.frames.records():
             for obs in frame.persons:
                 x, y = obs.keypoints[:, 0], obs.keypoints[:, 1]
                 assert ((0.0 <= x) & (x <= 1280.0)).all()
@@ -42,7 +42,7 @@ class TestGenerateNormals:
 
     def test_start_index_offsets_frames(self):
         ds = generate_normals(10, seed=0, start_index=100)
-        assert [f.frame_index for f in ds.frames] == list(range(100, 110))
+        assert ds.frames.frame_index.tolist() == list(range(100, 110))
 
 
 class TestGenerateSplit:
@@ -50,12 +50,12 @@ class TestGenerateSplit:
         split = generate_split(300, 200, 60, seed=0)
         assert len(split.train.frames) == 300
         assert len(split.test.frames) == 260
-        assert sum(f.is_anomalous for f in split.test.frames) == 60
-        assert all(not f.is_anomalous for f in split.train.frames)
+        assert split.test.frames.anomalous.sum() == 60
+        assert not split.train.frames.anomalous.any()
 
     def test_anomalous_frames_have_regions_and_extra_track(self):
         split = generate_split(300, 200, 60, seed=0)
-        for frame in split.test.frames:
+        for frame in split.test.frames.records():
             if frame.is_anomalous:
                 assert frame.anomaly_regions
                 assert any(o.track_id >= ANOMALY_TRACK_BASE for o in frame.persons)
@@ -65,7 +65,7 @@ class TestGenerateSplit:
     def test_each_kind_generates(self):
         for kind in ANOMALY_KINDS:
             split = generate_split(200, 120, 40, seed=2, anomaly_kinds=(kind,))
-            assert sum(f.is_anomalous for f in split.test.frames) == 40
+            assert split.test.frames.anomalous.sum() == 40
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValidationError):
@@ -86,7 +86,7 @@ class TestGenerateSplit:
     def test_velocity_anomaly_moves_fast(self):
         split = generate_split(200, 150, 50, seed=0, anomaly_kinds=("velocity",))
         anom_pos = {}
-        for frame in split.test.frames:
+        for frame in split.test.frames.records():
             for obs in frame.persons:
                 if obs.track_id >= ANOMALY_TRACK_BASE:
                     anom_pos.setdefault(obs.track_id, []).append(obs.keypoints[:, :2])
@@ -100,7 +100,7 @@ class TestGenerateSplit:
     def test_frozen_anomaly_is_static(self):
         split = generate_split(200, 150, 50, seed=0, anomaly_kinds=("frozen",))
         by_track = {}
-        for frame in split.test.frames:
+        for frame in split.test.frames.records():
             for obs in frame.persons:
                 if obs.track_id >= ANOMALY_TRACK_BASE:
                     by_track.setdefault(obs.track_id, []).append(obs.keypoints[:, :2])
@@ -110,6 +110,6 @@ class TestGenerateSplit:
 
     def test_train_and_test_frame_ranges_disjoint(self):
         split = generate_split(120, 80, 20, seed=0)
-        train_idx = {f.frame_index for f in split.train.frames}
-        test_idx = {f.frame_index for f in split.test.frames}
+        train_idx = set(split.train.frames.frame_index.tolist())
+        test_idx = set(split.test.frames.frame_index.tolist())
         assert not (train_idx & test_idx)
