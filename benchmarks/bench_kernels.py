@@ -6,7 +6,9 @@ Run directly:
 
 Prints one row per kernel and problem size, named as in the per-layer
 metrics of perfbench (``kernels.knn_mean_distance``, ``io.read_frames``
-and so on), with the best of ``--repeat`` timings.
+and so on), with the best of ``--repeat`` timings. The
+``scorers.kinematic_features`` row times one batched call on the test
+windows of the README continual quick-start.
 """
 
 from __future__ import annotations
@@ -20,6 +22,10 @@ import numpy as np
 
 from posebench import _kernels, stats
 from posebench.io import read_frames, write_dataset
+from posebench.preprocess import extract_windows
+from posebench.rearrange import RearrangePlan, rearrange
+from posebench.runner import derive_seed
+from posebench.scorers import kinematic_features
 from posebench.synthetic import generate_split
 
 
@@ -82,6 +88,15 @@ def bench_read_frames(seed: int, repeat: int):
     return [("io.read_frames", "frames=3000", seconds)]
 
 
+def bench_kinematic_features(seed: int, repeat: int):
+    # The test windows of the README continual quick-start, as run-continual builds them.
+    split = generate_split(2400, 1200, 400, seed=seed, anomaly_boost=2.5)
+    cs = rearrange(split, RearrangePlan(seed=derive_seed(seed, "rearrange"), k=9))
+    batch = extract_windows(cs.test.frames, cs.camera_id)
+    seconds = _best_of(lambda: kinematic_features(batch), repeat)
+    return [("scorers.kinematic_features", f"windows={len(batch)}", seconds)]
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--repeat", type=int, default=5, help="timing repetitions, best is kept")
@@ -94,6 +109,7 @@ def main() -> int:
     rows += bench_knn(rng, args.repeat)
     rows += bench_iou(rng, args.repeat)
     rows += bench_read_frames(args.seed, args.repeat)
+    rows += bench_kinematic_features(args.seed, args.repeat)
 
     print(f"{'kernel':<26} {'size':<14} {'best (ms)':>10}")
     for name, size, seconds in rows:

@@ -22,7 +22,7 @@ from .model import (
 )
 from .io import load_dataset, read_frames, write_dataset, write_frames
 from .preprocess import (
-    PoseWindow,
+    WindowBatch,
     extract_windows,
     interpolate_track,
     normalize_pose,
@@ -62,7 +62,7 @@ __all__ = [
     "read_frames",
     "write_dataset",
     "write_frames",
-    "PoseWindow",
+    "WindowBatch",
     "extract_windows",
     "interpolate_track",
     "normalize_pose",

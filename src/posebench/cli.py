@@ -107,12 +107,15 @@ def _build_run_config(args, mode: str):
         if value is not None:
             merged[key] = value
     if mode == "continual":
-        plan = dict(merged.get("plan") or {})
+        plan = merged.get("plan") or {}
+        if not isinstance(plan, dict):
+            raise ValidationError(f"plan must be a JSON object, got {plan!r}")
+        plan = dict(plan)
         for flag_name, key in _PLAN_FLAG_KEYS:
             value = getattr(args, flag_name, None)
             if value is not None:
                 plan[key] = value
-        plan.setdefault("seed", derive_seed(int(merged.get("seed", 0)), "rearrange"))
+        plan.setdefault("seed", derive_seed(merged.get("seed", 0), "rearrange"))
         merged["plan"] = plan
     return RunConfig.from_dict(merged), paths
 

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types and the value checks shared across the package."""
 
 
 class PosebenchError(Exception):
@@ -7,3 +7,14 @@ class PosebenchError(Exception):
 
 class ValidationError(PosebenchError):
     """Input data or invariant violation (maps to CLI exit code 2)."""
+
+
+def check_int(name: str, value, minimum: int = 0):
+    """Raise unless value is a JSON integer (an int, never a bool or a float) of at least minimum."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise ValidationError(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
+def is_number(value) -> bool:
+    """A JSON number: an int or a float, never a bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)

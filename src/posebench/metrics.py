@@ -17,12 +17,12 @@ score >= threshold, so ties are handled as a group:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .errors import ValidationError
-from .model import CameraDataset, LABEL_ANOMALOUS, LABELS
+from .model import CameraDataset
 
 AGGREGATORS = ("max", "mean")
 
@@ -51,18 +51,6 @@ class ScoreSeries:
         if np.unique(self.frame_index).size != n:
             raise ValidationError("frame indices in a series must be unique")
 
-    @classmethod
-    def from_entries(cls, entries) -> "ScoreSeries":
-        """Build from (frame_index, score, label) triples."""
-        idx, scores, anom = [], [], []
-        for frame_index, score, label in entries:
-            if label not in LABELS:
-                raise ValidationError(f"unknown label {label!r} at frame {frame_index}")
-            idx.append(frame_index)
-            scores.append(score)
-            anom.append(label == LABEL_ANOMALOUS)
-        return cls(np.array(idx, dtype=np.int64), np.array(scores), np.array(anom, dtype=bool))
-
     def __len__(self) -> int:
         return self.frame_index.size
 
@@ -87,14 +75,7 @@ class MetricReport:
     n_neg: int
 
     def as_dict(self) -> dict:
-        return {
-            "auc_roc": self.auc_roc,
-            "auc_pr": self.auc_pr,
-            "eer": self.eer,
-            "ten_er": self.ten_er,
-            "n_pos": self.n_pos,
-            "n_neg": self.n_neg,
-        }
+        return asdict(self)
 
 
 def _require_both_classes(series: ScoreSeries, op: str):

@@ -3,7 +3,9 @@
 The pipeline order is interpolate -> smooth -> window. Interpolation fills
 internal gaps only (no extrapolation past track ends); smoothing and
 windowing both operate per maximal run of consecutive frames, so an
-unfilled gap splits a track into independent runs.
+unfilled gap splits a track into independent runs. ``extract_windows``
+returns one ``WindowBatch``: the normalized rows of all tracks in one
+read-only array, and per window its first row, track id and start frame.
 """
 
 from __future__ import annotations
@@ -17,36 +19,34 @@ from .errors import ValidationError
 from .model import KEYPOINT_COUNT, FrameTable, Track, tracks_from_frames
 
 
-@dataclass(frozen=True)
-class PoseWindow:
-    """A fixed-length slice of one track with per-frame normalized poses.
+@dataclass(frozen=True, eq=False)
+class WindowBatch:
+    """Fixed-length windows over one read-only table of normalized pose rows.
 
-    ``features`` has shape (length, 17, 2); ``covered_frames`` lists the
-    consecutive frame indices the window spans.
+    ``poses`` (R, 17, 2) holds every normalized row of every track once,
+    tracks in track_id order. Window ``i`` is ``poses[rows[i] : rows[i] +
+    length]``, the observations of track ``track_id[i]`` at the consecutive
+    frames ``start_frame[i] + arange(length)``. The batch is not iterable:
+    scorers and the runner read its arrays, never one window object at a time.
     """
 
-    track_id: int
-    camera_id: str
-    start_frame: int
+    poses: np.ndarray
+    rows: np.ndarray
+    track_id: np.ndarray
+    start_frame: np.ndarray
     length: int
-    features: np.ndarray
-    covered_frames: tuple[int, ...]
 
     def __post_init__(self):
-        if self.features.shape != (self.length, KEYPOINT_COUNT, 2):
-            raise ValidationError(
-                f"window features must have shape ({self.length}, {KEYPOINT_COUNT}, 2), "
-                f"got {self.features.shape}"
-            )
-        if not np.all(np.isfinite(self.features)):
-            raise ValidationError(f"window features must be finite (track {self.track_id})")
-        if len(self.covered_frames) != self.length:
-            raise ValidationError("covered_frames length must equal window length")
-        for a, b in zip(self.covered_frames, self.covered_frames[1:]):
-            if b != a + 1:
-                raise ValidationError("covered_frames must be consecutive")
-        if self.covered_frames and self.covered_frames[0] != self.start_frame:
-            raise ValidationError("start_frame must equal the first covered frame")
+        self.poses.flags.writeable = False
+        if not np.isfinite(self.poses).all():
+            raise ValidationError("normalized poses must be finite")
+
+    def __len__(self) -> int:
+        return self.rows.size
+
+    def covered_frames(self) -> np.ndarray:
+        """(n, length) frame indices of each window."""
+        return self.start_frame[:, None] + np.arange(self.length)
 
 
 def _runs(frames: np.ndarray) -> list[tuple[int, int]]:
@@ -138,37 +138,27 @@ def normalize_pose(keypoints: np.ndarray, bbox: np.ndarray) -> np.ndarray:
     return (keypoints - center[:, None, :]) / diag[:, None, None]
 
 
-def window_track(track: Track, length: int = 24, stride: int = 6) -> list[PoseWindow]:
-    """Cut a track into fixed-length windows of normalized poses.
+def window_track(track: Track, length: int = 24, stride: int = 6) -> WindowBatch:
+    """Cut a track into fixed-length windows over its normalized rows.
 
     Windows start every ``stride`` observations within each maximal run of
     consecutive frames; a run of n observations yields
     max(0, (n - length) // stride + 1) windows. Windows never span an
-    unfilled gap. Every row is normalized once, and each window's features
-    are a read-only row slice of that one array.
+    unfilled gap. Every row of the track is normalized once, windowed or not.
     """
     if length < 1:
         raise ValidationError(f"window length must be >= 1, got {length}")
     if stride < 1:
         raise ValidationError(f"window stride must be >= 1, got {stride}")
-    feats = normalize_pose(track.keypoints, track.bbox)
-    feats.flags.writeable = False
-    frames = track.frames.tolist()
-    windows = []
-    for start, stop in _runs(track.frames):
-        for s in range(start, stop - length + 1, stride):
-            covered = tuple(frames[s : s + length])
-            windows.append(
-                PoseWindow(
-                    track_id=track.track_id,
-                    camera_id=track.camera_id,
-                    start_frame=covered[0],
-                    length=length,
-                    features=feats[s : s + length],
-                    covered_frames=covered,
-                )
-            )
-    return windows
+    starts = [s for start, stop in _runs(track.frames) for s in range(start, stop - length + 1, stride)]
+    rows = np.array(starts, dtype=np.int64)
+    return WindowBatch(
+        poses=normalize_pose(track.keypoints, track.bbox),
+        rows=rows,
+        track_id=np.full(rows.size, track.track_id, dtype=np.int64),
+        start_frame=track.frames[rows],
+        length=length,
+    )
 
 
 def extract_windows(
@@ -179,15 +169,21 @@ def extract_windows(
     stride: int = 6,
     max_gap: int = 14,
     smoothing_window: int = 15,
-) -> list[PoseWindow]:
-    """Full preprocessing pipeline from a frame table to pose windows.
+) -> WindowBatch:
+    """Full preprocessing pipeline from a frame table to one window batch.
 
-    Deterministic: tracks are processed in track_id order and windows in
-    scan order within each track.
+    Deterministic: tracks are processed in track_id order, their rows are
+    stacked in that order, and windows follow in scan order within each track.
     """
-    windows = []
+    batches = []
     for track in tracks_from_frames(frames, camera_id):
-        track = interpolate_track(track, max_gap=max_gap)
-        track = smooth_track(track, window=smoothing_window)
-        windows.extend(window_track(track, length=length, stride=stride))
-    return windows
+        track = smooth_track(interpolate_track(track, max_gap=max_gap), window=smoothing_window)
+        batches.append(window_track(track, length=length, stride=stride))
+    offsets = np.cumsum([0] + [len(b.poses) for b in batches])
+    return WindowBatch(
+        poses=np.concatenate([np.empty((0, KEYPOINT_COUNT, 2)), *(b.poses for b in batches)]),
+        rows=np.concatenate([np.empty(0, np.int64), *(b.rows + o for b, o in zip(batches, offsets))]),
+        track_id=np.concatenate([np.empty(0, np.int64), *(b.track_id for b in batches)]),
+        start_frame=np.concatenate([np.empty(0, np.int64), *(b.start_frame for b in batches)]),
+        length=length,
+    )

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, check_int, is_number
 from .model import CameraDataset, FrameTable, SplitSet
 
 TAG_TRAIN_NORMAL = "orig_train_normal"
@@ -53,20 +53,15 @@ class RearrangePlan:
     balance_tolerance: float = 0.002
 
     def __post_init__(self):
-        if not isinstance(self.seed, int):
-            raise ValidationError(f"plan seed must be an integer, got {self.seed!r}")
-        if self.inject_count is not None and (
-            not isinstance(self.inject_count, int) or self.inject_count < 0
-        ):
-            raise ValidationError(f"inject_count must be a non-negative integer, got {self.inject_count!r}")
-        if not 0.0 < self.target_train_anomaly_ratio < 1.0:
-            raise ValidationError(
-                f"target_train_anomaly_ratio must be in (0, 1), got {self.target_train_anomaly_ratio}"
-            )
-        if self.k < 1:
-            raise ValidationError(f"k must be >= 1, got {self.k}")
-        if not 0.0 <= self.balance_tolerance < 1.0:
-            raise ValidationError(f"balance_tolerance must be in [0, 1), got {self.balance_tolerance}")
+        check_int("plan seed", self.seed)
+        if self.inject_count is not None:
+            check_int("inject_count", self.inject_count)
+        ratio, tolerance = self.target_train_anomaly_ratio, self.balance_tolerance
+        if not (is_number(ratio) and 0.0 < ratio < 1.0):
+            raise ValidationError(f"target_train_anomaly_ratio must be a number in (0, 1), got {ratio!r}")
+        check_int("k", self.k, 1)
+        if not (is_number(tolerance) and 0.0 <= tolerance < 1.0):
+            raise ValidationError(f"balance_tolerance must be a number in [0, 1), got {tolerance!r}")
 
 
 @dataclass

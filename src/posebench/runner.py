@@ -14,16 +14,15 @@ import hashlib
 import json
 import os
 import zlib
-from dataclasses import dataclass, field
-from itertools import chain
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
 from . import report as report_mod
-from .errors import ValidationError
-from .metrics import AGGREGATORS, MetricReport, aggregate_frame_scores, compute_all
+from .errors import ValidationError, check_int, is_number
+from .metrics import AGGREGATORS, MetricReport, ScoreSeries, aggregate_frame_scores, compute_all
 from .model import CameraDataset, SplitSet
-from .preprocess import extract_windows
+from .preprocess import WindowBatch, extract_windows
 from .rearrange import (
     STREAM_TAGS,
     ContinualSplit,
@@ -41,15 +40,18 @@ RESULT_VERSION = 1
 
 def derive_seed(root: int, label: str) -> int:
     """Derive a per-module seed from the run seed and a stream label."""
-    if root < 0:
-        raise ValidationError(f"seed must be non-negative, got {root}")
+    check_int("seed", root)
     ss = np.random.SeedSequence([root, zlib.crc32(label.encode("utf-8"))])
     return int(ss.generate_state(1, np.uint32)[0])
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything a run needs besides the datasets themselves."""
+    """Everything a run needs besides the datasets themselves.
+
+    Integer fields take JSON integers only: a bool or a float such as 24.0
+    is rejected, as in ``RearrangePlan`` and the scorer parameters.
+    """
 
     mode: str
     scorer: str = "gaussian"
@@ -68,73 +70,42 @@ class RunConfig:
             raise ValidationError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.scorer not in SCORER_KINDS:
             raise ValidationError(f"scorer must be one of {SCORER_KINDS}, got {self.scorer!r}")
-        if self.window_length < 2:
-            raise ValidationError(f"window_length must be >= 2, got {self.window_length}")
-        if self.window_stride < 1:
-            raise ValidationError(f"window_stride must be >= 1, got {self.window_stride}")
-        if self.max_gap < 1:
-            raise ValidationError(f"max_gap must be >= 1, got {self.max_gap}")
-        if self.smoothing_window < 1 or self.smoothing_window % 2 == 0:
-            raise ValidationError(
-                f"smoothing_window must be a positive odd integer, got {self.smoothing_window}"
-            )
+        if not isinstance(self.scorer_params, dict):
+            raise ValidationError(f"scorer_params must be a JSON object, got {self.scorer_params!r}")
+        make_scorer(self.scorer, params=self.scorer_params)  # rejects unknown or mistyped parameters
+        check_int("window_length", self.window_length, 2)
+        check_int("window_stride", self.window_stride, 1)
+        check_int("max_gap", self.max_gap, 1)
+        check_int("smoothing_window", self.smoothing_window, 1)
+        if self.smoothing_window % 2 == 0:
+            raise ValidationError(f"smoothing_window must be odd, got {self.smoothing_window}")
         if self.aggregator not in AGGREGATORS:
             raise ValidationError(f"aggregator must be one of {AGGREGATORS}, got {self.aggregator!r}")
-        if not 0.0 <= self.fnr_target < 1.0:
-            raise ValidationError(f"fnr_target must be in [0, 1), got {self.fnr_target}")
-        if not isinstance(self.seed, int) or self.seed < 0:
-            raise ValidationError(f"seed must be a non-negative integer, got {self.seed!r}")
+        if not (is_number(self.fnr_target) and 0.0 <= self.fnr_target < 1.0):
+            raise ValidationError(f"fnr_target must be a number in [0, 1), got {self.fnr_target!r}")
+        check_int("seed", self.seed)
         if self.plan is not None and not isinstance(self.plan, RearrangePlan):
             raise ValidationError("plan must be a RearrangePlan (use from_dict for raw dicts)")
         if self.mode == "continual" and self.plan is None:
             raise ValidationError("continual mode requires a rearrange plan")
 
     def to_dict(self) -> dict:
-        d = {
-            "mode": self.mode,
-            "scorer": self.scorer,
-            "scorer_params": dict(self.scorer_params),
-            "window_length": self.window_length,
-            "window_stride": self.window_stride,
-            "max_gap": self.max_gap,
-            "smoothing_window": self.smoothing_window,
-            "aggregator": self.aggregator,
-            "fnr_target": self.fnr_target,
-            "seed": self.seed,
-        }
-        if self.plan is not None:
-            d["plan"] = {
-                "seed": self.plan.seed,
-                "inject_count": self.plan.inject_count,
-                "target_train_anomaly_ratio": self.plan.target_train_anomaly_ratio,
-                "k": self.plan.k,
-                "balance_tolerance": self.plan.balance_tolerance,
-            }
+        d = asdict(self)
+        if self.plan is None:
+            del d["plan"]
         return d
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
-        known = {
-            "mode",
-            "scorer",
-            "scorer_params",
-            "window_length",
-            "window_stride",
-            "max_gap",
-            "smoothing_window",
-            "aggregator",
-            "fnr_target",
-            "seed",
-            "plan",
-        }
-        unknown = set(raw) - known
+        unknown = set(raw) - {f.name for f in fields(cls)}
         if unknown:
             raise ValidationError(f"unknown config keys: {sorted(unknown)}")
         kwargs = dict(raw)
         plan_raw = kwargs.pop("plan", None)
         if plan_raw is not None:
-            plan_known = {"seed", "inject_count", "target_train_anomaly_ratio", "k", "balance_tolerance"}
-            plan_unknown = set(plan_raw) - plan_known
+            if not isinstance(plan_raw, dict):
+                raise ValidationError(f"plan must be a JSON object, got {plan_raw!r}")
+            plan_unknown = set(plan_raw) - {f.name for f in fields(RearrangePlan)}
             if plan_unknown:
                 raise ValidationError(f"unknown plan keys: {sorted(plan_unknown)}")
             kwargs["plan"] = RearrangePlan(**plan_raw)
@@ -216,19 +187,23 @@ def _windows_for(frames, camera_id: str, cfg: RunConfig):
 
 
 def evaluate_windows(scorer, test_windows, test_dataset: CameraDataset, cfg: RunConfig) -> MetricReport:
-    """Score test windows, fold onto frames, compute all metrics.
+    """Score test windows, fold the scores onto frames, compute all metrics."""
+    scores = scorer.score_batch(test_windows)
+    series = fold_window_scores(test_windows, scores, test_dataset, cfg.aggregator)
+    return compute_all(series, cfg.fnr_target)
+
+
+def fold_window_scores(batch: WindowBatch, scores, dataset: CameraDataset, aggregator: str) -> ScoreSeries:
+    """Fold one score per window onto the frames it covers, then aggregate per frame.
 
     Interpolation may synthesize observations at frame indices missing from
-    the evaluation set (dropped frames leave structural gaps), so window
-    scores are mapped only onto frames the dataset actually contains.
+    the evaluation set (dropped frames leave structural gaps), so covered
+    frames the dataset lacks are dropped first.
     """
-    scores = scorer.score_batch(test_windows)
-    covered = [w.covered_frames for w in test_windows]
-    frames = np.fromiter(chain.from_iterable(covered), dtype=np.int64)
-    entry_scores = np.repeat(scores, [len(c) for c in covered])
-    present = np.isin(frames, test_dataset.frames.frame_index)
-    series = aggregate_frame_scores(frames[present], entry_scores[present], test_dataset, cfg.aggregator)
-    return compute_all(series, cfg.fnr_target)
+    frames = batch.covered_frames().ravel()
+    entry_scores = np.repeat(scores, batch.length)
+    present = np.isin(frames, dataset.frames.frame_index)
+    return aggregate_frame_scores(frames[present], entry_scores[present], dataset, aggregator)
 
 
 def run_standard(cfg: RunConfig, split: SplitSet, out_dir=None) -> MetricReport:

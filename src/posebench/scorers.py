@@ -2,8 +2,10 @@
 
 Both scorers train on normalized pose windows only (no labels), support
 incremental ingestion, and are fully deterministic given their seed and the
-order of ingested windows. State round-trips through snapshot()/restore()
-and through versioned .ckpt files (npz containers).
+order of ingested windows. Every call takes one ``WindowBatch`` and reads
+its arrays: the gaussian scorer featurizes the whole batch at once, the knn
+scorer gathers each window's rows of ``poses``. State round-trips through
+snapshot()/restore() and through versioned .ckpt files (npz containers).
 """
 
 from __future__ import annotations
@@ -15,54 +17,57 @@ import zipfile
 import numpy as np
 
 from . import _kernels
-from .errors import ValidationError
-from .preprocess import PoseWindow
+from .errors import ValidationError, check_int, is_number
+from .model import KEYPOINT_COUNT
+from .preprocess import WindowBatch
 
 CHECKPOINT_VERSION = 1
-SCORER_KINDS = ("gaussian", "knn")
+SCORER_PARAMS = {"gaussian": ("variance_floor",), "knn": ("k_nn", "capacity", "seed")}
+SCORER_KINDS = tuple(SCORER_PARAMS)
 
 
-def kinematic_features(window: PoseWindow) -> np.ndarray:
-    """51-dim feature: 17 mean per-joint displacement magnitudes + 34 mean pose values.
+def kinematic_features(batch: WindowBatch) -> np.ndarray:
+    """(n, 51) features per window: 17 mean per-joint step magnitudes + 34 mean pose values.
 
-    Displacements are frame-to-frame Euclidean steps of each normalized
-    joint, averaged over the window; the mean pose is the per-coordinate
-    average of the normalized keypoints. Requires window length >= 2.
+    A step magnitude is the Euclidean frame-to-frame move of one normalized
+    joint; the mean pose is the per-coordinate average of the normalized
+    keypoints. Steps are computed once per row of ``batch.poses``. Both
+    means add the window's rows offset by offset, in order, and divide
+    once, the operations ``np.mean(axis=0)`` performs on one window, so every
+    row equals the per-window formula bit for bit without an
+    (n, length, 17, 2) copy. Requires window length >= 2.
     """
-    f = window.features
-    if f.shape[0] < 2:
+    length, rows = batch.length, batch.rows
+    if length < 2:
         raise ValidationError("kinematic features require window length >= 2")
-    disp = np.sqrt(((f[1:] - f[:-1]) ** 2).sum(axis=2)).mean(axis=0)
-    mean_pose = f.mean(axis=0).reshape(-1)
-    return np.concatenate([disp, mean_pose])
-
-
-def flat_features(window: PoseWindow) -> np.ndarray:
-    """The whole normalized window flattened to one vector."""
-    return np.asarray(window.features, dtype=np.float64).reshape(-1)
+    poses = batch.poses.reshape(-1, 2 * KEYPOINT_COUNT)
+    steps = np.sqrt(((batch.poses[1:] - batch.poses[:-1]) ** 2).sum(axis=2))
+    disp, pose = steps[rows], poses[rows]
+    for j in range(1, length):
+        if j < length - 1:
+            disp += steps[rows + j]
+        pose += poses[rows + j]
+    return np.concatenate([disp / (length - 1), pose / length], axis=1)
 
 
 class AnomalyScorer:
-    """Contract shared by all scorers: fit / partial_fit / score / snapshot."""
+    """Contract shared by all scorers: fit / partial_fit / score_batch on a WindowBatch, and snapshot."""
 
     kind = "base"
 
     def reset(self):
         raise NotImplementedError
 
-    def fit(self, windows):
-        """Discard state and ingest the given windows."""
+    def fit(self, batch: WindowBatch):
+        """Discard state and ingest the batch's windows."""
         self.reset()
-        self.partial_fit(windows)
+        self.partial_fit(batch)
 
-    def partial_fit(self, windows):
+    def partial_fit(self, batch: WindowBatch):
         raise NotImplementedError
 
-    def score_batch(self, windows) -> np.ndarray:
+    def score_batch(self, batch: WindowBatch) -> np.ndarray:
         raise NotImplementedError
-
-    def score(self, window: PoseWindow) -> float:
-        return float(self.score_batch([window])[0])
 
     @property
     def windows_seen(self) -> int:
@@ -90,8 +95,8 @@ class GaussianScorer(AnomalyScorer):
     kind = "gaussian"
 
     def __init__(self, variance_floor: float = 1e-8):
-        if not variance_floor > 0:
-            raise ValidationError(f"variance_floor must be positive, got {variance_floor}")
+        if not (is_number(variance_floor) and variance_floor > 0):
+            raise ValidationError(f"variance_floor must be a positive number, got {variance_floor!r}")
         self.variance_floor = float(variance_floor)
         self.reset()
 
@@ -100,11 +105,10 @@ class GaussianScorer(AnomalyScorer):
         self._mean = None
         self._m2 = None
 
-    def partial_fit(self, windows):
-        windows = list(windows)
-        if not windows:
+    def partial_fit(self, batch: WindowBatch):
+        if not len(batch):
             return
-        x = np.stack([kinematic_features(w) for w in windows]).astype(np.float64)
+        x = kinematic_features(batch)
         if self._mean is None:
             self._mean = np.zeros(x.shape[1])
             self._m2 = np.zeros(x.shape[1])
@@ -114,15 +118,14 @@ class GaussianScorer(AnomalyScorer):
             )
         self._count = int(_kernels.welford_update(self._count, self._mean, self._m2, x))
 
-    def score_batch(self, windows) -> np.ndarray:
+    def score_batch(self, batch: WindowBatch) -> np.ndarray:
         if self._count < 2:
             raise ValidationError(
                 f"gaussian scorer needs at least 2 ingested windows to score, has {self._count}"
             )
-        windows = list(windows)
-        if not windows:
+        if not len(batch):
             return np.empty(0, dtype=np.float64)
-        x = np.stack([kinematic_features(w) for w in windows]).astype(np.float64)
+        x = kinematic_features(batch)
         if x.shape[1] != self._mean.size:
             raise ValidationError(
                 f"feature dimension {x.shape[1]} does not match fitted dimension {self._mean.size}"
@@ -185,13 +188,12 @@ class KnnScorer(AnomalyScorer):
     kind = "knn"
 
     def __init__(self, k_nn: int = 5, capacity: int = 50_000, seed: int = 0):
-        if k_nn < 1:
-            raise ValidationError(f"k_nn must be >= 1, got {k_nn}")
-        if capacity < k_nn:
-            raise ValidationError(f"capacity {capacity} must be >= k_nn {k_nn}")
-        self.k_nn = int(k_nn)
-        self.capacity = int(capacity)
-        self.seed = int(seed)
+        check_int("k_nn", k_nn, 1)
+        check_int("capacity", capacity, k_nn)
+        check_int("seed", seed)
+        self.k_nn = k_nn
+        self.capacity = capacity
+        self.seed = seed
         self.reset()
 
     def reset(self):
@@ -200,19 +202,23 @@ class KnnScorer(AnomalyScorer):
         self._stored = 0
         self._seen = 0
 
-    def partial_fit(self, windows):
-        for w in windows:
-            vec = flat_features(w)
-            if self._store is None:
-                self._store = np.empty((0, vec.size), dtype=np.float64)
-            elif vec.size != self._store.shape[1]:
-                raise ValidationError(
-                    f"feature dimension {vec.size} does not match stored dimension {self._store.shape[1]}"
-                )
+    def partial_fit(self, batch: WindowBatch):
+        if not len(batch):
+            return
+        length = batch.length
+        width = length * 2 * KEYPOINT_COUNT
+        if self._store is None:
+            self._store = np.empty((0, width), dtype=np.float64)
+        elif width != self._store.shape[1]:
+            raise ValidationError(
+                f"feature dimension {width} does not match stored dimension {self._store.shape[1]}"
+            )
+        for r in batch.rows.tolist():
+            vec = batch.poses[r : r + length].reshape(-1)
             self._seen += 1
             if self._stored < self.capacity:
                 if self._stored == self._store.shape[0]:  # grow by doubling, up to capacity
-                    grown = np.empty((min(self.capacity, max(64, 2 * self._stored)), vec.size))
+                    grown = np.empty((min(self.capacity, max(64, 2 * self._stored)), width))
                     grown[: self._stored] = self._store
                     self._store = grown
                 self._store[self._stored] = vec
@@ -222,15 +228,14 @@ class KnnScorer(AnomalyScorer):
                 if j < self.capacity:
                     self._store[j] = vec
 
-    def score_batch(self, windows) -> np.ndarray:
+    def score_batch(self, batch: WindowBatch) -> np.ndarray:
         if self._stored < self.k_nn:
             raise ValidationError(
                 f"knn scorer has {self._stored} stored windows, needs at least k_nn={self.k_nn}"
             )
-        windows = list(windows)
-        if not windows:
+        if not len(batch):
             return np.empty(0, dtype=np.float64)
-        x = np.stack([flat_features(w) for w in windows])
+        x = batch.poses[batch.rows[:, None] + np.arange(batch.length)].reshape(len(batch), -1)
         if x.shape[1] != self._store.shape[1]:
             raise ValidationError(
                 f"feature dimension {x.shape[1]} does not match stored dimension {self._store.shape[1]}"
@@ -282,14 +287,20 @@ class KnnScorer(AnomalyScorer):
 
 
 def make_scorer(kind: str, seed: int = 0, params: dict | None = None) -> AnomalyScorer:
-    """Build a scorer by kind name; the seed only matters for stochastic scorers."""
+    """Build a scorer by kind name; the seed only matters for stochastic scorers.
+
+    ``params`` may hold only the constructor arguments ``SCORER_PARAMS`` names for that kind.
+    """
+    if kind not in SCORER_KINDS:
+        raise ValidationError(f"unknown scorer kind {kind!r}, expected one of {SCORER_KINDS}")
     params = dict(params or {})
+    unknown = sorted(set(params) - set(SCORER_PARAMS[kind]))
+    if unknown:
+        raise ValidationError(f"unknown {kind} scorer_params keys: {unknown}")
     if kind == "gaussian":
         return GaussianScorer(**params)
-    if kind == "knn":
-        params.setdefault("seed", seed)
-        return KnnScorer(**params)
-    raise ValidationError(f"unknown scorer kind {kind!r}, expected one of {SCORER_KINDS}")
+    params.setdefault("seed", seed)
+    return KnnScorer(**params)
 
 
 def scorer_from_snapshot(state: dict) -> AnomalyScorer:

@@ -122,6 +122,12 @@ def frame_scores_scan(window_scores, frame_indices, aggregator):
     return {fi: out.get(fi, fill) for fi in frame_indices}
 
 
+def kinematic_features(window):
+    """51 features of one (length, 17, 2) window: mean per-joint step magnitude, then the mean pose."""
+    disp = np.sqrt(((window[1:] - window[:-1]) ** 2).sum(axis=2)).mean(axis=0)
+    return np.concatenate([disp, window.mean(axis=0).reshape(-1)])
+
+
 def iou(a, b):
     """Intersection over union of two boxes with x1, y1, x2, y2 and area(); 0.0 when they do not overlap."""
     ix1 = max(a.x1, b.x1)

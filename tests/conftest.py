@@ -13,6 +13,7 @@ from posebench.model import (
     PersonObservation,
     tracks_from_frames,
 )
+from posebench.preprocess import WindowBatch
 
 
 def make_keypoints(points, visibility=0.9):
@@ -83,6 +84,19 @@ def walking_dataset(n_frames, camera_id="cam0", track_id=0, start=0, label="norm
         obs = make_obs(track_id=track_id, origin=(40.0 + 1.5 * i, 30.0 + 0.5 * i))
         frames.append(make_frame(start + i, label=label, persons=(obs,), camera_id=camera_id))
     return dataset(frames, camera_id)
+
+
+def window_batch(features, start_frame=0):
+    """A WindowBatch with each (length, 17, 2) array of ``features`` as one window over rows of its own."""
+    features = np.asarray(features, dtype=np.float64)
+    n, length = features.shape[:2]
+    return WindowBatch(
+        poses=features.reshape(-1, 17, 2).copy(),
+        rows=np.arange(n, dtype=np.int64) * length,
+        track_id=np.zeros(n, dtype=np.int64),
+        start_frame=np.arange(n, dtype=np.int64) * length + start_frame,
+        length=length,
+    )
 
 
 @pytest.fixture

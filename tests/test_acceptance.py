@@ -14,11 +14,11 @@ import numpy as np
 
 import _oracles
 from _golden import golden_results
-from conftest import make_obs, make_track
+from conftest import make_obs, make_track, window_batch
 
 from posebench.metrics import ScoreSeries, auc_pr, auc_roc, compute_all, eer, fpr_at_fnr
 from posebench.model import CameraDataset, FrameRecord, FrameTable, SplitSet, Track
-from posebench.preprocess import PoseWindow, interpolate_track, smooth_track, window_track
+from posebench.preprocess import interpolate_track, smooth_track, window_track
 from posebench.rearrange import RearrangePlan, rearrange, verify
 from posebench.report import emit_report
 from posebench.runner import RunConfig, derive_seed, run_continual, run_standard
@@ -277,20 +277,7 @@ def test_05_preprocessing_properties(capsys):
 
 
 def _random_windows(rng, count):
-    out = []
-    for i in range(count):
-        feats = rng.normal(loc=0.5, scale=0.2, size=(24, 17, 2))
-        out.append(
-            PoseWindow(
-                track_id=i,
-                camera_id="acc",
-                start_frame=0,
-                length=24,
-                features=feats,
-                covered_frames=tuple(range(24)),
-            )
-        )
-    return out
+    return rng.normal(loc=0.5, scale=0.2, size=(count, 24, 17, 2))
 
 
 def test_06_streaming_fit_consistency(capsys):
@@ -302,12 +289,12 @@ def test_06_streaming_fit_consistency(capsys):
             n = int(rng.integers(5, 60))
             windows = _random_windows(rng, n)
             whole = GaussianScorer()
-            whole.fit(windows)
+            whole.fit(window_batch(windows))
             part = GaussianScorer()
             i = 0
             while i < n:
                 j = i + int(rng.integers(1, n - i + 1))
-                part.partial_fit(windows[i:j])
+                part.partial_fit(window_batch(windows[i:j]))
                 i = j
             if np.max(np.abs(part.mean - whole.mean)) > 1e-9:
                 problems.append(f"trial {trial}: means differ")

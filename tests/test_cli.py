@@ -203,6 +203,56 @@ class TestRearrangeCommand:
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
+class TestConfigValues:
+    """A mistyped --config value exits 2 and names its key, before any data is read."""
+
+    @pytest.mark.parametrize(
+        "subcommand,config,message",
+        [
+            ("run-standard", '{"scorer_params": 5}', "scorer_params must be a JSON object"),
+            ("run-standard", '{"scorer_params": [1]}', "scorer_params must be a JSON object"),
+            ("run-standard", '{"scorer_params": {"bogus": 1}}', "scorer_params keys: ['bogus']"),
+            ("run-standard", '{"scorer": "knn", "scorer_params": {"bogus": 1}}', "keys: ['bogus']"),
+            (
+                "run-standard",
+                '{"scorer": "knn", "scorer_params": {"variance_floor": 1e-8}}',
+                "scorer_params keys: ['variance_floor']",
+            ),
+            ("run-standard", '{"scorer": "knn", "scorer_params": {"k_nn": "5"}}', "k_nn must be an integer"),
+            ("run-standard", '{"scorer": "knn", "scorer_params": {"k_nn": 2.5}}', "k_nn must be an integer"),
+            ("run-standard", '{"scorer": "knn", "scorer_params": {"capacity": 1e400}}', "capacity must be"),
+            ("run-standard", '{"scorer_params": {"variance_floor": "x"}}', "variance_floor must be a"),
+            ("run-standard", '{"scorer_params": {"variance_floor": null}}', "variance_floor must be a"),
+            ("run-standard", '{"window_length": "24"}', "window_length must be an integer"),
+            ("run-standard", '{"window_length": 2.5}', "window_length must be an integer"),
+            ("run-standard", '{"window_stride": true}', "window_stride must be an integer"),
+            ("run-standard", '{"smoothing_window": 15.0}', "smoothing_window must be an integer"),
+            ("run-standard", '{"max_gap": "3"}', "max_gap must be an integer"),
+            ("run-standard", '{"fnr_target": "x"}', "fnr_target must be a number"),
+            ("run-standard", '{"fnr_target": null}', "fnr_target must be a number"),
+            ("run-continual", '{"seed": "x"}', "seed must be an integer"),
+            ("run-continual", '{"plan": [1]}', "plan must be a JSON object"),
+            ("run-continual", '{"plan": {"k": "3"}}', "k must be an integer"),
+            ("run-continual", '{"plan": {"k": 2.5}}', "k must be an integer"),
+            ("run-continual", '{"plan": {"target_train_anomaly_ratio": "x"}}', "anomaly_ratio must be"),
+            ("run-continual", '{"plan": {"balance_tolerance": null}}', "balance_tolerance must be a number"),
+            ("run-continual", '{"plan": {"inject_count": true}}', "inject_count must be an integer"),
+        ],
+    )
+    def test_mistyped_value_is_data_error_naming_the_key(
+        self, synth_dir, tmp_path, capsys, subcommand, config, message
+    ):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(config)
+        data = ["--train", str(synth_dir / "train.jsonl"), "--test", str(synth_dir / "test.jsonl")]
+        if subcommand == "run-continual":
+            data += ["--origin", str(synth_dir / "train.jsonl")]
+        code = main([subcommand, "--config", str(cfg), *data, "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert message in err
+
+
 class TestRunStandardCommand:
     def test_end_to_end(self, synth_dir, tmp_path, capsys):
         out = tmp_path / "std"

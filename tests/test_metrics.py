@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from posebench.errors import ValidationError
 from posebench.metrics import (
@@ -12,24 +14,25 @@ from posebench.metrics import (
     eer,
     fpr_at_fnr,
 )
+from posebench.preprocess import WindowBatch
+from posebench.runner import fold_window_scores
 from conftest import dataset, make_frame, make_obs, walking_dataset
 import _oracles
 
 
 def series(scores, labels):
-    return ScoreSeries.from_entries(
-        [(i, float(s), "anomalous" if y else "normal") for i, (s, y) in enumerate(zip(scores, labels))]
-    )
+    """A series over frames 0..n-1; a truthy label marks the frame anomalous."""
+    return ScoreSeries(np.arange(len(scores)), scores, np.asarray(labels, dtype=bool))
 
 
 class TestScoreSeries:
     def test_requires_unique_frames(self):
-        with pytest.raises(ValidationError):
-            ScoreSeries.from_entries([(0, 0.1, "normal"), (0, 0.2, "anomalous")])
+        with pytest.raises(ValidationError, match="unique"):
+            ScoreSeries([0, 0], [0.1, 0.2], [False, True])
 
     def test_requires_finite_scores(self):
-        with pytest.raises(ValidationError):
-            ScoreSeries.from_entries([(0, float("nan"), "normal")])
+        with pytest.raises(ValidationError, match="finite"):
+            ScoreSeries([0], [float("nan")], [False])
 
     def test_counts(self):
         s = series([0.1, 0.2, 0.3], [0, 1, 1])
@@ -181,3 +184,43 @@ class TestAggregation:
         ds = dataset(frames)
         s = fold([((0, 1), 0.4)], ds, "max")
         assert s.anomalous.tolist() == [False, True]
+
+
+@st.composite
+def folding_case(draw):
+    """A dataset with holes and a window batch whose windows each touch at least one of its frames."""
+    present = draw(st.lists(st.integers(0, 40), min_size=1, max_size=30, unique=True).map(sorted))
+    labels = draw(st.lists(st.booleans(), min_size=len(present), max_size=len(present)))
+    frames = [
+        make_frame(fi, label="anomalous" if y else "normal", persons=(make_obs(),))
+        for fi, y in zip(present, labels)
+    ]
+    length = draw(st.integers(1, 8))
+    n = draw(st.integers(0, 12))
+    anchors = draw(st.lists(st.sampled_from(present), min_size=n, max_size=n))
+    offsets = draw(st.lists(st.integers(0, length - 1), min_size=n, max_size=n))
+    # Scores on a coarse grid, so windows often tie.
+    scores = draw(st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0, 3.0]), min_size=n, max_size=n))
+    batch = WindowBatch(
+        poses=np.zeros((length, 17, 2)),
+        rows=np.zeros(n, dtype=np.int64),
+        track_id=np.zeros(n, dtype=np.int64),
+        start_frame=np.array(anchors, dtype=np.int64) - np.array(offsets, dtype=np.int64),
+        length=length,
+    )
+    return dataset(frames), batch, np.array(scores, dtype=np.float64)
+
+
+class TestFoldProperty:
+    @settings(deadline=None, max_examples=80)
+    @given(case=folding_case(), aggregator=st.sampled_from(["max", "mean"]))
+    def test_fold_equals_scan_oracle(self, case, aggregator):
+        # Windows may cover frames the dataset lacks; frames no window covers take the fill score.
+        ds, batch, scores = case
+        got = fold_window_scores(batch, scores, ds, aggregator)
+        covered = [tuple(row) for row in batch.covered_frames().tolist()]
+        idx = ds.frames.frame_index.tolist()
+        want = _oracles.frame_scores_scan(list(zip(covered, scores.tolist())), idx, aggregator)
+        assert got.frame_index.tolist() == idx
+        assert got.anomalous.tolist() == ds.frames.anomalous.tolist()
+        assert got.scores.tobytes() == np.array([want[fi] for fi in idx], dtype=np.float64).tobytes()

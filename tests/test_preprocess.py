@@ -1,9 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from posebench.errors import ValidationError
-from posebench.model import BoundingBox
+from posebench.model import BoundingBox, FrameTable
 from posebench.preprocess import (
+    WindowBatch,
     extract_windows,
     interpolate_track,
     normalize_pose,
@@ -165,37 +168,57 @@ class TestWindowing:
         assert checked == 1000
 
     def test_window_fields(self):
-        track = make_track(list(range(30)))
-        wins = window_track(track, length=24, stride=6)
-        assert len(wins) == 2
-        w = wins[1]
-        assert w.start_frame == 6
-        assert w.covered_frames == tuple(range(6, 30))
-        assert w.features.shape == (24, 17, 2)
-        assert w.features.flags.c_contiguous and not w.features.flags.writeable
-        want = normalize_pose(track.keypoints, track.bbox)[6:30]
-        assert w.features.tobytes() == want.tobytes()
+        track = make_track(list(range(30)), track_id=4)
+        batch = window_track(track, length=24, stride=6)
+        assert len(batch) == 2 and batch.length == 24
+        assert batch.rows.tolist() == [0, 6] and batch.track_id.tolist() == [4, 4]
+        assert batch.start_frame.tolist() == [0, 6]
+        assert batch.covered_frames()[1].tolist() == list(range(6, 30))
+        want = normalize_pose(track.keypoints, track.bbox)
+        assert batch.poses.tobytes() == want.tobytes()
+        assert not batch.poses.flags.writeable
+        with pytest.raises(TypeError):
+            iter(batch)
 
     def test_windows_respect_runs(self):
         # 30 frames split into two runs of 15: too short for length 24.
         track = make_track(list(range(15)) + list(range(100, 115)))
-        assert window_track(track, length=24, stride=6) == []
-        wins = window_track(track, length=10, stride=5)
-        starts = [w.start_frame for w in wins]
-        assert starts == [0, 5, 100, 105]
+        empty = window_track(track, length=24, stride=6)
+        assert len(empty) == 0 and empty.poses.shape == (30, 17, 2)
+        batch = window_track(track, length=10, stride=5)
+        assert batch.start_frame.tolist() == [0, 5, 100, 105]
+        assert batch.rows.tolist() == [0, 5, 15, 20]
+
+    def test_non_finite_poses_are_rejected(self):
+        poses = np.zeros((4, 17, 2))
+        poses[2, 3, 1] = np.inf
+        with pytest.raises(ValidationError, match="normalized poses must be finite"):
+            WindowBatch(poses, np.array([0]), np.array([0]), np.array([0]), 4)
 
 
 class TestPipeline:
     def test_extract_windows_end_to_end(self):
         ds = walking_dataset(40)
-        wins = extract_windows(
+        batch = extract_windows(
             ds.frames, "cam0", length=24, stride=6, max_gap=14, smoothing_window=15
         )
-        assert [w.start_frame for w in wins] == [0, 6, 12]
-        for w in wins:
-            assert np.isfinite(w.features).all()
-            assert w.camera_id == "cam0"
+        assert batch.start_frame.tolist() == [0, 6, 12]
+        assert batch.poses.shape == (40, 17, 2) and np.isfinite(batch.poses).all()
 
+    def test_tracks_share_one_row_table_in_track_order(self):
+        a = walking_dataset(30, track_id=7).frames.records()
+        b = walking_dataset(40, track_id=2, start=5).frames.records()
+        persons = {fr.frame_index: fr.persons for fr in b}
+        frames = [replace(fr, persons=fr.persons + persons.pop(fr.frame_index, ())) for fr in a]
+        frames += [fr for fr in b if fr.frame_index in persons]
+        batch = extract_windows(
+            FrameTable.from_records(frames), "cam0", length=24, stride=6, max_gap=14, smoothing_window=15
+        )
+        # Track 2 (40 rows from frame 5) comes first, then track 7 (30 rows from frame 0).
+        assert batch.poses.shape == (70, 17, 2)
+        assert batch.track_id.tolist() == [2, 2, 2, 7, 7]
+        assert batch.rows.tolist() == [0, 6, 12, 40, 46]
+        assert batch.start_frame.tolist() == [5, 11, 17, 0, 6]
     def test_extract_windows_fills_gaps(self):
         all_frames = walking_dataset(40).frames
         frames = all_frames.take(np.flatnonzero(all_frames.frame_index != 20))
@@ -203,4 +226,4 @@ class TestPipeline:
             frames, "cam0", length=24, stride=6, max_gap=14, smoothing_window=15
         )
         # The gap is interpolated, so coverage is as if nothing was missing.
-        assert [w.start_frame for w in wins] == [0, 6, 12]
+        assert wins.start_frame.tolist() == [0, 6, 12]

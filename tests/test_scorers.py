@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 
@@ -6,52 +7,41 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import _oracles
+from conftest import window_batch
+from posebench import _kernels
 from posebench.errors import ValidationError
-from posebench.preprocess import PoseWindow
+from posebench.model import BoundingBox, FrameRecord, FrameTable, PersonObservation
+from posebench.preprocess import extract_windows
+from posebench.rearrange import RearrangePlan, rearrange
+from posebench.runner import derive_seed
 from posebench.scorers import (
     GaussianScorer,
     KnnScorer,
-    flat_features,
     kinematic_features,
     load_checkpoint,
     make_scorer,
     scorer_from_snapshot,
 )
+from posebench.synthetic import generate_split
 
 
-def make_window(rng, length=24, start=0):
-    features = rng.normal(0.0, 0.1, size=(length, 17, 2))
-    return PoseWindow(
-        track_id=0,
-        camera_id="cam0",
-        start_frame=start,
-        length=length,
-        features=features,
-        covered_frames=tuple(range(start, start + length)),
-    )
+def feats(rng, n, length=24):
+    """n random windows of normalized poses, shape (n, length, 17, 2)."""
+    return rng.normal(0.0, 0.1, size=(n, length, 17, 2))
 
 
 def windows(rng, n, length=24):
-    return [make_window(rng, length=length, start=6 * i) for i in range(n)]
+    return window_batch(feats(rng, n, length))
 
 
 class TestFeatures:
     def test_dimension(self, rng):
-        w = make_window(rng)
-        assert kinematic_features(w).shape == (51,)
-        assert flat_features(w).shape == (24 * 34,)
+        assert kinematic_features(windows(rng, 3)).shape == (3, 51)
 
     def test_static_window_has_zero_displacement(self):
         features = np.tile(np.linspace(0, 1, 34).reshape(17, 2), (24, 1, 1))
-        w = PoseWindow(
-            track_id=0,
-            camera_id="cam0",
-            start_frame=0,
-            length=24,
-            features=features,
-            covered_frames=tuple(range(24)),
-        )
-        vec = kinematic_features(w)
+        vec = kinematic_features(window_batch([features]))[0]
         np.testing.assert_allclose(vec[:17], 0.0, atol=1e-12)
         np.testing.assert_allclose(vec[17:], features[0].reshape(-1))
 
@@ -59,15 +49,59 @@ class TestFeatures:
         # Every joint moves 3 px in x each frame: mean step magnitude is 3.
         base = np.zeros((17, 2))
         features = np.stack([base + [3.0 * t, 0.0] for t in range(24)])
-        w = PoseWindow(
-            track_id=0,
-            camera_id="cam0",
-            start_frame=0,
-            length=24,
-            features=features,
-            covered_frames=tuple(range(24)),
-        )
-        np.testing.assert_allclose(kinematic_features(w)[:17], 3.0, atol=1e-12)
+        np.testing.assert_allclose(kinematic_features(window_batch([features]))[0, :17], 3.0, atol=1e-12)
+
+    def test_length_one_is_rejected(self, rng):
+        with pytest.raises(ValidationError, match="length >= 2"):
+            kinematic_features(windows(rng, 2, length=1))
+
+
+def oracle_features(batch):
+    """The per-window reference formula applied to each window's row slice."""
+    per_window = [_oracles.kinematic_features(batch.poses[r : r + batch.length]) for r in batch.rows.tolist()]
+    return np.array(per_window, dtype=np.float64).reshape(len(batch), 51)
+
+
+@st.composite
+def windowed_tracks(draw):
+    """Up to three random-walk tracks cut into runs by gaps, some longer than max_gap, windowed."""
+    length, stride = draw(st.integers(2, 30)), draw(st.integers(1, 8))
+    max_gap, smoothing = draw(st.integers(1, 8)), draw(st.sampled_from([1, 3, 7]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    persons = {}
+    for track_id in range(draw(st.integers(1, 3))):
+        frame = draw(st.integers(0, 20))
+        # (run length, missing frames after the run): short runs and open and filled gaps.
+        runs = draw(st.lists(st.tuples(st.integers(1, 40), st.integers(1, 12)), min_size=1, max_size=4))
+        for run, gap in runs:
+            for fi in range(frame, frame + run):
+                xy = rng.uniform(10.0, 190.0, size=(17, 2))
+                kps = np.column_stack([xy, np.full(17, 0.9)])
+                box = BoundingBox(*(xy.min(axis=0) - 3.0).tolist(), *(xy.max(axis=0) + 3.0).tolist())
+                obs = PersonObservation(track_id=track_id, keypoints=kps, bbox=box)
+                persons.setdefault(fi, []).append(obs)
+            frame += run + gap
+    frames = FrameTable.from_records(
+        [FrameRecord("cam0", fi, "normal", tuple(persons[fi])) for fi in sorted(persons)]
+    )
+    return extract_windows(
+        frames, "cam0", length=length, stride=stride, max_gap=max_gap, smoothing_window=smoothing
+    )
+
+
+class TestBatchedFeatures:
+    @settings(deadline=None, max_examples=60)
+    @given(batch=windowed_tracks())
+    def test_batched_equals_per_window_formula(self, batch):
+        assert kinematic_features(batch).tobytes() == oracle_features(batch).tobytes()
+
+    def test_readme_continual_test_windows(self):
+        # The test set of the README continual quick-start, as run-continual builds it.
+        split = generate_split(2400, 1200, 400, seed=0, anomaly_boost=2.5)
+        cs = rearrange(split, RearrangePlan(seed=derive_seed(0, "rearrange"), k=9))
+        batch = extract_windows(cs.test.frames, cs.camera_id)
+        assert len(batch) == 544
+        assert kinematic_features(batch).tobytes() == oracle_features(batch).tobytes()
 
 
 class TestGaussianScorer:
@@ -81,44 +115,36 @@ class TestGaussianScorer:
     def test_outlier_scores_higher(self, rng):
         sc = GaussianScorer()
         sc.fit(windows(rng, 60))
-        normal = make_window(rng)
-        shifted = PoseWindow(
-            track_id=0,
-            camera_id="cam0",
-            start_frame=0,
-            length=24,
-            features=normal.features + 5.0,
-            covered_frames=normal.covered_frames,
-        )
-        s_norm, s_out = sc.score_batch([normal, shifted])
+        normal = feats(rng, 1)[0]
+        s_norm, s_out = sc.score_batch(window_batch([normal, normal + 5.0]))
         assert s_out > s_norm
 
     def test_partial_fit_matches_fit(self, rng):
         # Random split points must leave the accumulated moments identical.
         for trial in range(100):
             trial_rng = np.random.default_rng(1000 + trial)
-            ws = windows(trial_rng, int(trial_rng.integers(4, 40)))
+            ws = feats(trial_rng, int(trial_rng.integers(4, 40)))
             whole = GaussianScorer()
-            whole.fit(ws)
+            whole.fit(window_batch(ws))
             split = GaussianScorer()
             split.reset()
             i = 0
             while i < len(ws):
                 j = i + int(trial_rng.integers(1, 6))
-                split.partial_fit(ws[i:j])
+                split.partial_fit(window_batch(ws[i:j]))
                 i = j
             np.testing.assert_allclose(split.mean, whole.mean, atol=1e-9)
             np.testing.assert_allclose(split.variance, whole.variance, rtol=1e-6, atol=1e-12)
 
     def test_scores_identical_after_split_fit(self, rng):
-        ws = windows(rng, 25)
+        ws = feats(rng, 25)
         probe = windows(rng, 6)
         whole = GaussianScorer()
-        whole.fit(ws)
+        whole.fit(window_batch(ws))
         split = GaussianScorer()
         split.reset()
-        split.partial_fit(ws[:7])
-        split.partial_fit(ws[7:])
+        split.partial_fit(window_batch(ws[:7]))
+        split.partial_fit(window_batch(ws[7:]))
         np.testing.assert_allclose(split.score_batch(probe), whole.score_batch(probe), atol=1e-9)
 
     def test_too_few_windows_error(self, rng):
@@ -129,10 +155,10 @@ class TestGaussianScorer:
 
     def test_variance_floor(self, rng):
         # Identical windows have zero variance; the floor keeps scores finite.
-        w = make_window(rng)
+        w = feats(rng, 1)[0]
         sc = GaussianScorer()
-        sc.fit([w, w, w])
-        assert np.isfinite(sc.score(w))
+        sc.fit(window_batch([w, w, w]))
+        assert np.isfinite(sc.score_batch(window_batch([w]))).all()
 
     def test_snapshot_restore(self, rng):
         sc = GaussianScorer()
@@ -147,23 +173,15 @@ class TestKnnScorer:
     def test_scores_outliers_higher(self, rng):
         sc = KnnScorer(k_nn=3, seed=5)
         sc.fit(windows(rng, 50))
-        normal = make_window(rng)
-        weird = PoseWindow(
-            track_id=0,
-            camera_id="cam0",
-            start_frame=0,
-            length=24,
-            features=normal.features + 4.0,
-            covered_frames=normal.covered_frames,
-        )
-        s_a, s_b = sc.score_batch([normal, weird])
+        normal = feats(rng, 1)[0]
+        s_a, s_b = sc.score_batch(window_batch([normal, normal + 4.0]))
         assert s_b > s_a
 
     def test_needs_k_samples(self, rng):
         sc = KnnScorer(k_nn=4, seed=0)
         sc.fit(windows(rng, 3))
         with pytest.raises(ValidationError):
-            sc.score(make_window(rng))
+            sc.score_batch(windows(rng, 1))
 
     def test_reservoir_caps_storage(self, rng):
         sc = KnnScorer(k_nn=1, capacity=16, seed=0)
@@ -176,12 +194,11 @@ class TestKnnScorer:
         # samples come from each phase.
         rng = np.random.default_rng(3)
         sc = KnnScorer(k_nn=1, capacity=200, seed=9)
-        phase_a = windows(rng, 300, length=4)
-        phase_b = windows(rng, 300, length=4)
-        for w in phase_b:
-            w.features[0, 0, 0] = 1e6  # marker value
-        sc.partial_fit(phase_a)
-        sc.partial_fit(phase_b)
+        phase_a = feats(rng, 300, length=4)
+        phase_b = feats(rng, 300, length=4)
+        phase_b[:, 0, 0, 0] = 1e6  # marker value
+        sc.partial_fit(window_batch(phase_a))
+        sc.partial_fit(window_batch(phase_b))
         stored = sc._store[: sc.stored_count]
         share_b = float(np.mean(stored[:, 0] > 1e5))
         assert 0.3 < share_b < 0.7
@@ -196,13 +213,13 @@ class TestKnnScorer:
         np.testing.assert_array_equal(a.score_batch(probe), b.score_batch(probe))
 
     def test_snapshot_restores_rng_state(self, rng):
-        ws = windows(rng, 60)
+        ws = feats(rng, 60)
         sc = KnnScorer(k_nn=2, capacity=24, seed=1)
-        sc.partial_fit(ws[:30])
+        sc.partial_fit(window_batch(ws[:30]))
         state = sc.snapshot()
         clone = scorer_from_snapshot(state)
-        sc.partial_fit(ws[30:])
-        clone.partial_fit(ws[30:])
+        sc.partial_fit(window_batch(ws[30:]))
+        clone.partial_fit(window_batch(ws[30:]))
         probe = windows(rng, 4)
         np.testing.assert_array_equal(clone.score_batch(probe), sc.score_batch(probe))
 
@@ -217,6 +234,16 @@ class TestKnnScorer:
         assert capped._store.shape == (100, 4 * 34)
         restored = scorer_from_snapshot(sc.snapshot())
         assert restored._store.shape == (103, 4 * 34)
+
+    def test_overlapping_windows_read_their_row_slices(self, rng):
+        # Windows of one track share rows; each stored and query vector is its own row slice.
+        batch = window_batch(feats(rng, 1, length=12))
+        batch = dataclasses.replace(batch, rows=np.array([0, 2, 4, 8]), length=4)
+        want = np.stack([batch.poses[r : r + 4].reshape(-1) for r in (0, 2, 4, 8)])
+        sc = KnnScorer(k_nn=2, seed=0)
+        sc.fit(batch)
+        assert sc._store[: sc.stored_count].tobytes() == want.tobytes()
+        assert sc.score_batch(batch).tobytes() == _kernels.knn_mean_distance(want, want, 2).tobytes()
 
 
 def _snapshot_arrays(sc):
@@ -238,15 +265,15 @@ class TestSplitInvariance:
     def test_fit_equals_any_split_of_partial_fits(self, kind, n, cuts, capacity, seed):
         # Capacity 100 takes the knn store through a doubling (64 -> 100) and replacements.
         rng = np.random.default_rng(seed)
-        ws = windows(rng, n, length=4)
+        ws = feats(rng, n, length=4)
         probe = windows(rng, 3, length=4)
         params = {"k_nn": 2, "capacity": capacity} if kind == "knn" else {}
         whole = make_scorer(kind, seed=seed, params=params)
-        whole.fit(ws)
+        whole.fit(window_batch(ws))
         split = make_scorer(kind, seed=seed, params=params)
         bounds = [0, *sorted(c for c in cuts if c <= n), n]
         for lo, hi in zip(bounds, bounds[1:]):
-            split.partial_fit(ws[lo:hi])
+            split.partial_fit(window_batch(ws[lo:hi]))
         for a, b in zip(_snapshot_arrays(whole), _snapshot_arrays(split)):
             if isinstance(a, np.ndarray):
                 assert a.tobytes() == b.tobytes()
@@ -266,14 +293,14 @@ class TestCheckpoints:
         np.testing.assert_array_equal(back.score_batch(probe), sc.score_batch(probe))
 
     def test_knn_roundtrip_continues_identically(self, rng, tmp_path):
-        ws = windows(rng, 50)
+        ws = feats(rng, 50)
         sc = KnnScorer(k_nn=2, capacity=24, seed=3)
-        sc.partial_fit(ws[:25])
+        sc.partial_fit(window_batch(ws[:25]))
         path = tmp_path / "knn.ckpt"
         sc.save_checkpoint(path)
         back = load_checkpoint(path)
-        sc.partial_fit(ws[25:])
-        back.partial_fit(ws[25:])
+        sc.partial_fit(window_batch(ws[25:]))
+        back.partial_fit(window_batch(ws[25:]))
         probe = windows(rng, 3)
         np.testing.assert_array_equal(back.score_batch(probe), sc.score_batch(probe))
 
@@ -332,6 +359,18 @@ class TestFactory:
         assert isinstance(make_scorer("knn"), KnnScorer)
         with pytest.raises(ValidationError):
             make_scorer("mystery")
+
+    def test_unknown_or_mistyped_params_name_the_key(self):
+        for kind, params, key in (
+            ("knn", {"variance_floor": 1.0}, "variance_floor"),
+            ("gaussian", {"bogus": 1}, "bogus"),
+            ("knn", {"k_nn": 2.5}, "k_nn"),
+            ("knn", {"k_nn": True}, "k_nn"),
+            ("knn", {"capacity": 1e400}, "capacity"),
+            ("gaussian", {"variance_floor": None}, "variance_floor"),
+        ):
+            with pytest.raises(ValidationError, match=key):
+                make_scorer(kind, params=params)
 
     def test_params_forwarded(self):
         sc = make_scorer("knn", seed=4, params={"k_nn": 7, "capacity": 99})
