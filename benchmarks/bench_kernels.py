@@ -8,7 +8,9 @@ Prints one row per kernel and problem size, named as in the per-layer
 metrics of perfbench (``kernels.knn_mean_distance``, ``io.read_frames``
 and so on), with the best of ``--repeat`` timings. The
 ``scorers.kinematic_features`` row times one batched call on the test
-windows of the README continual quick-start.
+windows of the README continual quick-start. The ``synthetic.generate_split``
+row builds the split of perfbench's ``standard-gaussian-large`` workload, the
+set-up layer behind its ``setup_s``.
 """
 
 from __future__ import annotations
@@ -97,6 +99,12 @@ def bench_kinematic_features(seed: int, repeat: int):
     return [("scorers.kinematic_features", f"windows={len(batch)}", seconds)]
 
 
+def bench_generate_split(seed: int, repeat: int):
+    # The README standard quick-start at 2x, as perfbench's standard-gaussian-large synthesizes it.
+    seconds = _best_of(lambda: generate_split(6000, 4000, 1000, seed=seed), repeat)
+    return [("synthetic.generate_split", "6000/4000/1000", seconds)]
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--repeat", type=int, default=5, help="timing repetitions, best is kept")
@@ -110,6 +118,7 @@ def main() -> int:
     rows += bench_iou(rng, args.repeat)
     rows += bench_read_frames(args.seed, args.repeat)
     rows += bench_kinematic_features(args.seed, args.repeat)
+    rows += bench_generate_split(args.seed, args.repeat)
 
     print(f"{'kernel':<26} {'size':<14} {'best (ms)':>10}")
     for name, size, seconds in rows:

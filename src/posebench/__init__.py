@@ -11,11 +11,8 @@ __version__ = "0.1.0"
 from ._kernels import active_path
 from .errors import PosebenchError, ValidationError
 from .model import (
-    BoundingBox,
     CameraDataset,
-    FrameRecord,
     FrameTable,
-    PersonObservation,
     SplitSet,
     Track,
     tracks_from_frames,
@@ -50,11 +47,8 @@ __all__ = [
     "active_path",
     "PosebenchError",
     "ValidationError",
-    "BoundingBox",
     "CameraDataset",
-    "FrameRecord",
     "FrameTable",
-    "PersonObservation",
     "SplitSet",
     "Track",
     "tracks_from_frames",

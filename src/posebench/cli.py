@@ -11,6 +11,7 @@ the subcommand name.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -22,6 +23,7 @@ import numpy as np
 from . import __version__
 from .errors import PosebenchError, ValidationError
 from .io import load_dataset, write_dataset, write_frames
+from .model import SplitSet
 from .rearrange import RearrangePlan, rearrange, verify
 from .report import emit_report, render_csv
 from .runner import RunConfig, derive_seed, load_results, run_continual, run_standard
@@ -150,8 +152,6 @@ def _cmd_stats(args) -> int:
 def _cmd_rearrange(args) -> int:
     split_train = _load(args.train)
     split_test = _load(args.test)
-    from .model import SplitSet
-
     split = SplitSet(train=split_train, test=split_test)
     plan = RearrangePlan(
         seed=derive_seed(args.seed, "rearrange"),
@@ -178,13 +178,7 @@ def _cmd_rearrange(args) -> int:
     params = {
         "train": str(args.train),
         "test": str(args.test),
-        "plan": {
-            "seed": plan.seed,
-            "inject_count": plan.inject_count,
-            "target_train_anomaly_ratio": plan.target_train_anomaly_ratio,
-            "k": plan.k,
-            "balance_tolerance": plan.balance_tolerance,
-        },
+        "plan": dataclasses.asdict(plan),
     }
     _write_manifest(args.out, "rearrange", args.seed, _params_hash(params))
     print(f"wrote {plan.k} slices, test.jsonl and provenance.csv to {args.out}", file=sys.stderr)
@@ -196,8 +190,6 @@ def _cmd_run_standard(args) -> int:
     for key in ("train", "test"):
         if key not in paths:
             raise ValidationError(f"run-standard requires a {key} dataset (flag --{key} or config)")
-    from .model import SplitSet
-
     split = SplitSet(train=_load(paths["train"]), test=_load(paths["test"]))
     _write_manifest(args.out, "run-standard", cfg.seed, cfg.config_hash())
     run_standard(cfg, split, out_dir=args.out)
@@ -210,8 +202,6 @@ def _cmd_run_continual(args) -> int:
     for key in ("train", "test", "origin"):
         if key not in paths:
             raise ValidationError(f"run-continual requires a {key} dataset (flag --{key} or config)")
-    from .model import SplitSet
-
     split = SplitSet(train=_load(paths["train"]), test=_load(paths["test"]))
     origin = _load(paths["origin"])
     _write_manifest(args.out, "run-continual", cfg.seed, cfg.config_hash())

@@ -29,16 +29,7 @@ from itertools import chain
 import numpy as np
 
 from .errors import ValidationError
-from .model import (
-    KEYPOINT_COUNT,
-    LABEL_ANOMALOUS,
-    LABELS,
-    CameraDataset,
-    FrameRecord,
-    FrameTable,
-    RowError,
-    _check_id,
-)
+from .model import KEYPOINT_COUNT, LABEL_ANOMALOUS, LABELS, CameraDataset, FrameTable, RowError
 
 _NUMBER = frozenset((int, float))  # JSON numbers; bool is excluded on purpose
 _KEYPOINT_VALUE = _NUMBER | {type(None)}
@@ -51,6 +42,12 @@ def _integer(value, name: str) -> int:
     if type(value) is float and value.is_integer():
         return int(value)
     raise ValidationError(f"{name} must be an integer, got {value!r}")
+
+
+def _check_id(name: str, value: int) -> None:
+    # Ids become int64 array entries, so they must fit one.
+    if not 0 <= value < 2**63:
+        raise ValidationError(f"{name} must be a non-negative 64-bit integer, got {value!r}")
 
 
 def _list(value, name: str):
@@ -85,8 +82,9 @@ class _Reader:
             people = _list(obj.get("persons", []), "persons")
             regions = _list(obj.get("anomaly_regions", []), "anomaly_regions")
             camera_id, label = obj["camera_id"], obj["label"]
-            if not 0 <= frame_index < 2**63 or label not in LABELS:  # the int64 and flag columns need these
-                FrameRecord(camera_id=camera_id, frame_index=frame_index, label=label)  # raises with the rule
+            _check_id("frame_index", frame_index)  # the int64 and flag columns need these two
+            if label not in LABELS:
+                raise ValidationError(f"label must be one of {LABELS}, got {label!r} (frame {frame_index})")
             numbers, rows = [], []  # box values then keypoint values; keypoint rows
             for p in people:
                 if type(p) is not dict:
@@ -229,11 +227,6 @@ def _frame_dicts(frames: FrameTable):
                 for t, box, interp, kps in zip(track_id[a:b], bbox[a:b], flags[a:b], keypoints.tolist())
             ],
         }
-
-
-def frame_to_dict(frame: FrameRecord) -> dict:
-    """One FrameRecord as the object its JSONL line holds."""
-    return next(_frame_dicts(FrameTable.from_records([frame])))
 
 
 def write_frames(frames: FrameTable, path) -> int:

@@ -173,15 +173,17 @@ def compute_all(series: ScoreSeries, fnr_target: float = 0.10) -> MetricReport:
     )
 
 
-def aggregate_frame_scores(frames, scores, dataset: CameraDataset, aggregator: str = "max") -> ScoreSeries:
+def aggregate_frame_scores(
+    frames, scores, dataset: CameraDataset, aggregator: str = "max", fill: float | None = None
+) -> ScoreSeries:
     """Fold window scores onto frames, producing one labeled score per frame.
 
     ``frames`` and ``scores`` are aligned 1-D arrays with one entry per
     (window, covered frame) pair: the frame index and the window's score.
     Each frame aggregates the scores of its entries with ``max`` or ``mean``
-    (summed in entry order); frames with no entry receive the minimum
-    observed score (least anomalous). With no entries at all, every frame
-    scores 0.0. Labels come from the dataset's frame table.
+    (summed in entry order); frames with no entry receive ``fill``, by
+    default the minimum entry score (least anomalous), or 0.0 with no
+    entries at all. Labels come from the dataset's frame table.
     """
     if aggregator not in AGGREGATORS:
         raise ValidationError(f"aggregator must be one of {AGGREGATORS}, got {aggregator!r}")
@@ -196,12 +198,10 @@ def aggregate_frame_scores(frames, scores, dataset: CameraDataset, aggregator: s
     if missing.size:
         raise ValidationError(f"window covers frame {frames[missing[0]]} which is not in the dataset")
 
-    if not score_arr.size:
-        return ScoreSeries(table.frame_index, np.zeros(n), table.anomalous)
-
-    if not np.all(np.isfinite(score_arr)):
+    if fill is None:
+        fill = float(score_arr.min()) if score_arr.size else 0.0
+    if not (np.all(np.isfinite(score_arr)) and np.isfinite(fill)):
         raise ValidationError("window scores must be finite")
-    fill = float(score_arr.min())
     covered_mask = np.zeros(n, dtype=bool)
     covered_mask[pos_arr] = True
 

@@ -1,14 +1,12 @@
-"""Core data model: frame tables, datasets, tracks, and the per-frame records.
+"""Core data model: frame tables, datasets and tracks.
 
 A ``FrameTable`` holds frames and their person observations as numpy
-columns; it is what the reader returns and what datasets, the rearrangement
-and preprocessing work on. ``FrameRecord``, ``PersonObservation`` and
-``BoundingBox`` describe one frame at a time, for building frames by hand
-(synthetic data, tests) and reading them back out of a table. All types are
-immutable after construction and validate their own invariants, with the
-same messages, so downstream code can assume well-formed data. Track and
-frame ids fit int64. Frame indices are unique within a camera and act as
-the frame identity everywhere.
+columns; it is the one in-memory form of frames, which the reader and the
+synthetic generator build and datasets, the rearrangement and preprocessing
+work on. All types are immutable after construction and validate their own
+invariants, so downstream code can assume well-formed data. Track and frame
+ids fit int64. Frame indices are unique within a camera and act as the frame
+identity everywhere.
 """
 
 from __future__ import annotations
@@ -48,116 +46,6 @@ LABEL_ANOMALOUS = "anomalous"
 LABELS = (LABEL_NORMAL, LABEL_ANOMALOUS)
 
 
-def _finite(value) -> bool:
-    return isinstance(value, (int, float)) and math.isfinite(value)
-
-
-def _check_id(name: str, value) -> None:
-    # Ids become int64 array entries, so they must fit one.
-    if type(value) is not int or not 0 <= value < 2**63:
-        raise ValidationError(f"{name} must be a non-negative 64-bit integer, got {value!r}")
-
-
-@dataclass(frozen=True, slots=True)
-class BoundingBox:
-    """Axis-aligned box in pixel coordinates, x1 < x2 and y1 < y2."""
-
-    x1: float
-    y1: float
-    x2: float
-    y2: float
-
-    def __post_init__(self):
-        for name in ("x1", "y1", "x2", "y2"):
-            v = getattr(self, name)
-            if not _finite(v) or v < 0:
-                raise ValidationError(f"bounding box {name} must be finite and >= 0, got {v}")
-        if not (self.x1 < self.x2 and self.y1 < self.y2):
-            raise ValidationError(
-                f"bounding box must have positive extent, got ({self.x1}, {self.y1}, {self.x2}, {self.y2})"
-            )
-
-    def area(self) -> float:
-        return (self.x2 - self.x1) * (self.y2 - self.y1)
-
-    def as_tuple(self) -> tuple[float, float, float, float]:
-        return (self.x1, self.y1, self.x2, self.y2)
-
-
-@dataclass(frozen=True, slots=True, eq=False)
-class PersonObservation:
-    """One tracked person in one frame: box, 17 keypoints, provenance flag.
-
-    ``keypoints`` is a (17, 3) float64 array of x, y and visibility in
-    ``JOINT_NAMES`` order, NaN where visibility is absent; it is made read-only
-    in place. ``interpolated`` is true exactly when every visibility is absent,
-    which is how gap-filled observations are marked. Equality is bit equality.
-    """
-
-    track_id: int
-    bbox: BoundingBox
-    keypoints: np.ndarray
-    interpolated: bool = False
-
-    def __post_init__(self):
-        _check_id("track_id", self.track_id)
-        track = f"(track {self.track_id})"
-        kps = np.asarray(self.keypoints, dtype=np.float64)
-        if kps.shape != (KEYPOINT_COUNT, 3):
-            raise ValidationError(f"expected ({KEYPOINT_COUNT}, 3) keypoints, got shape {kps.shape} {track}")
-        finite = np.isfinite(kps[:, :2]).all(axis=1)
-        if not finite.all():
-            j = int(np.argmin(finite))
-            raise ValidationError(f"{JOINT_NAMES[j]} coordinates must be finite, got {kps[j, :2]} {track}")
-        vis = kps[:, 2]
-        lo, hi = np.fmin.reduce(vis), np.fmax.reduce(vis)  # skip NaN; NaN only when all are absent
-        if lo < 0.0 or hi > 1.0:
-            j = int(np.argmax((vis < 0.0) | (vis > 1.0)))
-            raise ValidationError(f"{JOINT_NAMES[j]} visibility must be in [0, 1], got {vis[j]} {track}")
-        if not isinstance(self.interpolated, bool):
-            raise ValidationError(f"interpolated must be a boolean, got {self.interpolated!r} {track}")
-        if self.interpolated != math.isnan(hi):
-            rule = "have no" if self.interpolated else "carry at least one"
-            kind = "interpolated" if self.interpolated else "non-interpolated"
-            raise ValidationError(f"{kind} observation must {rule} keypoint visibility {track}")
-        kps.flags.writeable = False
-        object.__setattr__(self, "keypoints", kps)
-
-    def __eq__(self, other):
-        if not isinstance(other, PersonObservation):
-            return NotImplemented
-        mine = (self.track_id, self.bbox, self.interpolated, self.keypoints.tobytes())
-        return mine == (other.track_id, other.bbox, other.interpolated, other.keypoints.tobytes())
-
-
-@dataclass(frozen=True, slots=True)
-class FrameRecord:
-    """One video frame: label, person observations, optional anomaly boxes."""
-
-    camera_id: str
-    frame_index: int
-    label: str
-    persons: tuple[PersonObservation, ...] = ()
-    anomaly_regions: tuple[BoundingBox, ...] = ()
-
-    def __post_init__(self):
-        if not isinstance(self.camera_id, str) or not self.camera_id:
-            raise ValidationError(f"camera_id must be a non-empty string, got {self.camera_id!r}")
-        _check_id("frame_index", self.frame_index)
-        if self.label not in LABELS:
-            raise ValidationError(
-                f"label must be one of {LABELS}, got {self.label!r} (frame {self.frame_index})"
-            )
-        if self.label == LABEL_NORMAL and self.anomaly_regions:
-            raise ValidationError(
-                f"normal frame must not carry anomaly regions (frame {self.frame_index})"
-            )
-
-    @property
-    def is_anomalous(self) -> bool:
-        return self.label == LABEL_ANOMALOUS
-
-
 class RowError(ValidationError):
     """A FrameTable value rule broken in frame row ``row``; the message names the rule."""
 
@@ -167,9 +55,20 @@ class RowError(ValidationError):
 
 
 def _bad_boxes(boxes: np.ndarray) -> np.ndarray:
-    """Rows of an (n, 4) box array that BoundingBox rejects."""
+    """Rows of an (n, 4) box array that are not finite, >= 0 and of positive extent."""
     ok = (np.isfinite(boxes) & (boxes >= 0.0)).all(axis=1)
     return ~(ok & (boxes[:, 0] < boxes[:, 2]) & (boxes[:, 1] < boxes[:, 3]))
+
+
+def _box_errors(box: np.ndarray):
+    """Messages of the rules one (x1, y1, x2, y2) box breaks, in the order they are checked."""
+    coords = box.tolist()
+    for name, v in zip(("x1", "y1", "x2", "y2"), coords):
+        if not (math.isfinite(v) and v >= 0):
+            yield f"bounding box {name} must be finite and >= 0, got {v}"
+    x1, y1, x2, y2 = coords
+    if not (x1 < x2 and y1 < y2):
+        yield f"bounding box must have positive extent, got ({x1}, {y1}, {x2}, {y2})"
 
 
 def _gather(groups: np.ndarray, n: int, rows: np.ndarray):
@@ -190,9 +89,9 @@ class FrameTable:
     ``region_frame`` and ``regions`` (r, 4). Per person row: ``frame_row``,
     ``track_id``, ``keypoints`` (m, 17, 3) with NaN for an absent visibility,
     ``bbox`` (m, 4) and ``interpolated``. Region and person rows are grouped
-    by frame row in frame order. Each record value rule runs as one array
-    predicate; the first frame row breaking one is rebuilt as a FrameRecord,
-    whose own error is raised as ``RowError``. Equality ignores ``line``.
+    by frame row in frame order. Each value rule runs as one array predicate;
+    the first frame row breaking one raises ``RowError`` with the message of
+    the first rule it breaks (see ``_row_errors``). Equality ignores ``line``.
     """
 
     camera_id: np.ndarray
@@ -229,10 +128,44 @@ class FrameTable:
         bad[self.region_frame[_bad_boxes(self.regions) | ~self.anomalous[self.region_frame]]] = True
         if bad.any():
             row = int(np.argmax(bad))
-            try:
-                self._record(row)
-            except ValidationError as exc:
-                raise RowError(row, str(exc)) from None
+            raise RowError(row, next(self._row_errors(row)))
+
+    def _row_errors(self, row: int):
+        """Messages of the value rules frame row ``row`` breaks, in the order they are checked.
+
+        Each person in turn (box, track_id, coordinates, visibility, the
+        interpolated flag), then the region boxes, then the frame's own values.
+        """
+        p0, p1 = np.searchsorted(self.frame_row, [row, row + 1])
+        r0, r1 = np.searchsorted(self.region_frame, [row, row + 1])
+        for p in range(p0, p1):
+            yield from _box_errors(self.bbox[p])
+            track_id, kps = int(self.track_id[p]), self.keypoints[p]
+            if track_id < 0:
+                yield f"track_id must be a non-negative 64-bit integer, got {track_id!r}"
+            track = f"(track {track_id})"
+            finite = np.isfinite(kps[:, :2]).all(axis=1)
+            if not finite.all():
+                j = int(np.argmin(finite))
+                yield f"{JOINT_NAMES[j]} coordinates must be finite, got {kps[j, :2]} {track}"
+            vis = kps[:, 2]
+            out_of_range = (vis < 0.0) | (vis > 1.0)
+            if out_of_range.any():
+                j = int(np.argmax(out_of_range))
+                yield f"{JOINT_NAMES[j]} visibility must be in [0, 1], got {vis[j]} {track}"
+            if self.interpolated[p] != np.isnan(vis).all():
+                rule = "have no" if self.interpolated[p] else "carry at least one"
+                kind = "interpolated" if self.interpolated[p] else "non-interpolated"
+                yield f"{kind} observation must {rule} keypoint visibility {track}"
+        for box in self.regions[r0:r1]:
+            yield from _box_errors(box)
+        camera_id, frame_index = self.camera_id[row], int(self.frame_index[row])
+        if not isinstance(camera_id, str) or not camera_id:
+            yield f"camera_id must be a non-empty string, got {camera_id!r}"
+        if frame_index < 0:
+            yield f"frame_index must be a non-negative 64-bit integer, got {frame_index!r}"
+        if r1 > r0 and not self.anomalous[row]:
+            yield f"normal frame must not carry anomaly regions (frame {frame_index})"
 
     def __len__(self) -> int:
         return len(self.frame_index)
@@ -267,45 +200,6 @@ class FrameTable:
         for name in ("region_frame", "frame_row"):
             cols[name] = np.concatenate([getattr(t, name) + s for t, s in zip(tables, starts)])
         return cls(**cols)
-
-    @classmethod
-    def from_records(cls, frames) -> "FrameTable":
-        """The table of FrameRecords in the given order; ``line`` counts from 1."""
-        frames = tuple(frames)
-        persons = [(row, obs) for row, fr in enumerate(frames) for obs in fr.persons]
-        regions = [(row, box.as_tuple()) for row, fr in enumerate(frames) for box in fr.anomaly_regions]
-        camera_id = np.empty(len(frames), dtype=object)
-        camera_id[:] = [fr.camera_id for fr in frames]
-        return cls(
-            camera_id=camera_id,
-            frame_index=np.array([fr.frame_index for fr in frames], dtype=np.int64),
-            anomalous=np.array([fr.is_anomalous for fr in frames], dtype=bool),
-            line=np.arange(1, len(frames) + 1),
-            region_frame=np.array([row for row, _ in regions], dtype=np.int64),
-            regions=np.array([box for _, box in regions], dtype=np.float64).reshape(-1, 4),
-            frame_row=np.array([row for row, _ in persons], dtype=np.int64),
-            track_id=np.array([obs.track_id for _, obs in persons], dtype=np.int64),
-            keypoints=np.array([obs.keypoints for _, obs in persons]).reshape(-1, KEYPOINT_COUNT, 3),
-            bbox=np.array([obs.bbox.as_tuple() for _, obs in persons], dtype=np.float64).reshape(-1, 4),
-            interpolated=np.array([obs.interpolated for _, obs in persons], dtype=bool),
-        )
-
-    def _record(self, row: int) -> FrameRecord:
-        p0, p1 = np.searchsorted(self.frame_row, [row, row + 1])
-        r0, r1 = np.searchsorted(self.region_frame, [row, row + 1])
-        boxes, interpolated = self.bbox[p0:p1].tolist(), self.interpolated[p0:p1].tolist()
-        persons = zip(self.track_id[p0:p1].tolist(), boxes, self.keypoints[p0:p1], interpolated)
-        return FrameRecord(
-            camera_id=self.camera_id[row],
-            frame_index=int(self.frame_index[row]),
-            label=LABELS[int(self.anomalous[row])],
-            persons=tuple(PersonObservation(tid, BoundingBox(*box), kps, i) for tid, box, kps, i in persons),
-            anomaly_regions=tuple(BoundingBox(*box) for box in self.regions[r0:r1].tolist()),
-        )
-
-    def records(self) -> list[FrameRecord]:
-        """One FrameRecord per frame row, in row order."""
-        return [self._record(row) for row in range(len(self))]
 
 
 @dataclass(frozen=True)

@@ -198,12 +198,14 @@ def fold_window_scores(batch: WindowBatch, scores, dataset: CameraDataset, aggre
 
     Interpolation may synthesize observations at frame indices missing from
     the evaluation set (dropped frames leave structural gaps), so covered
-    frames the dataset lacks are dropped first.
+    frames the dataset lacks are dropped first. Frames no window covers take
+    the minimum score of every window, also of one whose frames were all dropped.
     """
     frames = batch.covered_frames().ravel()
     entry_scores = np.repeat(scores, batch.length)
     present = np.isin(frames, dataset.frames.frame_index)
-    return aggregate_frame_scores(frames[present], entry_scores[present], dataset, aggregator)
+    fill = float(np.min(scores)) if len(scores) else None
+    return aggregate_frame_scores(frames[present], entry_scores[present], dataset, aggregator, fill)
 
 
 def run_standard(cfg: RunConfig, split: SplitSet, out_dir=None) -> MetricReport:

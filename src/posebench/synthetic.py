@@ -19,16 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ValidationError
-from .model import (
-    LABEL_ANOMALOUS,
-    LABEL_NORMAL,
-    BoundingBox,
-    CameraDataset,
-    FrameRecord,
-    FrameTable,
-    PersonObservation,
-    SplitSet,
-)
+from .model import KEYPOINT_COUNT, CameraDataset, FrameTable, SplitSet
 
 ANOMALY_KINDS = ("velocity", "frozen", "limb_collapse")
 ANOMALY_TRACK_BASE = 1000
@@ -82,24 +73,18 @@ def _clamp_pos(pos: np.ndarray) -> np.ndarray:
     return pos
 
 
-def _obs_from_points(rng, track_id: int, pts: np.ndarray) -> PersonObservation:
+def _keypoints(rng, pts: np.ndarray) -> np.ndarray:
+    """(17, 3) keypoints of template points: coordinates clipped to the canvas, drawn visibilities."""
     x = np.clip(pts[:, 0], 0.5, CANVAS[0] - 0.5)
     y = np.clip(pts[:, 1], 0.5, CANVAS[1] - 0.5)
     vis = rng.uniform(0.3, 1.0, size=pts.shape[0])
-    bbox = BoundingBox(
-        max(float(x.min()) - _PAD, 0.0),
-        max(float(y.min()) - _PAD, 0.0),
-        float(x.max()) + _PAD,
-        float(y.max()) + _PAD,
-    )
-    return PersonObservation(track_id=track_id, bbox=bbox, keypoints=np.column_stack((x, y, vis)))
+    return np.column_stack((x, y, vis))
 
 
 class _Walker:
     """A background person: momentum random walk with jittered template pose."""
 
-    def __init__(self, rng, track_id, template, step_sigma, jitter_sigma):
-        self.track_id = track_id
+    def __init__(self, rng, template, step_sigma, jitter_sigma):
         self.template = template
         self.step_sigma = step_sigma
         self.jitter_sigma = jitter_sigma
@@ -111,12 +96,12 @@ class _Walker:
         )
         self.vel = rng.normal(0.0, step_sigma, size=2)
 
-    def step(self, rng) -> PersonObservation:
+    def step(self, rng) -> np.ndarray:
         pts = self.pos[None, :] + self.template + rng.normal(0.0, self.jitter_sigma, size=self.template.shape)
-        obs = _obs_from_points(rng, self.track_id, pts)
+        kps = _keypoints(rng, pts)
         self.vel = 0.85 * self.vel + rng.normal(0.0, self.step_sigma, size=2)
         self.pos = _clamp_pos(self.pos + self.vel)
-        return obs
+        return kps
 
 
 def _anomaly_segment_lengths(total: int, nominal: int) -> list[int]:
@@ -125,8 +110,8 @@ def _anomaly_segment_lengths(total: int, nominal: int) -> list[int]:
     return [base + 1] * rem + [base] * (n_seg - rem)
 
 
-def _anomaly_observations(rng, track_id, kind, length, template, step_sigma, jitter_sigma, boost):
-    """Per-frame observations of one anomaly track over its segment."""
+def _anomaly_keypoints(rng, kind, length, template, step_sigma, jitter_sigma, boost):
+    """Per-frame (17, 3) keypoints of one anomaly track over its segment."""
     center = np.array(
         [
             rng.uniform(_MARGIN, CANVAS[0] - _MARGIN),
@@ -138,19 +123,19 @@ def _anomaly_observations(rng, track_id, kind, length, template, step_sigma, jit
         spike = boost * (step_sigma + jitter_sigma)
         for _ in range(length):
             pts = center[None, :] + template + rng.normal(0.0, spike, size=template.shape)
-            out.append(_obs_from_points(rng, track_id, pts))
+            out.append(_keypoints(rng, pts))
             center = _clamp_pos(center + rng.normal(0.0, spike, size=2))
     elif kind == "frozen":
         pts = center[None, :] + template + rng.normal(0.0, jitter_sigma, size=template.shape)
         for _ in range(length):
-            out.append(_obs_from_points(rng, track_id, pts))
+            out.append(_keypoints(rng, pts))
     elif kind == "limb_collapse":
         folded = template.copy()
         folded[:, 0] *= 0.05
         walker_vel = rng.normal(0.0, step_sigma, size=2)
         for _ in range(length):
             pts = center[None, :] + folded + rng.normal(0.0, jitter_sigma, size=folded.shape)
-            out.append(_obs_from_points(rng, track_id, pts))
+            out.append(_keypoints(rng, pts))
             walker_vel = 0.85 * walker_vel + rng.normal(0.0, step_sigma, size=2)
             center = _clamp_pos(center + walker_vel)
     else:
@@ -158,22 +143,46 @@ def _anomaly_observations(rng, track_id, kind, length, template, step_sigma, jit
     return out
 
 
-def _normal_timeline(rng, camera_id, start, count, persons, track_base, template, step_sigma, jitter_sigma):
-    walkers = [
-        _Walker(rng, track_base + p, template, step_sigma, jitter_sigma) for p in range(persons)
-    ]
-    frames = []
-    for t in range(count):
-        obs = tuple(w.step(rng) for w in walkers)
-        frames.append(
-            FrameRecord(
-                camera_id=camera_id,
-                frame_index=start + t,
-                label=LABEL_NORMAL,
-                persons=obs,
-            )
-        )
-    return frames
+def _walk(rng, count, persons, template, step_sigma, jitter_sigma) -> np.ndarray:
+    """(count, persons, 17, 3) keypoints of ``persons`` walkers stepped together for ``count`` frames."""
+    walkers = [_Walker(rng, template, step_sigma, jitter_sigma) for _ in range(persons)]
+    return np.array([[w.step(rng) for w in walkers] for _ in range(count)])
+
+
+def _timeline(camera_id, start, walked, track_base, anomalies=((), (), ())) -> CameraDataset:
+    """Frames ``start, start + 1, ...``: walker ``p`` as track ``track_base + p`` in each frame.
+
+    ``anomalies`` = (frame offsets, track ids, keypoints), in frame order, adds
+    one person after the walkers of its frame, which it labels anomalous with
+    the person's box as the anomaly region. Boxes pad the keypoints by _PAD,
+    floored at 0.
+    """
+    count, persons = walked.shape[:2]
+    offsets, tracks, extra = anomalies
+    walker_rows = np.repeat(np.arange(count), persons)
+    frame_row = np.concatenate([walker_rows, np.array(offsets, dtype=np.int64)])
+    track_id = np.concatenate([np.tile(track_base + np.arange(persons), count), np.array(tracks, np.int64)])
+    shape = (-1, KEYPOINT_COUNT, 3)
+    keypoints = np.concatenate([walked.reshape(shape), np.reshape(extra, shape)])
+    lo, hi = keypoints[:, :, :2].min(axis=1), keypoints[:, :, :2].max(axis=1)
+    bbox = np.concatenate([np.maximum(lo - _PAD, 0.0), hi + _PAD], axis=1)
+    anomalous = np.zeros(count, dtype=bool)
+    anomalous[frame_row[walker_rows.size :]] = True
+    order = np.argsort(frame_row, kind="stable")  # each frame's walkers, then its anomaly person
+    frames = FrameTable(
+        camera_id=np.full(count, camera_id, dtype=object),
+        frame_index=start + np.arange(count, dtype=np.int64),
+        anomalous=anomalous,
+        line=np.arange(1, count + 1, dtype=np.int64),
+        region_frame=frame_row[walker_rows.size :],
+        regions=bbox[walker_rows.size :],
+        frame_row=frame_row[order],
+        track_id=track_id[order],
+        keypoints=keypoints[order],
+        bbox=bbox[order],
+        interpolated=np.zeros(len(order), dtype=bool),
+    )
+    return CameraDataset(camera_id=camera_id, frames=frames)
 
 
 def generate_normals(
@@ -192,12 +201,13 @@ def generate_normals(
         raise ValidationError(f"n_frames must be >= 1, got {n_frames}")
     if persons < 1:
         raise ValidationError(f"persons must be >= 1, got {persons}")
+    if start_index < 0 or start_index + n_frames > 2**63:  # frame indices are int64
+        bad = start_index if start_index < 0 else max(start_index, 2**63)
+        raise ValidationError(f"frame_index must be a non-negative 64-bit integer, got {bad}")
     rng = np.random.default_rng(seed)
     template = _template(pose_variant)
-    frames = _normal_timeline(
-        rng, camera_id, start_index, n_frames, persons, 0, template, step_sigma, jitter_sigma
-    )
-    return CameraDataset(camera_id=camera_id, frames=FrameTable.from_records(frames))
+    walked = _walk(rng, n_frames, persons, template, step_sigma, jitter_sigma)
+    return _timeline(camera_id, start_index, walked, 0)
 
 
 def generate_split(
@@ -242,9 +252,7 @@ def generate_split(
     rng = np.random.default_rng(seed)
     template = _template(pose_variant)
 
-    train_frames = _normal_timeline(
-        rng, camera_id, 0, train_normal, persons, 0, template, step_sigma, jitter_sigma
-    )
+    train = _timeline(camera_id, 0, _walk(rng, train_normal, persons, template, step_sigma, jitter_sigma), 0)
 
     test_total = test_normal + test_anomaly
     seg_lengths = _anomaly_segment_lengths(test_anomaly, segment_length)
@@ -263,39 +271,13 @@ def generate_split(
         offset = int(rng.integers(0, chunk - seg_len + 1))
         segments.append((lo + offset, seg_len))
 
-    anomaly_obs: dict[int, PersonObservation] = {}
+    offsets, tracks, keypoints = [], [], []
     for s, (seg_start, seg_len) in enumerate(segments):
         kind = kinds[s % len(kinds)]
-        obs_list = _anomaly_observations(
-            rng,
-            ANOMALY_TRACK_BASE + s,
-            kind,
-            seg_len,
-            template,
-            step_sigma,
-            jitter_sigma,
-            anomaly_boost,
-        )
-        for off, obs in enumerate(obs_list):
-            anomaly_obs[seg_start + off] = obs
+        keypoints += _anomaly_keypoints(rng, kind, seg_len, template, step_sigma, jitter_sigma, anomaly_boost)
+        offsets += range(seg_start, seg_start + seg_len)
+        tracks += [ANOMALY_TRACK_BASE + s] * seg_len
 
-    walkers = [
-        _Walker(rng, persons + p, template, step_sigma, jitter_sigma) for p in range(persons)
-    ]
-    test_frames = []
-    for t in range(test_total):
-        obs = [w.step(rng) for w in walkers]
-        extra = (anomaly_obs[t],) if t in anomaly_obs else ()
-        test_frames.append(
-            FrameRecord(
-                camera_id=camera_id,
-                frame_index=train_normal + t,
-                label=LABEL_ANOMALOUS if extra else LABEL_NORMAL,
-                persons=(*obs, *extra),
-                anomaly_regions=tuple(o.bbox for o in extra),
-            )
-        )
-
-    train = CameraDataset(camera_id=camera_id, frames=FrameTable.from_records(train_frames))
-    test = CameraDataset(camera_id=camera_id, frames=FrameTable.from_records(test_frames))
+    walked = _walk(rng, test_total, persons, template, step_sigma, jitter_sigma)
+    test = _timeline(camera_id, train_normal, walked, persons, (offsets, tracks, keypoints))
     return SplitSet(train=train, test=test)

@@ -128,35 +128,40 @@ def kinematic_features(window):
     return np.concatenate([disp, window.mean(axis=0).reshape(-1)])
 
 
+def box_area(box):
+    """Area of an (x1, y1, x2, y2) box."""
+    return (box[2] - box[0]) * (box[3] - box[1])
+
+
 def iou(a, b):
-    """Intersection over union of two boxes with x1, y1, x2, y2 and area(); 0.0 when they do not overlap."""
-    ix1 = max(a.x1, b.x1)
-    iy1 = max(a.y1, b.y1)
-    ix2 = min(a.x2, b.x2)
-    iy2 = min(a.y2, b.y2)
+    """Intersection over union of two (x1, y1, x2, y2) boxes; 0.0 when they do not overlap."""
+    ix1 = max(a[0], b[0])
+    iy1 = max(a[1], b[1])
+    ix2 = min(a[2], b[2])
+    iy2 = min(a[3], b[3])
     iw = ix2 - ix1
     ih = iy2 - iy1
     if iw <= 0.0 or ih <= 0.0:
         return 0.0
     inter = iw * ih
-    union = a.area() + b.area() - inter
+    union = box_area(a) + box_area(b) - inter
     if union <= 0.0:
         return 0.0
     return inter / union
 
 
 def frame_max_iou(frame):
-    """Max pairwise IoU over a frame record's person boxes; 0.0 with fewer than 2 persons."""
-    n = len(frame.persons)
+    """Max pairwise IoU over a frame object's person boxes; 0.0 with fewer than 2 persons."""
+    boxes = [obs["bbox"] for obs in frame["persons"]]
     best = 0.0
-    for i in range(n):
-        for j in range(i + 1, n):
-            best = max(best, iou(frame.persons[i].bbox, frame.persons[j].bbox))
+    for i in range(len(boxes)):
+        for j in range(i + 1, len(boxes)):
+            best = max(best, iou(boxes[i], boxes[j]))
     return best
 
 
 def tracks_by_bucketing(frames):
-    """Track assembly one observation at a time from frame records.
+    """Track assembly one observation at a time from frame objects of the JSONL schema.
 
     Buckets each person by track id, sorts a bucket by frame index and
     stacks it. Returns ``(track_id, frames, keypoints (n, 17, 2), bbox
@@ -165,8 +170,8 @@ def tracks_by_bucketing(frames):
     """
     buckets = {}
     for fr in frames:
-        for obs in fr.persons:
-            buckets.setdefault(obs.track_id, []).append((fr.frame_index, obs))
+        for obs in fr["persons"]:
+            buckets.setdefault(obs["track_id"], []).append((fr["frame_index"], obs))
     tracks = []
     for tid in sorted(buckets):
         rows = sorted(buckets[tid], key=lambda row: row[0])
@@ -177,9 +182,9 @@ def tracks_by_bucketing(frames):
             (
                 tid,
                 track_frames,
-                np.stack([obs.keypoints[:, :2] for _, obs in rows]),
-                np.array([obs.bbox.as_tuple() for _, obs in rows], dtype=np.float64),
-                np.array([obs.interpolated for _, obs in rows], dtype=bool),
+                np.array([[kp[:2] for kp in obs["keypoints"]] for _, obs in rows], dtype=np.float64),
+                np.array([obs["bbox"] for _, obs in rows], dtype=np.float64),
+                np.array([obs["interpolated"] for _, obs in rows], dtype=bool),
             )
         )
     return tracks

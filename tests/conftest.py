@@ -2,17 +2,15 @@
 
 from __future__ import annotations
 
+import json
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from posebench.model import (
-    BoundingBox,
-    CameraDataset,
-    FrameRecord,
-    FrameTable,
-    PersonObservation,
-    tracks_from_frames,
-)
+from posebench.io import read_frames
+from posebench.model import CameraDataset, tracks_from_frames
 from posebench.preprocess import WindowBatch
 
 
@@ -31,33 +29,43 @@ def make_keypoints(points, visibility=0.9):
 
 
 def box_around(keypoints, pad=2.0):
+    """[x1, y1, x2, y2] around a (17, 3) keypoint array."""
     xs, ys = keypoints[:, 0], keypoints[:, 1]
-    return BoundingBox(
-        float(xs.min()) - pad, float(ys.min()) - pad, float(xs.max()) + pad, float(ys.max()) + pad
-    )
+    return [float(xs.min()) - pad, float(ys.min()) - pad, float(xs.max()) + pad, float(ys.max()) + pad]
+
+
+def person(keypoints, track_id=0, bbox=None, interpolated=False):
+    """A person object of the JSONL schema; NaN visibilities become null."""
+    keypoints = np.asarray(keypoints, dtype=np.float64)
+    rows = [[x, y, None if np.isnan(v) else v] for x, y, v in keypoints.tolist()]
+    bbox = box_around(keypoints) if bbox is None else bbox
+    return {"track_id": track_id, "bbox": bbox, "interpolated": interpolated, "keypoints": rows}
 
 
 def make_obs(track_id=0, origin=(50.0, 60.0), interpolated=False, visibility=0.9):
     if interpolated:
         visibility = None
-    kps = make_keypoints([origin], visibility)
-    return PersonObservation(
-        track_id=track_id,
-        keypoints=kps,
-        bbox=box_around(kps),
-        interpolated=interpolated,
-    )
+    return person(make_keypoints([origin], visibility), track_id=track_id, interpolated=interpolated)
 
 
 def make_frame(frame_index, label="normal", persons=(), camera_id="cam0"):
-    regions = (persons[0].bbox,) if label == "anomalous" and persons else ()
-    return FrameRecord(
-        camera_id=camera_id,
-        frame_index=frame_index,
-        label=label,
-        persons=tuple(persons),
-        anomaly_regions=regions,
-    )
+    """A frame object of the JSONL schema; an anomalous frame's region is its first person's box."""
+    regions = [list(persons[0]["bbox"])] if label == "anomalous" and persons else []
+    return {
+        "camera_id": camera_id,
+        "frame_index": frame_index,
+        "label": label,
+        "anomaly_regions": regions,
+        "persons": list(persons),
+    }
+
+
+def table(frames):
+    """The FrameTable that read_frames gives for a file holding one JSON line per frame object."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "frames.jsonl")
+        path.write_text("".join(json.dumps(fr) + "\n" for fr in frames))
+        return read_frames(path)
 
 
 def make_track(frame_indices, origins=None, track_id=0, camera_id="cam0"):
@@ -68,17 +76,17 @@ def make_track(frame_indices, origins=None, track_id=0, camera_id="cam0"):
         make_frame(int(fi), persons=(make_obs(track_id=track_id, origin=o),), camera_id=camera_id)
         for fi, o in zip(frame_indices, origins)
     ]
-    (track,) = tracks_from_frames(FrameTable.from_records(frames), camera_id)
+    (track,) = tracks_from_frames(table(frames), camera_id)
     return track
 
 
 def dataset(frames, camera_id="cam0"):
-    """A CameraDataset of FrameRecords, which must already be in frame order."""
-    return CameraDataset(camera_id=camera_id, frames=FrameTable.from_records(frames))
+    """A CameraDataset of frame objects, which must already be in frame order."""
+    return CameraDataset(camera_id=camera_id, frames=table(frames))
 
 
 def walking_dataset(n_frames, camera_id="cam0", track_id=0, start=0, label="normal"):
-    """Single person walking diagonally, one frame record per index."""
+    """Single person walking diagonally, one frame per index."""
     frames = []
     for i in range(n_frames):
         obs = make_obs(track_id=track_id, origin=(40.0 + 1.5 * i, 30.0 + 0.5 * i))

@@ -14,10 +14,10 @@ import numpy as np
 
 import _oracles
 from _golden import golden_results
-from conftest import make_obs, make_track, window_batch
+from conftest import make_obs, make_track, table, window_batch
 
 from posebench.metrics import ScoreSeries, auc_pr, auc_roc, compute_all, eer, fpr_at_fnr
-from posebench.model import CameraDataset, FrameRecord, FrameTable, SplitSet, Track
+from posebench.model import CameraDataset, FrameTable, SplitSet, Track
 from posebench.preprocess import interpolate_track, smooth_track, window_track
 from posebench.rearrange import RearrangePlan, rearrange, verify
 from posebench.report import emit_report
@@ -103,30 +103,35 @@ def test_03_large_rearrangement_fixture(capsys):
 
     def body():
         t0 = time.perf_counter()
-        shared = make_obs(track_id=0)
+        shared = table([{"camera_id": "c0", "frame_index": 0, "label": "normal", "persons": [make_obs()]}])
         n_train_normal = 483_220
         n_test_normal = 26_093
         n_test_anom = 30_667
-        train = tuple(
-            FrameRecord(camera_id="c0", frame_index=i, label="normal", persons=(shared,))
-            for i in range(n_train_normal)
-        )
-        base = n_train_normal
-        test = []
-        for j in range(n_test_normal):
-            test.append(
-                FrameRecord(camera_id="c0", frame_index=base + j, label="normal", persons=(shared,))
+
+        def frames(start, count, anomalous):
+            """``count`` frames from ``start`` on, each holding the shared person; no regions."""
+            rows = np.arange(count)
+            return FrameTable(
+                camera_id=np.full(count, "c0", dtype=object),
+                frame_index=start + rows,
+                anomalous=np.full(count, anomalous),
+                line=rows + 1,
+                region_frame=np.empty(0, dtype=np.int64),
+                regions=np.empty((0, 4)),
+                frame_row=rows,
+                track_id=np.zeros(count, dtype=np.int64),
+                keypoints=np.broadcast_to(shared.keypoints, (count, 17, 3)),
+                bbox=np.broadcast_to(shared.bbox, (count, 4)),
+                interpolated=np.zeros(count, dtype=bool),
             )
-        base += n_test_normal
-        for j in range(n_test_anom):
-            test.append(
-                FrameRecord(camera_id="c0", frame_index=base + j, label="anomalous", persons=(shared,))
-            )
+
+        base = n_train_normal + n_test_normal
+        test = FrameTable.concat(frames(n_train_normal, n_test_normal, False), frames(base, n_test_anom, True))
         split = SplitSet(
-            train=CameraDataset(camera_id="c0", frames=FrameTable.from_records(train)),
-            test=CameraDataset(camera_id="c0", frames=FrameTable.from_records(test)),
+            train=CameraDataset(camera_id="c0", frames=frames(0, n_train_normal, False)),
+            test=CameraDataset(camera_id="c0", frames=test),
         )
-        if len(train) + n_test_normal != 509_313:
+        if len(split.train.frames) + n_test_normal != 509_313:
             problems.append("fixture normals do not total 509313")
 
         plan = RearrangePlan(seed=0, inject_count=4_615, k=9)

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from posebench.cli import main
-from posebench.io import frame_to_dict, load_dataset, write_dataset
+from posebench.io import load_dataset, write_dataset
 from posebench.runner import result_to_dict
 from posebench.synthetic import generate_split
 
@@ -87,7 +87,7 @@ class TestExitCodes:
     )
     def test_hostile_value_is_data_error_with_line(self, tmp_path, capsys, old, new):
         lines = [
-            json.dumps(frame_to_dict(make_frame(i, persons=(make_obs(),))), separators=(",", ":"))
+            json.dumps(make_frame(i, persons=(make_obs(),)), separators=(",", ":"))
             for i in (0, 1)
         ]
         assert old in lines[1]

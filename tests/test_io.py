@@ -1,6 +1,5 @@
 import hashlib
 import json
-import math
 import re
 import tempfile
 from pathlib import Path
@@ -10,16 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from posebench.errors import ValidationError
-from posebench.io import (
-    frame_to_dict,
-    load_dataset,
-    read_frames,
-    write_dataset,
-    write_frames,
-)
-from posebench.model import LABELS, BoundingBox, FrameRecord, FrameTable, PersonObservation
+from posebench.io import load_dataset, read_frames, write_dataset, write_frames
+from posebench.model import LABELS, FrameTable
 from posebench.synthetic import generate_normals, generate_split
-from conftest import make_frame, make_obs
+from conftest import make_frame, make_obs, table
 
 
 def sample_frames():
@@ -40,17 +33,18 @@ def read_objects(tmp_path, *objects):
 def test_roundtrip_preserves_everything(tmp_path):
     path = tmp_path / "frames.jsonl"
     frames = sample_frames()
-    n = write_frames(FrameTable.from_records(frames), path)
+    n = write_frames(table(frames), path)
     assert n == 3
+    assert [json.loads(line) for line in path.read_text().splitlines()] == frames
     back = read_frames(path)
-    assert back.records() == frames
+    assert back == table(frames)
     assert back.line.tolist() == [1, 2, 3]
 
 
 def test_dataset_roundtrip_sorts(tmp_path):
     path = tmp_path / "ds.jsonl"
     frames = sample_frames()
-    write_frames(FrameTable.from_records([frames[2], frames[0], frames[1]]), path)
+    write_frames(table([frames[2], frames[0], frames[1]]), path)
     ds = load_dataset(path)
     assert ds.frames.frame_index.tolist() == [0, 1, 2]
     assert ds.frames.line.tolist() == [2, 3, 1]
@@ -61,14 +55,16 @@ def test_dataset_roundtrip_sorts(tmp_path):
 
 def test_interpolated_visibility_roundtrip(tmp_path):
     frame = make_frame(4, persons=(make_obs(interpolated=True),))
-    d = frame_to_dict(frame)
+    path = tmp_path / "frames.jsonl"
+    write_frames(read_objects(tmp_path, frame), path)
+    written = json.loads(path.read_text())
     # Interpolated keypoints serialize a null visibility.
-    assert d["persons"][0]["keypoints"][0][2] is None
-    assert read_objects(tmp_path, d).records() == [frame]
+    assert written["persons"][0]["keypoints"][0][2] is None
+    assert written == frame
 
 
 def test_unknown_keys_are_ignored(tmp_path):
-    d = frame_to_dict(make_frame(0, persons=(make_obs(),)))
+    d = make_frame(0, persons=(make_obs(),))
     d["extra"] = {"anything": 1}
     d["persons"][0]["score"] = 0.7
     parsed = read_objects(tmp_path, d)
@@ -76,7 +72,7 @@ def test_unknown_keys_are_ignored(tmp_path):
 
 
 def test_missing_field_is_an_error(tmp_path):
-    d = frame_to_dict(make_frame(0))
+    d = make_frame(0)
     del d["label"]
     with pytest.raises(ValidationError, match=r"line 1 \(frame_index 0\): missing field 'label'"):
         read_objects(tmp_path, d)
@@ -84,7 +80,7 @@ def test_missing_field_is_an_error(tmp_path):
 
 def test_malformed_json_reports_line_number(tmp_path):
     path = tmp_path / "bad.jsonl"
-    good = json.dumps(frame_to_dict(make_frame(0)))
+    good = json.dumps(make_frame(0))
     path.write_text(good + "\n{oops\n")
     with pytest.raises(ValidationError, match="line 2"):
         read_frames(path)
@@ -124,14 +120,14 @@ def test_malformed_json_reports_line_number(tmp_path):
     ],
 )
 def test_wrong_type_reports_line_number(tmp_path, field, value, message):
-    d = frame_to_dict(make_frame(1, persons=(make_obs(),)))
+    d = make_frame(1, persons=(make_obs(),))
     *parents, leaf = field
     target = d
     for key in parents:
         target = target[key]
     target[leaf] = value
     path = tmp_path / "bad.jsonl"
-    path.write_text(json.dumps(frame_to_dict(make_frame(0))) + "\n" + json.dumps(d) + "\n")
+    path.write_text(json.dumps(make_frame(0)) + "\n" + json.dumps(d) + "\n")
     with pytest.raises(ValidationError, match=f"bad.jsonl: line 2.*{message}"):
         read_frames(path)
 
@@ -149,7 +145,7 @@ def test_wrong_type_reports_line_number(tmp_path, field, value, message):
     ids=["repeat-adjacent", "repeat-out-of-order", "second-camera"],
 )
 def test_cross_line_conflict_reports_both_lines(tmp_path, frames, message):
-    lines = [json.dumps(frame_to_dict(fr)) for fr in frames]
+    lines = [json.dumps(fr) for fr in frames]
     path = tmp_path / "bad.jsonl"
     path.write_text(lines[0] + "\n \n" + "\n".join(lines[1:]) + "\n")  # line 2 is blank
     with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}: {re.escape(message)}$"):
@@ -157,7 +153,7 @@ def test_cross_line_conflict_reports_both_lines(tmp_path, frames, message):
 
 
 def test_bad_keypoint_arity(tmp_path):
-    d = frame_to_dict(make_frame(0, persons=(make_obs(),)))
+    d = make_frame(0, persons=(make_obs(),))
     d["persons"][0]["keypoints"][3] = [1.0, 2.0]
     with pytest.raises(ValidationError, match="each keypoint must be a list"):
         read_objects(tmp_path, d)
@@ -172,14 +168,14 @@ def test_empty_file_rejected_as_dataset(tmp_path):
 
 def test_blank_lines_are_skipped(tmp_path):
     path = tmp_path / "gap.jsonl"
-    line = json.dumps(frame_to_dict(make_frame(0)))
-    path.write_text(line + "\n\n" + json.dumps(frame_to_dict(make_frame(1))) + "\n")
+    line = json.dumps(make_frame(0))
+    path.write_text(line + "\n\n" + json.dumps(make_frame(1)) + "\n")
     assert read_frames(path).frame_index.tolist() == [0, 1]
 
 
 def test_output_is_one_compact_object_per_line(tmp_path):
     path = tmp_path / "frames.jsonl"
-    write_frames(FrameTable.from_records(sample_frames()), path)
+    write_frames(table(sample_frames()), path)
     lines = path.read_text().splitlines()
     assert len(lines) == 3
     for line in lines:
@@ -199,7 +195,7 @@ def test_writer_bytes_are_pinned(tmp_path):
     origin = generate_normals(15, seed=8, persons=3, start_index=100)
     extra = make_frame(200, persons=(make_obs(track_id=5, interpolated=True), make_obs(track_id=6)))
     path = tmp_path / "pinned.jsonl"
-    extra = FrameTable.from_records([extra])
+    extra = table([extra])
     write_frames(FrameTable.concat(split.train.frames, split.test.frames, origin.frames, extra), path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == WRITER_SHA256
 
@@ -213,7 +209,7 @@ _box_edges = st.lists(
 @st.composite
 def _boxes(draw):
     (x1, x2), (y1, y2) = draw(_box_edges), draw(_box_edges)
-    return BoundingBox(x1, y1, x2, y2)
+    return [x1, y1, x2, y2]
 
 
 @st.composite
@@ -223,35 +219,36 @@ def _observations(draw):
     rows = draw(st.lists(st.tuples(_coord, _coord, vis), min_size=17, max_size=17))
     if not interpolated and all(v is None for _, _, v in rows):
         rows[0] = (rows[0][0], rows[0][1], 0.5)
-    keypoints = [[x, y, math.nan if v is None else v] for x, y, v in rows]
-    return PersonObservation(
-        track_id=draw(st.integers(0, 2**63 - 1)),
-        bbox=draw(_boxes()),
-        keypoints=keypoints,
-        interpolated=interpolated,
-    )
+    return {
+        "track_id": draw(st.integers(0, 2**63 - 1)),
+        "bbox": draw(_boxes()),
+        "interpolated": interpolated,
+        "keypoints": [list(row) for row in rows],
+    }
 
 
 @st.composite
 def _frames(draw):
     label = draw(st.sampled_from(LABELS))
     regions = draw(st.lists(_boxes(), max_size=2)) if label == "anomalous" else []
-    return FrameRecord(
-        camera_id=draw(st.text(min_size=1, max_size=4)),
-        frame_index=draw(st.integers(0, 2**63 - 1)),
-        label=label,
-        persons=tuple(draw(st.lists(_observations(), max_size=3))),
-        anomaly_regions=tuple(regions),
-    )
+    return {
+        "camera_id": draw(st.text(min_size=1, max_size=4)),
+        "frame_index": draw(st.integers(0, 2**63 - 1)),
+        "label": label,
+        "anomaly_regions": regions,
+        "persons": draw(st.lists(_observations(), max_size=3)),
+    }
 
 
 @settings(deadline=None)
 @given(st.lists(_frames(), max_size=4))
 def test_jsonl_roundtrip_property(frames):
+    # The writer gives back, byte for byte, the compact JSON of the objects the reader was given.
+    text = "".join(json.dumps(fr, separators=(",", ":")) + "\n" for fr in frames)
     with tempfile.TemporaryDirectory() as tmp:
         first, second = Path(tmp, "a.jsonl"), Path(tmp, "b.jsonl")
-        write_frames(FrameTable.from_records(frames), first)
+        first.write_text(text)
         back = read_frames(first)
-        assert back.records() == frames
+        assert len(back) == len(frames)
         write_frames(back, second)
-        assert second.read_bytes() == first.read_bytes()
+        assert second.read_text() == text

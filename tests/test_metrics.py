@@ -188,7 +188,7 @@ class TestAggregation:
 
 @st.composite
 def folding_case(draw):
-    """A dataset with holes and a window batch whose windows each touch at least one of its frames."""
+    """A dataset with holes and a window batch; most windows touch one of its frames, some none."""
     present = draw(st.lists(st.integers(0, 40), min_size=1, max_size=30, unique=True).map(sorted))
     labels = draw(st.lists(st.booleans(), min_size=len(present), max_size=len(present)))
     frames = [
@@ -197,21 +197,31 @@ def folding_case(draw):
     ]
     length = draw(st.integers(1, 8))
     n = draw(st.integers(0, 12))
-    anchors = draw(st.lists(st.sampled_from(present), min_size=n, max_size=n))
-    offsets = draw(st.lists(st.integers(0, length - 1), min_size=n, max_size=n))
+    # A window covering a frame of the dataset, or one that may cover only frames it lacks.
+    touching = st.tuples(st.sampled_from(present), st.integers(0, length - 1)).map(lambda a: a[0] - a[1])
+    starts = draw(st.lists(st.one_of(touching, st.integers(-length, 44)), min_size=n, max_size=n))
     # Scores on a coarse grid, so windows often tie.
     scores = draw(st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0, 3.0]), min_size=n, max_size=n))
     batch = WindowBatch(
         poses=np.zeros((length, 17, 2)),
         rows=np.zeros(n, dtype=np.int64),
         track_id=np.zeros(n, dtype=np.int64),
-        start_frame=np.array(anchors, dtype=np.int64) - np.array(offsets, dtype=np.int64),
+        start_frame=np.array(starts, dtype=np.int64),
         length=length,
     )
     return dataset(frames), batch, np.array(scores, dtype=np.float64)
 
 
 class TestFoldProperty:
+    def test_uncovered_frames_take_minimum_of_every_window(self):
+        # Frame 10 is uncovered; the 0.1 window covers only frames 2-4, which the dataset lacks.
+        ds = dataset([make_frame(0), make_frame(10)])
+        zeros = np.zeros(2, dtype=np.int64)
+        batch = WindowBatch(np.zeros((3, 17, 2)), zeros, zeros, start_frame=np.array([2, 0]), length=3)
+        for aggregator in ("max", "mean"):
+            got = fold_window_scores(batch, np.array([0.1, 0.5]), ds, aggregator)
+            assert got.scores.tolist() == [0.5, 0.1]
+
     @settings(deadline=None, max_examples=80)
     @given(case=folding_case(), aggregator=st.sampled_from(["max", "mean"]))
     def test_fold_equals_scan_oracle(self, case, aggregator):

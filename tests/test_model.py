@@ -1,3 +1,4 @@
+import json
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -11,16 +12,21 @@ import _oracles
 from posebench.errors import ValidationError
 from posebench.io import load_dataset, write_frames
 from posebench.model import (
-    BoundingBox,
-    FrameRecord,
     FrameTable,
     JOINT_NAMES,
-    PersonObservation,
     RowError,
     SplitSet,
     tracks_from_frames,
 )
-from conftest import box_around, dataset, make_frame, make_keypoints, make_obs, make_track
+from conftest import (
+    dataset,
+    make_frame,
+    make_keypoints,
+    make_obs,
+    make_track,
+    person,
+    table,
+)
 
 
 def test_joint_layout():
@@ -29,123 +35,130 @@ def test_joint_layout():
     assert JOINT_NAMES[-1] == "right_ankle"
 
 
-def obs_with_joint(row):
-    """A valid observation whose first joint is replaced by ``row`` = (x, y, visibility)."""
-    kps = make_keypoints([(10, 10)])
-    box = box_around(kps)
-    kps[0] = row
-    return PersonObservation(track_id=0, keypoints=kps, bbox=box)
+def one_person(**fields):
+    """A one-frame table read from a file whose person takes ``fields`` over a valid observation."""
+    return table([make_frame(0, persons=({**make_obs(origin=(10, 10)), **fields},))])
+
+
+def with_joint(row):
+    """A valid one-person table whose first joint is then set to ``row`` = (x, y, visibility)."""
+    good = one_person()
+    kps = good.keypoints.copy()
+    kps[0, 0] = row
+    return replace(good, keypoints=kps)
+
+
+def objects(frames):
+    """The frame objects of a table's JSONL lines, in row order."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "frames.jsonl")
+        write_frames(frames, path)
+        return [json.loads(line) for line in path.read_text().splitlines()]
 
 
 class TestKeypoint:
-    """Per-joint rules of the (17, 3) keypoint array."""
+    """Per-joint rules of the (17, 3) keypoint rows."""
 
     def test_valid(self):
-        kps = obs_with_joint((1.0, 2.0, 0.5)).keypoints
+        kps = with_joint((1.0, 2.0, 0.5)).keypoints[0]
         assert kps.dtype == np.float64 and kps.shape == (17, 3)
         assert kps[0].tolist() == [1.0, 2.0, 0.5]
-        assert not kps.flags.writeable
 
     def test_visibility_may_be_absent(self):
-        assert np.isnan(obs_with_joint((0.0, 0.0, None)).keypoints[0, 2])
+        assert np.isnan(with_joint((0.0, 0.0, None)).keypoints[0, 0, 2])
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
     def test_rejects_non_finite(self, bad):
         with pytest.raises(ValidationError, match="coordinates must be finite"):
-            obs_with_joint((bad, 0.0, 0.5))
+            with_joint((bad, 0.0, 0.5))
         with pytest.raises(ValidationError, match="coordinates must be finite"):
-            obs_with_joint((0.0, bad, 0.5))
+            with_joint((0.0, bad, 0.5))
 
     @pytest.mark.parametrize("bad", [-0.1, 1.1, 2.0])
     def test_rejects_out_of_range_visibility(self, bad):
         with pytest.raises(ValidationError, match="visibility must be in"):
-            obs_with_joint((0.0, 0.0, bad))
+            with_joint((0.0, 0.0, bad))
 
 
 class TestBoundingBox:
     def test_geometry(self):
-        b = BoundingBox(0.0, 0.0, 3.0, 4.0)
-        assert b.area() == 12.0
+        box = one_person(bbox=[0.0, 0.0, 3.0, 4.0]).bbox[0]
+        assert box.tolist() == [0.0, 0.0, 3.0, 4.0]
+        assert _oracles.box_area(box) == 12.0
 
     def test_rejects_inverted(self):
-        with pytest.raises(ValidationError):
-            BoundingBox(3.0, 0.0, 1.0, 4.0)
-        with pytest.raises(ValidationError):
-            BoundingBox(0.0, 4.0, 3.0, 4.0)
+        extent = "bounding box must have positive extent"
+        with pytest.raises(ValidationError, match=extent + r", got \(3.0, 0.0, 1.0, 4.0\)"):
+            one_person(bbox=[3.0, 0.0, 1.0, 4.0])
+        with pytest.raises(ValidationError, match=extent):
+            one_person(bbox=[0.0, 4.0, 3.0, 4.0])
 
     def test_rejects_negative(self):
-        with pytest.raises(ValidationError):
-            BoundingBox(-1.0, 0.0, 3.0, 4.0)
+        with pytest.raises(ValidationError, match="bounding box x1 must be finite and >= 0, got -1.0"):
+            one_person(bbox=[-1.0, 0.0, 3.0, 4.0])
 
 
 class TestPersonObservation:
     def test_requires_17_keypoints(self):
         kps = make_keypoints([(10, 10)])[:16]
-        with pytest.raises(ValidationError):
-            PersonObservation(track_id=0, keypoints=kps, bbox=BoundingBox(0, 0, 20, 20))
+        with pytest.raises(ValidationError, match=r"expected \(17, 3\) keypoints, got shape \(16, 3\)"):
+            one_person(keypoints=person(kps)["keypoints"], bbox=[0, 0, 20, 20])
 
     def test_interpolated_must_have_absent_visibility(self):
-        kps = make_keypoints([(10, 10)], visibility=0.9)
-        with pytest.raises(ValidationError):
-            PersonObservation(
-                track_id=0, keypoints=kps, bbox=box_around(kps), interpolated=True
-            )
+        with pytest.raises(ValidationError, match="interpolated observation must have no keypoint visibility"):
+            one_person(interpolated=True)
 
     def test_absent_visibility_requires_interpolated_flag(self):
         kps = make_keypoints([(10, 10)], visibility=None)
-        with pytest.raises(ValidationError):
-            PersonObservation(track_id=0, keypoints=kps, bbox=box_around(kps))
+        rule = "non-interpolated observation must carry at least one keypoint visibility"
+        with pytest.raises(ValidationError, match=rule):
+            one_person(keypoints=person(kps)["keypoints"])
 
     def test_interpolated_roundtrip(self):
-        obs = make_obs(interpolated=True)
-        assert obs.interpolated
-        assert np.isnan(obs.keypoints[:, 2]).all()
+        frames = table([make_frame(0, persons=(make_obs(interpolated=True),))])
+        assert frames.interpolated.tolist() == [True]
+        assert np.isnan(frames.keypoints[0, :, 2]).all()
 
     def test_ids_must_fit_int64(self):
-        kps = make_keypoints([(10, 10)])
-        PersonObservation(track_id=2**63 - 1, keypoints=kps, bbox=box_around(kps))
-        for bad in (2**63, -1, True, 1.0):
+        assert one_person(track_id=2**63 - 1).track_id.tolist() == [2**63 - 1]
+        for bad in (2**63, -1, True):
             with pytest.raises(ValidationError, match="track_id must be"):
-                PersonObservation(track_id=bad, keypoints=kps, bbox=box_around(kps))
+                one_person(track_id=bad)
             with pytest.raises(ValidationError, match="frame_index must be"):
-                FrameRecord(camera_id="cam0", frame_index=bad, label="normal")
+                table([make_frame(bad)])
+        # JSON has one number type, so the reader takes an integral float as an id.
+        assert one_person(track_id=1.0).track_id.tolist() == [1]
+        assert table([make_frame(1.0)]).frame_index.tolist() == [1]
 
     def test_equality_is_bitwise_on_keypoints(self):
         # NaN visibilities compare equal; one changed bit in one joint does not.
-        assert make_obs(interpolated=True) == make_obs(interpolated=True)
-        kps = make_keypoints([(10, 10)])
-        box = box_around(kps)
-        nudged = kps.copy()
-        nudged[16, 1] = np.nextafter(nudged[16, 1], np.inf)
-        obs = PersonObservation(track_id=0, keypoints=kps.copy(), bbox=box)
-        assert obs == PersonObservation(track_id=0, keypoints=kps, bbox=box)
-        assert obs != PersonObservation(track_id=0, keypoints=nudged, bbox=box)
-        assert obs != PersonObservation(track_id=1, keypoints=kps, bbox=box)
+        interpolated = make_frame(0, persons=(make_obs(interpolated=True),))
+        assert table([interpolated]) == table([interpolated])
+        frames = one_person()
+        nudged = frames.keypoints.copy()
+        nudged[0, 16, 1] = np.nextafter(nudged[0, 16, 1], np.inf)
+        assert frames == replace(frames, keypoints=frames.keypoints.copy())
+        assert frames != replace(frames, keypoints=nudged)
+        assert frames != replace(frames, track_id=np.array([1]))
 
 
 class TestFrameRecord:
     def test_normal_frame_rejects_anomaly_regions(self):
-        obs = make_obs()
-        with pytest.raises(ValidationError):
-            FrameRecord(
-                camera_id="cam0",
-                frame_index=0,
-                label="normal",
-                persons=(obs,),
-                anomaly_regions=(obs.bbox,),
-            )
+        frame = make_frame(0, persons=(make_obs(),))
+        frame["anomaly_regions"] = [frame["persons"][0]["bbox"]]
+        with pytest.raises(ValidationError, match=r"normal frame must not carry anomaly regions \(frame 0\)"):
+            table([frame])
 
     def test_is_anomalous(self):
-        assert make_frame(0, label="anomalous", persons=(make_obs(),)).is_anomalous
-        assert not make_frame(0).is_anomalous
+        assert table([make_frame(0, label="anomalous", persons=(make_obs(),))]).anomalous.tolist() == [True]
+        assert table([make_frame(0)]).anomalous.tolist() == [False]
 
     def test_bad_label(self):
-        with pytest.raises(ValidationError):
-            FrameRecord(camera_id="cam0", frame_index=0, label="odd")
-        with pytest.raises(ValidationError):
-            FrameRecord(camera_id="cam0", frame_index=0, label=7)
+        for label in ("odd", 7):
+            with pytest.raises(ValidationError, match="label must be one of"):
+                table([{**make_frame(0), "label": label}])
         with pytest.raises(ValidationError, match="camera_id must be a non-empty string"):
-            FrameRecord(camera_id=7, frame_index=0, label="normal")
+            table([make_frame(0, camera_id=7)])
 
 
 class TestCameraDataset:
@@ -204,14 +217,14 @@ class TestTracks:
             make_frame(1, persons=(a1,)),
             make_frame(0, persons=(a0, b0)),
         ]
-        tracks = tracks_from_frames(FrameTable.from_records(frames), "cam0")
+        tracks = tracks_from_frames(table(frames), "cam0")
         assert [t.track_id for t in tracks] == [0, 1]
         assert tracks[0].frames.tolist() == [0, 1]
         assert tracks[1].frames.tolist() == [0]
         # Every column follows the frame order, not the input order.
         for row, obs in enumerate((a0, a1)):
-            assert tracks[0].keypoints[row].tolist() == obs.keypoints[:, :2].tolist()
-            assert tuple(tracks[0].bbox[row]) == obs.bbox.as_tuple()
+            assert tracks[0].keypoints[row].tolist() == [kp[:2] for kp in obs["keypoints"]]
+            assert tracks[0].bbox[row].tolist() == obs["bbox"]
         assert tracks[0].interpolated.tolist() == [False, False]
         assert tracks[1].interpolated.tolist() == [True]
 
@@ -219,12 +232,12 @@ class TestTracks:
         a = make_obs(track_id=0)
         frames = [make_frame(0, persons=(a, a))]
         with pytest.raises(ValidationError, match="duplicate observation for track 0 at frame 0"):
-            tracks_from_frames(FrameTable.from_records(frames), "cam0")
+            tracks_from_frames(table(frames), "cam0")
 
 
 @st.composite
 def _shuffled_frames(draw):
-    """Frame records in random order, with gaps, several tracks, and repeats when ``unique`` is false."""
+    """Frame objects in random order, with gaps, several tracks, and repeats when ``unique`` is false."""
     unique = draw(st.booleans())
     indices = draw(st.lists(st.integers(0, 60), min_size=1, max_size=20, unique=unique))
     coord = st.floats(min_value=10.0, max_value=500.0)
@@ -242,26 +255,26 @@ def _shuffled_frames(draw):
 @settings(deadline=None)
 @given(_shuffled_frames())
 def test_track_assembly_matches_bucketing_oracle(frames):
-    table = FrameTable.from_records(frames)
+    frames_table = table(frames)
     try:
         want = _oracles.tracks_by_bucketing(frames)
     except ValueError:
         with pytest.raises(ValidationError, match="duplicate observation"):
-            tracks_from_frames(table, "cam0")
+            tracks_from_frames(frames_table, "cam0")
         return
-    got = tracks_from_frames(table, "cam0")
+    got = tracks_from_frames(frames_table, "cam0")
     assert [t.track_id for t in got] == [tid for tid, *_ in want]
     for track, (_, *columns) in zip(got, want):
         mine = (track.frames, track.keypoints, track.bbox, track.interpolated)
         for a, b in zip(mine, columns):
             assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
-    fis = [fr.frame_index for fr in frames]
+    fis = [fr["frame_index"] for fr in frames]
     if len(set(fis)) == len(fis):
-        # The file round trip gives the dataset built straight from the records.
-        direct = dataset(sorted(frames, key=lambda fr: fr.frame_index))
+        # The file round trip gives the dataset built straight from the sorted objects.
+        direct = dataset(sorted(frames, key=lambda fr: fr["frame_index"]))
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp, "frames.jsonl")
-            write_frames(table, path)
+            write_frames(frames_table, path)
             assert load_dataset(path) == direct
 
 
@@ -273,31 +286,31 @@ class TestFrameTable:
             make_frame(7, label="anomalous", persons=(make_obs(track_id=1, interpolated=True),)),
         ]
 
-    def test_records_round_trip(self):
+    def test_objects_round_trip(self):
         frames = self.frames()
-        table = FrameTable.from_records(frames)
-        assert table.records() == frames
-        assert table.frame_row.tolist() == [0, 0, 2]
-        assert table.region_frame.tolist() == [2]
-        assert table.line.tolist() == [1, 2, 3]
+        read = table(frames)
+        assert objects(read) == frames
+        assert read.frame_row.tolist() == [0, 0, 2]
+        assert read.region_frame.tolist() == [2]
+        assert read.line.tolist() == [1, 2, 3]
 
     def test_take_regroups_persons_and_regions(self):
         frames = self.frames()
-        table = FrameTable.from_records(frames)
-        taken = table.take([2, 0, 2])
-        assert taken.records() == [frames[2], frames[0], frames[2]]
+        read = table(frames)
+        taken = read.take([2, 0, 2])
+        assert objects(taken) == [frames[2], frames[0], frames[2]]
         assert taken.line.tolist() == [3, 1, 3]
         assert taken.frame_row.tolist() == [0, 1, 1, 2]
-        assert table.take([]).records() == []
+        assert objects(read.take([])) == []
 
     def test_concat_and_equality_ignore_lines(self):
         frames = self.frames()
-        table = FrameTable.from_records(frames)
-        joined = FrameTable.concat(table.take([0]), table.take([1, 2]))
-        assert joined == table
-        assert joined.records() == frames
-        assert table.take([1, 0, 2]) != table
-        assert replace(table, line=np.array([4, 5, 6])) == table
+        read = table(frames)
+        joined = FrameTable.concat(read.take([0]), read.take([1, 2]))
+        assert joined == read
+        assert objects(joined) == frames
+        assert read.take([1, 0, 2]) != read
+        assert replace(read, line=np.array([4, 5, 6])) == read
 
     @pytest.mark.parametrize(
         "column,value,row,message",
@@ -315,29 +328,29 @@ class TestFrameTable:
             make_frame(3, persons=(make_obs(track_id=0),)),
             make_frame(4, label="anomalous", persons=(make_obs(track_id=1),)),
         ]
-        table = FrameTable.from_records(frames)
-        old = getattr(table, column)
+        good = table(frames)
+        old = getattr(good, column)
         if column == "camera_id":
             new = np.array(value, dtype=object)
         else:
             new = old.copy()
             new[: len(value)] = value
         with pytest.raises(RowError, match=message) as info:
-            replace(table, **{column: new})
+            replace(good, **{column: new})
         assert info.value.row == row
 
     def test_first_broken_rule_in_row_order(self):
-        table = FrameTable.from_records([make_frame(3, persons=(make_obs(),)), make_frame(4)])
+        good = table([make_frame(3, persons=(make_obs(),)), make_frame(4)])
         frame_index = np.array([3, -4])
-        kps = table.keypoints.copy()
+        kps = good.keypoints.copy()
         kps[0, 2, 0] = np.inf
         with pytest.raises(RowError, match=r"right_eye coordinates must be finite, got \[ *inf") as info:
-            replace(table, frame_index=frame_index, keypoints=kps)
+            replace(good, frame_index=frame_index, keypoints=kps)
         assert info.value.row == 0
 
     def test_columns_must_agree(self):
-        table = FrameTable.from_records(self.frames())
+        good = table(self.frames())
         with pytest.raises(ValidationError, match="columns disagree"):
-            replace(table, anomalous=table.anomalous[:2])
+            replace(good, anomalous=good.anomalous[:2])
         with pytest.raises(ValidationError, match="grouped by frame row"):
-            replace(table, frame_row=table.frame_row[::-1].copy())
+            replace(good, frame_row=good.frame_row[::-1].copy())

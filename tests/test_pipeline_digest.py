@@ -14,7 +14,6 @@ import hashlib
 
 import numpy as np
 
-from posebench.model import FrameTable
 from posebench.preprocess import extract_windows
 from posebench.synthetic import generate_split
 
@@ -24,16 +23,20 @@ PINNED_SHA256 = "d8b342583a30bae2234ad18fd88262727e0b29a781bf14f7332260d04893f50
 def _holed_frames():
     split = generate_split(160, 300, 120, seed=11, persons=3)
     rng = np.random.default_rng(7)
-    first = int(split.test.frames.frame_index[0])
-    out = []
-    for fr in split.test.frames.records():
-        if 200 <= fr.frame_index - first < 230 or rng.random() < 0.08:
+    frames = split.test.frames
+    offset = frames.frame_index - frames.frame_index[0]
+    first_person = np.searchsorted(frames.frame_row, np.arange(len(frames)))
+    persons = np.bincount(frames.frame_row, minlength=len(frames))
+    kept_frames, kept_persons = [], np.ones(len(frames.frame_row), dtype=bool)
+    for row in range(len(frames)):
+        if 200 <= offset[row] < 230 or rng.random() < 0.08:
             continue
-        persons = fr.persons
-        if len(persons) > 1 and rng.random() < 0.05:
-            persons = persons[1:]
-        out.append(dataclasses.replace(fr, persons=persons))
-    return FrameTable.from_records(out), split.test.camera_id
+        kept_frames.append(row)
+        if persons[row] > 1 and rng.random() < 0.05:
+            kept_persons[first_person[row]] = False
+    columns = ("frame_row", "track_id", "keypoints", "bbox", "interpolated")
+    frames = dataclasses.replace(frames, **{name: getattr(frames, name)[kept_persons] for name in columns})
+    return frames.take(kept_frames), split.test.camera_id
 
 
 def _digest(batch):

@@ -1,10 +1,7 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
 from posebench.errors import ValidationError
-from posebench.model import BoundingBox, FrameTable
 from posebench.preprocess import (
     WindowBatch,
     extract_windows,
@@ -13,7 +10,7 @@ from posebench.preprocess import (
     smooth_track,
     window_track,
 )
-from conftest import make_track, walking_dataset
+from conftest import make_frame, make_obs, make_track, table, walking_dataset
 import _oracles
 
 
@@ -145,10 +142,10 @@ class TestNormalize:
         np.testing.assert_allclose(build(1.0, 0.0), build(3.0, 200.0), atol=1e-12)
 
     def test_degenerate_box_rejected_upstream(self):
-        # The bbox type itself refuses zero-extent boxes; normalize_pose
+        # The frame table itself refuses zero-extent boxes; normalize_pose
         # refuses them too rather than dividing by zero.
-        with pytest.raises(ValidationError):
-            BoundingBox(5.0, 5.0, 5.0, 5.0)
+        with pytest.raises(ValidationError, match="bounding box must have positive extent"):
+            table([make_frame(0, persons=({**make_obs(), "bbox": [5.0, 5.0, 5.0, 5.0]},))])
         with pytest.raises(ValidationError):
             normalize_pose(np.zeros((1, 17, 2)), np.array([[5.0, 5.0, 5.0, 5.0]]))
 
@@ -206,14 +203,14 @@ class TestPipeline:
         assert batch.poses.shape == (40, 17, 2) and np.isfinite(batch.poses).all()
 
     def test_tracks_share_one_row_table_in_track_order(self):
-        a = walking_dataset(30, track_id=7).frames.records()
-        b = walking_dataset(40, track_id=2, start=5).frames.records()
-        persons = {fr.frame_index: fr.persons for fr in b}
-        frames = [replace(fr, persons=fr.persons + persons.pop(fr.frame_index, ())) for fr in a]
-        frames += [fr for fr in b if fr.frame_index in persons]
-        batch = extract_windows(
-            FrameTable.from_records(frames), "cam0", length=24, stride=6, max_gap=14, smoothing_window=15
-        )
+        # Frames 0-29 hold track 7, then track 2 from frame 5 on; frames 30-44 hold track 2 only.
+        persons = {}
+        for track_id, start, count in ((7, 0, 30), (2, 5, 40)):
+            for i in range(count):
+                obs = make_obs(track_id=track_id, origin=(40.0 + 1.5 * i, 30.0 + 0.5 * i))
+                persons.setdefault(start + i, []).append(obs)
+        frames = table([make_frame(fi, persons=obs) for fi, obs in persons.items()])
+        batch = extract_windows(frames, "cam0", length=24, stride=6, max_gap=14, smoothing_window=15)
         # Track 2 (40 rows from frame 5) comes first, then track 7 (30 rows from frame 0).
         assert batch.poses.shape == (70, 17, 2)
         assert batch.track_id.tolist() == [2, 2, 2, 7, 7]

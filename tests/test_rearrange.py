@@ -3,16 +3,20 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from posebench.errors import ValidationError
 from posebench.model import SplitSet
 from posebench.rearrange import (
     RearrangePlan,
+    STREAM_TAGS,
     TAG_INJECTED,
     TAG_MOVED_NORMAL,
     TAG_TEST_ANOMALY,
     TAG_TEST_NORMAL,
     TAG_TRAIN_NORMAL,
+    TEST_TAGS,
     rearrange,
     slice_stream,
     verify,
@@ -38,12 +42,12 @@ def build_split(n_train=400, n_test_normal=120, n_test_anomaly=80, camera_id="ca
     return SplitSet(train=train, test=test)
 
 
-def frame_key(frame):
-    return (frame.frame_index, frame.label)
+def frame_keys(frames):
+    return list(zip(frames.frame_index.tolist(), frames.anomalous.tolist()))
 
 
-def stream_records(cs):
-    return cs.frames.take(cs.train_stream).records()
+def stream_frames(cs):
+    return cs.frames.take(cs.train_stream)
 
 
 def stream_index(cs):
@@ -88,8 +92,7 @@ class TestRearrange:
     def test_explicit_inject_count(self):
         split = build_split()
         cs = rearrange(split, RearrangePlan(seed=1, inject_count=3))
-        stream_anoms = [f for f in stream_records(cs) if f.is_anomalous]
-        assert len(stream_anoms) == 3
+        assert int(stream_frames(cs).anomalous.sum()) == 3
         # 400 original + 3 injected + 43 normals moved out of the test set
         # by balancing (120 normals vs 77 remaining anomalies).
         assert len(cs.train_stream) == 446
@@ -123,8 +126,8 @@ class TestRearrange:
     def test_conservation_multiset(self):
         split = build_split()
         cs = rearrange(split, RearrangePlan(seed=3, inject_count=3))
-        before = Counter(map(frame_key, split.train.frames.records() + split.test.frames.records()))
-        after = Counter(map(frame_key, stream_records(cs) + cs.test.frames.records()))
+        before = Counter(frame_keys(split.train.frames) + frame_keys(split.test.frames))
+        after = Counter(frame_keys(stream_frames(cs)) + frame_keys(cs.test.frames))
         # Frames move between train and test but none appear or vanish.
         assert before == after
 
@@ -199,3 +202,40 @@ class TestVerify:
         cs.frames = replace(cs.frames, anomalous=anomalous)
         with pytest.raises(ValidationError, match="invariant violated: stream frame .* label does not match"):
             verify(cs)
+
+
+class TestRearrangeProperty:
+    @settings(deadline=None, max_examples=150)
+    @given(
+        n_train=st.integers(0, 300),
+        n_test_normal=st.integers(0, 150),
+        n_test_anomaly=st.integers(0, 60),
+        k=st.integers(1, 40),
+        inject_count=st.one_of(st.none(), st.integers(-1, 6), st.integers(0, 65)),
+        ratio=st.sampled_from([0.01, 0.05, 0.3]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_verifies_or_rejects(self, n_train, n_test_normal, n_test_anomaly, k, inject_count, ratio, seed):
+        # Every shape either gives a split that verify accepts, with the frames partitioned
+        # and tagged, or fails with ValidationError; no other exception.
+        split = build_split(n_train, n_test_normal, n_test_anomaly)
+        try:
+            plan = RearrangePlan(seed=seed, inject_count=inject_count, target_train_anomaly_ratio=ratio, k=k)
+            cs = rearrange(split, plan)
+        except ValidationError:
+            return
+        verify(cs)
+        stream, test = stream_frames(cs), cs.test.frames
+        assert Counter(frame_keys(stream) + frame_keys(test)) == Counter(
+            frame_keys(split.train.frames) + frame_keys(split.test.frames)
+        )
+        assert np.array_equal(np.concatenate(cs.slices), cs.train_stream)
+        sizes = [len(s) for s in cs.slices]
+        assert max(sizes) - min(sizes) <= 1
+        assert {cs.provenance[fi] for fi in stream.frame_index.tolist()} <= set(STREAM_TAGS)
+        assert {cs.provenance[fi] for fi in test.frame_index.tolist()} <= set(TEST_TAGS)
+        assert len(cs.provenance) == n_train + n_test_normal + n_test_anomaly
+        injected = int(stream.anomalous.sum())
+        assert Counter(cs.provenance.values())[TAG_INJECTED] == injected
+        if inject_count is not None:
+            assert injected == inject_count

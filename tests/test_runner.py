@@ -1,11 +1,12 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from posebench.errors import ValidationError
 from posebench.metrics import MetricReport
-from posebench.model import SplitSet
+from posebench.model import CameraDataset, SplitSet
 from posebench.rearrange import RearrangePlan
 from posebench.runner import (
     ContinualResult,
@@ -138,14 +139,11 @@ class TestRunStandard:
         assert 0.0 <= rep.auc_roc <= 1.0
 
     def test_too_short_train_errors(self):
-        test = small_split().test
-        frames = [
-            make_frame(f.frame_index + 100, label=f.label, persons=f.persons, camera_id="synthcam")
-            for f in test.frames.records()[:50]
-        ]
+        frames = small_split().test.frames.take(np.arange(50))
+        frames = replace(frames, frame_index=frames.frame_index + 100)
         # Camera ids must match within the split, so build the train side for it.
         train = dataset([make_frame(i, camera_id="synthcam") for i in range(5)], "synthcam")
-        split = SplitSet(train=train, test=dataset(frames, "synthcam"))
+        split = SplitSet(train=train, test=CameraDataset(camera_id="synthcam", frames=frames))
         with pytest.raises(ValidationError):
             run_standard(RunConfig(mode="standard", seed=0), split)
 

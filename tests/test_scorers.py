@@ -1,6 +1,8 @@
 import dataclasses
 import json
 import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,10 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _oracles
-from conftest import window_batch
+from conftest import make_frame, person, table, window_batch
 from posebench import _kernels
 from posebench.errors import ValidationError
-from posebench.model import BoundingBox, FrameRecord, FrameTable, PersonObservation
 from posebench.preprocess import extract_windows
 from posebench.rearrange import RearrangePlan, rearrange
 from posebench.runner import derive_seed
@@ -77,13 +78,10 @@ def windowed_tracks(draw):
             for fi in range(frame, frame + run):
                 xy = rng.uniform(10.0, 190.0, size=(17, 2))
                 kps = np.column_stack([xy, np.full(17, 0.9)])
-                box = BoundingBox(*(xy.min(axis=0) - 3.0).tolist(), *(xy.max(axis=0) + 3.0).tolist())
-                obs = PersonObservation(track_id=track_id, keypoints=kps, bbox=box)
-                persons.setdefault(fi, []).append(obs)
+                box = [*(xy.min(axis=0) - 3.0).tolist(), *(xy.max(axis=0) + 3.0).tolist()]
+                persons.setdefault(fi, []).append(person(kps, track_id=track_id, bbox=box))
             frame += run + gap
-    frames = FrameTable.from_records(
-        [FrameRecord("cam0", fi, "normal", tuple(persons[fi])) for fi in sorted(persons)]
-    )
+    frames = table([make_frame(fi, persons=persons[fi]) for fi in sorted(persons)])
     return extract_windows(
         frames, "cam0", length=length, stride=stride, max_gap=max_gap, smoothing_window=smoothing
     )
@@ -303,6 +301,38 @@ class TestCheckpoints:
         back.partial_fit(window_batch(ws[25:]))
         probe = windows(rng, 3)
         np.testing.assert_array_equal(back.score_batch(probe), sc.score_batch(probe))
+
+    @settings(deadline=None, max_examples=40)
+    @given(
+        kind=st.sampled_from(["gaussian", "knn"]),
+        n=st.integers(2, 120),
+        cuts=st.lists(st.integers(0, 120), min_size=1, max_size=4),
+        capacity=st.sampled_from([5, 40]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_save_load_continue_equals_uninterrupted(self, kind, n, cuts, capacity, seed):
+        # A checkpoint after every piece; capacity 5 forces reservoir replacement, 40 regrows
+        # the store after a reload.
+        rng = np.random.default_rng(seed)
+        ws = feats(rng, n, length=4)
+        probe = windows(rng, 3, length=4)
+        params = {"k_nn": 2, "capacity": capacity} if kind == "knn" else {}
+        whole = make_scorer(kind, seed=seed, params=params)
+        whole.fit(window_batch(ws))
+        resumed = make_scorer(kind, seed=seed, params=params)
+        bounds = [0, *sorted(c for c in cuts if c <= n), n]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp, "scorer.ckpt")
+            for lo, hi in zip(bounds, bounds[1:]):
+                resumed.partial_fit(window_batch(ws[lo:hi]))
+                resumed.save_checkpoint(path)
+                resumed = load_checkpoint(path)
+        for a, b in zip(_snapshot_arrays(whole), _snapshot_arrays(resumed)):
+            if isinstance(a, np.ndarray):
+                assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+            else:
+                assert a == b
+        assert whole.score_batch(probe).tobytes() == resumed.score_batch(probe).tobytes()
 
     def test_rejects_garbage(self, rng, tmp_path):
         sc = GaussianScorer()

@@ -2,19 +2,18 @@ import numpy as np
 import pytest
 
 from posebench.errors import ValidationError
-from posebench.model import BoundingBox, FrameTable
 from posebench.stats import (
     STATS_CSV_COLUMNS,
     compute_stats,
     stats_from_frames,
 )
-from conftest import dataset, make_frame, make_obs
+from conftest import dataset, make_frame, make_obs, table
 import _oracles
 from _oracles import frame_max_iou, iou
 
 
 def bb(x1, y1, x2, y2):
-    return BoundingBox(float(x1), float(y1), float(x2), float(y2))
+    return (float(x1), float(y1), float(x2), float(y2))
 
 
 class TestIou:
@@ -40,7 +39,7 @@ class TestIou:
             d = np.sort(rng.uniform(0, 30, size=2))
             box_b = bb(c[0], d[0], c[1] + 1.0, d[1] + 1.0)
             got = iou(box_a, box_b)
-            want = _oracles.iou_grid(box_a.as_tuple(), box_b.as_tuple(), cell=0.05)
+            want = _oracles.iou_grid(box_a, box_b, cell=0.05)
             assert got == pytest.approx(want, abs=0.02)
 
 
@@ -54,19 +53,21 @@ class TestFrameMaxIou:
         b = make_obs(track_id=1, origin=(11, 10))
         c = make_obs(track_id=2, origin=(200, 200))
         frame = make_frame(0, persons=(a, b, c))
-        want = max(iou(a.bbox, b.bbox), iou(a.bbox, c.bbox), iou(b.bbox, c.bbox))
+        want = max(iou(a["bbox"], b["bbox"]), iou(a["bbox"], c["bbox"]), iou(b["bbox"], c["bbox"]))
         assert frame_max_iou(frame) == pytest.approx(want)
 
 
 class TestDatasetStats:
-    def build(self):
-        frames = (
+    def frames(self):
+        return (
             make_frame(0, persons=(make_obs(track_id=0),)),
             make_frame(1, persons=(make_obs(track_id=0), make_obs(track_id=1, origin=(52, 60)))),
             make_frame(2, label="anomalous", persons=(make_obs(track_id=1),)),
             make_frame(3),
         )
-        return dataset(frames)
+
+    def build(self):
+        return dataset(self.frames())
 
     def test_counts(self):
         st = compute_stats(self.build())
@@ -85,7 +86,7 @@ class TestDatasetStats:
         assert st.max_iou_per_frame.shape == (4,)
         assert st.max_iou_per_frame[0] == 0.0
         assert st.max_iou_per_frame[1] > 0.0  # overlapping neighbors
-        want = frame_max_iou(self.build().frames.records()[1])
+        want = frame_max_iou(self.frames()[1])
         assert st.max_iou_per_frame[1] == pytest.approx(want)
 
     def test_csv_row_layout(self):
@@ -98,7 +99,7 @@ class TestDatasetStats:
 
     def test_empty_rejected(self):
         with pytest.raises(ValidationError):
-            stats_from_frames(FrameTable.from_records([]), "cam0")
+            stats_from_frames(table([]), "cam0")
 
     def test_kernel_against_python_scan(self, rng):
         # Random crowds, compare the grouped kernel against frame_max_iou.
@@ -110,6 +111,6 @@ class TestDatasetStats:
                 for j in range(n)
             )
             frames.append(make_frame(i, persons=persons))
-        st = stats_from_frames(FrameTable.from_records(frames), "cam0")
+        st = stats_from_frames(table(frames), "cam0")
         for frame, got in zip(frames, st.max_iou_per_frame):
             assert got == pytest.approx(frame_max_iou(frame), abs=1e-12)
