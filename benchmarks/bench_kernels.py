@@ -10,7 +10,10 @@ and so on), with the best of ``--repeat`` timings. The
 ``scorers.kinematic_features`` row times one batched call on the test
 windows of the README continual quick-start. The ``synthetic.generate_split``
 row builds the split of perfbench's ``standard-gaussian-large`` workload, the
-set-up layer behind its ``setup_s``.
+set-up layer behind its ``setup_s``. The ``scorers.save_checkpoint`` and
+``scorers.load_checkpoint`` rows write and read a knn checkpoint of the
+store that perfbench's ``continual-knn`` holds at its last step (714
+overlapping windows of length 24, stride 6) and print the MB written.
 """
 
 from __future__ import annotations
@@ -24,11 +27,11 @@ import numpy as np
 
 from posebench import _kernels, stats
 from posebench.io import read_frames, write_dataset
-from posebench.preprocess import extract_windows
+from posebench.preprocess import WindowBatch, extract_windows
 from posebench.rearrange import RearrangePlan, rearrange
 from posebench.runner import derive_seed
-from posebench.scorers import kinematic_features
-from posebench.synthetic import generate_split
+from posebench.scorers import KnnScorer, kinematic_features, load_checkpoint
+from posebench.synthetic import generate_normals, generate_split
 
 
 def _best_of(fn, repeat: int) -> float:
@@ -105,6 +108,24 @@ def bench_generate_split(seed: int, repeat: int):
     return [("synthetic.generate_split", "6000/4000/1000", seconds)]
 
 
+def bench_checkpoint(seed: int, repeat: int):
+    # The step-9 store of continual-knn: 714 windows of length 24 at stride 6, sharing rows by overlap.
+    ds = generate_normals(2200, seed=seed)
+    batch = extract_windows(ds.frames, ds.camera_id)
+    n = 714
+    scorer = KnnScorer()
+    scorer.fit(WindowBatch(batch.poses, batch.rows[:n], batch.track_id[:n], batch.start_frame[:n], batch.length))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "step.ckpt")
+        save = _best_of(lambda: scorer.save_checkpoint(path), repeat)
+        load = _best_of(lambda: load_checkpoint(path), repeat)
+        written = f"{os.path.getsize(path) / 1e6:.2f} MB"
+    return [
+        ("scorers.save_checkpoint", f"windows={n}", save, written),
+        ("scorers.load_checkpoint", f"windows={n}", load, written),
+    ]
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--repeat", type=int, default=5, help="timing repetitions, best is kept")
@@ -119,10 +140,11 @@ def main() -> int:
     rows += bench_read_frames(args.seed, args.repeat)
     rows += bench_kinematic_features(args.seed, args.repeat)
     rows += bench_generate_split(args.seed, args.repeat)
+    rows += bench_checkpoint(args.seed, args.repeat)
 
     print(f"{'kernel':<26} {'size':<14} {'best (ms)':>10}")
-    for name, size, seconds in rows:
-        print(f"{name:<26} {size:<14} {seconds * 1e3:>10.2f}")
+    for name, size, seconds, *note in rows:
+        print(f"{name:<26} {size:<14} {seconds * 1e3:>10.2f}", *note)
     return 0
 
 

@@ -129,6 +129,8 @@ class FrameTable:
         if bad.any():
             row = int(np.argmax(bad))
             raise RowError(row, next(self._row_errors(row)))
+        for col in fields(self):  # a validated table stays valid
+            getattr(self, col.name).flags.writeable = False
 
     def _row_errors(self, row: int):
         """Messages of the value rules frame row ``row`` breaks, in the order they are checked.

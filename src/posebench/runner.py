@@ -131,14 +131,9 @@ class ContinualResult:
         if not self.per_step:
             raise ValidationError("continual result needs at least one step report")
         tol = 1e-9
-        if self.step_best.auc_roc < self.step_average.auc_roc - tol:
-            raise ValidationError("step_best auc_roc must dominate step_average")
-        if self.step_best.auc_pr < self.step_average.auc_pr - tol:
-            raise ValidationError("step_best auc_pr must dominate step_average")
-        if self.step_best.eer > self.step_average.eer + tol:
-            raise ValidationError("step_best eer must dominate step_average")
-        if self.step_best.ten_er > self.step_average.ten_er + tol:
-            raise ValidationError("step_best ten_er must dominate step_average")
+        for name, sign in (("auc_roc", 1.0), ("auc_pr", 1.0), ("eer", -1.0), ("ten_er", -1.0)):
+            if sign * getattr(self.step_best, name) < sign * getattr(self.step_average, name) - tol:
+                raise ValidationError(f"step_best {name} must dominate step_average")
 
     @property
     def k(self) -> int:

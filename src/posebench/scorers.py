@@ -5,7 +5,8 @@ incremental ingestion, and are fully deterministic given their seed and the
 order of ingested windows. Every call takes one ``WindowBatch`` and reads
 its arrays: the gaussian scorer featurizes the whole batch at once, the knn
 scorer gathers each window's rows of ``poses``. State round-trips through
-snapshot()/restore() and through versioned .ckpt files (npz containers).
+snapshot()/restore() and through versioned .ckpt files (npz containers); a
+knn file holds each distinct pose row once, plus an index that rebuilds the store.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .errors import ValidationError, check_int, is_number
 from .model import KEYPOINT_COUNT
 from .preprocess import WindowBatch
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2  # version 1 files, with the dense knn store, still load
 SCORER_PARAMS = {"gaussian": ("variance_floor",), "knn": ("k_nn", "capacity", "seed")}
 SCORER_KINDS = tuple(SCORER_PARAMS)
 
@@ -48,6 +49,11 @@ def kinematic_features(batch: WindowBatch) -> np.ndarray:
             disp += steps[rows + j]
         pose += poses[rows + j]
     return np.concatenate([disp / (length - 1), pose / length], axis=1)
+
+
+def _check_dimension(got: int, held: int, what: str):
+    if got != held:
+        raise ValidationError(f"feature dimension {got} does not match {what} dimension {held}")
 
 
 class AnomalyScorer:
@@ -112,10 +118,7 @@ class GaussianScorer(AnomalyScorer):
         if self._mean is None:
             self._mean = np.zeros(x.shape[1])
             self._m2 = np.zeros(x.shape[1])
-        elif x.shape[1] != self._mean.size:
-            raise ValidationError(
-                f"feature dimension {x.shape[1]} does not match fitted dimension {self._mean.size}"
-            )
+        _check_dimension(x.shape[1], self._mean.size, "fitted")
         self._count = int(_kernels.welford_update(self._count, self._mean, self._m2, x))
 
     def score_batch(self, batch: WindowBatch) -> np.ndarray:
@@ -126,10 +129,7 @@ class GaussianScorer(AnomalyScorer):
         if not len(batch):
             return np.empty(0, dtype=np.float64)
         x = kinematic_features(batch)
-        if x.shape[1] != self._mean.size:
-            raise ValidationError(
-                f"feature dimension {x.shape[1]} does not match fitted dimension {self._mean.size}"
-            )
+        _check_dimension(x.shape[1], self._mean.size, "fitted")
         var = np.maximum(self._m2 / (self._count - 1), self.variance_floor)
         z = x - self._mean
         return np.sqrt((z * z / var).sum(axis=1))
@@ -209,10 +209,7 @@ class KnnScorer(AnomalyScorer):
         width = length * 2 * KEYPOINT_COUNT
         if self._store is None:
             self._store = np.empty((0, width), dtype=np.float64)
-        elif width != self._store.shape[1]:
-            raise ValidationError(
-                f"feature dimension {width} does not match stored dimension {self._store.shape[1]}"
-            )
+        _check_dimension(width, self._store.shape[1], "stored")
         for r in batch.rows.tolist():
             vec = batch.poses[r : r + length].reshape(-1)
             self._seen += 1
@@ -236,10 +233,7 @@ class KnnScorer(AnomalyScorer):
         if not len(batch):
             return np.empty(0, dtype=np.float64)
         x = batch.poses[batch.rows[:, None] + np.arange(batch.length)].reshape(len(batch), -1)
-        if x.shape[1] != self._store.shape[1]:
-            raise ValidationError(
-                f"feature dimension {x.shape[1]} does not match stored dimension {self._store.shape[1]}"
-            )
+        _check_dimension(x.shape[1], self._store.shape[1], "stored")
         return _kernels.knn_mean_distance(self._store[: self._stored], x, self.k_nn)
 
     @property
@@ -305,21 +299,51 @@ def make_scorer(kind: str, seed: int = 0, params: dict | None = None) -> Anomaly
 
 def scorer_from_snapshot(state: dict) -> AnomalyScorer:
     """Construct a fresh scorer from a snapshot dict."""
-    kind = state.get("kind")
-    if kind == "gaussian":
-        scorer = GaussianScorer(**state["params"])
-    elif kind == "knn":
-        scorer = KnnScorer(**state["params"])
-    else:
-        raise ValidationError(f"unknown scorer kind {kind!r} in snapshot")
+    classes = {"gaussian": GaussianScorer, "knn": KnnScorer}
+    if state.get("kind") not in classes:
+        raise ValidationError(f"unknown scorer kind {state.get('kind')!r} in snapshot")
+    scorer = classes[state["kind"]](**state["params"])
     scorer.restore(state)
     return scorer
+
+
+def _row_width(width: int) -> int:
+    """Values per checkpoint row: one pose of 2 * KEYPOINT_COUNT values, else the whole vector."""
+    return 2 * KEYPOINT_COUNT if width % (2 * KEYPOINT_COUNT) == 0 else width
+
+
+def _row_keys(bits: np.ndarray) -> np.ndarray:
+    """A 64-bit key per row of a uint64 bit view: key = key * M + column, wrapping, over its columns."""
+    key = np.zeros(len(bits), dtype=np.uint64)
+    for j in range(bits.shape[1]):
+        key *= np.uint64(0x9E3779B97F4A7C15)
+        key += bits[:, j]
+    return key
+
+
+def _distinct_rows(store: np.ndarray):
+    """A store's distinct rows in first-occurrence order, and the index with ``rows[index]`` the store.
+
+    Rows group by key and are compared bit for bit with their group's first row, a block of rows at
+    a time (no second copy of the store); a row whose key collides but whose bits differ is its own row.
+    """
+    row, block = _row_width(store.shape[1]), 8192
+    bits = np.ascontiguousarray(store, dtype=np.float64).view(np.uint64).reshape(-1, row)
+    _, first, inverse = np.unique(_row_keys(bits), return_index=True, return_inverse=True)
+    rep = first[inverse]
+    for a in range(0, len(rep), block):
+        differ = a + np.flatnonzero((bits[a : a + block] != bits[rep[a : a + block]]).any(axis=1))
+        rep[differ] = differ
+    keep = np.flatnonzero(rep == np.arange(len(rep)))
+    position = np.zeros(len(rep), dtype=np.int32 if len(keep) < 2**31 else np.int64)
+    position[keep] = np.arange(len(keep))
+    return bits[keep].view(np.float64), position[rep].reshape(store.shape[0], store.shape[1] // row)
 
 
 def _write_checkpoint(state: dict, path):
     meta = {
         "format": "posebench-checkpoint",
-        "version": int(state["version"]),
+        "version": CHECKPOINT_VERSION,
         "kind": state["kind"],
         "params": state["params"],
     }
@@ -333,7 +357,7 @@ def _write_checkpoint(state: dict, path):
         meta["seen"] = int(state["seen"])
         meta["rng_state"] = state["rng_state"]
         if state["store"] is not None:
-            arrays["store"] = state["store"]
+            arrays["rows"], arrays["index"] = _distinct_rows(state["store"])
     else:
         raise ValidationError(f"unknown scorer kind {state['kind']!r}")
     with open(path, "wb") as fh:
@@ -345,6 +369,26 @@ _META_FIELDS = {
     "gaussian": (("params", dict), ("count", int)),
     "knn": (("params", dict), ("seen", int), ("rng_state", dict)),
 }
+
+
+def _rebuild_store(arrays: dict, path):
+    """The dense store of a version-2 knn checkpoint from its ``rows`` and ``index``, None without both."""
+    rows, index = arrays.get("rows"), arrays.get("index")
+    if rows is None and index is None:
+        return None
+    where = f"checkpoint {path}: knn"
+    if rows is None or index is None:
+        raise ValidationError(f"{where} rows and index must be stored together")
+    if rows.ndim != 2:
+        raise ValidationError(f"{where} rows must be 2-D, got shape {rows.shape}")
+    if index.dtype.kind not in "iu" or index.ndim != 2:
+        raise ValidationError(f"{where} index must be 2-D integers, got {index.dtype} {index.shape}")
+    if index.size and (index.min() < 0 or index.max() >= len(rows)):
+        raise ValidationError(f"{where} index must lie in [0, {len(rows)}), got {index.min()}..{index.max()}")
+    width = index.shape[1] * rows.shape[1]
+    if rows.shape[1] != _row_width(width):
+        raise ValidationError(f"{where} index width {index.shape[1]} disagrees with row width {rows.shape[1]}")
+    return rows[index].reshape(len(index), width)
 
 
 def load_checkpoint(path) -> AnomalyScorer:
@@ -362,9 +406,9 @@ def load_checkpoint(path) -> AnomalyScorer:
         raise ValidationError(f"not a readable checkpoint file: {path} ({exc})") from None
     if not isinstance(meta, dict) or meta.get("format") != "posebench-checkpoint":
         raise ValidationError(f"not a posebench checkpoint: {path}")
-    if meta.get("version") != CHECKPOINT_VERSION:
+    if meta.get("version") not in (1, CHECKPOINT_VERSION):
         raise ValidationError(
-            f"unsupported checkpoint version {meta.get('version')!r} (supported: {CHECKPOINT_VERSION})"
+            f"checkpoint {path}: unsupported version {meta.get('version')!r} (supported: 1, {CHECKPOINT_VERSION})"
         )
     kind = meta.get("kind")
     if kind not in _META_FIELDS:
@@ -383,7 +427,7 @@ def load_checkpoint(path) -> AnomalyScorer:
         state["m2"] = None if state["mean"] is None else arrays.get("m2")
     else:
         state["seen"] = meta["seen"]
-        state["store"] = arrays.get("store")
+        state["store"] = arrays.get("store") if meta["version"] == 1 else _rebuild_store(arrays, path)
         state["rng_state"] = meta["rng_state"]
     try:
         return scorer_from_snapshot(state)

@@ -85,6 +85,30 @@ class TestAgainstOracles:
             assert got == pytest.approx(_oracles.fpr_at_fnr_scan(scores, labels, 0.10), abs=1e-9)
 
 
+@st.composite
+def tied_series(draw):
+    """Scores drawn from at most four distinct values, so ties are dense, and labels of both classes."""
+    values = draw(st.lists(st.floats(-10, 10, allow_nan=False), min_size=1, max_size=4, unique=True))
+    n = draw(st.integers(2, 40))
+    scores = draw(st.lists(st.sampled_from(values), min_size=n, max_size=n))
+    labels = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n).filter(lambda ys: 0 < sum(ys) < n))
+    return scores, labels
+
+
+class TestMetricsProperty:
+    @settings(deadline=None, max_examples=200)
+    @given(case=tied_series())
+    def test_compute_all_matches_oracles(self, case):
+        scores, labels = case
+        rep = compute_all(series(scores, labels))
+        assert (rep.n_pos, rep.n_neg) == (sum(labels), len(labels) - sum(labels))
+        assert rep.auc_roc == pytest.approx(_oracles.roc_auc_pairwise(scores, labels), abs=1e-9)
+        assert rep.auc_roc == pytest.approx(_oracles.roc_auc_trapezoid(scores, labels), abs=1e-9)
+        assert rep.auc_pr == pytest.approx(_oracles.average_precision(scores, labels), abs=1e-9)
+        assert rep.eer == pytest.approx(_oracles.eer_scan(scores, labels), abs=1e-9)
+        assert rep.ten_er == pytest.approx(_oracles.fpr_at_fnr_scan(scores, labels, 0.10), abs=1e-9)
+
+
 class TestEdgeBehavior:
     def test_perfect_separation(self):
         s = series([0.9, 0.8, 0.2, 0.1], [1, 1, 0, 0])

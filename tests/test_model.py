@@ -1,6 +1,6 @@
 import json
 import tempfile
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +18,7 @@ from posebench.model import (
     SplitSet,
     tracks_from_frames,
 )
+from posebench.synthetic import generate_normals
 from conftest import (
     dataset,
     make_frame,
@@ -311,6 +312,14 @@ class TestFrameTable:
         assert objects(joined) == frames
         assert read.take([1, 0, 2]) != read
         assert replace(read, line=np.array([4, 5, 6])) == read
+
+    def test_columns_are_read_only(self):
+        # A validated table cannot be broken in place; before, the bad box surfaced only at the next take.
+        frames = generate_normals(3, seed=0).frames
+        with pytest.raises(ValueError, match="read-only"):
+            frames.bbox[0] = (5, 5, 5, 5)
+        for read in (frames, table(self.frames()), frames.take([2, 0])):
+            assert not any(getattr(read, col.name).flags.writeable for col in fields(read))
 
     @pytest.mark.parametrize(
         "column,value,row,message",

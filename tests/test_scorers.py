@@ -1,8 +1,10 @@
+import contextlib
 import dataclasses
 import json
 import re
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,9 +13,9 @@ from hypothesis import strategies as st
 
 import _oracles
 from conftest import make_frame, person, table, window_batch
-from posebench import _kernels
+from posebench import _kernels, scorers
 from posebench.errors import ValidationError
-from posebench.preprocess import extract_windows
+from posebench.preprocess import WindowBatch, extract_windows
 from posebench.rearrange import RearrangePlan, rearrange
 from posebench.runner import derive_seed
 from posebench.scorers import (
@@ -381,6 +383,112 @@ class TestCheckpoints:
                 np.savez(fh, meta=np.array(json.dumps(meta_fields)), **arrays)
             with pytest.raises(ValidationError, match=f"{re.escape(str(path))}.*{message}"):
                 load_checkpoint(path)
+        # Version-2 knn files hold distinct rows plus the index that rebuilds the store from them.
+        v2 = {**knn, "version": 2}
+        rows = np.zeros((2, 2))
+        for meta_fields, arrays, message in (
+            (v2, {"rows": rows, "index": np.array([[0], [2]])}, r"knn index must lie in \[0, 2\), got 0..2"),
+            (v2, {"rows": rows, "index": np.array([[-1], [1]])}, r"knn index must lie in \[0, 2\), got -1..1"),
+            (v2, {"rows": rows, "index": np.array([[0.0], [1.0]])}, "knn index must be 2-D integers, got float64"),
+            (v2, {"rows": rows, "index": np.array([0, 1])}, r"knn index must be 2-D integers, got int64 \(2,\)"),
+            (v2, {"rows": np.zeros(4), "index": np.array([[0]])}, r"knn rows must be 2-D, got shape \(4,\)"),
+            (v2, {"rows": rows, "index": np.array([[0, 1]])}, "knn index width 2 disagrees with row width 2"),
+            (v2, {"rows": np.zeros((1, 68)), "index": np.zeros((1, 1), np.int32)}, "index width 1 disagrees"),
+            (v2, {"rows": np.array([[0.0, np.inf]]), "index": np.array([[0]])}, "knn store must be finite"),
+            (v2, {"rows": rows}, "knn rows and index must be stored together"),
+            (v2, {"index": np.array([[0]])}, "knn rows and index must be stored together"),
+            ({**v2, "seen": 1}, {"rows": rows, "index": np.array([[0], [1]])}, "seen 1 must count at least the 2"),
+            ({**v2, "version": 3}, {}, "unsupported version 3"),
+        ):
+            with open(path, "wb") as fh:
+                np.savez(fh, meta=np.array(json.dumps(meta_fields)), **arrays)
+            with pytest.raises(ValidationError, match=f"{re.escape(str(path))}.*{message}"):
+                load_checkpoint(path)
+
+
+def _store_id(store):
+    return store.dtype, store.shape, store.tobytes()
+
+
+def _save_and_load(sc, path):
+    """Round-trip a knn scorer through a checkpoint; returns the file's rows and index."""
+    saved = sc.snapshot()["store"]
+    sc.save_checkpoint(path)
+    with np.load(path) as data:
+        rows, index = data["rows"], data["index"]
+    # Every index entry points at a row with the bits it stands for, rows in first-occurrence order.
+    assert (rows[index].reshape(saved.shape).view(np.uint64) == saved.view(np.uint64)).all()
+    used, firsts = np.unique(index.reshape(-1), return_index=True)
+    assert used.tolist() == list(range(len(rows))) and (np.diff(firsts) > 0).all()
+    assert _store_id(load_checkpoint(path).snapshot()["store"]) == _store_id(saved)
+    return rows, index
+
+
+def _colliding_keys():
+    """Patch the row hash so every row shares one key and each is told apart by its bits alone."""
+    return mock.patch.object(scorers, "_row_keys", lambda bits: np.zeros(len(bits), dtype=np.uint64))
+
+
+class TestCheckpointLayout:
+    @settings(deadline=None, max_examples=40)
+    @given(
+        length=st.integers(2, 8),
+        stride=st.integers(1, 8),
+        extra=st.integers(0, 100),
+        pool=st.integers(1, 60),
+        capacity=st.sampled_from([3, 10, 1000]),
+        seed=st.integers(0, 2**32 - 1),
+        collide=st.booleans(),
+    )
+    def test_overlapping_windows_round_trip(self, length, stride, extra, pool, capacity, seed, collide):
+        # Windows share rows by overlap and, drawn from a pool, by value; capacity 3 and 10 replace.
+        rng = np.random.default_rng(seed)
+        poses = rng.normal(size=(pool, 17, 2))[rng.integers(0, pool, length + extra)]
+        starts = np.arange(0, extra + 1, stride)
+        batch = WindowBatch(poses, starts, np.zeros(starts.size, np.int64), starts, length)
+        sc = KnnScorer(k_nn=1, capacity=capacity, seed=seed)
+        sc.partial_fit(batch)
+        sc.partial_fit(batch)
+        with tempfile.TemporaryDirectory() as tmp, _colliding_keys() if collide else contextlib.nullcontext():
+            rows, index = _save_and_load(sc, Path(tmp, "knn.ckpt"))
+        assert rows.shape[1] == 34 and index.shape == (sc.stored_count, length)
+        if not collide:  # each distinct pose row is written once
+            assert len(np.unique(rows.view(np.uint64), axis=0)) == len(rows)
+
+    @settings(deadline=None, max_examples=40)
+    @given(
+        width=st.integers(0, 80),
+        n=st.integers(0, 30),
+        values=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=4),
+        seed=st.integers(0, 2**32 - 1),
+        collide=st.booleans(),
+    )
+    def test_any_store_width_round_trips(self, width, n, values, seed, collide):
+        # A width that is not a multiple of 34 is one row per vector; -0.0 and 0.0 stay apart.
+        store = np.array(values)[np.random.default_rng(seed).integers(0, len(values), (n, width))]
+        sc = scorer_from_snapshot({**KnnScorer(k_nn=1, capacity=max(n, 1)).snapshot(), "store": store, "seen": n})
+        with tempfile.TemporaryDirectory() as tmp, _colliding_keys() if collide else contextlib.nullcontext():
+            rows, _ = _save_and_load(sc, Path(tmp, "knn.ckpt"))
+        assert rows.shape[1] == (34 if width % 34 == 0 else width)
+
+    def test_rows_with_equal_keys_are_both_kept(self, tmp_path):
+        # Row keys are a wrapping multiply-add, key = a0 * M + a1 for two columns, so (a0, a1 + M)
+        # and (a0 + 1, a1) share a key.
+        mul, one, two = 0x9E3779B97F4A7C15, 0x3FF0000000000000, 0x4000000000000000  # 1.0 and 2.0
+        a, b = np.array([[one, (two + mul) % 2**64], [one + 1, two]], dtype=np.uint64).view(np.float64)
+        keys = scorers._row_keys(np.stack([a, b]).view(np.uint64))
+        assert keys[0] == keys[1] and a.tobytes() != b.tobytes()
+        store = np.stack([a, b, a, b])
+        sc = scorer_from_snapshot({**KnnScorer(k_nn=1, capacity=4).snapshot(), "store": store, "seen": 4})
+        rows, index = _save_and_load(sc, tmp_path / "knn.ckpt")
+        assert rows[:2].tobytes() == store[:2].tobytes() and index[:3, 0].tolist() == [0, 1, 0]
+
+    def test_store_without_shared_rows_is_written_as_is(self, rng, tmp_path):
+        sc = KnnScorer(k_nn=1, capacity=10)
+        sc.partial_fit(windows(rng, 6))
+        rows, index = _save_and_load(sc, tmp_path / "knn.ckpt")
+        assert rows.tobytes() == sc.snapshot()["store"].tobytes()
+        assert index.dtype == np.int32 and index.reshape(-1).tolist() == list(range(6 * 24))
 
 
 class TestFactory:
