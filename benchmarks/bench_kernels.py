@@ -8,7 +8,9 @@ Prints one row per kernel and problem size, named as in the per-layer
 metrics of perfbench (``kernels.knn_mean_distance``, ``io.read_frames``
 and so on), with the best of ``--repeat`` timings. The
 ``scorers.kinematic_features`` row times one batched call on the test
-windows of the README continual quick-start. The ``synthetic.generate_split``
+windows of the README continual quick-start, and the
+``rearrange.rearrange+verify`` row rearranges and verifies that quick-start's
+split (2400/1200/400 frames, k=9). The ``synthetic.generate_split``
 row builds the split of perfbench's ``standard-gaussian-large`` workload, the
 set-up layer behind its ``setup_s``. The ``scorers.save_checkpoint`` and
 ``scorers.load_checkpoint`` rows write and read a knn checkpoint of the
@@ -28,7 +30,7 @@ import numpy as np
 from posebench import _kernels, stats
 from posebench.io import read_frames, write_dataset
 from posebench.preprocess import WindowBatch, extract_windows
-from posebench.rearrange import RearrangePlan, rearrange
+from posebench.rearrange import RearrangePlan, rearrange, verify
 from posebench.runner import derive_seed
 from posebench.scorers import KnnScorer, kinematic_features, load_checkpoint
 from posebench.synthetic import generate_normals, generate_split
@@ -93,13 +95,18 @@ def bench_read_frames(seed: int, repeat: int):
     return [("io.read_frames", "frames=3000", seconds)]
 
 
-def bench_kinematic_features(seed: int, repeat: int):
-    # The test windows of the README continual quick-start, as run-continual builds them.
+def bench_continual_split(seed: int, repeat: int):
+    # The split of the README continual quick-start and its test windows, as run-continual builds them.
     split = generate_split(2400, 1200, 400, seed=seed, anomaly_boost=2.5)
-    cs = rearrange(split, RearrangePlan(seed=derive_seed(seed, "rearrange"), k=9))
-    batch = extract_windows(cs.test.frames, cs.camera_id)
-    seconds = _best_of(lambda: kinematic_features(batch), repeat)
-    return [("scorers.kinematic_features", f"windows={len(batch)}", seconds)]
+    plan = RearrangePlan(seed=derive_seed(seed, "rearrange"), k=9)
+    cs = rearrange(split, plan)
+    batch = extract_windows(cs.test.frames)
+    split_s = _best_of(lambda: verify(rearrange(split, plan)), repeat)
+    features_s = _best_of(lambda: kinematic_features(batch), repeat)
+    return [
+        ("rearrange.rearrange+verify", "2400/1200/400", split_s),
+        ("scorers.kinematic_features", f"windows={len(batch)}", features_s),
+    ]
 
 
 def bench_generate_split(seed: int, repeat: int):
@@ -111,7 +118,7 @@ def bench_generate_split(seed: int, repeat: int):
 def bench_checkpoint(seed: int, repeat: int):
     # The step-9 store of continual-knn: 714 windows of length 24 at stride 6, sharing rows by overlap.
     ds = generate_normals(2200, seed=seed)
-    batch = extract_windows(ds.frames, ds.camera_id)
+    batch = extract_windows(ds.frames)
     n = 714
     scorer = KnnScorer()
     scorer.fit(WindowBatch(batch.poses, batch.rows[:n], batch.track_id[:n], batch.start_frame[:n], batch.length))
@@ -138,7 +145,7 @@ def main() -> int:
     rows += bench_knn(rng, args.repeat)
     rows += bench_iou(rng, args.repeat)
     rows += bench_read_frames(args.seed, args.repeat)
-    rows += bench_kinematic_features(args.seed, args.repeat)
+    rows += bench_continual_split(args.seed, args.repeat)
     rows += bench_generate_split(args.seed, args.repeat)
     rows += bench_checkpoint(args.seed, args.repeat)
 

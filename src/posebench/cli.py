@@ -24,8 +24,8 @@ from . import __version__
 from .errors import PosebenchError, ValidationError
 from .io import load_dataset, write_dataset, write_frames
 from .model import SplitSet
-from .rearrange import RearrangePlan, rearrange, verify
-from .report import emit_report, render_csv
+from .rearrange import TAGS, RearrangePlan, rearrange, verify
+from .report import emit_report
 from .runner import RunConfig, derive_seed, load_results, run_continual, run_standard
 from .stats import STATS_CSV_COLUMNS, compute_stats
 from .synthetic import generate_normals, generate_split
@@ -73,14 +73,8 @@ def _read_config_file(path) -> dict:
 
 
 _RUN_FLAG_KEYS = (
-    ("scorer", "scorer"),
-    ("window_length", "window_length"),
-    ("window_stride", "window_stride"),
-    ("max_gap", "max_gap"),
-    ("smoothing_window", "smoothing_window"),
-    ("aggregator", "aggregator"),
-    ("fnr_target", "fnr_target"),
-    ("seed", "seed"),
+    "scorer", "window_length", "window_stride", "max_gap",
+    "smoothing_window", "aggregator", "fnr_target", "seed",
 )
 
 _PLAN_FLAG_KEYS = (
@@ -89,6 +83,11 @@ _PLAN_FLAG_KEYS = (
     ("target_ratio", "target_train_anomaly_ratio"),
     ("balance_tolerance", "balance_tolerance"),
 )
+
+
+def _plan_flags(args) -> dict:
+    """The plan keys given as flags; the rest keep RearrangePlan's defaults."""
+    return {key: getattr(args, flag) for flag, key in _PLAN_FLAG_KEYS if getattr(args, flag) is not None}
 
 
 def _build_run_config(args, mode: str):
@@ -104,19 +103,15 @@ def _build_run_config(args, mode: str):
     if "mode" in merged and merged["mode"] != mode:
         raise ValidationError(f"config mode {merged['mode']!r} does not match subcommand {mode!r}")
     merged["mode"] = mode
-    for flag_name, key in _RUN_FLAG_KEYS:
-        value = getattr(args, flag_name, None)
+    for key in _RUN_FLAG_KEYS:
+        value = getattr(args, key)
         if value is not None:
             merged[key] = value
     if mode == "continual":
         plan = merged.get("plan") or {}
         if not isinstance(plan, dict):
             raise ValidationError(f"plan must be a JSON object, got {plan!r}")
-        plan = dict(plan)
-        for flag_name, key in _PLAN_FLAG_KEYS:
-            value = getattr(args, flag_name, None)
-            if value is not None:
-                plan[key] = value
+        plan = {**plan, **_plan_flags(args)}
         plan.setdefault("seed", derive_seed(merged.get("seed", 0), "rearrange"))
         merged["plan"] = plan
     return RunConfig.from_dict(merged), paths
@@ -153,13 +148,7 @@ def _cmd_rearrange(args) -> int:
     split_train = _load(args.train)
     split_test = _load(args.test)
     split = SplitSet(train=split_train, test=split_test)
-    plan = RearrangePlan(
-        seed=derive_seed(args.seed, "rearrange"),
-        inject_count=args.inject_count,
-        target_train_anomaly_ratio=args.target_ratio,
-        k=args.k,
-        balance_tolerance=args.balance_tolerance,
-    )
+    plan = RearrangePlan(seed=derive_seed(args.seed, "rearrange"), **_plan_flags(args))
     cs = rearrange(split, plan)
     verify(cs)
     os.makedirs(args.out, exist_ok=True)
@@ -167,14 +156,13 @@ def _cmd_rearrange(args) -> int:
     for i, rows in enumerate(cs.slices, start=1):
         write_frames(cs.frames.take(rows), os.path.join(args.out, f"slice_{i:0{width}d}.jsonl"))
     write_dataset(cs.test, os.path.join(args.out, "test.jsonl"))
-    slice_of = np.repeat(np.arange(1, plan.k + 1), [len(rows) for rows in cs.slices])
-    stream = zip(cs.frames.frame_index[cs.train_stream].tolist(), slice_of.tolist())
+    rows = np.concatenate([cs.train_stream, cs.test_rows])
+    slice_of = np.repeat(np.arange(1, plan.k + 1), [len(sl) for sl in cs.slices]).tolist()
+    slice_of += [""] * len(cs.test)
     with open(os.path.join(args.out, "provenance.csv"), "w", encoding="utf-8") as fh:
         fh.write("frame_index,origin,slice\n")
-        for fi, i in stream:
-            fh.write(f"{fi},{cs.provenance[fi]},{i}\n")
-        for fi in cs.test.frames.frame_index.tolist():
-            fh.write(f"{fi},{cs.provenance[fi]},\n")
+        for fi, code, i in zip(cs.frames.frame_index[rows].tolist(), cs.tag[rows].tolist(), slice_of):
+            fh.write(f"{fi},{TAGS[code]},{i}\n")
     params = {
         "train": str(args.train),
         "test": str(args.test),
@@ -299,9 +287,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--inject-count", dest="inject_count", type=int)
-    p.add_argument("--target-ratio", dest="target_ratio", type=float, default=0.01)
-    p.add_argument("--k", type=int, default=9)
-    p.add_argument("--balance-tolerance", dest="balance_tolerance", type=float, default=0.002)
+    p.add_argument("--target-ratio", dest="target_ratio", type=float)
+    p.add_argument("--k", type=int)
+    p.add_argument("--balance-tolerance", dest="balance_tolerance", type=float)
     p.set_defaults(func=_cmd_rearrange)
 
     p = sub.add_parser("run-standard", help="fit on normal train data, evaluate once")

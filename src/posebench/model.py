@@ -259,7 +259,6 @@ class Track:
     """
 
     track_id: int
-    camera_id: str
     frames: np.ndarray
     keypoints: np.ndarray
     bbox: np.ndarray
@@ -279,7 +278,7 @@ class Track:
         return len(self.frames)
 
 
-def tracks_from_frames(frames: FrameTable, camera_id: str) -> list[Track]:
+def tracks_from_frames(frames: FrameTable) -> list[Track]:
     """Split a table's person rows into tracks with one lexsort by (track_id, frame_index).
 
     Tracks are ordered by track_id, observations by frame_index. Raises on a
@@ -298,7 +297,6 @@ def tracks_from_frames(frames: FrameTable, camera_id: str) -> list[Track]:
     return [
         Track(
             track_id=int(tids[a]),
-            camera_id=camera_id,
             frames=fis[a:b],
             keypoints=keypoints[a:b],
             bbox=bbox[a:b],

@@ -80,7 +80,6 @@ def interpolate_track(track: Track, max_gap: int = 14) -> Track:
     order = np.argsort(frames, kind="stable")
     return Track(
         track_id=track.track_id,
-        camera_id=track.camera_id,
         frames=frames[order],
         keypoints=np.concatenate([track.keypoints, kp0 + t[:, None, None] * (kp1 - kp0)])[order],
         bbox=np.concatenate([track.bbox, b0 + t[:, None] * (b1 - b0)])[order],
@@ -163,7 +162,6 @@ def window_track(track: Track, length: int = 24, stride: int = 6) -> WindowBatch
 
 def extract_windows(
     frames: FrameTable,
-    camera_id: str,
     *,
     length: int = 24,
     stride: int = 6,
@@ -176,7 +174,7 @@ def extract_windows(
     stacked in that order, and windows follow in scan order within each track.
     """
     batches = []
-    for track in tracks_from_frames(frames, camera_id):
+    for track in tracks_from_frames(frames):
         track = smooth_track(interpolate_track(track, max_gap=max_gap), window=smoothing_window)
         batches.append(window_track(track, length=length, stride=stride))
     offsets = np.cumsum([0] + [len(b.poses) for b in batches])

@@ -18,14 +18,14 @@ rearrangement builds an unlabeled training stream and a balanced test set:
 
 When ``inject_count`` is omitted, the largest count that keeps the stream
 anomaly fraction below target while leaving the test set balanceable is
-chosen. Every frame gets a provenance tag so downstream code can prove no
-test frame is ever trained on. All sampling uses numpy's default_rng
+chosen. Every row gets a tag, and ``ContinualSplit.training_frames`` refuses
+to hand a test-tagged row to training. All sampling uses numpy's default_rng
 (PCG64) seeded from the plan, so results are reproducible byte for byte.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,6 +40,8 @@ TAG_TEST_ANOMALY = "test_anomaly"
 
 STREAM_TAGS = (TAG_TRAIN_NORMAL, TAG_MOVED_NORMAL, TAG_INJECTED)
 TEST_TAGS = (TAG_TEST_NORMAL, TAG_TEST_ANOMALY)
+TAGS = STREAM_TAGS + TEST_TAGS
+_TAG_OF_CODE = dict(enumerate(TAGS))  # .get gives None for a code outside TAGS
 
 
 @dataclass(frozen=True)
@@ -66,21 +68,39 @@ class RearrangePlan:
 
 @dataclass
 class ContinualSplit:
-    """Result of the rearrangement: slices, balanced test set, provenance.
+    """Result of the rearrangement: tagged frames, stream slices, balanced test set.
 
-    ``frames`` holds every frame of the split, train rows then test rows.
-    ``train_stream`` is the stream as rows of ``frames`` in stream order and
-    ``slices`` are its k contiguous pieces; ``provenance`` maps each frame
-    index to its tag.
+    ``frames`` holds every frame of the split, train rows then test rows, and
+    ``tag`` (int8, one entry per row of ``frames``) the position of each row's
+    tag in ``TAGS``. ``slices`` are the k contiguous pieces of the training
+    stream, as rows of ``frames`` in stream order.
     """
 
     camera_id: str
     frames: FrameTable
-    train_stream: np.ndarray
+    tag: np.ndarray
     slices: list[np.ndarray]
     test: CameraDataset
-    provenance: dict[int, str] = field(default_factory=dict)
-    plan: RearrangePlan | None = None
+    plan: RearrangePlan
+
+    @property
+    def train_stream(self) -> np.ndarray:
+        """The training stream as rows of ``frames``: the slices in turn."""
+        return np.concatenate(self.slices)
+
+    @property
+    def test_rows(self) -> np.ndarray:
+        """The rows of ``frames`` that carry a test tag, in row order."""
+        return np.flatnonzero(self.tag >= len(STREAM_TAGS))
+
+    def training_frames(self, rows: np.ndarray) -> FrameTable:
+        """The frames at ``rows``, raising on the first row that does not carry a stream tag."""
+        codes = self.tag[rows]
+        leaked = np.flatnonzero(~np.isin(codes, np.arange(len(STREAM_TAGS))))
+        if leaked.size:
+            fi, tag = self.frames.frame_index[rows[leaked[0]]], _TAG_OF_CODE.get(codes[leaked[0]])
+            raise ValidationError(f"test leakage: frame {fi} (tag {tag!r}) must not be trained on")
+        return self.frames.take(rows)
 
 
 def _imbalance(n_normal: int, n_anomalous: int) -> float:
@@ -193,23 +213,22 @@ def rearrange(split: SplitSet, plan: RearrangePlan) -> ContinualSplit:
             f"{plan.target_train_anomaly_ratio}"
         )
 
-    provenance: dict[int, str] = {}
-    for rows, tag in (
+    tag = np.empty(len(frames), dtype=np.int8)
+    for rows, name in (
         (np.arange(n_train), TAG_TRAIN_NORMAL),
         (moved, TAG_MOVED_NORMAL),
         (injected, TAG_INJECTED),
         (kept_norms, TAG_TEST_NORMAL),
         (kept_anoms, TAG_TEST_ANOMALY),
     ):
-        provenance.update(dict.fromkeys(frames.frame_index[rows].tolist(), tag))
+        tag[rows] = TAGS.index(name)
 
     return ContinualSplit(
         camera_id=camera,
         frames=frames,
-        train_stream=stream,
+        tag=tag,
         slices=slice_stream(stream, plan.k),
         test=test,
-        provenance=provenance,
         plan=plan,
     )
 
@@ -220,22 +239,18 @@ def verify(cs: ContinualSplit) -> None:
     Raises ValidationError naming the first violated invariant.
     """
     plan = cs.plan
-    if plan is None:
-        raise ValidationError("invariant violated: split carries no plan")
-
     if len(cs.slices) != plan.k:
         raise ValidationError(f"invariant violated: expected {plan.k} slices, found {len(cs.slices)}")
-    if not np.array_equal(np.concatenate(cs.slices), cs.train_stream):
-        raise ValidationError("invariant violated: slices do not partition the training stream in order")
     sizes = [len(sl) for sl in cs.slices]
     if min(sizes) == 0:
         raise ValidationError("invariant violated: empty slice")
     if max(sizes) - min(sizes) > 1:
         raise ValidationError(f"invariant violated: slice sizes differ by more than 1 ({sizes})")
 
-    stream_idx = cs.frames.frame_index[cs.train_stream]
-    stream_anomalous = cs.frames.anomalous[cs.train_stream]
-    fraction = int(stream_anomalous.sum()) / len(cs.train_stream)
+    stream = cs.train_stream
+    stream_idx = cs.frames.frame_index[stream]
+    stream_anomalous = cs.frames.anomalous[stream]
+    fraction = int(stream_anomalous.sum()) / len(stream)
     if fraction >= plan.target_train_anomaly_ratio:
         raise ValidationError(
             f"invariant violated: train anomaly fraction {fraction:.6f} >= target "
@@ -258,15 +273,19 @@ def verify(cs: ContinualSplit) -> None:
     if np.intersect1d(stream_idx, test.frame_index).size:
         raise ValidationError("invariant violated: training stream and test set share frames")
 
-    for part, frame_index, anomalous, tags, anomaly_tag in (
-        ("stream", stream_idx, stream_anomalous, STREAM_TAGS, TAG_INJECTED),
-        ("test", test.frame_index, test.anomalous, TEST_TAGS, TAG_TEST_ANOMALY),
-    ):
-        for fi, is_anomalous in zip(frame_index.tolist(), anomalous.tolist()):
-            tag = cs.provenance.get(fi)
-            if tag not in tags:
-                raise ValidationError(f"invariant violated: {part} frame {fi} carries tag {tag!r}")
-            if is_anomalous != (tag == anomaly_tag):
-                raise ValidationError(
-                    f"invariant violated: {part} frame {fi} label does not match tag {tag!r}"
-                )
+    _check_tags("stream", stream_idx, stream_anomalous, cs.tag[stream], STREAM_TAGS, TAG_INJECTED)
+    test_rows = cs.test_rows
+    if not np.array_equal(cs.frames.frame_index[test_rows], test.frame_index):
+        raise ValidationError("invariant violated: test set does not hold exactly the test-tagged frames")
+    _check_tags("test", test.frame_index, test.anomalous, cs.tag[test_rows], TEST_TAGS, TAG_TEST_ANOMALY)
+
+
+def _check_tags(part: str, frame_index, anomalous, codes, tags, anomaly_tag) -> None:
+    """Raise for the first frame of ``part`` whose tag is not in ``tags`` or disagrees with its label."""
+    known = np.isin(codes, [TAGS.index(name) for name in tags])
+    bad = np.flatnonzero(~known | (anomalous != (codes == TAGS.index(anomaly_tag))))
+    if bad.size:
+        i = bad[0]
+        what = "label does not match tag" if known[i] else "carries tag"
+        tag = _TAG_OF_CODE.get(codes[i])
+        raise ValidationError(f"invariant violated: {part} frame {frame_index[i]} {what} {tag!r}")

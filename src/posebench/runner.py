@@ -23,13 +23,7 @@ from .errors import ValidationError, check_int, is_number
 from .metrics import AGGREGATORS, MetricReport, ScoreSeries, aggregate_frame_scores, compute_all
 from .model import CameraDataset, SplitSet
 from .preprocess import WindowBatch, extract_windows
-from .rearrange import (
-    STREAM_TAGS,
-    ContinualSplit,
-    RearrangePlan,
-    rearrange,
-    verify,
-)
+from .rearrange import ContinualSplit, RearrangePlan, rearrange, verify
 from .scorers import SCORER_KINDS, make_scorer
 
 MODES = ("standard", "continual")
@@ -170,10 +164,9 @@ def summarize_steps(per_step) -> tuple[MetricReport, MetricReport]:
     return average, best
 
 
-def _windows_for(frames, camera_id: str, cfg: RunConfig):
+def _windows_for(frames, cfg: RunConfig):
     return extract_windows(
         frames,
-        camera_id,
         length=cfg.window_length,
         stride=cfg.window_stride,
         max_gap=cfg.max_gap,
@@ -211,23 +204,16 @@ def run_standard(cfg: RunConfig, split: SplitSet, out_dir=None) -> MetricReport:
         raise ValidationError("standard run requires a non-empty train dataset")
     if not len(split.test.frames):
         raise ValidationError("standard run requires a non-empty test dataset")
-    train_windows = _windows_for(split.train.frames, split.camera_id, cfg)
+    train_windows = _windows_for(split.train.frames, cfg)
     if not train_windows:
         raise ValidationError("training data produced zero pose windows")
     scorer = make_scorer(cfg.scorer, seed=derive_seed(cfg.seed, "scorer"), params=cfg.scorer_params)
     scorer.fit(train_windows)
-    test_windows = _windows_for(split.test.frames, split.camera_id, cfg)
+    test_windows = _windows_for(split.test.frames, cfg)
     result = evaluate_windows(scorer, test_windows, split.test, cfg)
     if out_dir is not None:
         report_mod.write_standard_report(split.camera_id, result, out_dir)
     return result
-
-
-def _assert_training_allowed(frames, provenance):
-    for fi in frames.frame_index.tolist():
-        tag = provenance.get(fi)
-        if tag not in STREAM_TAGS:
-            raise ValidationError(f"test leakage: frame {fi} (tag {tag!r}) must not be trained on")
 
 
 def run_continual(
@@ -238,9 +224,10 @@ def run_continual(
 ) -> tuple[ContinualResult, ContinualSplit]:
     """Pretrain on origin normals, then train slice by slice on the rearranged stream.
 
-    Returns the result plus the rearranged split (for provenance export).
-    Ingested-window accounting is asserted after every slice, and training
-    refuses any frame whose provenance tag marks it as test data.
+    Returns the result plus the rearranged split. Ingested-window accounting
+    is asserted after every slice, and every fit on the stream, batch
+    training included, reads its frames through ``cs.training_frames``,
+    which refuses any row tagged as test data.
     """
     if cfg.mode != "continual":
         raise ValidationError(f"run_continual needs mode 'continual', got {cfg.mode!r}")
@@ -255,20 +242,18 @@ def run_continual(
 
     scorer_seed = derive_seed(cfg.seed, "scorer")
     scorer = make_scorer(cfg.scorer, seed=scorer_seed, params=cfg.scorer_params)
-    pretrain_windows = _windows_for(origin_normals, origin.camera_id, cfg)
+    pretrain_windows = _windows_for(origin_normals, cfg)
     if not pretrain_windows:
         raise ValidationError("origin dataset produced zero pretraining windows")
     scorer.fit(pretrain_windows)
 
-    test_windows = _windows_for(cs.test.frames, cs.camera_id, cfg)
+    test_windows = _windows_for(cs.test.frames, cfg)
     baseline = evaluate_windows(scorer, test_windows, cs.test, cfg)
 
     per_step = []
     expected_seen = scorer.windows_seen
     for i, rows in enumerate(cs.slices, start=1):
-        sl = cs.frames.take(rows)
-        _assert_training_allowed(sl, cs.provenance)
-        slice_windows = _windows_for(sl, cs.camera_id, cfg)
+        slice_windows = _windows_for(cs.training_frames(rows), cfg)
         scorer.partial_fit(slice_windows)
         expected_seen += len(slice_windows)
         if scorer.windows_seen != expected_seen:
@@ -285,7 +270,7 @@ def run_continual(
             report_mod.write_step_csv(out_dir, i, cs.camera_id, step_report)
 
     batch_scorer = make_scorer(cfg.scorer, seed=scorer_seed, params=cfg.scorer_params)
-    batch_windows = _windows_for(cs.frames.take(cs.train_stream), cs.camera_id, cfg)
+    batch_windows = _windows_for(cs.training_frames(cs.train_stream), cfg)
     if not batch_windows:
         raise ValidationError("training stream produced zero pose windows")
     batch_scorer.fit(batch_windows)

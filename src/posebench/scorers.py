@@ -406,9 +406,10 @@ def load_checkpoint(path) -> AnomalyScorer:
         raise ValidationError(f"not a readable checkpoint file: {path} ({exc})") from None
     if not isinstance(meta, dict) or meta.get("format") != "posebench-checkpoint":
         raise ValidationError(f"not a posebench checkpoint: {path}")
-    if meta.get("version") not in (1, CHECKPOINT_VERSION):
+    version = meta.get("version")
+    if type(version) is not int or version not in (1, CHECKPOINT_VERSION):  # not a bool, not 2.0
         raise ValidationError(
-            f"checkpoint {path}: unsupported version {meta.get('version')!r} (supported: 1, {CHECKPOINT_VERSION})"
+            f"checkpoint {path}: unsupported version {version!r} (supported: 1, {CHECKPOINT_VERSION})"
         )
     kind = meta.get("kind")
     if kind not in _META_FIELDS:
@@ -420,14 +421,14 @@ def load_checkpoint(path) -> AnomalyScorer:
             raise ValidationError(
                 f"checkpoint {path}: meta field {name!r} must be {expected.__name__}, got {meta[name]!r}"
             )
-    state = {"kind": kind, "version": meta["version"], "params": meta["params"]}
+    state = {"kind": kind, "version": version, "params": meta["params"]}
     if kind == "gaussian":
         state["count"] = meta["count"]
         state["mean"] = arrays.get("mean")
         state["m2"] = None if state["mean"] is None else arrays.get("m2")
     else:
         state["seen"] = meta["seen"]
-        state["store"] = arrays.get("store") if meta["version"] == 1 else _rebuild_store(arrays, path)
+        state["store"] = arrays.get("store") if version == 1 else _rebuild_store(arrays, path)
         state["rng_state"] = meta["rng_state"]
     try:
         return scorer_from_snapshot(state)

@@ -68,15 +68,15 @@ def table(frames):
         return read_frames(path)
 
 
-def make_track(frame_indices, origins=None, track_id=0, camera_id="cam0"):
+def make_track(frame_indices, origins=None, track_id=0):
     """A track with one observation per frame index."""
     if origins is None:
         origins = [(50.0 + 2.0 * i, 60.0 + i) for i in range(len(frame_indices))]
     frames = [
-        make_frame(int(fi), persons=(make_obs(track_id=track_id, origin=o),), camera_id=camera_id)
+        make_frame(int(fi), persons=(make_obs(track_id=track_id, origin=o),))
         for fi, o in zip(frame_indices, origins)
     ]
-    (track,) = tracks_from_frames(table(frames), camera_id)
+    (track,) = tracks_from_frames(table(frames))
     return track
 
 

@@ -271,7 +271,7 @@ def test_05_preprocessing_properties(capsys):
             n = int(rng.integers(1, 220))
             length = int(rng.integers(2, 40))
             stride = int(rng.integers(1, 12))
-            sub = Track(0, "cam0", *(col[:n] for col in columns))
+            sub = Track(0, *(col[:n] for col in columns))
             want = _oracles.window_count(n, length, stride)
             if len(window_track(sub, length=length, stride=stride)) != want:
                 problems.append(f"window count off at (n={n}, length={length}, stride={stride})")

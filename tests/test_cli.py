@@ -1,10 +1,11 @@
+import hashlib
 import json
 
 import pytest
 
 from posebench.cli import main
 from posebench.io import load_dataset, write_dataset
-from posebench.runner import result_to_dict
+from posebench.runner import derive_seed, result_to_dict
 from posebench.synthetic import generate_split
 
 from _golden import golden_results
@@ -181,8 +182,23 @@ class TestRearrangeCommand:
         prov = (out / "provenance.csv").read_text().strip().splitlines()
         assert prov[0] == "frame_index,origin,slice"
         total = sum(len(load_dataset(out / s).frames) for s in slices)
-        test_n = len(load_dataset(out / "test.jsonl").frames)
-        assert total + test_n == 740
+        test_frames = load_dataset(out / "test.jsonl").frames
+        assert total + len(test_frames) == 740
+        # Stream rows slice by slice, then test rows; every row names its tag.
+        rows = [line.split(",") for line in prov[1:]]
+        stream = [(int(fi), tag, int(i)) for fi, tag, i in rows[:total]]
+        for i, name in enumerate(slices, start=1):
+            got = sorted(fi for fi, _, at in stream if at == i)
+            assert got == load_dataset(out / name).frames.frame_index.tolist()
+        assert [i for _, _, i in stream] == sorted(i for _, _, i in stream)
+        assert {tag for _, tag, _ in stream} == {"orig_train_normal", "moved_test_normal", "injected_anomaly"}
+        assert sum(tag == "injected_anomaly" for _, tag, _ in stream) == 3
+        test_rows = rows[total:]
+        assert [fi for fi, _, _ in test_rows] == [str(fi) for fi in test_frames.frame_index.tolist()]
+        assert [tag for _, tag, _ in test_rows] == [
+            "test_anomaly" if a else "test_normal" for a in test_frames.anomalous.tolist()
+        ]
+        assert {i for _, _, i in test_rows} == {""}
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["subcommand"] == "rearrange"
 
@@ -201,6 +217,27 @@ class TestRearrangeCommand:
         capsys.readouterr()
         for name in ["slice_01.jsonl", "test.jsonl", "provenance.csv"]:
             assert (a / name).read_bytes() == (b / name).read_bytes()
+
+    def test_default_plan_flags_keep_the_config_hash(self, synth_dir, tmp_path, capsys):
+        # Without plan flags the plan takes RearrangePlan's defaults, and the manifest hashes
+        # the same parameters as when those defaults are given as flags.
+        train, test = str(synth_dir / "train.jsonl"), str(synth_dir / "test.jsonl")
+        args = ["rearrange", "--train", train, "--test", test]
+        defaults = ["--k", "9", "--target-ratio", "0.01", "--balance-tolerance", "0.002"]
+        assert main(args + ["--out", str(tmp_path / "bare")]) == 0
+        assert main(args + defaults + ["--out", str(tmp_path / "explicit")]) == 0
+        capsys.readouterr()
+        plan = {
+            "seed": derive_seed(0, "rearrange"),
+            "inject_count": None,
+            "target_train_anomaly_ratio": 0.01,
+            "k": 9,
+            "balance_tolerance": 0.002,
+        }
+        blob = json.dumps({"train": train, "test": test, "plan": plan}, sort_keys=True, separators=(",", ":"))
+        want = hashlib.sha256(blob.encode("utf-8")).hexdigest()
+        for out in ("bare", "explicit"):
+            assert json.loads((tmp_path / out / "manifest.json").read_text())["config_hash"] == want
 
 
 class TestConfigValues:

@@ -218,7 +218,7 @@ class TestTracks:
             make_frame(1, persons=(a1,)),
             make_frame(0, persons=(a0, b0)),
         ]
-        tracks = tracks_from_frames(table(frames), "cam0")
+        tracks = tracks_from_frames(table(frames))
         assert [t.track_id for t in tracks] == [0, 1]
         assert tracks[0].frames.tolist() == [0, 1]
         assert tracks[1].frames.tolist() == [0]
@@ -233,7 +233,7 @@ class TestTracks:
         a = make_obs(track_id=0)
         frames = [make_frame(0, persons=(a, a))]
         with pytest.raises(ValidationError, match="duplicate observation for track 0 at frame 0"):
-            tracks_from_frames(table(frames), "cam0")
+            tracks_from_frames(table(frames))
 
 
 @st.composite
@@ -261,9 +261,9 @@ def test_track_assembly_matches_bucketing_oracle(frames):
         want = _oracles.tracks_by_bucketing(frames)
     except ValueError:
         with pytest.raises(ValidationError, match="duplicate observation"):
-            tracks_from_frames(frames_table, "cam0")
+            tracks_from_frames(frames_table)
         return
-    got = tracks_from_frames(frames_table, "cam0")
+    got = tracks_from_frames(frames_table)
     assert [t.track_id for t in got] == [tid for tid, *_ in want]
     for track, (_, *columns) in zip(got, want):
         mine = (track.frames, track.keypoints, track.bbox, track.interpolated)

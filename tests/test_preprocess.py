@@ -197,7 +197,7 @@ class TestPipeline:
     def test_extract_windows_end_to_end(self):
         ds = walking_dataset(40)
         batch = extract_windows(
-            ds.frames, "cam0", length=24, stride=6, max_gap=14, smoothing_window=15
+            ds.frames, length=24, stride=6, max_gap=14, smoothing_window=15
         )
         assert batch.start_frame.tolist() == [0, 6, 12]
         assert batch.poses.shape == (40, 17, 2) and np.isfinite(batch.poses).all()
@@ -210,7 +210,7 @@ class TestPipeline:
                 obs = make_obs(track_id=track_id, origin=(40.0 + 1.5 * i, 30.0 + 0.5 * i))
                 persons.setdefault(start + i, []).append(obs)
         frames = table([make_frame(fi, persons=obs) for fi, obs in persons.items()])
-        batch = extract_windows(frames, "cam0", length=24, stride=6, max_gap=14, smoothing_window=15)
+        batch = extract_windows(frames, length=24, stride=6, max_gap=14, smoothing_window=15)
         # Track 2 (40 rows from frame 5) comes first, then track 7 (30 rows from frame 0).
         assert batch.poses.shape == (70, 17, 2)
         assert batch.track_id.tolist() == [2, 2, 2, 7, 7]
@@ -220,7 +220,7 @@ class TestPipeline:
         all_frames = walking_dataset(40).frames
         frames = all_frames.take(np.flatnonzero(all_frames.frame_index != 20))
         wins = extract_windows(
-            frames, "cam0", length=24, stride=6, max_gap=14, smoothing_window=15
+            frames, length=24, stride=6, max_gap=14, smoothing_window=15
         )
         # The gap is interpolated, so coverage is as if nothing was missing.
         assert wins.start_frame.tolist() == [0, 6, 12]

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from posebench.errors import ValidationError
-from posebench.model import SplitSet
+from posebench.model import CameraDataset, SplitSet
 from posebench.rearrange import (
     RearrangePlan,
     STREAM_TAGS,
@@ -16,6 +16,7 @@ from posebench.rearrange import (
     TAG_TEST_ANOMALY,
     TAG_TEST_NORMAL,
     TAG_TRAIN_NORMAL,
+    TAGS,
     TEST_TAGS,
     rearrange,
     slice_stream,
@@ -52,6 +53,13 @@ def stream_frames(cs):
 
 def stream_index(cs):
     return cs.frames.frame_index[cs.train_stream].tolist()
+
+
+def tag_names(cs, rows=None):
+    """The tag of each row of the split, or of ``rows``, by name."""
+    codes = cs.tag if rows is None else cs.tag[rows]
+    assert cs.tag.dtype == np.int8 and ((codes >= 0) & (codes < len(TAGS))).all()
+    return [TAGS[code] for code in codes.tolist()]
 
 
 class TestPlan:
@@ -134,7 +142,7 @@ class TestRearrange:
     def test_provenance_tags(self):
         split = build_split()
         cs = rearrange(split, RearrangePlan(seed=4, inject_count=3))
-        tags = Counter(cs.provenance.values())
+        tags = Counter(tag_names(cs))
         assert tags[TAG_INJECTED] == 3
         assert tags[TAG_TRAIN_NORMAL] == 400
         assert tags[TAG_TEST_ANOMALY] == 77
@@ -147,7 +155,7 @@ class TestRearrange:
         b = rearrange(split, plan)
         assert stream_index(a) == stream_index(b)
         assert a.test.frames.frame_index.tolist() == b.test.frames.frame_index.tolist()
-        assert a.provenance == b.provenance
+        assert tag_names(a) == tag_names(b)
 
     def test_different_seeds_differ(self):
         split = build_split()
@@ -203,6 +211,54 @@ class TestVerify:
         with pytest.raises(ValidationError, match="invariant violated: stream frame .* label does not match"):
             verify(cs)
 
+    def test_rejects_stream_row_with_test_tag(self):
+        cs = rearrange(build_split(), RearrangePlan(seed=11, inject_count=3))
+        row = cs.slices[2][5]
+        cs.tag[row] = TAGS.index(TAG_TEST_NORMAL)
+        message = f"invariant violated: stream frame {cs.frames.frame_index[row]} carries tag 'test_normal'"
+        with pytest.raises(ValidationError, match=message):
+            verify(cs)
+
+    def test_rejects_test_row_retagged_as_moved(self):
+        cs = rearrange(build_split(), RearrangePlan(seed=12, inject_count=3))
+        cs.tag[cs.test_rows[4]] = TAGS.index(TAG_MOVED_NORMAL)
+        with pytest.raises(ValidationError, match="test set does not hold exactly the test-tagged frames"):
+            verify(cs)
+
+    def test_rejects_test_set_missing_a_row(self):
+        # A tolerance of 0.01 keeps 76 normals against 77 anomalies balanced, so only the tags catch the loss.
+        cs = rearrange(build_split(), RearrangePlan(seed=13, inject_count=3, balance_tolerance=0.01))
+        frames = cs.test.frames
+        cs.test = CameraDataset(camera_id=cs.camera_id, frames=frames.take(np.arange(1, len(frames))))
+        with pytest.raises(ValidationError, match="test set does not hold exactly the test-tagged frames"):
+            verify(cs)
+
+    def test_rejects_unknown_tag_code(self):
+        cs = rearrange(build_split(), RearrangePlan(seed=14, inject_count=3))
+        row = cs.test_rows[0]
+        cs.tag[row] = len(TAGS)
+        fi = cs.frames.frame_index[row]
+        with pytest.raises(ValidationError, match=f"invariant violated: test frame {fi} carries tag None"):
+            verify(cs)
+
+
+class TestTrainingFrames:
+    def test_returns_the_frames_of_stream_rows(self):
+        cs = rearrange(build_split(), RearrangePlan(seed=15, inject_count=3))
+        for rows in (cs.slices[0], cs.train_stream):
+            got = cs.training_frames(rows)
+            assert frame_keys(got) == frame_keys(cs.frames.take(rows))
+
+    @pytest.mark.parametrize("anomalous,tag", [(False, "test_normal"), (True, "test_anomaly")])
+    def test_refuses_a_test_row(self, anomalous, tag):
+        cs = rearrange(build_split(), RearrangePlan(seed=16, inject_count=3))
+        test_rows = cs.test_rows
+        row = test_rows[cs.frames.anomalous[test_rows] == anomalous][0]
+        rows = np.concatenate([cs.slices[0][:10], [row], cs.slices[0][10:]])
+        message = rf"^test leakage: frame {cs.frames.frame_index[row]} \(tag '{tag}'\) must not be trained on$"
+        with pytest.raises(ValidationError, match=message):
+            cs.training_frames(rows)
+
 
 class TestRearrangeProperty:
     @settings(deadline=None, max_examples=150)
@@ -232,10 +288,11 @@ class TestRearrangeProperty:
         assert np.array_equal(np.concatenate(cs.slices), cs.train_stream)
         sizes = [len(s) for s in cs.slices]
         assert max(sizes) - min(sizes) <= 1
-        assert {cs.provenance[fi] for fi in stream.frame_index.tolist()} <= set(STREAM_TAGS)
-        assert {cs.provenance[fi] for fi in test.frame_index.tolist()} <= set(TEST_TAGS)
-        assert len(cs.provenance) == n_train + n_test_normal + n_test_anomaly
+        assert set(tag_names(cs, cs.train_stream)) <= set(STREAM_TAGS)
+        assert set(tag_names(cs, cs.test_rows)) <= set(TEST_TAGS)
+        assert cs.frames.frame_index[cs.test_rows].tolist() == test.frame_index.tolist()
+        assert len(cs.tag) == n_train + n_test_normal + n_test_anomaly
         injected = int(stream.anomalous.sum())
-        assert Counter(cs.provenance.values())[TAG_INJECTED] == injected
+        assert Counter(tag_names(cs))[TAG_INJECTED] == injected
         if inject_count is not None:
             assert injected == inject_count

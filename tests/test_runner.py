@@ -7,7 +7,8 @@ import pytest
 from posebench.errors import ValidationError
 from posebench.metrics import MetricReport
 from posebench.model import CameraDataset, SplitSet
-from posebench.rearrange import RearrangePlan
+from posebench import runner
+from posebench.rearrange import ContinualSplit, RearrangePlan
 from posebench.runner import (
     ContinualResult,
     RunConfig,
@@ -208,6 +209,36 @@ class TestRunContinual:
         anomalous_only = dataset([anomalous], "x")
         with pytest.raises(ValidationError, match="no normal frames to pretrain on"):
             run_continual(cfg, split, anomalous_only, None)
+
+    def test_every_fit_reads_its_frames_through_the_guard(self, monkeypatch):
+        guarded = []
+        guard = ContinualSplit.training_frames
+
+        def spy(cs, rows):
+            guarded.append(rows)
+            return guard(cs, rows)
+
+        monkeypatch.setattr(ContinualSplit, "training_frames", spy)
+        cfg = RunConfig(mode="continual", seed=0, plan=RearrangePlan(seed=1, k=3))
+        _, cs = run_continual(cfg, small_split(), generate_normals(300, seed=2))
+        # One call per slice, then one for batch training on the whole stream.
+        assert len(guarded) == 4
+        for rows, want in zip(guarded, [*cs.slices, cs.train_stream]):
+            assert np.array_equal(rows, want)
+
+    def test_refuses_to_train_on_a_test_frame(self, monkeypatch):
+        rearrange = runner.rearrange
+
+        def leaky(split, plan):
+            cs = rearrange(split, plan)
+            cs.slices[-1] = np.append(cs.slices[-1], cs.test_rows[0])
+            return cs
+
+        monkeypatch.setattr(runner, "rearrange", leaky)
+        monkeypatch.setattr(runner, "verify", lambda cs: None)
+        cfg = RunConfig(mode="continual", seed=0, plan=RearrangePlan(seed=1, k=3))
+        with pytest.raises(ValidationError, match=r"test leakage: frame \d+ \(tag 'test_(normal|anomaly)'\)"):
+            run_continual(cfg, small_split(), generate_normals(300, seed=2))
 
 
 class TestResultSerialization:

@@ -84,9 +84,7 @@ def windowed_tracks(draw):
                 persons.setdefault(fi, []).append(person(kps, track_id=track_id, bbox=box))
             frame += run + gap
     frames = table([make_frame(fi, persons=persons[fi]) for fi in sorted(persons)])
-    return extract_windows(
-        frames, "cam0", length=length, stride=stride, max_gap=max_gap, smoothing_window=smoothing
-    )
+    return extract_windows(frames, length=length, stride=stride, max_gap=max_gap, smoothing_window=smoothing)
 
 
 class TestBatchedFeatures:
@@ -99,7 +97,7 @@ class TestBatchedFeatures:
         # The test set of the README continual quick-start, as run-continual builds it.
         split = generate_split(2400, 1200, 400, seed=0, anomaly_boost=2.5)
         cs = rearrange(split, RearrangePlan(seed=derive_seed(0, "rearrange"), k=9))
-        batch = extract_windows(cs.test.frames, cs.camera_id)
+        batch = extract_windows(cs.test.frames)
         assert len(batch) == 544
         assert kinematic_features(batch).tobytes() == oracle_features(batch).tobytes()
 
@@ -399,6 +397,9 @@ class TestCheckpoints:
             (v2, {"index": np.array([[0]])}, "knn rows and index must be stored together"),
             ({**v2, "seen": 1}, {"rows": rows, "index": np.array([[0], [1]])}, "seen 1 must count at least the 2"),
             ({**v2, "version": 3}, {}, "unsupported version 3"),
+            ({**v2, "version": True}, {}, "unsupported version True"),
+            ({**v2, "version": 2.0}, {}, "unsupported version 2.0"),
+            ({**v2, "version": 1.0}, {"store": np.zeros((2, 2))}, "unsupported version 1.0"),
         ):
             with open(path, "wb") as fh:
                 np.savez(fh, meta=np.array(json.dumps(meta_fields)), **arrays)

@@ -13,7 +13,7 @@ from posebench.synthetic import (
 
 def anomaly_tracks(split):
     """The test set's anomaly tracks, each with its keypoints in frame order."""
-    tracks = tracks_from_frames(split.test.frames, split.camera_id)
+    tracks = tracks_from_frames(split.test.frames)
     return [t for t in tracks if t.track_id >= ANOMALY_TRACK_BASE]
 
 
