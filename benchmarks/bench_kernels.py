@@ -10,7 +10,11 @@ and so on), with the best of ``--repeat`` timings. The
 ``scorers.kinematic_features`` row times one batched call on the test
 windows of the README continual quick-start, and the
 ``rearrange.rearrange+verify`` row rearranges and verifies that quick-start's
-split (2400/1200/400 frames, k=9). The ``synthetic.generate_split``
+split (2400/1200/400 frames, k=9). The ``kernels.knn_k_smallest`` rows score
+the 267 test windows of perfbench's ``continual-knn`` at its first step: once
+incrementally (the 52 rows the step added, merged with the distances over the
+194 rows before it) and once as a fresh scan of all 246 rows, each with the
+peak MB its call allocates (``tracemalloc``). The ``synthetic.generate_split``
 row builds the split of perfbench's ``standard-gaussian-large`` workload, the
 set-up layer behind its ``setup_s``. The ``scorers.save_checkpoint`` and
 ``scorers.load_checkpoint`` rows write and read a knn checkpoint of the
@@ -21,9 +25,11 @@ overlapping windows of length 24, stride 6) and print the MB written.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import tempfile
 import time
+import tracemalloc
 
 import numpy as np
 
@@ -69,6 +75,28 @@ def bench_knn(rng, repeat: int):
         queries = rng.normal(size=(query_n, dim))
         seconds = _best_of(lambda: _kernels.knn_mean_distance(stored, queries, k), repeat)
         rows.append(("kernels.knn_mean_distance", f"{query_n}x{stored_n} k={k}", seconds))
+    return rows
+
+
+def _peak_mb(fn) -> str:
+    tracemalloc.start()
+    try:
+        fn()
+        return f"peak {tracemalloc.get_traced_memory()[1] / 2**20:.2f} MB"
+    finally:
+        tracemalloc.stop()
+
+
+def bench_knn_step(rng, repeat: int):
+    # continual-knn's first step: 267 test windows, 194 stored rows after pretraining, 52 added by the step.
+    queries = rng.normal(0.0, 0.1, size=(267, 816))
+    stored = rng.normal(0.0, 0.1, size=(246, 816))
+    prior = _kernels.knn_k_smallest(stored[:194], queries, 5)
+    steps = {"267x52+194 k=5": (stored[194:], queries, 5, prior), "267x246 k=5": (stored, queries, 5)}
+    rows = []
+    for size, args in steps.items():
+        call = functools.partial(_kernels.knn_k_smallest, *args)
+        rows.append(("kernels.knn_k_smallest", size, _best_of(call, repeat), _peak_mb(call)))
     return rows
 
 
@@ -143,6 +171,7 @@ def main() -> int:
     rows = []
     rows += bench_welford(rng, args.repeat)
     rows += bench_knn(rng, args.repeat)
+    rows += bench_knn_step(rng, args.repeat)
     rows += bench_iou(rng, args.repeat)
     rows += bench_read_frames(args.seed, args.repeat)
     rows += bench_continual_split(args.seed, args.repeat)

@@ -278,6 +278,10 @@ def verify(cs: ContinualSplit) -> None:
     if not np.array_equal(cs.frames.frame_index[test_rows], test.frame_index):
         raise ValidationError("invariant violated: test set does not hold exactly the test-tagged frames")
     _check_tags("test", test.frame_index, test.anomalous, cs.tag[test_rows], TEST_TAGS, TAG_TEST_ANOMALY)
+    # The checks above make stream and test rows disjoint, so their counts show whether any row was dropped.
+    placed, n = len(stream) + len(test_rows), len(cs.frames)
+    if placed != n:
+        raise ValidationError(f"invariant violated: stream and test set place {placed} of {n} rows")
 
 
 def _check_tags(part: str, frame_index, anomalous, codes, tags, anomaly_tag) -> None:

@@ -24,7 +24,7 @@ from .metrics import AGGREGATORS, MetricReport, ScoreSeries, aggregate_frame_sco
 from .model import CameraDataset, SplitSet
 from .preprocess import WindowBatch, extract_windows
 from .rearrange import ContinualSplit, RearrangePlan, rearrange, verify
-from .scorers import SCORER_KINDS, make_scorer
+from .scorers import SCORER_KINDS, ScoringState, make_scorer
 
 MODES = ("standard", "continual")
 
@@ -174,9 +174,11 @@ def _windows_for(frames, cfg: RunConfig):
     )
 
 
-def evaluate_windows(scorer, test_windows, test_dataset: CameraDataset, cfg: RunConfig) -> MetricReport:
-    """Score test windows, fold the scores onto frames, compute all metrics."""
-    scores = scorer.score_batch(test_windows)
+def evaluate_windows(
+    scorer, test_windows, test_dataset: CameraDataset, cfg: RunConfig, state: ScoringState | None = None
+) -> MetricReport:
+    """Score test windows (through the caller's ``state`` for them), fold onto frames, compute metrics."""
+    scores = scorer.score_batch(test_windows, state)
     series = fold_window_scores(test_windows, scores, test_dataset, cfg.aggregator)
     return compute_all(series, cfg.fnr_target)
 
@@ -248,7 +250,8 @@ def run_continual(
     scorer.fit(pretrain_windows)
 
     test_windows = _windows_for(cs.test.frames, cfg)
-    baseline = evaluate_windows(scorer, test_windows, cs.test, cfg)
+    state = ScoringState(test_windows)  # each step scores only the rows it added, when it can
+    baseline = evaluate_windows(scorer, test_windows, cs.test, cfg, state)
 
     per_step = []
     expected_seen = scorer.windows_seen
@@ -261,13 +264,14 @@ def run_continual(
                 f"ingestion accounting broken at step {i}: "
                 f"scorer saw {scorer.windows_seen}, expected {expected_seen}"
             )
-        step_report = evaluate_windows(scorer, test_windows, cs.test, cfg)
+        step_report = evaluate_windows(scorer, test_windows, cs.test, cfg, state)
         per_step.append(step_report)
         if out_dir is not None:
             ckpt_dir = os.path.join(out_dir, "checkpoints")
             os.makedirs(ckpt_dir, exist_ok=True)
             scorer.save_checkpoint(os.path.join(ckpt_dir, f"step_{i}.ckpt"))
             report_mod.write_step_csv(out_dir, i, cs.camera_id, step_report)
+    del scorer, state  # batch training starts afresh; free the step store before building its own
 
     batch_scorer = make_scorer(cfg.scorer, seed=scorer_seed, params=cfg.scorer_params)
     batch_windows = _windows_for(cs.training_frames(cs.train_stream), cfg)

@@ -7,13 +7,16 @@ its arrays: the gaussian scorer featurizes the whole batch at once, the knn
 scorer gathers each window's rows of ``poses``. State round-trips through
 snapshot()/restore() and through versioned .ckpt files (npz containers); a
 knn file holds each distinct pose row once, plus an index that rebuilds the store.
+A caller that scores one batch again and again (the continual runner's test
+set) holds a ``ScoringState`` for it, through which the knn scorer scans only
+the store rows added since the last scoring.
 """
 
 from __future__ import annotations
 
-import copy
 import json
 import zipfile
+from copy import deepcopy
 
 import numpy as np
 
@@ -56,6 +59,25 @@ def _check_dimension(got: int, held: int, what: str):
         raise ValidationError(f"feature dimension {got} does not match {what} dimension {held}")
 
 
+class ScoringState:
+    """What a scorer carries from one scoring of ``batch`` to the next; the caller holds it.
+
+    The knn scorer keeps the batch's gathered query matrix, each query's k
+    smallest squared distances (ascending) over the first ``rows`` store
+    rows, and the store generation they were computed in. The scorer starts
+    a new generation on reset, fit, restore and any reservoir replacement; a
+    state from another generation, or covering more rows than the store
+    holds, is scanned afresh. The gaussian scorer ignores the state.
+    """
+
+    def __init__(self, batch: WindowBatch):
+        self.batch = batch
+        self.queries = None
+        self.kd = None
+        self.rows = 0
+        self.generation = None
+
+
 class AnomalyScorer:
     """Contract shared by all scorers: fit / partial_fit / score_batch on a WindowBatch, and snapshot."""
 
@@ -72,7 +94,8 @@ class AnomalyScorer:
     def partial_fit(self, batch: WindowBatch):
         raise NotImplementedError
 
-    def score_batch(self, batch: WindowBatch) -> np.ndarray:
+    def score_batch(self, batch: WindowBatch, state: ScoringState | None = None) -> np.ndarray:
+        """One score per window; ``state``, if given, belongs to ``batch`` and carries work between calls."""
         raise NotImplementedError
 
     @property
@@ -82,7 +105,8 @@ class AnomalyScorer:
     def snapshot(self) -> dict:
         raise NotImplementedError
 
-    def restore(self, state: dict):
+    def restore(self, state: dict, copy: bool = True):
+        """Replace the state with a snapshot's; ``copy=False`` may keep its arrays (a dict no one else holds)."""
         raise NotImplementedError
 
     def save_checkpoint(self, path):
@@ -121,7 +145,7 @@ class GaussianScorer(AnomalyScorer):
         _check_dimension(x.shape[1], self._mean.size, "fitted")
         self._count = int(_kernels.welford_update(self._count, self._mean, self._m2, x))
 
-    def score_batch(self, batch: WindowBatch) -> np.ndarray:
+    def score_batch(self, batch: WindowBatch, state: ScoringState | None = None) -> np.ndarray:
         if self._count < 2:
             raise ValidationError(
                 f"gaussian scorer needs at least 2 ingested windows to score, has {self._count}"
@@ -158,7 +182,7 @@ class GaussianScorer(AnomalyScorer):
             "m2": None if self._m2 is None else self._m2.copy(),
         }
 
-    def restore(self, state: dict):
+    def restore(self, state: dict, copy: bool = True):
         if state.get("kind") != self.kind:
             raise ValidationError(f"cannot restore {state.get('kind')!r} state into a {self.kind} scorer")
         self.variance_floor = float(state["params"]["variance_floor"])
@@ -183,6 +207,8 @@ class KnnScorer(AnomalyScorer):
     generator seeded at construction, so ingestion is reproducible byte for
     byte given the same window order. The store's rows grow by doubling up
     to capacity, so memory follows the windows held, not the capacity.
+    Scoring through a ``ScoringState`` merges the distances it carries with a
+    scan of the rows added since, which equals a fresh scan bit for bit.
     """
 
     kind = "knn"
@@ -201,6 +227,7 @@ class KnnScorer(AnomalyScorer):
         self._store = None
         self._stored = 0
         self._seen = 0
+        self._generation = object()  # a new token whenever stored rows change other than by appending
 
     def partial_fit(self, batch: WindowBatch):
         if not len(batch):
@@ -224,17 +251,28 @@ class KnnScorer(AnomalyScorer):
                 j = int(self._rng.integers(0, self._seen))
                 if j < self.capacity:
                     self._store[j] = vec
+                    self._generation = object()
 
-    def score_batch(self, batch: WindowBatch) -> np.ndarray:
+    def score_batch(self, batch: WindowBatch, state: ScoringState | None = None) -> np.ndarray:
         if self._stored < self.k_nn:
             raise ValidationError(
                 f"knn scorer has {self._stored} stored windows, needs at least k_nn={self.k_nn}"
             )
+        if state is None:
+            state = ScoringState(batch)
+        elif state.batch is not batch:
+            raise ValidationError("scoring state belongs to another window batch")
         if not len(batch):
             return np.empty(0, dtype=np.float64)
-        x = batch.poses[batch.rows[:, None] + np.arange(batch.length)].reshape(len(batch), -1)
-        _check_dimension(x.shape[1], self._store.shape[1], "stored")
-        return _kernels.knn_mean_distance(self._store[: self._stored], x, self.k_nn)
+        if state.queries is None:
+            state.queries = batch.poses[batch.rows[:, None] + np.arange(batch.length)].reshape(len(batch), -1)
+        _check_dimension(state.queries.shape[1], self._store.shape[1], "stored")
+        if state.generation is not self._generation or state.rows > self._stored:
+            state.kd, state.rows = None, 0
+        new_rows = self._store[state.rows : self._stored]
+        state.kd = _kernels.knn_k_smallest(new_rows, state.queries, self.k_nn, state.kd)
+        state.rows, state.generation = self._stored, self._generation
+        return np.sqrt(state.kd).mean(axis=1)
 
     @property
     def windows_seen(self) -> int:
@@ -251,12 +289,13 @@ class KnnScorer(AnomalyScorer):
             "params": {"k_nn": self.k_nn, "capacity": self.capacity, "seed": self.seed},
             "seen": self._seen,
             "store": None if self._store is None else self._store[: self._stored].copy(),
-            "rng_state": copy.deepcopy(self._rng.bit_generator.state),
+            "rng_state": deepcopy(self._rng.bit_generator.state),
         }
 
-    def restore(self, state: dict):
+    def restore(self, state: dict, copy: bool = True):
         if state.get("kind") != self.kind:
             raise ValidationError(f"cannot restore {state.get('kind')!r} state into a {self.kind} scorer")
+        self._generation = object()
         params = state["params"]
         self.k_nn = int(params["k_nn"])
         self.capacity = int(params["capacity"])
@@ -266,7 +305,7 @@ class KnnScorer(AnomalyScorer):
             self._store = None
             self._stored = 0
         else:
-            self._store = np.array(state["store"], dtype=np.float64)
+            self._store = np.array(state["store"], dtype=np.float64, copy=copy or None)
             if self._store.ndim != 2 or self._store.shape[0] > self.capacity:
                 raise ValidationError(
                     f"knn store must be 2-D with at most {self.capacity} rows, got shape {self._store.shape}"
@@ -277,7 +316,7 @@ class KnnScorer(AnomalyScorer):
         if self._seen < self._stored:
             raise ValidationError(f"knn seen {self._seen} must count at least the {self._stored} stored rows")
         self._rng = np.random.default_rng()
-        self._rng.bit_generator.state = copy.deepcopy(state["rng_state"])
+        self._rng.bit_generator.state = deepcopy(state["rng_state"])
 
 
 def make_scorer(kind: str, seed: int = 0, params: dict | None = None) -> AnomalyScorer:
@@ -297,13 +336,13 @@ def make_scorer(kind: str, seed: int = 0, params: dict | None = None) -> Anomaly
     return KnnScorer(**params)
 
 
-def scorer_from_snapshot(state: dict) -> AnomalyScorer:
-    """Construct a fresh scorer from a snapshot dict."""
+def scorer_from_snapshot(state: dict, copy: bool = True) -> AnomalyScorer:
+    """Construct a fresh scorer from a snapshot dict; ``copy`` as in ``restore``."""
     classes = {"gaussian": GaussianScorer, "knn": KnnScorer}
     if state.get("kind") not in classes:
         raise ValidationError(f"unknown scorer kind {state.get('kind')!r} in snapshot")
     scorer = classes[state["kind"]](**state["params"])
-    scorer.restore(state)
+    scorer.restore(state, copy=copy)
     return scorer
 
 
@@ -372,8 +411,11 @@ _META_FIELDS = {
 
 
 def _rebuild_store(arrays: dict, path):
-    """The dense store of a version-2 knn checkpoint from its ``rows`` and ``index``, None without both."""
-    rows, index = arrays.get("rows"), arrays.get("index")
+    """The dense store of a version-2 knn checkpoint from its ``rows`` and ``index``, None without both.
+
+    Both are taken out of ``arrays``, so they are freed once the store is built.
+    """
+    rows, index = arrays.pop("rows", None), arrays.pop("index", None)
     if rows is None and index is None:
         return None
     where = f"checkpoint {path}: knn"
@@ -401,7 +443,7 @@ def load_checkpoint(path) -> AnomalyScorer:
     try:
         with np.load(path, allow_pickle=False) as data:
             meta = json.loads(str(data["meta"]))
-            arrays = {k: np.array(data[k]) for k in data.files if k != "meta"}
+            arrays = {k: data[k] for k in data.files if k != "meta"}  # each read into a fresh array
     except (OSError, EOFError, ValueError, KeyError, zipfile.BadZipFile) as exc:
         raise ValidationError(f"not a readable checkpoint file: {path} ({exc})") from None
     if not isinstance(meta, dict) or meta.get("format") != "posebench-checkpoint":
@@ -431,6 +473,6 @@ def load_checkpoint(path) -> AnomalyScorer:
         state["store"] = arrays.get("store") if version == 1 else _rebuild_store(arrays, path)
         state["rng_state"] = meta["rng_state"]
     try:
-        return scorer_from_snapshot(state)
+        return scorer_from_snapshot(state, copy=False)  # the arrays were just read: hand them over
     except (TypeError, ValueError, KeyError, ValidationError) as exc:
         raise ValidationError(f"checkpoint {path}: state rejected ({type(exc).__name__}: {exc})") from None

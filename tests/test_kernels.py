@@ -1,5 +1,7 @@
 """Each kernel against a two-pass or brute-force reference."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -46,17 +48,22 @@ def knn_reference(stored, queries, k):
 
 
 @pytest.fixture
-def fallbacks(monkeypatch):
-    """Count the rows whose certificate failed and that were scanned in full."""
-    rows = []
-    exact_row = _kernels._exact_row
+def rescored(monkeypatch):
+    """Record, per rescoring call, the stored row count and the query index of each pair rescored."""
+    calls = []
+    rescore = _kernels._rescore
 
-    def counted(stored, query, k):
-        rows.append(query)
-        return exact_row(stored, query, k)
+    def counted(queries, stored, qi, sj):
+        calls.append((len(stored), qi.copy()))
+        return rescore(queries, stored, qi, sj)
 
-    monkeypatch.setattr(_kernels, "_exact_row", counted)
-    return rows
+    monkeypatch.setattr(_kernels, "_rescore", counted)
+    return calls
+
+
+def full_scans(calls):
+    """Queries whose certificate failed: every one of their pairs was rescored."""
+    return sum(int((np.bincount(qi) == n).sum()) for n, qi in calls)
 
 
 class TestKnnKernel:
@@ -81,23 +88,24 @@ class TestKnnKernel:
         self.check(stored, queries, 1)
         self.check(stored, queries, 3)
 
-    def test_every_row_a_candidate(self, rng, fallbacks):
-        # k == n, and n <= k + slack, leave no row out of the rescoring.
+    def test_every_row_a_candidate(self, rng, rescored):
+        # k == n leaves no row out: every pair is rescored, and only then.
         queries = rng.normal(size=(9, 5))
         stored = rng.normal(size=(6, 5))
         self.check(stored, queries, 6)
+        assert full_scans(rescored) == 9
+        rescored.clear()
         self.check(stored, queries, 2)
-        stored = rng.normal(size=(3 + _kernels._SLACK, 5))
-        self.check(stored, queries, 3)
-        assert not fallbacks
+        self.check(rng.normal(size=(11, 5)), queries, 3)
+        assert full_scans(rescored) == 0
 
-    def test_large_offset_falls_back(self, rng, fallbacks):
+    def test_large_offset_falls_back(self, rng, rescored):
         # A common 1e6 offset cancels nearly every digit of the expansion, so
-        # no row can be certified and each is scanned exactly.
+        # no row can be certified and each query's pairs are all rescored.
         stored = 1e6 + 1e-3 * rng.normal(size=(60, 16))
         queries = 1e6 + 1e-3 * rng.normal(size=(7, 16))
         self.check(stored, queries, 3)
-        assert len(fallbacks) == 7
+        assert full_scans(rescored) == 7
 
     def test_offset_near_cancellation(self):
         # Offsets where the expansion's error is about the gap between
@@ -116,13 +124,13 @@ class TestKnnKernel:
         for k in (1, 2, 3):
             self.check(stored, queries, k)
 
-    def test_overflowed_expansion_falls_back(self, rng, fallbacks):
+    def test_overflowed_expansion_falls_back(self, rng, rescored):
         # The norms overflow (the expansion is inf - inf = NaN) while the
         # differences stay finite, so only the full scan finds the nearest row.
         stored = 2e154 + 1e150 * rng.permutation(np.arange(30.0))[:, None]
         with np.errstate(over="ignore", invalid="ignore"):
             self.check(stored, np.full((1, 1), 2e154), 1)
-        assert len(fallbacks) == 1
+        assert full_scans(rescored) == 1
 
     def test_integer_grid_ties(self, rng):
         stored = rng.integers(-3, 4, size=(200, 3)).astype(np.float64)
@@ -163,6 +171,108 @@ class TestKnnKernel:
         # 1e-160 underflows the squares; 1e155 overflows them and the expansion turns NaN.
         with np.errstate(over="ignore", invalid="ignore"):
             self.check(stored, queries, 1 + int(k_frac * (n - 1)))
+
+
+def merged_scan(stored, queries, k, cuts):
+    """knn_k_smallest over ``stored`` cut into pieces at ``cuts``, each piece merged with the last result."""
+    kd = None
+    bounds = [0, *sorted(cuts), len(stored)]
+    for lo, hi in zip(bounds, bounds[1:]):
+        kd = _kernels.knn_k_smallest(stored[lo:hi], queries, k, kd)
+    return kd
+
+
+def k_smallest_reference(stored, queries, k):
+    return np.stack([np.sort(((stored - q) ** 2).sum(axis=1))[:k] for q in queries])
+
+
+def working_set_mb(fn):
+    """Peak traced allocation of one call, in MB above what was live before it."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+class TestKnnPrior:
+    def check(self, stored, queries, k, cuts):
+        got = merged_scan(stored, queries, k, cuts)
+        assert got.tobytes() == _kernels.knn_k_smallest(stored, queries, k).tobytes()
+        assert got.tobytes() == k_smallest_reference(stored, queries, k).tobytes()
+
+    def test_matches_fresh_scan(self, rng):
+        stored = rng.normal(size=(90, 12))
+        queries = rng.normal(size=(25, 12))
+        for k in (1, 3, 7):
+            self.check(stored, queries, k, [30, 60])
+            self.check(stored, queries, k, [k, k, 40, 41, 42])  # an empty piece and pieces under k rows
+
+    def test_no_new_rows_returns_the_prior(self, rng):
+        stored, queries = rng.normal(size=(20, 4)), rng.normal(size=(6, 4))
+        prior = _kernels.knn_k_smallest(stored, queries, 3)
+        got = _kernels.knn_k_smallest(stored[:0], queries, 3, prior)
+        assert got.tobytes() == prior.tobytes() and got is not prior
+
+    def test_prior_under_k_rows(self, rng):
+        # A prior over 2 rows is widened by later pieces until it holds k distances.
+        stored, queries = rng.normal(size=(9, 5)), rng.normal(size=(8, 5))
+        assert _kernels.knn_k_smallest(stored[:2], queries, 4).shape == (8, 2)
+        self.check(stored, queries, 4, [2, 3])
+
+    def test_duplicate_rows(self, rng):
+        base = rng.normal(size=(20, 6))
+        stored = np.concatenate([base, base[:7], base, base[3:5]])
+        queries = np.concatenate([base[:6], rng.normal(size=(6, 6))])
+        for k in (1, 4, 7):
+            self.check(stored, queries, k, [20, 27, 47])
+
+    def test_large_offset_falls_back(self, rng, rescored):
+        # A common 1e6 offset makes the rounding bound far larger than the carried k-th
+        # distance, so no new pair can be left out and each is rescored.
+        stored = 1e6 + 1e-3 * rng.normal(size=(60, 16))
+        queries = 1e6 + 1e-3 * rng.normal(size=(7, 16))
+        prior = _kernels.knn_k_smallest(stored[:30], queries, 3)
+        rescored.clear()
+        got = _kernels.knn_k_smallest(stored[30:], queries, 3, prior)
+        assert full_scans(rescored) == 7
+        assert got.tobytes() == k_smallest_reference(stored, queries, 3).tobytes()
+
+    def test_working_set_at_continual_knn_shape(self, rng):
+        # Test windows, a step's new rows and the rows before them, as perfbench's continual-knn scores
+        # them. The bound is the docstring's: the expansion block and its partition copy, the masks,
+        # both rescoring gathers, and 1 MB for the pair indices, the merge rows and the result.
+        d, k = 816, 5
+        queries = rng.normal(0.0, 0.1, size=(267, d))
+        stored = rng.normal(0.0, 0.1, size=(714, d))
+        prior = _kernels.knn_k_smallest(stored[:194], queries, k)
+        for rows, prior_kd in ((stored[194:246], prior), (stored, None)):
+            block = len(queries) * len(rows)
+            bound = (2 * 8 * block + 2 * block + 2 * 8 * _kernels._RESCORE_ELEMENTS) / 2**20 + 1.0
+            peak = working_set_mb(lambda: _kernels.knn_k_smallest(rows, queries, k, prior_kd))
+            assert peak < bound, (len(rows), peak, bound)
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        n=st.integers(1, 40),
+        d=st.integers(1, 12),
+        m=st.integers(1, 10),
+        k=st.integers(1, 7),
+        cuts=st.lists(st.integers(0, 40), max_size=4),
+        scale=st.sampled_from([1e-160, 1e-3, 1.0, 1e8, 1e155]),
+        offset=st.sampled_from([0.0, 1e4, 1e6]),
+        grid=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_merge_property(self, n, d, m, k, cuts, scale, offset, grid, seed):
+        rng = np.random.default_rng(seed)
+        stored = offset + scale * rng.normal(size=(n, d))
+        queries = offset + scale * rng.normal(size=(m, d))
+        if grid:
+            stored, queries = np.round(stored), np.round(queries)
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.check(stored, queries, k, [c for c in cuts if c <= n])
 
 
 class TestIouKernel:

@@ -233,6 +233,18 @@ class TestVerify:
         with pytest.raises(ValidationError, match="test set does not hold exactly the test-tagged frames"):
             verify(cs)
 
+    def test_rejects_stream_missing_a_row(self):
+        # Dropping one normal from the largest slice keeps the slice sizes within one and the
+        # anomaly fraction under target, so only the row count sees the row placed nowhere.
+        cs = rearrange(build_split(), RearrangePlan(seed=15, inject_count=3))
+        largest = max(range(len(cs.slices)), key=lambda i: len(cs.slices[i]))
+        normal = np.flatnonzero(~cs.frames.anomalous[cs.slices[largest]])[0]
+        cs.slices[largest] = np.delete(cs.slices[largest], normal)
+        n = len(cs.frames)
+        message = f"invariant violated: stream and test set place {n - 1} of {n} rows"
+        with pytest.raises(ValidationError, match=message):
+            verify(cs)
+
     def test_rejects_unknown_tag_code(self):
         cs = rearrange(build_split(), RearrangePlan(seed=14, inject_count=3))
         row = cs.test_rows[0]

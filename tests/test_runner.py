@@ -1,4 +1,5 @@
 import json
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from posebench.errors import ValidationError
 from posebench.metrics import MetricReport
 from posebench.model import CameraDataset, SplitSet
-from posebench import runner
+from posebench import _kernels, runner
 from posebench.rearrange import ContinualSplit, RearrangePlan
 from posebench.runner import (
     ContinualResult,
@@ -21,6 +22,7 @@ from posebench.runner import (
     save_results,
     summarize_steps,
 )
+from posebench.scorers import KnnScorer
 from posebench.synthetic import generate_normals, generate_split
 from conftest import dataset, make_frame, make_obs
 
@@ -239,6 +241,54 @@ class TestRunContinual:
         cfg = RunConfig(mode="continual", seed=0, plan=RearrangePlan(seed=1, k=3))
         with pytest.raises(ValidationError, match=r"test leakage: frame \d+ \(tag 'test_(normal|anomaly)'\)"):
             run_continual(cfg, small_split(), generate_normals(300, seed=2))
+
+
+class TestContinualKnnScoring:
+    def cfg(self):
+        return RunConfig(
+            mode="continual", seed=0, scorer="knn", scorer_params={"k_nn": 3}, plan=RearrangePlan(seed=1, k=3)
+        )
+
+    def test_steps_scan_only_new_rows_and_match_fresh_scans(self, monkeypatch):
+        cfg = self.cfg()
+        score = KnnScorer.score_batch
+        monkeypatch.setattr(KnnScorer, "score_batch", lambda sc, batch, state=None: score(sc, batch))
+        fresh, _ = run_continual(cfg, small_split(), generate_normals(300, seed=2))
+        monkeypatch.setattr(KnnScorer, "score_batch", score)
+        scans = []
+        k_smallest = _kernels.knn_k_smallest
+
+        def spy(stored, queries, k, prior=None):
+            scans.append(prior is not None)
+            return k_smallest(stored, queries, k, prior)
+
+        monkeypatch.setattr(_kernels, "knn_k_smallest", spy)
+        incremental, _ = run_continual(cfg, small_split(), generate_normals(300, seed=2))
+        # The baseline and batch training scan a whole store; each of the 3 steps merges its new rows.
+        assert scans == [False, True, True, True, False]
+        assert result_to_dict(incremental) == result_to_dict(fresh)
+
+    def test_step_scorer_is_freed_before_batch_training(self, monkeypatch):
+        cfg = self.cfg()
+        made, states = [], []
+        make, state_class = runner.make_scorer, runner.ScoringState
+
+        def spy(*args, **kwargs):
+            if made:  # the batch-training scorer: the step scorer and its state are gone
+                assert made[0]() is None and states[0]() is None
+            scorer = make(*args, **kwargs)
+            made.append(weakref.ref(scorer))
+            return scorer
+
+        def tracked(batch):
+            state = state_class(batch)
+            states.append(weakref.ref(state))
+            return state
+
+        monkeypatch.setattr(runner, "make_scorer", spy)
+        monkeypatch.setattr(runner, "ScoringState", tracked)
+        run_continual(cfg, small_split(), generate_normals(300, seed=2))
+        assert len(made) == 2 and len(states) == 1
 
 
 class TestResultSerialization:

@@ -3,6 +3,7 @@ import dataclasses
 import json
 import re
 import tempfile
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -21,12 +22,13 @@ from posebench.runner import derive_seed
 from posebench.scorers import (
     GaussianScorer,
     KnnScorer,
+    ScoringState,
     kinematic_features,
     load_checkpoint,
     make_scorer,
     scorer_from_snapshot,
 )
-from posebench.synthetic import generate_split
+from posebench.synthetic import generate_normals, generate_split
 
 
 def feats(rng, n, length=24):
@@ -278,6 +280,150 @@ class TestSplitInvariance:
             else:
                 assert a == b
         np.testing.assert_array_equal(whole.score_batch(probe), split.score_batch(probe))
+
+
+class TestScoringState:
+    @settings(deadline=None, max_examples=60)
+    @given(
+        k=st.integers(1, 7),
+        extra=st.integers(0, 12),
+        pieces=st.lists(st.integers(0, 12), min_size=1, max_size=8),
+        offset=st.sampled_from([0.0, 1e6]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_incremental_equals_fresh_scan(self, k, extra, pieces, offset, seed):
+        # Pieces of 0 and of fewer than k windows; a capacity of k + extra replaces stored rows
+        # once the pieces outgrow it, and offset 1e6 makes every new pair a candidate.
+        rng = np.random.default_rng(seed)
+        sc = KnnScorer(k_nn=k, capacity=k + extra, seed=seed)
+        probe = window_batch(offset + feats(rng, 6, length=3))
+        state = ScoringState(probe)
+        for size in pieces:
+            sc.partial_fit(window_batch(offset + feats(rng, size, length=3)))
+            if sc.stored_count < k:
+                continue
+            got = sc.score_batch(probe, state)
+            assert state.rows == sc.stored_count
+            fresh = sc.score_batch(probe)
+            assert got.tobytes() == fresh.tobytes()
+            store = sc._store[: sc.stored_count]
+            assert got.tobytes() == _kernels.knn_mean_distance(store, state.queries, k).tobytes()
+
+    def test_steps_scan_only_new_rows(self, rng, monkeypatch):
+        scanned = []
+        k_smallest = _kernels.knn_k_smallest
+
+        def spy(stored, queries, k, prior=None):
+            scanned.append((len(stored), prior is not None))
+            return k_smallest(stored, queries, k, prior)
+
+        monkeypatch.setattr(_kernels, "knn_k_smallest", spy)
+        sc = KnnScorer(k_nn=3, capacity=100, seed=0)
+        sc.fit(windows(rng, 10, length=3))
+        probe = windows(rng, 4, length=3)
+        state = ScoringState(probe)
+        sc.score_batch(probe, state)
+        for n in (5, 0, 2):
+            sc.partial_fit(windows(rng, n, length=3))
+            sc.score_batch(probe, state)
+        assert scanned == [(10, False), (5, True), (0, True), (2, True)]
+
+    def test_refit_to_the_same_count_rescans(self, rng):
+        # A state keyed on the row count alone would keep the first fit's distances.
+        sc = KnnScorer(k_nn=2, seed=0)
+        probe = windows(rng, 5, length=3)
+        state = ScoringState(probe)
+        sc.fit(windows(rng, 12, length=3))
+        first = sc.score_batch(probe, state)
+        sc.fit(windows(rng, 12, length=3))
+        again = sc.score_batch(probe, state)
+        assert again.tobytes() == sc.score_batch(probe).tobytes() != first.tobytes()
+
+    def test_restore_rescans(self, rng):
+        sc = KnnScorer(k_nn=2, seed=0)
+        other = KnnScorer(k_nn=2, seed=0)
+        sc.fit(windows(rng, 12, length=3))
+        other.fit(windows(rng, 12, length=3))
+        probe = windows(rng, 5, length=3)
+        state = ScoringState(probe)
+        sc.score_batch(probe, state)
+        sc.restore(other.snapshot())
+        assert sc.score_batch(probe, state).tobytes() == other.score_batch(probe).tobytes()
+
+    def test_replacement_rescans(self, rng):
+        sc = KnnScorer(k_nn=2, capacity=8, seed=0)
+        sc.fit(windows(rng, 8, length=3))
+        probe = windows(rng, 5, length=3)
+        state = ScoringState(probe)
+        sc.score_batch(probe, state)
+        generation = state.generation
+        sc.partial_fit(windows(rng, 20, length=3))  # the store stays at 8 rows, some replaced
+        assert sc.stored_count == state.rows == 8
+        assert sc.score_batch(probe, state).tobytes() == sc.score_batch(probe).tobytes()
+        assert state.generation is not generation
+
+    def test_state_of_another_batch_is_refused(self, rng):
+        sc = KnnScorer(k_nn=2, seed=0)
+        sc.fit(windows(rng, 12, length=3))
+        state = ScoringState(windows(rng, 5, length=3))
+        with pytest.raises(ValidationError, match="another window batch"):
+            sc.score_batch(windows(rng, 5, length=3), state)
+
+    def test_gaussian_ignores_the_state(self, rng):
+        sc = GaussianScorer()
+        sc.fit(windows(rng, 20))
+        probe = windows(rng, 4)
+        state = ScoringState(probe)
+        assert sc.score_batch(probe, state).tobytes() == sc.score_batch(probe).tobytes()
+        assert (state.queries, state.kd, state.rows) == (None, None, 0)
+
+
+def _overlapping_store(windows_held):
+    """A knn scorer holding the first ``windows_held`` windows (length 24, stride 6) of one recording."""
+    batch = extract_windows(generate_normals(3 * windows_held + 100, seed=0).frames)
+    n = windows_held
+    sc = KnnScorer(capacity=n)
+    sc.fit(WindowBatch(batch.poses, batch.rows[:n], batch.track_id[:n], batch.start_frame[:n], batch.length))
+    assert sc.stored_count == n
+    return sc
+
+
+class TestRestoreCopies:
+    def test_load_checkpoint_holds_the_store_about_once(self, tmp_path):
+        # Loading builds the store from the distinct rows and the index and hands it to the scorer.
+        # The rows (about a quarter of the store at stride 6 of 24) and the index are live while
+        # the store is built, which sets the peak; a second copy of the store would add 1.0.
+        sc = _overlapping_store(714)
+        path = tmp_path / "knn.ckpt"
+        sc.save_checkpoint(path)
+        store_mb = sc.snapshot()["store"].nbytes / 2**20
+        tracemalloc.start()
+        try:
+            back = load_checkpoint(path)
+            peak_mb = tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+        assert peak_mb < 1.35 * store_mb, (peak_mb, store_mb)
+        assert back.snapshot()["store"].tobytes() == sc.snapshot()["store"].tobytes()
+
+    def test_a_held_snapshot_is_never_aliased(self, rng):
+        sc = KnnScorer(k_nn=2, seed=0)
+        sc.fit(windows(rng, 12, length=3))
+        snap = sc.snapshot()
+        probe = windows(rng, 3, length=3)
+        want = sc.score_batch(probe).tobytes()
+        clone = scorer_from_snapshot(snap)
+        restored = KnnScorer(k_nn=2, seed=0)
+        restored.restore(snap)
+        snap["store"][:] = 0.0
+        for scorer in (clone, restored):
+            assert not np.shares_memory(scorer._store, snap["store"])
+            assert scorer.score_batch(probe).tobytes() == want
+
+    def test_copy_false_keeps_the_array(self, rng):
+        snap = KnnScorer(k_nn=2, seed=0).snapshot()
+        snap.update(store=rng.normal(size=(6, 3 * 34)), seen=6)
+        assert scorer_from_snapshot(snap, copy=False)._store is snap["store"]
 
 
 class TestCheckpoints:
