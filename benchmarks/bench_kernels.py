@@ -15,11 +15,15 @@ the 267 test windows of perfbench's ``continual-knn`` at its first step: once
 incrementally (the 52 rows the step added, merged with the distances over the
 194 rows before it) and once as a fresh scan of all 246 rows, each with the
 peak MB its call allocates (``tracemalloc``). The ``synthetic.generate_split``
-row builds the split of perfbench's ``standard-gaussian-large`` workload, the
-set-up layer behind its ``setup_s``. The ``scorers.save_checkpoint`` and
+and ``io.write_frames`` rows are the two layers of the ``setup_s`` of
+perfbench's ``standard-gaussian-large``: building its split, and writing its
+6000-frame train table as JSONL. The ``scorers.save_checkpoint`` and
 ``scorers.load_checkpoint`` rows write and read a knn checkpoint of the
 store that perfbench's ``continual-knn`` holds at its last step (714
-overlapping windows of length 24, stride 6) and print the MB written.
+overlapping windows of length 24, stride 6) and print the MB written; the
+single save is a fresh scorer's first, which builds the distinct-row table
+of the whole store. The ``9 saves`` row times the saves of ``continual-knn``'s
+steps, each after its slice of windows joins the store.
 """
 
 from __future__ import annotations
@@ -34,21 +38,22 @@ import tracemalloc
 import numpy as np
 
 from posebench import _kernels, stats
-from posebench.io import read_frames, write_dataset
+from posebench.io import read_frames, write_dataset, write_frames
 from posebench.preprocess import WindowBatch, extract_windows
 from posebench.rearrange import RearrangePlan, rearrange, verify
 from posebench.runner import derive_seed
-from posebench.scorers import KnnScorer, kinematic_features, load_checkpoint
+from posebench.scorers import KnnScorer, kinematic_features, load_checkpoint, scorer_from_snapshot
 from posebench.synthetic import generate_normals, generate_split
 
 
+def _timed(fn, *args) -> float:
+    t0 = time.perf_counter()
+    fn(*args)
+    return time.perf_counter() - t0
+
+
 def _best_of(fn, repeat: int) -> float:
-    best = float("inf")
-    for _ in range(repeat):
-        t0 = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - t0)
-    return best
+    return min(_timed(fn) for _ in range(repeat))
 
 
 def bench_welford(rng, repeat: int):
@@ -137,27 +142,53 @@ def bench_continual_split(seed: int, repeat: int):
     ]
 
 
-def bench_generate_split(seed: int, repeat: int):
-    # The README standard quick-start at 2x, as perfbench's standard-gaussian-large synthesizes it.
-    seconds = _best_of(lambda: generate_split(6000, 4000, 1000, seed=seed), repeat)
-    return [("synthetic.generate_split", "6000/4000/1000", seconds)]
+def bench_synth(seed: int, repeat: int):
+    # The two layers of standard-gaussian-large's setup_s: generating the README standard quick-start
+    # at 2x, and writing its 6000-frame train table as JSONL.
+    generate = functools.partial(generate_split, 6000, 4000, 1000, seed=seed)
+    frames = generate().train.frames
+    with tempfile.TemporaryDirectory() as tmp:
+        write = functools.partial(write_frames, frames, os.path.join(tmp, "train.jsonl"))
+        return [
+            ("synthetic.generate_split", "6000/4000/1000", _best_of(generate, repeat)),
+            ("io.write_frames", f"frames={len(frames)}", _best_of(write, repeat)),
+        ]
+
+
+def _windows(batch, lo: int, hi: int) -> WindowBatch:
+    return WindowBatch(batch.poses, batch.rows[lo:hi], batch.track_id[lo:hi], batch.start_frame[lo:hi], batch.length)
+
+
+def _nine_saves(batch, path) -> float:
+    # continual-knn's steps: 194 windows after pretraining, then nine slices, each followed by a save.
+    bounds = np.linspace(194, 714, 10).round().astype(int)
+    scorer = KnnScorer()
+    scorer.fit(_windows(batch, 0, bounds[0]))
+    seconds = 0.0
+    for lo, hi in zip(bounds, bounds[1:]):
+        scorer.partial_fit(_windows(batch, lo, hi))
+        seconds += _timed(scorer.save_checkpoint, path)
+    return seconds
 
 
 def bench_checkpoint(seed: int, repeat: int):
     # The step-9 store of continual-knn: 714 windows of length 24 at stride 6, sharing rows by overlap.
-    ds = generate_normals(2200, seed=seed)
-    batch = extract_windows(ds.frames)
+    # A single save is the first of a fresh scorer, so it builds the distinct-row table of the whole store.
+    batch = extract_windows(generate_normals(2200, seed=seed).frames)
     n = 714
     scorer = KnnScorer()
-    scorer.fit(WindowBatch(batch.poses, batch.rows[:n], batch.track_id[:n], batch.start_frame[:n], batch.length))
+    scorer.fit(_windows(batch, 0, n))
+    snap = scorer.snapshot()
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "step.ckpt")
-        save = _best_of(lambda: scorer.save_checkpoint(path), repeat)
+        save = min(_timed(scorer_from_snapshot(snap).save_checkpoint, path) for _ in range(repeat))
         load = _best_of(lambda: load_checkpoint(path), repeat)
         written = f"{os.path.getsize(path) / 1e6:.2f} MB"
+        steps = min(_nine_saves(batch, path) for _ in range(repeat))
     return [
         ("scorers.save_checkpoint", f"windows={n}", save, written),
         ("scorers.load_checkpoint", f"windows={n}", load, written),
+        ("scorers.save_checkpoint", f"9 saves to {n}", steps),
     ]
 
 
@@ -175,7 +206,7 @@ def main() -> int:
     rows += bench_iou(rng, args.repeat)
     rows += bench_read_frames(args.seed, args.repeat)
     rows += bench_continual_split(args.seed, args.repeat)
-    rows += bench_generate_split(args.seed, args.repeat)
+    rows += bench_synth(args.seed, args.repeat)
     rows += bench_checkpoint(args.seed, args.repeat)
 
     print(f"{'kernel':<26} {'size':<14} {'best (ms)':>10}")

@@ -221,9 +221,23 @@ def _cmd_synth(args) -> int:
         anomaly_boost=args.boost,
         pose_variant=args.pose_variant,
     )
+    datasets = {"train": split.train, "test": split.test}
+    if args.origin_normal:
+        try:
+            datasets["origin"] = generate_normals(
+                args.origin_normal,
+                seed=derive_seed(args.seed, "synth-origin"),
+                camera_id=f"{args.camera}-origin",
+                persons=args.persons,
+                step_sigma=args.origin_step_sigma,
+                jitter_sigma=args.origin_jitter_sigma,
+                pose_variant=args.origin_variant,
+            )
+        except ValidationError as exc:
+            raise ValidationError(f"origin dataset: {exc}") from None
     os.makedirs(args.out, exist_ok=True)
-    write_dataset(split.train, os.path.join(args.out, "train.jsonl"))
-    write_dataset(split.test, os.path.join(args.out, "test.jsonl"))
+    for name, dataset in datasets.items():
+        write_dataset(dataset, os.path.join(args.out, f"{name}.jsonl"))
     params = {
         "train_normal": args.train_normal,
         "test_normal": args.test_normal,
@@ -239,17 +253,6 @@ def _cmd_synth(args) -> int:
         "origin_step_sigma": args.origin_step_sigma,
         "origin_jitter_sigma": args.origin_jitter_sigma,
     }
-    if args.origin_normal:
-        origin = generate_normals(
-            args.origin_normal,
-            seed=derive_seed(args.seed, "synth-origin"),
-            camera_id=f"{args.camera}-origin",
-            persons=args.persons,
-            step_sigma=args.origin_step_sigma,
-            jitter_sigma=args.origin_jitter_sigma,
-            pose_variant=args.origin_variant,
-        )
-        write_dataset(origin, os.path.join(args.out, "origin.jsonl"))
     _write_manifest(args.out, "synth", args.seed, _params_hash(params))
     print(f"wrote synthetic datasets to {args.out}", file=sys.stderr)
     return 0

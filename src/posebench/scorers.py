@@ -110,7 +110,14 @@ class AnomalyScorer:
         raise NotImplementedError
 
     def save_checkpoint(self, path):
-        _write_checkpoint(self.snapshot(), path)
+        """Write a versioned .ckpt file: an npz container of a JSON ``meta`` member and the arrays.
+
+        Each kind's ``_checkpoint()`` gives its meta fields after format, version and kind, and its arrays.
+        """
+        fields, arrays = self._checkpoint()
+        meta = {"format": "posebench-checkpoint", "version": CHECKPOINT_VERSION, "kind": self.kind, **fields}
+        with open(path, "wb") as fh:
+            np.savez(fh, meta=np.array(json.dumps(meta)), **arrays)
 
 
 class GaussianScorer(AnomalyScorer):
@@ -198,6 +205,10 @@ class GaussianScorer(AnomalyScorer):
         if self._mean is not None and not (np.isfinite(self._mean).all() and np.isfinite(self._m2).all()):
             raise ValidationError("gaussian mean and m2 must be finite")
 
+    def _checkpoint(self):
+        arrays = {} if self._mean is None else {"mean": self._mean, "m2": self._m2}
+        return {"params": {"variance_floor": self.variance_floor}, "count": self._count}, arrays
+
 
 class KnnScorer(AnomalyScorer):
     """Seeded reservoir of flattened windows, scored by mean distance to the k nearest.
@@ -208,7 +219,9 @@ class KnnScorer(AnomalyScorer):
     byte given the same window order. The store's rows grow by doubling up
     to capacity, so memory follows the windows held, not the capacity.
     Scoring through a ``ScoringState`` merges the distances it carries with a
-    scan of the rows added since, which equals a fresh scan bit for bit.
+    scan of the rows added since, which equals a fresh scan bit for bit. Each
+    generation of the store is a ``_RowTable`` of its distinct pose rows, so a
+    checkpoint save hashes only the rows added since the generation's last save.
     """
 
     kind = "knn"
@@ -227,7 +240,7 @@ class KnnScorer(AnomalyScorer):
         self._store = None
         self._stored = 0
         self._seen = 0
-        self._generation = object()  # a new token whenever stored rows change other than by appending
+        self._generation = _RowTable()  # a new generation whenever stored rows change other than by appending
 
     def partial_fit(self, batch: WindowBatch):
         if not len(batch):
@@ -251,7 +264,7 @@ class KnnScorer(AnomalyScorer):
                 j = int(self._rng.integers(0, self._seen))
                 if j < self.capacity:
                     self._store[j] = vec
-                    self._generation = object()
+                    self._generation = _RowTable()
 
     def score_batch(self, batch: WindowBatch, state: ScoringState | None = None) -> np.ndarray:
         if self._stored < self.k_nn:
@@ -295,7 +308,7 @@ class KnnScorer(AnomalyScorer):
     def restore(self, state: dict, copy: bool = True):
         if state.get("kind") != self.kind:
             raise ValidationError(f"cannot restore {state.get('kind')!r} state into a {self.kind} scorer")
-        self._generation = object()
+        self._generation = _RowTable()
         params = state["params"]
         self.k_nn = int(params["k_nn"])
         self.capacity = int(params["capacity"])
@@ -317,6 +330,14 @@ class KnnScorer(AnomalyScorer):
             raise ValidationError(f"knn seen {self._seen} must count at least the {self._stored} stored rows")
         self._rng = np.random.default_rng()
         self._rng.bit_generator.state = deepcopy(state["rng_state"])
+
+    def _checkpoint(self):
+        fields = {"params": {"k_nn": self.k_nn, "capacity": self.capacity, "seed": self.seed}, "seen": self._seen}
+        fields["rng_state"] = self._rng.bit_generator.state
+        if self._store is None:
+            return fields, {}
+        rows, index = self._generation.update(self._store[: self._stored])
+        return fields, {"rows": rows, "index": index}
 
 
 def make_scorer(kind: str, seed: int = 0, params: dict | None = None) -> AnomalyScorer:
@@ -360,47 +381,42 @@ def _row_keys(bits: np.ndarray) -> np.ndarray:
     return key
 
 
-def _distinct_rows(store: np.ndarray):
-    """A store's distinct rows in first-occurrence order, and the index with ``rows[index]`` the store.
+class _RowTable:
+    """The distinct pose rows of a store that only appends, kept from one checkpoint save to the next.
 
-    Rows group by key and are compared bit for bit with their group's first row, a block of rows at
-    a time (no second copy of the store); a row whose key collides but whose bits differ is its own row.
+    Rows group by key, and each row is compared bit for bit with its group's first row, a block of
+    rows at a time; a row whose key collides but whose bits differ is written on its own. ``update``
+    hashes and compares only the rows added since its last call. Each call replaces the arrays
+    with new ones, so a new table starts from the shared empty class-level arrays.
     """
-    row, block = _row_width(store.shape[1]), 8192
-    bits = np.ascontiguousarray(store, dtype=np.float64).view(np.uint64).reshape(-1, row)
-    _, first, inverse = np.unique(_row_keys(bits), return_index=True, return_inverse=True)
-    rep = first[inverse]
-    for a in range(0, len(rep), block):
-        differ = a + np.flatnonzero((bits[a : a + block] != bits[rep[a : a + block]]).any(axis=1))
-        rep[differ] = differ
-    keep = np.flatnonzero(rep == np.arange(len(rep)))
-    position = np.zeros(len(rep), dtype=np.int32 if len(keep) < 2**31 else np.int64)
-    position[keep] = np.arange(len(keep))
-    return bits[keep].view(np.float64), position[rep].reshape(store.shape[0], store.shape[1] // row)
 
+    keys = np.empty(0, dtype=np.uint64)  # each key seen, ascending
+    first = kept = index = np.empty(0, dtype=np.int64)  # each key's first row; rows written; each row's position
 
-def _write_checkpoint(state: dict, path):
-    meta = {
-        "format": "posebench-checkpoint",
-        "version": CHECKPOINT_VERSION,
-        "kind": state["kind"],
-        "params": state["params"],
-    }
-    arrays = {}
-    if state["kind"] == "gaussian":
-        meta["count"] = int(state["count"])
-        if state["mean"] is not None:
-            arrays["mean"] = state["mean"]
-            arrays["m2"] = state["m2"]
-    elif state["kind"] == "knn":
-        meta["seen"] = int(state["seen"])
-        meta["rng_state"] = state["rng_state"]
-        if state["store"] is not None:
-            arrays["rows"], arrays["index"] = _distinct_rows(state["store"])
-    else:
-        raise ValidationError(f"unknown scorer kind {state['kind']!r}")
-    with open(path, "wb") as fh:
-        np.savez(fh, meta=np.array(json.dumps(meta)), **arrays)
+    def update(self, store: np.ndarray):
+        """``store``'s distinct rows in first-occurrence order, and the index with ``rows[index]`` the store."""
+        row, block, start = _row_width(store.shape[1]), 8192, len(self.index)
+        bits = np.ascontiguousarray(store, dtype=np.float64).view(np.uint64).reshape(-1, row)
+        keys = _row_keys(bits[start:])
+        at = np.searchsorted(self.keys, keys)
+        known = at < len(self.keys)
+        known[known] = self.keys[at[known]] == keys[known]
+        fresh = start + np.flatnonzero(~known)
+        fresh_keys, first, inverse = np.unique(keys[~known], return_index=True, return_inverse=True)
+        rep = np.empty(len(keys), dtype=np.int64)
+        rep[known], rep[~known] = self.first[at[known]], fresh[first][inverse]
+        for a in range(0, len(rep), block):
+            differ = a + np.flatnonzero((bits[start + a : start + a + block] != bits[rep[a : a + block]]).any(axis=1))
+            rep[differ] = start + differ
+        own = start + np.flatnonzero(rep == start + np.arange(len(rep)))
+        at = np.searchsorted(self.keys, fresh_keys)
+        self.keys, self.first = np.insert(self.keys, at, fresh_keys), np.insert(self.first, at, fresh[first])
+        self.index = np.concatenate([self.index, np.empty(len(rep), dtype=np.int64)])
+        self.index[own] = len(self.kept) + np.arange(len(own))
+        self.index[start:] = self.index[rep]  # a row's representative is a written row
+        self.kept = np.concatenate([self.kept, own])
+        index = self.index.astype(np.int32 if len(self.kept) < 2**31 else np.int64)
+        return bits[self.kept].view(np.float64), index.reshape(store.shape[0], store.shape[1] // row)
 
 
 # Fields each kind's checkpoint meta must carry, with their decoded JSON types.

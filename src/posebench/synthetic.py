@@ -16,6 +16,8 @@ give byte-identical datasets.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import ValidationError
@@ -67,41 +69,45 @@ def _template(variant: str) -> np.ndarray:
     return t * (_HEIGHT / 2.0)
 
 
-def _clamp_pos(pos: np.ndarray) -> np.ndarray:
-    pos[0] = min(max(pos[0], _MARGIN), CANVAS[0] - _MARGIN)
-    pos[1] = min(max(pos[1], _MARGIN), CANVAS[1] - _MARGIN)
-    return pos
+def _keypoints(centers, template, noise, vis) -> np.ndarray:
+    """(..., 17, 3) keypoints: template points at ``centers`` plus ``noise``, clipped to the canvas, then ``vis``."""
+    out = np.empty(vis.shape + (3,))
+    np.clip(centers[..., None, :] + template + noise, 0.5, (CANVAS[0] - 0.5, CANVAS[1] - 0.5), out=out[..., :2])
+    out[..., 2] = vis
+    return out
 
 
-def _keypoints(rng, pts: np.ndarray) -> np.ndarray:
-    """(17, 3) keypoints of template points: coordinates clipped to the canvas, drawn visibilities."""
-    x = np.clip(pts[:, 0], 0.5, CANVAS[0] - 0.5)
-    y = np.clip(pts[:, 1], 0.5, CANVAS[1] - 0.5)
-    vis = rng.uniform(0.3, 1.0, size=pts.shape[0])
-    return np.column_stack((x, y, vis))
+def _move(rng, count, tracks, template, step_sigma, jitter_sigma, decay=0.85) -> np.ndarray:
+    """(count, tracks, 17, 3) keypoints of ``tracks`` people stepped together for ``count`` frames.
+
+    Each starts at a uniform canvas point with a drawn velocity (at rest, with no draw, when
+    ``decay`` is 0). Each frame, track by track, draws the joint jitter, the visibilities and the
+    velocity noise, sets velocity = decay * velocity + noise and moves the center by it, clamped
+    to the margins. Only these draws and the recurrence on Python floats run per frame.
+    """
+    x_hi, y_hi = CANVAS[0] - _MARGIN, CANVAS[1] - _MARGIN
+    state = []
+    for _ in range(tracks):
+        x, y = rng.uniform(_MARGIN, x_hi), rng.uniform(_MARGIN, y_hi)
+        vx, vy = rng.normal(0.0, step_sigma, 2).tolist() if decay else (0.0, 0.0)
+        state.append([x, y, vx, vy])
+    centers, noise, vis = [], [], []
+    for _ in range(count):
+        for s in state:
+            noise.append(rng.normal(0.0, jitter_sigma, template.shape))
+            vis.append(rng.uniform(0.3, 1.0, KEYPOINT_COUNT))
+            nx, ny = rng.normal(0.0, step_sigma, 2).tolist()
+            x, y, vx, vy = s
+            centers.append((x, y))
+            vx, vy = decay * vx + nx, decay * vy + ny
+            s[:] = min(max(x + vx, _MARGIN), x_hi), min(max(y + vy, _MARGIN), y_hi), vx, vy
+    return _keypoints(np.array(centers), template, np.array(noise), np.array(vis)).reshape(count, tracks, -1, 3)
 
 
-class _Walker:
-    """A background person: momentum random walk with jittered template pose."""
-
-    def __init__(self, rng, template, step_sigma, jitter_sigma):
-        self.template = template
-        self.step_sigma = step_sigma
-        self.jitter_sigma = jitter_sigma
-        self.pos = np.array(
-            [
-                rng.uniform(_MARGIN, CANVAS[0] - _MARGIN),
-                rng.uniform(_MARGIN, CANVAS[1] - _MARGIN),
-            ]
-        )
-        self.vel = rng.normal(0.0, step_sigma, size=2)
-
-    def step(self, rng) -> np.ndarray:
-        pts = self.pos[None, :] + self.template + rng.normal(0.0, self.jitter_sigma, size=self.template.shape)
-        kps = _keypoints(rng, pts)
-        self.vel = 0.85 * self.vel + rng.normal(0.0, self.step_sigma, size=2)
-        self.pos = _clamp_pos(self.pos + self.vel)
-        return kps
+def _check_sigmas(**sigmas):
+    for name, value in sigmas.items():
+        if not 0 <= value < math.inf:
+            raise ValidationError(f"{name} must be a finite number >= 0, got {value}")
 
 
 def _anomaly_segment_lengths(total: int, nominal: int) -> list[int]:
@@ -110,49 +116,22 @@ def _anomaly_segment_lengths(total: int, nominal: int) -> list[int]:
     return [base + 1] * rem + [base] * (n_seg - rem)
 
 
-def _anomaly_keypoints(rng, kind, length, template, step_sigma, jitter_sigma, boost):
-    """Per-frame (17, 3) keypoints of one anomaly track over its segment."""
-    center = np.array(
-        [
-            rng.uniform(_MARGIN, CANVAS[0] - _MARGIN),
-            rng.uniform(_MARGIN, CANVAS[1] - _MARGIN),
-        ]
-    )
-    out = []
-    if kind == "velocity":
+def _anomaly_keypoints(rng, kind, length, template, step_sigma, jitter_sigma, boost) -> np.ndarray:
+    """(length, 17, 3) keypoints of one anomaly track over its segment."""
+    if kind == "velocity":  # no momentum: each frame's step is fresh noise
         spike = boost * (step_sigma + jitter_sigma)
-        for _ in range(length):
-            pts = center[None, :] + template + rng.normal(0.0, spike, size=template.shape)
-            out.append(_keypoints(rng, pts))
-            center = _clamp_pos(center + rng.normal(0.0, spike, size=2))
-    elif kind == "frozen":
-        pts = center[None, :] + template + rng.normal(0.0, jitter_sigma, size=template.shape)
-        for _ in range(length):
-            out.append(_keypoints(rng, pts))
-    elif kind == "limb_collapse":
-        folded = template.copy()
-        folded[:, 0] *= 0.05
-        walker_vel = rng.normal(0.0, step_sigma, size=2)
-        for _ in range(length):
-            pts = center[None, :] + folded + rng.normal(0.0, jitter_sigma, size=folded.shape)
-            out.append(_keypoints(rng, pts))
-            walker_vel = 0.85 * walker_vel + rng.normal(0.0, step_sigma, size=2)
-            center = _clamp_pos(center + walker_vel)
-    else:
-        raise ValidationError(f"unknown anomaly kind {kind!r}, expected one of {ANOMALY_KINDS}")
-    return out
-
-
-def _walk(rng, count, persons, template, step_sigma, jitter_sigma) -> np.ndarray:
-    """(count, persons, 17, 3) keypoints of ``persons`` walkers stepped together for ``count`` frames."""
-    walkers = [_Walker(rng, template, step_sigma, jitter_sigma) for _ in range(persons)]
-    return np.array([[w.step(rng) for w in walkers] for _ in range(count)])
+        return _move(rng, length, 1, template, spike, spike, decay=0.0)[:, 0]
+    if kind == "limb_collapse":
+        return _move(rng, length, 1, template * (0.05, 1.0), step_sigma, jitter_sigma)[:, 0]
+    center = np.array([rng.uniform(_MARGIN, CANVAS[0] - _MARGIN), rng.uniform(_MARGIN, CANVAS[1] - _MARGIN)])
+    noise = rng.normal(0.0, jitter_sigma, size=template.shape)  # frozen: one pose for the whole segment
+    return _keypoints(center, template, noise, rng.uniform(0.3, 1.0, size=(length, KEYPOINT_COUNT)))
 
 
 def _timeline(camera_id, start, walked, track_base, anomalies=((), (), ())) -> CameraDataset:
     """Frames ``start, start + 1, ...``: walker ``p`` as track ``track_base + p`` in each frame.
 
-    ``anomalies`` = (frame offsets, track ids, keypoints), in frame order, adds
+    ``anomalies`` = (frame offsets, track ids, (n, 17, 3) keypoint arrays), in frame order, adds
     one person after the walkers of its frame, which it labels anomalous with
     the person's box as the anomaly region. Boxes pad the keypoints by _PAD,
     floored at 0.
@@ -162,8 +141,7 @@ def _timeline(camera_id, start, walked, track_base, anomalies=((), (), ())) -> C
     walker_rows = np.repeat(np.arange(count), persons)
     frame_row = np.concatenate([walker_rows, np.array(offsets, dtype=np.int64)])
     track_id = np.concatenate([np.tile(track_base + np.arange(persons), count), np.array(tracks, np.int64)])
-    shape = (-1, KEYPOINT_COUNT, 3)
-    keypoints = np.concatenate([walked.reshape(shape), np.reshape(extra, shape)])
+    keypoints = np.concatenate([walked.reshape(-1, KEYPOINT_COUNT, 3), *extra])
     lo, hi = keypoints[:, :, :2].min(axis=1), keypoints[:, :, :2].max(axis=1)
     bbox = np.concatenate([np.maximum(lo - _PAD, 0.0), hi + _PAD], axis=1)
     anomalous = np.zeros(count, dtype=bool)
@@ -204,9 +182,10 @@ def generate_normals(
     if start_index < 0 or start_index + n_frames > 2**63:  # frame indices are int64
         bad = start_index if start_index < 0 else max(start_index, 2**63)
         raise ValidationError(f"frame_index must be a non-negative 64-bit integer, got {bad}")
+    _check_sigmas(step_sigma=step_sigma, jitter_sigma=jitter_sigma)
     rng = np.random.default_rng(seed)
     template = _template(pose_variant)
-    walked = _walk(rng, n_frames, persons, template, step_sigma, jitter_sigma)
+    walked = _move(rng, n_frames, persons, template, step_sigma, jitter_sigma)
     return _timeline(camera_id, start_index, walked, 0)
 
 
@@ -240,8 +219,9 @@ def generate_split(
         raise ValidationError(f"persons must be >= 1, got {persons}")
     if segment_length < 1:
         raise ValidationError(f"segment_length must be >= 1, got {segment_length}")
-    if anomaly_boost <= 0:
-        raise ValidationError(f"anomaly_boost must be positive, got {anomaly_boost}")
+    if not 0 < anomaly_boost < math.inf:
+        raise ValidationError(f"anomaly_boost must be a positive finite number, got {anomaly_boost}")
+    _check_sigmas(step_sigma=step_sigma, jitter_sigma=jitter_sigma)
     kinds = tuple(anomaly_kinds)
     if not kinds:
         raise ValidationError("anomaly_kinds must not be empty")
@@ -252,7 +232,7 @@ def generate_split(
     rng = np.random.default_rng(seed)
     template = _template(pose_variant)
 
-    train = _timeline(camera_id, 0, _walk(rng, train_normal, persons, template, step_sigma, jitter_sigma), 0)
+    train = _timeline(camera_id, 0, _move(rng, train_normal, persons, template, step_sigma, jitter_sigma), 0)
 
     test_total = test_normal + test_anomaly
     seg_lengths = _anomaly_segment_lengths(test_anomaly, segment_length)
@@ -274,10 +254,10 @@ def generate_split(
     offsets, tracks, keypoints = [], [], []
     for s, (seg_start, seg_len) in enumerate(segments):
         kind = kinds[s % len(kinds)]
-        keypoints += _anomaly_keypoints(rng, kind, seg_len, template, step_sigma, jitter_sigma, anomaly_boost)
+        keypoints.append(_anomaly_keypoints(rng, kind, seg_len, template, step_sigma, jitter_sigma, anomaly_boost))
         offsets += range(seg_start, seg_start + seg_len)
         tracks += [ANOMALY_TRACK_BASE + s] * seg_len
 
-    walked = _walk(rng, test_total, persons, template, step_sigma, jitter_sigma)
+    walked = _move(rng, test_total, persons, template, step_sigma, jitter_sigma)
     test = _timeline(camera_id, train_normal, walked, persons, (offsets, tracks, keypoints))
     return SplitSet(train=train, test=test)

@@ -1,8 +1,9 @@
 """Independent reference implementations used to check the fast library code.
 
 Everything here is written for clarity over speed: exhaustive threshold
-enumeration, pairwise counting and per-index scans. None of it imports from
-posebench, so an error in the library cannot leak into its own oracle.
+enumeration, pairwise counting, per-index scans and a per-step synthetic
+generator. None of it imports from posebench, so an error in the library
+cannot leak into its own oracle.
 """
 
 from __future__ import annotations
@@ -248,3 +249,129 @@ def random_series(rng, n_max=50):
     if labels.sum() == n:
         labels[int(rng.integers(0, n))] = 0
     return scores, labels
+
+
+# The synthetic generator written per step: one walker object per person, and the
+# draws, the clip and the (17, 3) stack once per person and frame. Only the pose
+# template comes from the caller.
+SYNTH_CANVAS = (1280.0, 720.0)
+SYNTH_MARGIN = 170.0
+
+
+def _synth_start(rng):
+    return np.array(
+        [
+            rng.uniform(SYNTH_MARGIN, SYNTH_CANVAS[0] - SYNTH_MARGIN),
+            rng.uniform(SYNTH_MARGIN, SYNTH_CANVAS[1] - SYNTH_MARGIN),
+        ]
+    )
+
+
+def _synth_clamp(pos):
+    pos[0] = min(max(pos[0], SYNTH_MARGIN), SYNTH_CANVAS[0] - SYNTH_MARGIN)
+    pos[1] = min(max(pos[1], SYNTH_MARGIN), SYNTH_CANVAS[1] - SYNTH_MARGIN)
+    return pos
+
+
+def _synth_keypoints(rng, pts):
+    x = np.clip(pts[:, 0], 0.5, SYNTH_CANVAS[0] - 0.5)
+    y = np.clip(pts[:, 1], 0.5, SYNTH_CANVAS[1] - 0.5)
+    vis = rng.uniform(0.3, 1.0, size=pts.shape[0])
+    return np.column_stack((x, y, vis))
+
+
+class _SynthWalker:
+    def __init__(self, rng, template, step_sigma, jitter_sigma):
+        self.template = template
+        self.step_sigma = step_sigma
+        self.jitter_sigma = jitter_sigma
+        self.pos = _synth_start(rng)
+        self.vel = rng.normal(0.0, step_sigma, size=2)
+
+    def step(self, rng):
+        pts = self.pos[None, :] + self.template + rng.normal(0.0, self.jitter_sigma, size=self.template.shape)
+        kps = _synth_keypoints(rng, pts)
+        self.vel = 0.85 * self.vel + rng.normal(0.0, self.step_sigma, size=2)
+        self.pos = _synth_clamp(self.pos + self.vel)
+        return kps
+
+
+def _synth_anomaly(rng, kind, length, template, step_sigma, jitter_sigma, boost):
+    center = _synth_start(rng)
+    out = []
+    if kind == "velocity":
+        spike = boost * (step_sigma + jitter_sigma)
+        for _ in range(length):
+            pts = center[None, :] + template + rng.normal(0.0, spike, size=template.shape)
+            out.append(_synth_keypoints(rng, pts))
+            center = _synth_clamp(center + rng.normal(0.0, spike, size=2))
+    elif kind == "frozen":
+        pts = center[None, :] + template + rng.normal(0.0, jitter_sigma, size=template.shape)
+        for _ in range(length):
+            out.append(_synth_keypoints(rng, pts))
+    else:  # limb_collapse
+        folded = template.copy()
+        folded[:, 0] *= 0.05
+        vel = rng.normal(0.0, step_sigma, size=2)
+        for _ in range(length):
+            pts = center[None, :] + folded + rng.normal(0.0, jitter_sigma, size=folded.shape)
+            out.append(_synth_keypoints(rng, pts))
+            vel = 0.85 * vel + rng.normal(0.0, step_sigma, size=2)
+            center = _synth_clamp(center + vel)
+    return out
+
+
+def _synth_walk(rng, count, persons, template, step_sigma, jitter_sigma):
+    walkers = [_SynthWalker(rng, template, step_sigma, jitter_sigma) for _ in range(persons)]
+    return [[w.step(rng) for w in walkers] for _ in range(count)]
+
+
+def synth_normals(n_frames, seed, persons, template, step_sigma, jitter_sigma):
+    """(n_frames * persons, 17, 3) keypoints of generate_normals, frame by frame, walkers in order."""
+    walked = _synth_walk(np.random.default_rng(seed), n_frames, persons, template, step_sigma, jitter_sigma)
+    return np.array(walked).reshape(-1, 17, 3)
+
+
+def synth_split(
+    train_normal, test_normal, test_anomaly, seed, persons, kinds, segment_length, template, step_sigma, jitter_sigma,
+    boost,
+):
+    """(train keypoints, test keypoints, test anomalous mask) of generate_split.
+
+    Keypoints are in table row order: each frame's walkers, then its anomaly person if any.
+    """
+    rng = np.random.default_rng(seed)
+    train = _synth_walk(rng, train_normal, persons, template, step_sigma, jitter_sigma)
+    total = test_normal + test_anomaly
+    n_seg = max(1, test_anomaly // segment_length)
+    base, rem = divmod(test_anomaly, n_seg)
+    lengths = [base + 1] * rem + [base] * (n_seg - rem)
+    chunk = total // n_seg
+    starts = [s * chunk + int(rng.integers(0, chunk - n + 1)) for s, n in enumerate(lengths)]
+    extra = {}
+    for s, (start, n) in enumerate(zip(starts, lengths)):
+        kps = _synth_anomaly(rng, kinds[s % len(kinds)], n, template, step_sigma, jitter_sigma, boost)
+        extra.update(zip(range(start, start + n), kps))
+    test = _synth_walk(rng, total, persons, template, step_sigma, jitter_sigma)
+    rows = [kps for t, frame in enumerate(test) for kps in frame + ([extra[t]] if t in extra else [])]
+    anomalous = np.array([t in extra for t in range(total)])
+    return np.array(train).reshape(-1, 17, 3), np.array(rows), anomalous
+
+
+def distinct_rows(store, row_keys):
+    """A knn checkpoint's ``rows`` and ``index`` for a whole store, with ``row_keys`` the row hash.
+
+    A row is a pose of 34 values when the width allows, else the whole vector. Rows group by key
+    and each is compared with its group's first row by bits; a row whose bits differ is its own row.
+    """
+    row = 34 if store.shape[1] % 34 == 0 else store.shape[1]
+    bits = np.ascontiguousarray(store, dtype=np.float64).view(np.uint64).reshape(-1, row)
+    _, first, inverse = np.unique(row_keys(bits), return_index=True, return_inverse=True)
+    rep = first[inverse]
+    for i in range(len(rep)):
+        if (bits[i] != bits[rep[i]]).any():
+            rep[i] = i
+    keep = np.flatnonzero(rep == np.arange(len(rep)))
+    position = np.zeros(len(rep), dtype=np.int32 if len(keep) < 2**31 else np.int64)
+    position[keep] = np.arange(len(keep))
+    return bits[keep].view(np.float64), position[rep].reshape(store.shape[0], store.shape[1] // row)

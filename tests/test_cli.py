@@ -131,6 +131,24 @@ class TestSynth:
         origin = load_dataset(out / "origin.jsonl")
         assert len(origin.frames) == 50
 
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (["--origin-normal", "10", "--origin-step-sigma", "-1"], "origin dataset: step_sigma must be"),
+            (["--origin-normal", "10", "--origin-jitter-sigma", "-1"], "origin dataset: jitter_sigma must be"),
+            (["--origin-normal", "10", "--origin-jitter-sigma", "inf"], "origin dataset: jitter_sigma must be"),
+            (["--boost", "nan"], "anomaly_boost must be a positive finite number, got nan"),
+            (["--boost", "inf"], "anomaly_boost must be a positive finite number, got inf"),
+            (["--boost", "0"], "anomaly_boost must be a positive finite number, got 0.0"),
+        ],
+    )
+    def test_bad_generator_parameter_is_data_error(self, tmp_path, capsys, flags, message):
+        out = tmp_path / "o"
+        argv = ["synth", "--train-normal", "60", "--test-normal", "40", "--test-anomaly", "10", "--out", str(out)]
+        assert main(argv + flags) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()  # nothing is written before every dataset is generated
+
 
 class TestStats:
     def test_csv_on_stdout(self, synth_dir, capsys):

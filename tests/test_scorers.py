@@ -630,6 +630,42 @@ class TestCheckpointLayout:
         rows, index = _save_and_load(sc, tmp_path / "knn.ckpt")
         assert rows[:2].tobytes() == store[:2].tobytes() and index[:3, 0].tolist() == [0, 1, 0]
 
+    @settings(deadline=None, max_examples=40)
+    @given(
+        steps=st.lists(st.integers(1, 12), min_size=1, max_size=9),
+        length=st.integers(2, 6),
+        pool=st.integers(1, 40),
+        capacity=st.sampled_from([4, 12, 1000]),
+        hash_kind=st.sampled_from(["real", "two-bits", "zero"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_successive_saves_match_a_whole_store_table(self, steps, length, pool, capacity, hash_kind, seed):
+        # The continual pattern: the store grows by a slice, then the step saves. Each file holds what
+        # a table built from the whole store holds, bytes and index dtype alike, through reservoir
+        # replacements (capacity 4 and 12), a restore, and key collisions.
+        rng = np.random.default_rng(seed)
+        poses = rng.normal(size=(pool, 17, 2))[rng.integers(0, pool, sum(steps) * 2 + length)]
+        keys = {
+            "real": scorers._row_keys,
+            "two-bits": lambda bits: bits[:, 0] & np.uint64(3),
+            "zero": lambda bits: np.zeros(len(bits), dtype=np.uint64),
+        }[hash_kind]
+        sc = KnnScorer(k_nn=1, capacity=capacity, seed=seed)
+        with tempfile.TemporaryDirectory() as tmp, mock.patch.object(scorers, "_row_keys", keys):
+            path, done = Path(tmp, "step.ckpt"), 0
+            for i, n in enumerate(steps):
+                starts = done + 2 * np.arange(n)
+                sc.partial_fit(WindowBatch(poses, starts, np.zeros(n, np.int64), starts, length))
+                done += 2 * n
+                if i == len(steps) // 2:
+                    sc = scorer_from_snapshot(sc.snapshot())
+                sc.save_checkpoint(path)
+                with np.load(path) as data:
+                    got = data["rows"], data["index"]
+                want = _oracles.distinct_rows(sc.snapshot()["store"], keys)
+                for g, w in zip(got, want):
+                    assert (g.dtype, g.shape, g.tobytes()) == (w.dtype, w.shape, w.tobytes())
+
     def test_store_without_shared_rows_is_written_as_is(self, rng, tmp_path):
         sc = KnnScorer(k_nn=1, capacity=10)
         sc.partial_fit(windows(rng, 6))

@@ -1,14 +1,25 @@
+import hashlib
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import _oracles
+from posebench.cli import main
 from posebench.errors import ValidationError
 from posebench.model import tracks_from_frames
 from posebench.synthetic import (
     ANOMALY_KINDS,
     ANOMALY_TRACK_BASE,
+    POSE_VARIANTS,
+    _template,
     generate_normals,
     generate_split,
 )
+
+SIGMAS = st.sampled_from([0.0, 0.5, 1.5, 3.0, 8.0, 16.0, 200.0])
 
 
 def anomaly_tracks(split):
@@ -115,3 +126,93 @@ class TestGenerateSplit:
         train_idx = set(split.train.frames.frame_index.tolist())
         test_idx = set(split.test.frames.frame_index.tolist())
         assert not (train_idx & test_idx)
+
+
+class TestMatchesPerStepOracle:
+    """The generator draws, in order, what the per-step reference in ``_oracles`` draws: same bytes."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        persons=st.integers(1, 4),
+        kinds=st.lists(st.sampled_from(ANOMALY_KINDS), min_size=1, max_size=4),
+        train=st.integers(1, 30),
+        anomaly=st.integers(1, 40),
+        extra_normal=st.integers(0, 30),
+        segment_length=st.integers(1, 20),
+        boost=st.sampled_from([0.25, 1.0, 2.5, 6.0]),
+        variant=st.sampled_from(POSE_VARIANTS),
+        step_sigma=SIGMAS,
+        jitter_sigma=SIGMAS,
+    )
+    def test_split(
+        self, seed, persons, kinds, train, anomaly, extra_normal, segment_length, boost, variant, step_sigma,
+        jitter_sigma,
+    ):
+        normal = anomaly + extra_normal  # at least one normal frame per segment, so the segments fit
+        split = generate_split(
+            train, normal, anomaly, seed=seed, persons=persons, anomaly_kinds=kinds, segment_length=segment_length,
+            step_sigma=step_sigma, jitter_sigma=jitter_sigma, anomaly_boost=boost, pose_variant=variant,
+        )
+        want_train, want_test, anomalous = _oracles.synth_split(
+            train, normal, anomaly, seed, persons, kinds, segment_length, _template(variant), step_sigma,
+            jitter_sigma, boost,
+        )
+        assert split.train.frames.keypoints.tobytes() == want_train.tobytes()
+        assert split.test.frames.keypoints.tobytes() == want_test.tobytes()
+        assert split.test.frames.anomalous.tolist() == anomalous.tolist()
+
+    @settings(deadline=None, max_examples=40)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        persons=st.integers(1, 4),
+        n_frames=st.integers(1, 60),
+        variant=st.sampled_from(POSE_VARIANTS),
+        step_sigma=SIGMAS,
+        jitter_sigma=SIGMAS,
+    )
+    def test_normals(self, seed, persons, n_frames, variant, step_sigma, jitter_sigma):
+        ds = generate_normals(
+            n_frames, seed=seed, persons=persons, step_sigma=step_sigma, jitter_sigma=jitter_sigma,
+            pose_variant=variant,
+        )
+        want = _oracles.synth_normals(n_frames, seed, persons, _template(variant), step_sigma, jitter_sigma)
+        assert ds.frames.keypoints.tobytes() == want.tobytes()
+
+
+def test_synth_files_are_pinned(tmp_path, capsys):
+    # A small continual config with every anomaly kind; the hashes are those of the per-step generator.
+    argv = [
+        "synth", "--train-normal", "240", "--test-normal", "120", "--test-anomaly", "40", "--boost", "2.5",
+        "--kinds", "velocity,frozen,limb_collapse", "--segment-length", "20", "--origin-normal", "120",
+        "--origin-step-sigma", "16", "--origin-jitter-sigma", "8", "--seed", "0", "--out", str(tmp_path),
+    ]
+    assert main(argv) == 0
+    capsys.readouterr()
+    digests = {name: hashlib.sha256((tmp_path / f"{name}.jsonl").read_bytes()).hexdigest() for name in
+               ("train", "test", "origin")}
+    assert digests == {
+        "train": "15aa81246410525deaa92ffa400a5b72329c2579df11f47afa453cb762b4f4ce",
+        "test": "ca61d15034951df9a94261c2fa082d2146d207b1e223c129a13ed62259974cdc",
+        "origin": "f1c2b5e2b531742e67b0e6219345207bd73a12bb4fa741b9ebd9662efe961fe6",
+    }
+
+
+class TestParameterRules:
+    @pytest.mark.parametrize("name", ["step_sigma", "jitter_sigma"])
+    @pytest.mark.parametrize("value", [-1.0, -math.inf, math.inf, math.nan])
+    def test_sigma_must_be_finite_and_non_negative(self, name, value):
+        message = f"{name} must be a finite number >= 0, got {value}$"
+        with pytest.raises(ValidationError, match=message):
+            generate_normals(5, seed=0, **{name: value})
+        with pytest.raises(ValidationError, match=message):
+            generate_split(20, 20, 5, seed=0, **{name: value})
+
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.inf, math.nan])
+    def test_boost_must_be_positive_and_finite(self, value):
+        with pytest.raises(ValidationError, match=f"anomaly_boost must be a positive finite number, got {value}$"):
+            generate_split(20, 20, 5, seed=0, anomaly_boost=value)
+
+    def test_zero_sigmas_are_allowed(self):
+        ds = generate_normals(5, seed=0, step_sigma=0.0, jitter_sigma=0.0)
+        assert (ds.frames.keypoints[::2, :, :2] == ds.frames.keypoints[0, :, :2]).all()
