@@ -17,7 +17,8 @@ incrementally (the 52 rows the step added, merged with the distances over the
 peak MB its call allocates (``tracemalloc``). The ``synthetic.generate_split``
 and ``io.write_frames`` rows are the two layers of the ``setup_s`` of
 perfbench's ``standard-gaussian-large``: building its split, and writing its
-6000-frame train table as JSONL. The ``scorers.save_checkpoint`` and
+6000-frame train table as JSONL; the ``io.read_frames`` row after them reads
+that file back, as that workload's run does. The ``scorers.save_checkpoint`` and
 ``scorers.load_checkpoint`` rows write and read a knn checkpoint of the
 store that perfbench's ``continual-knn`` holds at its last step (714
 overlapping windows of length 24, stride 6) and print the MB written; the
@@ -144,14 +145,16 @@ def bench_continual_split(seed: int, repeat: int):
 
 def bench_synth(seed: int, repeat: int):
     # The two layers of standard-gaussian-large's setup_s: generating the README standard quick-start
-    # at 2x, and writing its 6000-frame train table as JSONL.
+    # at 2x, and writing its 6000-frame train table as JSONL; then reading that file back.
     generate = functools.partial(generate_split, 6000, 4000, 1000, seed=seed)
     frames = generate().train.frames
     with tempfile.TemporaryDirectory() as tmp:
-        write = functools.partial(write_frames, frames, os.path.join(tmp, "train.jsonl"))
+        path = os.path.join(tmp, "train.jsonl")
+        write = functools.partial(write_frames, frames, path)
         return [
             ("synthetic.generate_split", "6000/4000/1000", _best_of(generate, repeat)),
             ("io.write_frames", f"frames={len(frames)}", _best_of(write, repeat)),
+            ("io.read_frames", f"frames={len(frames)}", _best_of(lambda: read_frames(path), repeat)),
         ]
 
 

@@ -27,7 +27,7 @@ from .preprocess import (
     window_track,
 )
 from .metrics import MetricReport, ScoreSeries, aggregate_frame_scores, compute_all
-from .stats import DatasetStats, compute_stats, stats_from_frames
+from .stats import DatasetStats, stats_from_frames
 from .rearrange import ContinualSplit, RearrangePlan
 from .scorers import GaussianScorer, KnnScorer, load_checkpoint, make_scorer
 from .synthetic import generate_normals, generate_split
@@ -67,7 +67,6 @@ __all__ = [
     "aggregate_frame_scores",
     "compute_all",
     "DatasetStats",
-    "compute_stats",
     "stats_from_frames",
     "ContinualSplit",
     "RearrangePlan",

@@ -21,13 +21,13 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__
-from .errors import PosebenchError, ValidationError
+from .errors import PosebenchError, ValidationError, json_error
 from .io import load_dataset, write_dataset, write_frames
 from .model import SplitSet
 from .rearrange import TAGS, RearrangePlan, rearrange, verify
 from .report import emit_report
 from .runner import RunConfig, derive_seed, load_results, run_continual, run_standard
-from .stats import STATS_CSV_COLUMNS, compute_stats
+from .stats import STATS_CSV_COLUMNS, stats_from_frames
 from .synthetic import generate_normals, generate_split
 
 
@@ -65,8 +65,8 @@ def _read_config_file(path) -> dict:
         raise ValidationError(f"cannot read config {path}: {exc.strerror or exc}") from None
     except UnicodeDecodeError as exc:
         raise ValidationError(f"config {path}: not UTF-8 text ({exc.reason})") from None
-    except ValueError as exc:  # JSONDecodeError, or an integer literal past the digit limit
-        raise ValidationError(f"config {path}: malformed JSON: {getattr(exc, 'msg', exc)}") from None
+    except (ValueError, RecursionError) as exc:  # also an integer literal past the digit limit
+        raise ValidationError(f"config {path}: malformed JSON: {json_error(exc)}") from None
     if not isinstance(raw, dict):
         raise ValidationError(f"config {path} must hold a JSON object")
     return raw
@@ -124,7 +124,7 @@ def _cmd_stats(args) -> int:
         ds = _load(path)
         if args.camera is not None and ds.camera_id != args.camera:
             continue
-        st = compute_stats(ds)
+        st = stats_from_frames(ds.frames, ds.camera_id)
         rows.append(st)
         if args.iou_out:
             iou_rows.extend((st.camera_id, v) for v in st.max_iou_per_frame)

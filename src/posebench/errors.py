@@ -15,6 +15,11 @@ def check_int(name: str, value, minimum: int = 0):
         raise ValidationError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
+def json_error(exc: Exception) -> str:
+    """What json.loads reported: its message, or that the nesting ran past the recursion limit."""
+    return "nesting too deep" if isinstance(exc, RecursionError) else getattr(exc, "msg", str(exc))
+
+
 def is_number(value) -> bool:
     """A JSON number: an int or a float, never a bool."""
     return isinstance(value, (int, float)) and not isinstance(value, bool)

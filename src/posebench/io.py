@@ -8,12 +8,15 @@ Line schema::
                   "interpolated": bool,
                   "keypoints": [[x, y, visibility-or-null], ... 17 entries]}]}
 
-``read_frames`` parses a file into one ``FrameTable``. Each line's values are
-type-checked as it is read: numbers must be JSON numbers that fit a float
-(never a NaN literal), ids integers, ``interpolated`` a boolean. The line's
-boxes and keypoints then become one float64 array, ``null`` as NaN, so the
-reader never holds a file of Python floats. The table's value rules run
-once per file as array predicates. Every error names the file and the line.
+``read_frames`` parses a file into one ``FrameTable``. orjson parses each
+line, and ``json.loads`` re-reads any line that orjson refuses or whose
+values fail a check, so tables and error messages are those of
+``json.loads``. Each line's values are type-checked as it is read: numbers
+must be JSON numbers that fit a float (never a NaN literal), ids integers,
+``interpolated`` a boolean. The line's boxes and keypoints then become one
+float64 array, ``null`` as NaN, so the reader never holds a file of Python
+floats. The table's value rules run once per file as array predicates.
+Every error names the file and the line.
 
 Unknown keys are accepted and ignored on read; they are not preserved on
 write (lines are rebuilt from the table). Floats round-trip exactly through
@@ -27,8 +30,9 @@ import os
 from itertools import chain
 
 import numpy as np
+import orjson
 
-from .errors import ValidationError
+from .errors import ValidationError, json_error
 from .model import KEYPOINT_COUNT, LABEL_ANOMALOUS, LABELS, CameraDataset, FrameTable, RowError
 
 _NUMBER = frozenset((int, float))  # JSON numbers; bool is excluded on purpose
@@ -162,6 +166,11 @@ def read_frames(path) -> FrameTable:
     reader = _Reader(path)
     with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, start=1):
+            try:  # orjson never yields NaN: it refuses the literal and anything past the float range
+                reader.add(orjson.loads(raw), lineno, False)
+                continue
+            except (orjson.JSONDecodeError, ValidationError):
+                pass  # json.loads re-reads the line, so its table or message is the reference one
             try:
                 line = raw.decode("utf-8")
             except UnicodeDecodeError as exc:
@@ -172,9 +181,8 @@ def read_frames(path) -> FrameTable:
                 continue
             try:
                 obj = json.loads(line)
-            except ValueError as exc:  # JSONDecodeError, or an integer literal past the digit limit
-                detail = getattr(exc, "msg", exc)
-                raise ValidationError(f"{reader.path}: line {lineno}: malformed JSON: {detail}") from None
+            except (ValueError, RecursionError) as exc:  # also an integer literal past the digit limit
+                raise ValidationError(f"{reader.path}: line {lineno}: malformed JSON: {json_error(exc)}") from None
             reader.add(obj, lineno, "NaN" in line)
     return reader.table()
 

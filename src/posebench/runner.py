@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from . import report as report_mod
-from .errors import ValidationError, check_int, is_number
+from .errors import ValidationError, check_int, is_number, json_error
 from .metrics import AGGREGATORS, MetricReport, ScoreSeries, aggregate_frame_scores, compute_all
 from .model import CameraDataset, SplitSet
 from .preprocess import WindowBatch, extract_windows
@@ -362,8 +362,8 @@ def load_results(path) -> ContinualResult:
     except UnicodeDecodeError as exc:
         line = data.count(b"\n", 0, exc.start) + 1
         raise ValidationError(f"{path}: line {line}: not UTF-8 text ({exc.reason})") from None
-    except ValueError as exc:  # JSONDecodeError, or an integer literal past the digit limit
-        raise ValidationError(f"{path}: malformed JSON: {getattr(exc, 'msg', exc)}") from None
+    except (ValueError, RecursionError) as exc:  # also an integer literal past the digit limit
+        raise ValidationError(f"{path}: malformed JSON: {json_error(exc)}") from None
     try:
         return result_from_dict(raw)
     except ValidationError as exc:

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .model import CameraDataset, FrameTable
+from .model import FrameTable
 
 
 @dataclass(frozen=True)
@@ -87,8 +87,3 @@ def stats_from_frames(frames: FrameTable, camera_id: str) -> DatasetStats:
         density_histogram=dict(zip(sizes.tolist(), counts.tolist())),
         max_iou_per_frame=max_iou_per_group(frames.bbox, np.concatenate([[0], np.cumsum(per_frame)])),
     )
-
-
-def compute_stats(dataset: CameraDataset) -> DatasetStats:
-    """Compute DatasetStats for a CameraDataset; errors on an empty dataset."""
-    return stats_from_frames(dataset.frames, dataset.camera_id)

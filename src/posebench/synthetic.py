@@ -30,6 +30,7 @@ CANVAS = (1280.0, 720.0)
 _MARGIN = 170.0
 _PAD = 4.0
 _HEIGHT = 170.0
+_MAX_SCALE = 10 * max(CANVAS)  # bound on a sigma, in canvas units, so the velocity recurrence stays finite
 
 # COCO-17 offsets in person units (x right, y down), scaled by _HEIGHT / 2.
 _TEMPLATE = np.array(
@@ -108,6 +109,8 @@ def _check_sigmas(**sigmas):
     for name, value in sigmas.items():
         if not 0 <= value < math.inf:
             raise ValidationError(f"{name} must be a finite number >= 0, got {value}")
+        if value > _MAX_SCALE:
+            raise ValidationError(f"{name} must be at most {_MAX_SCALE:g} canvas units, got {value}")
 
 
 def _anomaly_segment_lengths(total: int, nominal: int) -> list[int]:
@@ -222,6 +225,9 @@ def generate_split(
     if not 0 < anomaly_boost < math.inf:
         raise ValidationError(f"anomaly_boost must be a positive finite number, got {anomaly_boost}")
     _check_sigmas(step_sigma=step_sigma, jitter_sigma=jitter_sigma)
+    if anomaly_boost * (step_sigma + jitter_sigma) > _MAX_SCALE:  # the velocity anomaly's sigmas
+        spike = f"anomaly_boost * (step_sigma + jitter_sigma) must be at most {_MAX_SCALE:g} canvas units"
+        raise ValidationError(f"{spike}, got {anomaly_boost} * ({step_sigma} + {jitter_sigma})")
     kinds = tuple(anomaly_kinds)
     if not kinds:
         raise ValidationError("anomaly_kinds must not be empty")

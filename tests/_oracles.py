@@ -8,6 +8,7 @@ cannot leak into its own oracle.
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -375,3 +376,29 @@ def distinct_rows(store, row_keys):
     position = np.zeros(len(rep), dtype=np.int32 if len(keep) < 2**31 else np.int64)
     position[keep] = np.arange(len(keep))
     return bits[keep].view(np.float64), position[rep].reshape(store.shape[0], store.shape[1] // row)
+
+
+def read_frames_json(reader, error):
+    """``io.read_frames`` with ``json.loads`` as its only parser, for the file at ``reader.path``.
+
+    Each decoded, non-blank line goes through ``json.loads`` and then ``reader.add`` (``reader`` is
+    an ``io._Reader``); a line that is not UTF-8 or not JSON raises ``error``. Returns
+    ``reader.table()``.
+    """
+    with open(reader.path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            where = f"{reader.path}: line {lineno}"
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise error(f"{where}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+            if line.isspace():
+                continue
+            try:
+                obj = json.loads(line)
+            except RecursionError:
+                raise error(f"{where}: malformed JSON: nesting too deep") from None
+            except ValueError as exc:
+                raise error(f"{where}: malformed JSON: {getattr(exc, 'msg', exc)}") from None
+            reader.add(obj, lineno, "NaN" in line)
+    return reader.table()

@@ -70,6 +70,26 @@ class TestExitCodes:
         assert main(["report", "--results", str(huge), "--out", str(tmp_path / "o")]) == 2
         assert f"{huge}: malformed JSON" in capsys.readouterr().err
 
+    @pytest.fixture
+    def deep(self, tmp_path):
+        """A file whose second line opens 100,000 nested arrays: past json.loads' recursion limit."""
+        path = tmp_path / "deep.json"
+        path.write_text("\n" + "[" * 100_000 + "\n")
+        return path
+
+    def test_deep_nesting_in_frames_is_data_error(self, deep, tmp_path, capsys):
+        argv = ["run-standard", "--train", str(deep), "--test", str(deep), "--out", str(tmp_path / "o")]
+        assert main(argv) == 2
+        assert f"{deep}: line 2: malformed JSON: nesting too deep" in capsys.readouterr().err
+
+    def test_deep_nesting_in_config_is_data_error(self, deep, tmp_path, capsys):
+        assert main(["run-standard", "--config", str(deep), "--out", str(tmp_path / "o")]) == 2
+        assert f"config {deep}: malformed JSON: nesting too deep" in capsys.readouterr().err
+
+    def test_deep_nesting_in_results_is_data_error(self, deep, tmp_path, capsys):
+        assert main(["report", "--results", str(deep), "--out", str(tmp_path / "o")]) == 2
+        assert f"{deep}: malformed JSON: nesting too deep" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "old,new",
         [
@@ -140,6 +160,9 @@ class TestSynth:
             (["--boost", "nan"], "anomaly_boost must be a positive finite number, got nan"),
             (["--boost", "inf"], "anomaly_boost must be a positive finite number, got inf"),
             (["--boost", "0"], "anomaly_boost must be a positive finite number, got 0.0"),
+            (["--boost", "1e308"], "anomaly_boost * (step_sigma + jitter_sigma) must be at most 12800"),
+            (["--origin-normal", "10", "--origin-step-sigma", "1e308"], "origin dataset: step_sigma must be at most"),
+            (["--origin-normal", "10", "--origin-jitter-sigma", "1e308"], "origin dataset: jitter_sigma must be at"),
         ],
     )
     def test_bad_generator_parameter_is_data_error(self, tmp_path, capsys, flags, message):

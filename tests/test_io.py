@@ -1,5 +1,7 @@
+import functools
 import hashlib
 import json
+import operator
 import re
 import tempfile
 from pathlib import Path
@@ -9,10 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from posebench.errors import ValidationError
-from posebench.io import load_dataset, read_frames, write_dataset, write_frames
+from posebench.io import _Reader, load_dataset, read_frames, write_dataset, write_frames
 from posebench.model import LABELS, FrameTable
 from posebench.synthetic import generate_normals, generate_split
 from conftest import make_frame, make_obs, table
+import _oracles
 
 
 def sample_frames():
@@ -252,3 +255,68 @@ def test_jsonl_roundtrip_property(frames):
         assert len(back) == len(frames)
         write_frames(back, second)
         assert second.read_text() == text
+
+
+# Literals on which orjson and json.loads part ways: orjson refuses NaN, the infinities, floats past
+# the range and lone surrogates, and reads integers outside [-2**63, 2**64) as floats.
+_LITERALS = (
+    "NaN", "Infinity", "-Infinity", "1e400", "-1e400", "1" + "0" * 400, str(2**64), str(2**64 + 1),
+    str(2**64 - 1), str(2**63), str(-(2**63) - 1), str(-(2**65)), "-0", "1E2", "0.1", "5e-324",
+    '"\\ud800"', '"a\\udc00"', "null", "true",
+)
+_SLOTS = (
+    ("frame_index",), ("camera_id",), ("label",), ("persons", 0, "track_id"), ("persons", 0, "bbox", 2),
+    ("persons", 0, "keypoints", 3, 0), ("persons", 1, "keypoints", 16, 2), ("anomaly_regions", 0, 3),
+)
+_DUPLICATES = ('"frame_index":7', '"label":"normal"', '"persons":[]', '"camera_id":"x"', '"frame_index":NaN')
+_PLACEHOLDER = "@literal@"  # longer than any drawn camera_id, so it cannot occur by chance
+
+
+def _rare(values):
+    """Mostly ``None``, else one of ``values``: most drawn lines stay valid."""
+    return st.one_of(st.none(), st.none(), st.none(), st.sampled_from(values))
+
+
+@st.composite
+def _jsonl_line(draw):
+    obj = draw(_frames())
+    literal = draw(_rare(_LITERALS))
+    *parents, leaf = draw(st.sampled_from(_SLOTS))
+    if literal is not None:
+        try:
+            functools.reduce(operator.getitem, parents, obj)[leaf] = _PLACEHOLDER
+        except IndexError:  # the frame has no such person or region
+            pass
+    line = json.dumps(obj, separators=(",", ":"), ensure_ascii=draw(st.booleans()))
+    if literal is not None:
+        line = line.replace(json.dumps(_PLACEHOLDER), literal)
+    duplicate = draw(_rare(_DUPLICATES))
+    if duplicate is not None:  # before the key it repeats, or after it (the last one counts)
+        line = f"{{{duplicate},{line[1:]}" if draw(st.booleans()) else f"{line[:-1]},{duplicate}}}"
+    return (draw(_rare(("\ufeff", " "))) or "") + line + draw(st.sampled_from(("\n", "\r\n")))
+
+
+@settings(deadline=None)
+@given(st.lists(st.one_of(_jsonl_line(), st.sampled_from(("\n", "  \n", "\t\r\n", "\u2028\n"))), max_size=5))
+def test_reader_matches_json_loads_reference(lines):
+    # orjson parses each line; every table and error message must be the one json.loads gives.
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "frames.jsonl")
+        path.write_bytes("".join(lines).encode("utf-8"))
+        outcomes = []
+        for read in (read_frames, lambda p: _oracles.read_frames_json(_Reader(p), ValidationError)):
+            try:
+                frames = read(path)
+                outcomes.append((frames, frames.line.tolist()))
+            except ValidationError as exc:
+                outcomes.append(str(exc))
+    assert outcomes[0] == outcomes[1]
+
+
+def test_integer_past_uint64_is_echoed_exactly(tmp_path):
+    # orjson reads 2**64 + 1 as a float; the message still quotes the literal's integer.
+    path = tmp_path / "big.jsonl"
+    path.write_text(json.dumps(make_frame(2**64 + 1)) + "\n")
+    message = r"line 1 \(frame_index 18446744073709551617\): .* integer, got 18446744073709551617$"
+    with pytest.raises(ValidationError, match=message):
+        read_frames(path)

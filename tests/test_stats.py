@@ -4,7 +4,6 @@ import pytest
 from posebench.errors import ValidationError
 from posebench.stats import (
     STATS_CSV_COLUMNS,
-    compute_stats,
     stats_from_frames,
 )
 from conftest import dataset, make_frame, make_obs, table
@@ -66,23 +65,24 @@ class TestDatasetStats:
             make_frame(3),
         )
 
-    def build(self):
-        return dataset(self.frames())
+    def stats(self):
+        ds = dataset(self.frames())
+        return stats_from_frames(ds.frames, ds.camera_id)
 
     def test_counts(self):
-        st = compute_stats(self.build())
+        st = self.stats()
         assert st.frame_count == 4
         assert st.pose_count == 4
         assert st.anomaly_frame_count == 1
         assert st.anomaly_fraction == pytest.approx(0.25)
 
     def test_density_histogram(self):
-        st = compute_stats(self.build())
+        st = self.stats()
         assert st.density_histogram == {0: 1, 1: 2, 2: 1}
         assert st.density_encoded() == "0:1;1:2;2:1"
 
     def test_max_iou_per_frame(self):
-        st = compute_stats(self.build())
+        st = self.stats()
         assert st.max_iou_per_frame.shape == (4,)
         assert st.max_iou_per_frame[0] == 0.0
         assert st.max_iou_per_frame[1] > 0.0  # overlapping neighbors
@@ -90,7 +90,7 @@ class TestDatasetStats:
         assert st.max_iou_per_frame[1] == pytest.approx(want)
 
     def test_csv_row_layout(self):
-        st = compute_stats(self.build())
+        st = self.stats()
         row = st.csv_row()
         assert list(row) == list(STATS_CSV_COLUMNS)
         assert row["camera_id"] == "cam0"

@@ -213,6 +213,23 @@ class TestParameterRules:
         with pytest.raises(ValidationError, match=f"anomaly_boost must be a positive finite number, got {value}$"):
             generate_split(20, 20, 5, seed=0, anomaly_boost=value)
 
+    @pytest.mark.parametrize("name", ["step_sigma", "jitter_sigma"])
+    def test_sigma_must_stay_within_ten_canvases(self, name):
+        # A larger sigma lets the velocity recurrence overflow to inf and then NaN.
+        message = f"{name} must be at most 12800 canvas units, got 1e\\+308$"
+        with pytest.raises(ValidationError, match=message):
+            generate_normals(5, seed=0, **{name: 1e308})
+        with pytest.raises(ValidationError, match=message):
+            generate_split(20, 20, 5, seed=0, **{name: 1e308})
+        generate_normals(5, seed=0, **{name: 12800.0})
+
+    def test_boost_spike_must_stay_within_ten_canvases(self):
+        with pytest.raises(ValidationError, match=r"anomaly_boost \* \(step_sigma \+ jitter_sigma\) must be at most"):
+            generate_split(20, 20, 5, seed=0, anomaly_boost=1e308)
+        with pytest.raises(ValidationError, match=r"got 3000\.0 \* \(3\.0 \+ 1\.5\)$"):
+            generate_split(20, 20, 5, seed=0, anomaly_boost=3000.0)
+        generate_split(20, 20, 5, seed=0, anomaly_boost=12800 / 4.5)
+
     def test_zero_sigmas_are_allowed(self):
         ds = generate_normals(5, seed=0, step_sigma=0.0, jitter_sigma=0.0)
         assert (ds.frames.keypoints[::2, :, :2] == ds.frames.keypoints[0, :, :2]).all()
