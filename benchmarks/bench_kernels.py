@@ -15,10 +15,13 @@ the 267 test windows of perfbench's ``continual-knn`` at its first step: once
 incrementally (the 52 rows the step added, merged with the distances over the
 194 rows before it) and once as a fresh scan of all 246 rows, each with the
 peak MB its call allocates (``tracemalloc``). The ``synthetic.generate_split``
-and ``io.write_frames`` rows are the two layers of the ``setup_s`` of
+and first ``io.write_frames`` rows are the two layers of the ``setup_s`` of
 perfbench's ``standard-gaussian-large``: building its split, and writing its
-6000-frame train table as JSONL; the ``io.read_frames`` row after them reads
-that file back, as that workload's run does. The ``scorers.save_checkpoint`` and
+6000-frame train table as JSONL. The second ``io.write_frames`` row writes
+that table with every visibility scaled by 1e-5, so that ``json.dumps`` writes
+every line in place of orjson (values below 1e-4 take that path); the
+``io.read_frames`` row after them reads the first file back, as that
+workload's run does. The ``scorers.save_checkpoint`` and
 ``scorers.load_checkpoint`` rows write and read a knn checkpoint of the
 store that perfbench's ``continual-knn`` holds at its last step (714
 overlapping windows of length 24, stride 6) and print the MB written; the
@@ -30,6 +33,7 @@ steps, each after its slice of windows joins the store.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import os
 import tempfile
@@ -39,7 +43,7 @@ import tracemalloc
 import numpy as np
 
 from posebench import _kernels, stats
-from posebench.io import read_frames, write_dataset, write_frames
+from posebench.io import read_frames, write_frames
 from posebench.preprocess import WindowBatch, extract_windows
 from posebench.rearrange import RearrangePlan, rearrange, verify
 from posebench.runner import derive_seed
@@ -124,7 +128,7 @@ def bench_read_frames(seed: int, repeat: int):
     split = generate_split(3000, 2000, 500, seed=seed)
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "train.jsonl")
-        write_dataset(split.train, path)
+        write_frames(split.train.frames, path)
         seconds = _best_of(lambda: read_frames(path), repeat)
     return [("io.read_frames", "frames=3000", seconds)]
 
@@ -145,15 +149,20 @@ def bench_continual_split(seed: int, repeat: int):
 
 def bench_synth(seed: int, repeat: int):
     # The two layers of standard-gaussian-large's setup_s: generating the README standard quick-start
-    # at 2x, and writing its 6000-frame train table as JSONL; then reading that file back.
+    # at 2x, and writing its 6000-frame train table as JSONL; then reading that file back. The same
+    # table with every visibility scaled by 1e-5 writes each line through the json.dumps fallback.
     generate = functools.partial(generate_split, 6000, 4000, 1000, seed=seed)
     frames = generate().train.frames
+    keypoints = frames.keypoints * (1.0, 1.0, 1e-5)
+    scaled = dataclasses.replace(frames, keypoints=keypoints)
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "train.jsonl")
         write = functools.partial(write_frames, frames, path)
+        write_scaled = functools.partial(write_frames, scaled, os.path.join(tmp, "scaled.jsonl"))
         return [
             ("synthetic.generate_split", "6000/4000/1000", _best_of(generate, repeat)),
             ("io.write_frames", f"frames={len(frames)}", _best_of(write, repeat)),
+            ("io.write_frames", f"{len(frames)} vis*1e-5", _best_of(write_scaled, repeat)),
             ("io.read_frames", f"frames={len(frames)}", _best_of(lambda: read_frames(path), repeat)),
         ]
 

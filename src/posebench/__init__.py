@@ -17,7 +17,7 @@ from .model import (
     Track,
     tracks_from_frames,
 )
-from .io import load_dataset, read_frames, write_dataset, write_frames
+from .io import load_dataset, read_frames, write_frames
 from .preprocess import (
     WindowBatch,
     extract_windows,
@@ -42,46 +42,3 @@ from .runner import (
 )
 from .report import emit_report
 
-__all__ = [
-    "__version__",
-    "active_path",
-    "PosebenchError",
-    "ValidationError",
-    "CameraDataset",
-    "FrameTable",
-    "SplitSet",
-    "Track",
-    "tracks_from_frames",
-    "load_dataset",
-    "read_frames",
-    "write_dataset",
-    "write_frames",
-    "WindowBatch",
-    "extract_windows",
-    "interpolate_track",
-    "normalize_pose",
-    "smooth_track",
-    "window_track",
-    "MetricReport",
-    "ScoreSeries",
-    "aggregate_frame_scores",
-    "compute_all",
-    "DatasetStats",
-    "stats_from_frames",
-    "ContinualSplit",
-    "RearrangePlan",
-    "GaussianScorer",
-    "KnnScorer",
-    "load_checkpoint",
-    "make_scorer",
-    "generate_normals",
-    "generate_split",
-    "ContinualResult",
-    "RunConfig",
-    "derive_seed",
-    "load_results",
-    "run_continual",
-    "run_standard",
-    "save_results",
-    "emit_report",
-]

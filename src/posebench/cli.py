@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .errors import PosebenchError, ValidationError, json_error
-from .io import load_dataset, write_dataset, write_frames
+from .io import load_dataset, write_frames
 from .model import SplitSet
 from .rearrange import TAGS, RearrangePlan, rearrange, verify
 from .report import emit_report
@@ -155,7 +155,7 @@ def _cmd_rearrange(args) -> int:
     width = max(2, len(str(plan.k)))
     for i, rows in enumerate(cs.slices, start=1):
         write_frames(cs.frames.take(rows), os.path.join(args.out, f"slice_{i:0{width}d}.jsonl"))
-    write_dataset(cs.test, os.path.join(args.out, "test.jsonl"))
+    write_frames(cs.test.frames, os.path.join(args.out, "test.jsonl"))
     rows = np.concatenate([cs.train_stream, cs.test_rows])
     slice_of = np.repeat(np.arange(1, plan.k + 1), [len(sl) for sl in cs.slices]).tolist()
     slice_of += [""] * len(cs.test)
@@ -237,7 +237,7 @@ def _cmd_synth(args) -> int:
             raise ValidationError(f"origin dataset: {exc}") from None
     os.makedirs(args.out, exist_ok=True)
     for name, dataset in datasets.items():
-        write_dataset(dataset, os.path.join(args.out, f"{name}.jsonl"))
+        write_frames(dataset.frames, os.path.join(args.out, f"{name}.jsonl"))
     params = {
         "train_normal": args.train_normal,
         "test_normal": args.test_normal,

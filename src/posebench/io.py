@@ -19,8 +19,11 @@ floats. The table's value rules run once per file as array predicates.
 Every error names the file and the line.
 
 Unknown keys are accepted and ignored on read; they are not preserved on
-write (lines are rebuilt from the table). Floats round-trip exactly through
-the default JSON encoder.
+write (lines are rebuilt from the table). ``write_frames`` writes each line
+with orjson, and with ``json.dumps`` any line that orjson would format
+differently (a float that ``json.dumps`` writes in exponent notation, a
+``camera_id`` that it escapes), so every line has the bytes of
+``json.dumps`` and floats round-trip exactly.
 """
 
 from __future__ import annotations
@@ -167,8 +170,11 @@ def read_frames(path) -> FrameTable:
     with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, start=1):
             try:  # orjson never yields NaN: it refuses the literal and anything past the float range
-                reader.add(orjson.loads(raw), lineno, False)
-                continue
+                obj = orjson.loads(raw)
+                # orjson reads an integer past 64 bits as a float; only a camera_id keeps it unchecked
+                if type(obj) is dict and type(obj.get("camera_id")) is str:
+                    reader.add(obj, lineno, False)
+                    continue
             except (orjson.JSONDecodeError, ValidationError):
                 pass  # json.loads re-reads the line, so its table or message is the reference one
             try:
@@ -213,41 +219,73 @@ def load_dataset(path) -> CameraDataset:
     return CameraDataset(camera_id=cameras[0], frames=frames.take(order))
 
 
-def _frame_dicts(frames: FrameTable):
-    """Each frame of the table as the object its JSONL line holds."""
-    persons = np.searchsorted(frames.frame_row, np.arange(len(frames) + 1)).tolist()
-    regions = np.searchsorted(frames.region_frame, np.arange(len(frames) + 1)).tolist()
-    track_id, flags = frames.track_id.tolist(), frames.interpolated.tolist()
-    bbox, region_boxes = frames.bbox.tolist(), frames.regions.tolist()
-    absent = np.isnan(frames.keypoints[:, :, 2])
-    columns = (frames.camera_id.tolist(), frames.frame_index.tolist(), frames.anomalous.tolist())
-    for row, (camera_id, frame_index, anomalous) in enumerate(zip(*columns)):
-        a, b = persons[row], persons[row + 1]
-        keypoints = frames.keypoints[a:b].astype(object)
-        keypoints[:, :, 2][absent[a:b]] = None
-        yield {
-            "camera_id": camera_id,
-            "frame_index": frame_index,
-            "label": LABELS[anomalous],
-            "anomaly_regions": region_boxes[regions[row] : regions[row + 1]],
-            "persons": [
-                {"track_id": t, "bbox": box, "interpolated": interp, "keypoints": kps}
-                for t, box, interp, kps in zip(track_id[a:b], bbox[a:b], flags[a:b], keypoints.tolist())
-            ],
-        }
+def _same_in_orjson(text) -> bool:
+    try:  # orjson refuses a lone surrogate
+        return orjson.dumps(text) == json.dumps(text).encode()
+    except orjson.JSONEncodeError:
+        return False
+
+
+def _json_rows(frames: FrameTable) -> np.ndarray:
+    """The frame rows whose line orjson would write unlike ``json.dumps``.
+
+    Both print the shortest digits that round-trip, but ``json.dumps`` turns to
+    exponent notation for a finite nonzero |v| < 1e-4 or >= 1e16 (``1e-05``,
+    ``1e+16``), where orjson writes ``0.00001`` and ``1e16``. orjson also
+    formats a column that is not float64 by its own dtype, leaves non-ASCII
+    and U+007F unescaped and refuses a lone surrogate, so a row with such a
+    column or ``camera_id`` is marked too. NaN, ``null`` to both, is not.
+    """
+
+    def marked(values, axes):
+        mag = np.abs(values)
+        return (((mag < 1e-4) & (mag != 0)) | (mag >= 1e16) | (values.dtype != np.float64)).any(axis=axes)
+
+    rows = np.zeros(len(frames), dtype=bool)
+    rows[frames.frame_row[marked(frames.bbox, 1) | marked(frames.keypoints, (1, 2))]] = True
+    rows[frames.region_frame[marked(frames.regions, 1)]] = True
+    camera_ids = frames.camera_id.tolist()
+    same = {c: _same_in_orjson(c) for c in set(camera_ids)}
+    return rows | ~np.fromiter(map(same.__getitem__, camera_ids), bool, len(camera_ids))
+
+
+def _nested_lists(values: np.ndarray):
+    """``json.dumps`` hook: an array as nested lists, NaN as ``None``."""
+    out = values.astype(object)
+    out[np.isnan(values)] = None
+    return out.tolist()
+
+
+_ORJSON_OPTIONS = orjson.OPT_SERIALIZE_NUMPY | orjson.OPT_APPEND_NEWLINE
 
 
 def write_frames(frames: FrameTable, path) -> int:
-    """Write a FrameTable as JSONL, one line per frame row in row order; returns the line count."""
-    n = 0
-    with open(path, "w", encoding="utf-8") as fh:
-        for obj in _frame_dicts(frames):
-            fh.write(json.dumps(obj, separators=(",", ":")))
-            fh.write("\n")
-            n += 1
-    return n
+    """Write a FrameTable as JSONL, one line per frame row in row order; returns the line count.
 
-
-def write_dataset(dataset: CameraDataset, path) -> int:
-    """Write a CameraDataset as JSONL, one frame per line in frame order."""
-    return write_frames(dataset.frames, path)
+    orjson writes each line from array slices (NaN as ``null``), except the
+    rows ``_json_rows`` marks, which ``json.dumps`` writes from the same
+    object; so every line has the bytes ``json.dumps`` gives.
+    """
+    persons = np.searchsorted(frames.frame_row, np.arange(len(frames) + 1)).tolist()
+    regions = np.searchsorted(frames.region_frame, np.arange(len(frames) + 1)).tolist()
+    track_id, flags = frames.track_id.tolist(), frames.interpolated.tolist()
+    # orjson refuses arrays that are not C-contiguous
+    bbox, keypoints, boxes = map(np.ascontiguousarray, (frames.bbox, frames.keypoints, frames.regions))
+    columns = (frames.camera_id, frames.frame_index, frames.anomalous, _json_rows(frames))
+    with open(path, "wb") as fh:
+        for row, (camera_id, frame_index, anomalous, json_only) in enumerate(zip(*(c.tolist() for c in columns))):
+            obj = {
+                "camera_id": camera_id,
+                "frame_index": frame_index,
+                "label": LABELS[anomalous],
+                "anomaly_regions": boxes[regions[row] : regions[row + 1]],
+                "persons": [
+                    {"track_id": track_id[p], "bbox": bbox[p], "interpolated": flags[p], "keypoints": keypoints[p]}
+                    for p in range(persons[row], persons[row + 1])
+                ],
+            }
+            if json_only:
+                fh.write(json.dumps(obj, separators=(",", ":"), default=_nested_lists).encode() + b"\n")
+            else:
+                fh.write(orjson.dumps(obj, option=_ORJSON_OPTIONS))
+    return len(frames)

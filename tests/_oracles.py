@@ -402,3 +402,31 @@ def read_frames_json(reader, error):
                 raise error(f"{where}: malformed JSON: {getattr(exc, 'msg', exc)}") from None
             reader.add(obj, lineno, "NaN" in line)
     return reader.table()
+
+
+def write_frames_json(columns, path):
+    """``io.write_frames`` with ``json.dumps`` as its only writer, for a table's ``columns``.
+
+    ``columns`` has the ``FrameTable`` attributes. Each frame row becomes a dict built from Python
+    lists, ``None`` for a NaN visibility, and one compact ``json.dumps`` line.
+    """
+    labels = ("normal", "anomalous")
+    with open(path, "w", encoding="utf-8") as fh:
+        for row in range(len(columns.frame_index)):
+            persons = []
+            for p in np.flatnonzero(columns.frame_row == row):
+                keypoints = [[x, y, None if v != v else v] for x, y, v in columns.keypoints[p].tolist()]
+                persons.append({
+                    "track_id": columns.track_id[p].item(),
+                    "bbox": columns.bbox[p].tolist(),
+                    "interpolated": columns.interpolated[p].item(),
+                    "keypoints": keypoints,
+                })
+            obj = {
+                "camera_id": columns.camera_id[row],
+                "frame_index": columns.frame_index[row].item(),
+                "label": labels[columns.anomalous[row].item()],
+                "anomaly_regions": columns.regions[columns.region_frame == row].tolist(),
+                "persons": persons,
+            }
+            fh.write(json.dumps(obj, separators=(",", ":")) + "\n")

@@ -4,7 +4,7 @@ import json
 import pytest
 
 from posebench.cli import main
-from posebench.io import load_dataset, write_dataset
+from posebench.io import load_dataset
 from posebench.runner import derive_seed, result_to_dict
 from posebench.synthetic import generate_split
 

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import hashlib
 import json
@@ -6,12 +7,13 @@ import re
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from posebench.errors import ValidationError
-from posebench.io import _Reader, load_dataset, read_frames, write_dataset, write_frames
+from posebench.io import _Reader, _json_rows, load_dataset, read_frames, write_frames
 from posebench.model import LABELS, FrameTable
 from posebench.synthetic import generate_normals, generate_split
 from conftest import make_frame, make_obs, table
@@ -52,7 +54,7 @@ def test_dataset_roundtrip_sorts(tmp_path):
     assert ds.frames.frame_index.tolist() == [0, 1, 2]
     assert ds.frames.line.tolist() == [2, 3, 1]
     out = tmp_path / "copy.jsonl"
-    write_dataset(ds, out)
+    write_frames(ds.frames, out)
     assert load_dataset(out) == ds
 
 
@@ -313,10 +315,157 @@ def test_reader_matches_json_loads_reference(lines):
     assert outcomes[0] == outcomes[1]
 
 
-def test_integer_past_uint64_is_echoed_exactly(tmp_path):
-    # orjson reads 2**64 + 1 as a float; the message still quotes the literal's integer.
+@pytest.mark.parametrize(
+    "frame,message",
+    [
+        (make_frame(2**64 + 1), r"\(frame_index 18446744073709551617\): .* integer, got 18446744073709551617$"),
+        (make_frame(3, camera_id=2**64), r"\(frame_index 3\): .* string, got 18446744073709551616$"),
+    ],
+    ids=["frame_index", "camera_id"],
+)
+def test_integer_past_uint64_is_echoed_exactly(tmp_path, frame, message):
+    # orjson reads an integer past 64 bits as a float; the message still quotes the literal's integer.
     path = tmp_path / "big.jsonl"
-    path.write_text(json.dumps(make_frame(2**64 + 1)) + "\n")
-    message = r"line 1 \(frame_index 18446744073709551617\): .* integer, got 18446744073709551617$"
-    with pytest.raises(ValidationError, match=message):
+    path.write_text(json.dumps(frame) + "\n")
+    with pytest.raises(ValidationError, match="line 1 " + message):
         read_frames(path)
+
+
+# Values next to the bounds where json.dumps turns to exponent notation (|v| < 1e-4 or >= 1e16) and
+# orjson does not, or that print the same in both; subnormals and -0.0 included.
+_EDGES = (
+    1e-5, 3e-5, float(np.nextafter(1e-4, 0)), 1e-4, float(np.nextafter(1e-4, 1)), 5e-324, 2.2250738585072014e-308,
+    float(np.nextafter(1e16, 0)), 1e16, float(np.nextafter(1e16, 2e16)), 2.5e17, 1.7976931348623157e308,
+    0.0, -0.0, 0.5, 1.0, 123.456, 1 / 3,
+)
+# json.dumps escapes some of these and orjson not, or refuses them (a lone surrogate).
+_camera_char = st.one_of(
+    st.characters(), st.sampled_from(('"', "\\", "\x00", "\n", "\x1f", "\x7f", "\x80", "é", " ", "\ud800", "\udc00"))
+)
+
+
+def _near(edge):
+    """Strategies of signed values, visibilities and boxes that mix ``edge`` with plain values."""
+    magnitude = st.one_of(st.just(edge), st.floats(1e-4, 4096.0))
+    pair = st.lists(magnitude, min_size=2, max_size=2, unique=True).map(sorted)
+    return (
+        st.builds(operator.mul, st.sampled_from((1.0, -1.0)), magnitude),
+        st.one_of(st.none(), st.just(min(edge, 1.0)), st.floats(1e-4, 1.0)),
+        st.builds(lambda x, y: [x[0], y[0], x[1], y[1]], pair, pair),
+    )
+
+
+@st.composite
+def _edge_tables(draw):
+    """A FrameTable in which each person and region box mixes one edge value with plain values, next to
+    frames with no persons and anomalous frames with regions."""
+    camera = st.one_of(st.just("cam0"), st.text(_camera_char, min_size=1, max_size=3))
+    cameras = draw(st.lists(camera, min_size=1, max_size=3))
+    frames, regions, persons = [], [], []
+    for row in range(draw(st.integers(0, 4))):
+        anomalous = draw(st.booleans())
+        frames.append((draw(st.sampled_from(cameras)), draw(st.integers(0, 2**63 - 1)), anomalous))
+        for _ in range(draw(st.integers(0, 2 if anomalous else 0))):
+            regions.append((row, draw(_near(draw(st.sampled_from(_EDGES)))[2])))
+        for _ in range(draw(st.integers(0, 2))):
+            signed, visibility, box = _near(draw(st.sampled_from(_EDGES)))
+            interpolated = draw(st.booleans())
+            vis = [None] * 17 if interpolated else draw(st.lists(visibility, min_size=17, max_size=17))
+            if not interpolated and all(v is None for v in vis):
+                vis[0] = 1.0
+            xy = draw(st.lists(signed, min_size=34, max_size=34))
+            kps = [[xy[2 * j], xy[2 * j + 1], np.nan if v is None else v] for j, v in enumerate(vis)]
+            persons.append((row, draw(st.integers(0, 2**63 - 1)), kps, draw(box), interpolated))
+    camera_id, frame_index, anomalous = zip(*frames) if frames else ((),) * 3
+    region_frame, boxes = zip(*regions) if regions else ((), ())
+    frame_row, track_id, keypoints, bbox, interpolated = zip(*persons) if persons else ((),) * 5
+    return FrameTable(
+        camera_id=np.array(camera_id, dtype=object),
+        frame_index=np.array(frame_index, dtype=np.int64),
+        anomalous=np.array(anomalous, dtype=bool),
+        line=np.arange(1, len(frames) + 1),
+        region_frame=np.array(region_frame, dtype=np.int64),
+        regions=np.array(boxes, dtype=np.float64).reshape(-1, 4),
+        frame_row=np.array(frame_row, dtype=np.int64),
+        track_id=np.array(track_id, dtype=np.int64),
+        keypoints=np.array(keypoints, dtype=np.float64).reshape(-1, 17, 3),
+        bbox=np.array(bbox, dtype=np.float64).reshape(-1, 4),
+        interpolated=np.array(interpolated, dtype=bool),
+    )
+
+
+def _written(frames, write=write_frames) -> bytes:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "frames.jsonl")
+        write(frames, path)
+        return path.read_bytes()
+
+
+@settings(deadline=None)
+@given(_edge_tables())
+def test_writer_matches_json_dumps_reference(frames):
+    # orjson writes the lines; every byte must be the one json.dumps gives.
+    assert _written(frames) == _written(frames, _oracles.write_frames_json)
+
+
+def _two_frames(camera_id="cam0"):
+    """A frame with no persons, then an anomalous one with a person, an interpolated person and a region."""
+    persons = (make_obs(track_id=1), make_obs(track_id=2, interpolated=True))
+    return table([make_frame(0, camera_id=camera_id), make_frame(1, "anomalous", persons, camera_id)])
+
+
+def _edited(name, index, value):
+    """``_two_frames()`` with one value of column ``name`` set; every such value sits in frame row 1."""
+    frames = _two_frames()
+    column = getattr(frames, name).copy()
+    column[index] = value
+    return dataclasses.replace(frames, **{name: column})
+
+
+@pytest.mark.parametrize(
+    "frames,text,rows",
+    [
+        (_edited("keypoints", (0, 3, 2), 3e-5), b"3e-05", [False, True]),
+        (_edited("keypoints", (0, 5, 2), 5e-324), b"5e-324", [False, True]),
+        (_edited("keypoints", (0, 0, 0), -2.5e17), b"-2.5e+17", [False, True]),
+        (_edited("bbox", (0, 2), 1e16), b"1e+16", [False, True]),
+        (_edited("regions", (0, 1), 1e-5), b"1e-05", [False, True]),
+        (_two_frames(camera_id="caf\u00e9"), b'"caf\\u00e9"', [True, True]),
+        (_two_frames(camera_id="\x7f"), b'"\\u007f"', [True, True]),
+        (_two_frames(camera_id="a\ud800"), b'"a\\ud800"', [True, True]),
+        (
+            dataclasses.replace(_two_frames(), keypoints=_two_frames().keypoints.astype(np.float32)),
+            b"0.8999999761581421",
+            [False, True],
+        ),
+    ],
+    ids=[
+        "small-visibility", "subnormal-visibility", "large-x", "bbox-1e16", "region-1e-5",
+        "camera-non-ascii", "camera-del", "camera-lone-surrogate", "float32-keypoints",
+    ],
+)
+def test_json_dumps_writes_the_lines_orjson_would_not(frames, text, rows):
+    assert _json_rows(frames).tolist() == rows
+    written = _written(frames)
+    assert text in written
+    assert written == _written(frames, _oracles.write_frames_json)
+
+
+def test_orjson_writes_synth_and_null_visibility_rows():
+    # No line of a synth table, nor of a frame with interpolated (NaN) visibilities, needs json.dumps.
+    split = generate_split(60, 40, 12, seed=3)
+    frames = FrameTable.concat(split.train.frames, split.test.frames, _two_frames())
+    assert not _json_rows(frames).any()
+
+
+def test_non_contiguous_columns_write_the_same_bytes():
+    frames = FrameTable.concat(generate_split(30, 20, 10, seed=5).test.frames, _two_frames())
+    views = dataclasses.replace(
+        frames,
+        keypoints=np.asfortranarray(frames.keypoints),
+        bbox=frames.bbox.T.copy().T,
+        regions=frames.regions.T.copy().T,
+    )
+    assert not views.bbox.flags.c_contiguous and not views.keypoints.flags.c_contiguous
+    assert not _json_rows(views).any()
+    assert _written(views) == _written(frames) == _written(frames, _oracles.write_frames_json)
