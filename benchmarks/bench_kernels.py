@@ -25,8 +25,9 @@ workload's run does. The ``scorers.save_checkpoint`` and
 ``scorers.load_checkpoint`` rows write and read a knn checkpoint of the
 store that perfbench's ``continual-knn`` holds at its last step (714
 overlapping windows of length 24, stride 6) and print the MB written; the
-single save is a fresh scorer's first, which builds the distinct-row table
-of the whole store. The ``9 saves`` row times the saves of ``continual-knn``'s
+single save is the first of a scorer just loaded from that file, which
+starts a new store generation and so builds the distinct-row table of the
+whole store. The ``9 saves`` row times the saves of ``continual-knn``'s
 steps, each after its slice of windows joins the store.
 """
 
@@ -47,7 +48,7 @@ from posebench.io import read_frames, write_frames
 from posebench.preprocess import WindowBatch, extract_windows
 from posebench.rearrange import RearrangePlan, rearrange, verify
 from posebench.runner import derive_seed
-from posebench.scorers import KnnScorer, kinematic_features, load_checkpoint, scorer_from_snapshot
+from posebench.scorers import KnnScorer, kinematic_features, load_checkpoint
 from posebench.synthetic import generate_normals, generate_split
 
 
@@ -185,15 +186,15 @@ def _nine_saves(batch, path) -> float:
 
 def bench_checkpoint(seed: int, repeat: int):
     # The step-9 store of continual-knn: 714 windows of length 24 at stride 6, sharing rows by overlap.
-    # A single save is the first of a fresh scorer, so it builds the distinct-row table of the whole store.
+    # A single save is the first of a loaded scorer, so it builds the distinct-row table of the whole store.
     batch = extract_windows(generate_normals(2200, seed=seed).frames)
     n = 714
     scorer = KnnScorer()
     scorer.fit(_windows(batch, 0, n))
-    snap = scorer.snapshot()
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "step.ckpt")
-        save = min(_timed(scorer_from_snapshot(snap).save_checkpoint, path) for _ in range(repeat))
+        scorer.save_checkpoint(path)
+        save = min(_timed(load_checkpoint(path).save_checkpoint, path) for _ in range(repeat))
         load = _best_of(lambda: load_checkpoint(path), repeat)
         written = f"{os.path.getsize(path) / 1e6:.2f} MB"
         steps = min(_nine_saves(batch, path) for _ in range(repeat))

@@ -4,8 +4,8 @@ Subcommands: stats, rearrange, run-standard, run-continual, report, synth.
 Exit codes: 0 success, 1 usage error, 2 data validation error, 3 runtime
 failure. Results go to files (or stdout for stats); diagnostics go to
 stderr. Every writing subcommand drops a manifest.json with the tool
-version, a hash of the effective configuration, the seed, a timestamp and
-the subcommand name.
+version, a hash of the effective configuration (never of a path), the
+seed, a timestamp and the subcommand name.
 """
 
 from __future__ import annotations
@@ -77,17 +77,22 @@ _RUN_FLAG_KEYS = (
     "smoothing_window", "aggregator", "fnr_target", "seed",
 )
 
-_PLAN_FLAG_KEYS = (
-    ("k", "k"),
-    ("inject_count", "inject_count"),
-    ("target_ratio", "target_train_anomaly_ratio"),
-    ("balance_tolerance", "balance_tolerance"),
+_PLAN_FLAG_KEYS = (  # (flag, RearrangePlan key, type)
+    ("k", "k", int),
+    ("inject_count", "inject_count", int),
+    ("target_ratio", "target_train_anomaly_ratio", float),
+    ("balance_tolerance", "balance_tolerance", float),
 )
+
+
+def _add_plan_flags(p: argparse.ArgumentParser):
+    for flag, _, kind in _PLAN_FLAG_KEYS:
+        p.add_argument("--" + flag.replace("_", "-"), dest=flag, type=kind)
 
 
 def _plan_flags(args) -> dict:
     """The plan keys given as flags; the rest keep RearrangePlan's defaults."""
-    return {key: getattr(args, flag) for flag, key in _PLAN_FLAG_KEYS if getattr(args, flag) is not None}
+    return {key: getattr(args, flag) for flag, key, _ in _PLAN_FLAG_KEYS if getattr(args, flag) is not None}
 
 
 def _build_run_config(args, mode: str):
@@ -163,12 +168,7 @@ def _cmd_rearrange(args) -> int:
         fh.write("frame_index,origin,slice\n")
         for fi, code, i in zip(cs.frames.frame_index[rows].tolist(), cs.tag[rows].tolist(), slice_of):
             fh.write(f"{fi},{TAGS[code]},{i}\n")
-    params = {
-        "train": str(args.train),
-        "test": str(args.test),
-        "plan": dataclasses.asdict(plan),
-    }
-    _write_manifest(args.out, "rearrange", args.seed, _params_hash(params))
+    _write_manifest(args.out, "rearrange", args.seed, _params_hash({"plan": dataclasses.asdict(plan)}))
     print(f"wrote {plan.k} slices, test.jsonl and provenance.csv to {args.out}", file=sys.stderr)
     return 0
 
@@ -202,8 +202,7 @@ def _cmd_report(args) -> int:
     result = load_results(args.results)
     formats = tuple(args.formats.split(","))
     emit_report([result], args.out, formats=formats)
-    params = {"results": str(args.results), "formats": list(formats)}
-    _write_manifest(args.out, "report", 0, _params_hash(params))
+    _write_manifest(args.out, "report", 0, _params_hash({"formats": list(formats)}))
     return 0
 
 
@@ -289,10 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--test", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--inject-count", dest="inject_count", type=int)
-    p.add_argument("--target-ratio", dest="target_ratio", type=float)
-    p.add_argument("--k", type=int)
-    p.add_argument("--balance-tolerance", dest="balance_tolerance", type=float)
+    _add_plan_flags(p)
     p.set_defaults(func=_cmd_rearrange)
 
     p = sub.add_parser("run-standard", help="fit on normal train data, evaluate once")
@@ -302,10 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run-continual", help="pretrain, rearrange, train slice by slice")
     _add_run_flags(p)
     p.add_argument("--origin", help="origin dataset for pretraining (JSONL)")
-    p.add_argument("--k", type=int)
-    p.add_argument("--inject-count", dest="inject_count", type=int)
-    p.add_argument("--target-ratio", dest="target_ratio", type=float)
-    p.add_argument("--balance-tolerance", dest="balance_tolerance", type=float)
+    _add_plan_flags(p)
     p.set_defaults(func=_cmd_run_continual)
 
     p = sub.add_parser("report", help="re-render reports from a results.json")

@@ -26,6 +26,9 @@ from .model import CameraDataset
 
 AGGREGATORS = ("max", "mean")
 
+# The four headline metrics of a MetricReport, each with whether a higher value is better.
+HIGHER_IS_BETTER = {"auc_roc": True, "auc_pr": True, "eer": False, "ten_er": False}
+
 
 @dataclass(frozen=True)
 class ScoreSeries:

@@ -64,6 +64,18 @@ def continual_rows(result):
     return rows
 
 
+def _cases(result):
+    """A result's camera id, its (context, MetricReport) rows and its step count.
+
+    A continual result gives every case and its k; a standard result is a
+    (camera_id, MetricReport) pair, one "standard" row and no steps (None).
+    """
+    if isinstance(result, tuple):
+        camera_id, report = result
+        return camera_id, [("standard", report)], None
+    return result.camera_id, continual_rows(result), result.k
+
+
 def _markdown_table(rows) -> list[str]:
     lines = [
         "| Case | AUC-ROC | AUC-PR | EER | 10ER |",
@@ -77,35 +89,28 @@ def _markdown_table(rows) -> list[str]:
     return lines
 
 
-def render_continual_markdown(results) -> str:
-    lines = ["# Continual evaluation report", ""]
+def render_markdown(results) -> str:
+    """The markdown report of a list of results of one protocol (see ``_cases``)."""
+    lines = []
     for result in results:
-        head = result.baseline
-        lines.append(f"## Camera {result.camera_id}")
+        camera_id, rows, steps = _cases(result)
+        if not lines:
+            lines += [f"# {'Standard' if steps is None else 'Continual'} evaluation report", ""]
+        head = rows[0][1]
+        lines.append(f"## Camera {camera_id}")
         lines.append("")
         lines.append(
-            f"Test set: {head.n_pos} anomalous / {head.n_neg} normal frames, "
-            f"{len(result.per_step)} training steps."
+            f"Test set: {head.n_pos} anomalous / {head.n_neg} normal frames"
+            + ("." if steps is None else f", {steps} training steps.")
         )
         lines.append("")
-        lines.extend(_markdown_table(continual_rows(result)))
+        lines.extend(_markdown_table(rows))
         lines.append("")
-    return "\n".join(lines)
-
-
-def render_standard_markdown(camera_id: str, report: MetricReport) -> str:
-    lines = ["# Standard evaluation report", ""]
-    lines.append(f"## Camera {camera_id}")
-    lines.append("")
-    lines.append(f"Test set: {report.n_pos} anomalous / {report.n_neg} normal frames.")
-    lines.append("")
-    lines.extend(_markdown_table([("standard", report)]))
-    lines.append("")
     return "\n".join(lines)
 
 
 def emit_report(results, out_dir, formats=("csv", "markdown")) -> dict[str, str]:
-    """Write report.csv / report.md for a list of continual results.
+    """Write report.csv / report.md for a list of results of one protocol (see ``_cases``).
 
     Returns a mapping from format name to the written path. Errors on an
     empty result list or an unknown format name.
@@ -121,8 +126,8 @@ def emit_report(results, out_dir, formats=("csv", "markdown")) -> dict[str, str]
     if "csv" in formats:
         rows = []
         for result in results:
-            for context, rep in continual_rows(result):
-                rows.append((result.camera_id, context, rep))
+            camera_id, cases, _ = _cases(result)
+            rows.extend((camera_id, context, rep) for context, rep in cases)
         path = os.path.join(out_dir, "report.csv")
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(render_csv(rows))
@@ -130,21 +135,9 @@ def emit_report(results, out_dir, formats=("csv", "markdown")) -> dict[str, str]
     if "markdown" in formats:
         path = os.path.join(out_dir, "report.md")
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(render_continual_markdown(results))
+            fh.write(render_markdown(results))
         paths["markdown"] = path
     return paths
-
-
-def write_standard_report(camera_id: str, report: MetricReport, out_dir) -> dict[str, str]:
-    """Write report.csv / report.md for one standard-protocol evaluation."""
-    os.makedirs(out_dir, exist_ok=True)
-    csv_path = os.path.join(out_dir, "report.csv")
-    with open(csv_path, "w", encoding="utf-8") as fh:
-        fh.write(render_csv([(camera_id, "standard", report)]))
-    md_path = os.path.join(out_dir, "report.md")
-    with open(md_path, "w", encoding="utf-8") as fh:
-        fh.write(render_standard_markdown(camera_id, report))
-    return {"csv": csv_path, "markdown": md_path}
 
 
 def write_step_csv(out_dir, step: int, camera_id: str, report: MetricReport) -> str:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import sys
 import zlib
 from dataclasses import asdict, dataclass, field, fields
 
@@ -20,7 +21,9 @@ import numpy as np
 
 from . import report as report_mod
 from .errors import ValidationError, check_int, is_number, json_error
-from .metrics import AGGREGATORS, MetricReport, ScoreSeries, aggregate_frame_scores, compute_all
+from .metrics import (
+    AGGREGATORS, HIGHER_IS_BETTER, MetricReport, ScoreSeries, aggregate_frame_scores, compute_all,
+)
 from .model import CameraDataset, SplitSet
 from .preprocess import WindowBatch, extract_windows
 from .rearrange import ContinualSplit, RearrangePlan, rearrange, verify
@@ -125,7 +128,8 @@ class ContinualResult:
         if not self.per_step:
             raise ValidationError("continual result needs at least one step report")
         tol = 1e-9
-        for name, sign in (("auc_roc", 1.0), ("auc_pr", 1.0), ("eer", -1.0), ("ten_er", -1.0)):
+        for name, higher in HIGHER_IS_BETTER.items():
+            sign = 1.0 if higher else -1.0
             if sign * getattr(self.step_best, name) < sign * getattr(self.step_average, name) - tol:
                 raise ValidationError(f"step_best {name} must dominate step_average")
 
@@ -139,29 +143,11 @@ def summarize_steps(per_step) -> tuple[MetricReport, MetricReport]:
     per_step = list(per_step)
     if not per_step:
         raise ValidationError("cannot summarize zero steps")
-    n_pos = per_step[0].n_pos
-    n_neg = per_step[0].n_neg
-    roc = np.array([r.auc_roc for r in per_step])
-    pr = np.array([r.auc_pr for r in per_step])
-    er = np.array([r.eer for r in per_step])
-    ten = np.array([r.ten_er for r in per_step])
-    average = MetricReport(
-        auc_roc=float(roc.mean()),
-        auc_pr=float(pr.mean()),
-        eer=float(er.mean()),
-        ten_er=float(ten.mean()),
-        n_pos=n_pos,
-        n_neg=n_neg,
-    )
-    best = MetricReport(
-        auc_roc=float(roc.max()),
-        auc_pr=float(pr.max()),
-        eer=float(er.min()),
-        ten_er=float(ten.min()),
-        n_pos=n_pos,
-        n_neg=n_neg,
-    )
-    return average, best
+    counts = {"n_pos": per_step[0].n_pos, "n_neg": per_step[0].n_neg}
+    values = {name: np.array([getattr(r, name) for r in per_step]) for name in HIGHER_IS_BETTER}
+    average = MetricReport(**{name: float(v.mean()) for name, v in values.items()}, **counts)
+    best = {name: float(v.max() if HIGHER_IS_BETTER[name] else v.min()) for name, v in values.items()}
+    return average, MetricReport(**best, **counts)
 
 
 def _windows_for(frames, cfg: RunConfig):
@@ -214,7 +200,7 @@ def run_standard(cfg: RunConfig, split: SplitSet, out_dir=None) -> MetricReport:
     test_windows = _windows_for(split.test.frames, cfg)
     result = evaluate_windows(scorer, test_windows, split.test, cfg)
     if out_dir is not None:
-        report_mod.write_standard_report(split.camera_id, result, out_dir)
+        report_mod.emit_report([(split.camera_id, result)], out_dir)
     return result
 
 
@@ -321,23 +307,27 @@ def result_from_dict(raw: dict) -> ContinualResult:
         return raw[name]
 
     def rep(name, d):
-        try:
-            return MetricReport(
-                auc_roc=float(d["auc_roc"]),
-                auc_pr=float(d["auc_pr"]),
-                eer=float(d["eer"]),
-                ten_er=float(d["ten_er"]),
-                n_pos=int(d["n_pos"]),
-                n_neg=int(d["n_neg"]),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValidationError(f"field {name!r} is not a metric report: {exc!r}") from None
+        if not isinstance(d, dict):
+            raise ValidationError(f"field {name!r} is not a metric report: got {type(d).__name__}")
+        missing = [key for key in (*HIGHER_IS_BETTER, "n_pos", "n_neg") if key not in d]
+        if missing:
+            raise ValidationError(f"field {name!r} is not a metric report: it lacks {missing}")
+        for key in HIGHER_IS_BETTER:  # a finite JSON number; a bool, a string or NaN is not
+            if not (is_number(d[key]) and abs(d[key]) <= sys.float_info.max):
+                raise ValidationError(f"field {name!r}: {key} must be a finite number, got {d[key]!r}")
+        for key in ("n_pos", "n_neg"):
+            check_int(f"field {name!r}: {key}", d[key], 0)
+        metrics = {key: float(d[key]) for key in HIGHER_IS_BETTER}
+        return MetricReport(**metrics, n_pos=d["n_pos"], n_neg=d["n_neg"])
 
+    camera_id = field("camera_id")
+    if not (isinstance(camera_id, str) and camera_id):
+        raise ValidationError(f"field 'camera_id' must be a non-empty string, got {camera_id!r}")
     steps = field("per_step")
     if not isinstance(steps, list):
         raise ValidationError(f"field 'per_step' must be a list, got {type(steps).__name__}")
     return ContinualResult(
-        camera_id=field("camera_id"),
+        camera_id=camera_id,
         baseline=rep("baseline", field("baseline")),
         per_step=tuple(rep(f"per_step[{i}]", d) for i, d in enumerate(steps)),
         step_average=rep("step_average", field("step_average")),

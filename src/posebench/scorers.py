@@ -4,9 +4,9 @@ Both scorers train on normalized pose windows only (no labels), support
 incremental ingestion, and are fully deterministic given their seed and the
 order of ingested windows. Every call takes one ``WindowBatch`` and reads
 its arrays: the gaussian scorer featurizes the whole batch at once, the knn
-scorer gathers each window's rows of ``poses``. State round-trips through
-snapshot()/restore() and through versioned .ckpt files (npz containers); a
-knn file holds each distinct pose row once, plus an index that rebuilds the store.
+scorer gathers each window's rows of ``poses``. A scorer's state is written
+and read only as a versioned .ckpt file (an npz container); a knn file holds
+each distinct pose row once, plus an index that rebuilds the store.
 A caller that scores one batch again and again (the continual runner's test
 set) holds a ``ScoringState`` for it, through which the knn scorer scans only
 the store rows added since the last scoring.
@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import json
 import zipfile
-from copy import deepcopy
 
 import numpy as np
 
@@ -64,10 +63,11 @@ class ScoringState:
 
     The knn scorer keeps the batch's gathered query matrix, each query's k
     smallest squared distances (ascending) over the first ``rows`` store
-    rows, and the store generation they were computed in. The scorer starts
-    a new generation on reset, fit, restore and any reservoir replacement; a
-    state from another generation, or covering more rows than the store
-    holds, is scanned afresh. The gaussian scorer ignores the state.
+    rows, and the store generation they were computed in. A scorer starts
+    a new generation on reset (so also on fit and when a checkpoint loads)
+    and on any reservoir replacement; a state from another generation, or
+    covering more rows than the store holds, is scanned afresh. The gaussian
+    scorer ignores the state.
     """
 
     def __init__(self, batch: WindowBatch):
@@ -79,40 +79,25 @@ class ScoringState:
 
 
 class AnomalyScorer:
-    """Contract shared by all scorers: fit / partial_fit / score_batch on a WindowBatch, and snapshot."""
+    """What every scorer shares: ``fit`` and checkpoint writing.
+
+    Each kind also has reset, partial_fit, score_batch (one score per window of a
+    WindowBatch; a ``ScoringState``, if given, belongs to that batch and carries work
+    between calls) and windows_seen, plus ``_checkpoint`` and ``_load`` for its file.
+    """
 
     kind = "base"
-
-    def reset(self):
-        raise NotImplementedError
 
     def fit(self, batch: WindowBatch):
         """Discard state and ingest the batch's windows."""
         self.reset()
         self.partial_fit(batch)
 
-    def partial_fit(self, batch: WindowBatch):
-        raise NotImplementedError
-
-    def score_batch(self, batch: WindowBatch, state: ScoringState | None = None) -> np.ndarray:
-        """One score per window; ``state``, if given, belongs to ``batch`` and carries work between calls."""
-        raise NotImplementedError
-
-    @property
-    def windows_seen(self) -> int:
-        raise NotImplementedError
-
-    def snapshot(self) -> dict:
-        raise NotImplementedError
-
-    def restore(self, state: dict, copy: bool = True):
-        """Replace the state with a snapshot's; ``copy=False`` may keep its arrays (a dict no one else holds)."""
-        raise NotImplementedError
-
     def save_checkpoint(self, path):
         """Write a versioned .ckpt file: an npz container of a JSON ``meta`` member and the arrays.
 
-        Each kind's ``_checkpoint()`` gives its meta fields after format, version and kind, and its arrays.
+        Each kind's ``_checkpoint()`` gives its meta fields after format, version and kind, and its arrays;
+        its ``_load(meta, arrays)`` takes them back.
         """
         fields, arrays = self._checkpoint()
         meta = {"format": "posebench-checkpoint", "version": CHECKPOINT_VERSION, "kind": self.kind, **fields}
@@ -179,23 +164,12 @@ class GaussianScorer(AnomalyScorer):
             return None
         return np.maximum(self._m2 / (self._count - 1), self.variance_floor)
 
-    def snapshot(self) -> dict:
-        return {
-            "kind": self.kind,
-            "version": CHECKPOINT_VERSION,
-            "params": {"variance_floor": self.variance_floor},
-            "count": self._count,
-            "mean": None if self._mean is None else self._mean.copy(),
-            "m2": None if self._m2 is None else self._m2.copy(),
-        }
-
-    def restore(self, state: dict, copy: bool = True):
-        if state.get("kind") != self.kind:
-            raise ValidationError(f"cannot restore {state.get('kind')!r} state into a {self.kind} scorer")
-        self.variance_floor = float(state["params"]["variance_floor"])
-        self._count = int(state["count"])
-        self._mean = None if state["mean"] is None else np.array(state["mean"], dtype=np.float64)
-        self._m2 = None if state["m2"] is None else np.array(state["m2"], dtype=np.float64)
+    def _load(self, meta: dict, arrays: dict):
+        """Take the state of a checkpoint's meta fields and arrays, as ``_checkpoint`` gave them."""
+        self._count = int(meta["count"])
+        mean, m2 = arrays.get("mean"), arrays.get("m2")
+        self._mean = None if mean is None else np.asarray(mean, dtype=np.float64)
+        self._m2 = None if mean is None or m2 is None else np.asarray(m2, dtype=np.float64)
         if self._count < 0:
             raise ValidationError(f"gaussian count must be >= 0, got {self._count}")
         if (self._mean is None, self._m2 is None) != (self._count == 0,) * 2:
@@ -295,30 +269,11 @@ class KnnScorer(AnomalyScorer):
     def stored_count(self) -> int:
         return self._stored
 
-    def snapshot(self) -> dict:
-        return {
-            "kind": self.kind,
-            "version": CHECKPOINT_VERSION,
-            "params": {"k_nn": self.k_nn, "capacity": self.capacity, "seed": self.seed},
-            "seen": self._seen,
-            "store": None if self._store is None else self._store[: self._stored].copy(),
-            "rng_state": deepcopy(self._rng.bit_generator.state),
-        }
-
-    def restore(self, state: dict, copy: bool = True):
-        if state.get("kind") != self.kind:
-            raise ValidationError(f"cannot restore {state.get('kind')!r} state into a {self.kind} scorer")
-        self._generation = _RowTable()
-        params = state["params"]
-        self.k_nn = int(params["k_nn"])
-        self.capacity = int(params["capacity"])
-        self.seed = int(params["seed"])
-        self._seen = int(state["seen"])
-        if state["store"] is None:
-            self._store = None
-            self._stored = 0
-        else:
-            self._store = np.array(state["store"], dtype=np.float64, copy=copy or None)
+    def _load(self, meta: dict, arrays: dict):
+        """Take the state of a checkpoint's meta fields and arrays; ``arrays["store"]`` is the dense store."""
+        self._seen = int(meta["seen"])
+        if arrays.get("store") is not None:
+            self._store = np.asarray(arrays["store"], dtype=np.float64)  # just read: no one else holds it
             if self._store.ndim != 2 or self._store.shape[0] > self.capacity:
                 raise ValidationError(
                     f"knn store must be 2-D with at most {self.capacity} rows, got shape {self._store.shape}"
@@ -328,8 +283,7 @@ class KnnScorer(AnomalyScorer):
             self._stored = self._store.shape[0]
         if self._seen < self._stored:
             raise ValidationError(f"knn seen {self._seen} must count at least the {self._stored} stored rows")
-        self._rng = np.random.default_rng()
-        self._rng.bit_generator.state = deepcopy(state["rng_state"])
+        self._rng.bit_generator.state = meta["rng_state"]
 
     def _checkpoint(self):
         fields = {"params": {"k_nn": self.k_nn, "capacity": self.capacity, "seed": self.seed}, "seen": self._seen}
@@ -355,16 +309,6 @@ def make_scorer(kind: str, seed: int = 0, params: dict | None = None) -> Anomaly
         return GaussianScorer(**params)
     params.setdefault("seed", seed)
     return KnnScorer(**params)
-
-
-def scorer_from_snapshot(state: dict, copy: bool = True) -> AnomalyScorer:
-    """Construct a fresh scorer from a snapshot dict; ``copy`` as in ``restore``."""
-    classes = {"gaussian": GaussianScorer, "knn": KnnScorer}
-    if state.get("kind") not in classes:
-        raise ValidationError(f"unknown scorer kind {state.get('kind')!r} in snapshot")
-    scorer = classes[state["kind"]](**state["params"])
-    scorer.restore(state, copy=copy)
-    return scorer
 
 
 def _row_width(width: int) -> int:
@@ -479,16 +423,11 @@ def load_checkpoint(path) -> AnomalyScorer:
             raise ValidationError(
                 f"checkpoint {path}: meta field {name!r} must be {expected.__name__}, got {meta[name]!r}"
             )
-    state = {"kind": kind, "version": version, "params": meta["params"]}
-    if kind == "gaussian":
-        state["count"] = meta["count"]
-        state["mean"] = arrays.get("mean")
-        state["m2"] = None if state["mean"] is None else arrays.get("m2")
-    else:
-        state["seen"] = meta["seen"]
-        state["store"] = arrays.get("store") if version == 1 else _rebuild_store(arrays, path)
-        state["rng_state"] = meta["rng_state"]
+    if kind == "knn" and version > 1:
+        arrays["store"] = _rebuild_store(arrays, path)
     try:
-        return scorer_from_snapshot(state, copy=False)  # the arrays were just read: hand them over
+        scorer = {"gaussian": GaussianScorer, "knn": KnnScorer}[kind](**meta["params"])
+        scorer._load(meta, arrays)
+        return scorer
     except (TypeError, ValueError, KeyError, ValidationError) as exc:
         raise ValidationError(f"checkpoint {path}: state rejected ({type(exc).__name__}: {exc})") from None

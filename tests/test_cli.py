@@ -29,6 +29,11 @@ def synth_dir(tmp_path_factory):
     return out
 
 
+def _metric(field, key, value):
+    """Set one value of one metric report of a results dict."""
+    return lambda raw: {**raw, field: {**raw[field], key: value}}
+
+
 class TestExitCodes:
     def test_no_subcommand_is_usage_error(self, capsys):
         assert main([]) == 1
@@ -89,6 +94,34 @@ class TestExitCodes:
     def test_deep_nesting_in_results_is_data_error(self, deep, tmp_path, capsys):
         assert main(["report", "--results", str(deep), "--out", str(tmp_path / "o")]) == 2
         assert f"{deep}: malformed JSON: nesting too deep" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "damage,message",
+        [
+            (lambda raw: {**raw, "camera_id": 7}, "field 'camera_id' must be a non-empty string, got 7"),
+            (lambda raw: {**raw, "camera_id": ["cam0"]}, "field 'camera_id' must be a non-empty string, got ['c"),
+            (lambda raw: {**raw, "camera_id": ""}, "field 'camera_id' must be a non-empty string, got ''"),
+            (_metric("baseline", "auc_roc", True), "field 'baseline': auc_roc must be a finite number, got True"),
+            (_metric("baseline", "auc_roc", "0.5"), "field 'baseline': auc_roc must be a finite number, got '0.5'"),
+            (_metric("step_best", "eer", float("nan")), "field 'step_best': eer must be a finite number, got nan"),
+            (_metric("step_best", "ten_er", float("inf")), "field 'step_best': ten_er must be a finite number"),
+            (_metric("step_average", "auc_pr", 10**400), "field 'step_average': auc_pr must be a finite number"),
+            (_metric("batch_training", "n_pos", 2.7), "field 'batch_training': n_pos must be an integer >= 0"),
+            (_metric("baseline", "n_neg", -1), "field 'baseline': n_neg must be an integer >= 0, got -1"),
+            (_metric("baseline", "n_neg", True), "field 'baseline': n_neg must be an integer >= 0, got True"),
+            (lambda raw: {**raw, "per_step": [raw["baseline"], {**raw["baseline"], "n_pos": "1"}]},
+             "field 'per_step[1]': n_pos must be an integer >= 0, got '1'"),
+            (lambda raw: {**raw, "baseline": {"auc_roc": 0.5, "n_pos": 1}},
+             "field 'baseline' is not a metric report: it lacks ['auc_pr', 'eer', 'ten_er', 'n_neg']"),
+            (lambda raw: {**raw, "baseline": [0.5]}, "field 'baseline' is not a metric report: got list"),
+        ],
+    )
+    def test_bad_result_value_is_data_error(self, tmp_path, capsys, damage, message):
+        results = tmp_path / "results.json"
+        results.write_text(json.dumps(damage(result_to_dict(golden_results()[0]))))
+        assert main(["report", "--results", str(results), "--out", str(tmp_path / "o")]) == 2
+        assert f"{results}: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize(
         "old,new",
@@ -261,7 +294,7 @@ class TestRearrangeCommand:
 
     def test_default_plan_flags_keep_the_config_hash(self, synth_dir, tmp_path, capsys):
         # Without plan flags the plan takes RearrangePlan's defaults, and the manifest hashes
-        # the same parameters as when those defaults are given as flags.
+        # the same plan as when those defaults are given as flags.
         train, test = str(synth_dir / "train.jsonl"), str(synth_dir / "test.jsonl")
         args = ["rearrange", "--train", train, "--test", test]
         defaults = ["--k", "9", "--target-ratio", "0.01", "--balance-tolerance", "0.002"]
@@ -275,10 +308,30 @@ class TestRearrangeCommand:
             "k": 9,
             "balance_tolerance": 0.002,
         }
-        blob = json.dumps({"train": train, "test": test, "plan": plan}, sort_keys=True, separators=(",", ":"))
+        blob = json.dumps({"plan": plan}, sort_keys=True, separators=(",", ":"))
         want = hashlib.sha256(blob.encode("utf-8")).hexdigest()
         for out in ("bare", "explicit"):
             assert json.loads((tmp_path / out / "manifest.json").read_text())["config_hash"] == want
+
+
+    def test_config_hash_does_not_depend_on_the_input_paths(self, synth_dir, tmp_path, capsys):
+        # One rearrangement, and one report, of byte-identical inputs kept in two directories.
+        results = json.dumps(result_to_dict(golden_results()[0]))
+        hashes = {"rearrange": [], "report": []}
+        for copy in (tmp_path / "a", tmp_path / "b"):
+            copy.mkdir()
+            for name in ("train.jsonl", "test.jsonl"):
+                (copy / name).write_bytes((synth_dir / name).read_bytes())
+            (copy / "results.json").write_text(results)
+            for argv in (
+                ["rearrange", "--train", str(copy / "train.jsonl"), "--test", str(copy / "test.jsonl"), "--k", "4"],
+                ["report", "--results", str(copy / "results.json")],
+            ):
+                out = copy / argv[0]
+                assert main(argv + ["--out", str(out)]) == 0
+                hashes[argv[0]].append(json.loads((out / "manifest.json").read_text())["config_hash"])
+        capsys.readouterr()
+        assert all(a == b for a, b in hashes.values()), hashes
 
 
 class TestConfigValues:

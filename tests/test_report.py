@@ -8,7 +8,7 @@ from posebench.report import (
     csv_line,
     emit_report,
     format_cells,
-    render_continual_markdown,
+    render_markdown,
     render_csv,
 )
 from posebench.runner import ContinualResult
@@ -74,7 +74,7 @@ class TestRenderers:
         assert len(lines) - 1 == 1 + 3 + 1 + 1 + 1
 
     def test_markdown_structure(self):
-        text = render_continual_markdown([result()])
+        text = render_markdown([result()])
         assert text.startswith("# Continual evaluation report")
         assert "## Camera cam0" in text
         assert "| Case | AUC-ROC | AUC-PR | EER | 10ER |" in text

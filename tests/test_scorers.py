@@ -26,7 +26,6 @@ from posebench.scorers import (
     kinematic_features,
     load_checkpoint,
     make_scorer,
-    scorer_from_snapshot,
 )
 from posebench.synthetic import generate_normals, generate_split
 
@@ -160,14 +159,6 @@ class TestGaussianScorer:
         sc.fit(window_batch([w, w, w]))
         assert np.isfinite(sc.score_batch(window_batch([w]))).all()
 
-    def test_snapshot_restore(self, rng):
-        sc = GaussianScorer()
-        sc.fit(windows(rng, 20))
-        state = sc.snapshot()
-        clone = scorer_from_snapshot(state)
-        probe = windows(rng, 4)
-        np.testing.assert_array_equal(clone.score_batch(probe), sc.score_batch(probe))
-
 
 class TestKnnScorer:
     def test_scores_outliers_higher(self, rng):
@@ -212,18 +203,7 @@ class TestKnnScorer:
         b.fit(ws)
         np.testing.assert_array_equal(a.score_batch(probe), b.score_batch(probe))
 
-    def test_snapshot_restores_rng_state(self, rng):
-        ws = feats(rng, 60)
-        sc = KnnScorer(k_nn=2, capacity=24, seed=1)
-        sc.partial_fit(window_batch(ws[:30]))
-        state = sc.snapshot()
-        clone = scorer_from_snapshot(state)
-        sc.partial_fit(window_batch(ws[30:]))
-        clone.partial_fit(window_batch(ws[30:]))
-        probe = windows(rng, 4)
-        np.testing.assert_array_equal(clone.score_batch(probe), sc.score_batch(probe))
-
-    def test_store_grows_with_the_windows_held(self, rng):
+    def test_store_grows_with_the_windows_held(self, rng, tmp_path):
         sc = KnnScorer(k_nn=1, capacity=50_000, seed=0)
         sc.partial_fit(windows(rng, 3, length=4))
         assert sc._store.shape == (64, 4 * 34)
@@ -232,8 +212,8 @@ class TestKnnScorer:
         capped = KnnScorer(k_nn=1, capacity=100, seed=0)
         capped.fit(windows(rng, 300, length=4))
         assert capped._store.shape == (100, 4 * 34)
-        restored = scorer_from_snapshot(sc.snapshot())
-        assert restored._store.shape == (103, 4 * 34)
+        sc.save_checkpoint(tmp_path / "knn.ckpt")
+        assert load_checkpoint(tmp_path / "knn.ckpt")._store.shape == (103, 4 * 34)
 
     def test_overlapping_windows_read_their_row_slices(self, rng):
         # Windows of one track share rows; each stored and query vector is its own row slice.
@@ -246,11 +226,23 @@ class TestKnnScorer:
         assert sc.score_batch(batch).tobytes() == _kernels.knn_mean_distance(want, want, 2).tobytes()
 
 
-def _snapshot_arrays(sc):
-    state = sc.snapshot()
-    if state["kind"] == "knn":
-        return state["store"], state["rng_state"], state["seen"]
-    return state["mean"], state["m2"], state["count"]
+def _stored(sc):
+    """The rows a knn scorer holds."""
+    return sc._store[: sc.stored_count]
+
+
+def _state(sc):
+    """A scorer's live state: what its checkpoint writes."""
+    if sc.kind == "knn":
+        return _stored(sc), sc._rng.bit_generator.state, sc.windows_seen
+    return sc._mean, sc._m2, sc.windows_seen
+
+
+def _holding(store):
+    """A knn scorer that holds ``store`` as if it had ingested exactly its rows."""
+    sc = KnnScorer(k_nn=1, capacity=max(len(store), 1))
+    sc._store, sc._stored, sc._seen = store, len(store), len(store)
+    return sc
 
 
 class TestSplitInvariance:
@@ -274,7 +266,7 @@ class TestSplitInvariance:
         bounds = [0, *sorted(c for c in cuts if c <= n), n]
         for lo, hi in zip(bounds, bounds[1:]):
             split.partial_fit(window_batch(ws[lo:hi]))
-        for a, b in zip(_snapshot_arrays(whole), _snapshot_arrays(split)):
+        for a, b in zip(_state(whole), _state(split)):
             if isinstance(a, np.ndarray):
                 assert a.tobytes() == b.tobytes()
             else:
@@ -339,7 +331,8 @@ class TestScoringState:
         again = sc.score_batch(probe, state)
         assert again.tobytes() == sc.score_batch(probe).tobytes() != first.tobytes()
 
-    def test_restore_rescans(self, rng):
+    def test_restore_rescans(self, rng, tmp_path):
+        # A loaded scorer holding as many rows as the state covers starts a new generation.
         sc = KnnScorer(k_nn=2, seed=0)
         other = KnnScorer(k_nn=2, seed=0)
         sc.fit(windows(rng, 12, length=3))
@@ -347,7 +340,8 @@ class TestScoringState:
         probe = windows(rng, 5, length=3)
         state = ScoringState(probe)
         sc.score_batch(probe, state)
-        sc.restore(other.snapshot())
+        other.save_checkpoint(tmp_path / "other.ckpt")
+        sc = load_checkpoint(tmp_path / "other.ckpt")
         assert sc.score_batch(probe, state).tobytes() == other.score_batch(probe).tobytes()
 
     def test_replacement_rescans(self, rng):
@@ -396,7 +390,7 @@ class TestRestoreCopies:
         sc = _overlapping_store(714)
         path = tmp_path / "knn.ckpt"
         sc.save_checkpoint(path)
-        store_mb = sc.snapshot()["store"].nbytes / 2**20
+        store_mb = _stored(sc).nbytes / 2**20
         tracemalloc.start()
         try:
             back = load_checkpoint(path)
@@ -404,26 +398,7 @@ class TestRestoreCopies:
         finally:
             tracemalloc.stop()
         assert peak_mb < 1.35 * store_mb, (peak_mb, store_mb)
-        assert back.snapshot()["store"].tobytes() == sc.snapshot()["store"].tobytes()
-
-    def test_a_held_snapshot_is_never_aliased(self, rng):
-        sc = KnnScorer(k_nn=2, seed=0)
-        sc.fit(windows(rng, 12, length=3))
-        snap = sc.snapshot()
-        probe = windows(rng, 3, length=3)
-        want = sc.score_batch(probe).tobytes()
-        clone = scorer_from_snapshot(snap)
-        restored = KnnScorer(k_nn=2, seed=0)
-        restored.restore(snap)
-        snap["store"][:] = 0.0
-        for scorer in (clone, restored):
-            assert not np.shares_memory(scorer._store, snap["store"])
-            assert scorer.score_batch(probe).tobytes() == want
-
-    def test_copy_false_keeps_the_array(self, rng):
-        snap = KnnScorer(k_nn=2, seed=0).snapshot()
-        snap.update(store=rng.normal(size=(6, 3 * 34)), seen=6)
-        assert scorer_from_snapshot(snap, copy=False)._store is snap["store"]
+        assert _stored(back).tobytes() == _stored(sc).tobytes()
 
 
 class TestCheckpoints:
@@ -473,7 +448,7 @@ class TestCheckpoints:
                 resumed.partial_fit(window_batch(ws[lo:hi]))
                 resumed.save_checkpoint(path)
                 resumed = load_checkpoint(path)
-        for a, b in zip(_snapshot_arrays(whole), _snapshot_arrays(resumed)):
+        for a, b in zip(_state(whole), _state(resumed)):
             if isinstance(a, np.ndarray):
                 assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
             else:
@@ -559,7 +534,7 @@ def _store_id(store):
 
 def _save_and_load(sc, path):
     """Round-trip a knn scorer through a checkpoint; returns the file's rows and index."""
-    saved = sc.snapshot()["store"]
+    saved = _stored(sc)
     sc.save_checkpoint(path)
     with np.load(path) as data:
         rows, index = data["rows"], data["index"]
@@ -567,7 +542,7 @@ def _save_and_load(sc, path):
     assert (rows[index].reshape(saved.shape).view(np.uint64) == saved.view(np.uint64)).all()
     used, firsts = np.unique(index.reshape(-1), return_index=True)
     assert used.tolist() == list(range(len(rows))) and (np.diff(firsts) > 0).all()
-    assert _store_id(load_checkpoint(path).snapshot()["store"]) == _store_id(saved)
+    assert _store_id(_stored(load_checkpoint(path))) == _store_id(saved)
     return rows, index
 
 
@@ -613,7 +588,7 @@ class TestCheckpointLayout:
     def test_any_store_width_round_trips(self, width, n, values, seed, collide):
         # A width that is not a multiple of 34 is one row per vector; -0.0 and 0.0 stay apart.
         store = np.array(values)[np.random.default_rng(seed).integers(0, len(values), (n, width))]
-        sc = scorer_from_snapshot({**KnnScorer(k_nn=1, capacity=max(n, 1)).snapshot(), "store": store, "seen": n})
+        sc = _holding(store)
         with tempfile.TemporaryDirectory() as tmp, _colliding_keys() if collide else contextlib.nullcontext():
             rows, _ = _save_and_load(sc, Path(tmp, "knn.ckpt"))
         assert rows.shape[1] == (34 if width % 34 == 0 else width)
@@ -626,7 +601,7 @@ class TestCheckpointLayout:
         keys = scorers._row_keys(np.stack([a, b]).view(np.uint64))
         assert keys[0] == keys[1] and a.tobytes() != b.tobytes()
         store = np.stack([a, b, a, b])
-        sc = scorer_from_snapshot({**KnnScorer(k_nn=1, capacity=4).snapshot(), "store": store, "seen": 4})
+        sc = _holding(store)
         rows, index = _save_and_load(sc, tmp_path / "knn.ckpt")
         assert rows[:2].tobytes() == store[:2].tobytes() and index[:3, 0].tolist() == [0, 1, 0]
 
@@ -658,11 +633,12 @@ class TestCheckpointLayout:
                 sc.partial_fit(WindowBatch(poses, starts, np.zeros(n, np.int64), starts, length))
                 done += 2 * n
                 if i == len(steps) // 2:
-                    sc = scorer_from_snapshot(sc.snapshot())
+                    sc.save_checkpoint(path)
+                    sc = load_checkpoint(path)
                 sc.save_checkpoint(path)
                 with np.load(path) as data:
                     got = data["rows"], data["index"]
-                want = _oracles.distinct_rows(sc.snapshot()["store"], keys)
+                want = _oracles.distinct_rows(_stored(sc), keys)
                 for g, w in zip(got, want):
                     assert (g.dtype, g.shape, g.tobytes()) == (w.dtype, w.shape, w.tobytes())
 
@@ -670,7 +646,7 @@ class TestCheckpointLayout:
         sc = KnnScorer(k_nn=1, capacity=10)
         sc.partial_fit(windows(rng, 6))
         rows, index = _save_and_load(sc, tmp_path / "knn.ckpt")
-        assert rows.tobytes() == sc.snapshot()["store"].tobytes()
+        assert rows.tobytes() == _stored(sc).tobytes()
         assert index.dtype == np.int32 and index.reshape(-1).tolist() == list(range(6 * 24))
 
 
