@@ -25,10 +25,10 @@ workload's run does. The ``scorers.save_checkpoint`` and
 ``scorers.load_checkpoint`` rows write and read a knn checkpoint of the
 store that perfbench's ``continual-knn`` holds at its last step (714
 overlapping windows of length 24, stride 6) and print the MB written; the
-single save is the first of a scorer just loaded from that file, which
-starts a new store generation and so builds the distinct-row table of the
-whole store. The ``9 saves`` row times the saves of ``continual-knn``'s
-steps, each after its slice of windows joins the store.
+single save is that of a scorer just loaded from that file, which writes
+the ``rows`` and ``index`` arrays it holds as they are. The ``9 saves`` row
+times the saves of ``continual-knn``'s steps, each after its slice of
+windows joins the store.
 """
 
 from __future__ import annotations
@@ -186,7 +186,7 @@ def _nine_saves(batch, path) -> float:
 
 def bench_checkpoint(seed: int, repeat: int):
     # The step-9 store of continual-knn: 714 windows of length 24 at stride 6, sharing rows by overlap.
-    # A single save is the first of a loaded scorer, so it builds the distinct-row table of the whole store.
+    # A single save is that of a scorer just loaded from the file, which holds the rows and index it read.
     batch = extract_windows(generate_normals(2200, seed=seed).frames)
     n = 714
     scorer = KnnScorer()

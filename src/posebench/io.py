@@ -233,8 +233,8 @@ def _json_rows(frames: FrameTable) -> np.ndarray:
     exponent notation for a finite nonzero |v| < 1e-4 or >= 1e16 (``1e-05``,
     ``1e+16``), where orjson writes ``0.00001`` and ``1e16``. orjson also
     formats a column that is not float64 by its own dtype, leaves non-ASCII
-    and U+007F unescaped and refuses a lone surrogate, so a row with such a
-    column or ``camera_id`` is marked too. NaN, ``null`` to both, is not.
+    unescaped and refuses a lone surrogate, so a row with such a column or
+    ``camera_id`` is marked too. NaN, ``null`` to both, is not.
     """
 
     def marked(values, axes):

@@ -12,6 +12,7 @@ identity everywhere.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -44,6 +45,23 @@ JOINT_NAMES = (
 LABEL_NORMAL = "normal"
 LABEL_ANOMALOUS = "anomalous"
 LABELS = (LABEL_NORMAL, LABEL_ANOMALOUS)
+
+
+# Characters that would break a camera_id written as it is into a report.csv cell or a report.md heading.
+_CAMERA_ID_BREAKS = re.compile(r'[,"\x00-\x1f\x7f]')
+
+
+def camera_id_error(camera_id):
+    """The rule ``camera_id`` breaks, worded to follow the words "camera_id", or None if it breaks none.
+
+    A camera_id is a non-empty string without a comma, a double quote or a
+    control character (U+0000-U+001F, U+007F), so reports write it as it is.
+    """
+    if not isinstance(camera_id, str) or not camera_id:
+        return f"must be a non-empty string, got {camera_id!r}"
+    if _CAMERA_ID_BREAKS.search(camera_id):
+        return f"must not hold a comma, a double quote or a control character, got {camera_id!r}"
+    return None
 
 
 class RowError(ValidationError):
@@ -122,7 +140,10 @@ class FrameTable:
             | ((vis < 0.0) | (vis > 1.0)).any(axis=1)
             | (self.interpolated != np.isnan(vis).all(axis=1))
         )
-        bad = np.fromiter((not isinstance(c, str) or not c for c in self.camera_id), bool, f)
+        cameras = self.camera_id.tolist()
+        bad = np.fromiter((not isinstance(c, str) or not c for c in cameras), bool, f)
+        if _CAMERA_ID_BREAKS.search("".join(c for c in cameras if isinstance(c, str))):  # one search over all
+            bad = np.fromiter((camera_id_error(c) is not None for c in cameras), bool, f)
         bad |= self.frame_index < 0
         bad[self.frame_row[person_bad]] = True
         bad[self.region_frame[_bad_boxes(self.regions) | ~self.anomalous[self.region_frame]]] = True
@@ -162,8 +183,9 @@ class FrameTable:
         for box in self.regions[r0:r1]:
             yield from _box_errors(box)
         camera_id, frame_index = self.camera_id[row], int(self.frame_index[row])
-        if not isinstance(camera_id, str) or not camera_id:
-            yield f"camera_id must be a non-empty string, got {camera_id!r}"
+        problem = camera_id_error(camera_id)
+        if problem:
+            yield f"camera_id {problem}"
         if frame_index < 0:
             yield f"frame_index must be a non-negative 64-bit integer, got {frame_index!r}"
         if r1 > r0 and not self.anomalous[row]:

@@ -24,7 +24,7 @@ from .errors import ValidationError, check_int, is_number, json_error
 from .metrics import (
     AGGREGATORS, HIGHER_IS_BETTER, MetricReport, ScoreSeries, aggregate_frame_scores, compute_all,
 )
-from .model import CameraDataset, SplitSet
+from .model import CameraDataset, SplitSet, camera_id_error
 from .preprocess import WindowBatch, extract_windows
 from .rearrange import ContinualSplit, RearrangePlan, rearrange, verify
 from .scorers import SCORER_KINDS, ScoringState, make_scorer
@@ -321,8 +321,9 @@ def result_from_dict(raw: dict) -> ContinualResult:
         return MetricReport(**metrics, n_pos=d["n_pos"], n_neg=d["n_neg"])
 
     camera_id = field("camera_id")
-    if not (isinstance(camera_id, str) and camera_id):
-        raise ValidationError(f"field 'camera_id' must be a non-empty string, got {camera_id!r}")
+    problem = camera_id_error(camera_id)
+    if problem:
+        raise ValidationError(f"field 'camera_id' {problem}")
     steps = field("per_step")
     if not isinstance(steps, list):
         raise ValidationError(f"field 'per_step' must be a list, got {type(steps).__name__}")

@@ -6,10 +6,10 @@ order of ingested windows. Every call takes one ``WindowBatch`` and reads
 its arrays: the gaussian scorer featurizes the whole batch at once, the knn
 scorer gathers each window's rows of ``poses``. A scorer's state is written
 and read only as a versioned .ckpt file (an npz container); a knn file holds
-each distinct pose row once, plus an index that rebuilds the store.
+the scorer's pose rows and window index as they are in memory.
 A caller that scores one batch again and again (the continual runner's test
 set) holds a ``ScoringState`` for it, through which the knn scorer scans only
-the store rows added since the last scoring.
+the windows stored since the last scoring.
 """
 
 from __future__ import annotations
@@ -24,9 +24,11 @@ from .errors import ValidationError, check_int, is_number
 from .model import KEYPOINT_COUNT
 from .preprocess import WindowBatch
 
-CHECKPOINT_VERSION = 2  # version 1 files, with the dense knn store, still load
+CHECKPOINT_VERSION = 2
 SCORER_PARAMS = {"gaussian": ("variance_floor",), "knn": ("k_nn", "capacity", "seed")}
 SCORER_KINDS = tuple(SCORER_PARAMS)
+_POSE = 2 * KEYPOINT_COUNT  # values per pose row
+_GATHER_ELEMENTS = 1 << 20  # most float64 values of stored windows one kernel call scans (8 MB)
 
 
 def kinematic_features(batch: WindowBatch) -> np.ndarray:
@@ -62,12 +64,12 @@ class ScoringState:
     """What a scorer carries from one scoring of ``batch`` to the next; the caller holds it.
 
     The knn scorer keeps the batch's gathered query matrix, each query's k
-    smallest squared distances (ascending) over the first ``rows`` store
-    rows, and the store generation they were computed in. A scorer starts
+    smallest squared distances (ascending) over the first ``rows`` stored
+    windows, and the store generation they were computed in. A scorer starts
     a new generation on reset (so also on fit and when a checkpoint loads)
     and on any reservoir replacement; a state from another generation, or
-    covering more rows than the store holds, is scanned afresh. The gaussian
-    scorer ignores the state.
+    covering more windows than the store holds, is scanned afresh. The
+    gaussian scorer ignores the state.
     """
 
     def __init__(self, batch: WindowBatch):
@@ -185,17 +187,18 @@ class GaussianScorer(AnomalyScorer):
 
 
 class KnnScorer(AnomalyScorer):
-    """Seeded reservoir of flattened windows, scored by mean distance to the k nearest.
+    """Seeded reservoir of pose windows, scored by mean distance to the k nearest.
 
     The reservoir keeps a uniform sample of all ingested windows once
     capacity is exceeded (algorithm R); replacement draws come from a PCG64
     generator seeded at construction, so ingestion is reproducible byte for
-    byte given the same window order. The store's rows grow by doubling up
-    to capacity, so memory follows the windows held, not the capacity.
-    Scoring through a ``ScoringState`` merges the distances it carries with a
-    scan of the rows added since, which equals a fresh scan bit for bit. Each
-    generation of the store is a ``_RowTable`` of its distinct pose rows, so a
-    checkpoint save hashes only the rows added since the generation's last save.
+    byte given the same window order. The store is the checkpoint's pair:
+    ``_poses`` (P, 34) pose rows and ``_index`` (stored, length), slot ``i``
+    being the window ``_poses[_index[i]]``. ``_poses`` holds exactly the
+    source rows the index references, each once, in first-use order, so a
+    save writes both as they are. Scoring gathers the flattened windows of
+    the slots it scans; through a ``ScoringState`` that is only the slots
+    added since, and the merged distances equal a fresh scan bit for bit.
     """
 
     kind = "knn"
@@ -211,39 +214,35 @@ class KnnScorer(AnomalyScorer):
 
     def reset(self):
         self._rng = np.random.default_rng(self.seed)
-        self._store = None
-        self._stored = 0
+        self._poses = self._index = None
         self._seen = 0
-        self._generation = _RowTable()  # a new generation whenever stored rows change other than by appending
+        self._generation = object()  # a new token whenever a slot changes other than by appending
 
     def partial_fit(self, batch: WindowBatch):
         if not len(batch):
             return
         length = batch.length
-        width = length * 2 * KEYPOINT_COUNT
-        if self._store is None:
-            self._store = np.empty((0, width), dtype=np.float64)
-        _check_dimension(width, self._store.shape[1], "stored")
-        for r in batch.rows.tolist():
-            vec = batch.poses[r : r + length].reshape(-1)
+        if self._index is None:
+            self._poses, self._index = np.empty((0, _POSE)), np.empty((0, length), dtype=np.int64)
+        _check_dimension(length * _POSE, self._index.shape[1] * _POSE, "stored")
+        # Each window's index row into _poses followed by the batch's rows.
+        slots = len(self._poses) + batch.rows[:, None] + np.arange(length)
+        fill = min(len(batch), self.capacity - len(self._index))
+        index = np.concatenate([self._index, slots[:fill]])
+        self._seen += fill
+        for i in range(fill, len(batch)):
             self._seen += 1
-            if self._stored < self.capacity:
-                if self._stored == self._store.shape[0]:  # grow by doubling, up to capacity
-                    grown = np.empty((min(self.capacity, max(64, 2 * self._stored)), width))
-                    grown[: self._stored] = self._store
-                    self._store = grown
-                self._store[self._stored] = vec
-                self._stored += 1
-            else:
-                j = int(self._rng.integers(0, self._seen))
-                if j < self.capacity:
-                    self._store[j] = vec
-                    self._generation = _RowTable()
+            j = int(self._rng.integers(0, self._seen))
+            if j < self.capacity:
+                index[j] = slots[i]
+                self._generation = object()
+        poses = np.concatenate([self._poses, batch.poses.reshape(-1, _POSE)])
+        self._poses, self._index = _first_use(poses, index)
 
     def score_batch(self, batch: WindowBatch, state: ScoringState | None = None) -> np.ndarray:
-        if self._stored < self.k_nn:
+        if self.stored_count < self.k_nn:
             raise ValidationError(
-                f"knn scorer has {self._stored} stored windows, needs at least k_nn={self.k_nn}"
+                f"knn scorer has {self.stored_count} stored windows, needs at least k_nn={self.k_nn}"
             )
         if state is None:
             state = ScoringState(batch)
@@ -253,12 +252,17 @@ class KnnScorer(AnomalyScorer):
             return np.empty(0, dtype=np.float64)
         if state.queries is None:
             state.queries = batch.poses[batch.rows[:, None] + np.arange(batch.length)].reshape(len(batch), -1)
-        _check_dimension(state.queries.shape[1], self._store.shape[1], "stored")
-        if state.generation is not self._generation or state.rows > self._stored:
+        _check_dimension(state.queries.shape[1], self._index.shape[1] * _POSE, "stored")
+        if state.generation is not self._generation or state.rows > self.stored_count:
             state.kd, state.rows = None, 0
-        new_rows = self._store[state.rows : self._stored]
-        state.kd = _kernels.knn_k_smallest(new_rows, state.queries, self.k_nn, state.kd)
-        state.rows, state.generation = self._stored, self._generation
+        # The windows are gathered a block at a time, and each block merges into the distances so far.
+        width = state.queries.shape[1]
+        step, start = max(1, _GATHER_ELEMENTS // width), state.rows
+        for stop in [*range(start + step, self.stored_count, step), self.stored_count]:
+            windows = self._poses[self._index[start:stop]].reshape(stop - start, width)
+            state.kd = _kernels.knn_k_smallest(windows, state.queries, self.k_nn, state.kd)
+            start = stop
+        state.rows, state.generation = self.stored_count, self._generation
         return np.sqrt(state.kd).mean(axis=1)
 
     @property
@@ -267,31 +271,57 @@ class KnnScorer(AnomalyScorer):
 
     @property
     def stored_count(self) -> int:
-        return self._stored
+        return 0 if self._index is None else len(self._index)
 
     def _load(self, meta: dict, arrays: dict):
-        """Take the state of a checkpoint's meta fields and arrays; ``arrays["store"]`` is the dense store."""
+        """Take the state of a checkpoint's meta fields and its ``rows`` and ``index`` arrays."""
         self._seen = int(meta["seen"])
-        if arrays.get("store") is not None:
-            self._store = np.asarray(arrays["store"], dtype=np.float64)  # just read: no one else holds it
-            if self._store.ndim != 2 or self._store.shape[0] > self.capacity:
+        rows, index = arrays.get("rows"), arrays.get("index")
+        if (rows is None) != (index is None):
+            raise ValidationError("knn rows and index must be stored together")
+        if rows is not None:
+            rows = np.asarray(rows, dtype=np.float64)
+            if rows.ndim != 2:
+                raise ValidationError(f"knn rows must be 2-D, got shape {rows.shape}")
+            if rows.shape[1] != _POSE:
+                raise ValidationError(f"knn rows must hold {_POSE} values each, got {rows.shape[1]}")
+            if index.dtype.kind not in "iu":
+                raise ValidationError(f"knn index must be 2-D integers, got {index.dtype} {index.shape}")
+            if index.ndim != 2 or len(index) > self.capacity:
                 raise ValidationError(
-                    f"knn store must be 2-D with at most {self.capacity} rows, got shape {self._store.shape}"
+                    f"knn store must be 2-D with at most {self.capacity} rows, got shape {index.shape}"
                 )
-            if not np.isfinite(self._store).all():
+            if index.size and (index.min() < 0 or index.max() >= len(rows)):
+                raise ValidationError(f"knn index must lie in [0, {len(rows)}), got {index.min()}..{index.max()}")
+            if not np.isfinite(rows).all():
                 raise ValidationError("knn store must be finite")
-            self._stored = self._store.shape[0]
-        if self._seen < self._stored:
-            raise ValidationError(f"knn seen {self._seen} must count at least the {self._stored} stored rows")
+            self._poses, self._index = _first_use(rows, index.astype(np.int64))
+        if self._seen < self.stored_count:
+            raise ValidationError(f"knn seen {self._seen} must count at least the {self.stored_count} stored rows")
         self._rng.bit_generator.state = meta["rng_state"]
 
     def _checkpoint(self):
         fields = {"params": {"k_nn": self.k_nn, "capacity": self.capacity, "seed": self.seed}, "seen": self._seen}
         fields["rng_state"] = self._rng.bit_generator.state
-        if self._store is None:
+        if self._index is None:
             return fields, {}
-        rows, index = self._generation.update(self._store[: self._stored])
-        return fields, {"rows": rows, "index": index}
+        index = self._index.astype(np.int32 if len(self._poses) < 2**31 else np.int64)
+        return fields, {"rows": self._poses, "index": index}
+
+
+
+def _first_use(poses: np.ndarray, index: np.ndarray):
+    """The rows of ``poses`` that ``index`` references, in first-use order, and ``index`` relabelled to them.
+
+    First use runs slot by slot, then offset by offset. Arrays already in that form come back as they are.
+    """
+    used, first = np.unique(index, return_index=True)
+    keep = used[np.argsort(first)]
+    if len(keep) == len(poses) and (keep == np.arange(len(poses))).all():
+        return poses, index
+    label = np.empty(len(poses), dtype=np.int64)
+    label[keep] = np.arange(len(keep))
+    return poses[keep], label[index]
 
 
 def make_scorer(kind: str, seed: int = 0, params: dict | None = None) -> AnomalyScorer:
@@ -311,86 +341,11 @@ def make_scorer(kind: str, seed: int = 0, params: dict | None = None) -> Anomaly
     return KnnScorer(**params)
 
 
-def _row_width(width: int) -> int:
-    """Values per checkpoint row: one pose of 2 * KEYPOINT_COUNT values, else the whole vector."""
-    return 2 * KEYPOINT_COUNT if width % (2 * KEYPOINT_COUNT) == 0 else width
-
-
-def _row_keys(bits: np.ndarray) -> np.ndarray:
-    """A 64-bit key per row of a uint64 bit view: key = key * M + column, wrapping, over its columns."""
-    key = np.zeros(len(bits), dtype=np.uint64)
-    for j in range(bits.shape[1]):
-        key *= np.uint64(0x9E3779B97F4A7C15)
-        key += bits[:, j]
-    return key
-
-
-class _RowTable:
-    """The distinct pose rows of a store that only appends, kept from one checkpoint save to the next.
-
-    Rows group by key, and each row is compared bit for bit with its group's first row, a block of
-    rows at a time; a row whose key collides but whose bits differ is written on its own. ``update``
-    hashes and compares only the rows added since its last call. Each call replaces the arrays
-    with new ones, so a new table starts from the shared empty class-level arrays.
-    """
-
-    keys = np.empty(0, dtype=np.uint64)  # each key seen, ascending
-    first = kept = index = np.empty(0, dtype=np.int64)  # each key's first row; rows written; each row's position
-
-    def update(self, store: np.ndarray):
-        """``store``'s distinct rows in first-occurrence order, and the index with ``rows[index]`` the store."""
-        row, block, start = _row_width(store.shape[1]), 8192, len(self.index)
-        bits = np.ascontiguousarray(store, dtype=np.float64).view(np.uint64).reshape(-1, row)
-        keys = _row_keys(bits[start:])
-        at = np.searchsorted(self.keys, keys)
-        known = at < len(self.keys)
-        known[known] = self.keys[at[known]] == keys[known]
-        fresh = start + np.flatnonzero(~known)
-        fresh_keys, first, inverse = np.unique(keys[~known], return_index=True, return_inverse=True)
-        rep = np.empty(len(keys), dtype=np.int64)
-        rep[known], rep[~known] = self.first[at[known]], fresh[first][inverse]
-        for a in range(0, len(rep), block):
-            differ = a + np.flatnonzero((bits[start + a : start + a + block] != bits[rep[a : a + block]]).any(axis=1))
-            rep[differ] = start + differ
-        own = start + np.flatnonzero(rep == start + np.arange(len(rep)))
-        at = np.searchsorted(self.keys, fresh_keys)
-        self.keys, self.first = np.insert(self.keys, at, fresh_keys), np.insert(self.first, at, fresh[first])
-        self.index = np.concatenate([self.index, np.empty(len(rep), dtype=np.int64)])
-        self.index[own] = len(self.kept) + np.arange(len(own))
-        self.index[start:] = self.index[rep]  # a row's representative is a written row
-        self.kept = np.concatenate([self.kept, own])
-        index = self.index.astype(np.int32 if len(self.kept) < 2**31 else np.int64)
-        return bits[self.kept].view(np.float64), index.reshape(store.shape[0], store.shape[1] // row)
-
-
 # Fields each kind's checkpoint meta must carry, with their decoded JSON types.
 _META_FIELDS = {
     "gaussian": (("params", dict), ("count", int)),
     "knn": (("params", dict), ("seen", int), ("rng_state", dict)),
 }
-
-
-def _rebuild_store(arrays: dict, path):
-    """The dense store of a version-2 knn checkpoint from its ``rows`` and ``index``, None without both.
-
-    Both are taken out of ``arrays``, so they are freed once the store is built.
-    """
-    rows, index = arrays.pop("rows", None), arrays.pop("index", None)
-    if rows is None and index is None:
-        return None
-    where = f"checkpoint {path}: knn"
-    if rows is None or index is None:
-        raise ValidationError(f"{where} rows and index must be stored together")
-    if rows.ndim != 2:
-        raise ValidationError(f"{where} rows must be 2-D, got shape {rows.shape}")
-    if index.dtype.kind not in "iu" or index.ndim != 2:
-        raise ValidationError(f"{where} index must be 2-D integers, got {index.dtype} {index.shape}")
-    if index.size and (index.min() < 0 or index.max() >= len(rows)):
-        raise ValidationError(f"{where} index must lie in [0, {len(rows)}), got {index.min()}..{index.max()}")
-    width = index.shape[1] * rows.shape[1]
-    if rows.shape[1] != _row_width(width):
-        raise ValidationError(f"{where} index width {index.shape[1]} disagrees with row width {rows.shape[1]}")
-    return rows[index].reshape(len(index), width)
 
 
 def load_checkpoint(path) -> AnomalyScorer:
@@ -409,10 +364,8 @@ def load_checkpoint(path) -> AnomalyScorer:
     if not isinstance(meta, dict) or meta.get("format") != "posebench-checkpoint":
         raise ValidationError(f"not a posebench checkpoint: {path}")
     version = meta.get("version")
-    if type(version) is not int or version not in (1, CHECKPOINT_VERSION):  # not a bool, not 2.0
-        raise ValidationError(
-            f"checkpoint {path}: unsupported version {version!r} (supported: 1, {CHECKPOINT_VERSION})"
-        )
+    if type(version) is not int or version != CHECKPOINT_VERSION:  # not a bool, not 2.0
+        raise ValidationError(f"checkpoint {path}: unsupported version {version!r} (supported: {CHECKPOINT_VERSION})")
     kind = meta.get("kind")
     if kind not in _META_FIELDS:
         raise ValidationError(f"unknown scorer kind {kind!r} in checkpoint {path}")
@@ -423,8 +376,6 @@ def load_checkpoint(path) -> AnomalyScorer:
             raise ValidationError(
                 f"checkpoint {path}: meta field {name!r} must be {expected.__name__}, got {meta[name]!r}"
             )
-    if kind == "knn" and version > 1:
-        arrays["store"] = _rebuild_store(arrays, path)
     try:
         scorer = {"gaussian": GaussianScorer, "knn": KnnScorer}[kind](**meta["params"])
         scorer._load(meta, arrays)

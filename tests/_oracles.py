@@ -359,23 +359,37 @@ def synth_split(
     return np.array(train).reshape(-1, 17, 3), np.array(rows), anomalous
 
 
-def distinct_rows(store, row_keys):
-    """A knn checkpoint's ``rows`` and ``index`` for a whole store, with ``row_keys`` the row hash.
+def knn_reservoir(batches, capacity, seed):
+    """Per slot, the source row ids of the window a knn reservoir holds after ingesting ``batches``.
 
-    A row is a pose of 34 values when the width allows, else the whole vector. Rows group by key
-    and each is compared with its group's first row by bits; a row whose bits differ is its own row.
+    A batch's pose rows get the ids after those of the batches before it. Windows are taken one at a
+    time: the first ``capacity`` fill the slots, and each later one draws ``j = integers(0, seen)``
+    from ``default_rng(seed)`` and replaces slot ``j`` when ``j < capacity`` (algorithm R).
     """
-    row = 34 if store.shape[1] % 34 == 0 else store.shape[1]
-    bits = np.ascontiguousarray(store, dtype=np.float64).view(np.uint64).reshape(-1, row)
-    _, first, inverse = np.unique(row_keys(bits), return_index=True, return_inverse=True)
-    rep = first[inverse]
-    for i in range(len(rep)):
-        if (bits[i] != bits[rep[i]]).any():
-            rep[i] = i
-    keep = np.flatnonzero(rep == np.arange(len(rep)))
-    position = np.zeros(len(rep), dtype=np.int32 if len(keep) < 2**31 else np.int64)
-    position[keep] = np.arange(len(keep))
-    return bits[keep].view(np.float64), position[rep].reshape(store.shape[0], store.shape[1] // row)
+    rng = np.random.default_rng(seed)
+    slots, seen, base = [], 0, 0
+    for batch in batches:
+        for r in batch.rows.tolist():
+            ids = list(range(base + r, base + r + batch.length))
+            seen += 1
+            if len(slots) < capacity:
+                slots.append(ids)
+            else:
+                j = int(rng.integers(0, seen))
+                if j < capacity:
+                    slots[j] = ids
+        base += len(batch.poses)
+    return slots
+
+
+def first_use(slots):
+    """The ids that ``slots`` reference, each once, in first-use order (slot by slot, then offset by
+    offset), and each slot's ids as positions in that list."""
+    position = {}
+    for ids in slots:
+        for i in ids:
+            position.setdefault(i, len(position))
+    return list(position), [[position[i] for i in ids] for ids in slots]
 
 
 def read_frames_json(reader, error):

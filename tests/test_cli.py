@@ -101,6 +101,10 @@ class TestExitCodes:
             (lambda raw: {**raw, "camera_id": 7}, "field 'camera_id' must be a non-empty string, got 7"),
             (lambda raw: {**raw, "camera_id": ["cam0"]}, "field 'camera_id' must be a non-empty string, got ['c"),
             (lambda raw: {**raw, "camera_id": ""}, "field 'camera_id' must be a non-empty string, got ''"),
+            (lambda raw: {**raw, "camera_id": "cam,0\nx"},
+             "field 'camera_id' must not hold a comma, a double quote or a control character, got 'cam,0\\nx'"),
+            (lambda raw: {**raw, "camera_id": 'cam"0'}, "field 'camera_id' must not hold a comma, a double quote"),
+            (lambda raw: {**raw, "camera_id": "cam\x7f"}, "field 'camera_id' must not hold a comma, a double quote"),
             (_metric("baseline", "auc_roc", True), "field 'baseline': auc_roc must be a finite number, got True"),
             (_metric("baseline", "auc_roc", "0.5"), "field 'baseline': auc_roc must be a finite number, got '0.5'"),
             (_metric("step_best", "eer", float("nan")), "field 'step_best': eer must be a finite number, got nan"),
@@ -153,6 +157,22 @@ class TestExitCodes:
         for argv in (["stats", str(bad)], run):
             assert main(argv) == 2
             assert f"{bad}: line 2" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("camera_id", ["cam,0\nx", 'cam"0', "cam\x00", "cam\x1f", "cam\x7f"])
+    def test_camera_id_that_breaks_a_report_is_data_error(self, synth_dir, tmp_path, capsys, camera_id):
+        # Written as it is, "cam,0\nx" would end a report.csv row after "cam" and start one at "x".
+        paths = {}
+        for name in ("train", "test"):
+            text = (synth_dir / f"{name}.jsonl").read_text()
+            paths[name] = tmp_path / f"{name}.jsonl"
+            paths[name].write_text(text.replace('"camera_id":"synthcam"', f'"camera_id":{json.dumps(camera_id)}'))
+        out = tmp_path / "o"
+        argv = ["run-standard", "--train", str(paths["train"]), "--test", str(paths["test"]), "--out", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"{paths['train']}: line 1 (frame_index 0): camera_id must not hold a comma" in err
+        assert not (out / "report.csv").exists()
 
 
 class TestSynth:

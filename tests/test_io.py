@@ -232,12 +232,16 @@ def _observations(draw):
     }
 
 
+# A camera_id holds no comma, double quote or C0 control character, nor U+007F.
+_CAMERA_BREAKS = ',"' + "".join(map(chr, range(32))) + "\x7f"
+
+
 @st.composite
 def _frames(draw):
     label = draw(st.sampled_from(LABELS))
     regions = draw(st.lists(_boxes(), max_size=2)) if label == "anomalous" else []
     return {
-        "camera_id": draw(st.text(min_size=1, max_size=4)),
+        "camera_id": draw(st.text(st.characters(exclude_characters=_CAMERA_BREAKS), min_size=1, max_size=4)),
         "frame_index": draw(st.integers(0, 2**63 - 1)),
         "label": label,
         "anomaly_regions": regions,
@@ -340,7 +344,7 @@ _EDGES = (
 )
 # json.dumps escapes some of these and orjson not, or refuses them (a lone surrogate).
 _camera_char = st.one_of(
-    st.characters(), st.sampled_from(('"', "\\", "\x00", "\n", "\x1f", "\x7f", "\x80", "é", " ", "\ud800", "\udc00"))
+    st.characters(exclude_characters=_CAMERA_BREAKS), st.sampled_from(("\\", "\x80", "é", " ", "\ud800", "\udc00"))
 )
 
 
@@ -431,7 +435,7 @@ def _edited(name, index, value):
         (_edited("bbox", (0, 2), 1e16), b"1e+16", [False, True]),
         (_edited("regions", (0, 1), 1e-5), b"1e-05", [False, True]),
         (_two_frames(camera_id="caf\u00e9"), b'"caf\\u00e9"', [True, True]),
-        (_two_frames(camera_id="\x7f"), b'"\\u007f"', [True, True]),
+        (_two_frames(camera_id="\x80"), b'"\\u0080"', [True, True]),
         (_two_frames(camera_id="a\ud800"), b'"a\\ud800"', [True, True]),
         (
             dataclasses.replace(_two_frames(), keypoints=_two_frames().keypoints.astype(np.float32)),
@@ -441,7 +445,7 @@ def _edited(name, index, value):
     ],
     ids=[
         "small-visibility", "subnormal-visibility", "large-x", "bbox-1e16", "region-1e-5",
-        "camera-non-ascii", "camera-del", "camera-lone-surrogate", "float32-keypoints",
+        "camera-non-ascii", "camera-c1-control", "camera-lone-surrogate", "float32-keypoints",
     ],
 )
 def test_json_dumps_writes_the_lines_orjson_would_not(frames, text, rows):

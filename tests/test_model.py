@@ -329,6 +329,7 @@ class TestFrameTable:
             ("interpolated", [True], 0, "interpolated observation must have no keypoint visibility"),
             ("frame_index", [3, -2], 1, "frame_index must be a non-negative 64-bit integer, got -2"),
             ("camera_id", ["cam0", ""], 1, "camera_id must be a non-empty string"),
+            ("camera_id", ["cam0", "cam,0"], 1, "camera_id must not hold a comma, a double quote or a control"),
             ("anomalous", [False, False], 1, r"normal frame must not carry anomaly regions \(frame 4\)"),
         ],
     )

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from posebench.errors import ValidationError
+from posebench.model import Track
 from posebench.preprocess import (
     WindowBatch,
     extract_windows,
@@ -152,13 +153,15 @@ class TestNormalize:
 
 class TestWindowing:
     def test_count_formula_across_random_triples(self, rng):
+        # Each track is the first n rows of one 199-frame track: what make_track(range(n)) builds.
+        whole = make_track(list(range(199)))
         checked = 0
         for _ in range(1000):
             n = int(rng.integers(1, 200))
             length = int(rng.integers(2, 40))
             stride = int(rng.integers(1, 12))
             want = _oracles.window_count(n, length, stride)
-            track = make_track(list(range(n)))
+            track = Track(0, whole.frames[:n], whole.keypoints[:n], whole.bbox[:n], whole.interpolated[:n])
             wins = window_track(track, length=length, stride=stride)
             assert len(wins) == want, (n, length, stride)
             checked += 1

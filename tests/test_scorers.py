@@ -1,11 +1,10 @@
-import contextlib
 import dataclasses
 import json
 import re
 import tempfile
 import tracemalloc
+import zipfile
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -190,7 +189,7 @@ class TestKnnScorer:
         phase_b[:, 0, 0, 0] = 1e6  # marker value
         sc.partial_fit(window_batch(phase_a))
         sc.partial_fit(window_batch(phase_b))
-        stored = sc._store[: sc.stored_count]
+        stored = _stored(sc)
         share_b = float(np.mean(stored[:, 0] > 1e5))
         assert 0.3 < share_b < 0.7
 
@@ -203,18 +202,6 @@ class TestKnnScorer:
         b.fit(ws)
         np.testing.assert_array_equal(a.score_batch(probe), b.score_batch(probe))
 
-    def test_store_grows_with_the_windows_held(self, rng, tmp_path):
-        sc = KnnScorer(k_nn=1, capacity=50_000, seed=0)
-        sc.partial_fit(windows(rng, 3, length=4))
-        assert sc._store.shape == (64, 4 * 34)
-        sc.partial_fit(windows(rng, 100, length=4))
-        assert sc._store.shape == (128, 4 * 34)
-        capped = KnnScorer(k_nn=1, capacity=100, seed=0)
-        capped.fit(windows(rng, 300, length=4))
-        assert capped._store.shape == (100, 4 * 34)
-        sc.save_checkpoint(tmp_path / "knn.ckpt")
-        assert load_checkpoint(tmp_path / "knn.ckpt")._store.shape == (103, 4 * 34)
-
     def test_overlapping_windows_read_their_row_slices(self, rng):
         # Windows of one track share rows; each stored and query vector is its own row slice.
         batch = window_batch(feats(rng, 1, length=12))
@@ -222,13 +209,14 @@ class TestKnnScorer:
         want = np.stack([batch.poses[r : r + 4].reshape(-1) for r in (0, 2, 4, 8)])
         sc = KnnScorer(k_nn=2, seed=0)
         sc.fit(batch)
-        assert sc._store[: sc.stored_count].tobytes() == want.tobytes()
+        assert _stored(sc).tobytes() == want.tobytes()
+        assert sc._poses.tobytes() == batch.poses.tobytes()  # rows 0..11, each once
         assert sc.score_batch(batch).tobytes() == _kernels.knn_mean_distance(want, want, 2).tobytes()
 
 
 def _stored(sc):
-    """The rows a knn scorer holds."""
-    return sc._store[: sc.stored_count]
+    """The windows a knn scorer holds, one flattened window per row."""
+    return sc._poses[sc._index].reshape(sc.stored_count, -1)
 
 
 def _state(sc):
@@ -236,13 +224,6 @@ def _state(sc):
     if sc.kind == "knn":
         return _stored(sc), sc._rng.bit_generator.state, sc.windows_seen
     return sc._mean, sc._m2, sc.windows_seen
-
-
-def _holding(store):
-    """A knn scorer that holds ``store`` as if it had ingested exactly its rows."""
-    sc = KnnScorer(k_nn=1, capacity=max(len(store), 1))
-    sc._store, sc._stored, sc._seen = store, len(store), len(store)
-    return sc
 
 
 class TestSplitInvariance:
@@ -255,7 +236,7 @@ class TestSplitInvariance:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_fit_equals_any_split_of_partial_fits(self, kind, n, cuts, capacity, seed):
-        # Capacity 100 takes the knn store through a doubling (64 -> 100) and replacements.
+        # Capacity 9, and 100 for n above it, take the knn store through replacements.
         rng = np.random.default_rng(seed)
         ws = feats(rng, n, length=4)
         probe = windows(rng, 3, length=4)
@@ -298,7 +279,7 @@ class TestScoringState:
             assert state.rows == sc.stored_count
             fresh = sc.score_batch(probe)
             assert got.tobytes() == fresh.tobytes()
-            store = sc._store[: sc.stored_count]
+            store = _stored(sc)
             assert got.tobytes() == _kernels.knn_mean_distance(store, state.queries, k).tobytes()
 
     def test_steps_scan_only_new_rows(self, rng, monkeypatch):
@@ -319,6 +300,17 @@ class TestScoringState:
             sc.partial_fit(windows(rng, n, length=3))
             sc.score_batch(probe, state)
         assert scanned == [(10, False), (5, True), (0, True), (2, True)]
+
+    def test_blocked_gather_equals_one_scan(self, rng, monkeypatch):
+        # Windows are gathered for the kernel a block at a time; blocks of 3 windows merge to the same bits.
+        sc = KnnScorer(k_nn=4, capacity=40, seed=0)
+        sc.fit(windows(rng, 50, length=3))
+        probe = windows(rng, 7, length=3)
+        want = sc.score_batch(probe)
+        monkeypatch.setattr(scorers, "_GATHER_ELEMENTS", 3 * 3 * 34)
+        state = ScoringState(probe)
+        assert sc.score_batch(probe, state).tobytes() == want.tobytes()
+        assert want.tobytes() == _kernels.knn_mean_distance(_stored(sc), state.queries, 4).tobytes()
 
     def test_refit_to_the_same_count_rescans(self, rng):
         # A state keyed on the row count alone would keep the first fit's distances.
@@ -383,21 +375,24 @@ def _overlapping_store(windows_held):
 
 
 class TestRestoreCopies:
-    def test_load_checkpoint_holds_the_store_about_once(self, tmp_path):
-        # Loading builds the store from the distinct rows and the index and hands it to the scorer.
-        # The rows (about a quarter of the store at stride 6 of 24) and the index are live while
-        # the store is built, which sets the peak; a second copy of the store would add 1.0.
+    def test_load_checkpoint_holds_rows_and_index_about_once(self, tmp_path):
+        # Loading hands the file's rows and index to the scorer as they are; no dense store is built.
+        # The rows (about a quarter of the store at stride 6 of 24) set the peak. The int64 copy of
+        # the index and the first-use check over it add about 0.5 of the file arrays; the bound
+        # leaves 0.25 on top. A dense store would add about 4 (its size over the rows), a second
+        # copy of the rows 1.
         sc = _overlapping_store(714)
         path = tmp_path / "knn.ckpt"
         sc.save_checkpoint(path)
-        store_mb = _stored(sc).nbytes / 2**20
+        with np.load(path) as data:
+            file_mb = (data["rows"].nbytes + data["index"].nbytes) / 2**20
         tracemalloc.start()
         try:
             back = load_checkpoint(path)
             peak_mb = tracemalloc.get_traced_memory()[1] / 2**20
         finally:
             tracemalloc.stop()
-        assert peak_mb < 1.35 * store_mb, (peak_mb, store_mb)
+        assert peak_mb < 1.75 * file_mb, (peak_mb, file_mb)
         assert _stored(back).tobytes() == _stored(sc).tobytes()
 
 
@@ -432,8 +427,8 @@ class TestCheckpoints:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_save_load_continue_equals_uninterrupted(self, kind, n, cuts, capacity, seed):
-        # A checkpoint after every piece; capacity 5 forces reservoir replacement, 40 regrows
-        # the store after a reload.
+        # A checkpoint after every piece; capacity 5 forces reservoir replacement, 40 appends
+        # to the store after a reload.
         rng = np.random.default_rng(seed)
         ws = feats(rng, n, length=4)
         probe = windows(rng, 3, length=4)
@@ -467,7 +462,7 @@ class TestCheckpoints:
             with pytest.raises(ValidationError):
                 load_checkpoint(path)
         # Well-formed containers whose meta lacks a field or mistypes one.
-        base = {"format": "posebench-checkpoint", "version": 1}
+        base = {"format": "posebench-checkpoint", "version": 2}
         for meta, field in (
             ({**base, "kind": "gaussian", "count": 0}, "params"),
             ({**base, "kind": "knn", "params": {}, "seen": 0}, "rng_state"),
@@ -477,50 +472,40 @@ class TestCheckpoints:
                 np.savez(fh, meta=np.array(json.dumps(meta)))
             with pytest.raises(ValidationError, match=f"{re.escape(str(path))}.*'{field}'"):
                 load_checkpoint(path)
-        # A knn store that is not 2-D or holds more rows than the capacity.
-        meta = {**base, "kind": "knn", "params": {"k_nn": 1, "capacity": 3, "seed": 0}, "seen": 4,
-                "rng_state": np.random.default_rng(0).bit_generator.state}
-        for store in (np.zeros(4), np.zeros((4, 2))):
-            with open(path, "wb") as fh:
-                np.savez(fh, meta=np.array(json.dumps(meta)), store=store)
-            with pytest.raises(ValidationError, match=f"{re.escape(str(path))}.*knn store must be 2-D"):
-                load_checkpoint(path)
         # State that loads into a scorer that cannot score, or scores garbage.
         gaussian = {**base, "kind": "gaussian", "params": {"variance_floor": 1e-8}, "count": 5}
-        knn = {**meta, "params": {"k_nn": 1, "capacity": 8, "seed": 0}}
+        knn = {**base, "kind": "knn", "params": {"k_nn": 1, "capacity": 8, "seed": 0}, "seen": 4,
+               "rng_state": np.random.default_rng(0).bit_generator.state}
+        # A knn file holds pose rows plus the index of each stored window's rows.
+        rows, one = np.zeros((2, 34)), np.zeros((1, 34))
         for meta_fields, arrays, message in (
             (gaussian, {"mean": np.zeros(51), "m2": np.zeros(3)}, "m2 \\(3,\\) must have mean's shape"),
             ({**gaussian, "count": -1}, {"mean": np.zeros(51), "m2": np.zeros(51)}, "count must be >= 0"),
             (gaussian, {"mean": np.full(51, np.nan), "m2": np.zeros(51)}, "mean and m2 must be finite"),
             (gaussian, {"mean": np.zeros(51), "m2": np.full(51, np.inf)}, "mean and m2 must be finite"),
             (gaussian, {}, "mean and m2 exactly when"),
-            (knn, {"store": np.array([[0.0, np.inf]])}, "knn store must be finite"),
+            (knn, {"rows": one, "index": np.zeros(4, int)}, r"store must be 2-D with at most 8 rows, got shape \(4,\)"),
+            (knn, {"rows": one, "index": np.zeros((9, 1), np.int32)}, "knn store must be 2-D with at most 8 rows"),
+            (knn, {"rows": np.where(one == 0, np.inf, 0.0), "index": np.array([[0]])}, "knn store must be finite"),
             ({**knn, "seen": -1}, {}, "knn seen -1 must count at least the 0 stored"),
-            ({**knn, "seen": 1}, {"store": np.zeros((2, 2))}, "seen 1 must count at least the 2 stored rows"),
-        ):
-            with open(path, "wb") as fh:
-                np.savez(fh, meta=np.array(json.dumps(meta_fields)), **arrays)
-            with pytest.raises(ValidationError, match=f"{re.escape(str(path))}.*{message}"):
-                load_checkpoint(path)
-        # Version-2 knn files hold distinct rows plus the index that rebuilds the store from them.
-        v2 = {**knn, "version": 2}
-        rows = np.zeros((2, 2))
-        for meta_fields, arrays, message in (
-            (v2, {"rows": rows, "index": np.array([[0], [2]])}, r"knn index must lie in \[0, 2\), got 0..2"),
-            (v2, {"rows": rows, "index": np.array([[-1], [1]])}, r"knn index must lie in \[0, 2\), got -1..1"),
-            (v2, {"rows": rows, "index": np.array([[0.0], [1.0]])}, "knn index must be 2-D integers, got float64"),
-            (v2, {"rows": rows, "index": np.array([0, 1])}, r"knn index must be 2-D integers, got int64 \(2,\)"),
-            (v2, {"rows": np.zeros(4), "index": np.array([[0]])}, r"knn rows must be 2-D, got shape \(4,\)"),
-            (v2, {"rows": rows, "index": np.array([[0, 1]])}, "knn index width 2 disagrees with row width 2"),
-            (v2, {"rows": np.zeros((1, 68)), "index": np.zeros((1, 1), np.int32)}, "index width 1 disagrees"),
-            (v2, {"rows": np.array([[0.0, np.inf]]), "index": np.array([[0]])}, "knn store must be finite"),
-            (v2, {"rows": rows}, "knn rows and index must be stored together"),
-            (v2, {"index": np.array([[0]])}, "knn rows and index must be stored together"),
-            ({**v2, "seen": 1}, {"rows": rows, "index": np.array([[0], [1]])}, "seen 1 must count at least the 2"),
-            ({**v2, "version": 3}, {}, "unsupported version 3"),
-            ({**v2, "version": True}, {}, "unsupported version True"),
-            ({**v2, "version": 2.0}, {}, "unsupported version 2.0"),
-            ({**v2, "version": 1.0}, {"store": np.zeros((2, 2))}, "unsupported version 1.0"),
+            (
+                {**knn, "seen": 1},
+                {"rows": rows, "index": np.zeros((2, 1), int)},
+                "seen 1 must count at least the 2 stored rows",
+            ),
+            (knn, {"rows": rows, "index": np.array([[0], [2]])}, r"knn index must lie in \[0, 2\), got 0..2"),
+            (knn, {"rows": rows, "index": np.array([[-1], [1]])}, r"knn index must lie in \[0, 2\), got -1..1"),
+            (knn, {"rows": rows, "index": np.array([[0.0], [1.0]])}, "knn index must be 2-D integers, got float64"),
+            (knn, {"rows": np.zeros(4), "index": np.array([[0]])}, r"knn rows must be 2-D, got shape \(4,\)"),
+            (knn, {"rows": np.zeros((2, 2)), "index": np.array([[0, 1]])}, "knn rows must hold 34 values each, got 2"),
+            (knn, {"rows": np.zeros((1, 68)), "index": np.zeros((1, 1), np.int32)}, "hold 34 values each, got 68"),
+            (knn, {"rows": rows}, "knn rows and index must be stored together"),
+            (knn, {"index": np.array([[0]])}, "knn rows and index must be stored together"),
+            ({**knn, "version": 1}, {"store": np.zeros((2, 2))}, r"unsupported version 1 \(supported: 2\)"),
+            ({**knn, "version": 3}, {}, "unsupported version 3"),
+            ({**knn, "version": True}, {}, "unsupported version True"),
+            ({**knn, "version": 2.0}, {}, "unsupported version 2.0"),
+            ({**knn, "version": 1.0}, {"store": np.zeros((2, 2))}, "unsupported version 1.0"),
         ):
             with open(path, "wb") as fh:
                 np.savez(fh, meta=np.array(json.dumps(meta_fields)), **arrays)
@@ -546,101 +531,75 @@ def _save_and_load(sc, path):
     return rows, index
 
 
-def _colliding_keys():
-    """Patch the row hash so every row shares one key and each is told apart by its bits alone."""
-    return mock.patch.object(scorers, "_row_keys", lambda bits: np.zeros(len(bits), dtype=np.uint64))
+def _members(path):
+    """A checkpoint's zip members by name; np.savez stamps the archive, not the members, with the time."""
+    with zipfile.ZipFile(path) as zf:
+        return {name: zf.read(name) for name in zf.namelist()}
 
 
 class TestCheckpointLayout:
     @settings(deadline=None, max_examples=40)
     @given(
-        length=st.integers(2, 8),
-        stride=st.integers(1, 8),
-        extra=st.integers(0, 100),
-        pool=st.integers(1, 60),
-        capacity=st.sampled_from([3, 10, 1000]),
-        seed=st.integers(0, 2**32 - 1),
-        collide=st.booleans(),
-    )
-    def test_overlapping_windows_round_trip(self, length, stride, extra, pool, capacity, seed, collide):
-        # Windows share rows by overlap and, drawn from a pool, by value; capacity 3 and 10 replace.
-        rng = np.random.default_rng(seed)
-        poses = rng.normal(size=(pool, 17, 2))[rng.integers(0, pool, length + extra)]
-        starts = np.arange(0, extra + 1, stride)
-        batch = WindowBatch(poses, starts, np.zeros(starts.size, np.int64), starts, length)
-        sc = KnnScorer(k_nn=1, capacity=capacity, seed=seed)
-        sc.partial_fit(batch)
-        sc.partial_fit(batch)
-        with tempfile.TemporaryDirectory() as tmp, _colliding_keys() if collide else contextlib.nullcontext():
-            rows, index = _save_and_load(sc, Path(tmp, "knn.ckpt"))
-        assert rows.shape[1] == 34 and index.shape == (sc.stored_count, length)
-        if not collide:  # each distinct pose row is written once
-            assert len(np.unique(rows.view(np.uint64), axis=0)) == len(rows)
-
-    @settings(deadline=None, max_examples=40)
-    @given(
-        width=st.integers(0, 80),
-        n=st.integers(0, 30),
-        values=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=4),
-        seed=st.integers(0, 2**32 - 1),
-        collide=st.booleans(),
-    )
-    def test_any_store_width_round_trips(self, width, n, values, seed, collide):
-        # A width that is not a multiple of 34 is one row per vector; -0.0 and 0.0 stay apart.
-        store = np.array(values)[np.random.default_rng(seed).integers(0, len(values), (n, width))]
-        sc = _holding(store)
-        with tempfile.TemporaryDirectory() as tmp, _colliding_keys() if collide else contextlib.nullcontext():
-            rows, _ = _save_and_load(sc, Path(tmp, "knn.ckpt"))
-        assert rows.shape[1] == (34 if width % 34 == 0 else width)
-
-    def test_rows_with_equal_keys_are_both_kept(self, tmp_path):
-        # Row keys are a wrapping multiply-add, key = a0 * M + a1 for two columns, so (a0, a1 + M)
-        # and (a0 + 1, a1) share a key.
-        mul, one, two = 0x9E3779B97F4A7C15, 0x3FF0000000000000, 0x4000000000000000  # 1.0 and 2.0
-        a, b = np.array([[one, (two + mul) % 2**64], [one + 1, two]], dtype=np.uint64).view(np.float64)
-        keys = scorers._row_keys(np.stack([a, b]).view(np.uint64))
-        assert keys[0] == keys[1] and a.tobytes() != b.tobytes()
-        store = np.stack([a, b, a, b])
-        sc = _holding(store)
-        rows, index = _save_and_load(sc, tmp_path / "knn.ckpt")
-        assert rows[:2].tobytes() == store[:2].tobytes() and index[:3, 0].tolist() == [0, 1, 0]
-
-    @settings(deadline=None, max_examples=40)
-    @given(
-        steps=st.lists(st.integers(1, 12), min_size=1, max_size=9),
+        steps=st.lists(st.tuples(st.integers(1, 12), st.integers(1, 8)), min_size=1, max_size=6),
         length=st.integers(2, 6),
         pool=st.integers(1, 40),
-        capacity=st.sampled_from([4, 12, 1000]),
-        hash_kind=st.sampled_from(["real", "two-bits", "zero"]),
+        capacity=st.sampled_from([3, 10, 1000]),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_successive_saves_match_a_whole_store_table(self, steps, length, pool, capacity, hash_kind, seed):
-        # The continual pattern: the store grows by a slice, then the step saves. Each file holds what
-        # a table built from the whole store holds, bytes and index dtype alike, through reservoir
-        # replacements (capacity 4 and 12), a restore, and key collisions.
+    def test_successive_saves_match_the_first_use_oracle(self, steps, length, pool, capacity, seed):
+        # The continual pattern: each step ingests (windows, stride) of one recording and saves.
+        # A stride below the length shares rows between windows, one above it skips rows. Poses
+        # come from a small pool, so rows with equal bits come from different sources and stay
+        # apart. Capacity 3 and 10 replace stored windows.
         rng = np.random.default_rng(seed)
-        poses = rng.normal(size=(pool, 17, 2))[rng.integers(0, pool, sum(steps) * 2 + length)]
-        keys = {
-            "real": scorers._row_keys,
-            "two-bits": lambda bits: bits[:, 0] & np.uint64(3),
-            "zero": lambda bits: np.zeros(len(bits), dtype=np.uint64),
-        }[hash_kind]
+        pool_poses = rng.normal(size=(pool, 17, 2))
+        batches = []
+        for n, stride in steps:
+            starts = stride * np.arange(n)
+            poses = pool_poses[rng.integers(0, pool, starts[-1] + length + 1)]
+            batches.append(WindowBatch(poses, starts, np.zeros(n, np.int64), starts, length))
         sc = KnnScorer(k_nn=1, capacity=capacity, seed=seed)
-        with tempfile.TemporaryDirectory() as tmp, mock.patch.object(scorers, "_row_keys", keys):
-            path, done = Path(tmp, "step.ckpt"), 0
-            for i, n in enumerate(steps):
-                starts = done + 2 * np.arange(n)
-                sc.partial_fit(WindowBatch(poses, starts, np.zeros(n, np.int64), starts, length))
-                done += 2 * n
-                if i == len(steps) // 2:
-                    sc.save_checkpoint(path)
-                    sc = load_checkpoint(path)
+        with tempfile.TemporaryDirectory() as tmp:
+            for i, batch in enumerate(batches):
+                sc.partial_fit(batch)
+                path = Path(tmp, f"step_{i}.ckpt")
                 sc.save_checkpoint(path)
+                slots = _oracles.knn_reservoir(batches[: i + 1], capacity, seed)
+                ids, index = _oracles.first_use(slots)
+                source = np.concatenate([b.poses.reshape(-1, 34) for b in batches[: i + 1]])
                 with np.load(path) as data:
-                    got = data["rows"], data["index"]
-                want = _oracles.distinct_rows(_stored(sc), keys)
-                for g, w in zip(got, want):
-                    assert (g.dtype, g.shape, g.tobytes()) == (w.dtype, w.shape, w.tobytes())
+                    rows, got = data["rows"], data["index"]
+                assert (rows.shape, rows.tobytes()) == ((len(ids), 34), source[ids].tobytes())
+                assert got.dtype == np.int32 and got.tolist() == index
+                dense = source[np.array(slots)].reshape(len(slots), -1)
+                assert rows[got].reshape(dense.shape).tobytes() == dense.tobytes() == _stored(sc).tobytes()
+                load_checkpoint(path).save_checkpoint(Path(tmp, "again.ckpt"))
+                assert _members(Path(tmp, "again.ckpt")) == _members(path)
+            # Loading any step and continuing equals the uninterrupted run.
+            final = _members(path)
+            for i in range(len(batches)):
+                resumed = load_checkpoint(Path(tmp, f"step_{i}.ckpt"))
+                for batch in batches[i + 1 :]:
+                    resumed.partial_fit(batch)
+                resumed.save_checkpoint(Path(tmp, "resumed.ckpt"))
+                assert _members(Path(tmp, "resumed.ckpt")) == final
+
+    def test_load_keeps_only_the_referenced_rows_in_first_use_order(self, tmp_path):
+        # A file written elsewhere may hold rows no window uses, or rows out of first-use order.
+        meta = {"format": "posebench-checkpoint", "version": 2, "kind": "knn", "seen": 2,
+                "params": {"k_nn": 1, "capacity": 2, "seed": 0},
+                "rng_state": np.random.default_rng(0).bit_generator.state}
+        path = tmp_path / "knn.ckpt"
+        for count, index, kept, relabelled in (
+            (4, [[3], [1]], [3, 1], [[0], [1]]),  # rows 0 and 2 unused
+            (2, [[1, 0], [0, 1]], [1, 0], [[0, 1], [1, 0]]),  # every row used, out of order
+        ):
+            rows = np.arange(count * 34, dtype=np.float64).reshape(count, 34)
+            with open(path, "wb") as fh:
+                np.savez(fh, meta=np.array(json.dumps(meta)), rows=rows, index=np.array(index))
+            sc = load_checkpoint(path)
+            assert sc._poses.tobytes() == rows[kept].tobytes() and sc._index.tolist() == relabelled
+            assert _stored(sc).tobytes() == rows[np.array(index)].tobytes()
 
     def test_store_without_shared_rows_is_written_as_is(self, rng, tmp_path):
         sc = KnnScorer(k_nn=1, capacity=10)
