@@ -23,10 +23,12 @@ import numpy as np
 from . import __version__
 from .errors import PosebenchError, ValidationError, json_error
 from .io import load_dataset, write_frames
+from .metrics import AGGREGATORS
 from .model import SplitSet
 from .rearrange import TAGS, RearrangePlan, rearrange, verify
 from .report import emit_report
 from .runner import RunConfig, derive_seed, load_results, run_continual, run_standard
+from .scorers import SCORER_KINDS
 from .stats import STATS_CSV_COLUMNS, stats_from_frames
 from .synthetic import generate_normals, generate_split
 
@@ -72,9 +74,15 @@ def _read_config_file(path) -> dict:
     return raw
 
 
-_RUN_FLAG_KEYS = (
-    "scorer", "window_length", "window_stride", "max_gap",
-    "smoothing_window", "aggregator", "fnr_target", "seed",
+_RUN_FLAGS = (  # (RunConfig key, argparse keyword arguments); the flag is the key with dashes
+    ("scorer", {"choices": SCORER_KINDS}),
+    ("window_length", {"type": int}),
+    ("window_stride", {"type": int}),
+    ("max_gap", {"type": int}),
+    ("smoothing_window", {"type": int}),
+    ("aggregator", {"choices": AGGREGATORS}),
+    ("fnr_target", {"type": float}),
+    ("seed", {"type": int}),
 )
 
 _PLAN_FLAG_KEYS = (  # (flag, RearrangePlan key, type)
@@ -108,7 +116,7 @@ def _build_run_config(args, mode: str):
     if "mode" in merged and merged["mode"] != mode:
         raise ValidationError(f"config mode {merged['mode']!r} does not match subcommand {mode!r}")
     merged["mode"] = mode
-    for key in _RUN_FLAG_KEYS:
+    for key, _ in _RUN_FLAGS:
         value = getattr(args, key)
         if value is not None:
             merged[key] = value
@@ -261,14 +269,8 @@ def _add_run_flags(p: argparse.ArgumentParser):
     p.add_argument("--config", help="JSON config file; explicit flags override it")
     p.add_argument("--train", help="training dataset (JSONL)")
     p.add_argument("--test", help="test dataset (JSONL)")
-    p.add_argument("--scorer", choices=("gaussian", "knn"))
-    p.add_argument("--window-length", dest="window_length", type=int)
-    p.add_argument("--window-stride", dest="window_stride", type=int)
-    p.add_argument("--max-gap", dest="max_gap", type=int)
-    p.add_argument("--smoothing-window", dest="smoothing_window", type=int)
-    p.add_argument("--aggregator", choices=("max", "mean"))
-    p.add_argument("--fnr-target", dest="fnr_target", type=float)
-    p.add_argument("--seed", type=int)
+    for key, kwargs in _RUN_FLAGS:
+        p.add_argument("--" + key.replace("_", "-"), dest=key, **kwargs)
     p.add_argument("--out", required=True, help="output directory")
 
 

@@ -13,6 +13,11 @@ score >= threshold, so ties are handled as a group:
   ties in the minimizer resolve to the lower returned value.
 - fpr_at_fnr: lowest FPR among operating points with FNR <= target
   (default 0.10, reported as ten_er).
+
+The per-frame series comes from one fold, ``aggregate_frame_scores``: each
+window's score goes to the frames it covers that the dataset holds, each
+frame takes the max or mean of its windows, and uncovered frames take the
+minimum window score.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .model import CameraDataset
+from .preprocess import WindowBatch
 
 AGGREGATORS = ("max", "mean")
 
@@ -176,17 +182,15 @@ def compute_all(series: ScoreSeries, fnr_target: float = 0.10) -> MetricReport:
     )
 
 
-def aggregate_frame_scores(
-    frames, scores, dataset: CameraDataset, aggregator: str = "max", fill: float | None = None
-) -> ScoreSeries:
-    """Fold window scores onto frames, producing one labeled score per frame.
+def aggregate_frame_scores(batch: WindowBatch, scores, dataset: CameraDataset, aggregator: str) -> ScoreSeries:
+    """Fold one score per window onto the frames it covers, producing one labeled score per frame.
 
-    ``frames`` and ``scores`` are aligned 1-D arrays with one entry per
-    (window, covered frame) pair: the frame index and the window's score.
-    Each frame aggregates the scores of its entries with ``max`` or ``mean``
-    (summed in entry order); frames with no entry receive ``fill``, by
-    default the minimum entry score (least anomalous), or 0.0 with no
-    entries at all. Labels come from the dataset's frame table.
+    Interpolation may synthesize observations at frame indices missing from
+    the evaluation set, so covered frames the dataset lacks are dropped. Each
+    frame takes the ``max`` or the ``mean`` (summed in window order) of its
+    windows' scores; a frame no window covers takes the minimum score of
+    every window, also of one whose frames were all dropped, or 0.0 with no
+    windows at all. Labels come from the dataset's frame table.
     """
     if aggregator not in AGGREGATORS:
         raise ValidationError(f"aggregator must be one of {AGGREGATORS}, got {aggregator!r}")
@@ -194,30 +198,20 @@ def aggregate_frame_scores(
     n = len(table)
     if not n:
         raise ValidationError("cannot aggregate scores over an empty dataset")
-    frames = np.asarray(frames, dtype=np.int64)
-    score_arr = np.asarray(scores, dtype=np.float64)
-    pos_arr = np.searchsorted(table.frame_index, frames)
-    missing = np.flatnonzero(table.frame_index[np.minimum(pos_arr, n - 1)] != frames)
-    if missing.size:
-        raise ValidationError(f"window covers frame {frames[missing[0]]} which is not in the dataset")
-
-    if fill is None:
-        fill = float(score_arr.min()) if score_arr.size else 0.0
-    if not (np.all(np.isfinite(score_arr)) and np.isfinite(fill)):
+    scores = np.asarray(scores, dtype=np.float64)
+    if not np.isfinite(scores).all():
         raise ValidationError("window scores must be finite")
-    covered_mask = np.zeros(n, dtype=bool)
-    covered_mask[pos_arr] = True
-
+    frames = batch.covered_frames().ravel()
+    pos = np.searchsorted(table.frame_index, frames)
+    present = table.frame_index[np.minimum(pos, n - 1)] == frames
+    pos, entries = pos[present], np.repeat(scores, batch.length)[present]
+    counts = np.bincount(pos, minlength=n)
     if aggregator == "max":
         agg = np.full(n, -np.inf)
-        np.maximum.at(agg, pos_arr, score_arr)
-        agg[~covered_mask] = fill
+        np.maximum.at(agg, pos, entries)
     else:
-        total = np.zeros(n)
-        count = np.zeros(n)
-        np.add.at(total, pos_arr, score_arr)
-        np.add.at(count, pos_arr, 1.0)
-        agg = np.full(n, fill)
-        agg[covered_mask] = total[covered_mask] / count[covered_mask]
-
+        agg = np.zeros(n)
+        np.add.at(agg, pos, entries)
+        agg /= np.maximum(counts, 1)
+    agg[counts == 0] = scores.min() if scores.size else 0.0
     return ScoreSeries(table.frame_index, agg, table.anomalous)

@@ -21,11 +21,9 @@ import numpy as np
 
 from . import report as report_mod
 from .errors import ValidationError, check_int, is_number, json_error
-from .metrics import (
-    AGGREGATORS, HIGHER_IS_BETTER, MetricReport, ScoreSeries, aggregate_frame_scores, compute_all,
-)
+from .metrics import AGGREGATORS, HIGHER_IS_BETTER, MetricReport, aggregate_frame_scores, compute_all
 from .model import CameraDataset, SplitSet, camera_id_error
-from .preprocess import WindowBatch, extract_windows
+from .preprocess import extract_windows
 from .rearrange import ContinualSplit, RearrangePlan, rearrange, verify
 from .scorers import SCORER_KINDS, ScoringState, make_scorer
 
@@ -163,25 +161,12 @@ def _windows_for(frames, cfg: RunConfig):
 def evaluate_windows(
     scorer, test_windows, test_dataset: CameraDataset, cfg: RunConfig, state: ScoringState | None = None
 ) -> MetricReport:
-    """Score test windows (through the caller's ``state`` for them), fold onto frames, compute metrics."""
-    scores = scorer.score_batch(test_windows, state)
-    series = fold_window_scores(test_windows, scores, test_dataset, cfg.aggregator)
-    return compute_all(series, cfg.fnr_target)
+    """Score test windows (through the caller's ``state`` for them), fold them onto frames, compute metrics.
 
-
-def fold_window_scores(batch: WindowBatch, scores, dataset: CameraDataset, aggregator: str) -> ScoreSeries:
-    """Fold one score per window onto the frames it covers, then aggregate per frame.
-
-    Interpolation may synthesize observations at frame indices missing from
-    the evaluation set (dropped frames leave structural gaps), so covered
-    frames the dataset lacks are dropped first. Frames no window covers take
-    the minimum score of every window, also of one whose frames were all dropped.
+    The fold is ``metrics.aggregate_frame_scores``, the one place that maps windows to frame scores.
     """
-    frames = batch.covered_frames().ravel()
-    entry_scores = np.repeat(scores, batch.length)
-    present = np.isin(frames, dataset.frames.frame_index)
-    fill = float(np.min(scores)) if len(scores) else None
-    return aggregate_frame_scores(frames[present], entry_scores[present], dataset, aggregator, fill)
+    scores = scorer.score_batch(test_windows, state)
+    return compute_all(aggregate_frame_scores(test_windows, scores, test_dataset, cfg.aggregator), cfg.fnr_target)
 
 
 def run_standard(cfg: RunConfig, split: SplitSet, out_dir=None) -> MetricReport:

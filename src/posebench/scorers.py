@@ -25,8 +25,6 @@ from .model import KEYPOINT_COUNT
 from .preprocess import WindowBatch
 
 CHECKPOINT_VERSION = 2
-SCORER_PARAMS = {"gaussian": ("variance_floor",), "knn": ("k_nn", "capacity", "seed")}
-SCORER_KINDS = tuple(SCORER_PARAMS)
 _POSE = 2 * KEYPOINT_COUNT  # values per pose row
 _GATHER_ELEMENTS = 1 << 20  # most float64 values of stored windows one kernel call scans (8 MB)
 
@@ -86,9 +84,13 @@ class AnomalyScorer:
     Each kind also has reset, partial_fit, score_batch (one score per window of a
     WindowBatch; a ``ScoringState``, if given, belongs to that batch and carries work
     between calls) and windows_seen, plus ``_checkpoint`` and ``_load`` for its file.
+    It declares ``params``, the constructor arguments a config's ``scorer_params`` may
+    set; ``seeded``, whether it takes the run's scorer seed; and ``meta_fields``, the
+    fields its checkpoint meta carries with their decoded JSON types.
     """
 
     kind = "base"
+    seeded = False
 
     def fit(self, batch: WindowBatch):
         """Discard state and ingest the batch's windows."""
@@ -117,6 +119,8 @@ class GaussianScorer(AnomalyScorer):
     """
 
     kind = "gaussian"
+    params = ("variance_floor",)
+    meta_fields = (("params", dict), ("count", int))
 
     def __init__(self, variance_floor: float = 1e-8):
         if not (is_number(variance_floor) and variance_floor > 0):
@@ -156,16 +160,6 @@ class GaussianScorer(AnomalyScorer):
     def windows_seen(self) -> int:
         return self._count
 
-    @property
-    def mean(self):
-        return None if self._mean is None else self._mean.copy()
-
-    @property
-    def variance(self):
-        if self._count < 2:
-            return None
-        return np.maximum(self._m2 / (self._count - 1), self.variance_floor)
-
     def _load(self, meta: dict, arrays: dict):
         """Take the state of a checkpoint's meta fields and arrays, as ``_checkpoint`` gave them."""
         self._count = int(meta["count"])
@@ -202,6 +196,9 @@ class KnnScorer(AnomalyScorer):
     """
 
     kind = "knn"
+    params = ("k_nn", "capacity")
+    seeded = True
+    meta_fields = (("params", dict), ("seen", int), ("rng_state", dict))
 
     def __init__(self, k_nn: int = 5, capacity: int = 50_000, seed: int = 0):
         check_int("k_nn", k_nn, 1)
@@ -324,28 +321,22 @@ def _first_use(poses: np.ndarray, index: np.ndarray):
     return poses[keep], label[index]
 
 
-def make_scorer(kind: str, seed: int = 0, params: dict | None = None) -> AnomalyScorer:
-    """Build a scorer by kind name; the seed only matters for stochastic scorers.
+SCORERS = {cls.kind: cls for cls in (GaussianScorer, KnnScorer)}
+SCORER_KINDS = tuple(SCORERS)
 
-    ``params`` may hold only the constructor arguments ``SCORER_PARAMS`` names for that kind.
+
+def make_scorer(kind: str, seed: int = 0, params: dict | None = None) -> AnomalyScorer:
+    """Build a scorer by kind name; the seed only reaches a ``seeded`` kind.
+
+    ``params`` may hold only the constructor arguments that kind's ``params`` names.
     """
-    if kind not in SCORER_KINDS:
+    if kind not in SCORERS:
         raise ValidationError(f"unknown scorer kind {kind!r}, expected one of {SCORER_KINDS}")
-    params = dict(params or {})
-    unknown = sorted(set(params) - set(SCORER_PARAMS[kind]))
+    cls, params = SCORERS[kind], dict(params or {})
+    unknown = sorted(set(params) - set(cls.params))
     if unknown:
         raise ValidationError(f"unknown {kind} scorer_params keys: {unknown}")
-    if kind == "gaussian":
-        return GaussianScorer(**params)
-    params.setdefault("seed", seed)
-    return KnnScorer(**params)
-
-
-# Fields each kind's checkpoint meta must carry, with their decoded JSON types.
-_META_FIELDS = {
-    "gaussian": (("params", dict), ("count", int)),
-    "knn": (("params", dict), ("seen", int), ("rng_state", dict)),
-}
+    return cls(seed=seed, **params) if cls.seeded else cls(**params)
 
 
 def load_checkpoint(path) -> AnomalyScorer:
@@ -367,9 +358,10 @@ def load_checkpoint(path) -> AnomalyScorer:
     if type(version) is not int or version != CHECKPOINT_VERSION:  # not a bool, not 2.0
         raise ValidationError(f"checkpoint {path}: unsupported version {version!r} (supported: {CHECKPOINT_VERSION})")
     kind = meta.get("kind")
-    if kind not in _META_FIELDS:
+    cls = SCORERS.get(kind) if isinstance(kind, str) else None  # a JSON list or object is no kind either
+    if cls is None:
         raise ValidationError(f"unknown scorer kind {kind!r} in checkpoint {path}")
-    for name, expected in _META_FIELDS[kind]:
+    for name, expected in cls.meta_fields:
         if name not in meta:
             raise ValidationError(f"checkpoint {path}: meta lacks field {name!r}")
         if not isinstance(meta[name], expected):
@@ -377,7 +369,7 @@ def load_checkpoint(path) -> AnomalyScorer:
                 f"checkpoint {path}: meta field {name!r} must be {expected.__name__}, got {meta[name]!r}"
             )
     try:
-        scorer = {"gaussian": GaussianScorer, "knn": KnnScorer}[kind](**meta["params"])
+        scorer = cls(**meta["params"])
         scorer._load(meta, arrays)
         return scorer
     except (TypeError, ValueError, KeyError, ValidationError) as exc:

@@ -20,7 +20,7 @@ import math
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, check_int
 from .model import KEYPOINT_COUNT, CameraDataset, FrameTable, SplitSet
 
 ANOMALY_KINDS = ("velocity", "frozen", "limb_collapse")
@@ -178,6 +178,7 @@ def generate_normals(
     start_index: int = 0,
 ) -> CameraDataset:
     """Generate an all-normal dataset (for pretraining or plain fixtures)."""
+    check_int("seed", seed)
     if n_frames < 1:
         raise ValidationError(f"n_frames must be >= 1, got {n_frames}")
     if persons < 1:
@@ -214,6 +215,7 @@ def generate_split(
     equalized) placed at seeded offsets, one dedicated anomaly track per
     segment cycling through ``anomaly_kinds``.
     """
+    check_int("seed", seed)
     if train_normal < 1 or test_normal < 1:
         raise ValidationError("train_normal and test_normal must both be >= 1")
     if test_anomaly < 1:

@@ -301,10 +301,14 @@ def test_06_streaming_fit_consistency(capsys):
                 j = i + int(rng.integers(1, n - i + 1))
                 part.partial_fit(window_batch(windows[i:j]))
                 i = j
-            if np.max(np.abs(part.mean - whole.mean)) > 1e-9:
+            if part.windows_seen != whole.windows_seen or np.max(np.abs(part._mean - whole._mean)) > 1e-9:
                 problems.append(f"trial {trial}: means differ")
                 break
-            rel = np.max(np.abs(part.variance - whole.variance) / np.abs(whole.variance))
+            # The floored variances score_batch divides by.
+            part_var, whole_var = (
+                np.maximum(s._m2 / (s.windows_seen - 1), s.variance_floor) for s in (part, whole)
+            )
+            rel = np.max(np.abs(part_var - whole_var) / np.abs(whole_var))
             if rel > 1e-6:
                 problems.append(f"trial {trial}: variances differ (rel {rel:.2e})")
                 break

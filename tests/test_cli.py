@@ -1,11 +1,15 @@
+import dataclasses
 import hashlib
 import json
 
 import pytest
 
+from posebench import cli
 from posebench.cli import main
 from posebench.io import load_dataset
-from posebench.runner import derive_seed, result_to_dict
+from posebench.metrics import AGGREGATORS
+from posebench.runner import RunConfig, derive_seed, result_to_dict
+from posebench.scorers import SCORER_KINDS
 from posebench.synthetic import generate_split
 
 from _golden import golden_results
@@ -216,6 +220,7 @@ class TestSynth:
             (["--boost", "1e308"], "anomaly_boost * (step_sigma + jitter_sigma) must be at most 12800"),
             (["--origin-normal", "10", "--origin-step-sigma", "1e308"], "origin dataset: step_sigma must be at most"),
             (["--origin-normal", "10", "--origin-jitter-sigma", "1e308"], "origin dataset: jitter_sigma must be at"),
+            (["--seed", "-1"], "seed must be an integer >= 0, got -1"),
         ],
     )
     def test_bad_generator_parameter_is_data_error(self, tmp_path, capsys, flags, message):
@@ -369,6 +374,7 @@ class TestConfigValues:
                 '{"scorer": "knn", "scorer_params": {"variance_floor": 1e-8}}',
                 "scorer_params keys: ['variance_floor']",
             ),
+            ("run-standard", '{"scorer": "knn", "scorer_params": {"seed": 3}}', "unknown knn scorer_params keys: ['seed']"),
             ("run-standard", '{"scorer": "knn", "scorer_params": {"k_nn": "5"}}', "k_nn must be an integer"),
             ("run-standard", '{"scorer": "knn", "scorer_params": {"k_nn": 2.5}}', "k_nn must be an integer"),
             ("run-standard", '{"scorer": "knn", "scorer_params": {"capacity": 1e400}}', "capacity must be"),
@@ -402,6 +408,23 @@ class TestConfigValues:
         err = capsys.readouterr().err
         assert code == 2, err
         assert message in err
+
+
+class TestRunFlags:
+    @pytest.mark.parametrize("subcommand", ["run-standard", "run-continual"])
+    def test_choices_are_the_scorer_and_aggregator_tables(self, tmp_path, capsys, subcommand):
+        out = str(tmp_path / "o")
+        for flag, table in (("--scorer", SCORER_KINDS), ("--aggregator", AGGREGATORS)):
+            for value in table:
+                args = cli.build_parser().parse_args([subcommand, flag, value, "--out", out])
+                assert getattr(args, flag[2:]) == value
+            assert main([subcommand, flag, "mystery", "--out", out]) == 1
+            assert "invalid choice: 'mystery'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_every_run_flag_is_a_config_field(self):
+        fields = {f.name for f in dataclasses.fields(RunConfig)}
+        assert [key for key, _ in cli._RUN_FLAGS if key not in fields] == []
 
 
 class TestRunStandardCommand:

@@ -15,7 +15,6 @@ from posebench.metrics import (
     fpr_at_fnr,
 )
 from posebench.preprocess import WindowBatch
-from posebench.runner import fold_window_scores
 from conftest import dataset, make_frame, make_obs, walking_dataset
 import _oracles
 
@@ -142,11 +141,18 @@ class TestEdgeBehavior:
         assert set(d) == {"auc_roc", "auc_pr", "eer", "ten_er", "n_pos", "n_neg"}
 
 
+def batch_of(starts, length):
+    """A WindowBatch of windows covering ``start + arange(length)`` for each start; its poses are never read."""
+    zeros = np.zeros(len(starts), dtype=np.int64)
+    return WindowBatch(np.zeros((length, 17, 2)), zeros, zeros, np.array(starts, dtype=np.int64), length)
+
+
 def fold(window_scores, ds, aggregator):
-    """aggregate_frame_scores of (covered frames, score) pairs, one entry per covered frame."""
-    frames = [fi for covered, _ in window_scores for fi in covered]
-    scores = [score for covered, score in window_scores for _ in covered]
-    return aggregate_frame_scores(frames, scores, ds, aggregator)
+    """aggregate_frame_scores of (covered frames, score) pairs: runs of consecutive frames, all of one length."""
+    length = len(window_scores[0][0]) if window_scores else 1
+    assert all(covered == tuple(range(covered[0], covered[0] + length)) for covered, _ in window_scores)
+    batch = batch_of([covered[0] for covered, _ in window_scores], length)
+    return aggregate_frame_scores(batch, np.array([score for _, score in window_scores]), ds, aggregator)
 
 
 class TestAggregation:
@@ -179,11 +185,11 @@ class TestAggregation:
         idx = ds.frames.frame_index.tolist()
         for _ in range(50):
             n_windows = int(rng.integers(0, 8))
+            length = int(rng.integers(1, 21))  # one length per batch, as extract_windows gives
             window_scores = []
             for _ in range(n_windows):
-                a = int(rng.integers(0, 18))
-                b = int(rng.integers(a + 1, 21))
-                window_scores.append((tuple(range(a, b)), float(rng.uniform(0, 1))))
+                a = int(rng.integers(0, 21 - length))
+                window_scores.append((tuple(range(a, a + length)), float(rng.uniform(0, 1))))
             for agg in ("max", "mean"):
                 got = fold(window_scores, ds, agg)
                 want = _oracles.frame_scores_scan(window_scores, idx, agg)
@@ -195,10 +201,12 @@ class TestAggregation:
         s = fold([], ds, "max")
         assert s.scores.tolist() == [0.0, 0.0, 0.0]
 
-    def test_unknown_frame_rejected(self):
+    def test_frames_the_dataset_lacks_are_dropped(self):
+        # Frames 0-2: frame 3 of the first window is dropped, the second window covers no frame of
+        # the dataset, and its score still sets the fill of the uncovered frames 0 and 1.
         ds = self.make_dataset(3)
-        with pytest.raises(ValidationError):
-            fold([((2, 3), 0.5)], ds, "max")
+        for agg in ("max", "mean"):
+            assert fold([((2, 3), 0.5), ((3, 4), 0.2)], ds, agg).scores.tolist() == [0.2, 0.2, 0.5]
 
     def test_labels_copied_from_dataset(self):
         frames = (
@@ -226,24 +234,16 @@ def folding_case(draw):
     starts = draw(st.lists(st.one_of(touching, st.integers(-length, 44)), min_size=n, max_size=n))
     # Scores on a coarse grid, so windows often tie.
     scores = draw(st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0, 3.0]), min_size=n, max_size=n))
-    batch = WindowBatch(
-        poses=np.zeros((length, 17, 2)),
-        rows=np.zeros(n, dtype=np.int64),
-        track_id=np.zeros(n, dtype=np.int64),
-        start_frame=np.array(starts, dtype=np.int64),
-        length=length,
-    )
-    return dataset(frames), batch, np.array(scores, dtype=np.float64)
+    return dataset(frames), batch_of(starts, length), np.array(scores, dtype=np.float64)
 
 
 class TestFoldProperty:
     def test_uncovered_frames_take_minimum_of_every_window(self):
         # Frame 10 is uncovered; the 0.1 window covers only frames 2-4, which the dataset lacks.
         ds = dataset([make_frame(0), make_frame(10)])
-        zeros = np.zeros(2, dtype=np.int64)
-        batch = WindowBatch(np.zeros((3, 17, 2)), zeros, zeros, start_frame=np.array([2, 0]), length=3)
+        batch = batch_of([2, 0], 3)
         for aggregator in ("max", "mean"):
-            got = fold_window_scores(batch, np.array([0.1, 0.5]), ds, aggregator)
+            got = aggregate_frame_scores(batch, np.array([0.1, 0.5]), ds, aggregator)
             assert got.scores.tolist() == [0.5, 0.1]
 
     @settings(deadline=None, max_examples=80)
@@ -251,7 +251,7 @@ class TestFoldProperty:
     def test_fold_equals_scan_oracle(self, case, aggregator):
         # Windows may cover frames the dataset lacks; frames no window covers take the fill score.
         ds, batch, scores = case
-        got = fold_window_scores(batch, scores, ds, aggregator)
+        got = aggregate_frame_scores(batch, scores, ds, aggregator)
         covered = [tuple(row) for row in batch.covered_frames().tolist()]
         idx = ds.frames.frame_index.tolist()
         want = _oracles.frame_scores_scan(list(zip(covered, scores.tolist())), idx, aggregator)

@@ -131,8 +131,10 @@ class TestGaussianScorer:
                 j = i + int(trial_rng.integers(1, 6))
                 split.partial_fit(window_batch(ws[i:j]))
                 i = j
-            np.testing.assert_allclose(split.mean, whole.mean, atol=1e-9)
-            np.testing.assert_allclose(split.variance, whole.variance, rtol=1e-6, atol=1e-12)
+            assert split.windows_seen == whole.windows_seen == len(ws)
+            np.testing.assert_allclose(split._mean, whole._mean, atol=1e-9)
+            split_var, whole_var = (np.maximum(s._m2 / (len(ws) - 1), s.variance_floor) for s in (split, whole))
+            np.testing.assert_allclose(split_var, whole_var, rtol=1e-6, atol=1e-12)
 
     def test_scores_identical_after_split_fit(self, rng):
         ws = feats(rng, 25)
@@ -472,6 +474,12 @@ class TestCheckpoints:
                 np.savez(fh, meta=np.array(json.dumps(meta)))
             with pytest.raises(ValidationError, match=f"{re.escape(str(path))}.*'{field}'"):
                 load_checkpoint(path)
+        # A kind outside SCORERS, also one that is not a string.
+        for kind in ("mystery", ["knn"], {"knn": 1}, None):
+            with open(path, "wb") as fh:
+                np.savez(fh, meta=np.array(json.dumps({**base, "kind": kind})))
+            with pytest.raises(ValidationError, match=f"unknown scorer kind {re.escape(repr(kind))} in checkpoint"):
+                load_checkpoint(path)
         # State that loads into a scorer that cannot score, or scores garbage.
         gaussian = {**base, "kind": "gaussian", "params": {"variance_floor": 1e-8}, "count": 5}
         knn = {**base, "kind": "knn", "params": {"k_nn": 1, "capacity": 8, "seed": 0}, "seen": 4,
@@ -624,11 +632,11 @@ class TestFactory:
             ("knn", {"k_nn": True}, "k_nn"),
             ("knn", {"capacity": 1e400}, "capacity"),
             ("gaussian", {"variance_floor": None}, "variance_floor"),
+            ("knn", {"seed": 3}, "seed"),  # the seed comes from the run, never from scorer_params
         ):
             with pytest.raises(ValidationError, match=key):
                 make_scorer(kind, params=params)
 
     def test_params_forwarded(self):
         sc = make_scorer("knn", seed=4, params={"k_nn": 7, "capacity": 99})
-        assert sc.k_nn == 7
-        assert sc.capacity == 99
+        assert (sc.k_nn, sc.capacity, sc.seed) == (7, 99, 4)

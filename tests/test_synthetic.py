@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -207,6 +208,14 @@ class TestParameterRules:
             generate_normals(5, seed=0, **{name: value})
         with pytest.raises(ValidationError, match=message):
             generate_split(20, 20, 5, seed=0, **{name: value})
+
+    @pytest.mark.parametrize("seed", [-1, 1.0, True, "0", None])
+    def test_seed_must_be_a_non_negative_integer(self, seed):
+        message = f"seed must be an integer >= 0, got {re.escape(repr(seed))}$"
+        with pytest.raises(ValidationError, match=message):
+            generate_normals(5, seed=seed)
+        with pytest.raises(ValidationError, match=message):
+            generate_split(20, 20, 5, seed=seed)
 
     @pytest.mark.parametrize("value", [0.0, -1.0, math.inf, math.nan])
     def test_boost_must_be_positive_and_finite(self, value):
