@@ -25,7 +25,7 @@ from .errors import PosebenchError, ValidationError, json_error
 from .io import load_dataset, write_frames
 from .metrics import AGGREGATORS
 from .model import SplitSet
-from .rearrange import TAGS, RearrangePlan, rearrange, verify
+from .rearrange import RearrangePlan, rearrange, verify
 from .report import emit_report
 from .runner import RunConfig, derive_seed, load_results, run_continual, run_standard
 from .scorers import SCORER_KINDS
@@ -110,6 +110,8 @@ def _build_run_config(args, mode: str):
     for key in ("train", "test", "origin"):
         if key in merged:
             paths[key] = merged.pop(key)
+            if not (isinstance(paths[key], str) and paths[key]):
+                raise ValidationError(f"{key} must be a non-empty string (a dataset path), got {paths[key]!r}")
         flag = getattr(args, key, None)
         if flag is not None:
             paths[key] = flag
@@ -174,8 +176,8 @@ def _cmd_rearrange(args) -> int:
     slice_of += [""] * len(cs.test)
     with open(os.path.join(args.out, "provenance.csv"), "w", encoding="utf-8") as fh:
         fh.write("frame_index,origin,slice\n")
-        for fi, code, i in zip(cs.frames.frame_index[rows].tolist(), cs.tag[rows].tolist(), slice_of):
-            fh.write(f"{fi},{TAGS[code]},{i}\n")
+        for fi, tag, i in zip(cs.frames.frame_index[rows].tolist(), cs.tags(rows).tolist(), slice_of):
+            fh.write(f"{fi},{tag},{i}\n")
     _write_manifest(args.out, "rearrange", args.seed, _params_hash({"plan": dataclasses.asdict(plan)}))
     print(f"wrote {plan.k} slices, test.jsonl and provenance.csv to {args.out}", file=sys.stderr)
     return 0

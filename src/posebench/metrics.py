@@ -57,7 +57,7 @@ class ScoreSeries:
             raise ValidationError("series arrays must have equal length")
         if n and not np.all(np.isfinite(self.scores)):
             raise ValidationError("scores must be finite")
-        if np.unique(self.frame_index).size != n:
+        if (np.diff(np.sort(self.frame_index)) == 0).any():
             raise ValidationError("frame indices in a series must be unique")
 
     def __len__(self) -> int:

@@ -262,9 +262,10 @@ class SplitSet:
         if train.anomalous.any():
             first = train.frame_index[train.anomalous][0]
             raise ValidationError(f"train frame {first} is not labeled normal")
-        overlap = np.intersect1d(train.frame_index, self.test.frames.frame_index)
-        if overlap.size:
-            raise ValidationError(f"train and test share frame indices (e.g. {overlap[0]})")
+        train, test = train.frame_index, self.test.frames.frame_index  # each strictly increasing
+        shared = train[np.searchsorted(test, train, "right") > np.searchsorted(test, train)]
+        if shared.size:
+            raise ValidationError(f"train and test share frame indices (e.g. {shared[0]})")
 
     @property
     def camera_id(self) -> str:

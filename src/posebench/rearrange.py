@@ -18,9 +18,11 @@ rearrangement builds an unlabeled training stream and a balanced test set:
 
 When ``inject_count`` is omitted, the largest count that keeps the stream
 anomaly fraction below target while leaving the test set balanceable is
-chosen. Every row gets a tag, and ``ContinualSplit.training_frames`` refuses
-to hand a test-tagged row to training. All sampling uses numpy's default_rng
-(PCG64) seeded from the plan, so results are reproducible byte for byte.
+chosen. The split stores only this partition. A row's provenance tag follows
+from where it came from and where it went (``ContinualSplit.tags``), and
+``ContinualSplit.training_frames`` refuses to hand a test-tagged row to
+training. All sampling uses numpy's default_rng (PCG64) seeded from the plan,
+so results are reproducible byte for byte.
 """
 
 from __future__ import annotations
@@ -41,7 +43,6 @@ TAG_TEST_ANOMALY = "test_anomaly"
 STREAM_TAGS = (TAG_TRAIN_NORMAL, TAG_MOVED_NORMAL, TAG_INJECTED)
 TEST_TAGS = (TAG_TEST_NORMAL, TAG_TEST_ANOMALY)
 TAGS = STREAM_TAGS + TEST_TAGS
-_TAG_OF_CODE = dict(enumerate(TAGS))  # .get gives None for a code outside TAGS
 
 
 @dataclass(frozen=True)
@@ -68,18 +69,20 @@ class RearrangePlan:
 
 @dataclass
 class ContinualSplit:
-    """Result of the rearrangement: tagged frames, stream slices, balanced test set.
+    """Result of the rearrangement: the split's frames partitioned into stream slices and a balanced test set.
 
-    ``frames`` holds every frame of the split, train rows then test rows, and
-    ``tag`` (int8, one entry per row of ``frames``) the position of each row's
-    tag in ``TAGS``. ``slices`` are the k contiguous pieces of the training
-    stream, as rows of ``frames`` in stream order.
+    ``frames`` holds every frame of the split, its ``n_train`` train rows then
+    its test rows. ``slices`` are the k contiguous pieces of the training
+    stream, as rows of ``frames`` in stream order, and ``test_rows`` the rows
+    of the balanced test set ``test``, in increasing order. Tags are not
+    stored; ``tags`` derives them from this partition.
     """
 
     camera_id: str
     frames: FrameTable
-    tag: np.ndarray
+    n_train: int
     slices: list[np.ndarray]
+    test_rows: np.ndarray
     test: CameraDataset
     plan: RearrangePlan
 
@@ -88,17 +91,23 @@ class ContinualSplit:
         """The training stream as rows of ``frames``: the slices in turn."""
         return np.concatenate(self.slices)
 
-    @property
-    def test_rows(self) -> np.ndarray:
-        """The rows of ``frames`` that carry a test tag, in row order."""
-        return np.flatnonzero(self.tag >= len(STREAM_TAGS))
+    def tags(self, rows: np.ndarray) -> np.ndarray:
+        """The provenance tag of each of ``rows``, by name.
+
+        A train row is ``orig_train_normal``. A test row is ``test_normal`` or
+        ``test_anomaly`` by its label if it stayed in the test set, and
+        ``moved_test_normal`` or ``injected_anomaly`` if it went to the stream.
+        """
+        stayed = np.searchsorted(self.test_rows, rows, "right") > np.searchsorted(self.test_rows, rows)
+        code = np.where(stayed, TAGS.index(TAG_TEST_NORMAL), TAGS.index(TAG_MOVED_NORMAL)) + self.frames.anomalous[rows]
+        return np.array(TAGS)[np.where(rows < self.n_train, TAGS.index(TAG_TRAIN_NORMAL), code)]
 
     def training_frames(self, rows: np.ndarray) -> FrameTable:
-        """The frames at ``rows``, raising on the first row that does not carry a stream tag."""
-        codes = self.tag[rows]
-        leaked = np.flatnonzero(~np.isin(codes, np.arange(len(STREAM_TAGS))))
+        """The frames at ``rows``, raising on the first row that carries a test tag."""
+        tags = self.tags(rows)
+        leaked = np.flatnonzero((tags == TAG_TEST_NORMAL) | (tags == TAG_TEST_ANOMALY))
         if leaked.size:
-            fi, tag = self.frames.frame_index[rows[leaked[0]]], _TAG_OF_CODE.get(codes[leaked[0]])
+            fi, tag = self.frames.frame_index[rows[leaked[0]]], str(tags[leaked[0]])
             raise ValidationError(f"test leakage: frame {fi} (tag {tag!r}) must not be trained on")
         return self.frames.take(rows)
 
@@ -164,18 +173,13 @@ def rearrange(split: SplitSet, plan: RearrangePlan) -> ContinualSplit:
     if plan.inject_count is not None:
         inject = plan.inject_count
         if inject >= len(anoms):
-            raise ValidationError(
-                f"inject_count {inject} must leave at least one of {len(anoms)} test anomalies"
-            )
+            raise ValidationError(f"inject_count {inject} must leave at least one of {len(anoms)} test anomalies")
     else:
         inject = _auto_inject_count(n_train, len(norms), len(anoms), plan)
 
     rng = np.random.default_rng(plan.seed)
 
-    if inject:
-        inj_idx = rng.choice(len(anoms), size=inject, replace=False)
-    else:
-        inj_idx = np.empty(0, dtype=np.int64)
+    inj_idx = rng.choice(len(anoms), size=inject, replace=False) if inject else np.empty(0, dtype=np.int64)
     injected = anoms[inj_idx]
     kept_anoms = np.delete(anoms, inj_idx)
 
@@ -213,24 +217,8 @@ def rearrange(split: SplitSet, plan: RearrangePlan) -> ContinualSplit:
             f"{plan.target_train_anomaly_ratio}"
         )
 
-    tag = np.empty(len(frames), dtype=np.int8)
-    for rows, name in (
-        (np.arange(n_train), TAG_TRAIN_NORMAL),
-        (moved, TAG_MOVED_NORMAL),
-        (injected, TAG_INJECTED),
-        (kept_norms, TAG_TEST_NORMAL),
-        (kept_anoms, TAG_TEST_ANOMALY),
-    ):
-        tag[rows] = TAGS.index(name)
-
-    return ContinualSplit(
-        camera_id=camera,
-        frames=frames,
-        tag=tag,
-        slices=slice_stream(stream, plan.k),
-        test=test,
-        plan=plan,
-    )
+    slices = slice_stream(stream, plan.k)
+    return ContinualSplit(camera, frames, n_train, slices, test_rows, test, plan)
 
 
 def verify(cs: ContinualSplit) -> None:
@@ -248,9 +236,7 @@ def verify(cs: ContinualSplit) -> None:
         raise ValidationError(f"invariant violated: slice sizes differ by more than 1 ({sizes})")
 
     stream = cs.train_stream
-    stream_idx = cs.frames.frame_index[stream]
-    stream_anomalous = cs.frames.anomalous[stream]
-    fraction = int(stream_anomalous.sum()) / len(stream)
+    fraction = int(cs.frames.anomalous[stream].sum()) / len(stream)
     if fraction >= plan.target_train_anomaly_ratio:
         raise ValidationError(
             f"invariant violated: train anomaly fraction {fraction:.6f} >= target "
@@ -268,28 +254,26 @@ def verify(cs: ContinualSplit) -> None:
             f"exceeds tolerance {plan.balance_tolerance}"
         )
 
-    if np.unique(stream_idx).size != stream_idx.size:
-        raise ValidationError("invariant violated: duplicate frame in training stream")
-    if np.intersect1d(stream_idx, test.frame_index).size:
-        raise ValidationError("invariant violated: training stream and test set share frames")
-
-    _check_tags("stream", stream_idx, stream_anomalous, cs.tag[stream], STREAM_TAGS, TAG_INJECTED)
+    # What a tag says beyond where a row is placed: train rows are normal, test rows come from the test source.
+    train_anomalous = np.flatnonzero(cs.frames.anomalous[: cs.n_train])
+    if train_anomalous.size:
+        fi = cs.frames.frame_index[train_anomalous[0]]
+        raise ValidationError(f"invariant violated: stream frame {fi} label does not match tag {TAG_TRAIN_NORMAL!r}")
     test_rows = cs.test_rows
+    from_train = test_rows[test_rows < cs.n_train]
+    if from_train.size:
+        fi = cs.frames.frame_index[from_train[0]]
+        raise ValidationError(f"invariant violated: test frame {fi} does not come from the test source")
     if not np.array_equal(cs.frames.frame_index[test_rows], test.frame_index):
         raise ValidationError("invariant violated: test set does not hold exactly the test-tagged frames")
-    _check_tags("test", test.frame_index, test.anomalous, cs.tag[test_rows], TEST_TAGS, TAG_TEST_ANOMALY)
-    # The checks above make stream and test rows disjoint, so their counts show whether any row was dropped.
-    placed, n = len(stream) + len(test_rows), len(cs.frames)
-    if placed != n:
-        raise ValidationError(f"invariant violated: stream and test set place {placed} of {n} rows")
-
-
-def _check_tags(part: str, frame_index, anomalous, codes, tags, anomaly_tag) -> None:
-    """Raise for the first frame of ``part`` whose tag is not in ``tags`` or disagrees with its label."""
-    known = np.isin(codes, [TAGS.index(name) for name in tags])
-    bad = np.flatnonzero(~known | (anomalous != (codes == TAGS.index(anomaly_tag))))
-    if bad.size:
-        i = bad[0]
-        what = "label does not match tag" if known[i] else "carries tag"
-        tag = _TAG_OF_CODE.get(codes[i])
-        raise ValidationError(f"invariant violated: {part} frame {frame_index[i]} {what} {tag!r}")
+    # Stream and test set partition the split's rows when they place each row exactly once.
+    placed = np.bincount(np.concatenate([stream, test_rows]), minlength=len(cs.frames))
+    twice = np.flatnonzero(placed > 1)
+    if twice.size:
+        # test_rows select the strictly increasing test set, so a row placed twice is in the stream.
+        where = "training stream and test set" if np.count_nonzero(stream == twice[0]) == 1 else "training stream"
+        fi = cs.frames.frame_index[twice[0]]
+        raise ValidationError(f"invariant violated: frame {fi} is placed more than once, in the {where}")
+    if not placed.all():
+        n = len(cs.frames)
+        raise ValidationError(f"invariant violated: stream and test set place {np.count_nonzero(placed)} of {n} rows")

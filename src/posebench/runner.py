@@ -312,10 +312,15 @@ def result_from_dict(raw: dict) -> ContinualResult:
     steps = field("per_step")
     if not isinstance(steps, list):
         raise ValidationError(f"field 'per_step' must be a list, got {type(steps).__name__}")
+    baseline = rep("baseline", field("baseline"))
+    per_step = tuple(rep(f"per_step[{i}]", d) for i, d in enumerate(steps))
+    k = field("k")
+    if isinstance(k, bool) or not isinstance(k, int) or k != len(per_step):
+        raise ValidationError(f"field 'k' must be the number of per_step reports, {len(per_step)}, got {k!r}")
     return ContinualResult(
         camera_id=camera_id,
-        baseline=rep("baseline", field("baseline")),
-        per_step=tuple(rep(f"per_step[{i}]", d) for i, d in enumerate(steps)),
+        baseline=baseline,
+        per_step=per_step,
         step_average=rep("step_average", field("step_average")),
         step_best=rep("step_best", field("step_best")),
         batch_training=rep("batch_training", field("batch_training")),

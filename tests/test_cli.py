@@ -122,6 +122,12 @@ class TestExitCodes:
             (lambda raw: {**raw, "baseline": {"auc_roc": 0.5, "n_pos": 1}},
              "field 'baseline' is not a metric report: it lacks ['auc_pr', 'eer', 'ten_er', 'n_neg']"),
             (lambda raw: {**raw, "baseline": [0.5]}, "field 'baseline' is not a metric report: got list"),
+            (lambda raw: {key: v for key, v in raw.items() if key != "k"}, "missing field 'k'"),
+            (lambda raw: {**raw, "k": 5}, "field 'k' must be the number of per_step reports, 3, got 5"),
+            (lambda raw: {**raw, "k": "x"}, "field 'k' must be the number of per_step reports, 3, got 'x'"),
+            (lambda raw: {**raw, "k": 3.0}, "field 'k' must be the number of per_step reports, 3, got 3.0"),
+            (lambda raw: {**raw, "per_step": raw["per_step"][:1], "k": True},
+             "field 'k' must be the number of per_step reports, 1, got True"),
         ],
     )
     def test_bad_result_value_is_data_error(self, tmp_path, capsys, damage, message):
@@ -317,6 +323,23 @@ class TestRearrangeCommand:
         for name in ["slice_01.jsonl", "test.jsonl", "provenance.csv"]:
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
+    def test_output_bytes_are_pinned(self, synth_dir, tmp_path, capsys):
+        # Any drift in a derived tag, in stream order or in the test set changes a digest.
+        out = tmp_path / "r"
+        train, test = str(synth_dir / "train.jsonl"), str(synth_dir / "test.jsonl")
+        args = ["rearrange", "--train", train, "--test", test, "--seed", "0", "--k", "4", "--inject-count", "3"]
+        assert main(args + ["--out", str(out)]) == 0
+        capsys.readouterr()
+        pinned = {
+            "slice_01.jsonl": "cbeee65dc218ec72dc1894cbe74ff9a136307d8bc9fd45fb32b8b0bc12cc3d56",
+            "slice_02.jsonl": "fb5854d02ae6fa442f55570e353e938e71ffd3470df9d469fe4555c59b0d588a",
+            "slice_03.jsonl": "2cb38b0e6b78d74387a55a1cdf12e5e4c03f7798bc0cc5dd50a453580e144a79",
+            "slice_04.jsonl": "861cba07fa9392d0df0fd2c7b9cf3c37592794059239b197f7b0a07515eba8c2",
+            "test.jsonl": "616f321bf2c1b76e2b188234155f91c22594d21c057a91d72973ef56cb88bb70",
+            "provenance.csv": "87c34a92b7d8e64241d85390df5c7c8baef61790afce719e3f9ce7070568c695",
+        }
+        assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in pinned} == pinned
+
     def test_default_plan_flags_keep_the_config_hash(self, synth_dir, tmp_path, capsys):
         # Without plan flags the plan takes RearrangePlan's defaults, and the manifest hashes
         # the same plan as when those defaults are given as flags.
@@ -394,6 +417,11 @@ class TestConfigValues:
             ("run-continual", '{"plan": {"target_train_anomaly_ratio": "x"}}', "anomaly_ratio must be"),
             ("run-continual", '{"plan": {"balance_tolerance": null}}', "balance_tolerance must be a number"),
             ("run-continual", '{"plan": {"inject_count": true}}', "inject_count must be an integer"),
+            ("run-standard", '{"train": 5}', "train must be a non-empty string (a dataset path), got 5"),
+            ("run-standard", '{"test": null}', "test must be a non-empty string (a dataset path), got None"),
+            ("run-standard", '{"test": ""}', "test must be a non-empty string (a dataset path), got ''"),
+            ("run-continual", '{"origin": true}', "origin must be a non-empty string (a dataset path), got True"),
+            ("run-continual", '{"train": ["a.jsonl"]}', "train must be a non-empty string (a dataset path)"),
         ],
     )
     def test_mistyped_value_is_data_error_naming_the_key(
@@ -408,6 +436,16 @@ class TestConfigValues:
         err = capsys.readouterr().err
         assert code == 2, err
         assert message in err
+
+    @pytest.mark.parametrize("value", ["5", "null", "true", "[]"])
+    def test_dataset_path_only_in_the_config_is_checked_before_reading(self, synth_dir, tmp_path, capsys, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(f'{{"train": {json.dumps(str(synth_dir / "train.jsonl"))}, "test": {value}}}')
+        code = main(["run-standard", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert f"test must be a non-empty string (a dataset path), got {json.loads(value)!r}" in err
+        assert not (tmp_path / "out").exists()
 
 
 class TestRunFlags:

@@ -29,6 +29,12 @@ class TestScoreSeries:
         with pytest.raises(ValidationError, match="unique"):
             ScoreSeries([0, 0], [0.1, 0.2], [False, True])
 
+    def test_duplicate_apart_in_input_order_is_refused(self):
+        # The two 2s are not neighbours until the indices are sorted.
+        with pytest.raises(ValidationError, match="^frame indices in a series must be unique$"):
+            ScoreSeries([5, 2, 9, 2], [0.1, 0.2, 0.3, 0.4], [False, True, False, True])
+        assert len(ScoreSeries([5, 2, 9, 3], [0.1, 0.2, 0.3, 0.4], [False, True, False, True])) == 4
+
     def test_requires_finite_scores(self):
         with pytest.raises(ValidationError, match="finite"):
             ScoreSeries([0], [float("nan")], [False])

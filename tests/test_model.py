@@ -192,6 +192,16 @@ class TestSplitSet:
         with pytest.raises(ValidationError, match=r"share frame indices \(e.g. 0\)"):
             SplitSet(train=train, test=test)
 
+    def test_first_shared_index_past_the_first_row(self):
+        # Train frames 0-5, 7 and 9, test frames 6, 7 and 9: 7 and 9 are shared, and 7 is neither set's first row.
+        train = dataset([make_frame(i) for i in (0, 1, 2, 3, 4, 5, 7, 9)])
+        test = dataset([make_frame(i) for i in (6, 7, 9)])
+        with pytest.raises(ValidationError, match=r"share frame indices \(e.g. 7\)"):
+            SplitSet(train=train, test=test)
+
+    def test_empty_test_set_shares_nothing(self):
+        assert len(SplitSet(train=dataset([make_frame(0), make_frame(1)]), test=dataset([])).test) == 0
+
     def test_camera_id_property(self):
         train = dataset([make_frame(0)])
         test = dataset([make_frame(1)])

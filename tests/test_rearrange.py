@@ -57,9 +57,9 @@ def stream_index(cs):
 
 def tag_names(cs, rows=None):
     """The tag of each row of the split, or of ``rows``, by name."""
-    codes = cs.tag if rows is None else cs.tag[rows]
-    assert cs.tag.dtype == np.int8 and ((codes >= 0) & (codes < len(TAGS))).all()
-    return [TAGS[code] for code in codes.tolist()]
+    names = cs.tags(np.arange(len(cs.frames)) if rows is None else rows).tolist()
+    assert set(names) <= set(TAGS)
+    return names
 
 
 class TestPlan:
@@ -211,18 +211,38 @@ class TestVerify:
         with pytest.raises(ValidationError, match="invariant violated: stream frame .* label does not match"):
             verify(cs)
 
-    def test_rejects_stream_row_with_test_tag(self):
-        cs = rearrange(build_split(), RearrangePlan(seed=11, inject_count=3))
+    @staticmethod
+    def retest(cs, test_rows):
+        """Store ``test_rows`` as the split's test rows, with the test set they select."""
+        cs.test_rows = test_rows
+        cs.test = CameraDataset(camera_id=cs.camera_id, frames=cs.frames.take(test_rows))
+
+    def test_rejects_train_row_in_test_rows(self):
+        # A tolerance of 0.01 keeps 78 normals against 77 anomalies balanced, so only the source check sees it.
+        cs = rearrange(build_split(), RearrangePlan(seed=11, inject_count=3, balance_tolerance=0.01))
         row = cs.slices[2][5]
-        cs.tag[row] = TAGS.index(TAG_TEST_NORMAL)
-        message = f"invariant violated: stream frame {cs.frames.frame_index[row]} carries tag 'test_normal'"
+        assert row < cs.n_train
+        self.retest(cs, np.sort(np.append(cs.test_rows, row)))
+        message = f"invariant violated: test frame {cs.frames.frame_index[row]} does not come from the test source"
         with pytest.raises(ValidationError, match=message):
             verify(cs)
 
-    def test_rejects_test_row_retagged_as_moved(self):
-        cs = rearrange(build_split(), RearrangePlan(seed=12, inject_count=3))
-        cs.tag[cs.test_rows[4]] = TAGS.index(TAG_MOVED_NORMAL)
-        with pytest.raises(ValidationError, match="test set does not hold exactly the test-tagged frames"):
+    def test_rejects_test_row_dropped_from_test_rows(self):
+        # A tolerance of 0.01 keeps 76 normals against 77 anomalies balanced, so only the placement count sees it.
+        cs = rearrange(build_split(), RearrangePlan(seed=12, inject_count=3, balance_tolerance=0.01))
+        self.retest(cs, np.delete(cs.test_rows, 4))
+        n = len(cs.frames)
+        with pytest.raises(ValidationError, match=f"invariant violated: stream and test set place {n - 1} of {n} rows"):
+            verify(cs)
+
+    def test_rejects_stream_row_that_is_also_a_test_row(self):
+        cs = rearrange(build_split(), RearrangePlan(seed=14, inject_count=3, balance_tolerance=0.01))
+        stream = cs.train_stream
+        row = stream[(stream >= cs.n_train) & ~cs.frames.anomalous[stream]][0]  # a moved normal
+        self.retest(cs, np.sort(np.append(cs.test_rows, row)))
+        fi = cs.frames.frame_index[row]
+        message = f"invariant violated: frame {fi} is placed more than once, in the training stream and test set"
+        with pytest.raises(ValidationError, match=message):
             verify(cs)
 
     def test_rejects_test_set_missing_a_row(self):
@@ -243,14 +263,6 @@ class TestVerify:
         n = len(cs.frames)
         message = f"invariant violated: stream and test set place {n - 1} of {n} rows"
         with pytest.raises(ValidationError, match=message):
-            verify(cs)
-
-    def test_rejects_unknown_tag_code(self):
-        cs = rearrange(build_split(), RearrangePlan(seed=14, inject_count=3))
-        row = cs.test_rows[0]
-        cs.tag[row] = len(TAGS)
-        fi = cs.frames.frame_index[row]
-        with pytest.raises(ValidationError, match=f"invariant violated: test frame {fi} carries tag None"):
             verify(cs)
 
 
@@ -303,7 +315,7 @@ class TestRearrangeProperty:
         assert set(tag_names(cs, cs.train_stream)) <= set(STREAM_TAGS)
         assert set(tag_names(cs, cs.test_rows)) <= set(TEST_TAGS)
         assert cs.frames.frame_index[cs.test_rows].tolist() == test.frame_index.tolist()
-        assert len(cs.tag) == n_train + n_test_normal + n_test_anomaly
+        assert len(cs.frames) == n_train + n_test_normal + n_test_anomaly
         injected = int(stream.anomalous.sum())
         assert Counter(tag_names(cs))[TAG_INJECTED] == injected
         if inject_count is not None:
