@@ -139,7 +139,7 @@ def bench_continual_split(seed: int, repeat: int):
     split = generate_split(2400, 1200, 400, seed=seed, anomaly_boost=2.5)
     plan = RearrangePlan(seed=derive_seed(seed, "rearrange"), k=9)
     cs = rearrange(split, plan)
-    batch = extract_windows(cs.test.frames)
+    batch = extract_windows(split.test.frames.take(cs.test_rows))
     split_s = _best_of(lambda: verify(rearrange(split, plan)), repeat)
     features_s = _best_of(lambda: kinematic_features(batch), repeat)
     return [

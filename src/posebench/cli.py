@@ -129,6 +129,8 @@ def _build_run_config(args, mode: str):
         plan = {**plan, **_plan_flags(args)}
         plan.setdefault("seed", derive_seed(merged.get("seed", 0), "rearrange"))
         merged["plan"] = plan
+    elif "plan" in merged:
+        raise ValidationError("plan is read only by run-continual: a standard run has no rearrangement")
     return RunConfig.from_dict(merged), paths
 
 
@@ -160,23 +162,21 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_rearrange(args) -> int:
-    split_train = _load(args.train)
-    split_test = _load(args.test)
-    split = SplitSet(train=split_train, test=split_test)
+    split = SplitSet(train=_load(args.train), test=_load(args.test))
     plan = RearrangePlan(seed=derive_seed(args.seed, "rearrange"), **_plan_flags(args))
     cs = rearrange(split, plan)
     verify(cs)
     os.makedirs(args.out, exist_ok=True)
     width = max(2, len(str(plan.k)))
     for i, rows in enumerate(cs.slices, start=1):
-        write_frames(cs.frames.take(rows), os.path.join(args.out, f"slice_{i:0{width}d}.jsonl"))
-    write_frames(cs.test.frames, os.path.join(args.out, "test.jsonl"))
-    rows = np.concatenate([cs.train_stream, cs.test_rows])
-    slice_of = np.repeat(np.arange(1, plan.k + 1), [len(sl) for sl in cs.slices]).tolist()
-    slice_of += [""] * len(cs.test)
+        write_frames(cs.training_frames(rows), os.path.join(args.out, f"slice_{i:0{width}d}.jsonl"))
+    write_frames(split.test.frames.take(cs.test_rows), os.path.join(args.out, "test.jsonl"))
+    rows = np.concatenate([cs.train_stream, len(split.train) + cs.test_rows])
+    frame_index = np.concatenate([split.train.frames.frame_index, split.test.frames.frame_index])[rows]
+    slice_of = np.repeat(np.arange(1, plan.k + 1), [len(sl) for sl in cs.slices]).tolist() + [""] * len(cs.test_rows)
     with open(os.path.join(args.out, "provenance.csv"), "w", encoding="utf-8") as fh:
         fh.write("frame_index,origin,slice\n")
-        for fi, tag, i in zip(cs.frames.frame_index[rows].tolist(), cs.tags(rows).tolist(), slice_of):
+        for fi, tag, i in zip(frame_index.tolist(), cs.tags(rows).tolist(), slice_of):
             fh.write(f"{fi},{tag},{i}\n")
     _write_manifest(args.out, "rearrange", args.seed, _params_hash({"plan": dataclasses.asdict(plan)}))
     print(f"wrote {plan.k} slices, test.jsonl and provenance.csv to {args.out}", file=sys.stderr)
@@ -346,6 +346,9 @@ def main(argv=None) -> int:
     except PosebenchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except OSError as exc:  # every read turns its OSError into a ValidationError, so this one is a write
+        print(f"error: cannot write {exc.filename or 'output'}: {exc.strerror or exc}", file=sys.stderr)
+        return 2
     except Exception as exc:  # noqa: BLE001 - map any runtime failure to exit 3
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3

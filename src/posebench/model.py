@@ -89,12 +89,23 @@ def _box_errors(box: np.ndarray):
         yield f"bounding box must have positive extent, got ({x1}, {y1}, {x2}, {y2})"
 
 
-def _gather(groups: np.ndarray, n: int, rows: np.ndarray):
-    """Item indices of frame rows ``rows`` in a grouped column, and the position in ``rows`` of each."""
-    starts = np.searchsorted(groups, np.arange(n + 1))
+def _gather(tables, groups: str, rows: np.ndarray):
+    """Item indices of frame rows ``rows`` in column ``groups`` of ``tables`` laid end to end, and their rows."""
+    offsets = np.cumsum([0] + [len(getattr(t, groups)) for t in tables])
+    starts = [np.searchsorted(getattr(t, groups), np.arange(len(t))) + o for t, o in zip(tables, offsets)]
+    starts = np.concatenate([*starts, offsets[-1:]])
     lens = starts[rows + 1] - starts[rows]
     owner = np.repeat(np.arange(rows.size), lens)
     return starts[rows][owner] + np.arange(owner.size) - (np.cumsum(lens) - lens)[owner], owner
+
+
+def _sources(counts, items: np.ndarray):
+    """The longest of columns of ``counts`` items laid end to end, each of ``items`` as an index into it (clipped into
+    it by ``take``), and (column, positions, indices) of the items that each other column holds."""
+    starts, base = [sum(counts[:t]) for t in range(len(counts))], counts.index(max(counts))
+    others = [t for t, n in enumerate(counts) if n and t != base]
+    held = [(t, np.flatnonzero((items >= starts[t]) & (items < starts[t] + counts[t]))) for t in others]
+    return base, items - starts[base], [(t, at, items[at] - starts[t]) for t, at in held if at.size]
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,8 +152,9 @@ class FrameTable:
             | (self.interpolated != np.isnan(vis).all(axis=1))
         )
         cameras = self.camera_id.tolist()
-        bad = np.fromiter((not isinstance(c, str) or not c for c in cameras), bool, f)
-        if _CAMERA_ID_BREAKS.search("".join(c for c in cameras if isinstance(c, str))):  # one search over all
+        bad = np.zeros(f, dtype=bool)
+        # Whole-column checks first; only a column that fails one is checked frame by frame.
+        if set(map(type, cameras)) - {str} or "" in cameras or _CAMERA_ID_BREAKS.search("".join(cameras)):
             bad = np.fromiter((camera_id_error(c) is not None for c in cameras), bool, f)
         bad |= self.frame_index < 0
         bad[self.frame_row[person_bad]] = True
@@ -205,25 +217,25 @@ class FrameTable:
                 return False
         return True
 
-    def take(self, rows) -> "FrameTable":
-        """The frames at ``rows``, in that order, with their regions and persons."""
+    def take(self, rows, *more: "FrameTable") -> "FrameTable":
+        """The frames at ``rows`` of this table and ``more`` laid end to end, in that order, with their regions and
+        persons. Each column is filled once, and the result validated once."""
+        tables = (self, *more)
         rows = np.asarray(rows, dtype=np.int64).reshape(-1)
-        regions, region_frame = _gather(self.region_frame, len(self), rows)
-        persons, frame_row = _gather(self.frame_row, len(self), rows)
-        cols = {name: getattr(self, name)[rows] for name in ("camera_id", "frame_index", "anomalous", "line")}
-        for name in ("track_id", "keypoints", "bbox", "interpolated"):
-            cols[name] = getattr(self, name)[persons]
-        cols.update(region_frame=region_frame, regions=self.regions[regions], frame_row=frame_row)
+        regions, region_frame = _gather(tables, "region_frame", rows)
+        persons, frame_row = _gather(tables, "frame_row", rows)
+        cols = {"region_frame": region_frame, "frame_row": frame_row}
+        for items, names in (
+            (rows, ("camera_id", "frame_index", "anomalous", "line")),
+            (regions, ("regions",)),
+            (persons, ("track_id", "keypoints", "bbox", "interpolated")),
+        ):
+            base, indices, rest = _sources([len(getattr(t, names[0])) for t in tables], items)
+            for name in names:  # the longest column is empty only if all are
+                cols[name] = getattr(tables[base], name).take(indices, axis=0, mode="clip")
+                for t, at, index in rest:
+                    cols[name][at] = getattr(tables[t], name)[index]
         return FrameTable(**cols)
-
-    @classmethod
-    def concat(cls, *tables: "FrameTable") -> "FrameTable":
-        """The frames of every table in turn."""
-        cols = {col.name: np.concatenate([getattr(t, col.name) for t in tables]) for col in fields(cls)}
-        starts = np.cumsum([0] + [len(t) for t in tables[:-1]])
-        for name in ("region_frame", "frame_row"):
-            cols[name] = np.concatenate([getattr(t, name) + s for t, s in zip(tables, starts)])
-        return cls(**cols)
 
 
 @dataclass(frozen=True)

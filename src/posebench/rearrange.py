@@ -18,11 +18,12 @@ rearrangement builds an unlabeled training stream and a balanced test set:
 
 When ``inject_count`` is omitted, the largest count that keeps the stream
 anomaly fraction below target while leaving the test set balanceable is
-chosen. The split stores only this partition. A row's provenance tag follows
-from where it came from and where it went (``ContinualSplit.tags``), and
-``ContinualSplit.training_frames`` refuses to hand a test-tagged row to
-training. All sampling uses numpy's default_rng (PCG64) seeded from the plan,
-so results are reproducible byte for byte.
+chosen. The split stores only this partition, as rows of the standard split's
+train and test tables, and frames are read from those tables where used. A
+row's provenance tag follows from where it came from and where it went
+(``ContinualSplit.tags``), and ``ContinualSplit.training_frames`` refuses to
+hand a test-tagged row to training. All sampling uses numpy's default_rng
+(PCG64) seeded from the plan, so results are reproducible byte for byte.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError, check_int, is_number
-from .model import CameraDataset, FrameTable, SplitSet
+from .model import FrameTable, SplitSet
 
 TAG_TRAIN_NORMAL = "orig_train_normal"
 TAG_MOVED_NORMAL = "moved_test_normal"
@@ -69,26 +70,23 @@ class RearrangePlan:
 
 @dataclass
 class ContinualSplit:
-    """Result of the rearrangement: the split's frames partitioned into stream slices and a balanced test set.
+    """Result of the rearrangement: the rows of ``split`` partitioned into stream slices and a balanced test set.
 
-    ``frames`` holds every frame of the split, its ``n_train`` train rows then
-    its test rows. ``slices`` are the k contiguous pieces of the training
-    stream, as rows of ``frames`` in stream order, and ``test_rows`` the rows
-    of the balanced test set ``test``, in increasing order. Tags are not
-    stored; ``tags`` derives them from this partition.
+    ``slices`` are the k contiguous pieces of the training stream, as rows in
+    stream order: row ``r < len(split.train)`` is a train row, any other is
+    test row ``r - len(split.train)``. ``test_rows`` are the rows of
+    ``split.test`` in the balanced test set, in increasing order. Frames are
+    read from the split's two tables where used; ``tags`` derives each tag.
     """
 
-    camera_id: str
-    frames: FrameTable
-    n_train: int
+    split: SplitSet
     slices: list[np.ndarray]
     test_rows: np.ndarray
-    test: CameraDataset
     plan: RearrangePlan
 
     @property
     def train_stream(self) -> np.ndarray:
-        """The training stream as rows of ``frames``: the slices in turn."""
+        """The training stream as rows: the slices in turn."""
         return np.concatenate(self.slices)
 
     def tags(self, rows: np.ndarray) -> np.ndarray:
@@ -98,18 +96,21 @@ class ContinualSplit:
         ``test_anomaly`` by its label if it stayed in the test set, and
         ``moved_test_normal`` or ``injected_anomaly`` if it went to the stream.
         """
-        stayed = np.searchsorted(self.test_rows, rows, "right") > np.searchsorted(self.test_rows, rows)
-        code = np.where(stayed, TAGS.index(TAG_TEST_NORMAL), TAGS.index(TAG_MOVED_NORMAL)) + self.frames.anomalous[rows]
-        return np.array(TAGS)[np.where(rows < self.n_train, TAGS.index(TAG_TRAIN_NORMAL), code)]
+        n_train = len(self.split.train)
+        test = np.maximum(rows - n_train, 0)  # a train row reads test row 0, and its code is not used
+        stayed = np.searchsorted(self.test_rows, test, "right") > np.searchsorted(self.test_rows, test)
+        code = np.where(stayed, TAGS.index(TAG_TEST_NORMAL), TAGS.index(TAG_MOVED_NORMAL))
+        code += self.split.test.frames.anomalous[test]
+        return np.array(TAGS)[np.where(rows < n_train, TAGS.index(TAG_TRAIN_NORMAL), code)]
 
     def training_frames(self, rows: np.ndarray) -> FrameTable:
         """The frames at ``rows``, raising on the first row that carries a test tag."""
         tags = self.tags(rows)
         leaked = np.flatnonzero((tags == TAG_TEST_NORMAL) | (tags == TAG_TEST_ANOMALY))
         if leaked.size:
-            fi, tag = self.frames.frame_index[rows[leaked[0]]], str(tags[leaked[0]])
-            raise ValidationError(f"test leakage: frame {fi} (tag {tag!r}) must not be trained on")
-        return self.frames.take(rows)
+            fi = self.split.test.frames.frame_index[rows[leaked[0]] - len(self.split.train)]
+            raise ValidationError(f"test leakage: frame {fi} (tag {str(tags[leaked[0]])!r}) must not be trained on")
+        return self.split.train.frames.take(rows, self.split.test.frames)
 
 
 def _imbalance(n_normal: int, n_anomalous: int) -> float:
@@ -159,12 +160,9 @@ def slice_stream(stream, k: int) -> list:
 
 def rearrange(split: SplitSet, plan: RearrangePlan) -> ContinualSplit:
     """Rearrange a standard split into a continual training stream and balanced test set."""
-    camera = split.camera_id
-    n_train = len(split.train.frames)
-    frames = FrameTable.concat(split.train.frames, split.test.frames)
-    test_rows = np.arange(n_train, len(frames))
-    anoms = test_rows[frames.anomalous[n_train:]]
-    norms = test_rows[~frames.anomalous[n_train:]]
+    n_train = len(split.train)
+    anoms = np.flatnonzero(split.test.frames.anomalous)
+    norms = np.flatnonzero(~split.test.frames.anomalous)
     if not anoms.size:
         raise ValidationError("test set has no anomalous frames to rearrange")
     if not norms.size:
@@ -180,7 +178,7 @@ def rearrange(split: SplitSet, plan: RearrangePlan) -> ContinualSplit:
     rng = np.random.default_rng(plan.seed)
 
     inj_idx = rng.choice(len(anoms), size=inject, replace=False) if inject else np.empty(0, dtype=np.int64)
-    injected = anoms[inj_idx]
+    injected = anoms[inj_idx] + n_train
     kept_anoms = np.delete(anoms, inj_idx)
 
     kept_target = _kept_normals(len(norms), len(kept_anoms), plan.balance_tolerance)
@@ -196,19 +194,16 @@ def rearrange(split: SplitSet, plan: RearrangePlan) -> ContinualSplit:
     kept_norms, moved = norms[keep], norms[~keep]
 
     test_rows = np.sort(np.concatenate([kept_norms, kept_anoms]))
-    test = CameraDataset(camera_id=camera, frames=frames.take(test_rows))
 
-    stream = np.concatenate([np.arange(n_train), moved])
+    stream = np.concatenate([np.arange(n_train), moved + n_train])
     total = len(stream) + len(injected)
     if total == 0:
         raise ValidationError("training stream would be empty")
     if len(injected):
         slots = rng.choice(total, size=len(injected), replace=False)
-        is_slot = np.zeros(total, dtype=bool)
-        is_slot[slots] = True
         base, stream = stream, np.empty(total, dtype=np.int64)
         stream[slots] = injected
-        stream[~is_slot] = base
+        stream[np.delete(np.arange(total), slots)] = base
 
     fraction = len(injected) / len(stream)
     if fraction >= plan.target_train_anomaly_ratio:
@@ -217,8 +212,7 @@ def rearrange(split: SplitSet, plan: RearrangePlan) -> ContinualSplit:
             f"{plan.target_train_anomaly_ratio}"
         )
 
-    slices = slice_stream(stream, plan.k)
-    return ContinualSplit(camera, frames, n_train, slices, test_rows, test, plan)
+    return ContinualSplit(split, slice_stream(stream, plan.k), test_rows, plan)
 
 
 def verify(cs: ContinualSplit) -> None:
@@ -235,17 +229,17 @@ def verify(cs: ContinualSplit) -> None:
     if max(sizes) - min(sizes) > 1:
         raise ValidationError(f"invariant violated: slice sizes differ by more than 1 ({sizes})")
 
-    stream = cs.train_stream
-    fraction = int(cs.frames.anomalous[stream].sum()) / len(stream)
+    # Train frames are normal (SplitSet), so the stream's anomalies are its test rows' anomalies.
+    n_train, test, stream = len(cs.split.train), cs.split.test.frames, cs.train_stream
+    fraction = int(test.anomalous[stream[stream >= n_train] - n_train].sum()) / len(stream)
     if fraction >= plan.target_train_anomaly_ratio:
         raise ValidationError(
             f"invariant violated: train anomaly fraction {fraction:.6f} >= target "
             f"{plan.target_train_anomaly_ratio}"
         )
 
-    test = cs.test.frames
-    n_test_anom = int(test.anomalous.sum())
-    n_test_norm = len(test) - n_test_anom
+    n_test_anom = int(test.anomalous[cs.test_rows].sum())
+    n_test_norm = len(cs.test_rows) - n_test_anom
     if n_test_anom == 0 or n_test_norm == 0:
         raise ValidationError("invariant violated: test set must keep both labels")
     if _imbalance(n_test_norm, n_test_anom) > plan.balance_tolerance:
@@ -254,26 +248,14 @@ def verify(cs: ContinualSplit) -> None:
             f"exceeds tolerance {plan.balance_tolerance}"
         )
 
-    # What a tag says beyond where a row is placed: train rows are normal, test rows come from the test source.
-    train_anomalous = np.flatnonzero(cs.frames.anomalous[: cs.n_train])
-    if train_anomalous.size:
-        fi = cs.frames.frame_index[train_anomalous[0]]
-        raise ValidationError(f"invariant violated: stream frame {fi} label does not match tag {TAG_TRAIN_NORMAL!r}")
-    test_rows = cs.test_rows
-    from_train = test_rows[test_rows < cs.n_train]
-    if from_train.size:
-        fi = cs.frames.frame_index[from_train[0]]
-        raise ValidationError(f"invariant violated: test frame {fi} does not come from the test source")
-    if not np.array_equal(cs.frames.frame_index[test_rows], test.frame_index):
-        raise ValidationError("invariant violated: test set does not hold exactly the test-tagged frames")
     # Stream and test set partition the split's rows when they place each row exactly once.
-    placed = np.bincount(np.concatenate([stream, test_rows]), minlength=len(cs.frames))
+    n = n_train + len(test)
+    placed = np.bincount(np.concatenate([stream, cs.test_rows + n_train]), minlength=n)
     twice = np.flatnonzero(placed > 1)
     if twice.size:
-        # test_rows select the strictly increasing test set, so a row placed twice is in the stream.
+        # test_rows are strictly increasing, so a row placed twice is in the stream.
         where = "training stream and test set" if np.count_nonzero(stream == twice[0]) == 1 else "training stream"
-        fi = cs.frames.frame_index[twice[0]]
+        fi = cs.split.train.frames.take(twice[:1], test).frame_index[0]
         raise ValidationError(f"invariant violated: frame {fi} is placed more than once, in the {where}")
     if not placed.all():
-        n = len(cs.frames)
         raise ValidationError(f"invariant violated: stream and test set place {np.count_nonzero(placed)} of {n} rows")

@@ -81,8 +81,8 @@ class RunConfig:
         check_int("seed", self.seed)
         if self.plan is not None and not isinstance(self.plan, RearrangePlan):
             raise ValidationError("plan must be a RearrangePlan (use from_dict for raw dicts)")
-        if self.mode == "continual" and self.plan is None:
-            raise ValidationError("continual mode requires a rearrange plan")
+        if (self.plan is None) == (self.mode == "continual"):  # a standard run has no rearrangement
+            raise ValidationError(f"{self.mode} mode {'takes no' if self.plan else 'requires a'} rearrange plan")
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -103,6 +103,8 @@ class RunConfig:
             plan_unknown = set(plan_raw) - {f.name for f in fields(RearrangePlan)}
             if plan_unknown:
                 raise ValidationError(f"unknown plan keys: {sorted(plan_unknown)}")
+            if "seed" not in plan_raw:
+                raise ValidationError("plan lacks its seed")
             kwargs["plan"] = RearrangePlan(**plan_raw)
         return cls(**kwargs)
 
@@ -212,6 +214,7 @@ def run_continual(
 
     cs = rearrange(split, cfg.plan)
     verify(cs)
+    test = CameraDataset(camera_id=split.camera_id, frames=split.test.frames.take(cs.test_rows))
 
     scorer_seed = derive_seed(cfg.seed, "scorer")
     scorer = make_scorer(cfg.scorer, seed=scorer_seed, params=cfg.scorer_params)
@@ -220,9 +223,9 @@ def run_continual(
         raise ValidationError("origin dataset produced zero pretraining windows")
     scorer.fit(pretrain_windows)
 
-    test_windows = _windows_for(cs.test.frames, cfg)
+    test_windows = _windows_for(test.frames, cfg)
     state = ScoringState(test_windows)  # each step scores only the rows it added, when it can
-    baseline = evaluate_windows(scorer, test_windows, cs.test, cfg, state)
+    baseline = evaluate_windows(scorer, test_windows, test, cfg, state)
 
     per_step = []
     expected_seen = scorer.windows_seen
@@ -235,13 +238,13 @@ def run_continual(
                 f"ingestion accounting broken at step {i}: "
                 f"scorer saw {scorer.windows_seen}, expected {expected_seen}"
             )
-        step_report = evaluate_windows(scorer, test_windows, cs.test, cfg, state)
+        step_report = evaluate_windows(scorer, test_windows, test, cfg, state)
         per_step.append(step_report)
         if out_dir is not None:
             ckpt_dir = os.path.join(out_dir, "checkpoints")
             os.makedirs(ckpt_dir, exist_ok=True)
             scorer.save_checkpoint(os.path.join(ckpt_dir, f"step_{i}.ckpt"))
-            report_mod.write_step_csv(out_dir, i, cs.camera_id, step_report)
+            report_mod.write_step_csv(out_dir, i, split.camera_id, step_report)
     del scorer, state  # batch training starts afresh; free the step store before building its own
 
     batch_scorer = make_scorer(cfg.scorer, seed=scorer_seed, params=cfg.scorer_params)
@@ -249,11 +252,11 @@ def run_continual(
     if not batch_windows:
         raise ValidationError("training stream produced zero pose windows")
     batch_scorer.fit(batch_windows)
-    batch_report = evaluate_windows(batch_scorer, test_windows, cs.test, cfg)
+    batch_report = evaluate_windows(batch_scorer, test_windows, test, cfg)
 
     step_average, step_best = summarize_steps(per_step)
     result = ContinualResult(
-        camera_id=cs.camera_id,
+        camera_id=split.camera_id,
         baseline=baseline,
         per_step=tuple(per_step),
         step_average=step_average,

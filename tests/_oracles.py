@@ -444,3 +444,36 @@ def write_frames_json(columns, path):
                 "persons": persons,
             }
             fh.write(json.dumps(obj, separators=(",", ":")) + "\n")
+
+
+FRAME_TABLE_COLUMNS = (
+    "camera_id", "frame_index", "anomalous", "line", "region_frame", "regions",
+    "frame_row", "track_id", "keypoints", "bbox", "interpolated",
+)
+
+
+def concat_then_take(tables, rows):
+    """The columns of the frames at ``rows`` of ``tables`` laid end to end, as a dict by name.
+
+    Every column is concatenated first, the region and person rows shifted
+    onto the joined frame rows; then each output frame is copied in turn with
+    its regions and persons. ``tables`` are objects with FrameTable's columns.
+    """
+    joined = {name: np.concatenate([getattr(t, name) for t in tables]) for name in FRAME_TABLE_COLUMNS}
+    starts = np.cumsum([0] + [len(t.frame_index) for t in tables[:-1]])
+    for name in ("region_frame", "frame_row"):
+        joined[name] = np.concatenate([getattr(t, name) + s for t, s in zip(tables, starts)])
+    out = {name: [] for name in FRAME_TABLE_COLUMNS}
+    for i, row in enumerate(rows):
+        for name in ("camera_id", "frame_index", "anomalous", "line"):
+            out[name].append(joined[name][row])
+        persons = ("track_id", "keypoints", "bbox", "interpolated")
+        for group, names in (("region_frame", ("regions",)), ("frame_row", persons)):
+            for item in np.flatnonzero(joined[group] == row):
+                out[group].append(i)
+                for name in names:
+                    out[name].append(joined[name][item])
+    return {
+        name: np.array(values, dtype=joined[name].dtype).reshape((len(values),) + joined[name].shape[1:])
+        for name, values in out.items()
+    }

@@ -109,7 +109,10 @@ def test_03_large_rearrangement_fixture(capsys):
         n_test_anom = 30_667
 
         def frames(start, count, anomalous):
-            """``count`` frames from ``start`` on, each holding the shared person; no regions."""
+            """``count`` frames from ``start`` on, each holding the shared person; no regions.
+
+            ``anomalous`` is one label for all of them or one per frame.
+            """
             rows = np.arange(count)
             return FrameTable(
                 camera_id=np.full(count, "c0", dtype=object),
@@ -125,8 +128,8 @@ def test_03_large_rearrangement_fixture(capsys):
                 interpolated=np.zeros(count, dtype=bool),
             )
 
-        base = n_train_normal + n_test_normal
-        test = FrameTable.concat(frames(n_train_normal, n_test_normal, False), frames(base, n_test_anom, True))
+        n_test = n_test_normal + n_test_anom
+        test = frames(n_train_normal, n_test, np.arange(n_test) >= n_test_normal)
         split = SplitSet(
             train=CameraDataset(camera_id="c0", frames=frames(0, n_train_normal, False)),
             test=CameraDataset(camera_id="c0", frames=test),
@@ -141,12 +144,15 @@ def test_03_large_rearrangement_fixture(capsys):
         stream_total = len(cs.train_stream)
         if stream_total != 487_835:
             problems.append(f"train total {stream_total} != 487835")
-        stream_anoms = int(cs.frames.anomalous[cs.train_stream].sum())
+        # The stream's frames are read from the split's two tables by row: train rows, then test rows.
+        labels = np.concatenate([split.train.frames.anomalous, split.test.frames.anomalous])
+        stream_anoms = int(labels[cs.train_stream].sum())
         anom_pct = 100.0 * stream_anoms / stream_total
         if abs(anom_pct - 0.95) > 0.005:
             problems.append(f"train anomaly percentage {anom_pct:.4f} outside 0.95±0.005")
-        test_anom = int(cs.test.frames.anomalous.sum())
-        test_norm = len(cs.test.frames) - test_anom
+        test = split.test.frames.take(cs.test_rows)
+        test_anom = int(test.anomalous.sum())
+        test_norm = len(test) - test_anom
         if (test_norm, test_anom) != (26_093, 26_052):
             problems.append(f"test counts {test_norm}/{test_anom} != 26093/26052")
         balance = 100.0 * test_anom / (test_norm + test_anom)
@@ -155,8 +161,9 @@ def test_03_large_rearrangement_fixture(capsys):
 
         in_idx = set(split.train.frames.frame_index.tolist())
         in_idx |= set(split.test.frames.frame_index.tolist())
-        out_stream = cs.frames.frame_index[cs.train_stream].tolist()
-        out_test = cs.test.frames.frame_index.tolist()
+        frame_index = np.concatenate([split.train.frames.frame_index, split.test.frames.frame_index])
+        out_stream = frame_index[cs.train_stream].tolist()
+        out_test = test.frame_index.tolist()
         if set(out_stream) & set(out_test):
             problems.append("stream and test share frames")
         if set(out_stream) | set(out_test) != in_idx:
@@ -194,27 +201,24 @@ def test_04_rearrangement_invariants(capsys):
                 problems.append(f"trial {trial}: verify rejected: {exc}")
                 break
 
-            n_inj = int(cs.frames.anomalous[cs.train_stream].sum())
+            stream, test = cs.training_frames(cs.train_stream), split.test.frames.take(cs.test_rows)
+            n_inj = int(stream.anomalous.sum())
             if n_inj / len(cs.train_stream) >= plan.target_train_anomaly_ratio:
                 problems.append(f"trial {trial}: anomaly cap broken")
-            t_anom = int(cs.test.frames.anomalous.sum())
-            t_norm = len(cs.test.frames) - t_anom
+            t_anom = int(test.anomalous.sum())
+            t_norm = len(test) - t_anom
             if abs(t_norm - t_anom) / (t_norm + t_anom) > plan.balance_tolerance:
                 problems.append(f"trial {trial}: balance tolerance broken")
             if not np.array_equal(np.concatenate(cs.slices), cs.train_stream):
                 problems.append(f"trial {trial}: slices do not partition the stream")
             in_idx = sorted(split.train.frames.frame_index.tolist() + split.test.frames.frame_index.tolist())
-            out_idx = sorted(
-                cs.frames.frame_index[cs.train_stream].tolist() + cs.test.frames.frame_index.tolist()
-            )
+            out_idx = sorted(stream.frame_index.tolist() + test.frame_index.tolist())
             if in_idx != out_idx:
                 problems.append(f"trial {trial}: multiset conservation broken")
 
             again = rearrange(split, plan)
-            same_stream = np.array_equal(
-                again.frames.frame_index[again.train_stream], cs.frames.frame_index[cs.train_stream]
-            )
-            same_test = np.array_equal(again.test.frames.frame_index, cs.test.frames.frame_index)
+            same_stream = np.array_equal(again.train_stream, cs.train_stream)
+            same_test = np.array_equal(again.test_rows, cs.test_rows)
             if not (same_stream and same_test):
                 problems.append(f"trial {trial}: rearrangement not deterministic")
             if problems:

@@ -1,13 +1,16 @@
 import dataclasses
 import hashlib
 import json
+import zipfile
 
 import pytest
 
 from posebench import cli
 from posebench.cli import main
+from posebench.errors import ValidationError
 from posebench.io import load_dataset
 from posebench.metrics import AGGREGATORS
+from posebench.rearrange import RearrangePlan
 from posebench.runner import RunConfig, derive_seed, result_to_dict
 from posebench.scorers import SCORER_KINDS
 from posebench.synthetic import generate_split
@@ -78,6 +81,25 @@ class TestExitCodes:
         assert f"config {huge}: malformed JSON" in capsys.readouterr().err
         assert main(["report", "--results", str(huge), "--out", str(tmp_path / "o")]) == 2
         assert f"{huge}: malformed JSON" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("subcommand", ["rearrange", "run-standard", "run-continual", "synth", "report", "stats"])
+    def test_output_path_under_a_file_is_data_error(self, synth_dir, tmp_path, capsys, subcommand):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        out = str(blocker / "out")
+        data = ["--train", str(synth_dir / "train.jsonl"), "--test", str(synth_dir / "test.jsonl")]
+        results = tmp_path / "results.json"
+        results.write_text(json.dumps(result_to_dict(golden_results()[0])))
+        argv = {
+            "rearrange": ["rearrange", *data, "--k", "2", "--out", out],
+            "run-standard": ["run-standard", *data, "--out", out],
+            "run-continual": ["run-continual", *data, "--origin", str(synth_dir / "train.jsonl"), "--out", out],
+            "synth": ["synth", "--train-normal", "40", "--test-normal", "30", "--test-anomaly", "10", "--out", out],
+            "report": ["report", "--results", str(results), "--out", out],
+            "stats": ["stats", str(synth_dir / "train.jsonl"), "--iou-out", out],
+        }[subcommand]
+        assert main(argv) == 2
+        assert f"error: cannot write {out}: Not a directory" in capsys.readouterr().err
 
     @pytest.fixture
     def deep(self, tmp_path):
@@ -437,6 +459,28 @@ class TestConfigValues:
         assert code == 2, err
         assert message in err
 
+    @pytest.mark.parametrize(
+        "plan", ["{}", '{"inject_count": null, "k": 9, "target_train_anomaly_ratio": 0.01, "balance_tolerance": 0.002}']
+    )
+    def test_plan_is_refused_by_run_standard_before_reading(self, tmp_path, capsys, plan):
+        # The README config lists every key; a standard run has no rearrangement, so its plan is refused.
+        # The datasets do not exist: the refusal comes before any is read.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(f'{{"mode": "standard", "plan": {plan}, "train": "no.jsonl", "test": "no.jsonl"}}')
+        code = main(["run-standard", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert "plan is read only by run-continual" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_plan_without_seed_and_plan_in_standard_mode_are_data_errors(self):
+        with pytest.raises(ValidationError, match="plan lacks its seed"):
+            RunConfig.from_dict({"mode": "continual", "plan": {"k": 3}})
+        with pytest.raises(ValidationError, match="standard mode takes no rearrange plan"):
+            RunConfig.from_dict({"mode": "standard", "plan": {"seed": 0}})
+        with pytest.raises(ValidationError, match="standard mode takes no rearrange plan"):
+            RunConfig(mode="standard", plan=RearrangePlan(seed=0))
+
     @pytest.mark.parametrize("value", ["5", "null", "true", "[]"])
     def test_dataset_path_only_in_the_config_is_checked_before_reading(self, synth_dir, tmp_path, capsys, value):
         cfg = tmp_path / "cfg.json"
@@ -563,6 +607,65 @@ class TestRunContinualCommand:
         assert code == 0
         assert (re_out / "report.csv").read_bytes() == (out / "report.csv").read_bytes()
         assert (re_out / "report.md").read_bytes() == (out / "report.md").read_bytes()
+
+    PINNED = {
+        "gaussian": {
+            "checkpoints/step_1.ckpt:meta.npy": "7bc23e39f20b43d3046ce1962d99c868be3ad1b587e2fcb55efee78c05d913d5",
+            "checkpoints/step_1.ckpt:mean.npy": "4415c23fcfaa9d9b6567c76ba24269023022b60aa9d3fd67d2fe6b6600b0d66b",
+            "checkpoints/step_1.ckpt:m2.npy": "1720d5cee5af70880bdcc71b1a8b049d5265761ec3e66c465b72ac83be5002d5",
+            "checkpoints/step_2.ckpt:meta.npy": "d04fa46e996ed2c17d8c46f56835d535cd75ff7cdc1ef3025576e795acf47feb",
+            "checkpoints/step_2.ckpt:mean.npy": "cac1f7361912a2181e279817232acdebcbac99ba31edf07da0710b3173472c13",
+            "checkpoints/step_2.ckpt:m2.npy": "7177d801cd50aafb35cdc8cc996d86a3f4bed5344856047d053726e8998c3e3b",
+            "checkpoints/step_3.ckpt:meta.npy": "8bbfb0e97a86c4381e323294c90a614df14bb67a5b47f870014d032775ce3ec2",
+            "checkpoints/step_3.ckpt:mean.npy": "a5b7e33f07d09cdca19c30737dbf6b36b6563b184e6452c9be0b813a5f027de4",
+            "checkpoints/step_3.ckpt:m2.npy": "9fa338ffc6afead205a7776423bc596924f2ee93992b0f757b37566774775c80",
+            "report.csv": "4c358e7f174882487f67a23dd4b577f6cc98877f1f9ce2de4b20886b01f906eb",
+            "report.md": "73746eb75ddc10b5d091b7b4a1cd280a9826ac2050b00d95ba5b70eff3e0c1bf",
+            "results.json": "be8dd49fdecc116c03b4516b179932a71782f191e3362b8ed5faf2507583a929",
+            "steps/step_1.csv": "263159f3becc3ade9fbd9595747e3c96eb71e23f504667580ced574cd604d00b",
+            "steps/step_2.csv": "67a9791c770bfe324cd4bb231ad8c9a92d1d408e16c2423a34d872607c7a8b1c",
+            "steps/step_3.csv": "d2579efb99e177549071a3c926ee081a1c7b98342eb90ea2211b7bc5c07e8f06",
+        },
+        "knn": {
+            "checkpoints/step_1.ckpt:meta.npy": "db35ba5dc1dd34be51482319233a3611609c30923caddd4e9e1cd592e33b0dec",
+            "checkpoints/step_1.ckpt:rows.npy": "1e1cb04858146f34ce203936b705f0f98ef0967bc3faf5836ea931ddee08a796",
+            "checkpoints/step_1.ckpt:index.npy": "c9d52da278ef27c43c424591b435920b599e2b7182cf5e645927cafbe84cdfc1",
+            "checkpoints/step_2.ckpt:meta.npy": "1bff1fd96b0684b2d6463923af314ae743cb0933e6f2bfe448830dda95dd487a",
+            "checkpoints/step_2.ckpt:rows.npy": "5ea0fdef02f96b51080a157d813a4263508bd0382f9370cfecf268f5d9be3957",
+            "checkpoints/step_2.ckpt:index.npy": "29eb201f786824c2f50950f7c147953810f5cc7f3068f7f2ea533e88f0ed121e",
+            "checkpoints/step_3.ckpt:meta.npy": "7f0e25880fdfe07d106fbbfe3dc8cfa9fb402bdfc0d3e053525c36edbbc1060a",
+            "checkpoints/step_3.ckpt:rows.npy": "3b4cf5ec4c977b93498653216c4a3893400893c2dd0c8c7ba3f59565e2246c82",
+            "checkpoints/step_3.ckpt:index.npy": "f3c313ec106badcadc7aa2396ee5e294d4f84927a679554123bc373d0ac9ba54",
+            "report.csv": "b0f93a3f648723a870e6cae90191a8e2309c29257ec39dde0cf1542da0463b1d",
+            "report.md": "4b6ba34aa19208f3d12bbc8504c8ebe90815b9c5b115854137e77b32272b3442",
+            "results.json": "78ee313006ba323a9b27b48ddb2dc3e265c35dd7749a890cb55e6b2e00dbcc02",
+            "steps/step_1.csv": "6e79188248f409edc9fd16e9c2fb23e71764517b1e13fd8069fcbbff42aa84cb",
+            "steps/step_2.csv": "ea48025f446a3bcd0de729776645ee136966479e48793626f4462adca1467fae",
+            "steps/step_3.csv": "109f80b6914197f369153fbd8ba5e6a9a9accd201a6bf8c04bcd6e5c8c23d810",
+        },
+    }
+
+    @pytest.mark.parametrize("scorer", sorted(PINNED))
+    def test_output_bytes_are_pinned(self, scorer, tmp_path, capsys):
+        # Any drift in the stream, the test set, a fit or a score changes a digest.
+        # np.savez stamps each archive member with the time, so a checkpoint is hashed member by member.
+        synth = tmp_path / "synth"
+        shape = ["--boost", "2.5", "--origin-step-sigma", "16", "--origin-jitter-sigma", "8"]
+        counts = ["--train-normal", "300", "--test-normal", "180", "--test-anomaly", "60", "--origin-normal", "200"]
+        assert main(["synth", *counts, *shape, "--seed", "0", "--out", str(synth)]) == 0
+        out = tmp_path / "run"
+        inputs = [f"--{name}={synth / name}.jsonl" for name in ("train", "test", "origin")]
+        assert main(["run-continual", *inputs, "--scorer", scorer, "--seed", "0", "--k", "3", "--out", str(out)]) == 0
+        capsys.readouterr()
+        digests = {}
+        for path in sorted(p for p in out.rglob("*") if p.is_file() and p.name != "manifest.json"):
+            rel = path.relative_to(out).as_posix()
+            if path.suffix == ".ckpt":
+                with zipfile.ZipFile(path) as zf:
+                    digests.update({f"{rel}:{m}": hashlib.sha256(zf.read(m)).hexdigest() for m in zf.namelist()})
+            else:
+                digests[rel] = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digests == self.PINNED[scorer]
 
 
 class TestReportCommand:

@@ -247,6 +247,49 @@ class TestTracks:
 
 
 @st.composite
+def _tables_and_rows(draw):
+    """One to three tables, any of them empty, and rows into them laid end to end, repeated and in any order.
+
+    Frames may hold no persons; an anomalous frame carries a region, and a
+    person has NaN visibilities: all of them when it is interpolated, some of
+    them otherwise.
+    """
+    coord = st.floats(min_value=10.0, max_value=500.0)
+    tables = []
+    for _ in range(draw(st.integers(1, 3))):
+        frames = []
+        for fi in range(draw(st.integers(0, 4))):
+            persons = []
+            for track_id in range(draw(st.integers(0, 3))):
+                interpolated = draw(st.booleans())
+                kps = make_keypoints([(draw(coord), draw(coord))], None if interpolated else 0.9)
+                kps[draw(st.lists(st.integers(0, 16), max_size=16, unique=True)), 2] = np.nan
+                persons.append(person(kps, track_id=track_id, interpolated=interpolated))
+            label = draw(st.sampled_from(["normal", "anomalous"])) if persons else "normal"
+            frames.append(make_frame(fi, label, tuple(persons)))
+        tables.append(table(frames))
+    total = sum(len(t) for t in tables)
+    rows = draw(st.lists(st.integers(0, total - 1), max_size=12)) if total else []
+    return tables, rows
+
+
+@settings(deadline=None, max_examples=80)
+@given(_tables_and_rows())
+def test_take_across_tables_matches_concat_then_take(case):
+    tables, rows = case
+    got = tables[0].take(rows, *tables[1:])
+    want = _oracles.concat_then_take(tables, rows)
+    for col in fields(got):
+        mine, theirs = getattr(got, col.name), want[col.name]
+        assert (mine.dtype, mine.shape) == (theirs.dtype, theirs.shape)
+        if mine.dtype == object:
+            assert mine.tolist() == theirs.tolist()
+        else:
+            assert mine.tobytes() == theirs.tobytes()
+        assert not mine.flags.writeable
+
+
+@st.composite
 def _shuffled_frames(draw):
     """Frame objects in random order, with gaps, several tracks, and repeats when ``unique`` is false."""
     unique = draw(st.booleans())
@@ -314,10 +357,10 @@ class TestFrameTable:
         assert taken.frame_row.tolist() == [0, 1, 1, 2]
         assert objects(read.take([])) == []
 
-    def test_concat_and_equality_ignore_lines(self):
+    def test_take_across_tables_and_equality_ignore_lines(self):
         frames = self.frames()
         read = table(frames)
-        joined = FrameTable.concat(read.take([0]), read.take([1, 2]))
+        joined = read.take([0]).take([0, 1, 2], read.take([1, 2]))
         assert joined == read
         assert objects(joined) == frames
         assert read.take([1, 0, 2]) != read

@@ -233,7 +233,7 @@ class TestRunContinual:
 
         def leaky(split, plan):
             cs = rearrange(split, plan)
-            cs.slices[-1] = np.append(cs.slices[-1], cs.test_rows[0])
+            cs.slices[-1] = np.append(cs.slices[-1], len(cs.split.train) + cs.test_rows[0])
             return cs
 
         monkeypatch.setattr(runner, "rearrange", leaky)

@@ -97,7 +97,7 @@ class TestBatchedFeatures:
         # The test set of the README continual quick-start, as run-continual builds it.
         split = generate_split(2400, 1200, 400, seed=0, anomaly_boost=2.5)
         cs = rearrange(split, RearrangePlan(seed=derive_seed(0, "rearrange"), k=9))
-        batch = extract_windows(cs.test.frames)
+        batch = extract_windows(split.test.frames.take(cs.test_rows))
         assert len(batch) == 544
         assert kinematic_features(batch).tobytes() == oracle_features(batch).tobytes()
 
