@@ -28,7 +28,12 @@ overlapping windows of length 24, stride 6) and print the MB written; the
 single save is that of a scorer just loaded from that file, which writes
 the ``rows`` and ``index`` arrays it holds as they are. The ``9 saves`` row
 times the saves of ``continual-knn``'s steps, each after its slice of
-windows joins the store.
+windows joins the store. The ``preprocess.extract_windows`` rows window the
+test table of perfbench's ``standard-gaussian-large`` (18 tracks) and a
+many-track table: the test table of ``generate_split(3000, 2000, 500,
+seed=3, persons=6)`` with all three anomaly kinds in segments of 20 frames
+(31 tracks), with 30% of its frames dropped at seed 1, so that gaps are both
+filled and left open.
 """
 
 from __future__ import annotations
@@ -49,7 +54,7 @@ from posebench.preprocess import WindowBatch, extract_windows
 from posebench.rearrange import RearrangePlan, rearrange, verify
 from posebench.runner import derive_seed
 from posebench.scorers import KnnScorer, kinematic_features, load_checkpoint
-from posebench.synthetic import generate_normals, generate_split
+from posebench.synthetic import ANOMALY_KINDS, generate_normals, generate_split
 
 
 def _timed(fn, *args) -> float:
@@ -168,6 +173,17 @@ def bench_synth(seed: int, repeat: int):
         ]
 
 
+def bench_extract_windows(seed: int, repeat: int):
+    large = generate_split(6000, 4000, 1000, seed=seed).test.frames
+    many = generate_split(3000, 2000, 500, seed=3, persons=6, anomaly_kinds=ANOMALY_KINDS, segment_length=20)
+    gappy = many.test.frames.take(np.flatnonzero(np.random.default_rng(1).random(len(many.test)) >= 0.3))
+    rows = []
+    for frames in (large, gappy):
+        seconds = _best_of(lambda: extract_windows(frames), repeat)
+        rows.append(("preprocess.extract_windows", f"tracks={np.unique(frames.track_id).size}", seconds))
+    return rows
+
+
 def _windows(batch, lo: int, hi: int) -> WindowBatch:
     return WindowBatch(batch.poses, batch.rows[lo:hi], batch.track_id[lo:hi], batch.start_frame[lo:hi], batch.length)
 
@@ -220,6 +236,7 @@ def main() -> int:
     rows += bench_read_frames(args.seed, args.repeat)
     rows += bench_continual_split(args.seed, args.repeat)
     rows += bench_synth(args.seed, args.repeat)
+    rows += bench_extract_windows(args.seed, args.repeat)
     rows += bench_checkpoint(args.seed, args.repeat)
 
     print(f"{'kernel':<26} {'size':<14} {'best (ms)':>10}")

@@ -172,11 +172,10 @@ def _cmd_rearrange(args) -> int:
         write_frames(cs.training_frames(rows), os.path.join(args.out, f"slice_{i:0{width}d}.jsonl"))
     write_frames(split.test.frames.take(cs.test_rows), os.path.join(args.out, "test.jsonl"))
     rows = np.concatenate([cs.train_stream, len(split.train) + cs.test_rows])
-    frame_index = np.concatenate([split.train.frames.frame_index, split.test.frames.frame_index])[rows]
     slice_of = np.repeat(np.arange(1, plan.k + 1), [len(sl) for sl in cs.slices]).tolist() + [""] * len(cs.test_rows)
     with open(os.path.join(args.out, "provenance.csv"), "w", encoding="utf-8") as fh:
         fh.write("frame_index,origin,slice\n")
-        for fi, tag, i in zip(frame_index.tolist(), cs.tags(rows).tolist(), slice_of):
+        for fi, tag, i in zip(cs.frame_index(rows).tolist(), cs.tags(rows).tolist(), slice_of):
             fh.write(f"{fi},{tag},{i}\n")
     _write_manifest(args.out, "rearrange", args.seed, _params_hash({"plan": dataclasses.asdict(plan)}))
     print(f"wrote {plan.k} slices, test.jsonl and provenance.csv to {args.out}", file=sys.stderr)

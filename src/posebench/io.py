@@ -12,11 +12,11 @@ Line schema::
 line, and ``json.loads`` re-reads any line that orjson refuses or whose
 values fail a check, so tables and error messages are those of
 ``json.loads``. Each line's values are type-checked as it is read: numbers
-must be JSON numbers that fit a float (never a NaN literal), ids integers,
-``interpolated`` a boolean. The line's boxes and keypoints then become one
-float64 array, ``null`` as NaN, so the reader never holds a file of Python
-floats. The table's value rules run once per file as array predicates.
-Every error names the file and the line.
+must be JSON numbers that fit a float (never a NaN literal), ids integers
+(no track_id twice in a frame), ``interpolated`` a boolean. The line's boxes
+and keypoints then become one float64 array, ``null`` as NaN, so the reader
+never holds a file of Python floats. The table's value rules run once per
+file as array predicates. Every error names the file and the line.
 
 Unknown keys are accepted and ignored on read; they are not preserved on
 write (lines are rebuilt from the table). ``write_frames`` writes each line
@@ -92,12 +92,15 @@ class _Reader:
             _check_id("frame_index", frame_index)  # the int64 and flag columns need these two
             if label not in LABELS:
                 raise ValidationError(f"label must be one of {LABELS}, got {label!r} (frame {frame_index})")
-            numbers, rows = [], []  # box values then keypoint values; keypoint rows
+            numbers, rows, track_ids = [], [], set()  # box values then keypoint values; keypoint rows
             for p in people:
                 if type(p) is not dict:
                     raise ValidationError(f"person entry must be an object, got {type(p).__name__}")
                 track_id = _integer(p["track_id"], "track_id")
                 _check_id("track_id", track_id)
+                if track_id in track_ids:
+                    raise ValidationError(f"track_id {track_id} appears twice in the frame")
+                track_ids.add(track_id)
                 numbers += _box(p["bbox"])
                 interpolated = p.get("interpolated", False)
                 if type(interpolated) is not bool:

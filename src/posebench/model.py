@@ -1,12 +1,13 @@
-"""Core data model: frame tables, datasets and tracks.
+"""Core data model: frame tables, datasets and splits.
 
 A ``FrameTable`` holds frames and their person observations as numpy
 columns; it is the one in-memory form of frames, which the reader and the
 synthetic generator build and datasets, the rearrangement and preprocessing
-work on. All types are immutable after construction and validate their own
-invariants, so downstream code can assume well-formed data. Track and frame
-ids fit int64. Frame indices are unique within a camera and act as the frame
-identity everywhere.
+work on. A track is not an object: preprocessing sorts a table's person rows
+by (track_id, frame_index). All types are immutable after construction and
+validate their own invariants, so downstream code can assume well-formed
+data. Track and frame ids fit int64. Frame indices are unique within a
+camera and act as the frame identity everywhere.
 """
 
 from __future__ import annotations
@@ -282,61 +283,3 @@ class SplitSet:
     @property
     def camera_id(self) -> str:
         return self.train.camera_id
-
-
-@dataclass(frozen=True, eq=False)
-class Track:
-    """All observations of one track id as columns, in strictly increasing frame order.
-
-    ``frames`` is (n,) int64, ``keypoints`` (n, 17, 2) float64 pixel
-    coordinates, ``bbox`` (n, 4) float64 as (x1, y1, x2, y2) and
-    ``interpolated`` (n,) bool.
-    """
-
-    track_id: int
-    frames: np.ndarray
-    keypoints: np.ndarray
-    bbox: np.ndarray
-    interpolated: np.ndarray
-
-    def __post_init__(self):
-        n = len(self.frames)
-        shapes = (self.keypoints.shape, self.bbox.shape, self.interpolated.shape)
-        if shapes != ((n, KEYPOINT_COUNT, 2), (n, 4), (n,)):
-            raise ValidationError(f"track {self.track_id} columns disagree with {n} frames: {shapes}")
-        if np.any(np.diff(self.frames) <= 0):
-            raise ValidationError(
-                f"track {self.track_id} observations must be strictly increasing in frame_index"
-            )
-
-    def __len__(self) -> int:
-        return len(self.frames)
-
-
-def tracks_from_frames(frames: FrameTable) -> list[Track]:
-    """Split a table's person rows into tracks with one lexsort by (track_id, frame_index).
-
-    Tracks are ordered by track_id, observations by frame_index. Raises on a
-    duplicate (track_id, frame_index) pair.
-    """
-    frame_index = frames.frame_index[frames.frame_row]
-    order = np.lexsort((frame_index, frames.track_id))
-    tids, fis = frames.track_id[order], frame_index[order]
-    same_track = tids[1:] == tids[:-1]
-    dup = np.flatnonzero(same_track & (fis[1:] == fis[:-1]))
-    if dup.size:
-        raise ValidationError(f"duplicate observation for track {tids[dup[0]]} at frame {fis[dup[0]]}")
-    keypoints = frames.keypoints[order, :, :2]
-    bbox, interpolated = frames.bbox[order], frames.interpolated[order]
-    edges = [0, *(np.flatnonzero(~same_track) + 1).tolist(), len(order)]
-    return [
-        Track(
-            track_id=int(tids[a]),
-            frames=fis[a:b],
-            keypoints=keypoints[a:b],
-            bbox=bbox[a:b],
-            interpolated=interpolated[a:b],
-        )
-        for a, b in zip(edges, edges[1:])
-        if a < b
-    ]

@@ -1,22 +1,24 @@
-"""Track preprocessing: gap interpolation, smoothing, normalization, windowing.
+"""Preprocessing: gap interpolation, smoothing, normalization, windowing.
 
-The pipeline order is interpolate -> smooth -> window. Interpolation fills
-internal gaps only (no extrapolation past track ends); smoothing and
-windowing both operate per maximal run of consecutive frames, so an
-unfilled gap splits a track into independent runs. ``extract_windows``
-returns one ``WindowBatch``: the normalized rows of all tracks in one
-read-only array, and per window its first row, track id and start frame.
+``extract_windows`` works on one row set, the table's person rows sorted by
+(track_id, frame_index). Interpolation fills internal gaps of a track only
+(no extrapolation past its ends), each filled row in its place in that
+order. A run is a maximal stretch of consecutive frames of one track;
+smoothing and windowing both operate per run, so an unfilled gap splits a
+track into independent runs. The result is one ``WindowBatch``: the
+normalized rows in one read-only array, and per window its first row, track
+id and start frame.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ValidationError
-from .model import KEYPOINT_COUNT, FrameTable, Track, tracks_from_frames
+from .model import KEYPOINT_COUNT, FrameTable
 
 
 @dataclass(frozen=True, eq=False)
@@ -49,44 +51,6 @@ class WindowBatch:
         return self.start_frame[:, None] + np.arange(self.length)
 
 
-def _runs(frames: np.ndarray) -> list[tuple[int, int]]:
-    """(start, stop) row ranges of the maximal runs of consecutive frames."""
-    edges = [0, *(np.flatnonzero(np.diff(frames) != 1) + 1).tolist(), len(frames)]
-    return list(zip(edges, edges[1:]))
-
-
-def interpolate_track(track: Track, max_gap: int = 14) -> Track:
-    """Fill internal gaps of up to max_gap frames by per-keypoint linear interpolation.
-
-    Inserted rows are marked interpolated and get a linearly interpolated
-    bounding box: ``a + t * (b - a)`` with ``t = (f - f0) / (f1 - f0)``.
-    Original rows are kept bit for bit. Gaps longer than max_gap are left
-    open; leading/trailing absence is never extrapolated.
-    """
-    if max_gap < 1:
-        raise ValidationError(f"max_gap must be >= 1, got {max_gap}")
-    if len(track) < 2:
-        return track
-    gaps = np.diff(track.frames) - 1
-    fill = np.where((gaps >= 1) & (gaps <= max_gap), gaps, 0)
-    left = np.repeat(np.arange(fill.size), fill)
-    # Offset f - f0 of every inserted row from its gap's left frame: 1..gap.
-    step = np.arange(left.size) - np.repeat(np.cumsum(fill) - fill, fill) + 1
-    f0 = track.frames[left]
-    t = step / (track.frames[left + 1] - f0)
-    kp0, kp1 = track.keypoints[left], track.keypoints[left + 1]
-    b0, b1 = track.bbox[left], track.bbox[left + 1]
-    frames = np.concatenate([track.frames, f0 + step])
-    order = np.argsort(frames, kind="stable")
-    return Track(
-        track_id=track.track_id,
-        frames=frames[order],
-        keypoints=np.concatenate([track.keypoints, kp0 + t[:, None, None] * (kp1 - kp0)])[order],
-        bbox=np.concatenate([track.bbox, b0 + t[:, None] * (b1 - b0)])[order],
-        interpolated=np.concatenate([track.interpolated, np.ones(left.size, dtype=bool)])[order],
-    )
-
-
 def _centered_moving_average(flat: np.ndarray, window: int) -> np.ndarray:
     n = flat.shape[0]
     h = window // 2
@@ -101,24 +65,6 @@ def _centered_moving_average(flat: np.ndarray, window: int) -> np.ndarray:
         hw = min(i, n - 1 - i, h)
         out[i] = flat[i - hw : i + hw + 1].mean(axis=0)
     return out
-
-
-def smooth_track(track: Track, window: int = 15) -> Track:
-    """Replace keypoint coordinates by a centered moving average per run.
-
-    The window shrinks symmetrically near run boundaries. Window must be a
-    positive odd integer; window 1 is the identity. Bounding boxes and
-    interpolated flags pass through unchanged.
-    """
-    if window < 1 or window % 2 == 0:
-        raise ValidationError(f"smoothing window must be a positive odd integer, got {window}")
-    if window == 1 or len(track) == 0:
-        return track
-    keypoints = np.empty_like(track.keypoints)
-    for start, stop in _runs(track.frames):
-        flat = track.keypoints[start:stop].reshape(stop - start, -1)
-        keypoints[start:stop] = _centered_moving_average(flat, window).reshape(-1, KEYPOINT_COUNT, 2)
-    return replace(track, keypoints=keypoints)
 
 
 def normalize_pose(keypoints: np.ndarray, bbox: np.ndarray) -> np.ndarray:
@@ -137,29 +83,6 @@ def normalize_pose(keypoints: np.ndarray, bbox: np.ndarray) -> np.ndarray:
     return (keypoints - center[:, None, :]) / diag[:, None, None]
 
 
-def window_track(track: Track, length: int = 24, stride: int = 6) -> WindowBatch:
-    """Cut a track into fixed-length windows over its normalized rows.
-
-    Windows start every ``stride`` observations within each maximal run of
-    consecutive frames; a run of n observations yields
-    max(0, (n - length) // stride + 1) windows. Windows never span an
-    unfilled gap. Every row of the track is normalized once, windowed or not.
-    """
-    if length < 1:
-        raise ValidationError(f"window length must be >= 1, got {length}")
-    if stride < 1:
-        raise ValidationError(f"window stride must be >= 1, got {stride}")
-    starts = [s for start, stop in _runs(track.frames) for s in range(start, stop - length + 1, stride)]
-    rows = np.array(starts, dtype=np.int64)
-    return WindowBatch(
-        poses=normalize_pose(track.keypoints, track.bbox),
-        rows=rows,
-        track_id=np.full(rows.size, track.track_id, dtype=np.int64),
-        start_frame=track.frames[rows],
-        length=length,
-    )
-
-
 def extract_windows(
     frames: FrameTable,
     *,
@@ -170,18 +93,59 @@ def extract_windows(
 ) -> WindowBatch:
     """Full preprocessing pipeline from a frame table to one window batch.
 
-    Deterministic: tracks are processed in track_id order, their rows are
-    stacked in that order, and windows follow in scan order within each track.
+    The parameters are checked first. The table's person rows are sorted by
+    (track_id, frame_index), and a repeated pair raises. Each gap of
+    1..``max_gap`` frames between rows of one track is filled by linear
+    interpolation of keypoints and box, ``a + t * (b - a)`` with
+    ``t = (f - f0) / (f1 - f0)``; longer gaps stay open, nothing is
+    extrapolated past a track's ends, and the rows read are kept bit for bit.
+    Keypoints are then replaced by a centered moving average over
+    ``smoothing_window`` (a positive odd integer) rows of their run, the
+    window shrinking symmetrically near run ends; boxes are not smoothed.
+    Every row is normalized, and windows start every ``stride`` rows of each
+    run: a run of n rows yields max(0, (n - length) // stride + 1) windows.
     """
-    batches = []
-    for track in tracks_from_frames(frames):
-        track = smooth_track(interpolate_track(track, max_gap=max_gap), window=smoothing_window)
-        batches.append(window_track(track, length=length, stride=stride))
-    offsets = np.cumsum([0] + [len(b.poses) for b in batches])
+    if max_gap < 1:
+        raise ValidationError(f"max_gap must be >= 1, got {max_gap}")
+    if smoothing_window < 1 or smoothing_window % 2 == 0:
+        raise ValidationError(f"smoothing window must be a positive odd integer, got {smoothing_window}")
+    if length < 1:
+        raise ValidationError(f"window length must be >= 1, got {length}")
+    if stride < 1:
+        raise ValidationError(f"window stride must be >= 1, got {stride}")
+    frame_index = frames.frame_index[frames.frame_row]
+    order = np.lexsort((frame_index, frames.track_id))
+    track_id, frame_index = frames.track_id[order], frame_index[order]
+    same_track, gap = track_id[1:] == track_id[:-1], np.diff(frame_index) - 1
+    dup = np.flatnonzero(same_track & (gap == -1))
+    if dup.size:
+        raise ValidationError(f"duplicate observation for track {track_id[dup[0]]} at frame {frame_index[dup[0]]}")
+    # Sorted row i is followed by fill[i] inserted rows; at[i] is where it lands.
+    fill = np.zeros(order.size, dtype=np.int64)
+    fill[:-1] = np.where(same_track & (gap >= 1) & (gap <= max_gap), gap, 0)
+    at = np.arange(order.size) + np.cumsum(fill) - fill
+    src = np.repeat(np.arange(order.size), fill + 1)  # the sorted row each row is, or follows
+    offset = np.arange(src.size) - at[src]  # frames past that row: 0 for a sorted row
+    track_id, frame_index = track_id[src], frame_index[src] + offset
+    keypoints = frames.keypoints[order[src], :, :2].reshape(src.size, 2 * KEYPOINT_COUNT)
+    bbox = frames.bbox[order[src]]
+    # An inserted row starts as a copy of the row before its gap, a, and moves to a + t * (b - a).
+    new = np.flatnonzero(offset)
+    t = (offset[new] / (gap[src[new]] + 1))[:, None]
+    right = at[src[new] + 1]
+    keypoints[new] += t * (keypoints[right] - keypoints[new])
+    bbox[new] += t * (bbox[right] - bbox[new])
+    run_breaks = (np.diff(frame_index) != 1) | (track_id[1:] != track_id[:-1])
+    edges = [0, *(np.flatnonzero(run_breaks) + 1).tolist(), src.size]
+    starts = []
+    for a, b in zip(edges, edges[1:]):
+        keypoints[a:b] = _centered_moving_average(keypoints[a:b], smoothing_window)
+        starts += range(a, b - length + 1, stride)
+    starts = np.array(starts, dtype=np.int64)
     return WindowBatch(
-        poses=np.concatenate([np.empty((0, KEYPOINT_COUNT, 2)), *(b.poses for b in batches)]),
-        rows=np.concatenate([np.empty(0, np.int64), *(b.rows + o for b, o in zip(batches, offsets))]),
-        track_id=np.concatenate([np.empty(0, np.int64), *(b.track_id for b in batches)]),
-        start_frame=np.concatenate([np.empty(0, np.int64), *(b.start_frame for b in batches)]),
+        poses=normalize_pose(keypoints.reshape(-1, KEYPOINT_COUNT, 2), bbox),
+        rows=starts,
+        track_id=track_id[starts],
+        start_frame=frame_index[starts],
         length=length,
     )

@@ -89,6 +89,11 @@ class ContinualSplit:
         """The training stream as rows: the slices in turn."""
         return np.concatenate(self.slices)
 
+    def frame_index(self, rows: np.ndarray) -> np.ndarray:
+        """The frame index of each of ``rows``: row ``r < len(split.train)`` is train row ``r``, any other is test
+        row ``r - len(split.train)``."""
+        return np.concatenate([self.split.train.frames.frame_index, self.split.test.frames.frame_index])[rows]
+
     def tags(self, rows: np.ndarray) -> np.ndarray:
         """The provenance tag of each of ``rows``, by name.
 
@@ -108,7 +113,7 @@ class ContinualSplit:
         tags = self.tags(rows)
         leaked = np.flatnonzero((tags == TAG_TEST_NORMAL) | (tags == TAG_TEST_ANOMALY))
         if leaked.size:
-            fi = self.split.test.frames.frame_index[rows[leaked[0]] - len(self.split.train)]
+            fi = self.frame_index(rows[leaked[0]])
             raise ValidationError(f"test leakage: frame {fi} (tag {str(tags[leaked[0]])!r}) must not be trained on")
         return self.split.train.frames.take(rows, self.split.test.frames)
 
@@ -255,7 +260,7 @@ def verify(cs: ContinualSplit) -> None:
     if twice.size:
         # test_rows are strictly increasing, so a row placed twice is in the stream.
         where = "training stream and test set" if np.count_nonzero(stream == twice[0]) == 1 else "training stream"
-        fi = cs.split.train.frames.take(twice[:1], test).frame_index[0]
+        fi = cs.frame_index(twice[0])
         raise ValidationError(f"invariant violated: frame {fi} is placed more than once, in the {where}")
     if not placed.all():
         raise ValidationError(f"invariant violated: stream and test set place {np.count_nonzero(placed)} of {n} rows")

@@ -9,6 +9,7 @@ cannot leak into its own oracle.
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -167,8 +168,8 @@ def tracks_by_bucketing(frames):
 
     Buckets each person by track id, sorts a bucket by frame index and
     stacks it. Returns ``(track_id, frames, keypoints (n, 17, 2), bbox
-    (n, 4), interpolated)`` per track in id order; raises ValueError on a
-    repeated (track_id, frame_index) pair.
+    (n, 4))`` per track in id order; raises ValueError on a repeated
+    (track_id, frame_index) pair.
     """
     buckets = {}
     for fr in frames:
@@ -186,7 +187,6 @@ def tracks_by_bucketing(frames):
                 track_frames,
                 np.array([[kp[:2] for kp in obs["keypoints"]] for _, obs in rows], dtype=np.float64),
                 np.array([obs["bbox"] for _, obs in rows], dtype=np.float64),
-                np.array([obs["interpolated"] for _, obs in rows], dtype=bool),
             )
         )
     return tracks
@@ -477,3 +477,95 @@ def concat_then_take(tables, rows):
         name: np.array(values, dtype=joined[name].dtype).reshape((len(values),) + joined[name].shape[1:])
         for name, values in out.items()
     }
+
+
+def _runs(frames):
+    """(start, stop) row ranges of the maximal runs of consecutive frames."""
+    edges = [0, *(np.flatnonzero(np.diff(frames) != 1) + 1).tolist(), len(frames)]
+    return list(zip(edges, edges[1:]))
+
+
+def _interpolate_track(frames, keypoints, bbox, max_gap):
+    """Fill internal gaps of up to max_gap frames: per inserted row, a + t * (b - a) with t = (f - f0) / (f1 - f0)."""
+    if len(frames) < 2:
+        return frames, keypoints, bbox
+    gaps = np.diff(frames) - 1
+    fill = np.where((gaps >= 1) & (gaps <= max_gap), gaps, 0)
+    left = np.repeat(np.arange(fill.size), fill)
+    step = np.arange(left.size) - np.repeat(np.cumsum(fill) - fill, fill) + 1
+    f0 = frames[left]
+    t = step / (frames[left + 1] - f0)
+    kp0, kp1 = keypoints[left], keypoints[left + 1]
+    b0, b1 = bbox[left], bbox[left + 1]
+    all_frames = np.concatenate([frames, f0 + step])
+    order = np.argsort(all_frames, kind="stable")
+    return (
+        all_frames[order],
+        np.concatenate([keypoints, kp0 + t[:, None, None] * (kp1 - kp0)])[order],
+        np.concatenate([bbox, b0 + t[:, None] * (b1 - b0)])[order],
+    )
+
+
+def _centered_moving_average(flat, window):
+    n = flat.shape[0]
+    h = window // 2
+    out = np.empty((n, flat.shape[1]), dtype=np.float64)
+    if n >= window:
+        sw = np.lib.stride_tricks.sliding_window_view(flat, window, axis=0)
+        out[h : n - h] = sw.mean(axis=-1)
+        boundary = list(range(h)) + list(range(n - h, n))
+    else:
+        boundary = list(range(n))
+    for i in boundary:
+        hw = min(i, n - 1 - i, h)
+        out[i] = flat[i - hw : i + hw + 1].mean(axis=0)
+    return out
+
+
+def _smooth_track(frames, keypoints, window):
+    if window == 1 or len(frames) == 0:
+        return keypoints
+    out = np.empty_like(keypoints)
+    for start, stop in _runs(frames):
+        flat = keypoints[start:stop].reshape(stop - start, -1)
+        out[start:stop] = _centered_moving_average(flat, window).reshape(-1, 17, 2)
+    return out
+
+
+def _normalize(keypoints, bbox):
+    extent = bbox[:, 2:] - bbox[:, :2]
+    diag = np.array([math.hypot(w, h) for w, h in extent.tolist()], dtype=np.float64)
+    center = (bbox[:, :2] + bbox[:, 2:]) / 2.0
+    return (keypoints - center[:, None, :]) / diag[:, None, None]
+
+
+def windows_per_track(frames, length, stride, max_gap, smoothing_window):
+    """The window batch of a table's person rows, built one track at a time, as a dict of arrays.
+
+    Person rows are split into tracks by one lexsort on (track_id,
+    frame_index); each track is interpolated, smoothed per run, normalized
+    and cut into windows every ``stride`` rows of each run. Tracks follow in
+    id order, and ``rows`` index the tracks' rows stacked in that order.
+    ``frames`` is an object with FrameTable's columns. Raises ValueError on a
+    repeated (track_id, frame_index) pair.
+    """
+    frame_index = frames.frame_index[frames.frame_row]
+    order = np.lexsort((frame_index, frames.track_id))
+    tids, fis = frames.track_id[order], frame_index[order]
+    if np.any((tids[1:] == tids[:-1]) & (fis[1:] == fis[:-1])):
+        raise ValueError("duplicate observation")
+    keypoints, bbox = frames.keypoints[order, :, :2], frames.bbox[order]
+    out = {"poses": [np.empty((0, 17, 2))], "rows": [np.empty(0, np.int64)], "track_id": [np.empty(0, np.int64)],
+           "start_frame": [np.empty(0, np.int64)]}
+    base = 0
+    for tid in np.unique(tids):
+        at = tids == tid
+        f, kp, box = _interpolate_track(fis[at], keypoints[at], bbox[at], max_gap)
+        kp = _smooth_track(f, kp, smoothing_window)
+        starts = np.array([s for a, b in _runs(f) for s in range(a, b - length + 1, stride)], dtype=np.int64)
+        out["poses"].append(_normalize(kp, box))
+        out["rows"].append(starts + base)
+        out["track_id"].append(np.full(starts.size, tid, dtype=np.int64))
+        out["start_frame"].append(f[starts])
+        base += len(f)
+    return {name: np.concatenate(parts) for name, parts in out.items()}

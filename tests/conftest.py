@@ -10,8 +10,16 @@ import numpy as np
 import pytest
 
 from posebench.io import read_frames
-from posebench.model import CameraDataset, tracks_from_frames
-from posebench.preprocess import WindowBatch
+from posebench.model import CameraDataset, FrameTable
+from posebench.preprocess import WindowBatch, extract_windows
+
+# A box of diagonal 500 centered on (150, 200): against it a pose normalizes to (keypoints - (150, 200)) / 500.
+BOX = [0.0, 0.0, 300.0, 400.0]
+
+
+def pixels(poses):
+    """Keypoints of poses normalized against BOX, back in pixels."""
+    return poses * 500.0 + (150.0, 200.0)
 
 
 def make_keypoints(points, visibility=0.9):
@@ -68,16 +76,44 @@ def table(frames):
         return read_frames(path)
 
 
-def make_track(frame_indices, origins=None, track_id=0):
-    """A track with one observation per frame index."""
+def track_table(frame_indices, origins=None, track_id=0, bbox=None):
+    """A table of one track with one observation per frame index, in that order.
+
+    Each observation's box is ``bbox``, or a box around its keypoints when None.
+    """
     if origins is None:
         origins = [(50.0 + 2.0 * i, 60.0 + i) for i in range(len(frame_indices))]
     frames = [
-        make_frame(int(fi), persons=(make_obs(track_id=track_id, origin=o),))
+        make_frame(int(fi), persons=(person(make_keypoints([o]), track_id=track_id, bbox=bbox),))
         for fi, o in zip(frame_indices, origins)
     ]
-    (track,) = tracks_from_frames(table(frames))
-    return track
+    return table(frames)
+
+
+def every_row(frames, max_gap=14, smoothing_window=1):
+    """(frame, normalized pose) of every row that extract_windows builds: with length 1 and stride 1 each row is a
+    window."""
+    batch = extract_windows(frames, length=1, stride=1, max_gap=max_gap, smoothing_window=smoothing_window)
+    return batch.start_frame, batch.poses
+
+
+def staircase(n_max):
+    """A table of tracks 1..n_max built from columns: track n is on frames 0..n-1, every box is BOX."""
+    persons = n_max - np.arange(n_max)  # frame f holds tracks f+1..n_max
+    m = int(persons.sum())
+    return FrameTable(
+        camera_id=np.full(n_max, "cam0", dtype=object),
+        frame_index=np.arange(n_max),
+        anomalous=np.zeros(n_max, dtype=bool),
+        line=np.arange(1, n_max + 1),
+        region_frame=np.empty(0, dtype=np.int64),
+        regions=np.empty((0, 4)),
+        frame_row=np.repeat(np.arange(n_max), persons),
+        track_id=np.concatenate([np.arange(f + 1, n_max + 1) for f in range(n_max)]),
+        keypoints=np.tile(make_keypoints([(150.0, 200.0)]), (m, 1, 1)),
+        bbox=np.tile(BOX, (m, 1)),
+        interpolated=np.zeros(m, dtype=bool),
+    )
 
 
 def dataset(frames, camera_id="cam0"):

@@ -14,11 +14,11 @@ import numpy as np
 
 import _oracles
 from _golden import golden_results
-from conftest import make_obs, make_track, table, window_batch
+from conftest import BOX, every_row, make_obs, pixels, staircase, table, track_table, window_batch
 
 from posebench.metrics import ScoreSeries, auc_pr, auc_roc, compute_all, eer, fpr_at_fnr
-from posebench.model import CameraDataset, FrameTable, SplitSet, Track
-from posebench.preprocess import interpolate_track, smooth_track, window_track
+from posebench.model import CameraDataset, FrameTable, SplitSet
+from posebench.preprocess import extract_windows
 from posebench.rearrange import RearrangePlan, rearrange, verify
 from posebench.report import emit_report
 from posebench.runner import RunConfig, derive_seed, run_continual, run_standard
@@ -232,11 +232,12 @@ def test_05_preprocessing_properties(capsys):
     problems = []
 
     def body():
+        def keypoints_of_rows(frames, smoothing_window=1):  # the boxes are BOX
+            return pixels(every_row(frames, smoothing_window=smoothing_window)[1])
+
         # Midpoint: a gap of one frame lands exactly between its endpoints.
-        track = make_track([0, 2], origins=[(10.0, 20.0), (14.0, 28.0)])
-        filled = interpolate_track(track)
-        lo, hi = track.keypoints
-        if np.max(np.abs(filled.keypoints[1] - (lo + hi) / 2)) > 1e-9:
+        lo, mid, hi = keypoints_of_rows(track_table([0, 2], origins=[(10.0, 20.0), (14.0, 28.0)], bbox=BOX))
+        if np.max(np.abs(mid - (lo + hi) / 2)) > 1e-9:
             problems.append("midpoint interpolation off")
 
         # Random gaps against the np.interp oracle.
@@ -246,38 +247,32 @@ def test_05_preprocessing_properties(capsys):
             drop = set(int(i) for i in rng.choice(np.arange(1, n - 1), size=3, replace=False))
             kept = [i for i in range(n) if i not in drop]
             origins = [(20.0 + float(rng.uniform(0, 5)) * i, 30.0 + float(rng.uniform(0, 3)) * i) for i in kept]
-            track = make_track(kept, origins=origins)
-            filled = interpolate_track(track)
-            row_of = {fi: r for r, fi in enumerate(filled.frames.tolist())}
-            want = _oracles.interp_positions(kept, track.keypoints, sorted(drop))
-            for row, fi in zip(want, sorted(drop)):
-                if np.max(np.abs(filled.keypoints[row_of[fi]] - row)) > 1e-9:
-                    problems.append(f"trial {trial}: interpolation differs from oracle")
-                    break
-            if problems:
+            frames = track_table(kept, origins=origins, bbox=BOX)
+            filled = keypoints_of_rows(frames)  # one row per frame 0..n-1
+            want = _oracles.interp_positions(kept, frames.keypoints[:, :, :2], sorted(drop))
+            if np.max(np.abs(filled[sorted(drop)] - want)) > 1e-9:
+                problems.append(f"trial {trial}: interpolation differs from oracle")
                 break
 
         # Impulse response: +1 at the middle frame spreads as 1/15.
         n = 61
         center = n // 2
         origins = [(100.0 + (1.0 if i == center else 0.0), 80.0) for i in range(n)]
-        track = make_track(list(range(n)), origins=origins)
-        smoothed = smooth_track(track, 15)
-        base = track.keypoints[0, 0, 0]
-        got = smoothed.keypoints[center, 0, 0]
-        if abs(got - (base + 1.0 / 15.0)) > 1e-9:
-            problems.append(f"impulse response {got - base} != 1/15")
+        smoothed = keypoints_of_rows(track_table(list(range(n)), origins=origins, bbox=BOX), smoothing_window=15)
+        got = smoothed[center, 0, 0] - smoothed[0, 0, 0]
+        if abs(got - 1.0 / 15.0) > 1e-9:
+            problems.append(f"impulse response {got} != 1/15")
 
-        # Window-count formula across 1000 random triples.
-        base_track = make_track(list(range(220)))
-        columns = (base_track.frames, base_track.keypoints, base_track.bbox, base_track.interpolated)
-        for trial in range(1000):
-            n = int(rng.integers(1, 220))
+        # Window-count formula for every run length 1..219, at 40 random (length, stride) pairs.
+        frames = staircase(219)
+        for trial in range(40):
             length = int(rng.integers(2, 40))
             stride = int(rng.integers(1, 12))
-            sub = Track(0, *(col[:n] for col in columns))
-            want = _oracles.window_count(n, length, stride)
-            if len(window_track(sub, length=length, stride=stride)) != want:
+            batch = extract_windows(frames, length=length, stride=stride, smoothing_window=1)
+            counts = np.bincount(batch.track_id, minlength=220)[1:]
+            want = [_oracles.window_count(n, length, stride) for n in range(1, 220)]
+            if counts.tolist() != want:
+                n = 1 + int(np.argmax(counts != want))
                 problems.append(f"window count off at (n={n}, length={length}, stride={stride})")
                 break
 

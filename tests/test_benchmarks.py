@@ -17,3 +17,12 @@ def test_bench_checkpoint_runs():
     names = ["scorers.save_checkpoint", "scorers.load_checkpoint", "scorers.save_checkpoint"]
     assert [name for name, *_ in rows] == names
     assert all(seconds > 0 for _, _, seconds, *_ in rows)
+
+
+def test_bench_extract_windows_runs():
+    rows = _load_bench().bench_extract_windows(0, 1)
+    assert [(name, size) for name, size, _ in rows] == [
+        ("preprocess.extract_windows", "tracks=18"),
+        ("preprocess.extract_windows", "tracks=31"),
+    ]
+    assert all(seconds > 0 for _, _, seconds in rows)

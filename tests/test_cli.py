@@ -191,6 +191,19 @@ class TestExitCodes:
             assert f"{bad}: line 2" in capsys.readouterr().err
 
 
+    def test_track_listed_twice_in_a_frame_is_data_error_with_line(self, tmp_path, capsys):
+        # Refused as the file is read, before run-standard writes anything.
+        frames = [make_frame(i, persons=(make_obs(),) * (2 if i == 4 else 1)) for i in range(6)]
+        bad = tmp_path / "train.jsonl"
+        bad.write_text("".join(json.dumps(fr) + "\n" for fr in frames))
+        out = tmp_path / "o"
+        run = ["run-standard", "--train", str(bad), "--test", str(bad), "--out", str(out)]
+        for argv in (["stats", str(bad)], run):
+            assert main(argv) == 2
+            message = f"{bad}: line 5 (frame_index 4): track_id 0 appears twice in the frame"
+            assert message in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("camera_id", ["cam,0\nx", 'cam"0', "cam\x00", "cam\x1f", "cam\x7f"])
     def test_camera_id_that_breaks_a_report_is_data_error(self, synth_dir, tmp_path, capsys, camera_id):
         # Written as it is, "cam,0\nx" would end a report.csv row after "cam" and start one at "x".

@@ -245,7 +245,7 @@ def _frames(draw):
         "frame_index": draw(st.integers(0, 2**63 - 1)),
         "label": label,
         "anomaly_regions": regions,
-        "persons": draw(st.lists(_observations(), max_size=3)),
+        "persons": draw(st.lists(_observations(), max_size=3, unique_by=lambda obs: obs["track_id"])),
     }
 
 

@@ -16,15 +16,14 @@ from posebench.model import (
     JOINT_NAMES,
     RowError,
     SplitSet,
-    tracks_from_frames,
 )
+from posebench.preprocess import extract_windows, normalize_pose
 from posebench.synthetic import generate_normals
 from conftest import (
     dataset,
     make_frame,
     make_keypoints,
     make_obs,
-    make_track,
     person,
     table,
 )
@@ -208,44 +207,6 @@ class TestSplitSet:
         assert SplitSet(train=train, test=test).camera_id == "cam0"
 
 
-class TestTracks:
-    def test_track_orders_and_matches(self):
-        good = make_track([1, 5])
-        with pytest.raises(ValidationError):
-            replace(good, frames=np.array([5, 5]))
-        with pytest.raises(ValidationError):
-            replace(good, frames=np.array([5, 1]))
-        with pytest.raises(ValidationError):
-            replace(good, bbox=good.bbox[:1])
-        with pytest.raises(ValidationError):
-            replace(good, keypoints=good.keypoints[:, :16])
-
-    def test_tracks_from_frames_buckets_by_id(self):
-        a0 = make_obs(track_id=0, origin=(10, 10))
-        a1 = make_obs(track_id=0, origin=(12, 10))
-        b0 = make_obs(track_id=1, origin=(90, 90), interpolated=True)
-        frames = [
-            make_frame(1, persons=(a1,)),
-            make_frame(0, persons=(a0, b0)),
-        ]
-        tracks = tracks_from_frames(table(frames))
-        assert [t.track_id for t in tracks] == [0, 1]
-        assert tracks[0].frames.tolist() == [0, 1]
-        assert tracks[1].frames.tolist() == [0]
-        # Every column follows the frame order, not the input order.
-        for row, obs in enumerate((a0, a1)):
-            assert tracks[0].keypoints[row].tolist() == [kp[:2] for kp in obs["keypoints"]]
-            assert tracks[0].bbox[row].tolist() == obs["bbox"]
-        assert tracks[0].interpolated.tolist() == [False, False]
-        assert tracks[1].interpolated.tolist() == [True]
-
-    def test_duplicate_track_frame_pair_rejected(self):
-        a = make_obs(track_id=0)
-        frames = [make_frame(0, persons=(a, a))]
-        with pytest.raises(ValidationError, match="duplicate observation for track 0 at frame 0"):
-            tracks_from_frames(table(frames))
-
-
 @st.composite
 def _tables_and_rows(draw):
     """One to three tables, any of them empty, and rows into them laid end to end, repeated and in any order.
@@ -309,19 +270,20 @@ def _shuffled_frames(draw):
 @settings(deadline=None)
 @given(_shuffled_frames())
 def test_track_assembly_matches_bucketing_oracle(frames):
-    frames_table = table(frames)
     try:
         want = _oracles.tracks_by_bucketing(frames)
     except ValueError:
-        with pytest.raises(ValidationError, match="duplicate observation"):
-            tracks_from_frames(frames_table)
+        with pytest.raises(ValidationError, match="appears twice in the frame|duplicate observation"):
+            extract_windows(table(frames))
         return
-    got = tracks_from_frames(frames_table)
-    assert [t.track_id for t in got] == [tid for tid, *_ in want]
-    for track, (_, *columns) in zip(got, want):
-        mine = (track.frames, track.keypoints, track.bbox, track.interpolated)
-        for a, b in zip(mine, columns):
-            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    frames_table = table(frames)
+    # With one window per row, every observation is the row at its (track, frame), the rows in that order.
+    batch = extract_windows(frames_table, length=1, stride=1, max_gap=1, smoothing_window=1)
+    at = {pair: row for row, pair in enumerate(zip(batch.track_id.tolist(), batch.start_frame.tolist()))}
+    rows = [[at[tid, fi] for fi in track_frames.tolist()] for tid, track_frames, *_ in want]
+    assert sum(rows, []) == sorted(sum(rows, []))
+    for track_rows, (_, _, keypoints, bbox) in zip(rows, want):
+        assert batch.poses[track_rows].tobytes() == normalize_pose(keypoints, bbox).tobytes()
     fis = [fr["frame_index"] for fr in frames]
     if len(set(fis)) == len(fis):
         # The file round trip gives the dataset built straight from the sorted objects.

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 import _oracles
 from posebench.cli import main
 from posebench.errors import ValidationError
-from posebench.model import tracks_from_frames
 from posebench.synthetic import (
     ANOMALY_KINDS,
     ANOMALY_TRACK_BASE,
@@ -24,9 +23,10 @@ SIGMAS = st.sampled_from([0.0, 0.5, 1.5, 3.0, 8.0, 16.0, 200.0])
 
 
 def anomaly_tracks(split):
-    """The test set's anomaly tracks, each with its keypoints in frame order."""
-    tracks = tracks_from_frames(split.test.frames)
-    return [t for t in tracks if t.track_id >= ANOMALY_TRACK_BASE]
+    """The (n, 17, 2) keypoints of each of the test set's anomaly tracks, in frame order."""
+    frames = split.test.frames  # its person rows are in frame order
+    ids = np.unique(frames.track_id[frames.track_id >= ANOMALY_TRACK_BASE])
+    return [frames.keypoints[frames.track_id == track_id, :, :2] for track_id in ids]
 
 
 class TestGenerateNormals:
@@ -110,16 +110,15 @@ class TestGenerateSplit:
     def test_velocity_anomaly_moves_fast(self):
         split = generate_split(200, 150, 50, seed=0, anomaly_kinds=("velocity",))
         steps = []
-        for track in anomaly_tracks(split):
-            seq = track.keypoints
+        for seq in anomaly_tracks(split):
             steps += np.linalg.norm(seq[1:] - seq[:-1], axis=2).mean(axis=1).tolist()
         # Normal walkers step ~3 px; the anomalous track must be well clear.
         assert np.median(steps) > 10.0
 
     def test_frozen_anomaly_is_static(self):
         split = generate_split(200, 150, 50, seed=0, anomaly_kinds=("frozen",))
-        for track in anomaly_tracks(split):
-            for a, b in zip(track.keypoints, track.keypoints[1:]):
+        for keypoints in anomaly_tracks(split):
+            for a, b in zip(keypoints, keypoints[1:]):
                 np.testing.assert_allclose(a, b, atol=1e-9)
 
     def test_train_and_test_frame_ranges_disjoint(self):
