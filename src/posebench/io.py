@@ -15,8 +15,11 @@ values fail a check, so tables and error messages are those of
 must be JSON numbers that fit a float (never a NaN literal), ids integers
 (no track_id twice in a frame), ``interpolated`` a boolean. The line's boxes
 and keypoints then become one float64 array, ``null`` as NaN, so the reader
-never holds a file of Python floats. The table's value rules run once per
-file as array predicates. Every error names the file and the line.
+never holds a file of Python floats. Then, once per file and as array
+predicates: each person's keypoint count, its ``interpolated`` flag (true
+exactly when every visibility is ``null``), and the table's value rules. The
+flag is not kept; ``write_frames`` writes it from the visibilities. Every
+error names the file and the line.
 
 Unknown keys are accepted and ignored on read; they are not preserved on
 write (lines are rebuilt from the table). ``write_frames`` writes each line
@@ -149,6 +152,10 @@ class _Reader:
                 raise self.error(frame_row[i], f"expected ({KEYPOINT_COUNT}, 3) keypoints, {shape}")
         values = np.concatenate(self.values)
         part = np.repeat(np.tile(np.arange(3, dtype=np.int8), len(self.frames) + 1), self.segments)
+        keypoints = values[part == 2].reshape(-1, KEYPOINT_COUNT, 3)
+        for i in np.flatnonzero(np.array(interpolated, bool) != np.isnan(keypoints[:, :, 2]).all(axis=1))[:1]:
+            kind, rule = ("interpolated", "have no") if interpolated[i] else ("non-interpolated", "carry at least one")
+            raise self.error(frame_row[i], f"{kind} observation must {rule} keypoint visibility (track {track_id[i]})")
         try:
             return FrameTable(
                 camera_id=np.fromiter(camera_id, dtype=object, count=len(camera_id)),
@@ -159,9 +166,8 @@ class _Reader:
                 regions=values[part == 1].reshape(-1, 4),
                 frame_row=np.array(frame_row, dtype=np.int64),
                 track_id=np.array(track_id, dtype=np.int64),
-                keypoints=values[part == 2].reshape(-1, KEYPOINT_COUNT, 3),
+                keypoints=keypoints,
                 bbox=values[part == 0].reshape(-1, 4),
-                interpolated=np.array(interpolated, dtype=bool),
             )
         except RowError as exc:
             raise self.error(exc.row, exc) from None
@@ -271,7 +277,7 @@ def write_frames(frames: FrameTable, path) -> int:
     """
     persons = np.searchsorted(frames.frame_row, np.arange(len(frames) + 1)).tolist()
     regions = np.searchsorted(frames.region_frame, np.arange(len(frames) + 1)).tolist()
-    track_id, flags = frames.track_id.tolist(), frames.interpolated.tolist()
+    track_id, flags = frames.track_id.tolist(), np.isnan(frames.keypoints[:, :, 2]).all(axis=1).tolist()
     # orjson refuses arrays that are not C-contiguous
     bbox, keypoints, boxes = map(np.ascontiguousarray, (frames.bbox, frames.keypoints, frames.regions))
     columns = (frames.camera_id, frames.frame_index, frames.anomalous, _json_rows(frames))

@@ -118,7 +118,8 @@ class FrameTable:
     write position, for a table of records). Per anomaly region:
     ``region_frame`` and ``regions`` (r, 4). Per person row: ``frame_row``,
     ``track_id``, ``keypoints`` (m, 17, 3) with NaN for an absent visibility,
-    ``bbox`` (m, 4) and ``interpolated``. Region and person rows are grouped
+    ``bbox`` (m, 4). ``io`` checks and derives the file's flag for a person
+    with no visibility; no column holds it. Region and person rows are grouped
     by frame row in frame order. Each value rule runs as one array predicate;
     the first frame row breaking one raises ``RowError`` with the message of
     the first rule it breaks (see ``_row_errors``). Equality ignores ``line``.
@@ -134,12 +135,11 @@ class FrameTable:
     track_id: np.ndarray
     keypoints: np.ndarray
     bbox: np.ndarray
-    interpolated: np.ndarray
 
     def __post_init__(self):
         f, r, m = len(self.frame_index), len(self.region_frame), len(self.frame_row)
         shapes = tuple(getattr(self, col.name).shape for col in fields(self))
-        if shapes != ((f,),) * 4 + ((r,), (r, 4), (m,), (m,), (m, KEYPOINT_COUNT, 3), (m, 4), (m,)):
+        if shapes != ((f,),) * 4 + ((r,), (r, 4), (m,), (m,), (m, KEYPOINT_COUNT, 3), (m, 4)):
             raise ValidationError(f"frame table columns disagree: {shapes}")
         for rows in (self.region_frame, self.frame_row):
             if rows.size and (rows[0] < 0 or rows[-1] >= f or np.any(np.diff(rows) < 0)):
@@ -150,7 +150,6 @@ class FrameTable:
             | (self.track_id < 0)
             | ~np.isfinite(self.keypoints[:, :, :2]).all(axis=(1, 2))
             | ((vis < 0.0) | (vis > 1.0)).any(axis=1)
-            | (self.interpolated != np.isnan(vis).all(axis=1))
         )
         cameras = self.camera_id.tolist()
         bad = np.zeros(f, dtype=bool)
@@ -169,8 +168,8 @@ class FrameTable:
     def _row_errors(self, row: int):
         """Messages of the value rules frame row ``row`` breaks, in the order they are checked.
 
-        Each person in turn (box, track_id, coordinates, visibility, the
-        interpolated flag), then the region boxes, then the frame's own values.
+        Each person in turn (box, track_id, coordinates, visibility), then the
+        region boxes, then the frame's own values.
         """
         p0, p1 = np.searchsorted(self.frame_row, [row, row + 1])
         r0, r1 = np.searchsorted(self.region_frame, [row, row + 1])
@@ -189,10 +188,6 @@ class FrameTable:
             if out_of_range.any():
                 j = int(np.argmax(out_of_range))
                 yield f"{JOINT_NAMES[j]} visibility must be in [0, 1], got {vis[j]} {track}"
-            if self.interpolated[p] != np.isnan(vis).all():
-                rule = "have no" if self.interpolated[p] else "carry at least one"
-                kind = "interpolated" if self.interpolated[p] else "non-interpolated"
-                yield f"{kind} observation must {rule} keypoint visibility {track}"
         for box in self.regions[r0:r1]:
             yield from _box_errors(box)
         camera_id, frame_index = self.camera_id[row], int(self.frame_index[row])
@@ -229,7 +224,7 @@ class FrameTable:
         for items, names in (
             (rows, ("camera_id", "frame_index", "anomalous", "line")),
             (regions, ("regions",)),
-            (persons, ("track_id", "keypoints", "bbox", "interpolated")),
+            (persons, ("track_id", "keypoints", "bbox")),
         ):
             base, indices, rest = _sources([len(getattr(t, names[0])) for t in tables], items)
             for name in names:  # the longest column is empty only if all are

@@ -161,7 +161,6 @@ def _timeline(camera_id, start, walked, track_base, anomalies=((), (), ())) -> C
         track_id=track_id[order],
         keypoints=keypoints[order],
         bbox=bbox[order],
-        interpolated=np.zeros(len(order), dtype=bool),
     )
     return CameraDataset(camera_id=camera_id, frames=frames)
 

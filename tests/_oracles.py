@@ -422,7 +422,8 @@ def write_frames_json(columns, path):
     """``io.write_frames`` with ``json.dumps`` as its only writer, for a table's ``columns``.
 
     ``columns`` has the ``FrameTable`` attributes. Each frame row becomes a dict built from Python
-    lists, ``None`` for a NaN visibility, and one compact ``json.dumps`` line.
+    lists, ``None`` for a NaN visibility and ``interpolated`` true when every visibility is ``None``,
+    and one compact ``json.dumps`` line.
     """
     labels = ("normal", "anomalous")
     with open(path, "w", encoding="utf-8") as fh:
@@ -433,7 +434,7 @@ def write_frames_json(columns, path):
                 persons.append({
                     "track_id": columns.track_id[p].item(),
                     "bbox": columns.bbox[p].tolist(),
-                    "interpolated": columns.interpolated[p].item(),
+                    "interpolated": all(v is None for _, _, v in keypoints),
                     "keypoints": keypoints,
                 })
             obj = {
@@ -448,7 +449,7 @@ def write_frames_json(columns, path):
 
 FRAME_TABLE_COLUMNS = (
     "camera_id", "frame_index", "anomalous", "line", "region_frame", "regions",
-    "frame_row", "track_id", "keypoints", "bbox", "interpolated",
+    "frame_row", "track_id", "keypoints", "bbox",
 )
 
 
@@ -467,7 +468,7 @@ def concat_then_take(tables, rows):
     for i, row in enumerate(rows):
         for name in ("camera_id", "frame_index", "anomalous", "line"):
             out[name].append(joined[name][row])
-        persons = ("track_id", "keypoints", "bbox", "interpolated")
+        persons = ("track_id", "keypoints", "bbox")
         for group, names in (("region_frame", ("regions",)), ("frame_row", persons)):
             for item in np.flatnonzero(joined[group] == row):
                 out[group].append(i)

@@ -112,7 +112,6 @@ def staircase(n_max):
         track_id=np.concatenate([np.arange(f + 1, n_max + 1) for f in range(n_max)]),
         keypoints=np.tile(make_keypoints([(150.0, 200.0)]), (m, 1, 1)),
         bbox=np.tile(BOX, (m, 1)),
-        interpolated=np.zeros(m, dtype=bool),
     )
 
 

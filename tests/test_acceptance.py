@@ -125,7 +125,6 @@ def test_03_large_rearrangement_fixture(capsys):
                 track_id=np.zeros(count, dtype=np.int64),
                 keypoints=np.broadcast_to(shared.keypoints, (count, 17, 3)),
                 bbox=np.broadcast_to(shared.bbox, (count, 4)),
-                interpolated=np.zeros(count, dtype=bool),
             )
 
         n_test = n_test_normal + n_test_anom

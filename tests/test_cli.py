@@ -1,10 +1,15 @@
 import dataclasses
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import zipfile
+from pathlib import Path
 
 import pytest
 
+import posebench
 from posebench import cli
 from posebench.cli import main
 from posebench.errors import ValidationError
@@ -34,6 +39,22 @@ def synth_dir(tmp_path_factory):
     )
     assert code == 0
     return out
+
+
+def _output_digests(out):
+    """sha256 of every file under ``out`` but the manifest, and of each member of each checkpoint, by path.
+
+    np.savez stamps each archive member with the time, so a checkpoint is hashed member by member.
+    """
+    digests = {}
+    for path in sorted(p for p in out.rglob("*") if p.is_file() and p.name != "manifest.json"):
+        rel = path.relative_to(out).as_posix()
+        if path.suffix == ".ckpt":
+            with zipfile.ZipFile(path) as zf:
+                digests.update({f"{rel}:{m}": hashlib.sha256(zf.read(m)).hexdigest() for m in zf.namelist()})
+        else:
+            digests[rel] = hashlib.sha256(path.read_bytes()).hexdigest()
+    return digests
 
 
 def _metric(field, key, value):
@@ -167,12 +188,13 @@ class TestExitCodes:
             ('"keypoints":[[50.0,', '"keypoints":[[1' + "0" * 400 + ","),
             ('"frame_index":1,', '"frame_index":1' + "0" * 5000 + ","),
             ('"interpolated":false', '"interpolated":"no"'),
+            ('"interpolated":false', '"interpolated":true'),
             ('"frame_index":1,', '"frame_index":0,'),
             ('"camera_id":"cam0"', '"camera_id":"cam9"'),
         ],
         ids=[
             "frame_index-past-int64", "infinite-float", "huge-int", "digit-limit", "interpolated-string",
-            "repeated-frame_index", "second-camera",
+            "interpolated-mismatch", "repeated-frame_index", "second-camera",
         ],
     )
     def test_hostile_value_is_data_error_with_line(self, tmp_path, capsys, old, new):
@@ -661,7 +683,6 @@ class TestRunContinualCommand:
     @pytest.mark.parametrize("scorer", sorted(PINNED))
     def test_output_bytes_are_pinned(self, scorer, tmp_path, capsys):
         # Any drift in the stream, the test set, a fit or a score changes a digest.
-        # np.savez stamps each archive member with the time, so a checkpoint is hashed member by member.
         synth = tmp_path / "synth"
         shape = ["--boost", "2.5", "--origin-step-sigma", "16", "--origin-jitter-sigma", "8"]
         counts = ["--train-normal", "300", "--test-normal", "180", "--test-anomaly", "60", "--origin-normal", "200"]
@@ -670,15 +691,34 @@ class TestRunContinualCommand:
         inputs = [f"--{name}={synth / name}.jsonl" for name in ("train", "test", "origin")]
         assert main(["run-continual", *inputs, "--scorer", scorer, "--seed", "0", "--k", "3", "--out", str(out)]) == 0
         capsys.readouterr()
-        digests = {}
-        for path in sorted(p for p in out.rglob("*") if p.is_file() and p.name != "manifest.json"):
-            rel = path.relative_to(out).as_posix()
-            if path.suffix == ".ckpt":
-                with zipfile.ZipFile(path) as zf:
-                    digests.update({f"{rel}:{m}": hashlib.sha256(zf.read(m)).hexdigest() for m in zf.namelist()})
-            else:
-                digests[rel] = hashlib.sha256(path.read_bytes()).hexdigest()
-        assert digests == self.PINNED[scorer]
+        assert _output_digests(out) == self.PINNED[scorer]
+
+    def test_outputs_do_not_depend_on_blas_threads(self, tmp_path, capsys):
+        """The README continual quick-start with ``--scorer knn`` writes the same bytes at
+        ``OPENBLAS_NUM_THREADS=1`` and ``2``: report.csv, report.md, results.json, steps/ and each
+        checkpoint member.
+
+        The kNN candidate filter is a BLAS matrix product, whose rounding can depend on how the
+        work is split across threads; the exact rescoring must hide that. Each run is its own
+        process, because OpenBLAS reads the variable once, at load. On a 1-core host, or with a
+        BLAS other than OpenBLAS, both runs use one thread and the test proves nothing.
+        """
+        data = tmp_path / "data"
+        shape = ["--boost", "2.5", "--origin-step-sigma", "16", "--origin-jitter-sigma", "8"]
+        counts = ["--train-normal", "2400", "--test-normal", "1200", "--test-anomaly", "400", "--origin-normal", "1200"]
+        assert main(["synth", *counts, *shape, "--seed", "0", "--out", str(data)]) == 0
+        capsys.readouterr()
+        inputs = [f"--{name}={data / name}.jsonl" for name in ("train", "test", "origin")]
+        src = str(Path(posebench.__file__).parents[1])
+        digests = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads-{threads}"
+            argv = [sys.executable, "-m", "posebench.cli", "run-continual", *inputs, "--scorer", "knn"]
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": src}
+            subprocess.run([*argv, "--seed", "0", "--k", "9", "--out", str(out)], env=env, check=True, timeout=300)
+            digests.append(_output_digests(out))
+        assert len(digests[0]) == 3 + 9 + 9 * 3  # reports, step CSVs and three members per checkpoint
+        assert digests[0] == digests[1]
 
 
 class TestReportCommand:

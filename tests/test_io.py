@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from posebench.errors import ValidationError
@@ -135,6 +135,23 @@ def test_wrong_type_reports_line_number(tmp_path, field, value, message):
     path.write_text(json.dumps(make_frame(0)) + "\n" + json.dumps(d) + "\n")
     with pytest.raises(ValidationError, match=f"bad.jsonl: line 2.*{message}"):
         read_frames(path)
+
+
+@pytest.mark.parametrize(
+    "fault,message",
+    [
+        ({"keypoints": [[1.0, 2.0, 0.5]] * 16}, r"expected \(17, 3\) keypoints, got shape \(16, 3\) \(track 0\)"),
+        ({"interpolated": True}, r"interpolated observation must have no keypoint visibility \(track 0\)"),
+    ],
+    ids=["keypoint-count", "interpolated-mismatch"],
+)
+def test_person_schema_checks_run_before_value_rules(tmp_path, fault, message):
+    # Per file, the keypoint counts and then the interpolated flags are checked before the table's value
+    # rules, so a later line that breaks one is reported ahead of an earlier line with a bad box.
+    bad_box = make_frame(1, persons=({**make_obs(), "bbox": [5, 5, 5, 9]},))
+    faulty = make_frame(2, persons=({**make_obs(), **fault},))
+    with pytest.raises(ValidationError, match=rf"objects.jsonl: line 3 \(frame_index 2\): {message}$"):
+        read_objects(tmp_path, make_frame(0), bad_box, faulty)
 
 
 @pytest.mark.parametrize(
@@ -273,6 +290,7 @@ _LITERALS = (
 _SLOTS = (
     ("frame_index",), ("camera_id",), ("label",), ("persons", 0, "track_id"), ("persons", 0, "bbox", 2),
     ("persons", 0, "keypoints", 3, 0), ("persons", 1, "keypoints", 16, 2), ("anomaly_regions", 0, 3),
+    ("persons", 0, "interpolated"),
 )
 _DUPLICATES = ('"frame_index":7', '"label":"normal"', '"persons":[]', '"camera_id":"x"', '"frame_index":NaN')
 _PLACEHOLDER = "@literal@"  # longer than any drawn camera_id, so it cannot occur by chance
@@ -302,8 +320,15 @@ def _jsonl_line(draw):
     return (draw(_rare(("\ufeff", " "))) or "") + line + draw(st.sampled_from(("\n", "\r\n")))
 
 
+# A line whose one person has "interpolated": false; the draws above rarely put a literal in that slot.
+_FLAGGED = json.dumps(make_frame(0, persons=(make_obs(),)), separators=(",", ":")) + "\n"
+
+
 @settings(deadline=None)
 @given(st.lists(st.one_of(_jsonl_line(), st.sampled_from(("\n", "  \n", "\t\r\n", "\u2028\n"))), max_size=5))
+@example([_FLAGGED.replace("false", "true")])
+@example([_FLAGGED.replace("false", "null")])
+@example([_FLAGGED.replace("false", "NaN")])
 def test_reader_matches_json_loads_reference(lines):
     # orjson parses each line; every table and error message must be the one json.loads gives.
     with tempfile.TemporaryDirectory() as tmp:
@@ -379,10 +404,10 @@ def _edge_tables(draw):
                 vis[0] = 1.0
             xy = draw(st.lists(signed, min_size=34, max_size=34))
             kps = [[xy[2 * j], xy[2 * j + 1], np.nan if v is None else v] for j, v in enumerate(vis)]
-            persons.append((row, draw(st.integers(0, 2**63 - 1)), kps, draw(box), interpolated))
+            persons.append((row, draw(st.integers(0, 2**63 - 1)), kps, draw(box)))
     camera_id, frame_index, anomalous = zip(*frames) if frames else ((),) * 3
     region_frame, boxes = zip(*regions) if regions else ((), ())
-    frame_row, track_id, keypoints, bbox, interpolated = zip(*persons) if persons else ((),) * 5
+    frame_row, track_id, keypoints, bbox = zip(*persons) if persons else ((),) * 4
     return FrameTable(
         camera_id=np.array(camera_id, dtype=object),
         frame_index=np.array(frame_index, dtype=np.int64),
@@ -394,7 +419,6 @@ def _edge_tables(draw):
         track_id=np.array(track_id, dtype=np.int64),
         keypoints=np.array(keypoints, dtype=np.float64).reshape(-1, 17, 3),
         bbox=np.array(bbox, dtype=np.float64).reshape(-1, 4),
-        interpolated=np.array(interpolated, dtype=bool),
     )
 
 

@@ -34,7 +34,7 @@ def _holed_frames():
         kept_frames.append(row)
         if persons[row] > 1 and rng.random() < 0.05:
             kept_persons[first_person[row]] = False
-    columns = ("frame_row", "track_id", "keypoints", "bbox", "interpolated")
+    columns = ("frame_row", "track_id", "keypoints", "bbox")
     frames = dataclasses.replace(frames, **{name: getattr(frames, name)[kept_persons] for name in columns})
     return frames.take(kept_frames)
 
