@@ -141,7 +141,7 @@ def _cmd_stats(args) -> int:
         ds = _load(path)
         if args.camera is not None and ds.camera_id != args.camera:
             continue
-        st = stats_from_frames(ds.frames, ds.camera_id)
+        st = stats_from_frames(ds.frames)
         rows.append(st)
         if args.iou_out:
             iou_rows.extend((st.camera_id, v) for v in st.max_iou_per_frame)

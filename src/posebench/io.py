@@ -15,11 +15,14 @@ values fail a check, so tables and error messages are those of
 must be JSON numbers that fit a float (never a NaN literal), ids integers
 (no track_id twice in a frame), ``interpolated`` a boolean. The line's boxes
 and keypoints then become one float64 array, ``null`` as NaN, so the reader
-never holds a file of Python floats. Then, once per file and as array
-predicates: each person's keypoint count, its ``interpolated`` flag (true
-exactly when every visibility is ``null``), and the table's value rules. The
-flag is not kept; ``write_frames`` writes it from the visibilities. Every
-error names the file and the line.
+never holds a file of Python floats. A file holds one camera, each
+frame_index once: the first line that names another camera, or a frame_index
+an earlier line holds, is refused with both lines. Then, once per file and
+as array predicates: each person's keypoint count, its ``interpolated`` flag
+(true exactly when every visibility is ``null``), and the table's rules (the
+camera_id's rule, then the value rules). The flag is not kept;
+``write_frames`` writes it from the visibilities. Every error names the file
+and the line.
 
 Unknown keys are accepted and ignored on read; they are not preserved on
 write (lines are rebuilt from the table). ``write_frames`` writes each line
@@ -39,7 +42,7 @@ import numpy as np
 import orjson
 
 from .errors import ValidationError, json_error
-from .model import KEYPOINT_COUNT, LABEL_ANOMALOUS, LABELS, CameraDataset, FrameTable, RowError
+from .model import KEYPOINT_COUNT, LABEL_ANOMALOUS, LABELS, CameraDataset, FrameTable, RowError, camera_id_error
 
 _NUMBER = frozenset((int, float))  # JSON numbers; bool is excluded on purpose
 _KEYPOINT_VALUE = _NUMBER | {type(None)}
@@ -77,7 +80,9 @@ class _Reader:
 
     def __init__(self, path):
         self.path = os.fspath(path)
-        self.frames = []  # (camera_id, frame_index, label, line)
+        self.camera_id = None  # the first frame's
+        self.frames = []  # (frame_index, label, line)
+        self.lines = {}  # frame_index: line
         self.persons = []  # (frame row, track_id, interpolated, keypoint count)
         self.region_frame = []
         self.values, self.segments = [np.empty(0)], [0, 0, 0]  # per line: box, region and keypoint values
@@ -126,6 +131,11 @@ class _Reader:
             # which the line's text then holds.
             if nan_text and np.count_nonzero(np.isnan(values[n_boxes:])) != numbers.count(None):
                 raise ValidationError("keypoint values must not be NaN; write null for an absent visibility")
+            # A first camera that breaks the rule is the table's to report, on the first line.
+            other = row and camera_id != self.camera_id and not camera_id_error(self.camera_id)
+            problem = other and camera_id_error(camera_id)
+            if problem:
+                raise ValidationError(f"camera_id {problem}")
         except (ValidationError, KeyError, OverflowError) as exc:
             if isinstance(exc, KeyError):
                 exc = f"missing field {exc.args[0]!r}"
@@ -133,18 +143,31 @@ class _Reader:
                 exc = "number too large for a float"
             ctx = f"line {lineno}" if frame_index is None else f"line {lineno} (frame_index {frame_index})"
             raise ValidationError(f"{self.path}: {ctx}: {exc}") from None
-        self.frames.append((camera_id, frame_index, label, lineno))
+        if other:
+            first = self.frames[0][2]
+            raise ValidationError(
+                f"{self.path}: line {lineno}: camera_id {camera_id!r} differs from {self.camera_id!r} on line {first}"
+            )
+        if frame_index in self.lines:
+            earlier = self.lines[frame_index]
+            raise ValidationError(f"{self.path}: line {lineno}: frame_index {frame_index} repeats line {earlier}")
+        if not row:
+            self.camera_id = camera_id
+        self.lines[frame_index] = lineno
+        self.frames.append((frame_index, label, lineno))
         self.persons += persons
         self.region_frame += [row] * len(regions)
         self.values.append(values)
         self.segments += (4 * len(persons), 4 * len(regions), len(numbers) - n_boxes)
 
     def error(self, row, message) -> ValidationError:
-        _, frame_index, _, line = self.frames[row]
+        frame_index, _, line = self.frames[row]
         return ValidationError(f"{self.path}: line {line} (frame_index {frame_index}): {message}")
 
     def table(self) -> FrameTable:
-        camera_id, frame_index, label, line = zip(*self.frames) if self.frames else ((),) * 4
+        if not self.frames:
+            raise ValidationError(f"{self.path}: dataset contains no frames")
+        frame_index, label, _ = zip(*self.frames)
         frame_row, track_id, interpolated, counts = zip(*self.persons) if self.persons else ((),) * 4
         for i, count in enumerate(counts):
             if count != KEYPOINT_COUNT:
@@ -158,10 +181,9 @@ class _Reader:
             raise self.error(frame_row[i], f"{kind} observation must {rule} keypoint visibility (track {track_id[i]})")
         try:
             return FrameTable(
-                camera_id=np.fromiter(camera_id, dtype=object, count=len(camera_id)),
+                camera_id=self.camera_id,
                 frame_index=np.array(frame_index, dtype=np.int64),
                 anomalous=np.array(label, dtype=object) == LABEL_ANOMALOUS,
-                line=np.array(line, dtype=np.int64),
                 region_frame=np.array(self.region_frame, dtype=np.int64),
                 regions=values[part == 1].reshape(-1, 4),
                 frame_row=np.array(frame_row, dtype=np.int64),
@@ -203,29 +225,9 @@ def read_frames(path) -> FrameTable:
 
 
 def load_dataset(path) -> CameraDataset:
-    """Load a single-camera JSONL file into a CameraDataset sorted by frame_index.
-
-    A second camera_id or a repeated frame_index is reported with its line
-    and the earlier line it conflicts with, whichever comes first in the file.
-    """
+    """Load a single-camera JSONL file into a CameraDataset sorted by frame_index."""
     frames = read_frames(path)
-    if not len(frames):
-        raise ValidationError(f"{os.fspath(path)}: dataset contains no frames")
-    cameras, fi = frames.camera_id, frames.frame_index
-    order = np.argsort(fi, kind="stable")
-    repeats = order[1:][fi[order][1:] == fi[order][:-1]]  # rows whose frame_index an earlier row holds
-    other = np.flatnonzero(cameras != cameras[0])
-    conflicts = []  # (row, earlier row, what): the first conflict of each kind
-    if other.size:
-        conflicts.append((other[0], 0, f"camera_id {cameras[other[0]]!r} differs from {cameras[0]!r} on"))
-    if repeats.size:
-        row = repeats.min()
-        conflicts.append((row, np.argmax(fi == fi[row]), f"frame_index {fi[row]} repeats"))
-    if conflicts:
-        row, earlier, what = min(conflicts, key=lambda c: c[0])
-        lines = frames.line[row], frames.line[earlier]
-        raise ValidationError(f"{os.fspath(path)}: line {lines[0]}: {what} line {lines[1]}")
-    return CameraDataset(camera_id=cameras[0], frames=frames.take(order))
+    return CameraDataset(frames.take(np.argsort(frames.frame_index)))
 
 
 def _same_in_orjson(text) -> bool:
@@ -253,9 +255,7 @@ def _json_rows(frames: FrameTable) -> np.ndarray:
     rows = np.zeros(len(frames), dtype=bool)
     rows[frames.frame_row[marked(frames.bbox, 1) | marked(frames.keypoints, (1, 2))]] = True
     rows[frames.region_frame[marked(frames.regions, 1)]] = True
-    camera_ids = frames.camera_id.tolist()
-    same = {c: _same_in_orjson(c) for c in set(camera_ids)}
-    return rows | ~np.fromiter(map(same.__getitem__, camera_ids), bool, len(camera_ids))
+    return rows | (not _same_in_orjson(frames.camera_id))
 
 
 def _nested_lists(values: np.ndarray):
@@ -280,11 +280,11 @@ def write_frames(frames: FrameTable, path) -> int:
     track_id, flags = frames.track_id.tolist(), np.isnan(frames.keypoints[:, :, 2]).all(axis=1).tolist()
     # orjson refuses arrays that are not C-contiguous
     bbox, keypoints, boxes = map(np.ascontiguousarray, (frames.bbox, frames.keypoints, frames.regions))
-    columns = (frames.camera_id, frames.frame_index, frames.anomalous, _json_rows(frames))
+    columns = (frames.frame_index, frames.anomalous, _json_rows(frames))
     with open(path, "wb") as fh:
-        for row, (camera_id, frame_index, anomalous, json_only) in enumerate(zip(*(c.tolist() for c in columns))):
+        for row, (frame_index, anomalous, json_only) in enumerate(zip(*(c.tolist() for c in columns))):
             obj = {
-                "camera_id": camera_id,
+                "camera_id": frames.camera_id,
                 "frame_index": frame_index,
                 "label": LABELS[anomalous],
                 "anomaly_regions": boxes[regions[row] : regions[row + 1]],

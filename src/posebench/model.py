@@ -3,7 +3,8 @@
 A ``FrameTable`` holds frames and their person observations as numpy
 columns; it is the one in-memory form of frames, which the reader and the
 synthetic generator build and datasets, the rearrangement and preprocessing
-work on. A track is not an object: preprocessing sorts a table's person rows
+work on. A table holds the frames of one camera, so its ``camera_id`` is one
+string. A track is not an object: preprocessing sorts a table's person rows
 by (track_id, frame_index). All types are immutable after construction and
 validate their own invariants, so downstream code can assume well-formed
 data. Track and frame ids fit int64. Frame indices are unique within a
@@ -92,12 +93,11 @@ def _box_errors(box: np.ndarray):
 
 def _gather(tables, groups: str, rows: np.ndarray):
     """Item indices of frame rows ``rows`` in column ``groups`` of ``tables`` laid end to end, and their rows."""
-    offsets = np.cumsum([0] + [len(getattr(t, groups)) for t in tables])
-    starts = [np.searchsorted(getattr(t, groups), np.arange(len(t))) + o for t, o in zip(tables, offsets)]
-    starts = np.concatenate([*starts, offsets[-1:]])
-    lens = starts[rows + 1] - starts[rows]
-    owner = np.repeat(np.arange(rows.size), lens)
-    return starts[rows][owner] + np.arange(owner.size) - (np.cumsum(lens) - lens)[owner], owner
+    offsets = np.cumsum([0] + [len(t) for t in tables])  # shifted by these, the sorted columns join sorted
+    column = np.concatenate([getattr(t, groups) + o for t, o in zip(tables, offsets)])
+    start, stop = np.searchsorted(column, [rows, rows + 1])
+    owner = np.repeat(np.arange(rows.size), stop - start)
+    return np.arange(owner.size) + (stop - np.cumsum(stop - start))[owner], owner
 
 
 def _sources(counts, items: np.ndarray):
@@ -111,24 +111,23 @@ def _sources(counts, items: np.ndarray):
 
 @dataclass(frozen=True, eq=False)
 class FrameTable:
-    """Frames and their person observations as columns.
+    """Frames of one camera and their person observations as columns.
 
-    Per frame row: ``camera_id`` (object array of str), ``frame_index``,
-    ``anomalous`` and ``line``, the 1-based JSONL line it was read from (its
-    write position, for a table of records). Per anomaly region:
-    ``region_frame`` and ``regions`` (r, 4). Per person row: ``frame_row``,
-    ``track_id``, ``keypoints`` (m, 17, 3) with NaN for an absent visibility,
-    ``bbox`` (m, 4). ``io`` checks and derives the file's flag for a person
-    with no visibility; no column holds it. Region and person rows are grouped
-    by frame row in frame order. Each value rule runs as one array predicate;
-    the first frame row breaking one raises ``RowError`` with the message of
-    the first rule it breaks (see ``_row_errors``). Equality ignores ``line``.
+    ``camera_id`` is the camera of every frame. Per frame row:
+    ``frame_index`` and ``anomalous``. Per anomaly region: ``region_frame``
+    and ``regions`` (r, 4). Per person row: ``frame_row``, ``track_id``,
+    ``keypoints`` (m, 17, 3) with NaN for an absent visibility, ``bbox``
+    (m, 4). ``io`` checks and derives the file's flag for a person with no
+    visibility; no column holds it. Region and person rows are grouped by
+    frame row in frame order. A ``camera_id`` that breaks its rule raises
+    ``RowError`` for row 0. Each value rule runs as one array predicate; the
+    first frame row breaking one raises ``RowError`` with the message of the
+    first rule it breaks (see ``_row_errors``).
     """
 
-    camera_id: np.ndarray
+    camera_id: str
     frame_index: np.ndarray
     anomalous: np.ndarray
-    line: np.ndarray
     region_frame: np.ndarray
     regions: np.ndarray
     frame_row: np.ndarray
@@ -138,12 +137,15 @@ class FrameTable:
 
     def __post_init__(self):
         f, r, m = len(self.frame_index), len(self.region_frame), len(self.frame_row)
-        shapes = tuple(getattr(self, col.name).shape for col in fields(self))
-        if shapes != ((f,),) * 4 + ((r,), (r, 4), (m,), (m,), (m, KEYPOINT_COUNT, 3), (m, 4)):
+        shapes = tuple(column.shape for column in self._columns())
+        if shapes != ((f,),) * 2 + ((r,), (r, 4), (m,), (m,), (m, KEYPOINT_COUNT, 3), (m, 4)):
             raise ValidationError(f"frame table columns disagree: {shapes}")
         for rows in (self.region_frame, self.frame_row):
             if rows.size and (rows[0] < 0 or rows[-1] >= f or np.any(np.diff(rows) < 0)):
                 raise ValidationError("frame table rows must be grouped by frame row in frame order")
+        problem = camera_id_error(self.camera_id)
+        if problem:
+            raise RowError(0, f"camera_id {problem}")
         vis = self.keypoints[:, :, 2]
         person_bad = (
             _bad_boxes(self.bbox)
@@ -151,19 +153,18 @@ class FrameTable:
             | ~np.isfinite(self.keypoints[:, :, :2]).all(axis=(1, 2))
             | ((vis < 0.0) | (vis > 1.0)).any(axis=1)
         )
-        cameras = self.camera_id.tolist()
-        bad = np.zeros(f, dtype=bool)
-        # Whole-column checks first; only a column that fails one is checked frame by frame.
-        if set(map(type, cameras)) - {str} or "" in cameras or _CAMERA_ID_BREAKS.search("".join(cameras)):
-            bad = np.fromiter((camera_id_error(c) is not None for c in cameras), bool, f)
-        bad |= self.frame_index < 0
+        bad = self.frame_index < 0
         bad[self.frame_row[person_bad]] = True
         bad[self.region_frame[_bad_boxes(self.regions) | ~self.anomalous[self.region_frame]]] = True
         if bad.any():
             row = int(np.argmax(bad))
             raise RowError(row, next(self._row_errors(row)))
-        for col in fields(self):  # a validated table stays valid
-            getattr(self, col.name).flags.writeable = False
+        for column in self._columns():  # a validated table stays valid
+            column.flags.writeable = False
+
+    def _columns(self):
+        """Every field but camera_id: the array columns."""
+        return [getattr(self, col.name) for col in fields(self)[1:]]
 
     def _row_errors(self, row: int):
         """Messages of the value rules frame row ``row`` breaks, in the order they are checked.
@@ -190,10 +191,7 @@ class FrameTable:
                 yield f"{JOINT_NAMES[j]} visibility must be in [0, 1], got {vis[j]} {track}"
         for box in self.regions[r0:r1]:
             yield from _box_errors(box)
-        camera_id, frame_index = self.camera_id[row], int(self.frame_index[row])
-        problem = camera_id_error(camera_id)
-        if problem:
-            yield f"camera_id {problem}"
+        frame_index = int(self.frame_index[row])
         if frame_index < 0:
             yield f"frame_index must be a non-negative 64-bit integer, got {frame_index!r}"
         if r1 > r0 and not self.anomalous[row]:
@@ -205,24 +203,27 @@ class FrameTable:
     def __eq__(self, other):
         if not isinstance(other, FrameTable):
             return NotImplemented
-        if self.camera_id.tolist() != other.camera_id.tolist():
+        if self.camera_id != other.camera_id:
             return False
-        for name in (col.name for col in fields(self) if col.name not in ("camera_id", "line")):
-            a, b = getattr(self, name), getattr(other, name)
+        for a, b in zip(self._columns(), other._columns()):
             if (a.dtype, a.shape) != (b.dtype, b.shape) or a.tobytes() != b.tobytes():
                 return False
         return True
 
     def take(self, rows, *more: "FrameTable") -> "FrameTable":
         """The frames at ``rows`` of this table and ``more`` laid end to end, in that order, with their regions and
-        persons. Each column is filled once, and the result validated once."""
+        persons. ``more`` must hold frames of this camera. Each column is filled once, and the result validated
+        once."""
+        for other in more:
+            if other.camera_id != self.camera_id:
+                raise ValidationError(f"cannot take frames of camera {other.camera_id!r} with {self.camera_id!r}")
         tables = (self, *more)
         rows = np.asarray(rows, dtype=np.int64).reshape(-1)
         regions, region_frame = _gather(tables, "region_frame", rows)
         persons, frame_row = _gather(tables, "frame_row", rows)
-        cols = {"region_frame": region_frame, "frame_row": frame_row}
+        cols = {"camera_id": self.camera_id, "region_frame": region_frame, "frame_row": frame_row}
         for items, names in (
-            (rows, ("camera_id", "frame_index", "anomalous", "line")),
+            (rows, ("frame_index", "anomalous")),
             (regions, ("regions",)),
             (persons, ("track_id", "keypoints", "bbox")),
         ):
@@ -236,19 +237,18 @@ class FrameTable:
 
 @dataclass(frozen=True)
 class CameraDataset:
-    """Frames of a single camera as a FrameTable, sorted by strictly increasing frame_index."""
+    """The frames of one camera as a FrameTable, sorted by strictly increasing frame_index."""
 
-    camera_id: str
     frames: FrameTable
 
     def __post_init__(self):
-        if not self.camera_id:
-            raise ValidationError("camera_id must be a non-empty string")
         fi = self.frames.frame_index
-        if np.any(self.frames.camera_id != self.camera_id) or np.any(fi[1:] <= fi[:-1]):
-            raise ValidationError(
-                f"dataset {self.camera_id!r} must hold only its frames, in strictly increasing frame_index"
-            )
+        if np.any(fi[1:] <= fi[:-1]):
+            raise ValidationError(f"dataset {self.camera_id!r} must hold frames in strictly increasing frame_index")
+
+    @property
+    def camera_id(self) -> str:
+        return self.frames.camera_id
 
     def __len__(self) -> int:
         return len(self.frames)

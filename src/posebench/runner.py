@@ -214,7 +214,7 @@ def run_continual(
 
     cs = rearrange(split, cfg.plan)
     verify(cs)
-    test = CameraDataset(camera_id=split.camera_id, frames=split.test.frames.take(cs.test_rows))
+    test = CameraDataset(split.test.frames.take(cs.test_rows))
 
     scorer_seed = derive_seed(cfg.seed, "scorer")
     scorer = make_scorer(cfg.scorer, seed=scorer_seed, params=cfg.scorer_params)

@@ -71,7 +71,7 @@ def max_iou_per_group(boxes, offsets):
     return out
 
 
-def stats_from_frames(frames: FrameTable, camera_id: str) -> DatasetStats:
+def stats_from_frames(frames: FrameTable) -> DatasetStats:
     """Compute DatasetStats over a frame table, per frame in row order."""
     if not len(frames):
         raise ValidationError("cannot compute statistics of an empty dataset")
@@ -79,7 +79,7 @@ def stats_from_frames(frames: FrameTable, camera_id: str) -> DatasetStats:
     sizes, counts = np.unique(per_frame, return_counts=True)
     anomaly_frames = int(frames.anomalous.sum())
     return DatasetStats(
-        camera_id=camera_id,
+        camera_id=frames.camera_id,
         frame_count=len(frames),
         pose_count=len(frames.frame_row),
         anomaly_frame_count=anomaly_frames,

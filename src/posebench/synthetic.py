@@ -151,10 +151,9 @@ def _timeline(camera_id, start, walked, track_base, anomalies=((), (), ())) -> C
     anomalous[frame_row[walker_rows.size :]] = True
     order = np.argsort(frame_row, kind="stable")  # each frame's walkers, then its anomaly person
     frames = FrameTable(
-        camera_id=np.full(count, camera_id, dtype=object),
+        camera_id=camera_id,
         frame_index=start + np.arange(count, dtype=np.int64),
         anomalous=anomalous,
-        line=np.arange(1, count + 1, dtype=np.int64),
         region_frame=frame_row[walker_rows.size :],
         regions=bbox[walker_rows.size :],
         frame_row=frame_row[order],
@@ -162,7 +161,7 @@ def _timeline(camera_id, start, walked, track_base, anomalies=((), (), ())) -> C
         keypoints=keypoints[order],
         bbox=bbox[order],
     )
-    return CameraDataset(camera_id=camera_id, frames=frames)
+    return CameraDataset(frames)
 
 
 def generate_normals(

@@ -438,7 +438,7 @@ def write_frames_json(columns, path):
                     "keypoints": keypoints,
                 })
             obj = {
-                "camera_id": columns.camera_id[row],
+                "camera_id": columns.camera_id,
                 "frame_index": columns.frame_index[row].item(),
                 "label": labels[columns.anomalous[row].item()],
                 "anomaly_regions": columns.regions[columns.region_frame == row].tolist(),
@@ -447,26 +447,27 @@ def write_frames_json(columns, path):
             fh.write(json.dumps(obj, separators=(",", ":")) + "\n")
 
 
-FRAME_TABLE_COLUMNS = (
-    "camera_id", "frame_index", "anomalous", "line", "region_frame", "regions",
-    "frame_row", "track_id", "keypoints", "bbox",
+FRAME_TABLE_COLUMNS = (  # every field but camera_id
+    "frame_index", "anomalous", "region_frame", "regions", "frame_row", "track_id", "keypoints", "bbox",
 )
 
 
 def concat_then_take(tables, rows):
-    """The columns of the frames at ``rows`` of ``tables`` laid end to end, as a dict by name.
+    """The columns of the frames at ``rows`` of ``tables`` laid end to end, as a dict by name, and their one camera_id.
 
     Every column is concatenated first, the region and person rows shifted
     onto the joined frame rows; then each output frame is copied in turn with
-    its regions and persons. ``tables`` are objects with FrameTable's columns.
+    its regions and persons. ``tables`` are objects with FrameTable's columns
+    and one ``camera_id``.
     """
+    (camera_id,) = {t.camera_id for t in tables}
     joined = {name: np.concatenate([getattr(t, name) for t in tables]) for name in FRAME_TABLE_COLUMNS}
     starts = np.cumsum([0] + [len(t.frame_index) for t in tables[:-1]])
     for name in ("region_frame", "frame_row"):
         joined[name] = np.concatenate([getattr(t, name) + s for t, s in zip(tables, starts)])
     out = {name: [] for name in FRAME_TABLE_COLUMNS}
     for i, row in enumerate(rows):
-        for name in ("camera_id", "frame_index", "anomalous", "line"):
+        for name in ("frame_index", "anomalous"):
             out[name].append(joined[name][row])
         persons = ("track_id", "keypoints", "bbox")
         for group, names in (("region_frame", ("regions",)), ("frame_row", persons)):
@@ -474,7 +475,7 @@ def concat_then_take(tables, rows):
                 out[group].append(i)
                 for name in names:
                     out[name].append(joined[name][item])
-    return {
+    return {"camera_id": camera_id} | {
         name: np.array(values, dtype=joined[name].dtype).reshape((len(values),) + joined[name].shape[1:])
         for name, values in out.items()
     }

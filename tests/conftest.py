@@ -69,7 +69,10 @@ def make_frame(frame_index, label="normal", persons=(), camera_id="cam0"):
 
 
 def table(frames):
-    """The FrameTable that read_frames gives for a file holding one JSON line per frame object."""
+    """The FrameTable that read_frames gives for a file holding one JSON line per frame object; read_frames refuses
+    an empty file, so no objects give the empty table of camera cam0."""
+    if not frames:
+        return table([make_frame(0)]).take([])
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp, "frames.jsonl")
         path.write_text("".join(json.dumps(fr) + "\n" for fr in frames))
@@ -102,10 +105,9 @@ def staircase(n_max):
     persons = n_max - np.arange(n_max)  # frame f holds tracks f+1..n_max
     m = int(persons.sum())
     return FrameTable(
-        camera_id=np.full(n_max, "cam0", dtype=object),
+        camera_id="cam0",
         frame_index=np.arange(n_max),
         anomalous=np.zeros(n_max, dtype=bool),
-        line=np.arange(1, n_max + 1),
         region_frame=np.empty(0, dtype=np.int64),
         regions=np.empty((0, 4)),
         frame_row=np.repeat(np.arange(n_max), persons),
@@ -115,9 +117,9 @@ def staircase(n_max):
     )
 
 
-def dataset(frames, camera_id="cam0"):
-    """A CameraDataset of frame objects, which must already be in frame order."""
-    return CameraDataset(camera_id=camera_id, frames=table(frames))
+def dataset(frames):
+    """A CameraDataset of frame objects of one camera, which must already be in frame order."""
+    return CameraDataset(table(frames))
 
 
 def walking_dataset(n_frames, camera_id="cam0", track_id=0, start=0, label="normal"):
@@ -126,7 +128,7 @@ def walking_dataset(n_frames, camera_id="cam0", track_id=0, start=0, label="norm
     for i in range(n_frames):
         obs = make_obs(track_id=track_id, origin=(40.0 + 1.5 * i, 30.0 + 0.5 * i))
         frames.append(make_frame(start + i, label=label, persons=(obs,), camera_id=camera_id))
-    return dataset(frames, camera_id)
+    return dataset(frames)
 
 
 def window_batch(features, start_frame=0):

@@ -115,10 +115,9 @@ def test_03_large_rearrangement_fixture(capsys):
             """
             rows = np.arange(count)
             return FrameTable(
-                camera_id=np.full(count, "c0", dtype=object),
+                camera_id="c0",
                 frame_index=start + rows,
                 anomalous=np.full(count, anomalous),
-                line=rows + 1,
                 region_frame=np.empty(0, dtype=np.int64),
                 regions=np.empty((0, 4)),
                 frame_row=rows,
@@ -130,8 +129,8 @@ def test_03_large_rearrangement_fixture(capsys):
         n_test = n_test_normal + n_test_anom
         test = frames(n_train_normal, n_test, np.arange(n_test) >= n_test_normal)
         split = SplitSet(
-            train=CameraDataset(camera_id="c0", frames=frames(0, n_train_normal, False)),
-            test=CameraDataset(camera_id="c0", frames=test),
+            train=CameraDataset(frames(0, n_train_normal, False)),
+            test=CameraDataset(test),
         )
         if len(split.train.frames) + n_test_normal != 509_313:
             problems.append("fixture normals do not total 509313")

@@ -26,3 +26,19 @@ def test_bench_extract_windows_runs():
         ("preprocess.extract_windows", "tracks=31"),
     ]
     assert all(seconds > 0 for _, _, seconds in rows)
+
+
+def test_bench_table_io_runs():
+    # These read, write, take and replace frame tables, so they follow the FrameTable API.
+    bench = _load_bench()
+    rows = bench.bench_read_frames(0, 1) + bench.bench_continual_split(0, 1) + bench.bench_synth(0, 1)
+    assert [(name, size) for name, size, _ in rows] == [
+        ("io.read_frames", "frames=3000"),
+        ("rearrange.rearrange+verify", "2400/1200/400"),
+        ("scorers.kinematic_features", "windows=544"),
+        ("synthetic.generate_split", "6000/4000/1000"),
+        ("io.write_frames", "frames=6000"),
+        ("io.write_frames", "6000 vis*1e-5"),
+        ("io.read_frames", "frames=6000"),
+    ]
+    assert all(seconds > 0 for _, _, seconds in rows)

@@ -43,7 +43,7 @@ def test_roundtrip_preserves_everything(tmp_path):
     assert [json.loads(line) for line in path.read_text().splitlines()] == frames
     back = read_frames(path)
     assert back == table(frames)
-    assert back.line.tolist() == [1, 2, 3]
+    assert back.camera_id == "cam0"
 
 
 def test_dataset_roundtrip_sorts(tmp_path):
@@ -52,7 +52,7 @@ def test_dataset_roundtrip_sorts(tmp_path):
     write_frames(table([frames[2], frames[0], frames[1]]), path)
     ds = load_dataset(path)
     assert ds.frames.frame_index.tolist() == [0, 1, 2]
-    assert ds.frames.line.tolist() == [2, 3, 1]
+    assert ds.camera_id == "cam0"
     out = tmp_path / "copy.jsonl"
     write_frames(ds.frames, out)
     assert load_dataset(out) == ds
@@ -166,26 +166,54 @@ def test_person_schema_checks_run_before_value_rules(tmp_path, fault, message):
     ],
     ids=["repeat-adjacent", "repeat-out-of-order", "second-camera"],
 )
-def test_cross_line_conflict_reports_both_lines(tmp_path, frames, message):
+@pytest.mark.parametrize("read", [read_frames, load_dataset])
+def test_cross_line_conflict_reports_both_lines(tmp_path, frames, message, read):
     lines = [json.dumps(fr) for fr in frames]
     path = tmp_path / "bad.jsonl"
     path.write_text(lines[0] + "\n \n" + "\n".join(lines[1:]) + "\n")  # line 2 is blank
     with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}: {re.escape(message)}$"):
-        load_dataset(path)
+        read(path)
 
 
-def test_bad_keypoint_arity(tmp_path):
-    d = make_frame(0, persons=(make_obs(),))
-    d["persons"][0]["keypoints"][3] = [1.0, 2.0]
-    with pytest.raises(ValidationError, match="each keypoint must be a list"):
-        read_objects(tmp_path, d)
+@pytest.mark.parametrize(
+    "conflict,message",
+    [
+        ({"camera_id": "cam9"}, "line 3: camera_id 'cam9' differs from 'cam0' on line 1"),
+        ({"frame_index": 0}, "line 3: frame_index 0 repeats line 1"),
+    ],
+    ids=["second-camera", "repeat"],
+)
+def test_cross_line_conflict_is_reported_before_value_rules(tmp_path, conflict, message):
+    # The reader finds a conflict at the line that makes it, so it is reported ahead of an earlier line with a bad
+    # box, which the table's value rules find once the file is read.
+    bad_box = make_frame(1, persons=({**make_obs(), "bbox": [5, 5, 5, 9]},))
+    with pytest.raises(ValidationError, match=rf"objects.jsonl: {message}$"):
+        read_objects(tmp_path, make_frame(0), bad_box, {**make_frame(2), **conflict})
 
 
-def test_empty_file_rejected_as_dataset(tmp_path):
+@pytest.mark.parametrize(
+    "first,later,rule",
+    [
+        ("cam,0", "cam,0", "must not hold a comma, a double quote or a control character, got 'cam,0'"),
+        ("cam,0", "cam0", "must not hold a comma, a double quote or a control character, got 'cam,0'"),
+        (float("nan"), float("nan"), "must be a non-empty string, got nan"),
+    ],
+    ids=["same", "another", "nan"],
+)
+def test_first_camera_breaking_its_rule_is_named_on_the_first_line(tmp_path, first, later, rule):
+    # Whatever camera_id the later lines hold, the rule the first one breaks is reported on the first line.
+    frames = [make_frame(0, camera_id=first), make_frame(1, camera_id=later)]
+    with pytest.raises(ValidationError, match=rf"objects.jsonl: line 1 \(frame_index 0\): camera_id {rule}$"):
+        read_objects(tmp_path, *frames)
+
+
+@pytest.mark.parametrize("text", ["", "\n  \n"], ids=["empty", "blank-lines"])
+@pytest.mark.parametrize("read", [read_frames, load_dataset])
+def test_file_without_frames_is_refused(tmp_path, text, read):
     path = tmp_path / "empty.jsonl"
-    path.write_text("")
-    with pytest.raises(ValidationError):
-        load_dataset(path)
+    path.write_text(text)
+    with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}: dataset contains no frames$"):
+        read(path)
 
 
 def test_blank_lines_are_skipped(tmp_path):
@@ -216,10 +244,11 @@ def test_writer_bytes_are_pinned(tmp_path):
     )
     origin = generate_normals(15, seed=8, persons=3, start_index=100)
     extra = make_frame(200, persons=(make_obs(track_id=5, interpolated=True), make_obs(track_id=6)))
-    path = tmp_path / "pinned.jsonl"
-    extra = table([extra])
-    write_frames(_joined(split.train.frames, split.test.frames, origin.frames, extra), path)
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == WRITER_SHA256
+    # A file holds one camera: each camera's frames go to a file of their own, and the files are hashed in turn.
+    written = b"".join(
+        _written(frames) for frames in (_joined(split.train.frames, split.test.frames), origin.frames, table([extra]))
+    )
+    assert hashlib.sha256(written).hexdigest() == WRITER_SHA256
 
 
 _coord = st.floats(allow_nan=False, allow_infinity=False)
@@ -251,14 +280,15 @@ def _observations(draw):
 
 # A camera_id holds no comma, double quote or C0 control character, nor U+007F.
 _CAMERA_BREAKS = ',"' + "".join(map(chr, range(32))) + "\x7f"
+_camera_ids = st.text(st.characters(exclude_characters=_CAMERA_BREAKS), min_size=1, max_size=4)
 
 
 @st.composite
-def _frames(draw):
+def _frames(draw, camera_ids):
     label = draw(st.sampled_from(LABELS))
     regions = draw(st.lists(_boxes(), max_size=2)) if label == "anomalous" else []
     return {
-        "camera_id": draw(st.text(st.characters(exclude_characters=_CAMERA_BREAKS), min_size=1, max_size=4)),
+        "camera_id": draw(camera_ids),
         "frame_index": draw(st.integers(0, 2**63 - 1)),
         "label": label,
         "anomaly_regions": regions,
@@ -266,8 +296,15 @@ def _frames(draw):
     }
 
 
+@st.composite
+def _files(draw):
+    """One to four frame objects of one camera, each frame_index once: the objects of a file read_frames accepts."""
+    frames = _frames(st.just(draw(_camera_ids)))
+    return draw(st.lists(frames, min_size=1, max_size=4, unique_by=lambda frame: frame["frame_index"]))
+
+
 @settings(deadline=None)
-@given(st.lists(_frames(), max_size=4))
+@given(_files())
 def test_jsonl_roundtrip_property(frames):
     # The writer gives back, byte for byte, the compact JSON of the objects the reader was given.
     text = "".join(json.dumps(fr, separators=(",", ":")) + "\n" for fr in frames)
@@ -302,8 +339,8 @@ def _rare(values):
 
 
 @st.composite
-def _jsonl_line(draw):
-    obj = draw(_frames())
+def _jsonl_line(draw, camera_ids):
+    obj = draw(_frames(camera_ids))
     literal = draw(_rare(_LITERALS))
     *parents, leaf = draw(st.sampled_from(_SLOTS))
     if literal is not None:
@@ -320,12 +357,21 @@ def _jsonl_line(draw):
     return (draw(_rare(("\ufeff", " "))) or "") + line + draw(st.sampled_from(("\n", "\r\n")))
 
 
+@st.composite
+def _jsonl_lines(draw):
+    """Up to five lines, blank or of the JSONL schema; a line's camera is mostly the file's, and now and then
+    another."""
+    camera = draw(_camera_ids)
+    line = _jsonl_line(st.one_of(st.just(camera), st.just(camera), st.just(camera), _camera_ids))
+    return draw(st.lists(st.one_of(line, st.sampled_from(("\n", "  \n", "\t\r\n", "\u2028\n"))), max_size=5))
+
+
 # A line whose one person has "interpolated": false; the draws above rarely put a literal in that slot.
 _FLAGGED = json.dumps(make_frame(0, persons=(make_obs(),)), separators=(",", ":")) + "\n"
 
 
 @settings(deadline=None)
-@given(st.lists(st.one_of(_jsonl_line(), st.sampled_from(("\n", "  \n", "\t\r\n", "\u2028\n"))), max_size=5))
+@given(_jsonl_lines())
 @example([_FLAGGED.replace("false", "true")])
 @example([_FLAGGED.replace("false", "null")])
 @example([_FLAGGED.replace("false", "NaN")])
@@ -337,8 +383,7 @@ def test_reader_matches_json_loads_reference(lines):
         outcomes = []
         for read in (read_frames, lambda p: _oracles.read_frames_json(_Reader(p), ValidationError)):
             try:
-                frames = read(path)
-                outcomes.append((frames, frames.line.tolist()))
+                outcomes.append(read(path))
             except ValidationError as exc:
                 outcomes.append(str(exc))
     assert outcomes[0] == outcomes[1]
@@ -386,14 +431,13 @@ def _near(edge):
 
 @st.composite
 def _edge_tables(draw):
-    """A FrameTable in which each person and region box mixes one edge value with plain values, next to
-    frames with no persons and anomalous frames with regions."""
-    camera = st.one_of(st.just("cam0"), st.text(_camera_char, min_size=1, max_size=3))
-    cameras = draw(st.lists(camera, min_size=1, max_size=3))
+    """A FrameTable of one camera in which each person and region box mixes one edge value with plain values,
+    next to frames with no persons and anomalous frames with regions."""
+    camera_id = draw(st.one_of(st.just("cam0"), st.text(_camera_char, min_size=1, max_size=3)))
     frames, regions, persons = [], [], []
     for row in range(draw(st.integers(0, 4))):
         anomalous = draw(st.booleans())
-        frames.append((draw(st.sampled_from(cameras)), draw(st.integers(0, 2**63 - 1)), anomalous))
+        frames.append((draw(st.integers(0, 2**63 - 1)), anomalous))
         for _ in range(draw(st.integers(0, 2 if anomalous else 0))):
             regions.append((row, draw(_near(draw(st.sampled_from(_EDGES)))[2])))
         for _ in range(draw(st.integers(0, 2))):
@@ -405,14 +449,13 @@ def _edge_tables(draw):
             xy = draw(st.lists(signed, min_size=34, max_size=34))
             kps = [[xy[2 * j], xy[2 * j + 1], np.nan if v is None else v] for j, v in enumerate(vis)]
             persons.append((row, draw(st.integers(0, 2**63 - 1)), kps, draw(box)))
-    camera_id, frame_index, anomalous = zip(*frames) if frames else ((),) * 3
+    frame_index, anomalous = zip(*frames) if frames else ((),) * 2
     region_frame, boxes = zip(*regions) if regions else ((), ())
     frame_row, track_id, keypoints, bbox = zip(*persons) if persons else ((),) * 4
     return FrameTable(
-        camera_id=np.array(camera_id, dtype=object),
+        camera_id=camera_id,
         frame_index=np.array(frame_index, dtype=np.int64),
         anomalous=np.array(anomalous, dtype=bool),
-        line=np.arange(1, len(frames) + 1),
         region_frame=np.array(region_frame, dtype=np.int64),
         regions=np.array(boxes, dtype=np.float64).reshape(-1, 4),
         frame_row=np.array(frame_row, dtype=np.int64),
@@ -487,12 +530,12 @@ def test_json_dumps_writes_the_lines_orjson_would_not(frames, text, rows):
 def test_orjson_writes_synth_and_null_visibility_rows():
     # No line of a synth table, nor of a frame with interpolated (NaN) visibilities, needs json.dumps.
     split = generate_split(60, 40, 12, seed=3)
-    frames = _joined(split.train.frames, split.test.frames, _two_frames())
+    frames = _joined(split.train.frames, split.test.frames, _two_frames(camera_id="synthcam"))
     assert not _json_rows(frames).any()
 
 
 def test_non_contiguous_columns_write_the_same_bytes():
-    frames = _joined(generate_split(30, 20, 10, seed=5).test.frames, _two_frames())
+    frames = _joined(generate_split(30, 20, 10, seed=5).test.frames, _two_frames(camera_id="synthcam"))
     views = dataclasses.replace(
         frames,
         keypoints=np.asfortranarray(frames.keypoints),

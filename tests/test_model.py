@@ -12,6 +12,7 @@ import _oracles
 from posebench.errors import ValidationError
 from posebench.io import load_dataset, write_frames
 from posebench.model import (
+    CameraDataset,
     FrameTable,
     JOINT_NAMES,
     RowError,
@@ -169,15 +170,13 @@ class TestCameraDataset:
         with pytest.raises(ValidationError, match="in strictly increasing frame_index"):
             dataset(frames)
 
-    def test_requires_matching_camera(self):
-        frames = (make_frame(0), make_frame(1, camera_id="other"))
-        with pytest.raises(ValidationError, match="dataset 'cam0' must hold only its frames"):
-            dataset(frames)
-
     def test_duplicate_index_rejected(self):
-        frames = (make_frame(1), make_frame(1))
-        with pytest.raises(ValidationError):
-            dataset(frames)
+        frames = table([make_frame(1)]).take([0, 0])
+        with pytest.raises(ValidationError, match="dataset 'cam0' must hold frames in strictly increasing"):
+            CameraDataset(frames)
+
+    def test_camera_id_is_the_tables(self):
+        assert dataset([make_frame(0, camera_id="cam7")]).camera_id == "cam7"
 
 
 class TestSplitSet:
@@ -242,13 +241,11 @@ def test_take_across_tables_matches_concat_then_take(case):
     tables, rows = case
     got = tables[0].take(rows, *tables[1:])
     want = _oracles.concat_then_take(tables, rows)
-    for col in fields(got):
+    assert got.camera_id == want["camera_id"]
+    for col in fields(got)[1:]:
         mine, theirs = getattr(got, col.name), want[col.name]
         assert (mine.dtype, mine.shape) == (theirs.dtype, theirs.shape)
-        if mine.dtype == object:
-            assert mine.tolist() == theirs.tolist()
-        else:
-            assert mine.tobytes() == theirs.tobytes()
+        assert mine.tobytes() == theirs.tobytes()
         assert not mine.flags.writeable
 
 
@@ -269,6 +266,12 @@ def _shuffled_frames(draw):
     return draw(st.permutations(frames))
 
 
+def joined(frames):
+    """The table of frame objects that may repeat a frame_index, which a file may not: each read alone, then joined."""
+    tables = [table([frame]) for frame in frames]
+    return tables[0].take(np.arange(len(tables)), *tables[1:])
+
+
 @settings(deadline=None)
 @given(_shuffled_frames())
 def test_track_assembly_matches_bucketing_oracle(frames):
@@ -276,9 +279,9 @@ def test_track_assembly_matches_bucketing_oracle(frames):
         want = _oracles.tracks_by_bucketing(frames)
     except ValueError:
         with pytest.raises(ValidationError, match="appears twice in the frame|duplicate observation"):
-            extract_windows(table(frames))
+            extract_windows(joined(frames))
         return
-    frames_table = table(frames)
+    frames_table = joined(frames)
     # With one window per row, every observation is the row at its (track, frame), the rows in that order.
     batch = extract_windows(frames_table, length=1, stride=1, max_gap=1, smoothing_window=1)
     at = {pair: row for row, pair in enumerate(zip(batch.track_id.tolist(), batch.start_frame.tolist()))}
@@ -310,25 +313,32 @@ class TestFrameTable:
         assert objects(read) == frames
         assert read.frame_row.tolist() == [0, 0, 2]
         assert read.region_frame.tolist() == [2]
-        assert read.line.tolist() == [1, 2, 3]
+        assert read.camera_id == "cam0"
 
     def test_take_regroups_persons_and_regions(self):
         frames = self.frames()
         read = table(frames)
         taken = read.take([2, 0, 2])
         assert objects(taken) == [frames[2], frames[0], frames[2]]
-        assert taken.line.tolist() == [3, 1, 3]
+        assert taken.frame_index.tolist() == [7, 5, 7]
         assert taken.frame_row.tolist() == [0, 1, 1, 2]
         assert objects(read.take([])) == []
 
-    def test_take_across_tables_and_equality_ignore_lines(self):
+    def test_take_across_tables_and_equality(self):
         frames = self.frames()
         read = table(frames)
         joined = read.take([0]).take([0, 1, 2], read.take([1, 2]))
         assert joined == read
         assert objects(joined) == frames
         assert read.take([1, 0, 2]) != read
-        assert replace(read, line=np.array([4, 5, 6])) == read
+        assert replace(read, camera_id="cam1") != read
+
+    def test_take_refuses_another_camera(self):
+        read = table(self.frames())
+        other = replace(read, camera_id="cam9")
+        with pytest.raises(ValidationError, match="cannot take frames of camera 'cam9' with 'cam0'"):
+            read.take([0, 3], other)
+        assert read.take([0, 3], read) == read.take([0, 0])
 
     def test_columns_are_read_only(self):
         # A validated table cannot be broken in place; before, the bad box surfaced only at the next take.
@@ -336,7 +346,7 @@ class TestFrameTable:
         with pytest.raises(ValueError, match="read-only"):
             frames.bbox[0] = (5, 5, 5, 5)
         for read in (frames, table(self.frames()), frames.take([2, 0])):
-            assert not any(getattr(read, col.name).flags.writeable for col in fields(read))
+            assert not any(getattr(read, col.name).flags.writeable for col in fields(read)[1:])
 
     @pytest.mark.parametrize(
         "column,value,row,message",
@@ -344,8 +354,6 @@ class TestFrameTable:
             ("bbox", [[0.0, 0.0, 0.0, 5.0]], 0, "bounding box must have positive extent"),
             ("track_id", [-1], 0, "track_id must be a non-negative 64-bit integer, got -1"),
             ("frame_index", [3, -2], 1, "frame_index must be a non-negative 64-bit integer, got -2"),
-            ("camera_id", ["cam0", ""], 1, "camera_id must be a non-empty string"),
-            ("camera_id", ["cam0", "cam,0"], 1, "camera_id must not hold a comma, a double quote or a control"),
             ("anomalous", [False, False], 1, r"normal frame must not carry anomaly regions \(frame 4\)"),
         ],
     )
@@ -355,15 +363,31 @@ class TestFrameTable:
             make_frame(4, label="anomalous", persons=(make_obs(track_id=1),)),
         ]
         good = table(frames)
-        old = getattr(good, column)
-        if column == "camera_id":
-            new = np.array(value, dtype=object)
-        else:
-            new = old.copy()
-            new[: len(value)] = value
+        new = getattr(good, column).copy()
+        new[: len(value)] = value
         with pytest.raises(RowError, match=message) as info:
             replace(good, **{column: new})
         assert info.value.row == row
+
+    @pytest.mark.parametrize(
+        "camera_id,message",
+        [
+            ("", "camera_id must be a non-empty string, got ''"),
+            (7, "camera_id must be a non-empty string, got 7"),
+            ("cam,0", "camera_id must not hold a comma, a double quote or a control character, got 'cam,0'"),
+        ],
+        ids=["empty", "not-a-string", "comma"],
+    )
+    def test_camera_rule_holds_for_the_table(self, camera_id, message):
+        # The table's one camera_id breaks its rule for every frame: the first row is named, before any value rule.
+        good = table([make_frame(3, persons=(make_obs(),)), make_frame(4)])
+        bbox = np.array([[5.0, 5.0, 5.0, 9.0]])
+        for frames in (good, good.take([])):
+            with pytest.raises(RowError, match=f"^{message}$") as info:
+                replace(frames, camera_id=camera_id)
+            assert info.value.row == 0
+        with pytest.raises(RowError, match=f"^{message}$"):
+            replace(good, camera_id=camera_id, bbox=bbox)
 
     def test_first_broken_rule_in_row_order(self):
         good = table([make_frame(3, persons=(make_obs(),)), make_frame(4)])

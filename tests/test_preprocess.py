@@ -229,8 +229,8 @@ class TestPipeline:
         assert wins.start_frame.tolist() == [0, 6, 12]
 
     def test_duplicate_track_frame_pair_rejected(self):
-        # A file may repeat a frame_index (load_dataset refuses that, read_frames does not).
-        frames = table([make_frame(3, persons=(make_obs(),)), make_frame(3, persons=(make_obs(),))])
+        # A table may repeat a frame_index, though read_frames refuses a file that does.
+        frames = table([make_frame(3, persons=(make_obs(),))]).take([0, 0])
         with pytest.raises(ValidationError, match="duplicate observation for track 0 at frame 3"):
             extract_windows(frames)
 

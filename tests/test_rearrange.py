@@ -24,21 +24,14 @@ from posebench.rearrange import (
 from conftest import dataset, make_frame, make_obs
 
 
-def build_split(n_train=400, n_test_normal=120, n_test_anomaly=80, camera_id="cam0"):
-    train = dataset([make_frame(i, camera_id=camera_id) for i in range(n_train)], camera_id)
-    test_frames = [
-        make_frame(n_train + i, camera_id=camera_id) for i in range(n_test_normal)
-    ]
+def build_split(n_train=400, n_test_normal=120, n_test_anomaly=80):
+    train = dataset([make_frame(i) for i in range(n_train)])
+    test_frames = [make_frame(n_train + i) for i in range(n_test_normal)]
     test_frames += [
-        make_frame(
-            n_train + n_test_normal + i,
-            label="anomalous",
-            persons=(make_obs(),),
-            camera_id=camera_id,
-        )
+        make_frame(n_train + n_test_normal + i, label="anomalous", persons=(make_obs(),))
         for i in range(n_test_anomaly)
     ]
-    test = dataset(test_frames, camera_id)
+    test = dataset(test_frames)
     return SplitSet(train=train, test=test)
 
 

@@ -145,8 +145,8 @@ class TestRunStandard:
         frames = small_split().test.frames.take(np.arange(50))
         frames = replace(frames, frame_index=frames.frame_index + 100)
         # Camera ids must match within the split, so build the train side for it.
-        train = dataset([make_frame(i, camera_id="synthcam") for i in range(5)], "synthcam")
-        split = SplitSet(train=train, test=CameraDataset(camera_id="synthcam", frames=frames))
+        train = dataset([make_frame(i, camera_id="synthcam") for i in range(5)])
+        split = SplitSet(train=train, test=CameraDataset(frames))
         with pytest.raises(ValidationError):
             run_standard(RunConfig(mode="standard", seed=0), split)
 
@@ -206,9 +206,9 @@ class TestRunContinual:
         split = small_split()
         cfg = RunConfig(mode="continual", seed=0, plan=RearrangePlan(seed=1))
         with pytest.raises(ValidationError, match="non-empty origin"):
-            run_continual(cfg, split, dataset([], "x"), None)
+            run_continual(cfg, split, dataset([]), None)
         anomalous = make_frame(0, label="anomalous", persons=(make_obs(),), camera_id="x")
-        anomalous_only = dataset([anomalous], "x")
+        anomalous_only = dataset([anomalous])
         with pytest.raises(ValidationError, match="no normal frames to pretrain on"):
             run_continual(cfg, split, anomalous_only, None)
 

@@ -67,7 +67,7 @@ class TestDatasetStats:
 
     def stats(self):
         ds = dataset(self.frames())
-        return stats_from_frames(ds.frames, ds.camera_id)
+        return stats_from_frames(ds.frames)
 
     def test_counts(self):
         st = self.stats()
@@ -98,8 +98,8 @@ class TestDatasetStats:
         assert row["anomaly_fraction"] == "0.250000"
 
     def test_empty_rejected(self):
-        with pytest.raises(ValidationError):
-            stats_from_frames(table([]), "cam0")
+        with pytest.raises(ValidationError, match="cannot compute statistics of an empty dataset"):
+            stats_from_frames(table([]))
 
     def test_kernel_against_python_scan(self, rng):
         # Random crowds, compare the grouped kernel against frame_max_iou.
@@ -111,6 +111,6 @@ class TestDatasetStats:
                 for j in range(n)
             )
             frames.append(make_frame(i, persons=persons))
-        st = stats_from_frames(table(frames), "cam0")
+        st = stats_from_frames(table(frames))
         for frame, got in zip(frames, st.max_iou_per_frame):
             assert got == pytest.approx(frame_max_iou(frame), abs=1e-12)
