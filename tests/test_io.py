@@ -207,6 +207,13 @@ def test_first_camera_breaking_its_rule_is_named_on_the_first_line(tmp_path, fir
         read_objects(tmp_path, *frames)
 
 
+def test_bad_keypoint_arity(tmp_path):
+    d = make_frame(0, persons=(make_obs(),))
+    d["persons"][0]["keypoints"][3] = [1.0, 2.0]
+    with pytest.raises(ValidationError, match="each keypoint must be a list"):
+        read_objects(tmp_path, d)
+
+
 @pytest.mark.parametrize("text", ["", "\n  \n"], ids=["empty", "blank-lines"])
 @pytest.mark.parametrize("read", [read_frames, load_dataset])
 def test_file_without_frames_is_refused(tmp_path, text, read):
