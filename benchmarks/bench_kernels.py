@@ -28,8 +28,10 @@ overlapping windows of length 24, stride 6) and print the MB written; the
 single save is that of a scorer just loaded from that file, which writes
 the ``rows`` and ``index`` arrays it holds as they are. The ``9 saves`` row
 times the saves of ``continual-knn``'s steps, each after its slice of
-windows joins the store. The ``preprocess.extract_windows`` rows window the
-test table of perfbench's ``standard-gaussian-large`` (18 tracks) and a
+windows joins the store and each naming the step before as its base, as
+``run-continual`` does, and prints the MB the nine files hold. The
+``preprocess.extract_windows`` rows window the test table of perfbench's
+``standard-gaussian-large`` (18 tracks) and a
 many-track table: the test table of ``generate_split(3000, 2000, 500,
 seed=3, persons=6)`` with all three anomaly kinds in segments of 20 frames
 (31 tracks), with 30% of its frames dropped at seed 1, so that gaps are both
@@ -188,16 +190,20 @@ def _windows(batch, lo: int, hi: int) -> WindowBatch:
     return WindowBatch(batch.poses, batch.rows[lo:hi], batch.track_id[lo:hi], batch.start_frame[lo:hi], batch.length)
 
 
-def _nine_saves(batch, path) -> float:
-    # continual-knn's steps: 194 windows after pretraining, then nine slices, each followed by a save.
+def _nine_saves(batch, directory):
+    # continual-knn's steps: 194 windows after pretraining, then nine slices, each followed by a save that
+    # names the step before as its base, as run-continual does. Returns the seconds and bytes written.
     bounds = np.linspace(194, 714, 10).round().astype(int)
     scorer = KnnScorer()
     scorer.fit(_windows(batch, 0, bounds[0]))
-    seconds = 0.0
-    for lo, hi in zip(bounds, bounds[1:]):
+    seconds, written, base = 0.0, 0, None
+    for i, (lo, hi) in enumerate(zip(bounds, bounds[1:]), start=1):
         scorer.partial_fit(_windows(batch, lo, hi))
-        seconds += _timed(scorer.save_checkpoint, path)
-    return seconds
+        path = os.path.join(directory, f"step_{i}.ckpt")
+        seconds += _timed(functools.partial(scorer.save_checkpoint, path, base=base))
+        written += os.path.getsize(path)
+        base = path
+    return seconds, written
 
 
 def bench_checkpoint(seed: int, repeat: int):
@@ -213,11 +219,11 @@ def bench_checkpoint(seed: int, repeat: int):
         save = min(_timed(load_checkpoint(path).save_checkpoint, path) for _ in range(repeat))
         load = _best_of(lambda: load_checkpoint(path), repeat)
         written = f"{os.path.getsize(path) / 1e6:.2f} MB"
-        steps = min(_nine_saves(batch, path) for _ in range(repeat))
+        steps = [_nine_saves(batch, tmp) for _ in range(repeat)]
     return [
         ("scorers.save_checkpoint", f"windows={n}", save, written),
         ("scorers.load_checkpoint", f"windows={n}", load, written),
-        ("scorers.save_checkpoint", f"9 saves to {n}", steps),
+        ("scorers.save_checkpoint", f"9 saves to {n}", min(s for s, _ in steps), f"{steps[0][1] / 1e6:.2f} MB"),
     ]
 
 

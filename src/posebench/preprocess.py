@@ -51,19 +51,28 @@ class WindowBatch:
         return self.start_frame[:, None] + np.arange(self.length)
 
 
-def _centered_moving_average(flat: np.ndarray, window: int) -> np.ndarray:
-    n = flat.shape[0]
-    h = window // 2
-    out = np.empty((n, flat.shape[1]), dtype=np.float64)
+def _centered_moving_average(flat: np.ndarray, edges: np.ndarray, window: int) -> np.ndarray:
+    """Each run ``flat[edges[j] : edges[j + 1]]`` averaged over ``window`` rows centred on each row.
+
+    Near a run's ends the window shrinks symmetrically to half-width
+    ``min(i, n - 1 - i)`` for row ``i`` of ``n``. A row whose full window lies
+    in its run takes its mean from one sliding-window reduction over all rows
+    (whose windows across run ends are overwritten); the rows of each smaller
+    half-width, across all runs, take theirs from one gathered reduction, so
+    ``window // 2`` more reductions in all. Either way each mean
+    adds the window's rows in order and divides once, as ``mean(axis=0)`` of
+    the window alone does, so the bits do not depend on the grouping.
+    """
+    n, h = len(flat), window // 2
+    out = np.empty_like(flat)
     if n >= window:
-        sw = np.lib.stride_tricks.sliding_window_view(flat, window, axis=0)
-        out[h : n - h] = sw.mean(axis=-1)
-        boundary = list(range(h)) + list(range(n - h, n))
-    else:
-        boundary = list(range(n))
-    for i in boundary:
-        hw = min(i, n - 1 - i, h)
-        out[i] = flat[i - hw : i + hw + 1].mean(axis=0)
+        np.lib.stride_tricks.sliding_window_view(flat, window, axis=0).mean(axis=-1, out=out[h : n - h])
+    lengths = np.diff(edges)
+    pos = np.arange(n) - np.repeat(edges[:-1], lengths)
+    half = np.minimum(pos, np.repeat(lengths, lengths) - 1 - pos)
+    for width in range(h):
+        rows = np.flatnonzero(half == width)
+        out[rows] = flat[rows[:, None] + np.arange(-width, width + 1)].mean(axis=1)
     return out
 
 
@@ -137,9 +146,9 @@ def extract_windows(
     bbox[new] += t * (bbox[right] - bbox[new])
     run_breaks = (np.diff(frame_index) != 1) | (track_id[1:] != track_id[:-1])
     edges = [0, *(np.flatnonzero(run_breaks) + 1).tolist(), src.size]
+    keypoints = _centered_moving_average(keypoints, np.array(edges), smoothing_window)
     starts = []
     for a, b in zip(edges, edges[1:]):
-        keypoints[a:b] = _centered_moving_average(keypoints[a:b], smoothing_window)
         starts += range(a, b - length + 1, stride)
     starts = np.array(starts, dtype=np.int64)
     return WindowBatch(

@@ -229,6 +229,7 @@ def run_continual(
 
     per_step = []
     expected_seen = scorer.windows_seen
+    saved = None  # the last step's checkpoint, which the next one names as its base
     for i, rows in enumerate(cs.slices, start=1):
         slice_windows = _windows_for(cs.training_frames(rows), cfg)
         scorer.partial_fit(slice_windows)
@@ -243,7 +244,9 @@ def run_continual(
         if out_dir is not None:
             ckpt_dir = os.path.join(out_dir, "checkpoints")
             os.makedirs(ckpt_dir, exist_ok=True)
-            scorer.save_checkpoint(os.path.join(ckpt_dir, f"step_{i}.ckpt"))
+            path = os.path.join(ckpt_dir, f"step_{i}.ckpt")
+            scorer.save_checkpoint(path, base=saved)
+            saved = path
             report_mod.write_step_csv(out_dir, i, split.camera_id, step_report)
     del scorer, state  # batch training starts afresh; free the step store before building its own
 

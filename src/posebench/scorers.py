@@ -14,7 +14,10 @@ the windows stored since the last scoring.
 
 from __future__ import annotations
 
+import contextlib
+import hashlib
 import json
+import os
 import zipfile
 
 import numpy as np
@@ -24,7 +27,8 @@ from .errors import ValidationError, check_int, is_number
 from .model import KEYPOINT_COUNT
 from .preprocess import WindowBatch
 
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
+_READ_VERSIONS = (2, 3)  # a version-2 file is a version-3 file without a base record
 _POSE = 2 * KEYPOINT_COUNT  # values per pose row
 _GATHER_ELEMENTS = 1 << 20  # most float64 values of stored windows one kernel call scans (8 MB)
 
@@ -97,16 +101,22 @@ class AnomalyScorer:
         self.reset()
         self.partial_fit(batch)
 
-    def save_checkpoint(self, path):
+    def save_checkpoint(self, path, *, base=None):
         """Write a versioned .ckpt file: an npz container of a JSON ``meta`` member and the arrays.
 
-        Each kind's ``_checkpoint()`` gives its meta fields after format, version and kind, and its arrays;
-        its ``_load(meta, arrays)`` takes them back.
+        Each kind's ``_checkpoint(path, base)`` gives its meta fields after format, version and kind,
+        and its arrays; its ``_load(meta, arrays)`` takes them back. ``base`` is the file this scorer
+        last saved, in the same directory: a knn scorer whose store has only grown since then writes
+        what it appended and a ``base`` record, and every other save the full state.
         """
-        fields, arrays = self._checkpoint()
+        fields, arrays = self._checkpoint(path, base)
         meta = {"format": "posebench-checkpoint", "version": CHECKPOINT_VERSION, "kind": self.kind, **fields}
         with open(path, "wb") as fh:
             np.savez(fh, meta=np.array(json.dumps(meta)), **arrays)
+        self._saved(path)
+
+    def _saved(self, path):
+        """``path`` now holds this scorer's state; a kind that chains its saves notes what the next needs."""
 
 
 class GaussianScorer(AnomalyScorer):
@@ -175,7 +185,8 @@ class GaussianScorer(AnomalyScorer):
         if self._mean is not None and not (np.isfinite(self._mean).all() and np.isfinite(self._m2).all()):
             raise ValidationError("gaussian mean and m2 must be finite")
 
-    def _checkpoint(self):
+    def _checkpoint(self, path, base):
+        # Never chained: the state is 2 x 51 floats.
         arrays = {} if self._mean is None else {"mean": self._mean, "m2": self._m2}
         return {"params": {"variance_floor": self.variance_floor}, "count": self._count}, arrays
 
@@ -190,7 +201,9 @@ class KnnScorer(AnomalyScorer):
     ``_poses`` (P, 34) pose rows and ``_index`` (stored, length), slot ``i``
     being the window ``_poses[_index[i]]``. ``_poses`` holds exactly the
     source rows the index references, each once, in first-use order, so a
-    save writes both as they are. Scoring gathers the flattened windows of
+    save writes both as they are. Until a reset or a replacement, both only
+    grow at their ends, so a save chained on the last one writes just the
+    rows and slots appended since. Scoring gathers the flattened windows of
     the slots it scans; through a ``ScoringState`` that is only the slots
     added since, and the merged distances equal a fresh scan bit for bit.
     """
@@ -214,6 +227,7 @@ class KnnScorer(AnomalyScorer):
         self._poses = self._index = None
         self._seen = 0
         self._generation = object()  # a new token whenever a slot changes other than by appending
+        self._last_save = None  # (absolute path, generation, pose rows, slots, member sha256) of the last save
 
     def partial_fit(self, batch: WindowBatch):
         if not len(batch):
@@ -297,14 +311,30 @@ class KnnScorer(AnomalyScorer):
             raise ValidationError(f"knn seen {self._seen} must count at least the {self.stored_count} stored rows")
         self._rng.bit_generator.state = meta["rng_state"]
 
-    def _checkpoint(self):
+    def _checkpoint(self, path, base):
         fields = {"params": {"k_nn": self.k_nn, "capacity": self.capacity, "seed": self.seed}, "seen": self._seen}
         fields["rng_state"] = self._rng.bit_generator.state
         if self._index is None:
             return fields, {}
         index = self._index.astype(np.int32 if len(self._poses) < 2**31 else np.int64)
+        last, target = self._last_save, os.path.abspath(path)
+        # Only appends since the last save keep its rows and slots a prefix of the store's.
+        if (
+            base is not None
+            and last is not None
+            and last[1] is self._generation
+            and last[0] == os.path.abspath(base) != target
+            and os.path.dirname(last[0]) == os.path.dirname(target)
+        ):
+            _, _, rows, slots, sha256 = last
+            fields["base"] = {"name": os.path.basename(last[0]), "rows": rows, "slots": slots, "sha256": sha256}
+            return fields, {"rows": self._poses[rows:], "index": index[slots:]}
         return fields, {"rows": self._poses, "index": index}
 
+    def _saved(self, path):
+        if self._index is not None:
+            state = (len(self._poses), self.stored_count, _digest(path))
+            self._last_save = (os.path.abspath(path), self._generation, *state)
 
 
 def _first_use(poses: np.ndarray, index: np.ndarray):
@@ -340,23 +370,15 @@ def make_scorer(kind: str, seed: int = 0, params: dict | None = None) -> Anomaly
 
 
 def load_checkpoint(path) -> AnomalyScorer:
-    """Load a scorer from a .ckpt file written by save_checkpoint.
+    """Load a scorer from a .ckpt file written by save_checkpoint (format version 2 or 3).
 
+    A chained file (one with a ``base`` record) is read with its bases, into
+    arrays equal to the saving scorer's store bit for bit (see ``_unchain``).
     A damaged file, a ``meta`` record missing a field or holding one of the
-    wrong type, and state the scorer rejects all raise ValidationError
-    naming the file.
+    wrong type, a chain that does not hold together and state the scorer
+    rejects all raise ValidationError naming the file.
     """
-    try:
-        with np.load(path, allow_pickle=False) as data:
-            meta = json.loads(str(data["meta"]))
-            arrays = {k: data[k] for k in data.files if k != "meta"}  # each read into a fresh array
-    except (OSError, EOFError, ValueError, KeyError, zipfile.BadZipFile) as exc:
-        raise ValidationError(f"not a readable checkpoint file: {path} ({exc})") from None
-    if not isinstance(meta, dict) or meta.get("format") != "posebench-checkpoint":
-        raise ValidationError(f"not a posebench checkpoint: {path}")
-    version = meta.get("version")
-    if type(version) is not int or version != CHECKPOINT_VERSION:  # not a bool, not 2.0
-        raise ValidationError(f"checkpoint {path}: unsupported version {version!r} (supported: {CHECKPOINT_VERSION})")
+    meta = _read(path)
     kind = meta.get("kind")
     cls = SCORERS.get(kind) if isinstance(kind, str) else None  # a JSON list or object is no kind either
     if cls is None:
@@ -368,9 +390,150 @@ def load_checkpoint(path) -> AnomalyScorer:
             raise ValidationError(
                 f"checkpoint {path}: meta field {name!r} must be {expected.__name__}, got {meta[name]!r}"
             )
+    if "base" in meta:
+        arrays = _unchain(path, meta)
+    else:
+        with _reading(path), np.load(path, allow_pickle=False) as data:
+            arrays = {k: data[k] for k in data.files if k != "meta"}  # each read into a fresh array
     try:
         scorer = cls(**meta["params"])
         scorer._load(meta, arrays)
         return scorer
     except (TypeError, ValueError, KeyError, ValidationError) as exc:
         raise ValidationError(f"checkpoint {path}: state rejected ({type(exc).__name__}: {exc})") from None
+
+
+@contextlib.contextmanager
+def _reading(path):
+    """Turn what a damaged, truncated or missing file raises while read into a ValidationError naming it."""
+    try:
+        yield
+    except (OSError, EOFError, ValueError, KeyError, zipfile.BadZipFile) as exc:
+        raise ValidationError(f"not a readable checkpoint file: {path} ({exc})") from None
+
+
+def _read(path) -> dict:
+    """One checkpoint file's meta, its format and version checked; no other member is read."""
+    with _reading(path), np.load(path, allow_pickle=False) as data:
+        meta = json.loads(str(data["meta"]))
+    if not isinstance(meta, dict) or meta.get("format") != "posebench-checkpoint":
+        raise ValidationError(f"not a posebench checkpoint: {path}")
+    version = meta.get("version")
+    if type(version) is not int or version not in _READ_VERSIONS:  # not a bool, not 2.0
+        supported = ", ".join(map(str, _READ_VERSIONS))
+        raise ValidationError(f"checkpoint {path}: unsupported version {version!r} (supported: {supported})")
+    return meta
+
+
+def _digest(path) -> str:
+    """sha256 over a checkpoint's members, in name order: each name and the sha256 of its bytes.
+
+    np.savez stamps each member with the time, so the archive bytes differ between identical saves; the
+    members do not.
+    """
+    total = hashlib.sha256()
+    with zipfile.ZipFile(path) as zf:
+        for name in sorted(zf.namelist()):
+            member = hashlib.sha256()
+            with zf.open(name) as fh:
+                while block := fh.read(1 << 16):
+                    member.update(block)
+            total.update(f"{name} {member.hexdigest()}\n".encode())
+    return total.hexdigest()
+
+
+_CHAINED = {"rows": "rows", "index": "slots"}  # each array a chained file continues, and its count in ``base``
+_CHAIN_MEMBERS = ["index.npy", "meta.npy", "rows.npy"]
+
+
+def _base(link, meta, seen: set):
+    """The checked ``base`` record of ``link``'s meta, or None; ``seen`` holds the file names of the chain so far."""
+    record = meta.get("base")
+    if record is None:
+        return None
+    if not isinstance(record, dict) or sorted(record) != ["name", "rows", "sha256", "slots"]:
+        fields = "name, rows, slots and sha256"
+        raise ValidationError(f"checkpoint {link}: meta field 'base' must hold {fields}, got {record!r}")
+    name = record["name"]
+    if not isinstance(name, str) or name in ("", ".", "..") or any(c in name for c in (os.sep, os.altsep, "\0") if c):
+        raise ValidationError(f"checkpoint {link}: base {name!r} must be a bare file name")
+    if name in seen:
+        raise ValidationError(f"checkpoint {link}: base {name!r} closes a cycle")
+    for key in ("rows", "slots"):
+        check_int(f"checkpoint {link}: base {key}", record[key], 0)
+    if not isinstance(record["sha256"], str):
+        raise ValidationError(f"checkpoint {link}: base sha256 must be a string, got {record['sha256']!r}")
+    seen.add(name)
+    return record
+
+
+def _header(fh):
+    """The (shape, fortran_order, dtype) of the npy member ``fh``, which is left at its data."""
+    version = np.lib.format.read_magic(fh)
+    if version != (1, 0):  # what np.savez writes for every header shorter than 64 kB
+        raise ValueError(f"npy format version {version} in a chained file")
+    return np.lib.format.read_array_header_1_0(fh)
+
+
+def _read_into(fh, out: np.ndarray):
+    """Fill the C-contiguous ``out`` with the next bytes of ``fh``, 64 kB at a time."""
+    view, done = memoryview(out.reshape(-1).view(np.uint8)), 0
+    while done < len(view):
+        got = fh.readinto(view[done : done + (1 << 16)])
+        if not got:
+            raise EOFError(f"the member ends after {done} of {len(view)} data bytes")
+        done += got
+
+
+def _unchain(path, meta) -> dict:
+    """The full arrays of the chained file ``path``: each link's rows and slots read into place, top file first.
+
+    The arrays are sized from the top's members and the counts its ``base`` record gives. Each base is a
+    bare name in the top's directory that no link of the chain names already, so the chain cannot leave the
+    directory or loop; it is opened only then, and read only if its members match the sha256 its successor
+    records. Each link holds meta, rows and index only; its rows and index must be 2-D, of the top's dtypes
+    and widths, with exactly the rows that its own counts and its successor's leave to it.
+    """
+    kind, link, seen, full, ends = meta["kind"], path, {os.path.basename(os.fspath(path))}, {}, {}
+    record = _base(link, meta, seen)
+    while True:
+        with _reading(link), zipfile.ZipFile(link) as zf:
+            members = sorted(zf.namelist())
+            if members != _CHAIN_MEMBERS:
+                raise ValidationError(f"checkpoint {link}: a chained file holds {_CHAIN_MEMBERS}, got {members}")
+            for name, count in _CHAINED.items():
+                start = record[count] if record else 0
+                with zf.open(f"{name}.npy") as fh:
+                    shape, fortran, dtype = _header(fh)
+                    if name not in full:  # the top file; an object array would take raw bytes as pointers
+                        if len(shape) != 2 or dtype.hasobject:
+                            raise ValidationError(f"checkpoint {link}: {name} must be 2-D numbers, got {dtype} {shape}")
+                        full[name] = _allocate(link, start + shape[0], shape[1], dtype)
+                        ends[name] = len(full[name])
+                    array, want = full[name], (ends[name] - start, full[name].shape[1])
+                    if fortran or dtype != array.dtype or shape != want:
+                        got = f"{dtype} {shape}{' in Fortran order' if fortran else ''}"
+                        raise ValidationError(
+                            f"checkpoint {link}: {name} must be {array.dtype} {want} to continue its chain, got {got}"
+                        )
+                    _read_into(fh, array[start : ends[name]])
+                ends[name] = start
+        if record is None:
+            return full
+        base = os.path.join(os.path.dirname(link), record["name"])
+        with _reading(base):
+            digest = _digest(base)
+        if digest != record["sha256"]:
+            raise ValidationError(f"checkpoint {base}: its members do not match the sha256 that {link} records")
+        meta = _read(base)
+        if meta.get("kind") != kind:
+            raise ValidationError(f"checkpoint {base}: kind {meta.get('kind')!r} cannot be the base of a {kind} file")
+        link, record = base, _base(base, meta, seen)
+
+
+def _allocate(path, rows: int, width: int, dtype) -> np.ndarray:
+    """An empty (rows, width) array for the chain of ``path``, whose counts may be more than memory holds."""
+    try:
+        return np.empty((rows, width), dtype)
+    except (MemoryError, ValueError):
+        raise ValidationError(f"checkpoint {path}: cannot allocate the {rows} rows its base counts give") from None

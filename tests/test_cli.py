@@ -7,17 +7,20 @@ import sys
 import zipfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import posebench
-from posebench import cli
+from posebench import cli, runner
 from posebench.cli import main
 from posebench.errors import ValidationError
 from posebench.io import load_dataset
 from posebench.metrics import AGGREGATORS
-from posebench.rearrange import RearrangePlan
-from posebench.runner import RunConfig, derive_seed, result_to_dict
-from posebench.scorers import SCORER_KINDS
+from posebench.model import CameraDataset, SplitSet
+from posebench.rearrange import RearrangePlan, rearrange
+from posebench.report import write_step_csv
+from posebench.runner import RunConfig, derive_seed, evaluate_windows, result_to_dict
+from posebench.scorers import SCORER_KINDS, load_checkpoint
 from posebench.synthetic import generate_split
 
 from _golden import golden_results
@@ -645,13 +648,13 @@ class TestRunContinualCommand:
 
     PINNED = {
         "gaussian": {
-            "checkpoints/step_1.ckpt:meta.npy": "7bc23e39f20b43d3046ce1962d99c868be3ad1b587e2fcb55efee78c05d913d5",
+            "checkpoints/step_1.ckpt:meta.npy": "9319b1106410c2999e937d32ca07b8c5f8a37d77f1ffce6c66b89b156615e13d",
             "checkpoints/step_1.ckpt:mean.npy": "4415c23fcfaa9d9b6567c76ba24269023022b60aa9d3fd67d2fe6b6600b0d66b",
             "checkpoints/step_1.ckpt:m2.npy": "1720d5cee5af70880bdcc71b1a8b049d5265761ec3e66c465b72ac83be5002d5",
-            "checkpoints/step_2.ckpt:meta.npy": "d04fa46e996ed2c17d8c46f56835d535cd75ff7cdc1ef3025576e795acf47feb",
+            "checkpoints/step_2.ckpt:meta.npy": "5c7d80a9ce5563757ccf8318a8a5fdec1e64ba9898ecb2c2cdec7df2e032ff9c",
             "checkpoints/step_2.ckpt:mean.npy": "cac1f7361912a2181e279817232acdebcbac99ba31edf07da0710b3173472c13",
             "checkpoints/step_2.ckpt:m2.npy": "7177d801cd50aafb35cdc8cc996d86a3f4bed5344856047d053726e8998c3e3b",
-            "checkpoints/step_3.ckpt:meta.npy": "8bbfb0e97a86c4381e323294c90a614df14bb67a5b47f870014d032775ce3ec2",
+            "checkpoints/step_3.ckpt:meta.npy": "56fbea22882a24abef7c57fd0c4be2bb3fbf22b371c3e91a5a4de04513e44e59",
             "checkpoints/step_3.ckpt:mean.npy": "a5b7e33f07d09cdca19c30737dbf6b36b6563b184e6452c9be0b813a5f027de4",
             "checkpoints/step_3.ckpt:m2.npy": "9fa338ffc6afead205a7776423bc596924f2ee93992b0f757b37566774775c80",
             "report.csv": "4c358e7f174882487f67a23dd4b577f6cc98877f1f9ce2de4b20886b01f906eb",
@@ -662,15 +665,15 @@ class TestRunContinualCommand:
             "steps/step_3.csv": "d2579efb99e177549071a3c926ee081a1c7b98342eb90ea2211b7bc5c07e8f06",
         },
         "knn": {
-            "checkpoints/step_1.ckpt:meta.npy": "db35ba5dc1dd34be51482319233a3611609c30923caddd4e9e1cd592e33b0dec",
+            "checkpoints/step_1.ckpt:meta.npy": "fee27b96fd0ec29482b92dd788a40ce3abfa5381c12bbb2110fa337653d34e00",
             "checkpoints/step_1.ckpt:rows.npy": "1e1cb04858146f34ce203936b705f0f98ef0967bc3faf5836ea931ddee08a796",
             "checkpoints/step_1.ckpt:index.npy": "c9d52da278ef27c43c424591b435920b599e2b7182cf5e645927cafbe84cdfc1",
-            "checkpoints/step_2.ckpt:meta.npy": "1bff1fd96b0684b2d6463923af314ae743cb0933e6f2bfe448830dda95dd487a",
-            "checkpoints/step_2.ckpt:rows.npy": "5ea0fdef02f96b51080a157d813a4263508bd0382f9370cfecf268f5d9be3957",
-            "checkpoints/step_2.ckpt:index.npy": "29eb201f786824c2f50950f7c147953810f5cc7f3068f7f2ea533e88f0ed121e",
-            "checkpoints/step_3.ckpt:meta.npy": "7f0e25880fdfe07d106fbbfe3dc8cfa9fb402bdfc0d3e053525c36edbbc1060a",
-            "checkpoints/step_3.ckpt:rows.npy": "3b4cf5ec4c977b93498653216c4a3893400893c2dd0c8c7ba3f59565e2246c82",
-            "checkpoints/step_3.ckpt:index.npy": "f3c313ec106badcadc7aa2396ee5e294d4f84927a679554123bc373d0ac9ba54",
+            "checkpoints/step_2.ckpt:meta.npy": "aaa8f296200243b3f226d39731b353e79ab6b1da5d9463598e16d45d926021d3",
+            "checkpoints/step_2.ckpt:rows.npy": "b364715337655f3805e57aa863c0ad118c9a017506bb30c9451199f4fd2b159d",
+            "checkpoints/step_2.ckpt:index.npy": "1e60731ea3167b7b3bc41eece247ec3065242a8373faa4ba28afbd6c8569b426",
+            "checkpoints/step_3.ckpt:meta.npy": "79605f6547ee64cae732f28bc052274708121c5597a25bd576e0bda094441f45",
+            "checkpoints/step_3.ckpt:rows.npy": "8cda00871d1dd04342ac0e43c5d1b3c0b04d5992488e66f199254f1bf8f56d23",
+            "checkpoints/step_3.ckpt:index.npy": "366f36f1c1d5e5518e6eca3962c0a7683a69faa513b185ef15f34ec822623872",
             "report.csv": "b0f93a3f648723a870e6cae90191a8e2309c29257ec39dde0cf1542da0463b1d",
             "report.md": "4b6ba34aa19208f3d12bbc8504c8ebe90815b9c5b115854137e77b32272b3442",
             "results.json": "78ee313006ba323a9b27b48ddb2dc3e265c35dd7749a890cb55e6b2e00dbcc02",
@@ -680,9 +683,9 @@ class TestRunContinualCommand:
         },
     }
 
-    @pytest.mark.parametrize("scorer", sorted(PINNED))
-    def test_output_bytes_are_pinned(self, scorer, tmp_path, capsys):
-        # Any drift in the stream, the test set, a fit or a score changes a digest.
+    @staticmethod
+    def _pinned_run(scorer, tmp_path):
+        """synth and run-continual (seed 0, k 3) of the pinned config; returns the synth and run directories."""
         synth = tmp_path / "synth"
         shape = ["--boost", "2.5", "--origin-step-sigma", "16", "--origin-jitter-sigma", "8"]
         counts = ["--train-normal", "300", "--test-normal", "180", "--test-anomaly", "60", "--origin-normal", "200"]
@@ -690,8 +693,34 @@ class TestRunContinualCommand:
         out = tmp_path / "run"
         inputs = [f"--{name}={synth / name}.jsonl" for name in ("train", "test", "origin")]
         assert main(["run-continual", *inputs, "--scorer", scorer, "--seed", "0", "--k", "3", "--out", str(out)]) == 0
+        return synth, out
+
+    @pytest.mark.parametrize("scorer", sorted(PINNED))
+    def test_output_bytes_are_pinned(self, scorer, tmp_path, capsys):
+        # Any drift in the stream, the test set, a fit or a score changes a digest.
+        _, out = self._pinned_run(scorer, tmp_path)
         capsys.readouterr()
         assert _output_digests(out) == self.PINNED[scorer]
+
+    @pytest.mark.parametrize("scorer", SCORER_KINDS)
+    def test_each_step_checkpoint_reproduces_its_step_csv(self, scorer, tmp_path, capsys):
+        # A knn step after the first holds only the rows it added and names the step before as its base;
+        # loaded, every step scores the run's test windows to its step CSV, byte for byte.
+        synth, out = self._pinned_run(scorer, tmp_path)
+        capsys.readouterr()
+        plan = RearrangePlan(seed=derive_seed(0, "rearrange"), k=3)
+        cfg = RunConfig(mode="continual", scorer=scorer, seed=0, plan=plan)
+        split = SplitSet(train=load_dataset(synth / "train.jsonl"), test=load_dataset(synth / "test.jsonl"))
+        test = CameraDataset(split.test.frames.take(rearrange(split, plan).test_rows))
+        test_windows = runner._windows_for(test.frames, cfg)
+        for i in (1, 2, 3):
+            step = out / "checkpoints" / f"step_{i}.ckpt"
+            with np.load(step) as data:
+                base = json.loads(str(data["meta"])).get("base", {}).get("name")
+            assert base == (f"step_{i - 1}.ckpt" if scorer == "knn" and i > 1 else None)
+            report = evaluate_windows(load_checkpoint(step), test_windows, test, cfg)
+            again = write_step_csv(tmp_path / "again", i, split.camera_id, report)
+            assert Path(again).read_bytes() == (out / "steps" / f"step_{i}.csv").read_bytes()
 
     def test_outputs_do_not_depend_on_blas_threads(self, tmp_path, capsys):
         """The README continual quick-start with ``--scorer knn`` writes the same bytes at

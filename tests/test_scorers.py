@@ -397,6 +397,37 @@ class TestRestoreCopies:
         assert peak_mb < 1.75 * file_mb, (peak_mb, file_mb)
         assert _stored(back).tobytes() == _stored(sc).tobytes()
 
+    def test_loading_a_chain_holds_rows_and_index_about_once(self, tmp_path):
+        # continual-knn's nine steps, each saved on the one before: 194 windows before the first slice, so
+        # the first file holds a third of the store. The loader sizes both arrays from the top file's counts
+        # and reads each link's members into place, so the bound above holds for the chain. Reading each
+        # link with np.load first and copying its arrays over peaks at about 1.9 times the arrays.
+        batch = extract_windows(generate_normals(3 * 714 + 100, seed=0).frames)
+        bounds = [0, *np.linspace(194, 714, 10).round().astype(int)]
+        sc, base = KnnScorer(capacity=714), None
+        for i, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+            columns = (batch.rows[lo:hi], batch.track_id[lo:hi], batch.start_frame[lo:hi])
+            sc.partial_fit(WindowBatch(batch.poses, *columns, batch.length))
+            if not i:
+                continue
+            path = tmp_path / f"step_{i}.ckpt"
+            sc.save_checkpoint(path, base=base)
+            base = path
+        with np.load(path) as data:
+            counts = json.loads(str(data["meta"]))["base"]
+            rows, index = data["rows"], data["index"]
+        assert counts["name"] == "step_8.ckpt"
+        loaded = (counts["rows"] + len(rows)) * rows[0].nbytes + (counts["slots"] + len(index)) * index[0].nbytes
+        loaded_mb = loaded / 2**20
+        tracemalloc.start()
+        try:
+            back = load_checkpoint(path)
+            peak_mb = tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+        assert peak_mb < 1.75 * loaded_mb, (peak_mb, loaded_mb)
+        assert _stored(back).tobytes() == _stored(sc).tobytes()
+
 
 class TestCheckpoints:
     def test_gaussian_roundtrip(self, rng, tmp_path):
@@ -509,8 +540,8 @@ class TestCheckpoints:
             (knn, {"rows": np.zeros((1, 68)), "index": np.zeros((1, 1), np.int32)}, "hold 34 values each, got 68"),
             (knn, {"rows": rows}, "knn rows and index must be stored together"),
             (knn, {"index": np.array([[0]])}, "knn rows and index must be stored together"),
-            ({**knn, "version": 1}, {"store": np.zeros((2, 2))}, r"unsupported version 1 \(supported: 2\)"),
-            ({**knn, "version": 3}, {}, "unsupported version 3"),
+            ({**knn, "version": 1}, {"store": np.zeros((2, 2))}, r"unsupported version 1 \(supported: 2, 3\)"),
+            ({**knn, "version": 4}, {}, "unsupported version 4"),
             ({**knn, "version": True}, {}, "unsupported version True"),
             ({**knn, "version": 2.0}, {}, "unsupported version 2.0"),
             ({**knn, "version": 1.0}, {"store": np.zeros((2, 2))}, "unsupported version 1.0"),
@@ -519,6 +550,185 @@ class TestCheckpoints:
                 np.savez(fh, meta=np.array(json.dumps(meta_fields)), **arrays)
             with pytest.raises(ValidationError, match=f"{re.escape(str(path))}.*{message}"):
                 load_checkpoint(path)
+
+
+def _rewrite(path, **meta):
+    """Write ``path`` again with its meta fields updated and its arrays as they are."""
+    with np.load(path) as data:
+        fields = {**json.loads(str(data["meta"])), **meta}
+        arrays = {k: data[k] for k in data.files if k != "meta"}
+    with open(path, "wb") as fh:
+        np.savez(fh, meta=np.array(json.dumps(fields)), **arrays)
+
+
+def _chain(directory, seed=0, steps=3):
+    """A knn scorer's step files step_1..step_<steps> in ``directory``, each saved on the one before."""
+    rng = np.random.default_rng(seed)
+    sc, base = KnnScorer(k_nn=1, capacity=100, seed=seed), None
+    directory.mkdir(exist_ok=True)
+    for i in range(1, steps + 1):
+        sc.partial_fit(windows(rng, 5, length=3))
+        path = directory / f"step_{i}.ckpt"
+        sc.save_checkpoint(path, base=base)
+        base = path
+    return sc
+
+
+class TestChainedCheckpoints:
+    def test_only_the_last_save_in_the_same_directory_is_a_base(self, tmp_path):
+        # A base the scorer did not save last, one in another directory, or the file being written is
+        # ignored, and so is a base saved before a reset: each of these saves writes the full store.
+        sc = _chain(tmp_path)
+        (tmp_path / "other").mkdir()
+        for path, base in (
+            (tmp_path / "other" / "step_4.ckpt", tmp_path / "step_3.ckpt"),
+            (tmp_path / "step_5.ckpt", tmp_path / "step_3.ckpt"),
+            (tmp_path / "step_5.ckpt", tmp_path / "step_5.ckpt"),
+        ):
+            sc.save_checkpoint(path, base=base)
+            with np.load(path) as data:
+                assert "base" not in json.loads(str(data["meta"])) and len(data["index"]) == 15
+        sc.fit(windows(np.random.default_rng(1), 5, length=3))
+        sc.save_checkpoint(tmp_path / "step_6.ckpt", base=tmp_path / "step_5.ckpt")
+        with np.load(tmp_path / "step_6.ckpt") as data:
+            assert "base" not in json.loads(str(data["meta"])) and len(data["index"]) == 5
+
+    def test_gaussian_never_chains(self, rng, tmp_path):
+        sc = GaussianScorer()
+        sc.fit(windows(rng, 20))
+        sc.save_checkpoint(tmp_path / "step_1.ckpt")
+        sc.partial_fit(windows(rng, 5))
+        sc.save_checkpoint(tmp_path / "step_2.ckpt", base=tmp_path / "step_1.ckpt")
+        with np.load(tmp_path / "step_2.ckpt") as data:
+            assert sorted(data.files) == ["m2", "mean", "meta"] and "base" not in json.loads(str(data["meta"]))
+
+    @pytest.mark.parametrize("missing", ["step_2.ckpt", "step_1.ckpt"])
+    def test_missing_base(self, tmp_path, missing):
+        _chain(tmp_path)
+        (tmp_path / missing).unlink()
+        with pytest.raises(ValidationError, match=re.escape(f"not a readable checkpoint file: {tmp_path / missing}")):
+            load_checkpoint(tmp_path / "step_3.ckpt")
+
+    def test_truncated_base(self, tmp_path):
+        _chain(tmp_path)
+        path = tmp_path / "step_2.ckpt"
+        path.write_bytes(path.read_bytes()[:600])
+        with pytest.raises(ValidationError, match=re.escape(f"not a readable checkpoint file: {path}")):
+            load_checkpoint(tmp_path / "step_3.ckpt")
+
+    def test_changed_or_swapped_base(self, tmp_path):
+        _chain(tmp_path)
+        _chain(tmp_path / "other", seed=1)
+        original = (tmp_path / "step_1.ckpt").read_bytes()
+        with np.load(tmp_path / "step_1.ckpt") as data:
+            members = {k: data[k] for k in data.files}
+        members["rows"][0, 0] += 1.0  # same shapes, one value changed
+        with open(tmp_path / "step_1.ckpt", "wb") as fh:
+            np.savez(fh, **members)
+        with pytest.raises(ValidationError, match=re.escape(f"checkpoint {tmp_path / 'step_1.ckpt'}: its members")):
+            load_checkpoint(tmp_path / "step_3.ckpt")
+        (tmp_path / "step_1.ckpt").write_bytes(original)
+        load_checkpoint(tmp_path / "step_3.ckpt")
+        # The same step of another run, whose counts match.
+        (tmp_path / "step_2.ckpt").write_bytes((tmp_path / "other" / "step_2.ckpt").read_bytes())
+        with pytest.raises(ValidationError, match=re.escape(f"checkpoint {tmp_path / 'step_2.ckpt'}: its members")):
+            load_checkpoint(tmp_path / "step_3.ckpt")
+
+    def test_base_naming_itself_or_closing_a_cycle(self, tmp_path):
+        _chain(tmp_path)
+        _rewrite(tmp_path / "step_3.ckpt", base={"name": "step_3.ckpt", "rows": 0, "slots": 0, "sha256": ""})
+        with pytest.raises(ValidationError, match=r"step_3.ckpt: base 'step_3.ckpt' closes a cycle"):
+            load_checkpoint(tmp_path / "step_3.ckpt")
+        # step_1 names step_2 back. step_2 and step_3 record the digests of the files as they now stand, so
+        # the loader reaches step_1's record, and refuses it before opening step_2 again.
+        _chain(tmp_path)
+        records = {}
+        for i in (2, 3):
+            with np.load(tmp_path / f"step_{i}.ckpt") as data:
+                records[i] = json.loads(str(data["meta"]))["base"]
+        _rewrite(tmp_path / "step_1.ckpt", base={**records[2], "name": "step_2.ckpt"})
+        _rewrite(tmp_path / "step_2.ckpt", base={**records[2], "sha256": scorers._digest(tmp_path / "step_1.ckpt")})
+        _rewrite(tmp_path / "step_3.ckpt", base={**records[3], "sha256": scorers._digest(tmp_path / "step_2.ckpt")})
+        with pytest.raises(ValidationError, match=r"step_1.ckpt: base 'step_2.ckpt' closes a cycle"):
+            load_checkpoint(tmp_path / "step_3.ckpt")
+
+    @pytest.mark.parametrize("name", ["../step_1.ckpt", "sub/step_1.ckpt", "ABS", "..", ".", "", 7])
+    def test_base_outside_the_directory_is_refused_before_it_is_opened(self, tmp_path, monkeypatch, name):
+        # A valid base sits where each name points, so following the name would load.
+        run = tmp_path / "run"
+        _chain(run)
+        (run / "sub").mkdir()
+        for where in (tmp_path, run / "sub"):
+            where.joinpath("step_1.ckpt").write_bytes(run.joinpath("step_1.ckpt").read_bytes())
+        name = str(tmp_path / "step_1.ckpt") if name == "ABS" else name
+        step_1 = scorers._digest(run / "step_1.ckpt")
+        _rewrite(run / "step_2.ckpt", base={"name": name, "rows": 15, "slots": 5, "sha256": step_1})
+        step_2 = scorers._digest(run / "step_2.ckpt")
+        _rewrite(run / "step_3.ckpt", base={"name": "step_2.ckpt", "rows": 30, "slots": 10, "sha256": step_2})
+        opened, digest = [], scorers._digest
+        monkeypatch.setattr(scorers, "_digest", lambda path: opened.append(str(path)) or digest(path))
+        with pytest.raises(ValidationError, match=re.escape(f"step_2.ckpt: base {name!r} must be a bare file name")):
+            load_checkpoint(run / "step_3.ckpt")
+        assert opened == [str(run / "step_2.ckpt")]
+
+    def test_counts_that_do_not_match_the_base(self, tmp_path):
+        _chain(tmp_path)
+        with np.load(tmp_path / "step_3.ckpt") as data:
+            record = json.loads(str(data["meta"]))["base"]
+        _rewrite(tmp_path / "step_3.ckpt", base={**record, "slots": record["slots"] - 1})
+        message = "step_2.ckpt: index must be int32 (4, 3) to continue its chain, got int32 (5, 3)"
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            load_checkpoint(tmp_path / "step_3.ckpt")
+        _rewrite(tmp_path / "step_3.ckpt", base={**record, "rows": 10**30})  # past any array size
+        with pytest.raises(ValidationError, match=f"step_3.ckpt: cannot allocate the {10**30 + 15} rows its base"):
+            load_checkpoint(tmp_path / "step_3.ckpt")
+        for bad, message in (
+            ({**record, "rows": -1}, "base rows must be an integer >= 0, got -1"),
+            ({**record, "slots": 2.0}, "base slots must be an integer >= 0, got 2.0"),
+            ({**record, "sha256": None}, "base sha256 must be a string, got None"),
+            ({**record, "extra": 1}, "meta field 'base' must hold name, rows, slots and sha256"),
+            ([], "meta field 'base' must hold name, rows, slots and sha256"),
+        ):
+            _rewrite(tmp_path / "step_3.ckpt", base=bad)
+            with pytest.raises(ValidationError, match=re.escape(f"step_3.ckpt: {message}")):
+                load_checkpoint(tmp_path / "step_3.ckpt")
+
+    def test_members_that_cannot_continue_a_chain(self, tmp_path):
+        _chain(tmp_path)
+        with np.load(tmp_path / "step_3.ckpt") as data:
+            meta, record, index = data["meta"], json.loads(str(data["meta"]))["base"], data["index"]
+        for rows, message in (
+            (np.full((5, 34), None, dtype=object), "rows must be 2-D numbers, got object (5, 34)"),
+            (np.zeros(34), "rows must be 2-D numbers, got float64 (34,)"),
+        ):
+            with open(tmp_path / "step_3.ckpt", "wb") as fh:
+                np.savez(fh, meta=meta, rows=rows, index=index)
+            with pytest.raises(ValidationError, match=re.escape(f"step_3.ckpt: {message}")):
+                load_checkpoint(tmp_path / "step_3.ckpt")
+        _chain(tmp_path)
+        with np.load(tmp_path / "step_2.ckpt") as data:
+            members = {k: data[k] for k in data.files}
+        with open(tmp_path / "step_2.ckpt", "wb") as fh:
+            np.savez(fh, **{**members, "rows": np.asfortranarray(members["rows"])})
+        _rewrite(tmp_path / "step_3.ckpt", base={**record, "sha256": scorers._digest(tmp_path / "step_2.ckpt")})
+        message = "step_2.ckpt: rows must be float64 (15, 34) to continue its chain, got float64 (15, 34) in Fortran"
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            load_checkpoint(tmp_path / "step_3.ckpt")
+
+    def test_only_knn_rows_and_index_chain(self, rng, tmp_path):
+        _chain(tmp_path)
+        with np.load(tmp_path / "step_3.ckpt") as data:
+            record = json.loads(str(data["meta"]))["base"]
+        sc = GaussianScorer()
+        sc.fit(windows(rng, 20))
+        sc.save_checkpoint(tmp_path / "gaussian.ckpt")
+        _rewrite(tmp_path / "gaussian.ckpt", base=record)
+        members = "['index.npy', 'meta.npy', 'rows.npy'], got ['m2.npy', 'mean.npy', 'meta.npy']"
+        with pytest.raises(ValidationError, match=re.escape(f"gaussian.ckpt: a chained file holds {members}")):
+            load_checkpoint(tmp_path / "gaussian.ckpt")
+        _rewrite(tmp_path / "step_3.ckpt", kind="gaussian", params={}, count=0)
+        with pytest.raises(ValidationError, match="step_2.ckpt: kind 'knn' cannot be the base of a gaussian file"):
+            load_checkpoint(tmp_path / "step_3.ckpt")
 
 
 def _store_id(store):
@@ -568,23 +778,42 @@ class TestCheckpointLayout:
             batches.append(WindowBatch(poses, starts, np.zeros(n, np.int64), starts, length))
         sc = KnnScorer(k_nn=1, capacity=capacity, seed=seed)
         with tempfile.TemporaryDirectory() as tmp:
+            held = ([], [], [], 0)  # the previous step's slots, row ids and index, and the source rows before this one
             for i, batch in enumerate(batches):
                 sc.partial_fit(batch)
                 path = Path(tmp, f"step_{i}.ckpt")
-                sc.save_checkpoint(path)
+                sc.save_checkpoint(path, base=Path(tmp, f"step_{i - 1}.ckpt") if i else None)
                 slots = _oracles.knn_reservoir(batches[: i + 1], capacity, seed)
                 ids, index = _oracles.first_use(slots)
                 source = np.concatenate([b.poses.reshape(-1, 34) for b in batches[: i + 1]])
                 with np.load(path) as data:
-                    rows, got = data["rows"], data["index"]
-                assert (rows.shape, rows.tobytes()) == ((len(ids), 34), source[ids].tobytes())
-                assert got.dtype == np.int32 and got.tolist() == index
+                    meta, rows, got = json.loads(str(data["meta"])), data["rows"], data["index"]
+                # A step chains onto the one before unless a reservoir replacement happened in between, that
+                # is unless its slots are the ones before plus this batch's first windows in order. The file
+                # then holds the rows and slots appended since; the ones before must be a prefix of its own.
+                first = held[3] + batch.rows[:, None] + np.arange(length)
+                if i and slots == held[0] + first.tolist()[: len(slots) - len(held[0])]:
+                    start = (len(held[1]), len(held[2]))
+                    assert list(ids[: start[0]]) == list(held[1]) and index[: start[1]] == held[2]
+                    assert meta["base"] == {"name": f"step_{i - 1}.ckpt", "rows": start[0], "slots": start[1],
+                                            "sha256": scorers._digest(Path(tmp, f"step_{i - 1}.ckpt"))}
+                else:
+                    assert "base" not in meta
+                    start = (0, 0)
+                assert (rows.shape, rows.tobytes()) == ((len(ids) - start[0], 34), source[ids[start[0] :]].tobytes())
+                assert got.dtype == np.int32 and got.tolist() == index[start[1] :]
                 dense = source[np.array(slots)].reshape(len(slots), -1)
-                assert rows[got].reshape(dense.shape).tobytes() == dense.tobytes() == _stored(sc).tobytes()
-                load_checkpoint(path).save_checkpoint(Path(tmp, "again.ckpt"))
-                assert _members(Path(tmp, "again.ckpt")) == _members(path)
+                back = load_checkpoint(path)
+                assert back._poses.tobytes() == source[ids].tobytes() and back._index.tolist() == index
+                assert _stored(back).tobytes() == dense.tobytes() == _stored(sc).tobytes()
+                # A loaded scorer has saved nothing, so it writes its whole store: the oracle's.
+                back.save_checkpoint(Path(tmp, "again.ckpt"), base=path)
+                with np.load(Path(tmp, "again.ckpt")) as data:
+                    full = json.loads(str(data["meta"])), data["rows"].tobytes(), data["index"].tolist()
+                assert full == ({k: v for k, v in meta.items() if k != "base"}, source[ids].tobytes(), index)
+                held = (slots, ids, index, len(source))
             # Loading any step and continuing equals the uninterrupted run.
-            final = _members(path)
+            final = _members(Path(tmp, "again.ckpt"))
             for i in range(len(batches)):
                 resumed = load_checkpoint(Path(tmp, f"step_{i}.ckpt"))
                 for batch in batches[i + 1 :]:
