@@ -14,8 +14,13 @@ split (2400/1200/400 frames, k=9). The ``kernels.knn_k_smallest`` rows score
 the 267 test windows of perfbench's ``continual-knn`` at its first step: once
 incrementally (the 52 rows the step added, merged with the distances over the
 194 rows before it) and once as a fresh scan of all 246 rows, each with the
-peak MB its call allocates (``tracemalloc``). The ``synthetic.generate_split``
-and first ``io.write_frames`` rows are the two layers of the ``setup_s`` of
+peak MB its call allocates (``tracemalloc``). The ``scorers.score_batch`` row
+takes that step through a knn scorer: it scores 267 test windows on a
+194-window store, appends 52 windows and scores the same batch again; only
+that second scoring is timed, which gathers the 52 new windows, runs the
+kernel and merges (each repetition rebuilds the scorer and its first
+scoring). The ``synthetic.generate_split`` and first ``io.write_frames`` rows
+are the two layers of the ``setup_s`` of
 perfbench's ``standard-gaussian-large``: building its split, and writing its
 6000-frame train table as JSONL. The second ``io.write_frames`` row writes
 that table with every visibility scaled by 1e-5, so that ``json.dumps`` writes
@@ -116,6 +121,23 @@ def bench_knn_step(rng, repeat: int):
         call = functools.partial(_kernels.knn_k_smallest, *args)
         rows.append(("kernels.knn_k_smallest", size, _best_of(call, repeat), _peak_mb(call)))
     return rows
+
+
+def bench_score_step(seed: int, repeat: int):
+    # continual-knn's first step through the scorer: the same 267 test windows scored before and after
+    # the step appends 52 windows to a 194-window store; the second scoring scans only those 52.
+    stored = extract_windows(generate_normals(2200, seed=seed).frames)
+    probe = _windows(extract_windows(generate_normals(1000, seed=seed + 1).frames), 0, 267)
+
+    def second_scoring():
+        scorer = KnnScorer()
+        scorer.fit(_windows(stored, 0, 194))
+        scorer.score_batch(probe)
+        scorer.partial_fit(_windows(stored, 194, 246))
+        return _timed(scorer.score_batch, probe)
+
+    seconds = min(second_scoring() for _ in range(repeat))
+    return [("scorers.score_batch", "267x52+194 k=5", seconds)]
 
 
 def bench_iou(rng, repeat: int):
@@ -238,6 +260,7 @@ def main() -> int:
     rows += bench_welford(rng, args.repeat)
     rows += bench_knn(rng, args.repeat)
     rows += bench_knn_step(rng, args.repeat)
+    rows += bench_score_step(args.seed, args.repeat)
     rows += bench_iou(rng, args.repeat)
     rows += bench_read_frames(args.seed, args.repeat)
     rows += bench_continual_split(args.seed, args.repeat)

@@ -30,7 +30,7 @@ from .report import emit_report
 from .runner import RunConfig, derive_seed, load_results, run_continual, run_standard
 from .scorers import SCORER_KINDS
 from .stats import STATS_CSV_COLUMNS, stats_from_frames
-from .synthetic import generate_normals, generate_split
+from .synthetic import POSE_VARIANTS, generate_normals, generate_split
 
 
 def _params_hash(params: dict) -> str:
@@ -246,22 +246,8 @@ def _cmd_synth(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     for name, dataset in datasets.items():
         write_frames(dataset.frames, os.path.join(args.out, f"{name}.jsonl"))
-    params = {
-        "train_normal": args.train_normal,
-        "test_normal": args.test_normal,
-        "test_anomaly": args.test_anomaly,
-        "camera": args.camera,
-        "persons": args.persons,
-        "kinds": list(kinds),
-        "segment_length": args.segment_length,
-        "boost": args.boost,
-        "pose_variant": args.pose_variant,
-        "origin_normal": args.origin_normal,
-        "origin_variant": args.origin_variant,
-        "origin_step_sigma": args.origin_step_sigma,
-        "origin_jitter_sigma": args.origin_jitter_sigma,
-    }
-    _write_manifest(args.out, "synth", args.seed, _params_hash(params))
+    params = {key: value for key, value in vars(args).items() if key not in ("out", "seed", "func", "subcommand")}
+    _write_manifest(args.out, "synth", args.seed, _params_hash({**params, "kinds": list(kinds)}))
     print(f"wrote synthetic datasets to {args.out}", file=sys.stderr)
     return 0
 
@@ -321,9 +307,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kinds", default="velocity")
     p.add_argument("--segment-length", dest="segment_length", type=int, default=60)
     p.add_argument("--boost", type=float, default=6.0)
-    p.add_argument("--pose-variant", dest="pose_variant", choices=("default", "wide"), default="default")
+    p.add_argument("--pose-variant", dest="pose_variant", choices=POSE_VARIANTS, default="default")
     p.add_argument("--origin-normal", dest="origin_normal", type=int, default=0)
-    p.add_argument("--origin-variant", dest="origin_variant", choices=("default", "wide"), default="default")
+    p.add_argument("--origin-variant", dest="origin_variant", choices=POSE_VARIANTS, default="default")
     p.add_argument("--origin-step-sigma", dest="origin_step_sigma", type=float, default=3.0)
     p.add_argument("--origin-jitter-sigma", dest="origin_jitter_sigma", type=float, default=1.5)
     p.set_defaults(func=_cmd_synth)

@@ -4,9 +4,10 @@ Score polarity is "higher means more anomalous" throughout. All threshold
 metrics sweep the distinct observed scores, predicting anomalous when
 score >= threshold, so ties are handled as a group:
 
-- auc_roc: probability a random anomalous frame outranks a random normal
-  one, ties counted half. Equals trapezoidal integration of the ROC curve
-  over grouped thresholds.
+- auc_roc: trapezoidal area under the ROC curve over grouped thresholds,
+  summed on integer counts and divided once, so it equals bit for bit the
+  probability that a random anomalous frame outranks a random normal one,
+  ties counted half.
 - auc_pr: average precision, sum of precision * recall-increment over
   descending thresholds.
 - eer: at the threshold minimizing |FPR - FNR|, return (FPR + FNR) / 2;
@@ -95,46 +96,32 @@ def _require_both_classes(series: ScoreSeries, op: str):
 
 
 def _operating_points(series: ScoreSeries):
-    """Cumulative TP/FP at each distinct threshold, descending by score."""
-    order = np.argsort(-series.scores, kind="stable")
-    s = series.scores[order]
-    y = series.anomalous[order]
-    tp_cum = np.cumsum(y)
-    fp_cum = np.cumsum(~y)
-    if s.size == 0:
+    """Cumulative TP and FP counts at each distinct threshold, descending by score."""
+    if not len(series):
         raise ValidationError("cannot compute operating points of an empty series")
+    order = np.argsort(-series.scores, kind="stable")
+    s, y = series.scores[order], series.anomalous[order]
     last_of_group = np.flatnonzero(np.r_[s[1:] != s[:-1], True])
-    return s[last_of_group], tp_cum[last_of_group], fp_cum[last_of_group]
-
-
-def _average_ranks(x: np.ndarray) -> np.ndarray:
-    """1-based ranks with ties sharing their group's average rank."""
-    order = np.argsort(x, kind="stable")
-    sx = x[order]
-    group_start = np.r_[True, sx[1:] != sx[:-1]]
-    group_id = np.cumsum(group_start) - 1
-    first_idx = np.flatnonzero(group_start)
-    counts = np.diff(np.r_[first_idx, sx.size])
-    avg = first_idx + (counts - 1) / 2.0 + 1.0
-    ranks = np.empty(x.size, dtype=np.float64)
-    ranks[order] = avg[group_id]
-    return ranks
+    return np.cumsum(y)[last_of_group], np.cumsum(~y)[last_of_group]
 
 
 def auc_roc(series: ScoreSeries) -> float:
-    """Area under the ROC curve (rank statistic, ties credited one half)."""
+    """Area under the ROC curve: the trapezoid over grouped thresholds, ties credited one half.
+
+    Twice the area in counts, the sum of fp steps times (tp + tp before), is an integer, divided once by
+    2 * n_pos * n_neg. The rank statistic is the same rational, so the two round to the same float.
+    """
     _require_both_classes(series, "auc_roc")
-    ranks = _average_ranks(series.scores)
-    n_pos, n_neg = series.n_pos, series.n_neg
-    u = ranks[series.anomalous].sum() - n_pos * (n_pos + 1) / 2.0
-    return float(u / (n_pos * n_neg))
+    tp, fp = _operating_points(series)
+    twice = int((np.diff(fp, prepend=0) * (tp + np.r_[0, tp[:-1]])).sum())
+    return twice / (2 * series.n_pos * series.n_neg)
 
 
 def auc_pr(series: ScoreSeries) -> float:
     """Average precision over descending distinct thresholds."""
     if series.n_pos == 0:
         raise ValidationError("auc_pr requires at least one anomalous entry")
-    _, tp, fp = _operating_points(series)
+    tp, fp = _operating_points(series)
     recall = tp / series.n_pos
     precision = tp / (tp + fp)
     prev = np.r_[0.0, recall[:-1]]
@@ -149,7 +136,7 @@ def eer(series: ScoreSeries) -> float:
     rounding cannot split genuinely tied thresholds.
     """
     _require_both_classes(series, "eer")
-    _, tp, fp = _operating_points(series)
+    tp, fp = _operating_points(series)
     fn = series.n_pos - tp
     gap = np.abs(fp * series.n_pos - fn * series.n_neg)
     candidates = np.flatnonzero(gap == gap.min())
@@ -162,7 +149,7 @@ def fpr_at_fnr(series: ScoreSeries, target: float = 0.10) -> float:
     if not 0.0 <= target < 1.0:
         raise ValidationError(f"target FNR must be in [0, 1), got {target}")
     _require_both_classes(series, "fpr_at_fnr")
-    _, tp, fp = _operating_points(series)
+    tp, fp = _operating_points(series)
     fpr = fp / series.n_neg
     fnr = 1.0 - tp / series.n_pos
     feasible = fnr <= target

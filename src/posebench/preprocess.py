@@ -58,10 +58,11 @@ def _centered_moving_average(flat: np.ndarray, edges: np.ndarray, window: int) -
     ``min(i, n - 1 - i)`` for row ``i`` of ``n``. A row whose full window lies
     in its run takes its mean from one sliding-window reduction over all rows
     (whose windows across run ends are overwritten); the rows of each smaller
-    half-width, across all runs, take theirs from one gathered reduction, so
-    ``window // 2`` more reductions in all. Either way each mean
-    adds the window's rows in order and divides once, as ``mean(axis=0)`` of
-    the window alone does, so the bits do not depend on the grouping.
+    half-width, across all runs, take theirs from one gathered reduction: one
+    per half-width some row has, below ``window // 2``, so past twice the
+    longest run the cost stops growing with ``window``. Either way each mean adds the window's rows in
+    order and divides once, as ``mean(axis=0)`` of the window alone does, so
+    the bits do not depend on the grouping.
     """
     n, h = len(flat), window // 2
     out = np.empty_like(flat)
@@ -70,7 +71,7 @@ def _centered_moving_average(flat: np.ndarray, edges: np.ndarray, window: int) -
     lengths = np.diff(edges)
     pos = np.arange(n) - np.repeat(edges[:-1], lengths)
     half = np.minimum(pos, np.repeat(lengths, lengths) - 1 - pos)
-    for width in range(h):
+    for width in range(min(h, int(half.max()) + 1) if n else 0):
         rows = np.flatnonzero(half == width)
         out[rows] = flat[rows[:, None] + np.arange(-width, width + 1)].mean(axis=1)
     return out

@@ -25,7 +25,7 @@ from .metrics import AGGREGATORS, HIGHER_IS_BETTER, MetricReport, aggregate_fram
 from .model import CameraDataset, SplitSet, camera_id_error
 from .preprocess import extract_windows
 from .rearrange import ContinualSplit, RearrangePlan, rearrange, verify
-from .scorers import SCORER_KINDS, ScoringState, make_scorer
+from .scorers import SCORER_KINDS, make_scorer
 
 MODES = ("standard", "continual")
 
@@ -160,14 +160,12 @@ def _windows_for(frames, cfg: RunConfig):
     )
 
 
-def evaluate_windows(
-    scorer, test_windows, test_dataset: CameraDataset, cfg: RunConfig, state: ScoringState | None = None
-) -> MetricReport:
-    """Score test windows (through the caller's ``state`` for them), fold them onto frames, compute metrics.
+def evaluate_windows(scorer, test_windows, test_dataset: CameraDataset, cfg: RunConfig) -> MetricReport:
+    """Score test windows, fold them onto frames, compute metrics.
 
     The fold is ``metrics.aggregate_frame_scores``, the one place that maps windows to frame scores.
     """
-    scores = scorer.score_batch(test_windows, state)
+    scores = scorer.score_batch(test_windows)
     return compute_all(aggregate_frame_scores(test_windows, scores, test_dataset, cfg.aggregator), cfg.fnr_target)
 
 
@@ -223,9 +221,8 @@ def run_continual(
         raise ValidationError("origin dataset produced zero pretraining windows")
     scorer.fit(pretrain_windows)
 
-    test_windows = _windows_for(test.frames, cfg)
-    state = ScoringState(test_windows)  # each step scores only the rows it added, when it can
-    baseline = evaluate_windows(scorer, test_windows, test, cfg, state)
+    test_windows = _windows_for(test.frames, cfg)  # one batch object: each step's scoring scans only what it added
+    baseline = evaluate_windows(scorer, test_windows, test, cfg)
 
     per_step = []
     expected_seen = scorer.windows_seen
@@ -239,7 +236,7 @@ def run_continual(
                 f"ingestion accounting broken at step {i}: "
                 f"scorer saw {scorer.windows_seen}, expected {expected_seen}"
             )
-        step_report = evaluate_windows(scorer, test_windows, test, cfg, state)
+        step_report = evaluate_windows(scorer, test_windows, test, cfg)
         per_step.append(step_report)
         if out_dir is not None:
             ckpt_dir = os.path.join(out_dir, "checkpoints")
@@ -248,7 +245,7 @@ def run_continual(
             scorer.save_checkpoint(path, base=saved)
             saved = path
             report_mod.write_step_csv(out_dir, i, split.camera_id, step_report)
-    del scorer, state  # batch training starts afresh; free the step store before building its own
+    del scorer  # batch training starts afresh; free the step store before building its own
 
     batch_scorer = make_scorer(cfg.scorer, seed=scorer_seed, params=cfg.scorer_params)
     batch_windows = _windows_for(cs.training_frames(cs.train_stream), cfg)

@@ -7,9 +7,9 @@ its arrays: the gaussian scorer featurizes the whole batch at once, the knn
 scorer gathers each window's rows of ``poses``. A scorer's state is written
 and read only as a versioned .ckpt file (an npz container); a knn file holds
 the scorer's pose rows and window index as they are in memory.
-A caller that scores one batch again and again (the continual runner's test
-set) holds a ``ScoringState`` for it, through which the knn scorer scans only
-the windows stored since the last scoring.
+A caller may score one batch again and again (the continual runner's test
+set, after every slice): the knn scorer keeps what its last scoring computed
+and then scans only the windows stored since.
 """
 
 from __future__ import annotations
@@ -62,32 +62,11 @@ def _check_dimension(got: int, held: int, what: str):
         raise ValidationError(f"feature dimension {got} does not match {what} dimension {held}")
 
 
-class ScoringState:
-    """What a scorer carries from one scoring of ``batch`` to the next; the caller holds it.
-
-    The knn scorer keeps the batch's gathered query matrix, each query's k
-    smallest squared distances (ascending) over the first ``rows`` stored
-    windows, and the store generation they were computed in. A scorer starts
-    a new generation on reset (so also on fit and when a checkpoint loads)
-    and on any reservoir replacement; a state from another generation, or
-    covering more windows than the store holds, is scanned afresh. The
-    gaussian scorer ignores the state.
-    """
-
-    def __init__(self, batch: WindowBatch):
-        self.batch = batch
-        self.queries = None
-        self.kd = None
-        self.rows = 0
-        self.generation = None
-
-
 class AnomalyScorer:
     """What every scorer shares: ``fit`` and checkpoint writing.
 
     Each kind also has reset, partial_fit, score_batch (one score per window of a
-    WindowBatch; a ``ScoringState``, if given, belongs to that batch and carries work
-    between calls) and windows_seen, plus ``_checkpoint`` and ``_load`` for its file.
+    WindowBatch) and windows_seen, plus ``_checkpoint`` and ``_load`` for its file.
     It declares ``params``, the constructor arguments a config's ``scorer_params`` may
     set; ``seeded``, whether it takes the run's scorer seed; and ``meta_fields``, the
     fields its checkpoint meta carries with their decoded JSON types.
@@ -107,16 +86,22 @@ class AnomalyScorer:
         Each kind's ``_checkpoint(path, base)`` gives its meta fields after format, version and kind,
         and its arrays; its ``_load(meta, arrays)`` takes them back. ``base`` is the file this scorer
         last saved, in the same directory: a knn scorer whose store has only grown since then writes
-        what it appended and a ``base`` record, and every other save the full state.
+        what it appended and a ``base`` record, and every other save the full state. The members are
+        laid out as np.savez lays them out, ``meta`` first, and hashed as they are written.
         """
         fields, arrays = self._checkpoint(path, base)
         meta = {"format": "posebench-checkpoint", "version": CHECKPOINT_VERSION, "kind": self.kind, **fields}
-        with open(path, "wb") as fh:
-            np.savez(fh, meta=np.array(json.dumps(meta)), **arrays)
-        self._saved(path)
+        hashes = {}
+        with zipfile.ZipFile(path, "w", compression=zipfile.ZIP_STORED, allowZip64=True) as zf:
+            for name, array in {"meta": np.array(json.dumps(meta)), **arrays}.items():
+                with zf.open(f"{name}.npy", "w", force_zip64=True) as fh:
+                    out = _Hashing(fh)
+                    np.lib.format.write_array(out, np.asanyarray(array), allow_pickle=False)
+                hashes[f"{name}.npy"] = out.sha256.hexdigest()
+        self._saved(path, _combine(hashes))
 
-    def _saved(self, path):
-        """``path`` now holds this scorer's state; a kind that chains its saves notes what the next needs."""
+    def _saved(self, path, digest: str):
+        """``path`` now holds this scorer's state, its members hashing to ``digest``; a chaining kind notes it."""
 
 
 class GaussianScorer(AnomalyScorer):
@@ -153,7 +138,7 @@ class GaussianScorer(AnomalyScorer):
         _check_dimension(x.shape[1], self._mean.size, "fitted")
         self._count = int(_kernels.welford_update(self._count, self._mean, self._m2, x))
 
-    def score_batch(self, batch: WindowBatch, state: ScoringState | None = None) -> np.ndarray:
+    def score_batch(self, batch: WindowBatch) -> np.ndarray:
         if self._count < 2:
             raise ValidationError(
                 f"gaussian scorer needs at least 2 ingested windows to score, has {self._count}"
@@ -204,8 +189,13 @@ class KnnScorer(AnomalyScorer):
     save writes both as they are. Until a reset or a replacement, both only
     grow at their ends, so a save chained on the last one writes just the
     rows and slots appended since. Scoring gathers the flattened windows of
-    the slots it scans; through a ``ScoringState`` that is only the slots
-    added since, and the merged distances equal a fresh scan bit for bit.
+    the slots it scans. The scorer keeps what its last ``score_batch``
+    computed: the batch, its query matrix, each query's k smallest squared
+    distances (ascending), the stored windows they cover and the store
+    generation. Scoring the same batch object again in that generation scans
+    only the windows stored since, and the merged distances equal a fresh
+    scan bit for bit; any other batch, generation or a store smaller than the
+    covered count is scanned afresh.
     """
 
     kind = "knn"
@@ -228,6 +218,7 @@ class KnnScorer(AnomalyScorer):
         self._seen = 0
         self._generation = object()  # a new token whenever a slot changes other than by appending
         self._last_save = None  # (absolute path, generation, pose rows, slots, member sha256) of the last save
+        self._scored = None  # (batch, queries, k smallest squared distances, windows covered, generation)
 
     def partial_fit(self, batch: WindowBatch):
         if not len(batch):
@@ -250,31 +241,29 @@ class KnnScorer(AnomalyScorer):
         poses = np.concatenate([self._poses, batch.poses.reshape(-1, _POSE)])
         self._poses, self._index = _first_use(poses, index)
 
-    def score_batch(self, batch: WindowBatch, state: ScoringState | None = None) -> np.ndarray:
+    def score_batch(self, batch: WindowBatch) -> np.ndarray:
         if self.stored_count < self.k_nn:
             raise ValidationError(
                 f"knn scorer has {self.stored_count} stored windows, needs at least k_nn={self.k_nn}"
             )
-        if state is None:
-            state = ScoringState(batch)
-        elif state.batch is not batch:
-            raise ValidationError("scoring state belongs to another window batch")
         if not len(batch):
             return np.empty(0, dtype=np.float64)
-        if state.queries is None:
-            state.queries = batch.poses[batch.rows[:, None] + np.arange(batch.length)].reshape(len(batch), -1)
-        _check_dimension(state.queries.shape[1], self._index.shape[1] * _POSE, "stored")
-        if state.generation is not self._generation or state.rows > self.stored_count:
-            state.kd, state.rows = None, 0
+        last = self._scored
+        if last is not None and last[0] is batch and last[4] is self._generation and last[3] <= self.stored_count:
+            _, queries, kd, start, _ = last
+        else:
+            queries = batch.poses[batch.rows[:, None] + np.arange(batch.length)].reshape(len(batch), -1)
+            kd, start = None, 0
+        _check_dimension(queries.shape[1], self._index.shape[1] * _POSE, "stored")
         # The windows are gathered a block at a time, and each block merges into the distances so far.
-        width = state.queries.shape[1]
-        step, start = max(1, _GATHER_ELEMENTS // width), state.rows
+        width = queries.shape[1]
+        step = max(1, _GATHER_ELEMENTS // width)
         for stop in [*range(start + step, self.stored_count, step), self.stored_count]:
             windows = self._poses[self._index[start:stop]].reshape(stop - start, width)
-            state.kd = _kernels.knn_k_smallest(windows, state.queries, self.k_nn, state.kd)
+            kd = _kernels.knn_k_smallest(windows, queries, self.k_nn, kd)
             start = stop
-        state.rows, state.generation = self.stored_count, self._generation
-        return np.sqrt(state.kd).mean(axis=1)
+        self._scored = (batch, queries, kd, self.stored_count, self._generation)
+        return np.sqrt(kd).mean(axis=1)
 
     @property
     def windows_seen(self) -> int:
@@ -331,10 +320,9 @@ class KnnScorer(AnomalyScorer):
             return fields, {"rows": self._poses[rows:], "index": index[slots:]}
         return fields, {"rows": self._poses, "index": index}
 
-    def _saved(self, path):
+    def _saved(self, path, digest: str):
         if self._index is not None:
-            state = (len(self._poses), self.stored_count, _digest(path))
-            self._last_save = (os.path.abspath(path), self._generation, *state)
+            self._last_save = (os.path.abspath(path), self._generation, len(self._poses), self.stored_count, digest)
 
 
 def _first_use(poses: np.ndarray, index: np.ndarray):
@@ -425,21 +413,40 @@ def _read(path) -> dict:
     return meta
 
 
-def _digest(path) -> str:
-    """sha256 over a checkpoint's members, in name order: each name and the sha256 of its bytes.
+class _Hashing:
+    """A writable file that passes each write on to ``fh`` and feeds its bytes to a sha256."""
 
-    np.savez stamps each member with the time, so the archive bytes differ between identical saves; the
-    members do not.
+    def __init__(self, fh):
+        self.fh, self.sha256 = fh, hashlib.sha256()
+
+    def write(self, data):
+        self.sha256.update(data)
+        return self.fh.write(data)
+
+
+def _combine(hashes: dict) -> str:
+    """A checkpoint's digest: sha256 over each member name and the sha256 of its bytes (``hashes``), in name order.
+
+    The zip stamps each member with the time it was written, so the archive bytes differ between identical
+    saves; the members do not.
     """
     total = hashlib.sha256()
+    for name in sorted(hashes):
+        total.update(f"{name} {hashes[name]}\n".encode())
+    return total.hexdigest()
+
+
+def _digest(path) -> str:
+    """The digest of the checkpoint file ``path`` (see ``_combine``), read member by member."""
+    hashes = {}
     with zipfile.ZipFile(path) as zf:
-        for name in sorted(zf.namelist()):
+        for name in zf.namelist():
             member = hashlib.sha256()
             with zf.open(name) as fh:
                 while block := fh.read(1 << 16):
                     member.update(block)
-            total.update(f"{name} {member.hexdigest()}\n".encode())
-    return total.hexdigest()
+            hashes[name] = member.hexdigest()
+    return _combine(hashes)
 
 
 _CHAINED = {"rows": "rows", "index": "slots"}  # each array a chained file continues, and its count in ``base``

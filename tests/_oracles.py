@@ -42,7 +42,7 @@ def sweep(scores, labels):
 
 
 def roc_auc_pairwise(scores, labels):
-    """Probability a random anomalous score outranks a random normal one."""
+    """Probability a random anomalous score outranks a random normal one: exact counts of halves, divided once."""
     pos = [float(s) for s, y in zip(scores, labels) if y == 1]
     neg = [float(s) for s, y in zip(scores, labels) if y == 0]
     total = 0.0

@@ -19,6 +19,12 @@ def test_bench_checkpoint_runs():
     assert all(seconds > 0 for _, _, seconds, *_ in rows)
 
 
+def test_bench_score_step_runs():
+    rows = _load_bench().bench_score_step(0, 1)
+    assert [(name, size) for name, size, _ in rows] == [("scorers.score_batch", "267x52+194 k=5")]
+    assert all(seconds > 0 for _, _, seconds in rows)
+
+
 def test_bench_extract_windows_runs():
     rows = _load_bench().bench_extract_windows(0, 1)
     assert [(name, size) for name, size, _ in rows] == [

@@ -47,7 +47,7 @@ def synth_dir(tmp_path_factory):
 def _output_digests(out):
     """sha256 of every file under ``out`` but the manifest, and of each member of each checkpoint, by path.
 
-    np.savez stamps each archive member with the time, so a checkpoint is hashed member by member.
+    A zip stamps each archive member with the time it was written, so a checkpoint is hashed member by member.
     """
     digests = {}
     for path in sorted(p for p in out.rglob("*") if p.is_file() and p.name != "manifest.json"):
@@ -295,6 +295,27 @@ class TestSynth:
         assert main(argv + flags) == 2
         assert message in capsys.readouterr().err
         assert not out.exists()  # nothing is written before every dataset is generated
+
+    @pytest.mark.parametrize(
+        "flags,config_hash",
+        [
+            (
+                ["--train-normal", "3000", "--test-normal", "2000", "--test-anomaly", "500"],
+                "bb4f8e6633a5047d4d8e27db5a53b3799b41a96665d79e01957a8178941e63d0",
+            ),
+            (
+                ["--train-normal", "2400", "--test-normal", "1200", "--test-anomaly", "400", "--boost", "2.5",
+                 "--origin-normal", "1200", "--origin-step-sigma", "16", "--origin-jitter-sigma", "8"],
+                "acff03a8cd622d522ffe65b8981701e32931bb0432898bd74964e629bccfc6fa",
+            ),
+        ],
+        ids=["standard", "continual"],
+    )
+    def test_readme_config_hashes_are_pinned(self, tmp_path, capsys, flags, config_hash):
+        # The README quick-starts' synth commands; the hash covers every flag but --seed and --out.
+        assert main(["synth", *flags, "--seed", "0", "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        assert json.loads((tmp_path / "manifest.json").read_text())["config_hash"] == config_hash
 
 
 class TestStats:
@@ -587,6 +608,17 @@ class TestRunStandardCommand:
         capsys.readouterr()
         assert code == 0
         assert (out / "report.csv").exists()
+
+    def test_smoothing_window_past_every_run_finishes(self, synth_dir, tmp_path, capsys):
+        # A window of at least twice the longest run (400 train frames) plus one smooths every run whole,
+        # so any larger one gives the same report, in a time that does not grow with the window.
+        inputs = [f"--{name}={synth_dir / name}.jsonl" for name in ("train", "test")]
+        assert main(["run-standard", *inputs, "--smoothing-window", "801", "--out", str(tmp_path / "801")]) == 0
+        capsys.readouterr()
+        argv = [sys.executable, "-m", "posebench.cli", "run-standard", *inputs, "--smoothing-window", "1000000001"]
+        env = {**os.environ, "PYTHONPATH": str(Path(posebench.__file__).parents[1])}
+        subprocess.run([*argv, "--out", str(tmp_path / "huge")], env=env, check=True, timeout=60, capture_output=True)
+        assert (tmp_path / "huge" / "report.csv").read_bytes() == (tmp_path / "801" / "report.csv").read_bytes()
 
     def test_config_mode_conflict(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"

@@ -68,7 +68,7 @@ class TestAgainstOracles:
             scores, labels = _oracles.random_series(rng)
             s = series(scores, labels)
             got = auc_roc(s)
-            assert got == pytest.approx(_oracles.roc_auc_pairwise(scores, labels), abs=1e-9)
+            assert got == _oracles.roc_auc_pairwise(scores, labels)  # one exact count, divided once
             assert got == pytest.approx(_oracles.roc_auc_trapezoid(scores, labels), abs=1e-9)
 
     def test_pr_matches_oracle(self, rng):
@@ -107,7 +107,7 @@ class TestMetricsProperty:
         scores, labels = case
         rep = compute_all(series(scores, labels))
         assert (rep.n_pos, rep.n_neg) == (sum(labels), len(labels) - sum(labels))
-        assert rep.auc_roc == pytest.approx(_oracles.roc_auc_pairwise(scores, labels), abs=1e-9)
+        assert rep.auc_roc == _oracles.roc_auc_pairwise(scores, labels)  # bit for bit: both divide exact counts once
         assert rep.auc_roc == pytest.approx(_oracles.roc_auc_trapezoid(scores, labels), abs=1e-9)
         assert rep.auc_pr == pytest.approx(_oracles.average_precision(scores, labels), abs=1e-9)
         assert rep.eer == pytest.approx(_oracles.eer_scan(scores, labels), abs=1e-9)

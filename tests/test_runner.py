@@ -252,7 +252,12 @@ class TestContinualKnnScoring:
     def test_steps_scan_only_new_rows_and_match_fresh_scans(self, monkeypatch):
         cfg = self.cfg()
         score = KnnScorer.score_batch
-        monkeypatch.setattr(KnnScorer, "score_batch", lambda sc, batch, state=None: score(sc, batch))
+
+        def fresh_scan(sc, batch):
+            sc._scored = None  # forget the last scoring, so every call scans the whole store
+            return score(sc, batch)
+
+        monkeypatch.setattr(KnnScorer, "score_batch", fresh_scan)
         fresh, _ = run_continual(cfg, small_split(), generate_normals(300, seed=2))
         monkeypatch.setattr(KnnScorer, "score_batch", score)
         scans = []
@@ -270,25 +275,19 @@ class TestContinualKnnScoring:
 
     def test_step_scorer_is_freed_before_batch_training(self, monkeypatch):
         cfg = self.cfg()
-        made, states = [], []
-        make, state_class = runner.make_scorer, runner.ScoringState
+        made = []
+        make = runner.make_scorer
 
         def spy(*args, **kwargs):
-            if made:  # the batch-training scorer: the step scorer and its state are gone
-                assert made[0]() is None and states[0]() is None
+            if made:  # the batch-training scorer: the step scorer and what it kept of its last scoring are gone
+                assert made[0]() is None
             scorer = make(*args, **kwargs)
             made.append(weakref.ref(scorer))
             return scorer
 
-        def tracked(batch):
-            state = state_class(batch)
-            states.append(weakref.ref(state))
-            return state
-
         monkeypatch.setattr(runner, "make_scorer", spy)
-        monkeypatch.setattr(runner, "ScoringState", tracked)
         run_continual(cfg, small_split(), generate_normals(300, seed=2))
-        assert len(made) == 2 and len(states) == 1
+        assert len(made) == 2
 
 
 class TestResultSerialization:

@@ -21,7 +21,6 @@ from posebench.runner import derive_seed
 from posebench.scorers import (
     GaussianScorer,
     KnnScorer,
-    ScoringState,
     kinematic_features,
     load_checkpoint,
     make_scorer,
@@ -257,7 +256,25 @@ class TestSplitInvariance:
         np.testing.assert_array_equal(whole.score_batch(probe), split.score_batch(probe))
 
 
-class TestScoringState:
+def _queries(batch):
+    """A batch's windows, one flattened window per row."""
+    return np.stack([batch.poses[r : r + batch.length].reshape(-1) for r in batch.rows])
+
+
+def _scan_spy(monkeypatch):
+    """A list that records (stored windows, whether a prior was merged) for each knn kernel call."""
+    scanned = []
+    k_smallest = _kernels.knn_k_smallest
+
+    def spy(stored, queries, k, prior=None):
+        scanned.append((len(stored), prior is not None))
+        return k_smallest(stored, queries, k, prior)
+
+    monkeypatch.setattr(_kernels, "knn_k_smallest", spy)
+    return scanned
+
+
+class TestRepeatedScoring:
     @settings(deadline=None, max_examples=60)
     @given(
         k=st.integers(1, 7),
@@ -272,98 +289,72 @@ class TestScoringState:
         rng = np.random.default_rng(seed)
         sc = KnnScorer(k_nn=k, capacity=k + extra, seed=seed)
         probe = window_batch(offset + feats(rng, 6, length=3))
-        state = ScoringState(probe)
+        queries = _queries(probe)
         for size in pieces:
             sc.partial_fit(window_batch(offset + feats(rng, size, length=3)))
             if sc.stored_count < k:
                 continue
-            got = sc.score_batch(probe, state)
-            assert state.rows == sc.stored_count
-            fresh = sc.score_batch(probe)
-            assert got.tobytes() == fresh.tobytes()
-            store = _stored(sc)
-            assert got.tobytes() == _kernels.knn_mean_distance(store, state.queries, k).tobytes()
+            got = sc.score_batch(probe)
+            assert got.tobytes() == _kernels.knn_mean_distance(_stored(sc), queries, k).tobytes()
 
     def test_steps_scan_only_new_rows(self, rng, monkeypatch):
-        scanned = []
-        k_smallest = _kernels.knn_k_smallest
-
-        def spy(stored, queries, k, prior=None):
-            scanned.append((len(stored), prior is not None))
-            return k_smallest(stored, queries, k, prior)
-
-        monkeypatch.setattr(_kernels, "knn_k_smallest", spy)
+        scanned = _scan_spy(monkeypatch)
         sc = KnnScorer(k_nn=3, capacity=100, seed=0)
         sc.fit(windows(rng, 10, length=3))
         probe = windows(rng, 4, length=3)
-        state = ScoringState(probe)
-        sc.score_batch(probe, state)
+        sc.score_batch(probe)
         for n in (5, 0, 2):
             sc.partial_fit(windows(rng, n, length=3))
-            sc.score_batch(probe, state)
+            sc.score_batch(probe)
         assert scanned == [(10, False), (5, True), (0, True), (2, True)]
 
     def test_blocked_gather_equals_one_scan(self, rng, monkeypatch):
         # Windows are gathered for the kernel a block at a time; blocks of 3 windows merge to the same bits.
+        # The blocked scan scores an equal batch built apart, since the same object would reuse the first scan.
         sc = KnnScorer(k_nn=4, capacity=40, seed=0)
         sc.fit(windows(rng, 50, length=3))
-        probe = windows(rng, 7, length=3)
-        want = sc.score_batch(probe)
+        values = feats(rng, 7, length=3)
+        want = sc.score_batch(window_batch(values))
         monkeypatch.setattr(scorers, "_GATHER_ELEMENTS", 3 * 3 * 34)
-        state = ScoringState(probe)
-        assert sc.score_batch(probe, state).tobytes() == want.tobytes()
-        assert want.tobytes() == _kernels.knn_mean_distance(_stored(sc), state.queries, 4).tobytes()
+        scanned = _scan_spy(monkeypatch)
+        probe = window_batch(values)
+        assert sc.score_batch(probe).tobytes() == want.tobytes()
+        assert scanned == [(3, False)] + [(3, True)] * 12 + [(1, True)]  # 40 stored windows
+        assert want.tobytes() == _kernels.knn_mean_distance(_stored(sc), _queries(probe), 4).tobytes()
 
-    def test_refit_to_the_same_count_rescans(self, rng):
-        # A state keyed on the row count alone would keep the first fit's distances.
+    def test_refit_to_the_same_count_rescans(self, rng, monkeypatch):
+        # A cache keyed on the row count alone would keep the first fit's distances.
         sc = KnnScorer(k_nn=2, seed=0)
         probe = windows(rng, 5, length=3)
-        state = ScoringState(probe)
         sc.fit(windows(rng, 12, length=3))
-        first = sc.score_batch(probe, state)
+        first = sc.score_batch(probe)
         sc.fit(windows(rng, 12, length=3))
-        again = sc.score_batch(probe, state)
-        assert again.tobytes() == sc.score_batch(probe).tobytes() != first.tobytes()
+        scanned = _scan_spy(monkeypatch)
+        again = sc.score_batch(probe)
+        assert scanned == [(12, False)]
+        assert again.tobytes() == _kernels.knn_mean_distance(_stored(sc), _queries(probe), 2).tobytes()
+        assert again.tobytes() != first.tobytes()
 
-    def test_restore_rescans(self, rng, tmp_path):
-        # A loaded scorer holding as many rows as the state covers starts a new generation.
-        sc = KnnScorer(k_nn=2, seed=0)
-        other = KnnScorer(k_nn=2, seed=0)
-        sc.fit(windows(rng, 12, length=3))
-        other.fit(windows(rng, 12, length=3))
-        probe = windows(rng, 5, length=3)
-        state = ScoringState(probe)
-        sc.score_batch(probe, state)
-        other.save_checkpoint(tmp_path / "other.ckpt")
-        sc = load_checkpoint(tmp_path / "other.ckpt")
-        assert sc.score_batch(probe, state).tobytes() == other.score_batch(probe).tobytes()
-
-    def test_replacement_rescans(self, rng):
+    def test_replacement_rescans(self, rng, monkeypatch):
         sc = KnnScorer(k_nn=2, capacity=8, seed=0)
         sc.fit(windows(rng, 8, length=3))
         probe = windows(rng, 5, length=3)
-        state = ScoringState(probe)
-        sc.score_batch(probe, state)
-        generation = state.generation
+        sc.score_batch(probe)
         sc.partial_fit(windows(rng, 20, length=3))  # the store stays at 8 rows, some replaced
-        assert sc.stored_count == state.rows == 8
-        assert sc.score_batch(probe, state).tobytes() == sc.score_batch(probe).tobytes()
-        assert state.generation is not generation
+        scanned = _scan_spy(monkeypatch)
+        got = sc.score_batch(probe)
+        assert sc.stored_count == 8 and scanned == [(8, False)]
+        assert got.tobytes() == _kernels.knn_mean_distance(_stored(sc), _queries(probe), 2).tobytes()
 
-    def test_state_of_another_batch_is_refused(self, rng):
+    def test_another_batch_is_scanned_afresh(self, rng, monkeypatch):
         sc = KnnScorer(k_nn=2, seed=0)
         sc.fit(windows(rng, 12, length=3))
-        state = ScoringState(windows(rng, 5, length=3))
-        with pytest.raises(ValidationError, match="another window batch"):
-            sc.score_batch(windows(rng, 5, length=3), state)
-
-    def test_gaussian_ignores_the_state(self, rng):
-        sc = GaussianScorer()
-        sc.fit(windows(rng, 20))
-        probe = windows(rng, 4)
-        state = ScoringState(probe)
-        assert sc.score_batch(probe, state).tobytes() == sc.score_batch(probe).tobytes()
-        assert (state.queries, state.kd, state.rows) == (None, None, 0)
+        a, b = windows(rng, 5, length=3), windows(rng, 5, length=3)
+        want = [_kernels.knn_mean_distance(_stored(sc), _queries(batch), 2).tobytes() for batch in (b, a)]
+        sc.score_batch(a)
+        scanned = _scan_spy(monkeypatch)
+        assert [sc.score_batch(b).tobytes(), sc.score_batch(a).tobytes()] == want
+        assert scanned == [(12, False), (12, False)]
 
 
 def _overlapping_store(windows_held):
@@ -750,7 +741,7 @@ def _save_and_load(sc, path):
 
 
 def _members(path):
-    """A checkpoint's zip members by name; np.savez stamps the archive, not the members, with the time."""
+    """A checkpoint's zip members by name; the zip stamps the archive, not the members, with the time."""
     with zipfile.ZipFile(path) as zf:
         return {name: zf.read(name) for name in zf.namelist()}
 
