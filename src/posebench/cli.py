@@ -11,6 +11,7 @@ seed, a timestamp and the subcommand name.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import hashlib
 import json
@@ -22,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .errors import PosebenchError, ValidationError, json_error
-from .io import load_dataset, write_frames
+from .io import load_datasets, write_frames
 from .metrics import AGGREGATORS
 from .model import SplitSet
 from .rearrange import RearrangePlan, rearrange, verify
@@ -50,13 +51,6 @@ def _write_manifest(out_dir, subcommand: str, seed: int, config_hash: str):
     with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")
-
-
-def _load(path):
-    try:
-        return load_dataset(path)
-    except OSError as exc:
-        raise ValidationError(f"cannot read {path}: {exc.strerror or exc}") from None
 
 
 def _read_config_file(path) -> dict:
@@ -137,14 +131,14 @@ def _build_run_config(args, mode: str):
 def _cmd_stats(args) -> int:
     rows = []
     iou_rows = []
-    for path in args.datasets:
-        ds = _load(path)
-        if args.camera is not None and ds.camera_id != args.camera:
-            continue
-        st = stats_from_frames(ds.frames)
-        rows.append(st)
-        if args.iou_out:
-            iou_rows.extend((st.camera_id, v) for v in st.max_iou_per_frame)
+    with contextlib.closing(load_datasets(*args.datasets)) as datasets:
+        for ds in datasets:
+            if args.camera is not None and ds.camera_id != args.camera:
+                continue
+            st = stats_from_frames(ds.frames)
+            rows.append(st)
+            if args.iou_out:
+                iou_rows.extend((st.camera_id, v) for v in st.max_iou_per_frame)
     if not rows:
         raise ValidationError(
             f"no dataset matched camera {args.camera!r}" if args.camera else "no datasets given"
@@ -162,7 +156,8 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_rearrange(args) -> int:
-    split = SplitSet(train=_load(args.train), test=_load(args.test))
+    with contextlib.closing(load_datasets(args.train, args.test)) as datasets:
+        split = SplitSet(train=next(datasets), test=next(datasets))
     plan = RearrangePlan(seed=derive_seed(args.seed, "rearrange"), **_plan_flags(args))
     cs = rearrange(split, plan)
     verify(cs)
@@ -187,7 +182,8 @@ def _cmd_run_standard(args) -> int:
     for key in ("train", "test"):
         if key not in paths:
             raise ValidationError(f"run-standard requires a {key} dataset (flag --{key} or config)")
-    split = SplitSet(train=_load(paths["train"]), test=_load(paths["test"]))
+    with contextlib.closing(load_datasets(paths["train"], paths["test"])) as datasets:
+        split = SplitSet(train=next(datasets), test=next(datasets))
     _write_manifest(args.out, "run-standard", cfg.seed, cfg.config_hash())
     run_standard(cfg, split, out_dir=args.out)
     print(f"wrote report.csv and report.md to {args.out}", file=sys.stderr)
@@ -199,8 +195,9 @@ def _cmd_run_continual(args) -> int:
     for key in ("train", "test", "origin"):
         if key not in paths:
             raise ValidationError(f"run-continual requires a {key} dataset (flag --{key} or config)")
-    split = SplitSet(train=_load(paths["train"]), test=_load(paths["test"]))
-    origin = _load(paths["origin"])
+    with contextlib.closing(load_datasets(paths["train"], paths["test"], paths["origin"])) as datasets:
+        split = SplitSet(train=next(datasets), test=next(datasets))  # its checks come before origin's errors
+        origin = next(datasets)
     _write_manifest(args.out, "run-continual", cfg.seed, cfg.config_hash())
     run_continual(cfg, split, origin, out_dir=args.out)
     print(f"wrote report, steps and checkpoints to {args.out}", file=sys.stderr)

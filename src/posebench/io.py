@@ -22,7 +22,8 @@ as array predicates: each person's keypoint count, its ``interpolated`` flag
 (true exactly when every visibility is ``null``), and the table's rules (the
 camera_id's rule, then the value rules). The flag is not kept;
 ``write_frames`` writes it from the visibilities. Every error names the file
-and the line.
+and the line. ``load_datasets`` reads a command's files in parallel (forked
+children), and takes each file's dataset or error where a serial read would.
 
 Unknown keys are accepted and ignored on read; they are not preserved on
 write (lines are rebuilt from the table). ``write_frames`` writes each line
@@ -36,12 +37,15 @@ from __future__ import annotations
 
 import json
 import os
+import pickle
+import signal
+import sys
 from itertools import chain
 
 import numpy as np
 import orjson
 
-from .errors import ValidationError, json_error
+from .errors import PosebenchError, ValidationError, json_error
 from .model import KEYPOINT_COUNT, LABEL_ANOMALOUS, LABELS, CameraDataset, FrameTable, RowError, camera_id_error
 
 _NUMBER = frozenset((int, float))  # JSON numbers; bool is excluded on purpose
@@ -225,9 +229,65 @@ def read_frames(path) -> FrameTable:
 
 
 def load_dataset(path) -> CameraDataset:
-    """Load a single-camera JSONL file into a CameraDataset sorted by frame_index."""
-    frames = read_frames(path)
+    """Load a single-camera JSONL file into a CameraDataset sorted by frame_index; an unreadable file is refused."""
+    try:
+        frames = read_frames(path)
+    except OSError as exc:
+        raise ValidationError(f"cannot read {path}: {exc.strerror or exc}") from None
     return CameraDataset(frames.take(np.argsort(frames.frame_index)))
+
+
+def _reader(paths):
+    """Fork a child that pickles the table fields of each of ``paths``, or its error, to a pipe; pid and read end."""
+    for stream in (sys.stdout, sys.stderr):
+        stream.flush()
+    try:
+        read, write = os.pipe()
+        pid = os.fork()
+    except OSError as exc:  # a process or file limit: a runtime failure, not a write
+        raise PosebenchError(f"cannot start a process to read {', '.join(map(str, paths))}: {exc.strerror}") from None
+    if pid:
+        os.close(write)
+        return pid, os.fdopen(read, "rb")
+    try:  # the child, which never returns; the caller kills it once it stops reading
+        with os.fdopen(write, "wb") as out:
+            for path in paths:
+                try:
+                    result = vars(load_dataset(path).frames)
+                except Exception as exc:  # noqa: BLE001 - the caller raises it when it takes this file
+                    result = exc
+                pickle.dump(result, out, protocol=5)
+    finally:
+        os._exit(0)
+
+
+def load_datasets(*paths):
+    """Yield ``load_dataset`` of each path in path order. One forked child per spare core (none without
+    ``os.sched_getaffinity``, so none without ``os.fork``) reads its share of the later files in path order and
+    sends each table's fields (rebuilt here) or error (raised when taken). Closing this kills and reaps them all."""
+    n = min(len(os.sched_getaffinity(0)) - 1, len(paths) - 1) if hasattr(os, "sched_getaffinity") else 0
+    readers = []  # pid, pipe, share
+    try:
+        for c in range(n):
+            readers.append((*_reader(paths[1 + c :: n]), paths[1 + c :: n]))
+        for i, path in enumerate(paths):
+            if not i or not n:
+                yield load_dataset(path)
+                continue
+            _, pipe, share = readers[(i - 1) % n]
+            try:
+                result = pickle.load(pipe)
+            except (EOFError, pickle.UnpicklingError):
+                files = ", ".join(map(str, share[(i - 1) // n :]))
+                raise PosebenchError(f"the process reading {files} ended without a result") from None
+            if isinstance(result, Exception):
+                raise result
+            yield CameraDataset(FrameTable(**result))
+    finally:
+        for pid, pipe, _ in readers:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 def _same_in_orjson(text) -> bool:

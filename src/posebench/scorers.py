@@ -85,8 +85,8 @@ class AnomalyScorer:
 
         Each kind's ``_checkpoint(path, base)`` gives its meta fields after format, version and kind,
         and its arrays; its ``_load(meta, arrays)`` takes them back. ``base`` is the file this scorer
-        last saved, in the same directory: a knn scorer whose store has only grown since then writes
-        what it appended and a ``base`` record, and every other save the full state. The members are
+        last saved, in the same directory: a knn scorer whose saved slots are unchanged since then
+        writes what it added and a ``base`` record, and every other save the full state. The members are
         laid out as np.savez lays them out, ``meta`` first, and hashed as they are written.
         """
         fields, arrays = self._checkpoint(path, base)
@@ -186,16 +186,16 @@ class KnnScorer(AnomalyScorer):
     ``_poses`` (P, 34) pose rows and ``_index`` (stored, length), slot ``i``
     being the window ``_poses[_index[i]]``. ``_poses`` holds exactly the
     source rows the index references, each once, in first-use order, so a
-    save writes both as they are. Until a reset or a replacement, both only
-    grow at their ends, so a save chained on the last one writes just the
-    rows and slots appended since. Scoring gathers the flattened windows of
-    the slots it scans. The scorer keeps what its last ``score_batch``
-    computed: the batch, its query matrix, each query's k smallest squared
-    distances (ascending), the stored windows they cover and the store
-    generation. Scoring the same batch object again in that generation scans
-    only the windows stored since, and the merged distances equal a fresh
-    scan bit for bit; any other batch, generation or a store smaller than the
-    covered count is scanned afresh.
+    save writes both as they are. Until a reset or a replacement of a slot
+    the last save or scoring holds, both change only past those slots, so a
+    save chained on the last one writes just the rows and slots added since.
+    Scoring gathers the flattened windows of the slots it scans. The scorer
+    keeps what its last ``score_batch`` computed: the batch, its query
+    matrix, each query's k smallest squared distances (ascending), the stored
+    windows they cover and the store generation. Scoring the same batch
+    object again in that generation scans only the windows stored since, and
+    the merged distances equal a fresh scan bit for bit; any other batch,
+    generation or a store smaller than the covered count is scanned afresh.
     """
 
     kind = "knn"
@@ -216,7 +216,7 @@ class KnnScorer(AnomalyScorer):
         self._rng = np.random.default_rng(self.seed)
         self._poses = self._index = None
         self._seen = 0
-        self._generation = object()  # a new token whenever a slot changes other than by appending
+        self._generation = object()  # a new token whenever a slot the last save or scoring holds changes
         self._last_save = None  # (absolute path, generation, pose rows, slots, member sha256) of the last save
         self._scored = None  # (batch, queries, k smallest squared distances, windows covered, generation)
 
@@ -232,12 +232,14 @@ class KnnScorer(AnomalyScorer):
         fill = min(len(batch), self.capacity - len(self._index))
         index = np.concatenate([self._index, slots[:fill]])
         self._seen += fill
+        held = max(self._last_save[3] if self._last_save else 0, self._scored[3] if self._scored else 0)
         for i in range(fill, len(batch)):
             self._seen += 1
             j = int(self._rng.integers(0, self._seen))
             if j < self.capacity:
                 index[j] = slots[i]
-                self._generation = object()
+                if j < held:
+                    self._generation = object()
         poses = np.concatenate([self._poses, batch.poses.reshape(-1, _POSE)])
         self._poses, self._index = _first_use(poses, index)
 
@@ -307,7 +309,7 @@ class KnnScorer(AnomalyScorer):
             return fields, {}
         index = self._index.astype(np.int32 if len(self._poses) < 2**31 else np.int64)
         last, target = self._last_save, os.path.abspath(path)
-        # Only appends since the last save keep its rows and slots a prefix of the store's.
+        # Only changes past the last save's slots keep its rows and slots a prefix of the store's.
         if (
             base is not None
             and last is not None

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 import tempfile
 from pathlib import Path
 
@@ -142,6 +143,18 @@ def window_batch(features, start_frame=0):
         start_frame=np.arange(n, dtype=np.int64) * length + start_frame,
         length=length,
     )
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_left():
+    """Fail a test that leaves a child process unreaped, running or exited."""
+    yield
+    try:
+        pid, status = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:  # no child at all
+        return
+    left = f"child {pid} exited unreaped (wait status {status})" if pid else "a child process is still running"
+    pytest.fail(f"the test left {left}")
 
 
 @pytest.fixture

@@ -1,7 +1,10 @@
+import contextlib
 import dataclasses
+import errno
 import hashlib
 import json
 import os
+import signal
 import subprocess
 import sys
 import zipfile
@@ -11,7 +14,7 @@ import numpy as np
 import pytest
 
 import posebench
-from posebench import cli, runner
+from posebench import cli, io, runner
 from posebench.cli import main
 from posebench.errors import ValidationError
 from posebench.io import load_dataset
@@ -780,6 +783,131 @@ class TestRunContinualCommand:
             digests.append(_output_digests(out))
         assert len(digests[0]) == 3 + 9 + 9 * 3  # reports, step CSVs and three members per checkpoint
         assert digests[0] == digests[1]
+
+
+@pytest.fixture(scope="module")
+def continual_dir(tmp_path_factory):
+    """A small continual synth (train, test, origin) plus ``bad_<name>.jsonl``: each file with a malformed last line."""
+    out = tmp_path_factory.mktemp("continual")
+    shape = ["--boost", "2.5", "--origin-step-sigma", "16", "--origin-jitter-sigma", "8"]
+    counts = ["--train-normal", "300", "--test-normal", "180", "--test-anomaly", "60", "--origin-normal", "200"]
+    assert main(["synth", *counts, *shape, "--seed", "0", "--out", str(out)]) == 0
+    for name in ("train", "test", "origin"):
+        (out / f"bad_{name}.jsonl").write_bytes((out / f"{name}.jsonl").read_bytes() + b"{not json\n")
+    return out
+
+
+def _cores(monkeypatch, n):
+    """Make the loader see ``n`` usable cores: n - 1 forked readers at most."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+class TestParallelLoad:
+    """Input files are read by forked children, but each error is the one a serial read reports first."""
+
+    @pytest.mark.parametrize("cores", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "subcommand, files, reported",
+        [
+            ("run-standard", ("bad_train", "bad_test"), "bad_train.jsonl: line 301: malformed JSON"),
+            # test.jsonl holds anomalous frames, so as train it fails SplitSet; the test file's error comes first.
+            ("run-standard", ("test", "bad_test"), "bad_test.jsonl: line 241: malformed JSON"),
+            ("rearrange", ("test", "bad_test"), "bad_test.jsonl: line 241: malformed JSON"),
+            ("run-continual", ("test", "test", "bad_origin"), "is not labeled normal"),
+            ("run-continual", ("train", "test", "bad_origin"), "bad_origin.jsonl: line 201: malformed JSON"),
+            ("stats", ("train", "bad_test", "bad_origin"), "bad_test.jsonl: line 241: malformed JSON"),
+        ],
+    )
+    def test_errors_come_in_serial_order(self, continual_dir, tmp_path, capsys, monkeypatch, cores, subcommand,
+                                         files, reported):
+        _cores(monkeypatch, cores)
+        paths = [str(continual_dir / f"{name}.jsonl") for name in files]
+        if subcommand == "stats":
+            argv = ["stats", *paths]
+        else:
+            argv = [subcommand, *(f"--{key}={path}" for key, path in zip(("train", "test", "origin"), paths))]
+            argv += ["--out", str(tmp_path / "out")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and reported in err
+
+    def test_missing_test_file(self, continual_dir, tmp_path, capsys, monkeypatch):
+        _cores(monkeypatch, 2)
+        missing = tmp_path / "nope.jsonl"
+        argv = ["run-standard", "--train", str(continual_dir / "train.jsonl"), "--test", str(missing)]
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"error: cannot read {missing}: No such file or directory\n"
+
+    @pytest.fixture
+    def failing_read(self, continual_dir, monkeypatch):
+        """Make reading test.jsonl in a forked reader run ``fail``; the calling process reads as before."""
+        parent, read_frames = os.getpid(), io.read_frames
+
+        def install(fail):
+            def read(path):
+                if os.getpid() != parent and Path(path).name == "test.jsonl":
+                    fail()
+                return read_frames(path)
+
+            _cores(monkeypatch, 2)
+            monkeypatch.setattr(io, "read_frames", read)
+
+        return install
+
+    def test_runtime_error_in_a_reader_is_an_internal_error(self, continual_dir, tmp_path, capsys, failing_read):
+        def fail():
+            raise RuntimeError(f"boom in process {os.getpid()}")
+
+        failing_read(fail)
+        inputs = [f"--{name}={continual_dir / name}.jsonl" for name in ("train", "test")]
+        assert main(["run-standard", *inputs, "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("internal error: RuntimeError: boom in process ") and str(os.getpid()) not in err
+
+    def test_killed_reader_names_its_files(self, continual_dir, tmp_path, capsys, failing_read):
+        failing_read(lambda: os.kill(os.getpid(), signal.SIGKILL))
+        inputs = [f"--{name}={continual_dir / name}.jsonl" for name in ("train", "test", "origin")]
+        assert main(["run-continual", *inputs, "--out", str(tmp_path / "out")]) == 3
+        files = f"{continual_dir / 'test.jsonl'}, {continual_dir / 'origin.jsonl'}"
+        assert capsys.readouterr().err == f"error: the process reading {files} ended without a result\n"
+
+    def test_failed_fork_is_a_runtime_error_and_leaves_no_child(self, continual_dir, tmp_path, capsys, monkeypatch):
+        # Two readers: the first starts, the second cannot; the first is killed and reaped.
+        _cores(monkeypatch, 3)
+        fork, calls = os.fork, []
+
+        def second_fails():
+            calls.append(1)
+            if len(calls) == 2:
+                raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+            return fork()
+
+        monkeypatch.setattr(os, "fork", second_fails)
+        inputs = [f"--{name}={continual_dir / name}.jsonl" for name in ("train", "test", "origin")]
+        assert main(["run-continual", *inputs, "--out", str(tmp_path / "out")]) == 3
+        want = f"error: cannot start a process to read {continual_dir / 'origin.jsonl'}: {os.strerror(errno.EAGAIN)}\n"
+        assert capsys.readouterr().err == want
+
+    def test_loaded_columns_are_read_only(self, continual_dir, monkeypatch):
+        _cores(monkeypatch, 3)
+        paths = [continual_dir / f"{name}.jsonl" for name in ("train", "test", "origin")]
+        with contextlib.closing(io.load_datasets(*paths)) as datasets:
+            for path, ds in zip(paths, datasets):
+                assert ds == load_dataset(path)
+                assert not any(column.flags.writeable for column in ds.frames._columns())
+
+    def test_outputs_do_not_depend_on_the_core_count(self, continual_dir, tmp_path, capsys, monkeypatch):
+        paths = [str(continual_dir / f"{name}.jsonl") for name in ("train", "test", "origin")]
+        inputs = [f"--{key}={path}" for key, path in zip(("train", "test", "origin"), paths)]
+        digests = []
+        for cores in (1, 2, 3):
+            _cores(monkeypatch, cores)
+            out = tmp_path / f"cores-{cores}"
+            argv = ["run-continual", *inputs, "--scorer", "knn", "--seed", "0", "--k", "3"]
+            assert main([*argv, "--out", str(out)]) == 0
+            assert main(["stats", *paths]) == 0
+            digests.append((_output_digests(out), capsys.readouterr().out))
+        assert len(digests[0][0]) == 3 + 3 + 3 * 3 and digests[0] == digests[1] == digests[2]
 
 
 class TestReportCommand:

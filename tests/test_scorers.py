@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import _oracles
@@ -344,6 +344,21 @@ class TestRepeatedScoring:
         scanned = _scan_spy(monkeypatch)
         got = sc.score_batch(probe)
         assert sc.stored_count == 8 and scanned == [(8, False)]
+        assert got.tobytes() == _kernels.knn_mean_distance(_stored(sc), _queries(probe), 2).tobytes()
+
+    def test_replacement_past_the_covered_count_scans_incrementally(self, rng, monkeypatch):
+        # The scoring covers 3 windows; the next batch fills slots 3..7, then its last window replaces slot 7
+        # (seed 0's first draw), which that scoring never saw.
+        sc = KnnScorer(k_nn=2, capacity=8, seed=0)
+        sc.fit(windows(rng, 3, length=3))
+        probe = windows(rng, 5, length=3)
+        sc.score_batch(probe)
+        batch = windows(rng, 6, length=3)
+        sc.partial_fit(batch)
+        assert sc.windows_seen == 9 and _stored(sc)[7].tobytes() == _queries(batch)[5].tobytes()
+        scanned = _scan_spy(monkeypatch)
+        got = sc.score_batch(probe)
+        assert scanned == [(5, True)]
         assert got.tobytes() == _kernels.knn_mean_distance(_stored(sc), _queries(probe), 2).tobytes()
 
     def test_another_batch_is_scanned_afresh(self, rng, monkeypatch):
@@ -755,6 +770,7 @@ class TestCheckpointLayout:
         capacity=st.sampled_from([3, 10, 1000]),
         seed=st.integers(0, 2**32 - 1),
     )
+    @example(steps=[(1, 1), (10, 1)], length=2, pool=1, capacity=10, seed=0)  # replaces slot 9, past the save
     def test_successive_saves_match_the_first_use_oracle(self, steps, length, pool, capacity, seed):
         # The continual pattern: each step ingests (windows, stride) of one recording and saves.
         # A stride below the length shares rows between windows, one above it skips rows. Poses
@@ -769,7 +785,7 @@ class TestCheckpointLayout:
             batches.append(WindowBatch(poses, starts, np.zeros(n, np.int64), starts, length))
         sc = KnnScorer(k_nn=1, capacity=capacity, seed=seed)
         with tempfile.TemporaryDirectory() as tmp:
-            held = ([], [], [], 0)  # the previous step's slots, row ids and index, and the source rows before this one
+            held = ([], [], [])  # the previous step's slots, row ids and index
             for i, batch in enumerate(batches):
                 sc.partial_fit(batch)
                 path = Path(tmp, f"step_{i}.ckpt")
@@ -779,11 +795,10 @@ class TestCheckpointLayout:
                 source = np.concatenate([b.poses.reshape(-1, 34) for b in batches[: i + 1]])
                 with np.load(path) as data:
                     meta, rows, got = json.loads(str(data["meta"])), data["rows"], data["index"]
-                # A step chains onto the one before unless a reservoir replacement happened in between, that
-                # is unless its slots are the ones before plus this batch's first windows in order. The file
-                # then holds the rows and slots appended since; the ones before must be a prefix of its own.
-                first = held[3] + batch.rows[:, None] + np.arange(length)
-                if i and slots == held[0] + first.tolist()[: len(slots) - len(held[0])]:
+                # A step chains onto the one before exactly when the slots before are a prefix of its own: a
+                # replacement of a slot past them keeps the chain. The file then holds the rows and slots added
+                # since; the rows before must be a prefix of its own.
+                if i and slots[: len(held[0])] == held[0]:
                     start = (len(held[1]), len(held[2]))
                     assert list(ids[: start[0]]) == list(held[1]) and index[: start[1]] == held[2]
                     assert meta["base"] == {"name": f"step_{i - 1}.ckpt", "rows": start[0], "slots": start[1],
@@ -802,7 +817,7 @@ class TestCheckpointLayout:
                 with np.load(Path(tmp, "again.ckpt")) as data:
                     full = json.loads(str(data["meta"])), data["rows"].tobytes(), data["index"].tolist()
                 assert full == ({k: v for k, v in meta.items() if k != "base"}, source[ids].tobytes(), index)
-                held = (slots, ids, index, len(source))
+                held = (slots, ids, index)
             # Loading any step and continuing equals the uninterrupted run.
             final = _members(Path(tmp, "again.ckpt"))
             for i in range(len(batches)):
@@ -811,6 +826,23 @@ class TestCheckpointLayout:
                     resumed.partial_fit(batch)
                 resumed.save_checkpoint(Path(tmp, "resumed.ckpt"))
                 assert _members(Path(tmp, "resumed.ckpt")) == final
+
+    def test_replacing_a_slot_added_after_the_save_still_chains(self, tmp_path):
+        # The save holds 1 slot; the next batch fills slots 1..9, then its last window replaces slot 9 (seed 0's
+        # first draw). Before, any replacement made the next save a full file.
+        rng = np.random.default_rng(0)
+        sc = KnnScorer(k_nn=1, capacity=10, seed=0)
+        sc.partial_fit(windows(rng, 1, length=2))
+        sc.save_checkpoint(tmp_path / "step_0.ckpt")
+        batch = windows(rng, 10, length=2)
+        sc.partial_fit(batch)
+        assert sc.windows_seen == 11 and _stored(sc)[9].tobytes() == _queries(batch)[9].tobytes()
+        sc.save_checkpoint(tmp_path / "step_1.ckpt", base=tmp_path / "step_0.ckpt")
+        with np.load(tmp_path / "step_1.ckpt") as data:
+            base = json.loads(str(data["meta"]))["base"]
+        assert (base["name"], base["rows"], base["slots"]) == ("step_0.ckpt", 2, 1)
+        back = load_checkpoint(tmp_path / "step_1.ckpt")
+        assert back._poses.tobytes() == sc._poses.tobytes() and back._index.tolist() == sc._index.tolist()
 
     def test_load_keeps_only_the_referenced_rows_in_first_use_order(self, tmp_path):
         # A file written elsewhere may hold rows no window uses, or rows out of first-use order.
