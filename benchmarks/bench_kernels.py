@@ -26,7 +26,9 @@ perfbench's ``standard-gaussian-large``: building its split, and writing its
 that table with every visibility scaled by 1e-5, so that ``json.dumps`` writes
 every line in place of orjson (values below 1e-4 take that path); the
 ``io.read_frames`` row after them reads the first file back, as that
-workload's run does. The ``scorers.save_checkpoint`` and
+workload's run does. Each ``io.read_frames`` and
+``preprocess.extract_windows`` row also prints the peak MB of one call
+(``tracemalloc``). The ``scorers.save_checkpoint`` and
 ``scorers.load_checkpoint`` rows write and read a knn checkpoint of the
 store that perfbench's ``continual-knn`` holds at its last step (714
 overlapping windows of length 24, stride 6) and print the MB written; the
@@ -159,8 +161,8 @@ def bench_read_frames(seed: int, repeat: int):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "train.jsonl")
         write_frames(split.train.frames, path)
-        seconds = _best_of(lambda: read_frames(path), repeat)
-    return [("io.read_frames", "frames=3000", seconds)]
+        read = functools.partial(read_frames, path)
+        return [("io.read_frames", "frames=3000", _best_of(read, repeat), _peak_mb(read))]
 
 
 def bench_continual_split(seed: int, repeat: int):
@@ -189,11 +191,12 @@ def bench_synth(seed: int, repeat: int):
         path = os.path.join(tmp, "train.jsonl")
         write = functools.partial(write_frames, frames, path)
         write_scaled = functools.partial(write_frames, scaled, os.path.join(tmp, "scaled.jsonl"))
+        read = functools.partial(read_frames, path)
         return [
             ("synthetic.generate_split", "6000/4000/1000", _best_of(generate, repeat)),
             ("io.write_frames", f"frames={len(frames)}", _best_of(write, repeat)),
             ("io.write_frames", f"{len(frames)} vis*1e-5", _best_of(write_scaled, repeat)),
-            ("io.read_frames", f"frames={len(frames)}", _best_of(lambda: read_frames(path), repeat)),
+            ("io.read_frames", f"frames={len(frames)}", _best_of(read, repeat), _peak_mb(read)),
         ]
 
 
@@ -203,8 +206,9 @@ def bench_extract_windows(seed: int, repeat: int):
     gappy = many.test.frames.take(np.flatnonzero(np.random.default_rng(1).random(len(many.test)) >= 0.3))
     rows = []
     for frames in (large, gappy):
-        seconds = _best_of(lambda: extract_windows(frames), repeat)
-        rows.append(("preprocess.extract_windows", f"tracks={np.unique(frames.track_id).size}", seconds))
+        call = functools.partial(extract_windows, frames)
+        size = f"tracks={np.unique(frames.track_id).size}"
+        rows.append(("preprocess.extract_windows", size, _best_of(call, repeat), _peak_mb(call)))
     return rows
 
 

@@ -213,12 +213,14 @@ class FrameTable:
     def take(self, rows, *more: "FrameTable") -> "FrameTable":
         """The frames at ``rows`` of this table and ``more`` laid end to end, in that order, with their regions and
         persons. ``more`` must hold frames of this camera. Each column is filled once, and the result validated
-        once."""
+        once; every row in order, with no ``more``, is this table itself, whose columns are read-only."""
+        rows = np.asarray(rows, dtype=np.int64).reshape(-1)
+        if not more and np.array_equal(rows, np.arange(len(self))):
+            return self
         for other in more:
             if other.camera_id != self.camera_id:
                 raise ValidationError(f"cannot take frames of camera {other.camera_id!r} with {self.camera_id!r}")
         tables = (self, *more)
-        rows = np.asarray(rows, dtype=np.int64).reshape(-1)
         regions, region_frame = _gather(tables, "region_frame", rows)
         persons, frame_row = _gather(tables, "frame_row", rows)
         cols = {"camera_id": self.camera_id, "region_frame": region_frame, "frame_row": frame_row}

@@ -77,20 +77,20 @@ def _centered_moving_average(flat: np.ndarray, edges: np.ndarray, window: int) -
     return out
 
 
-def normalize_pose(keypoints: np.ndarray, bbox: np.ndarray) -> np.ndarray:
+def normalize_pose(keypoints: np.ndarray, bbox: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Translate each row's keypoints so its bbox center is the origin, scale by the bbox diagonal.
 
-    ``keypoints`` is (n, 17, 2) and ``bbox`` (n, 4); returns (n, 17, 2). The
-    result is invariant to translating the person and box together and to
-    uniform scaling about the box center. The diagonal is ``math.hypot`` per
-    row, because ``np.hypot`` can differ from it in the last bit.
+    ``keypoints`` is (n, 17, 2) and ``bbox`` (n, 4); returns (n, 17, 2), in ``out`` if given (it may be
+    ``keypoints``: subtracting the center, then dividing by the diagonal, reads each value once before writing it). The
+    result is invariant to translating the person and box together and to uniform scaling about the box center. The
+    diagonal is ``math.hypot`` per row, because ``np.hypot`` can differ from it in the last bit.
     """
     extent = bbox[:, 2:] - bbox[:, :2]
     diag = np.array([math.hypot(w, h) for w, h in extent.tolist()], dtype=np.float64)
     if not np.all(np.isfinite(diag) & (diag > 0.0)):
         raise ValidationError("cannot normalize pose against a degenerate bounding box")
     center = (bbox[:, :2] + bbox[:, 2:]) / 2.0
-    return (keypoints - center[:, None, :]) / diag[:, None, None]
+    return np.divide(np.subtract(keypoints, center[:, None, :], out=out), diag[:, None, None], out=out)
 
 
 def extract_windows(
@@ -103,17 +103,15 @@ def extract_windows(
 ) -> WindowBatch:
     """Full preprocessing pipeline from a frame table to one window batch.
 
-    The parameters are checked first. The table's person rows are sorted by
-    (track_id, frame_index), and a repeated pair raises. Each gap of
-    1..``max_gap`` frames between rows of one track is filled by linear
-    interpolation of keypoints and box, ``a + t * (b - a)`` with
-    ``t = (f - f0) / (f1 - f0)``; longer gaps stay open, nothing is
-    extrapolated past a track's ends, and the rows read are kept bit for bit.
-    Keypoints are then replaced by a centered moving average over
-    ``smoothing_window`` (a positive odd integer) rows of their run, the
-    window shrinking symmetrically near run ends; boxes are not smoothed.
-    Every row is normalized, and windows start every ``stride`` rows of each
-    run: a run of n rows yields max(0, (n - length) // stride + 1) windows.
+    The parameters are checked first. The table's person rows are sorted by (track_id, frame_index), and a repeated
+    pair raises. Each gap of 1..``max_gap`` frames between rows of one track is filled by linear interpolation of
+    keypoints and box, ``a + t * (b - a)`` with ``t = (f - f0) / (f1 - f0)``; longer gaps stay open, nothing is
+    extrapolated past a track's ends, and the rows read are kept bit for bit. Keypoints are then replaced by a centered
+    moving average over ``smoothing_window`` (a positive odd integer) rows of their run, the window shrinking
+    symmetrically near run ends; boxes are not smoothed. Every row is normalized, and windows start every ``stride``
+    rows of each run: a run of n rows yields max(0, (n - length) // stride + 1) windows. The smoothed rows are
+    normalized in place, so the traced peak allocation stays under 2.6 times the bytes of ``poses`` (2.45 on the
+    6000-frame train table of ``standard-gaussian-large``).
     """
     if max_gap < 1:
         raise ValidationError(f"max_gap must be >= 1, got {max_gap}")
@@ -147,13 +145,13 @@ def extract_windows(
     bbox[new] += t * (bbox[right] - bbox[new])
     run_breaks = (np.diff(frame_index) != 1) | (track_id[1:] != track_id[:-1])
     edges = [0, *(np.flatnonzero(run_breaks) + 1).tolist(), src.size]
-    keypoints = _centered_moving_average(keypoints, np.array(edges), smoothing_window)
+    keypoints = _centered_moving_average(keypoints, np.array(edges), smoothing_window).reshape(-1, KEYPOINT_COUNT, 2)
     starts = []
     for a, b in zip(edges, edges[1:]):
         starts += range(a, b - length + 1, stride)
     starts = np.array(starts, dtype=np.int64)
     return WindowBatch(
-        poses=normalize_pose(keypoints.reshape(-1, KEYPOINT_COUNT, 2), bbox),
+        poses=normalize_pose(keypoints, bbox, out=keypoints),
         rows=starts,
         track_id=track_id[starts],
         start_frame=frame_index[starts],

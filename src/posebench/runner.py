@@ -182,6 +182,7 @@ def run_standard(cfg: RunConfig, split: SplitSet, out_dir=None) -> MetricReport:
         raise ValidationError("training data produced zero pose windows")
     scorer = make_scorer(cfg.scorer, seed=derive_seed(cfg.seed, "scorer"), params=cfg.scorer_params)
     scorer.fit(train_windows)
+    del train_windows  # freed before the test windows are built
     test_windows = _windows_for(split.test.frames, cfg)
     result = evaluate_windows(scorer, test_windows, split.test, cfg)
     if out_dir is not None:
@@ -220,6 +221,7 @@ def run_continual(
     if not pretrain_windows:
         raise ValidationError("origin dataset produced zero pretraining windows")
     scorer.fit(pretrain_windows)
+    del origin_normals, pretrain_windows  # freed before the test windows are built
 
     test_windows = _windows_for(test.frames, cfg)  # one batch object: each step's scoring scans only what it added
     baseline = evaluate_windows(scorer, test_windows, test, cfg)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -143,6 +144,16 @@ def window_batch(features, start_frame=0):
         start_frame=np.arange(n, dtype=np.int64) * length + start_frame,
         length=length,
     )
+
+
+def working_set_mb(fn):
+    """Peak traced allocation of one call, in MB above what was live before it."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture(autouse=True)

@@ -1,6 +1,7 @@
 """The kernel microbenchmark script still runs against the package."""
 
 import importlib.util
+import re
 from pathlib import Path
 
 
@@ -25,20 +26,27 @@ def test_bench_score_step_runs():
     assert all(seconds > 0 for _, _, seconds in rows)
 
 
+def _peak(note):
+    """The MB of a row's ``peak <MB> MB`` column."""
+    match = re.fullmatch(r"peak (\d+\.\d\d) MB", note)
+    assert match, note
+    return float(match.group(1))
+
+
 def test_bench_extract_windows_runs():
     rows = _load_bench().bench_extract_windows(0, 1)
-    assert [(name, size) for name, size, _ in rows] == [
+    assert [(name, size) for name, size, *_ in rows] == [
         ("preprocess.extract_windows", "tracks=18"),
         ("preprocess.extract_windows", "tracks=31"),
     ]
-    assert all(seconds > 0 for _, _, seconds in rows)
+    assert all(seconds > 0 and _peak(note) > 0 for _, _, seconds, note in rows)
 
 
 def test_bench_table_io_runs():
     # These read, write, take and replace frame tables, so they follow the FrameTable API.
     bench = _load_bench()
     rows = bench.bench_read_frames(0, 1) + bench.bench_continual_split(0, 1) + bench.bench_synth(0, 1)
-    assert [(name, size) for name, size, _ in rows] == [
+    assert [(name, size) for name, size, *_ in rows] == [
         ("io.read_frames", "frames=3000"),
         ("rearrange.rearrange+verify", "2400/1200/400"),
         ("scorers.kinematic_features", "windows=544"),
@@ -47,4 +55,8 @@ def test_bench_table_io_runs():
         ("io.write_frames", "6000 vis*1e-5"),
         ("io.read_frames", "frames=6000"),
     ]
-    assert all(seconds > 0 for _, _, seconds in rows)
+    assert all(seconds > 0 for _, _, seconds, *_ in rows)
+    # Each read row prints the peak MB of one call; no other row of these has a note.
+    notes = {size: note[0] for _, size, _, *note in rows if note}
+    assert list(notes) == ["frames=3000", "frames=6000"]
+    assert all(_peak(note) > 0 for note in notes.values())

@@ -12,11 +12,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from posebench import io
 from posebench.errors import ValidationError
 from posebench.io import _Reader, _json_rows, load_dataset, read_frames, write_frames
 from posebench.model import LABELS, FrameTable
 from posebench.synthetic import generate_normals, generate_split
-from conftest import make_frame, make_obs, table
+from conftest import make_frame, make_obs, table, working_set_mb
 import _oracles
 
 
@@ -56,6 +57,39 @@ def test_dataset_roundtrip_sorts(tmp_path):
     out = tmp_path / "copy.jsonl"
     write_frames(ds.frames, out)
     assert load_dataset(out) == ds
+
+
+def test_sorted_file_loads_as_read(tmp_path, monkeypatch):
+    # A file in frame order, as write_frames leaves it, needs no sorted copy: the dataset holds the table read.
+    path = tmp_path / "ds.jsonl"
+    write_frames(table(sample_frames()), path)
+    read = []
+    monkeypatch.setattr(io, "read_frames", lambda p: read.append(read_frames(p)) or read[-1])
+    assert load_dataset(path).frames is read[0]
+
+
+@pytest.mark.parametrize("n", [511, 512, 513, 1100])
+def test_reads_whole_across_joins(tmp_path, n):
+    # The reader appends each 512 lines' values to its box, region and keypoint columns; a file of any length reads
+    # back as written, with frames of no person and anomaly regions on both sides of each join.
+    frames = generate_split(100, 800, 400, seed=4).test.frames.take(np.arange(n))
+    keep = frames.frame_row % 7 != 0
+    persons = {name: getattr(frames, name)[keep] for name in ("frame_row", "track_id", "keypoints", "bbox")}
+    frames = dataclasses.replace(frames, **persons)
+    assert frames.region_frame.size and not keep.all()
+    path = tmp_path / "frames.jsonl"
+    write_frames(frames, path)
+    assert read_frames(path) == frames
+
+
+def test_read_working_set_is_under_three_tables(tmp_path):
+    # Each 512 lines' arrays are joined onto the columns and freed, so the file's values are never held twice; a read
+    # that keeps every line's array for one join at the end peaks near 3.9 tables.
+    frames = generate_normals(2000, seed=0).frames
+    path = tmp_path / "frames.jsonl"
+    write_frames(frames, path)
+    table_mb = sum(getattr(frames, f.name).nbytes for f in dataclasses.fields(frames)[1:]) / 2**20
+    assert working_set_mb(lambda: read_frames(path)) < 3.0 * table_mb
 
 
 def test_interpolated_visibility_roundtrip(tmp_path):

@@ -1,13 +1,12 @@
 """Each kernel against a two-pass or brute-force reference."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from posebench import _kernels, stats
+from conftest import working_set_mb
 
 
 def welford_reference(batch):
@@ -184,16 +183,6 @@ def merged_scan(stored, queries, k, cuts):
 
 def k_smallest_reference(stored, queries, k):
     return np.stack([np.sort(((stored - q) ** 2).sum(axis=1))[:k] for q in queries])
-
-
-def working_set_mb(fn):
-    """Peak traced allocation of one call, in MB above what was live before it."""
-    tracemalloc.start()
-    try:
-        fn()
-        return tracemalloc.get_traced_memory()[1] / 2**20
-    finally:
-        tracemalloc.stop()
 
 
 class TestKnnPrior:

@@ -333,6 +333,23 @@ class TestFrameTable:
         assert read.take([1, 0, 2]) != read
         assert replace(read, camera_id="cam1") != read
 
+    def test_take_of_every_row_in_order_is_the_table(self, monkeypatch):
+        # A table is frozen, so every row in order needs no copy and no second validation; any other take builds a
+        # new table and validates it once.
+        read = table(self.frames())
+        checks = []
+        check = FrameTable.__post_init__
+        monkeypatch.setattr(FrameTable, "__post_init__", lambda t: checks.append(t) or check(t))
+        assert read.take(np.arange(3)) is read and read.take([0, 1, 2]) is read
+        assert checks == []
+        for rows, more in (([2, 0, 1], ()), ([0, 1], ()), ([0, 1, 2, 2], ()), ([0, 1, 2], (read.take([]),))):
+            checks.clear()
+            taken = read.take(rows, *more)
+            assert taken is not read and len(checks) == 1 and checks[0] is taken
+            assert objects(taken) == [self.frames()[i] for i in rows]
+        empty = read.take([])
+        assert empty.take([]) is empty
+
     def test_take_refuses_another_camera(self):
         read = table(self.frames())
         other = replace(read, camera_id="cam9")

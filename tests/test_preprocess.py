@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from posebench.errors import ValidationError
 from posebench.preprocess import WindowBatch, extract_windows, normalize_pose
+from posebench.synthetic import generate_normals
 from conftest import (
     BOX,
     every_row,
@@ -17,6 +18,7 @@ from conftest import (
     table,
     track_table,
     walking_dataset,
+    working_set_mb,
 )
 import _oracles
 
@@ -134,6 +136,25 @@ class TestNormalize:
 
         np.testing.assert_allclose(build(1.0, 0.0), build(3.0, 200.0), atol=1e-12)
 
+    def test_out_takes_the_result_with_the_same_bits(self, rng):
+        kps = rng.uniform(0.0, 500.0, size=(30, 17, 2))
+        bbox = np.concatenate([kps.min(axis=1), kps.max(axis=1) + 1.0], axis=1)
+        want = normalize_pose(kps, bbox)
+        assert want is not kps and not np.shares_memory(want, kps)
+        out = kps.copy()
+        assert normalize_pose(out, bbox, out=out) is out  # in place, as extract_windows does
+        assert out.tobytes() == want.tobytes()
+        other = np.empty_like(kps)
+        assert normalize_pose(kps, bbox, out=other) is other and other.tobytes() == want.tobytes()
+
+    def test_read_only_view_gets_a_new_array(self):
+        frames = track_table([0, 1, 2])
+        view = frames.keypoints[:, :, :2]
+        before = view.tobytes()
+        got = normalize_pose(view, frames.bbox)
+        assert got.flags.writeable and not np.shares_memory(got, frames.keypoints)
+        assert view.tobytes() == before
+
     def test_degenerate_box_rejected_upstream(self):
         # The frame table itself refuses zero-extent boxes; normalize_pose
         # refuses them too rather than dividing by zero.
@@ -191,6 +212,13 @@ class TestPipeline:
         )
         assert batch.start_frame.tolist() == [0, 6, 12]
         assert batch.poses.shape == (40, 17, 2) and np.isfinite(batch.poses).all()
+
+    def test_working_set_is_under_2_6_poses(self):
+        # The smoothed rows are normalized in place, so the gathered rows and their smoothed copy are the only
+        # table-sized arrays; normalizing into a new array peaks near 3.5 times the bytes of the poses.
+        frames = generate_normals(2000, seed=0).frames
+        poses_mb = extract_windows(frames).poses.nbytes / 2**20
+        assert working_set_mb(lambda: extract_windows(frames)) < 2.6 * poses_mb
 
     def test_tracks_share_one_row_table_in_track_order(self):
         # Frames 0-29 hold track 7, then track 2 from frame 5 on; frames 30-44 hold track 2 only.

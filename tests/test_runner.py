@@ -141,6 +141,22 @@ class TestRunStandard:
         rep = run_standard(cfg, small_split())
         assert 0.0 <= rep.auc_roc <= 1.0
 
+    @pytest.mark.parametrize("scorer", ["gaussian", "knn"])
+    def test_train_windows_are_freed_before_the_test_windows_are_built(self, monkeypatch, scorer):
+        built = []
+        windows_for = runner._windows_for
+
+        def spy(frames, cfg):
+            if built:  # the test windows: nothing holds the train batch any more
+                assert built[0]() is None
+            batch = windows_for(frames, cfg)
+            built.append(weakref.ref(batch))
+            return batch
+
+        monkeypatch.setattr(runner, "_windows_for", spy)
+        run_standard(RunConfig(mode="standard", seed=0, scorer=scorer), small_split())
+        assert len(built) == 2
+
     def test_too_short_train_errors(self):
         frames = small_split().test.frames.take(np.arange(50))
         frames = replace(frames, frame_index=frames.frame_index + 100)
@@ -227,6 +243,24 @@ class TestRunContinual:
         assert len(guarded) == 4
         for rows, want in zip(guarded, [*cs.slices, cs.train_stream]):
             assert np.array_equal(rows, want)
+
+    def test_pretraining_windows_and_frames_are_freed_after_the_fit(self, monkeypatch):
+        # The origin's normal frames (here a new table: the origin holds anomalous frames) and their windows.
+        origin = generate_split(100, 200, 100, seed=3).test
+        held, windows_for = [], runner._windows_for
+
+        def spy(frames, cfg):
+            if held:  # the test windows, built after the pretraining fit
+                assert [ref() for ref in held] == [None, None]
+            batch = windows_for(frames, cfg)
+            if not held:
+                held.extend((weakref.ref(frames), weakref.ref(batch)))
+            return batch
+
+        monkeypatch.setattr(runner, "_windows_for", spy)
+        cfg = RunConfig(mode="continual", seed=0, plan=RearrangePlan(seed=0, k=2))
+        run_continual(cfg, small_split(), origin)
+        assert len(held) == 2
 
     def test_refuses_to_train_on_a_test_frame(self, monkeypatch):
         rearrange = runner.rearrange
