@@ -30,7 +30,7 @@ from .preprocess import WindowBatch
 CHECKPOINT_VERSION = 3
 _READ_VERSIONS = (2, 3)  # a version-2 file is a version-3 file without a base record
 _POSE = 2 * KEYPOINT_COUNT  # values per pose row
-_GATHER_ELEMENTS = 1 << 20  # most float64 values of stored windows one kernel call scans (8 MB)
+_GATHER_ELEMENTS = 1 << 20  # most values of stored windows one kernel call gathers (4 MB of float32)
 
 
 def kinematic_features(batch: WindowBatch) -> np.ndarray:
@@ -189,10 +189,13 @@ class KnnScorer(AnomalyScorer):
     save writes both as they are. Until a reset or a replacement of a slot
     the last save or scoring holds, both change only past those slots, so a
     save chained on the last one writes just the rows and slots added since.
-    Scoring gathers the flattened windows of the slots it scans. The scorer
-    keeps what its last ``score_batch`` computed: the batch, its query
-    matrix, each query's k smallest squared distances (ascending), the stored
-    windows they cover and the store generation. Scoring the same batch
+    Scoring hands the kernel ``_poses`` and the slots it scans, which it
+    gathers as centred float32 windows. The scorer keeps what its last
+    ``score_batch`` computed: the batch; its ``KnnQueries``, namely the
+    centre (the mean of the pose rows the batch's windows use) and the
+    centred float32 query matrix, neither ever written to a checkpoint; each
+    query's k smallest squared distances (ascending); the stored windows
+    they cover; and the store generation. Scoring the same batch
     object again in that generation scans only the windows stored since, and
     the merged distances equal a fresh scan bit for bit; any other batch,
     generation or a store smaller than the covered count is scanned afresh.
@@ -218,7 +221,7 @@ class KnnScorer(AnomalyScorer):
         self._seen = 0
         self._generation = object()  # a new token whenever a slot the last save or scoring holds changes
         self._last_save = None  # (absolute path, generation, pose rows, slots, member sha256) of the last save
-        self._scored = None  # (batch, queries, k smallest squared distances, windows covered, generation)
+        self._scored = None  # (batch, KnnQueries, k smallest squared distances, windows covered, generation)
 
     def partial_fit(self, batch: WindowBatch):
         if not len(batch):
@@ -254,15 +257,14 @@ class KnnScorer(AnomalyScorer):
         if last is not None and last[0] is batch and last[4] is self._generation and last[3] <= self.stored_count:
             _, queries, kd, start, _ = last
         else:
-            queries = batch.poses[batch.rows[:, None] + np.arange(batch.length)].reshape(len(batch), -1)
+            index = batch.rows[:, None] + np.arange(batch.length)
+            queries = _kernels.knn_queries(batch.poses.reshape(-1, _POSE), index)
             kd, start = None, 0
-        _check_dimension(queries.shape[1], self._index.shape[1] * _POSE, "stored")
-        # The windows are gathered a block at a time, and each block merges into the distances so far.
-        width = queries.shape[1]
-        step = max(1, _GATHER_ELEMENTS // width)
+        _check_dimension(queries.matrix.shape[1], self._index.shape[1] * _POSE, "stored")
+        # The kernel gathers the windows a block at a time, and each block merges into the distances so far.
+        step = max(1, _GATHER_ELEMENTS // queries.matrix.shape[1])
         for stop in [*range(start + step, self.stored_count, step), self.stored_count]:
-            windows = self._poses[self._index[start:stop]].reshape(stop - start, width)
-            kd = _kernels.knn_k_smallest(windows, queries, self.k_nn, kd)
+            kd = _kernels.knn_k_smallest(self._poses, self._index[start:stop], queries, self.k_nn, kd)
             start = stop
         self._scored = (batch, queries, kd, self.stored_count, self._generation)
         return np.sqrt(kd).mean(axis=1)

@@ -4,6 +4,8 @@ import importlib.util
 import re
 from pathlib import Path
 
+import numpy as np
+
 
 def _load_bench():
     path = Path(__file__).parent.parent / "benchmarks" / "bench_kernels.py"
@@ -24,6 +26,31 @@ def test_bench_score_step_runs():
     rows = _load_bench().bench_score_step(0, 1)
     assert [(name, size) for name, size, _ in rows] == [("scorers.score_batch", "267x52+194 k=5")]
     assert all(seconds > 0 for _, _, seconds in rows)
+
+
+def test_bench_knn_runs():
+    # The kernel rows follow the knn_k_smallest signature: each prints its candidates rescored per query,
+    # and each knn_k_smallest row the peak MB of one call before that.
+    bench = _load_bench()
+    rows = bench.bench_knn(np.random.default_rng(0), 1) + bench.bench_knn_step(0, 1)
+    assert [(name, size) for name, size, *_ in rows] == [
+        ("kernels.knn_mean_distance", "267x714 k=5"),
+        ("kernels.knn_mean_distance", "500x5000 k=3"),
+        ("kernels.knn_mean_distance", "500x20000 k=3"),
+        ("kernels.knn_k_smallest", "267x52+194 k=5"),
+        ("kernels.knn_k_smallest", "267x246 k=5"),
+    ]
+    assert all(seconds > 0 for _, _, seconds, *_ in rows)
+    assert all(_rescored(note) > 0 for *_, note in rows)
+    assert all(_peak(note) > 0 for _, _, _, note, _ in rows[3:])
+    assert all(len(row) == 4 for row in rows[:3])
+
+
+def _rescored(note):
+    """The pairs per query of a row's ``<n> rescored/query`` column."""
+    match = re.fullmatch(r"(\d+\.\d) rescored/query", note)
+    assert match, note
+    return float(match.group(1))
 
 
 def _peak(note):

@@ -297,9 +297,9 @@ class TestContinualKnnScoring:
         scans = []
         k_smallest = _kernels.knn_k_smallest
 
-        def spy(stored, queries, k, prior=None):
+        def spy(rows, index, queries, k, prior=None):
             scans.append(prior is not None)
-            return k_smallest(stored, queries, k, prior)
+            return k_smallest(rows, index, queries, k, prior)
 
         monkeypatch.setattr(_kernels, "knn_k_smallest", spy)
         incremental, _ = run_continual(cfg, small_split(), generate_normals(300, seed=2))

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import _oracles
-from conftest import make_frame, person, table, window_batch
+from conftest import make_frame, person, table, window_batch, working_set_mb
 from posebench import _kernels, scorers
 from posebench.errors import ValidationError
 from posebench.preprocess import WindowBatch, extract_windows
@@ -266,9 +266,9 @@ def _scan_spy(monkeypatch):
     scanned = []
     k_smallest = _kernels.knn_k_smallest
 
-    def spy(stored, queries, k, prior=None):
-        scanned.append((len(stored), prior is not None))
-        return k_smallest(stored, queries, k, prior)
+    def spy(rows, index, queries, k, prior=None):
+        scanned.append((len(index), prior is not None))
+        return k_smallest(rows, index, queries, k, prior)
 
     monkeypatch.setattr(_kernels, "knn_k_smallest", spy)
     return scanned
@@ -380,6 +380,24 @@ def _overlapping_store(windows_held):
     sc.fit(WindowBatch(batch.poses, batch.rows[:n], batch.track_id[:n], batch.start_frame[:n], batch.length))
     assert sc.stored_count == n
     return sc
+
+
+class TestScoringWorkingSet:
+    def test_working_set_at_batch_training_shape(self):
+        # continual-knn's batch-training scan: 267 test windows against a 597-window store, length 24 at
+        # stride 6. The bound is the kernel docstring's: the queries' float32 matrix and the table of their
+        # rows, the float32 table of the stored rows and its gather, the float32 expansion block, one chunk's
+        # partition copy and mask, both rescoring gathers, and 0.5 MB for the rest. A float64 query matrix
+        # and gather (7.8 MB at this shape) do not fit under it.
+        sc = _overlapping_store(597)
+        batch = extract_windows(generate_normals(3 * 267 + 100, seed=1).frames)
+        probe = WindowBatch(batch.poses, batch.rows[:267], batch.track_id[:267], batch.start_frame[:267], 24)
+        m, n, d = len(probe), sc.stored_count, 24 * 34
+        chunk = min(_kernels._CHUNK_ELEMENTS, m * n)
+        floats = m * d + probe.poses.size + len(sc._poses) * 34 + n * d + m * n + chunk
+        bound = (4 * floats + chunk + 2 * 8 * _kernels._RESCORE_ELEMENTS) / 2**20 + 0.5
+        peak = working_set_mb(lambda: sc.score_batch(probe))
+        assert peak < bound, (peak, bound)
 
 
 class TestRestoreCopies:
