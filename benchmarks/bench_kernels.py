@@ -33,12 +33,12 @@ every line in place of orjson (values below 1e-4 take that path); the
 ``io.read_frames`` row after them reads the first file back, as that
 workload's run does. Each ``io.read_frames`` and
 ``preprocess.extract_windows`` row also prints the peak MB of one call
-(``tracemalloc``). The ``scorers.save_checkpoint`` and
-``scorers.load_checkpoint`` rows write and read a knn checkpoint of the
-store that perfbench's ``continual-knn`` holds at its last step (714
-overlapping windows of length 24, stride 6) and print the MB written; the
-single save is that of a scorer just loaded from that file, which writes
-the ``rows`` and ``index`` arrays it holds as they are. The ``9 saves`` row
+(``tracemalloc``). The first ``scorers.save_checkpoint`` row writes a knn
+checkpoint of the store that perfbench's ``continual-knn`` holds at its last
+step (714 overlapping windows of length 24, stride 6) and prints the MB
+written; the scorer is fitted once, and each repetition saves it with no
+base, so each writes the ``rows`` and ``index`` arrays it holds in full, as
+they are. The ``9 saves`` row
 times the saves of ``continual-knn``'s steps, each after its slice of
 windows joins the store and each naming the step before as its base, as
 ``run-continual`` does, and prints the MB the nine files hold. The
@@ -67,7 +67,7 @@ from posebench.io import read_frames, write_frames
 from posebench.preprocess import WindowBatch, extract_windows
 from posebench.rearrange import RearrangePlan, rearrange, verify
 from posebench.runner import derive_seed
-from posebench.scorers import KnnScorer, kinematic_features, load_checkpoint
+from posebench.scorers import KnnScorer, kinematic_features
 from posebench.synthetic import ANOMALY_KINDS, generate_normals, generate_split
 
 
@@ -258,21 +258,18 @@ def _nine_saves(batch, directory):
 
 def bench_checkpoint(seed: int, repeat: int):
     # The step-9 store of continual-knn: 714 windows of length 24 at stride 6, sharing rows by overlap.
-    # A single save is that of a scorer just loaded from the file, which holds the rows and index it read.
+    # Saved with no base, every repetition writes the whole store.
     batch = extract_windows(generate_normals(2200, seed=seed).frames)
     n = 714
     scorer = KnnScorer()
     scorer.fit(_windows(batch, 0, n))
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "step.ckpt")
-        scorer.save_checkpoint(path)
-        save = min(_timed(load_checkpoint(path).save_checkpoint, path) for _ in range(repeat))
-        load = _best_of(lambda: load_checkpoint(path), repeat)
+        save = min(_timed(scorer.save_checkpoint, path) for _ in range(repeat))
         written = f"{os.path.getsize(path) / 1e6:.2f} MB"
         steps = [_nine_saves(batch, tmp) for _ in range(repeat)]
     return [
         ("scorers.save_checkpoint", f"windows={n}", save, written),
-        ("scorers.load_checkpoint", f"windows={n}", load, written),
         ("scorers.save_checkpoint", f"9 saves to {n}", min(s for s, _ in steps), f"{steps[0][1] / 1e6:.2f} MB"),
     ]
 

@@ -1,15 +1,18 @@
 """Independent reference implementations used to check the fast library code.
 
 Everything here is written for clarity over speed: exhaustive threshold
-enumeration, pairwise counting, per-index scans and a per-step synthetic
-generator. None of it imports from posebench, so an error in the library
-cannot leak into its own oracle.
+enumeration, pairwise counting, per-index scans, a per-step synthetic
+generator and a checkpoint reader. None of it imports from posebench, so an
+error in the library cannot leak into its own oracle.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
+import os
+import zipfile
 from fractions import Fraction
 
 import numpy as np
@@ -390,6 +393,31 @@ def first_use(slots):
         for i in ids:
             position.setdefault(i, len(position))
     return list(position), [[position[i] for i in ids] for ids in slots]
+
+
+def checkpoint_digest(path):
+    """sha256 over one ``"<member name> <sha256 of its bytes>\\n"`` line per member of a checkpoint, in name order."""
+    with zipfile.ZipFile(path) as zf:
+        lines = [f"{name} {hashlib.sha256(zf.read(name)).hexdigest()}\n" for name in sorted(zf.namelist())]
+    return hashlib.sha256("".join(lines).encode()).hexdigest()
+
+
+def read_checkpoint(path):
+    """A checkpoint's meta and its arrays by name, read with ``np.load``.
+
+    A file with a ``base`` record continues the file it names in the same directory, whose members must
+    match the recorded sha256; its ``rows`` and ``index`` follow the base's own, read the same way. The
+    file is trusted otherwise.
+    """
+    with np.load(path) as data:
+        meta = json.loads(str(data["meta"]))
+        arrays = {name: data[name] for name in data.files if name != "meta"}
+    if "base" in meta:
+        base = os.path.join(os.path.dirname(path), meta["base"]["name"])
+        assert checkpoint_digest(base) == meta["base"]["sha256"], f"{base} does not match the sha256 {path} records"
+        head = read_checkpoint(base)[1]
+        arrays = {name: np.concatenate([head[name], arrays[name]]) for name in ("rows", "index")}
+    return meta, arrays
 
 
 def read_frames_json(reader, error):

@@ -23,9 +23,9 @@ from posebench.model import CameraDataset, SplitSet
 from posebench.rearrange import RearrangePlan, rearrange
 from posebench.report import write_step_csv
 from posebench.runner import RunConfig, derive_seed, evaluate_windows, result_to_dict
-from posebench.scorers import SCORER_KINDS, load_checkpoint
-from posebench.synthetic import generate_split
+from posebench.scorers import SCORER_KINDS, SCORERS
 
+import _oracles
 from _golden import golden_results
 from conftest import make_frame, make_obs
 
@@ -739,8 +739,9 @@ class TestRunContinualCommand:
 
     @pytest.mark.parametrize("scorer", SCORER_KINDS)
     def test_each_step_checkpoint_reproduces_its_step_csv(self, scorer, tmp_path, capsys):
-        # A knn step after the first holds only the rows it added and names the step before as its base;
-        # loaded, every step scores the run's test windows to its step CSV, byte for byte.
+        # A knn step after the first holds only the rows it added and names the step before as its base.
+        # A scorer given the state the oracle reads from a step scores the run's test windows to its step
+        # CSV, byte for byte.
         synth, out = self._pinned_run(scorer, tmp_path)
         capsys.readouterr()
         plan = RearrangePlan(seed=derive_seed(0, "rearrange"), k=3)
@@ -750,10 +751,14 @@ class TestRunContinualCommand:
         test_windows = runner._windows_for(test.frames, cfg)
         for i in (1, 2, 3):
             step = out / "checkpoints" / f"step_{i}.ckpt"
-            with np.load(step) as data:
-                base = json.loads(str(data["meta"])).get("base", {}).get("name")
-            assert base == (f"step_{i - 1}.ckpt" if scorer == "knn" and i > 1 else None)
-            report = evaluate_windows(load_checkpoint(step), test_windows, test, cfg)
+            meta, arrays = _oracles.read_checkpoint(step)
+            assert meta.get("base", {}).get("name") == (f"step_{i - 1}.ckpt" if scorer == "knn" and i > 1 else None)
+            restored = SCORERS[meta["kind"]](**meta["params"])
+            if scorer == "knn":
+                restored._poses, restored._index = arrays["rows"], arrays["index"].astype(np.int64)
+            else:
+                restored._count, restored._mean, restored._m2 = meta["count"], arrays["mean"], arrays["m2"]
+            report = evaluate_windows(restored, test_windows, test, cfg)
             again = write_step_csv(tmp_path / "again", i, split.camera_id, report)
             assert Path(again).read_bytes() == (out / "steps" / f"step_{i}.csv").read_bytes()
 

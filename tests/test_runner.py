@@ -211,12 +211,14 @@ class TestRunContinual:
         loaded = load_results(out / "results.json")
         assert loaded == result
 
-    def test_checkpoints_restore_and_score(self, outcome):
-        from posebench.scorers import load_checkpoint
-
+    def test_step_checkpoint_counts_the_windows_seen(self, outcome):
+        # The run's gaussian scorer writes the windows it has seen as ``count``; each step adds some.
         _, _, out = outcome
-        sc = load_checkpoint(out / "checkpoints" / "step_2.ckpt")
-        assert sc.windows_seen > 0
+        counts = []
+        for i in (1, 2):
+            with np.load(out / "checkpoints" / f"step_{i}.ckpt") as data:
+                counts.append(json.loads(str(data["meta"]))["count"])
+        assert 0 < counts[0] < counts[1]
 
     def test_origin_must_hold_normals(self):
         split = small_split()
