@@ -136,8 +136,8 @@ def _rescored(fn, queries: int) -> str:
 
 def bench_knn_step(seed: int, repeat: int):
     # continual-knn's first step: 267 test windows, 194 stored windows after pretraining, 52 added by the step.
-    stored = extract_windows(generate_normals(2200, seed=seed).frames)
-    probe = extract_windows(generate_normals(1000, seed=seed + 1).frames)
+    stored = extract_windows(generate_normals(2200, seed=seed))
+    probe = extract_windows(generate_normals(1000, seed=seed + 1))
     rows, index = stored.poses.reshape(-1, 34), stored.rows[:246, None] + np.arange(stored.length)
     queries = _kernels.knn_queries(probe.poses.reshape(-1, 34), probe.rows[:267, None] + np.arange(probe.length))
     prior = _kernels.knn_k_smallest(rows, index[:194], queries, 5)
@@ -152,8 +152,8 @@ def bench_knn_step(seed: int, repeat: int):
 def bench_score_step(seed: int, repeat: int):
     # continual-knn's first step through the scorer: the same 267 test windows scored before and after
     # the step appends 52 windows to a 194-window store; the second scoring scans only those 52.
-    stored = extract_windows(generate_normals(2200, seed=seed).frames)
-    probe = _windows(extract_windows(generate_normals(1000, seed=seed + 1).frames), 0, 267)
+    stored = extract_windows(generate_normals(2200, seed=seed))
+    probe = _windows(extract_windows(generate_normals(1000, seed=seed + 1)), 0, 267)
 
     def second_scoring():
         scorer = KnnScorer()
@@ -184,7 +184,7 @@ def bench_read_frames(seed: int, repeat: int):
     split = generate_split(3000, 2000, 500, seed=seed)
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "train.jsonl")
-        write_frames(split.train.frames, path)
+        write_frames(split.train, path)
         read = functools.partial(read_frames, path)
         return [("io.read_frames", "frames=3000", _best_of(read, repeat), _peak_mb(read))]
 
@@ -194,7 +194,7 @@ def bench_continual_split(seed: int, repeat: int):
     split = generate_split(2400, 1200, 400, seed=seed, anomaly_boost=2.5)
     plan = RearrangePlan(seed=derive_seed(seed, "rearrange"), k=9)
     cs = rearrange(split, plan)
-    batch = extract_windows(split.test.frames.take(cs.test_rows))
+    batch = extract_windows(split.test.take(cs.test_rows))
     split_s = _best_of(lambda: verify(rearrange(split, plan)), repeat)
     features_s = _best_of(lambda: kinematic_features(batch), repeat)
     return [
@@ -208,7 +208,7 @@ def bench_synth(seed: int, repeat: int):
     # at 2x, and writing its 6000-frame train table as JSONL; then reading that file back. The same
     # table with every visibility scaled by 1e-5 writes each line through the json.dumps fallback.
     generate = functools.partial(generate_split, 6000, 4000, 1000, seed=seed)
-    frames = generate().train.frames
+    frames = generate().train
     keypoints = frames.keypoints * (1.0, 1.0, 1e-5)
     scaled = dataclasses.replace(frames, keypoints=keypoints)
     with tempfile.TemporaryDirectory() as tmp:
@@ -225,9 +225,9 @@ def bench_synth(seed: int, repeat: int):
 
 
 def bench_extract_windows(seed: int, repeat: int):
-    large = generate_split(6000, 4000, 1000, seed=seed).test.frames
+    large = generate_split(6000, 4000, 1000, seed=seed).test
     many = generate_split(3000, 2000, 500, seed=3, persons=6, anomaly_kinds=ANOMALY_KINDS, segment_length=20)
-    gappy = many.test.frames.take(np.flatnonzero(np.random.default_rng(1).random(len(many.test)) >= 0.3))
+    gappy = many.test.take(np.flatnonzero(np.random.default_rng(1).random(len(many.test)) >= 0.3))
     rows = []
     for frames in (large, gappy):
         call = functools.partial(extract_windows, frames)
@@ -259,7 +259,7 @@ def _nine_saves(batch, directory):
 def bench_checkpoint(seed: int, repeat: int):
     # The step-9 store of continual-knn: 714 windows of length 24 at stride 6, sharing rows by overlap.
     # Saved with no base, every repetition writes the whole store.
-    batch = extract_windows(generate_normals(2200, seed=seed).frames)
+    batch = extract_windows(generate_normals(2200, seed=seed))
     n = 714
     scorer = KnnScorer()
     scorer.fit(_windows(batch, 0, n))

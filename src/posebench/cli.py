@@ -135,7 +135,7 @@ def _cmd_stats(args) -> int:
         for ds in datasets:
             if args.camera is not None and ds.camera_id != args.camera:
                 continue
-            st = stats_from_frames(ds.frames)
+            st = stats_from_frames(ds)
             rows.append(st)
             if args.iou_out:
                 iou_rows.extend((st.camera_id, v) for v in st.max_iou_per_frame)
@@ -165,7 +165,7 @@ def _cmd_rearrange(args) -> int:
     width = max(2, len(str(plan.k)))
     for i, rows in enumerate(cs.slices, start=1):
         write_frames(cs.training_frames(rows), os.path.join(args.out, f"slice_{i:0{width}d}.jsonl"))
-    write_frames(split.test.frames.take(cs.test_rows), os.path.join(args.out, "test.jsonl"))
+    write_frames(split.test.take(cs.test_rows), os.path.join(args.out, "test.jsonl"))
     rows = np.concatenate([cs.train_stream, len(split.train) + cs.test_rows])
     slice_of = np.repeat(np.arange(1, plan.k + 1), [len(sl) for sl in cs.slices]).tolist() + [""] * len(cs.test_rows)
     with open(os.path.join(args.out, "provenance.csv"), "w", encoding="utf-8") as fh:
@@ -242,7 +242,7 @@ def _cmd_synth(args) -> int:
             raise ValidationError(f"origin dataset: {exc}") from None
     os.makedirs(args.out, exist_ok=True)
     for name, dataset in datasets.items():
-        write_frames(dataset.frames, os.path.join(args.out, f"{name}.jsonl"))
+        write_frames(dataset, os.path.join(args.out, f"{name}.jsonl"))
     params = {key: value for key, value in vars(args).items() if key not in ("out", "seed", "func", "subcommand")}
     _write_manifest(args.out, "synth", args.seed, _params_hash({**params, "kinds": list(kinds)}))
     print(f"wrote synthetic datasets to {args.out}", file=sys.stderr)

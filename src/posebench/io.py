@@ -24,7 +24,7 @@ as array predicates: each person's keypoint count, its ``interpolated`` flag
 camera_id's rule, then the value rules). The flag is not kept;
 ``write_frames`` writes it from the visibilities. Every error names the file
 and the line. ``load_datasets`` reads a command's files in parallel (forked
-children), and takes each file's dataset or error where a serial read would.
+children), and takes each file's table or error where a serial read would.
 
 Unknown keys are accepted and ignored on read; they are not preserved on
 write (lines are rebuilt from the table). ``write_frames`` writes each line
@@ -47,7 +47,7 @@ import numpy as np
 import orjson
 
 from .errors import PosebenchError, ValidationError, json_error
-from .model import KEYPOINT_COUNT, LABEL_ANOMALOUS, LABELS, CameraDataset, FrameTable, RowError, camera_id_error
+from .model import KEYPOINT_COUNT, LABEL_ANOMALOUS, LABELS, FrameTable, RowError, camera_id_error
 
 _NUMBER = frozenset((int, float))  # JSON numbers; bool is excluded on purpose
 _KEYPOINT_VALUE = _NUMBER | {type(None)}
@@ -241,13 +241,13 @@ def read_frames(path) -> FrameTable:
     return reader.table()
 
 
-def load_dataset(path) -> CameraDataset:
-    """Load a single-camera JSONL file into a CameraDataset sorted by frame_index; an unreadable file is refused."""
+def load_dataset(path) -> FrameTable:
+    """A single-camera JSONL file as a FrameTable in strictly increasing frame_index; an unreadable file is refused."""
     try:
         frames = read_frames(path)
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc.strerror or exc}") from None
-    return CameraDataset(frames.take(np.argsort(frames.frame_index)))
+    return frames.take(np.argsort(frames.frame_index))
 
 
 def _reader(paths):
@@ -266,7 +266,7 @@ def _reader(paths):
         with os.fdopen(write, "wb") as out:
             for path in paths:
                 try:
-                    result = vars(load_dataset(path).frames)
+                    result = vars(load_dataset(path))
                 except Exception as exc:  # noqa: BLE001 - the caller raises it when it takes this file
                     result = exc
                 pickle.dump(result, out, protocol=5)
@@ -295,7 +295,7 @@ def load_datasets(*paths):
                 raise PosebenchError(f"the process reading {files} ended without a result") from None
             if isinstance(result, Exception):
                 raise result
-            yield CameraDataset(FrameTable(**result))
+            yield FrameTable(**result)
     finally:
         for pid, pipe, _ in readers:
             pipe.close()

@@ -16,7 +16,7 @@ score >= threshold, so ties are handled as a group:
   (default 0.10, reported as ten_er).
 
 The per-frame series comes from one fold, ``aggregate_frame_scores``: each
-window's score goes to the frames it covers that the dataset holds, each
+window's score goes to the frames it covers that the frame table holds, each
 frame takes the max or mean of its windows, and uncovered frames take the
 minimum window score.
 """
@@ -28,7 +28,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .model import CameraDataset
+from .model import FrameTable, check_frame_order
 from .preprocess import WindowBatch
 
 AGGREGATORS = ("max", "mean")
@@ -169,22 +169,22 @@ def compute_all(series: ScoreSeries, fnr_target: float = 0.10) -> MetricReport:
     )
 
 
-def aggregate_frame_scores(batch: WindowBatch, scores, dataset: CameraDataset, aggregator: str) -> ScoreSeries:
+def aggregate_frame_scores(batch: WindowBatch, scores, table: FrameTable, aggregator: str) -> ScoreSeries:
     """Fold one score per window onto the frames it covers, producing one labeled score per frame.
 
     Interpolation may synthesize observations at frame indices missing from
-    the evaluation set, so covered frames the dataset lacks are dropped. Each
+    the evaluation set, so covered frames the table lacks are dropped. Each
     frame takes the ``max`` or the ``mean`` (summed in window order) of its
     windows' scores; a frame no window covers takes the minimum score of
     every window, also of one whose frames were all dropped, or 0.0 with no
-    windows at all. Labels come from the dataset's frame table.
+    windows at all. Labels come from ``table``, which must be in strictly increasing frame_index.
     """
     if aggregator not in AGGREGATORS:
         raise ValidationError(f"aggregator must be one of {AGGREGATORS}, got {aggregator!r}")
-    table = dataset.frames
     n = len(table)
     if not n:
         raise ValidationError("cannot aggregate scores over an empty dataset")
+    check_frame_order(table)
     scores = np.asarray(scores, dtype=np.float64)
     if not np.isfinite(scores).all():
         raise ValidationError("window scores must be finite")

@@ -1,14 +1,15 @@
-"""Core data model: frame tables, datasets and splits.
+"""Core data model: frame tables and splits.
 
 A ``FrameTable`` holds frames and their person observations as numpy
 columns; it is the one in-memory form of frames, which the reader and the
-synthetic generator build and datasets, the rearrangement and preprocessing
+synthetic generator build and splits, the rearrangement and preprocessing
 work on. A table holds the frames of one camera, so its ``camera_id`` is one
 string. A track is not an object: preprocessing sorts a table's person rows
 by (track_id, frame_index). All types are immutable after construction and
 validate their own invariants, so downstream code can assume well-formed
 data. Track and frame ids fit int64. Frame indices are unique within a
-camera and act as the frame identity everywhere.
+camera and act as the frame identity everywhere; ``check_frame_order``
+refuses a table not in strictly increasing frame_index where code searches it.
 """
 
 from __future__ import annotations
@@ -237,42 +238,31 @@ class FrameTable:
         return FrameTable(**cols)
 
 
-@dataclass(frozen=True)
-class CameraDataset:
-    """The frames of one camera as a FrameTable, sorted by strictly increasing frame_index."""
-
-    frames: FrameTable
-
-    def __post_init__(self):
-        fi = self.frames.frame_index
-        if np.any(fi[1:] <= fi[:-1]):
-            raise ValidationError(f"dataset {self.camera_id!r} must hold frames in strictly increasing frame_index")
-
-    @property
-    def camera_id(self) -> str:
-        return self.frames.camera_id
-
-    def __len__(self) -> int:
-        return len(self.frames)
+def check_frame_order(table: FrameTable):
+    """Refuse ``table`` unless its frame_index is strictly increasing, as a ``searchsorted`` on it assumes."""
+    fi = table.frame_index
+    if np.any(fi[1:] <= fi[:-1]):
+        raise ValidationError(f"dataset {table.camera_id!r} must hold frames in strictly increasing frame_index")
 
 
 @dataclass(frozen=True)
 class SplitSet:
     """A standard-protocol split: all-normal train frames plus a mixed test set."""
 
-    train: CameraDataset
-    test: CameraDataset
+    train: FrameTable
+    test: FrameTable
 
     def __post_init__(self):
+        check_frame_order(self.train)
+        check_frame_order(self.test)
         if self.train.camera_id != self.test.camera_id:
             raise ValidationError(
                 f"train and test camera_id differ: {self.train.camera_id!r} vs {self.test.camera_id!r}"
             )
-        train = self.train.frames
-        if train.anomalous.any():
-            first = train.frame_index[train.anomalous][0]
+        if self.train.anomalous.any():
+            first = self.train.frame_index[self.train.anomalous][0]
             raise ValidationError(f"train frame {first} is not labeled normal")
-        train, test = train.frame_index, self.test.frames.frame_index  # each strictly increasing
+        train, test = self.train.frame_index, self.test.frame_index
         shared = train[np.searchsorted(test, train, "right") > np.searchsorted(test, train)]
         if shared.size:
             raise ValidationError(f"train and test share frame indices (e.g. {shared[0]})")

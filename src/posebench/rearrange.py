@@ -92,7 +92,7 @@ class ContinualSplit:
     def frame_index(self, rows: np.ndarray) -> np.ndarray:
         """The frame index of each of ``rows``: row ``r < len(split.train)`` is train row ``r``, any other is test
         row ``r - len(split.train)``."""
-        return np.concatenate([self.split.train.frames.frame_index, self.split.test.frames.frame_index])[rows]
+        return np.concatenate([self.split.train.frame_index, self.split.test.frame_index])[rows]
 
     def tags(self, rows: np.ndarray) -> np.ndarray:
         """The provenance tag of each of ``rows``, by name.
@@ -105,7 +105,7 @@ class ContinualSplit:
         test = np.maximum(rows - n_train, 0)  # a train row reads test row 0, and its code is not used
         stayed = np.searchsorted(self.test_rows, test, "right") > np.searchsorted(self.test_rows, test)
         code = np.where(stayed, TAGS.index(TAG_TEST_NORMAL), TAGS.index(TAG_MOVED_NORMAL))
-        code += self.split.test.frames.anomalous[test]
+        code += self.split.test.anomalous[test]
         return np.array(TAGS)[np.where(rows < n_train, TAGS.index(TAG_TRAIN_NORMAL), code)]
 
     def training_frames(self, rows: np.ndarray) -> FrameTable:
@@ -115,7 +115,7 @@ class ContinualSplit:
         if leaked.size:
             fi = self.frame_index(rows[leaked[0]])
             raise ValidationError(f"test leakage: frame {fi} (tag {str(tags[leaked[0]])!r}) must not be trained on")
-        return self.split.train.frames.take(rows, self.split.test.frames)
+        return self.split.train.take(rows, self.split.test)
 
 
 def _imbalance(n_normal: int, n_anomalous: int) -> float:
@@ -166,8 +166,8 @@ def slice_stream(stream, k: int) -> list:
 def rearrange(split: SplitSet, plan: RearrangePlan) -> ContinualSplit:
     """Rearrange a standard split into a continual training stream and balanced test set."""
     n_train = len(split.train)
-    anoms = np.flatnonzero(split.test.frames.anomalous)
-    norms = np.flatnonzero(~split.test.frames.anomalous)
+    anoms = np.flatnonzero(split.test.anomalous)
+    norms = np.flatnonzero(~split.test.anomalous)
     if not anoms.size:
         raise ValidationError("test set has no anomalous frames to rearrange")
     if not norms.size:
@@ -235,7 +235,7 @@ def verify(cs: ContinualSplit) -> None:
         raise ValidationError(f"invariant violated: slice sizes differ by more than 1 ({sizes})")
 
     # Train frames are normal (SplitSet), so the stream's anomalies are its test rows' anomalies.
-    n_train, test, stream = len(cs.split.train), cs.split.test.frames, cs.train_stream
+    n_train, test, stream = len(cs.split.train), cs.split.test, cs.train_stream
     fraction = int(test.anomalous[stream[stream >= n_train] - n_train].sum()) / len(stream)
     if fraction >= plan.target_train_anomaly_ratio:
         raise ValidationError(

@@ -22,7 +22,7 @@ import numpy as np
 from . import report as report_mod
 from .errors import ValidationError, check_int, is_number, json_error
 from .metrics import AGGREGATORS, HIGHER_IS_BETTER, MetricReport, aggregate_frame_scores, compute_all
-from .model import CameraDataset, SplitSet, camera_id_error
+from .model import FrameTable, SplitSet, camera_id_error
 from .preprocess import extract_windows
 from .rearrange import ContinualSplit, RearrangePlan, rearrange, verify
 from .scorers import SCORER_KINDS, make_scorer
@@ -160,30 +160,30 @@ def _windows_for(frames, cfg: RunConfig):
     )
 
 
-def evaluate_windows(scorer, test_windows, test_dataset: CameraDataset, cfg: RunConfig) -> MetricReport:
+def evaluate_windows(scorer, test_windows, test: FrameTable, cfg: RunConfig) -> MetricReport:
     """Score test windows, fold them onto frames, compute metrics.
 
     The fold is ``metrics.aggregate_frame_scores``, the one place that maps windows to frame scores.
     """
     scores = scorer.score_batch(test_windows)
-    return compute_all(aggregate_frame_scores(test_windows, scores, test_dataset, cfg.aggregator), cfg.fnr_target)
+    return compute_all(aggregate_frame_scores(test_windows, scores, test, cfg.aggregator), cfg.fnr_target)
 
 
 def run_standard(cfg: RunConfig, split: SplitSet, out_dir=None) -> MetricReport:
     """Fit once on the split's normal train frames, evaluate once on its test set."""
     if cfg.mode != "standard":
         raise ValidationError(f"run_standard needs mode 'standard', got {cfg.mode!r}")
-    if not len(split.train.frames):
+    if not len(split.train):
         raise ValidationError("standard run requires a non-empty train dataset")
-    if not len(split.test.frames):
+    if not len(split.test):
         raise ValidationError("standard run requires a non-empty test dataset")
-    train_windows = _windows_for(split.train.frames, cfg)
+    train_windows = _windows_for(split.train, cfg)
     if not train_windows:
         raise ValidationError("training data produced zero pose windows")
     scorer = make_scorer(cfg.scorer, seed=derive_seed(cfg.seed, "scorer"), params=cfg.scorer_params)
     scorer.fit(train_windows)
     del train_windows  # freed before the test windows are built
-    test_windows = _windows_for(split.test.frames, cfg)
+    test_windows = _windows_for(split.test, cfg)
     result = evaluate_windows(scorer, test_windows, split.test, cfg)
     if out_dir is not None:
         report_mod.emit_report([(split.camera_id, result)], out_dir)
@@ -193,7 +193,7 @@ def run_standard(cfg: RunConfig, split: SplitSet, out_dir=None) -> MetricReport:
 def run_continual(
     cfg: RunConfig,
     split: SplitSet,
-    origin: CameraDataset,
+    origin: FrameTable,
     out_dir=None,
 ) -> tuple[ContinualResult, ContinualSplit]:
     """Pretrain on origin normals, then train slice by slice on the rearranged stream.
@@ -205,15 +205,15 @@ def run_continual(
     """
     if cfg.mode != "continual":
         raise ValidationError(f"run_continual needs mode 'continual', got {cfg.mode!r}")
-    if not len(origin.frames):
+    if not len(origin):
         raise ValidationError("continual run requires a non-empty origin dataset")
-    origin_normals = origin.frames.take(np.flatnonzero(~origin.frames.anomalous))
+    origin_normals = origin.take(np.flatnonzero(~origin.anomalous))
     if not len(origin_normals):
         raise ValidationError("origin dataset has no normal frames to pretrain on")
 
     cs = rearrange(split, cfg.plan)
     verify(cs)
-    test = CameraDataset(split.test.frames.take(cs.test_rows))
+    test = split.test.take(cs.test_rows)
 
     scorer_seed = derive_seed(cfg.seed, "scorer")
     scorer = make_scorer(cfg.scorer, seed=scorer_seed, params=cfg.scorer_params)
@@ -223,7 +223,7 @@ def run_continual(
     scorer.fit(pretrain_windows)
     del origin_normals, pretrain_windows  # freed before the test windows are built
 
-    test_windows = _windows_for(test.frames, cfg)  # one batch object: each step's scoring scans only what it added
+    test_windows = _windows_for(test, cfg)  # one batch object: each step's scoring scans only what it added
     baseline = evaluate_windows(scorer, test_windows, test, cfg)
 
     per_step = []

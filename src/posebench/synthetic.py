@@ -11,7 +11,7 @@ their segment, so anomalous windows never cover normal frames:
 
 Anomalous frame counts are exact, labels carry the offending track's box,
 and everything is drawn from one seeded PCG64 generator, so equal seeds
-give byte-identical datasets.
+give byte-identical tables, each in strictly increasing frame_index.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import math
 import numpy as np
 
 from .errors import ValidationError, check_int
-from .model import KEYPOINT_COUNT, CameraDataset, FrameTable, SplitSet
+from .model import KEYPOINT_COUNT, FrameTable, SplitSet
 
 ANOMALY_KINDS = ("velocity", "frozen", "limb_collapse")
 ANOMALY_TRACK_BASE = 1000
@@ -131,7 +131,7 @@ def _anomaly_keypoints(rng, kind, length, template, step_sigma, jitter_sigma, bo
     return _keypoints(center, template, noise, rng.uniform(0.3, 1.0, size=(length, KEYPOINT_COUNT)))
 
 
-def _timeline(camera_id, start, walked, track_base, anomalies=((), (), ())) -> CameraDataset:
+def _timeline(camera_id, start, walked, track_base, anomalies=((), (), ())) -> FrameTable:
     """Frames ``start, start + 1, ...``: walker ``p`` as track ``track_base + p`` in each frame.
 
     ``anomalies`` = (frame offsets, track ids, (n, 17, 3) keypoint arrays), in frame order, adds
@@ -150,7 +150,7 @@ def _timeline(camera_id, start, walked, track_base, anomalies=((), (), ())) -> C
     anomalous = np.zeros(count, dtype=bool)
     anomalous[frame_row[walker_rows.size :]] = True
     order = np.argsort(frame_row, kind="stable")  # each frame's walkers, then its anomaly person
-    frames = FrameTable(
+    return FrameTable(
         camera_id=camera_id,
         frame_index=start + np.arange(count, dtype=np.int64),
         anomalous=anomalous,
@@ -161,7 +161,6 @@ def _timeline(camera_id, start, walked, track_base, anomalies=((), (), ())) -> C
         keypoints=keypoints[order],
         bbox=bbox[order],
     )
-    return CameraDataset(frames)
 
 
 def generate_normals(
@@ -174,8 +173,8 @@ def generate_normals(
     jitter_sigma: float = 1.5,
     pose_variant: str = "default",
     start_index: int = 0,
-) -> CameraDataset:
-    """Generate an all-normal dataset (for pretraining or plain fixtures)."""
+) -> FrameTable:
+    """Generate an all-normal frame table (for pretraining or plain fixtures)."""
     check_int("seed", seed)
     if n_frames < 1:
         raise ValidationError(f"n_frames must be >= 1, got {n_frames}")

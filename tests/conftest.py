@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from posebench.io import read_frames
-from posebench.model import CameraDataset, FrameTable
+from posebench.model import FrameTable
 from posebench.preprocess import WindowBatch, extract_windows
 
 # A box of diagonal 500 centered on (150, 200): against it a pose normalizes to (keypoints - (150, 200)) / 500.
@@ -119,18 +119,13 @@ def staircase(n_max):
     )
 
 
-def dataset(frames):
-    """A CameraDataset of frame objects of one camera, which must already be in frame order."""
-    return CameraDataset(table(frames))
-
-
 def walking_dataset(n_frames, camera_id="cam0", track_id=0, start=0, label="normal"):
     """Single person walking diagonally, one frame per index."""
     frames = []
     for i in range(n_frames):
         obs = make_obs(track_id=track_id, origin=(40.0 + 1.5 * i, 30.0 + 0.5 * i))
         frames.append(make_frame(start + i, label=label, persons=(obs,), camera_id=camera_id))
-    return dataset(frames)
+    return table(frames)
 
 
 def window_batch(features, start_frame=0):

@@ -17,7 +17,7 @@ from _golden import golden_results
 from conftest import BOX, every_row, make_obs, pixels, staircase, table, track_table, window_batch
 
 from posebench.metrics import ScoreSeries, auc_pr, auc_roc, compute_all, eer, fpr_at_fnr
-from posebench.model import CameraDataset, FrameTable, SplitSet
+from posebench.model import FrameTable, SplitSet
 from posebench.preprocess import extract_windows
 from posebench.rearrange import RearrangePlan, rearrange, verify
 from posebench.report import emit_report
@@ -128,11 +128,8 @@ def test_03_large_rearrangement_fixture(capsys):
 
         n_test = n_test_normal + n_test_anom
         test = frames(n_train_normal, n_test, np.arange(n_test) >= n_test_normal)
-        split = SplitSet(
-            train=CameraDataset(frames(0, n_train_normal, False)),
-            test=CameraDataset(test),
-        )
-        if len(split.train.frames) + n_test_normal != 509_313:
+        split = SplitSet(train=frames(0, n_train_normal, False), test=test)
+        if len(split.train) + n_test_normal != 509_313:
             problems.append("fixture normals do not total 509313")
 
         plan = RearrangePlan(seed=0, inject_count=4_615, k=9)
@@ -143,12 +140,12 @@ def test_03_large_rearrangement_fixture(capsys):
         if stream_total != 487_835:
             problems.append(f"train total {stream_total} != 487835")
         # The stream's frames are read from the split's two tables by row: train rows, then test rows.
-        labels = np.concatenate([split.train.frames.anomalous, split.test.frames.anomalous])
+        labels = np.concatenate([split.train.anomalous, split.test.anomalous])
         stream_anoms = int(labels[cs.train_stream].sum())
         anom_pct = 100.0 * stream_anoms / stream_total
         if abs(anom_pct - 0.95) > 0.005:
             problems.append(f"train anomaly percentage {anom_pct:.4f} outside 0.95±0.005")
-        test = split.test.frames.take(cs.test_rows)
+        test = split.test.take(cs.test_rows)
         test_anom = int(test.anomalous.sum())
         test_norm = len(test) - test_anom
         if (test_norm, test_anom) != (26_093, 26_052):
@@ -157,9 +154,9 @@ def test_03_large_rearrangement_fixture(capsys):
         if abs(balance - 49.96) > 0.05:
             problems.append(f"balance {balance:.4f} outside 49.96±0.05")
 
-        in_idx = set(split.train.frames.frame_index.tolist())
-        in_idx |= set(split.test.frames.frame_index.tolist())
-        frame_index = np.concatenate([split.train.frames.frame_index, split.test.frames.frame_index])
+        in_idx = set(split.train.frame_index.tolist())
+        in_idx |= set(split.test.frame_index.tolist())
+        frame_index = np.concatenate([split.train.frame_index, split.test.frame_index])
         out_stream = frame_index[cs.train_stream].tolist()
         out_test = test.frame_index.tolist()
         if set(out_stream) & set(out_test):
@@ -199,7 +196,7 @@ def test_04_rearrangement_invariants(capsys):
                 problems.append(f"trial {trial}: verify rejected: {exc}")
                 break
 
-            stream, test = cs.training_frames(cs.train_stream), split.test.frames.take(cs.test_rows)
+            stream, test = cs.training_frames(cs.train_stream), split.test.take(cs.test_rows)
             n_inj = int(stream.anomalous.sum())
             if n_inj / len(cs.train_stream) >= plan.target_train_anomaly_ratio:
                 problems.append(f"trial {trial}: anomaly cap broken")
@@ -209,7 +206,7 @@ def test_04_rearrangement_invariants(capsys):
                 problems.append(f"trial {trial}: balance tolerance broken")
             if not np.array_equal(np.concatenate(cs.slices), cs.train_stream):
                 problems.append(f"trial {trial}: slices do not partition the stream")
-            in_idx = sorted(split.train.frames.frame_index.tolist() + split.test.frames.frame_index.tolist())
+            in_idx = sorted(split.train.frame_index.tolist() + split.test.frame_index.tolist())
             out_idx = sorted(stream.frame_index.tolist() + test.frame_index.tolist())
             if in_idx != out_idx:
                 problems.append(f"trial {trial}: multiset conservation broken")

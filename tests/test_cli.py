@@ -19,7 +19,7 @@ from posebench.cli import main
 from posebench.errors import ValidationError
 from posebench.io import load_dataset
 from posebench.metrics import AGGREGATORS
-from posebench.model import CameraDataset, SplitSet
+from posebench.model import SplitSet
 from posebench.rearrange import RearrangePlan, rearrange
 from posebench.report import write_step_csv
 from posebench.runner import RunConfig, derive_seed, evaluate_windows, result_to_dict
@@ -252,8 +252,8 @@ class TestSynth:
     def test_writes_datasets_and_manifest(self, synth_dir):
         train = load_dataset(synth_dir / "train.jsonl")
         test = load_dataset(synth_dir / "test.jsonl")
-        assert len(train.frames) == 400
-        assert len(test.frames) == 340
+        assert len(train) == 400
+        assert len(test) == 340
         manifest = json.loads((synth_dir / "manifest.json").read_text())
         assert manifest["subcommand"] == "synth"
         assert manifest["seed"] == 0
@@ -275,7 +275,7 @@ class TestSynth:
         )
         assert code == 0
         origin = load_dataset(out / "origin.jsonl")
-        assert len(origin.frames) == 50
+        assert len(origin) == 50
 
     @pytest.mark.parametrize(
         "flags,message",
@@ -370,15 +370,15 @@ class TestRearrangeCommand:
         assert (out / "test.jsonl").exists()
         prov = (out / "provenance.csv").read_text().strip().splitlines()
         assert prov[0] == "frame_index,origin,slice"
-        total = sum(len(load_dataset(out / s).frames) for s in slices)
-        test_frames = load_dataset(out / "test.jsonl").frames
+        total = sum(len(load_dataset(out / s)) for s in slices)
+        test_frames = load_dataset(out / "test.jsonl")
         assert total + len(test_frames) == 740
         # Stream rows slice by slice, then test rows; every row names its tag.
         rows = [line.split(",") for line in prov[1:]]
         stream = [(int(fi), tag, int(i)) for fi, tag, i in rows[:total]]
         for i, name in enumerate(slices, start=1):
             got = sorted(fi for fi, _, at in stream if at == i)
-            assert got == load_dataset(out / name).frames.frame_index.tolist()
+            assert got == load_dataset(out / name).frame_index.tolist()
         assert [i for _, _, i in stream] == sorted(i for _, _, i in stream)
         assert {tag for _, tag, _ in stream} == {"orig_train_normal", "moved_test_normal", "injected_anomaly"}
         assert sum(tag == "injected_anomaly" for _, tag, _ in stream) == 3
@@ -747,8 +747,8 @@ class TestRunContinualCommand:
         plan = RearrangePlan(seed=derive_seed(0, "rearrange"), k=3)
         cfg = RunConfig(mode="continual", scorer=scorer, seed=0, plan=plan)
         split = SplitSet(train=load_dataset(synth / "train.jsonl"), test=load_dataset(synth / "test.jsonl"))
-        test = CameraDataset(split.test.frames.take(rearrange(split, plan).test_rows))
-        test_windows = runner._windows_for(test.frames, cfg)
+        test = split.test.take(rearrange(split, plan).test_rows)
+        test_windows = runner._windows_for(test, cfg)
         for i in (1, 2, 3):
             step = out / "checkpoints" / f"step_{i}.ckpt"
             meta, arrays = _oracles.read_checkpoint(step)
@@ -899,7 +899,7 @@ class TestParallelLoad:
         with contextlib.closing(io.load_datasets(*paths)) as datasets:
             for path, ds in zip(paths, datasets):
                 assert ds == load_dataset(path)
-                assert not any(column.flags.writeable for column in ds.frames._columns())
+                assert not any(column.flags.writeable for column in ds._columns())
 
     def test_outputs_do_not_depend_on_the_core_count(self, continual_dir, tmp_path, capsys, monkeypatch):
         paths = [str(continual_dir / f"{name}.jsonl") for name in ("train", "test", "origin")]

@@ -52,27 +52,27 @@ def test_dataset_roundtrip_sorts(tmp_path):
     frames = sample_frames()
     write_frames(table([frames[2], frames[0], frames[1]]), path)
     ds = load_dataset(path)
-    assert ds.frames.frame_index.tolist() == [0, 1, 2]
+    assert ds.frame_index.tolist() == [0, 1, 2]
     assert ds.camera_id == "cam0"
     out = tmp_path / "copy.jsonl"
-    write_frames(ds.frames, out)
+    write_frames(ds, out)
     assert load_dataset(out) == ds
 
 
 def test_sorted_file_loads_as_read(tmp_path, monkeypatch):
-    # A file in frame order, as write_frames leaves it, needs no sorted copy: the dataset holds the table read.
+    # A file in frame order, as write_frames leaves it, needs no sorted copy: load_dataset returns the table read.
     path = tmp_path / "ds.jsonl"
     write_frames(table(sample_frames()), path)
     read = []
     monkeypatch.setattr(io, "read_frames", lambda p: read.append(read_frames(p)) or read[-1])
-    assert load_dataset(path).frames is read[0]
+    assert load_dataset(path) is read[0]
 
 
 @pytest.mark.parametrize("n", [511, 512, 513, 1100])
 def test_reads_whole_across_joins(tmp_path, n):
     # The reader appends each 512 lines' values to its box, region and keypoint columns; a file of any length reads
     # back as written, with frames of no person and anomaly regions on both sides of each join.
-    frames = generate_split(100, 800, 400, seed=4).test.frames.take(np.arange(n))
+    frames = generate_split(100, 800, 400, seed=4).test.take(np.arange(n))
     keep = frames.frame_row % 7 != 0
     persons = {name: getattr(frames, name)[keep] for name in ("frame_row", "track_id", "keypoints", "bbox")}
     frames = dataclasses.replace(frames, **persons)
@@ -85,7 +85,7 @@ def test_reads_whole_across_joins(tmp_path, n):
 def test_read_working_set_is_under_three_tables(tmp_path):
     # Each 512 lines' arrays are joined onto the columns and freed, so the file's values are never held twice; a read
     # that keeps every line's array for one join at the end peaks near 3.9 tables.
-    frames = generate_normals(2000, seed=0).frames
+    frames = generate_normals(2000, seed=0)
     path = tmp_path / "frames.jsonl"
     write_frames(frames, path)
     table_mb = sum(getattr(frames, f.name).nbytes for f in dataclasses.fields(frames)[1:]) / 2**20
@@ -287,7 +287,7 @@ def test_writer_bytes_are_pinned(tmp_path):
     extra = make_frame(200, persons=(make_obs(track_id=5, interpolated=True), make_obs(track_id=6)))
     # A file holds one camera: each camera's frames go to a file of their own, and the files are hashed in turn.
     written = b"".join(
-        _written(frames) for frames in (_joined(split.train.frames, split.test.frames), origin.frames, table([extra]))
+        _written(frames) for frames in (_joined(split.train, split.test), origin, table([extra]))
     )
     assert hashlib.sha256(written).hexdigest() == WRITER_SHA256
 
@@ -571,12 +571,12 @@ def test_json_dumps_writes_the_lines_orjson_would_not(frames, text, rows):
 def test_orjson_writes_synth_and_null_visibility_rows():
     # No line of a synth table, nor of a frame with interpolated (NaN) visibilities, needs json.dumps.
     split = generate_split(60, 40, 12, seed=3)
-    frames = _joined(split.train.frames, split.test.frames, _two_frames(camera_id="synthcam"))
+    frames = _joined(split.train, split.test, _two_frames(camera_id="synthcam"))
     assert not _json_rows(frames).any()
 
 
 def test_non_contiguous_columns_write_the_same_bytes():
-    frames = _joined(generate_split(30, 20, 10, seed=5).test.frames, _two_frames(camera_id="synthcam"))
+    frames = _joined(generate_split(30, 20, 10, seed=5).test, _two_frames(camera_id="synthcam"))
     views = dataclasses.replace(
         frames,
         keypoints=np.asfortranarray(frames.keypoints),

@@ -15,7 +15,7 @@ from posebench.metrics import (
     fpr_at_fnr,
 )
 from posebench.preprocess import WindowBatch
-from conftest import dataset, make_frame, make_obs, walking_dataset
+from conftest import make_frame, make_obs, table, walking_dataset
 import _oracles
 
 
@@ -188,7 +188,7 @@ class TestAggregation:
 
     def test_matches_scan_oracle(self, rng):
         ds = self.make_dataset(20)
-        idx = ds.frames.frame_index.tolist()
+        idx = ds.frame_index.tolist()
         for _ in range(50):
             n_windows = int(rng.integers(0, 8))
             length = int(rng.integers(1, 21))  # one length per batch, as extract_windows gives
@@ -219,9 +219,16 @@ class TestAggregation:
             make_frame(0),
             make_frame(1, label="anomalous", persons=(make_obs(),)),
         )
-        ds = dataset(frames)
+        ds = table(frames)
         s = fold([((0, 1), 0.4)], ds, "max")
         assert s.anomalous.tolist() == [False, True]
+
+    @pytest.mark.parametrize("rows", [[1, 0], [0, 0]], ids=["unsorted", "repeated"])
+    def test_refuses_a_table_out_of_frame_order(self, rows):
+        # The fold finds each covered frame by a binary search over frame_index.
+        ds = self.make_dataset(2).take(rows)
+        with pytest.raises(ValidationError, match="dataset 'cam0' must hold frames in strictly increasing"):
+            fold([((0, 1), 0.4)], ds, "max")
 
 
 @st.composite
@@ -240,13 +247,13 @@ def folding_case(draw):
     starts = draw(st.lists(st.one_of(touching, st.integers(-length, 44)), min_size=n, max_size=n))
     # Scores on a coarse grid, so windows often tie.
     scores = draw(st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0, 3.0]), min_size=n, max_size=n))
-    return dataset(frames), batch_of(starts, length), np.array(scores, dtype=np.float64)
+    return table(frames), batch_of(starts, length), np.array(scores, dtype=np.float64)
 
 
 class TestFoldProperty:
     def test_uncovered_frames_take_minimum_of_every_window(self):
         # Frame 10 is uncovered; the 0.1 window covers only frames 2-4, which the dataset lacks.
-        ds = dataset([make_frame(0), make_frame(10)])
+        ds = table([make_frame(0), make_frame(10)])
         batch = batch_of([2, 0], 3)
         for aggregator in ("max", "mean"):
             got = aggregate_frame_scores(batch, np.array([0.1, 0.5]), ds, aggregator)
@@ -259,8 +266,8 @@ class TestFoldProperty:
         ds, batch, scores = case
         got = aggregate_frame_scores(batch, scores, ds, aggregator)
         covered = [tuple(row) for row in batch.covered_frames().tolist()]
-        idx = ds.frames.frame_index.tolist()
+        idx = ds.frame_index.tolist()
         want = _oracles.frame_scores_scan(list(zip(covered, scores.tolist())), idx, aggregator)
         assert got.frame_index.tolist() == idx
-        assert got.anomalous.tolist() == ds.frames.anomalous.tolist()
+        assert got.anomalous.tolist() == ds.anomalous.tolist()
         assert got.scores.tobytes() == np.array([want[fi] for fi in idx], dtype=np.float64).tobytes()

@@ -12,7 +12,6 @@ import _oracles
 from posebench.errors import ValidationError
 from posebench.io import load_dataset, write_frames
 from posebench.model import (
-    CameraDataset,
     FrameTable,
     JOINT_NAMES,
     RowError,
@@ -21,7 +20,6 @@ from posebench.model import (
 from posebench.preprocess import extract_windows, normalize_pose
 from posebench.synthetic import generate_normals
 from conftest import (
-    dataset,
     make_frame,
     make_keypoints,
     make_obs,
@@ -164,47 +162,44 @@ class TestFrameRecord:
             table([make_frame(0, camera_id=7)])
 
 
-class TestCameraDataset:
-    def test_requires_increasing_frame_indices(self):
-        frames = (make_frame(2), make_frame(1))
+class TestSplitSet:
+    @pytest.mark.parametrize("side", ["train", "test"])
+    def test_requires_increasing_frame_indices(self, side):
+        sides = {"train": table([make_frame(0)]), "test": table([make_frame(5)])}
+        sides[side] = table([make_frame(2), make_frame(1)])
         with pytest.raises(ValidationError, match="in strictly increasing frame_index"):
-            dataset(frames)
+            SplitSet(**sides)
 
     def test_duplicate_index_rejected(self):
-        frames = table([make_frame(1)]).take([0, 0])
+        test = table([make_frame(1)]).take([0, 0])
         with pytest.raises(ValidationError, match="dataset 'cam0' must hold frames in strictly increasing"):
-            CameraDataset(frames)
+            SplitSet(train=table([make_frame(0)]), test=test)
 
-    def test_camera_id_is_the_tables(self):
-        assert dataset([make_frame(0, camera_id="cam7")]).camera_id == "cam7"
-
-
-class TestSplitSet:
     def test_train_must_be_normal(self):
-        train = dataset([make_frame(0, label="anomalous", persons=(make_obs(),))])
-        test = dataset([make_frame(5)])
+        train = table([make_frame(0, label="anomalous", persons=(make_obs(),))])
+        test = table([make_frame(5)])
         with pytest.raises(ValidationError, match="train frame 0 is not labeled normal"):
             SplitSet(train=train, test=test)
 
     def test_disjoint_frame_indices(self):
-        train = dataset([make_frame(0)])
-        test = dataset([make_frame(0)])
+        train = table([make_frame(0)])
+        test = table([make_frame(0)])
         with pytest.raises(ValidationError, match=r"share frame indices \(e.g. 0\)"):
             SplitSet(train=train, test=test)
 
     def test_first_shared_index_past_the_first_row(self):
         # Train frames 0-5, 7 and 9, test frames 6, 7 and 9: 7 and 9 are shared, and 7 is neither set's first row.
-        train = dataset([make_frame(i) for i in (0, 1, 2, 3, 4, 5, 7, 9)])
-        test = dataset([make_frame(i) for i in (6, 7, 9)])
+        train = table([make_frame(i) for i in (0, 1, 2, 3, 4, 5, 7, 9)])
+        test = table([make_frame(i) for i in (6, 7, 9)])
         with pytest.raises(ValidationError, match=r"share frame indices \(e.g. 7\)"):
             SplitSet(train=train, test=test)
 
     def test_empty_test_set_shares_nothing(self):
-        assert len(SplitSet(train=dataset([make_frame(0), make_frame(1)]), test=dataset([])).test) == 0
+        assert len(SplitSet(train=table([make_frame(0), make_frame(1)]), test=table([])).test) == 0
 
     def test_camera_id_property(self):
-        train = dataset([make_frame(0)])
-        test = dataset([make_frame(1)])
+        train = table([make_frame(0)])
+        test = table([make_frame(1)])
         assert SplitSet(train=train, test=test).camera_id == "cam0"
 
 
@@ -292,7 +287,7 @@ def test_track_assembly_matches_bucketing_oracle(frames):
     fis = [fr["frame_index"] for fr in frames]
     if len(set(fis)) == len(fis):
         # The file round trip gives the dataset built straight from the sorted objects.
-        direct = dataset(sorted(frames, key=lambda fr: fr["frame_index"]))
+        direct = table(sorted(frames, key=lambda fr: fr["frame_index"]))
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp, "frames.jsonl")
             write_frames(frames_table, path)
@@ -359,7 +354,7 @@ class TestFrameTable:
 
     def test_columns_are_read_only(self):
         # A validated table cannot be broken in place; before, the bad box surfaced only at the next take.
-        frames = generate_normals(3, seed=0).frames
+        frames = generate_normals(3, seed=0)
         with pytest.raises(ValueError, match="read-only"):
             frames.bbox[0] = (5, 5, 5, 5)
         for read in (frames, table(self.frames()), frames.take([2, 0])):

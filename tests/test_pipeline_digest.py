@@ -23,7 +23,7 @@ PINNED_SHA256 = "d8b342583a30bae2234ad18fd88262727e0b29a781bf14f7332260d04893f50
 def _holed_frames():
     split = generate_split(160, 300, 120, seed=11, persons=3)
     rng = np.random.default_rng(7)
-    frames = split.test.frames
+    frames = split.test
     offset = frames.frame_index - frames.frame_index[0]
     first_person = np.searchsorted(frames.frame_row, np.arange(len(frames)))
     persons = np.bincount(frames.frame_row, minlength=len(frames))

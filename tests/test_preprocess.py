@@ -208,7 +208,7 @@ class TestPipeline:
     def test_extract_windows_end_to_end(self):
         ds = walking_dataset(40)
         batch = extract_windows(
-            ds.frames, length=24, stride=6, max_gap=14, smoothing_window=15
+            ds, length=24, stride=6, max_gap=14, smoothing_window=15
         )
         assert batch.start_frame.tolist() == [0, 6, 12]
         assert batch.poses.shape == (40, 17, 2) and np.isfinite(batch.poses).all()
@@ -216,7 +216,7 @@ class TestPipeline:
     def test_working_set_is_under_2_6_poses(self):
         # The smoothed rows are normalized in place, so the gathered rows and their smoothed copy are the only
         # table-sized arrays; normalizing into a new array peaks near 3.5 times the bytes of the poses.
-        frames = generate_normals(2000, seed=0).frames
+        frames = generate_normals(2000, seed=0)
         poses_mb = extract_windows(frames).poses.nbytes / 2**20
         assert working_set_mb(lambda: extract_windows(frames)) < 2.6 * poses_mb
 
@@ -248,7 +248,7 @@ class TestPipeline:
         assert batch.poses.tobytes() == want.tobytes()
 
     def test_extract_windows_fills_gaps(self):
-        all_frames = walking_dataset(40).frames
+        all_frames = walking_dataset(40)
         frames = all_frames.take(np.flatnonzero(all_frames.frame_index != 20))
         wins = extract_windows(
             frames, length=24, stride=6, max_gap=14, smoothing_window=15

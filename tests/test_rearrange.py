@@ -21,17 +21,17 @@ from posebench.rearrange import (
     slice_stream,
     verify,
 )
-from conftest import dataset, make_frame, make_obs
+from conftest import make_frame, make_obs, table
 
 
 def build_split(n_train=400, n_test_normal=120, n_test_anomaly=80):
-    train = dataset([make_frame(i) for i in range(n_train)])
+    train = table([make_frame(i) for i in range(n_train)])
     test_frames = [make_frame(n_train + i) for i in range(n_test_normal)]
     test_frames += [
         make_frame(n_train + n_test_normal + i, label="anomalous", persons=(make_obs(),))
         for i in range(n_test_anomaly)
     ]
-    test = dataset(test_frames)
+    test = table(test_frames)
     return SplitSet(train=train, test=test)
 
 
@@ -45,7 +45,7 @@ def stream_frames(cs):
 
 def balanced_test(cs):
     """The balanced test set, as run-continual and posebench rearrange build it."""
-    return cs.split.test.frames.take(cs.test_rows)
+    return cs.split.test.take(cs.test_rows)
 
 
 def stream_index(cs):
@@ -54,7 +54,7 @@ def stream_index(cs):
 
 def split_column(cs, name):
     """Column ``name`` of every row of the split: the train frames, then the test frames."""
-    return np.concatenate([getattr(cs.split.train.frames, name), getattr(cs.split.test.frames, name)])
+    return np.concatenate([getattr(cs.split.train, name), getattr(cs.split.test, name)])
 
 
 def tag_names(cs, rows=None):
@@ -136,7 +136,7 @@ class TestRearrange:
     def test_conservation_multiset(self):
         split = build_split()
         cs = rearrange(split, RearrangePlan(seed=3, inject_count=3))
-        before = Counter(frame_keys(split.train.frames) + frame_keys(split.test.frames))
+        before = Counter(frame_keys(split.train) + frame_keys(split.test))
         after = Counter(frame_keys(stream_frames(cs)) + frame_keys(balanced_test(cs)))
         # Frames move between train and test but none appear or vanish.
         assert before == after
@@ -166,8 +166,8 @@ class TestRearrange:
         assert stream_index(a) != stream_index(b)
 
     def test_needs_both_test_labels(self):
-        train = dataset([make_frame(0)])
-        test = dataset([make_frame(1)])
+        train = table([make_frame(0)])
+        test = table([make_frame(1)])
         with pytest.raises(ValidationError):
             rearrange(SplitSet(train=train, test=test), RearrangePlan(seed=0, inject_count=0))
 
@@ -239,7 +239,7 @@ class TestVerify:
 class TestTrainingFrames:
     def test_returns_the_frames_of_stream_rows(self):
         cs = rearrange(build_split(), RearrangePlan(seed=15, inject_count=3))
-        keys = frame_keys(cs.split.train.frames) + frame_keys(cs.split.test.frames)
+        keys = frame_keys(cs.split.train) + frame_keys(cs.split.test)
         for rows in (cs.slices[0], cs.train_stream):
             got = cs.training_frames(rows)
             assert frame_keys(got) == [keys[r] for r in rows]
@@ -247,7 +247,7 @@ class TestTrainingFrames:
     @pytest.mark.parametrize("anomalous,tag", [(False, "test_normal"), (True, "test_anomaly")])
     def test_refuses_a_test_row(self, anomalous, tag):
         cs = rearrange(build_split(), RearrangePlan(seed=16, inject_count=3))
-        test_rows, test = cs.test_rows, cs.split.test.frames
+        test_rows, test = cs.test_rows, cs.split.test
         row = test_rows[test.anomalous[test_rows] == anomalous][0]
         rows = np.concatenate([cs.slices[0][:10], [row + len(cs.split.train)], cs.slices[0][10:]])
         message = rf"^test leakage: frame {test.frame_index[row]} \(tag '{tag}'\) must not be trained on$"
@@ -278,7 +278,7 @@ class TestRearrangeProperty:
         verify(cs)
         stream, test = stream_frames(cs), balanced_test(cs)
         assert Counter(frame_keys(stream) + frame_keys(test)) == Counter(
-            frame_keys(split.train.frames) + frame_keys(split.test.frames)
+            frame_keys(split.train) + frame_keys(split.test)
         )
         assert np.array_equal(np.concatenate(cs.slices), cs.train_stream)
         sizes = [len(s) for s in cs.slices]

@@ -7,7 +7,7 @@ import pytest
 
 from posebench.errors import ValidationError
 from posebench.metrics import MetricReport
-from posebench.model import CameraDataset, SplitSet
+from posebench.model import SplitSet
 from posebench import _kernels, runner
 from posebench.rearrange import ContinualSplit, RearrangePlan
 from posebench.runner import (
@@ -24,7 +24,7 @@ from posebench.runner import (
 )
 from posebench.scorers import KnnScorer
 from posebench.synthetic import generate_normals, generate_split
-from conftest import dataset, make_frame, make_obs
+from conftest import make_frame, make_obs, table
 
 
 def report(auc_roc=0.8, auc_pr=0.7, eer=0.2, ten_er=0.3):
@@ -158,11 +158,11 @@ class TestRunStandard:
         assert len(built) == 2
 
     def test_too_short_train_errors(self):
-        frames = small_split().test.frames.take(np.arange(50))
+        frames = small_split().test.take(np.arange(50))
         frames = replace(frames, frame_index=frames.frame_index + 100)
         # Camera ids must match within the split, so build the train side for it.
-        train = dataset([make_frame(i, camera_id="synthcam") for i in range(5)])
-        split = SplitSet(train=train, test=CameraDataset(frames))
+        train = table([make_frame(i, camera_id="synthcam") for i in range(5)])
+        split = SplitSet(train=train, test=frames)
         with pytest.raises(ValidationError):
             run_standard(RunConfig(mode="standard", seed=0), split)
 
@@ -224,9 +224,9 @@ class TestRunContinual:
         split = small_split()
         cfg = RunConfig(mode="continual", seed=0, plan=RearrangePlan(seed=1))
         with pytest.raises(ValidationError, match="non-empty origin"):
-            run_continual(cfg, split, dataset([]), None)
+            run_continual(cfg, split, table([]), None)
         anomalous = make_frame(0, label="anomalous", persons=(make_obs(),), camera_id="x")
-        anomalous_only = dataset([anomalous])
+        anomalous_only = table([anomalous])
         with pytest.raises(ValidationError, match="no normal frames to pretrain on"):
             run_continual(cfg, split, anomalous_only, None)
 

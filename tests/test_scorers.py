@@ -94,7 +94,7 @@ class TestBatchedFeatures:
         # The test set of the README continual quick-start, as run-continual builds it.
         split = generate_split(2400, 1200, 400, seed=0, anomaly_boost=2.5)
         cs = rearrange(split, RearrangePlan(seed=derive_seed(0, "rearrange"), k=9))
-        batch = extract_windows(split.test.frames.take(cs.test_rows))
+        batch = extract_windows(split.test.take(cs.test_rows))
         assert len(batch) == 544
         assert kinematic_features(batch).tobytes() == oracle_features(batch).tobytes()
 
@@ -372,7 +372,7 @@ class TestRepeatedScoring:
 
 def _overlapping_store(windows_held):
     """A knn scorer holding the first ``windows_held`` windows (length 24, stride 6) of one recording."""
-    batch = extract_windows(generate_normals(3 * windows_held + 100, seed=0).frames)
+    batch = extract_windows(generate_normals(3 * windows_held + 100, seed=0))
     n = windows_held
     sc = KnnScorer(capacity=n)
     sc.fit(WindowBatch(batch.poses, batch.rows[:n], batch.track_id[:n], batch.start_frame[:n], batch.length))
@@ -388,7 +388,7 @@ class TestScoringWorkingSet:
         # partition copy and mask, both rescoring gathers, and 0.5 MB for the rest. A float64 query matrix
         # and gather (7.8 MB at this shape) do not fit under it.
         sc = _overlapping_store(597)
-        batch = extract_windows(generate_normals(3 * 267 + 100, seed=1).frames)
+        batch = extract_windows(generate_normals(3 * 267 + 100, seed=1))
         probe = WindowBatch(batch.poses, batch.rows[:267], batch.track_id[:267], batch.start_frame[:267], 24)
         m, n, d = len(probe), sc.stored_count, 24 * 34
         chunk = min(_kernels._CHUNK_ELEMENTS, m * n)
@@ -641,7 +641,7 @@ def _continual_chain(directory):
 
     194 windows come before the first step, so the first file holds about a third of the store.
     """
-    batch = extract_windows(generate_normals(3 * 714 + 100, seed=0).frames)
+    batch = extract_windows(generate_normals(3 * 714 + 100, seed=0))
     bounds = [0, *np.linspace(194, 714, 10).round().astype(int)]
     sc, base = KnnScorer(capacity=714), None
     for i, (lo, hi) in enumerate(zip(bounds, bounds[1:])):

@@ -6,7 +6,7 @@ from posebench.stats import (
     STATS_CSV_COLUMNS,
     stats_from_frames,
 )
-from conftest import dataset, make_frame, make_obs, table
+from conftest import make_frame, make_obs, table
 import _oracles
 from _oracles import frame_max_iou, iou
 
@@ -66,8 +66,7 @@ class TestDatasetStats:
         )
 
     def stats(self):
-        ds = dataset(self.frames())
-        return stats_from_frames(ds.frames)
+        return stats_from_frames(table(self.frames()))
 
     def test_counts(self):
         st = self.stats()

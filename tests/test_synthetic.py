@@ -24,7 +24,7 @@ SIGMAS = st.sampled_from([0.0, 0.5, 1.5, 3.0, 8.0, 16.0, 200.0])
 
 def anomaly_tracks(split):
     """The (n, 17, 2) keypoints of each of the test set's anomaly tracks, in frame order."""
-    frames = split.test.frames  # its person rows are in frame order
+    frames = split.test  # its person rows are in frame order
     ids = np.unique(frames.track_id[frames.track_id >= ANOMALY_TRACK_BASE])
     return [frames.keypoints[frames.track_id == track_id, :, :2] for track_id in ids]
 
@@ -32,9 +32,9 @@ def anomaly_tracks(split):
 class TestGenerateNormals:
     def test_counts_and_labels(self):
         ds = generate_normals(50, seed=0)
-        assert len(ds.frames) == 50
-        assert not ds.frames.anomalous.any()
-        assert np.bincount(ds.frames.frame_row, minlength=50).tolist() == [2] * 50
+        assert len(ds) == 50
+        assert not ds.anomalous.any()
+        assert np.bincount(ds.frame_row, minlength=50).tolist() == [2] * 50
 
     def test_deterministic(self):
         a = generate_normals(40, seed=3)
@@ -48,7 +48,7 @@ class TestGenerateNormals:
 
     def test_keypoints_inside_canvas(self):
         ds = generate_normals(200, seed=1, step_sigma=25.0)
-        x, y = ds.frames.keypoints[:, :, 0], ds.frames.keypoints[:, :, 1]
+        x, y = ds.keypoints[:, :, 0], ds.keypoints[:, :, 1]
         assert ((0.0 <= x) & (x <= 1280.0)).all()
         assert ((0.0 <= y) & (y <= 720.0)).all()
 
@@ -59,10 +59,10 @@ class TestGenerateNormals:
 
     def test_start_index_offsets_frames(self):
         ds = generate_normals(10, seed=0, start_index=100)
-        assert ds.frames.frame_index.tolist() == list(range(100, 110))
+        assert ds.frame_index.tolist() == list(range(100, 110))
 
     def test_frame_indices_must_fit_int64(self):
-        assert generate_normals(5, seed=0, start_index=2**63 - 5).frames.frame_index[-1] == 2**63 - 1
+        assert generate_normals(5, seed=0, start_index=2**63 - 5).frame_index[-1] == 2**63 - 1
         for start, bad in ((-1, -1), (2**63 - 3, 2**63), (2**63 + 7, 2**63 + 7)):
             message = f"frame_index must be a non-negative 64-bit integer, got {bad}$"
             with pytest.raises(ValidationError, match=message):
@@ -72,13 +72,13 @@ class TestGenerateNormals:
 class TestGenerateSplit:
     def test_shape(self):
         split = generate_split(300, 200, 60, seed=0)
-        assert len(split.train.frames) == 300
-        assert len(split.test.frames) == 260
-        assert split.test.frames.anomalous.sum() == 60
-        assert not split.train.frames.anomalous.any()
+        assert len(split.train) == 300
+        assert len(split.test) == 260
+        assert split.test.anomalous.sum() == 60
+        assert not split.train.anomalous.any()
 
     def test_anomalous_frames_have_regions_and_extra_track(self):
-        frames = generate_split(300, 200, 60, seed=0).test.frames
+        frames = generate_split(300, 200, 60, seed=0).test
         has_region = np.zeros(len(frames), dtype=bool)
         has_region[frames.region_frame] = True
         has_anomaly_track = np.zeros(len(frames), dtype=bool)
@@ -89,7 +89,7 @@ class TestGenerateSplit:
     def test_each_kind_generates(self):
         for kind in ANOMALY_KINDS:
             split = generate_split(200, 120, 40, seed=2, anomaly_kinds=(kind,))
-            assert split.test.frames.anomalous.sum() == 40
+            assert split.test.anomalous.sum() == 40
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValidationError):
@@ -123,8 +123,8 @@ class TestGenerateSplit:
 
     def test_train_and_test_frame_ranges_disjoint(self):
         split = generate_split(120, 80, 20, seed=0)
-        train_idx = set(split.train.frames.frame_index.tolist())
-        test_idx = set(split.test.frames.frame_index.tolist())
+        train_idx = set(split.train.frame_index.tolist())
+        test_idx = set(split.test.frame_index.tolist())
         assert not (train_idx & test_idx)
 
 
@@ -158,9 +158,9 @@ class TestMatchesPerStepOracle:
             train, normal, anomaly, seed, persons, kinds, segment_length, _template(variant), step_sigma,
             jitter_sigma, boost,
         )
-        assert split.train.frames.keypoints.tobytes() == want_train.tobytes()
-        assert split.test.frames.keypoints.tobytes() == want_test.tobytes()
-        assert split.test.frames.anomalous.tolist() == anomalous.tolist()
+        assert split.train.keypoints.tobytes() == want_train.tobytes()
+        assert split.test.keypoints.tobytes() == want_test.tobytes()
+        assert split.test.anomalous.tolist() == anomalous.tolist()
 
     @settings(deadline=None, max_examples=40)
     @given(
@@ -177,7 +177,7 @@ class TestMatchesPerStepOracle:
             pose_variant=variant,
         )
         want = _oracles.synth_normals(n_frames, seed, persons, _template(variant), step_sigma, jitter_sigma)
-        assert ds.frames.keypoints.tobytes() == want.tobytes()
+        assert ds.keypoints.tobytes() == want.tobytes()
 
 
 def test_synth_files_are_pinned(tmp_path, capsys):
@@ -240,4 +240,4 @@ class TestParameterRules:
 
     def test_zero_sigmas_are_allowed(self):
         ds = generate_normals(5, seed=0, step_sigma=0.0, jitter_sigma=0.0)
-        assert (ds.frames.keypoints[::2, :, :2] == ds.frames.keypoints[0, :, :2]).all()
+        assert (ds.keypoints[::2, :, :2] == ds.keypoints[0, :, :2]).all()
