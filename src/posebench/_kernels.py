@@ -15,9 +15,7 @@ result equals a fresh scan over every window, bit for bit.
 
 Queries and stored vectors are windows over pose rows, as the knn scorer
 holds them: window i of ``(rows, index)`` is ``rows[index[i]]`` flattened,
-d = L w values for an (n, L) index over (P, w) rows. A dense (n, d) matrix
-is n windows of length 1 over its own rows (``row_windows``), so dense
-calls run the same code.
+d = L w values for an (n, L) index over (P, w) rows.
 
 Candidates are chosen by a centred float32 filter. ``knn_queries`` fixes one
 centre c per query batch, the mean of the rows its windows use, and keeps
@@ -111,11 +109,6 @@ class KnnQueries(NamedTuple):
     sq: np.ndarray
 
 
-def row_windows(matrix):
-    """A dense (n, d) ``matrix`` as n windows of length 1 over its own rows: the pair (rows, index)."""
-    return matrix, np.arange(len(matrix))[:, None]
-
-
 def knn_queries(rows, index) -> KnnQueries:
     """The windows ``rows[index]`` as queries, centred on the mean of the rows they use."""
     used = np.zeros(len(rows), dtype=bool)
@@ -196,11 +189,6 @@ def knn_k_smallest(rows, index, queries, k, prior=None):
             merged.sort(axis=1)
             out[at] = merged[:, :width]
     return out
-
-
-def knn_mean_distance(stored, queries, k):
-    """Mean Euclidean distance from each dense query row to its k nearest dense ``stored`` rows: a fresh scan."""
-    return np.sqrt(knn_k_smallest(*row_windows(stored), knn_queries(*row_windows(queries)), k)).mean(axis=1)
 
 
 def _rescore(queries, rows, index, qi, sj):

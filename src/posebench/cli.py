@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
-import hashlib
 import json
 import os
 import sys
@@ -22,21 +21,25 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__
-from .errors import PosebenchError, ValidationError, json_error
+from .errors import InputError, PosebenchError, ValidationError, json_error
 from .io import load_datasets, write_frames
 from .metrics import AGGREGATORS
 from .model import SplitSet
 from .rearrange import RearrangePlan, rearrange, verify
 from .report import emit_report
-from .runner import RunConfig, derive_seed, load_results, run_continual, run_standard
+from .runner import RunConfig, derive_seed, hash_config, load_results, run_continual, run_standard
 from .scorers import SCORER_KINDS
 from .stats import STATS_CSV_COLUMNS, stats_from_frames
 from .synthetic import POSE_VARIANTS, generate_normals, generate_split
 
 
-def _params_hash(params: dict) -> str:
-    blob = json.dumps(params, sort_keys=True, separators=(",", ":"), default=str)
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+@contextlib.contextmanager
+def _naming(paths: dict):
+    """Prefix an ``InputError`` with the files of the inputs it names, from ``paths`` (role: path)."""
+    try:
+        yield
+    except InputError as exc:
+        raise ValidationError(f"{', '.join(paths[role] for role in exc.roles)}: {exc}") from None
 
 
 def _write_manifest(out_dir, subcommand: str, seed: int, config_hash: str):
@@ -156,10 +159,11 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_rearrange(args) -> int:
-    with contextlib.closing(load_datasets(args.train, args.test)) as datasets:
-        split = SplitSet(train=next(datasets), test=next(datasets))
-    plan = RearrangePlan(seed=derive_seed(args.seed, "rearrange"), **_plan_flags(args))
-    cs = rearrange(split, plan)
+    with _naming({"train": args.train, "test": args.test}):
+        with contextlib.closing(load_datasets(args.train, args.test)) as datasets:
+            split = SplitSet(train=next(datasets), test=next(datasets))
+        plan = RearrangePlan(seed=derive_seed(args.seed, "rearrange"), **_plan_flags(args))
+        cs = rearrange(split, plan)
     verify(cs)
     os.makedirs(args.out, exist_ok=True)
     width = max(2, len(str(plan.k)))
@@ -172,7 +176,7 @@ def _cmd_rearrange(args) -> int:
         fh.write("frame_index,origin,slice\n")
         for fi, tag, i in zip(cs.frame_index(rows).tolist(), cs.tags(rows).tolist(), slice_of):
             fh.write(f"{fi},{tag},{i}\n")
-    _write_manifest(args.out, "rearrange", args.seed, _params_hash({"plan": dataclasses.asdict(plan)}))
+    _write_manifest(args.out, "rearrange", args.seed, hash_config({"plan": dataclasses.asdict(plan)}))
     print(f"wrote {plan.k} slices, test.jsonl and provenance.csv to {args.out}", file=sys.stderr)
     return 0
 
@@ -182,10 +186,11 @@ def _cmd_run_standard(args) -> int:
     for key in ("train", "test"):
         if key not in paths:
             raise ValidationError(f"run-standard requires a {key} dataset (flag --{key} or config)")
-    with contextlib.closing(load_datasets(paths["train"], paths["test"])) as datasets:
-        split = SplitSet(train=next(datasets), test=next(datasets))
-    _write_manifest(args.out, "run-standard", cfg.seed, cfg.config_hash())
-    run_standard(cfg, split, out_dir=args.out)
+    with _naming(paths):
+        with contextlib.closing(load_datasets(paths["train"], paths["test"])) as datasets:
+            split = SplitSet(train=next(datasets), test=next(datasets))
+        _write_manifest(args.out, "run-standard", cfg.seed, cfg.config_hash())
+        run_standard(cfg, split, out_dir=args.out)
     print(f"wrote report.csv and report.md to {args.out}", file=sys.stderr)
     return 0
 
@@ -195,11 +200,12 @@ def _cmd_run_continual(args) -> int:
     for key in ("train", "test", "origin"):
         if key not in paths:
             raise ValidationError(f"run-continual requires a {key} dataset (flag --{key} or config)")
-    with contextlib.closing(load_datasets(paths["train"], paths["test"], paths["origin"])) as datasets:
-        split = SplitSet(train=next(datasets), test=next(datasets))  # its checks come before origin's errors
-        origin = next(datasets)
-    _write_manifest(args.out, "run-continual", cfg.seed, cfg.config_hash())
-    run_continual(cfg, split, origin, out_dir=args.out)
+    with _naming(paths):
+        with contextlib.closing(load_datasets(paths["train"], paths["test"], paths["origin"])) as datasets:
+            split = SplitSet(train=next(datasets), test=next(datasets))  # its checks come before origin's errors
+            origin = next(datasets)
+        _write_manifest(args.out, "run-continual", cfg.seed, cfg.config_hash())
+        run_continual(cfg, split, origin, out_dir=args.out)
     print(f"wrote report, steps and checkpoints to {args.out}", file=sys.stderr)
     return 0
 
@@ -208,7 +214,7 @@ def _cmd_report(args) -> int:
     result = load_results(args.results)
     formats = tuple(args.formats.split(","))
     emit_report([result], args.out, formats=formats)
-    _write_manifest(args.out, "report", 0, _params_hash({"formats": list(formats)}))
+    _write_manifest(args.out, "report", 0, hash_config({"formats": list(formats)}))
     return 0
 
 
@@ -244,7 +250,7 @@ def _cmd_synth(args) -> int:
     for name, dataset in datasets.items():
         write_frames(dataset, os.path.join(args.out, f"{name}.jsonl"))
     params = {key: value for key, value in vars(args).items() if key not in ("out", "seed", "func", "subcommand")}
-    _write_manifest(args.out, "synth", args.seed, _params_hash({**params, "kinds": list(kinds)}))
+    _write_manifest(args.out, "synth", args.seed, hash_config({**params, "kinds": list(kinds)}))
     print(f"wrote synthetic datasets to {args.out}", file=sys.stderr)
     return 0
 

@@ -9,6 +9,14 @@ class ValidationError(PosebenchError):
     """Input data or invariant violation (maps to CLI exit code 2)."""
 
 
+class InputError(ValidationError):
+    """A data error of whole inputs, named by their roles ("train", "test", "origin"); the CLI names their files."""
+
+    def __init__(self, message: str, *roles: str):
+        super().__init__(message)
+        self.roles = roles
+
+
 def check_int(name: str, value, minimum: int = 0):
     """Raise unless value is a JSON integer (an int, never a bool or a float) of at least minimum."""
     if isinstance(value, bool) or not isinstance(value, int) or value < minimum:

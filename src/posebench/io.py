@@ -14,17 +14,19 @@ values fail a check, so tables and error messages are those of
 ``json.loads``. Each line's values are type-checked as it is read: numbers
 must be JSON numbers that fit a float (never a NaN literal), ids integers
 (no track_id twice in a frame), ``interpolated`` a boolean. The line's boxes
-and keypoints then become one float64 array, ``null`` as NaN, which joins the
-box, region and keypoint columns within 512 lines, so the reader never holds
-a file of Python floats, nor its values twice. A file holds one camera, each
-frame_index once: the first line that names another camera, or a frame_index
-an earlier line holds, is refused with both lines. Then, once per file and
-as array predicates: each person's keypoint count, its ``interpolated`` flag
-(true exactly when every visibility is ``null``), and the table's rules (the
-camera_id's rule, then the value rules). The flag is not kept;
-``write_frames`` writes it from the visibilities. Every error names the file
-and the line. ``load_datasets`` reads a command's files in parallel (forked
-children), and takes each file's table or error where a serial read would.
+and keypoints then become one float64 array, ``null`` as NaN, and its
+frame's and persons' integers flat Python ints; within 512 lines these join
+the box, region and keypoint columns and the frame and person integer
+columns, so the reader never holds a Python row per frame or person, nor a
+value twice. A file holds one camera, each frame_index once: the first line
+that names another camera, or a frame_index an earlier line holds, is
+refused with both lines. Then, once per file and as array predicates: each
+person's keypoint count, its ``interpolated`` flag (true exactly when every
+visibility is ``null``), and the table's rules (the camera_id's rule, then
+the value rules). The flag is not kept; ``write_frames`` writes it from the
+visibilities. Every error names the file and the line. ``load_datasets``
+reads a command's files in parallel (forked children), and takes each file's
+table or error where a serial read would.
 
 Unknown keys are accepted and ignored on read; they are not preserved on
 write (lines are rebuilt from the table). ``write_frames`` writes each line
@@ -81,21 +83,21 @@ def _box(raw):
 
 
 class _Reader:
-    """The lines read so far as rows; ``table()`` builds the FrameTable, which checks the values."""
+    """The lines read so far, joined into columns every 512 lines; ``table()`` builds the checked FrameTable."""
 
     def __init__(self, path):
         self.path = os.fspath(path)
         self.camera_id = None  # the first frame's
-        self.frames = []  # (frame_index, label, line)
         self.lines = {}  # frame_index: line
-        self.persons = []  # (frame row, track_id, interpolated, keypoint count)
-        self.region_frame = []
-        self.values, self.segments = [], []  # per line not yet joined: its values; box, region, keypoint counts
-        self.parts = [np.empty(0) for _ in range(3)]  # the joined lines' box, region and keypoint values
+        # Per line not yet joined: its values; its frame's (frame_index, anomalous, persons, regions, keypoint rows)
+        # and each person's (track_id, interpolated, keypoint count), as flat integers.
+        self.values, self.frame_ints, self.person_ints = [], [], []
+        # The joined lines' frame and person integers, and box, region and keypoint values.
+        self.columns = [np.empty(0, dtype) for dtype in (np.int64, np.int64, float, float, float)]
 
     def add(self, obj, lineno: int, nan_text: bool):
         """Append one parsed line; ``nan_text`` says whether the line's text holds ``NaN``."""
-        row, frame_index, persons = len(self.frames), None, []
+        row, frame_index = len(self.lines), None
         try:
             if type(obj) is not dict:
                 raise ValidationError(f"expected a JSON object, got {type(obj).__name__}")
@@ -106,7 +108,7 @@ class _Reader:
             _check_id("frame_index", frame_index)  # the int64 and flag columns need these two
             if label not in LABELS:
                 raise ValidationError(f"label must be one of {LABELS}, got {label!r} (frame {frame_index})")
-            numbers, rows, track_ids = [], [], set()  # box values then keypoint values; keypoint rows
+            numbers, rows, track_ids, persons = [], [], set(), []  # box values then keypoint values; keypoint rows
             for p in people:
                 if type(p) is not dict:
                     raise ValidationError(f"person entry must be an object, got {type(p).__name__}")
@@ -122,7 +124,7 @@ class _Reader:
                         f"interpolated must be a boolean, got {interpolated!r} (track {track_id})"
                     )
                 keypoints = _list(p["keypoints"], "keypoints")
-                persons.append((row, track_id, interpolated, len(keypoints)))
+                persons += (track_id, interpolated, len(keypoints))
                 rows += keypoints
             for box in regions:
                 numbers += _box(box)
@@ -150,7 +152,7 @@ class _Reader:
             ctx = f"line {lineno}" if frame_index is None else f"line {lineno} (frame_index {frame_index})"
             raise ValidationError(f"{self.path}: {ctx}: {exc}") from None
         if other:
-            first = self.frames[0][2]
+            first = next(iter(self.lines.values()))
             raise ValidationError(
                 f"{self.path}: line {lineno}: camera_id {camera_id!r} differs from {self.camera_id!r} on line {first}"
             )
@@ -160,60 +162,60 @@ class _Reader:
         if not row:
             self.camera_id = camera_id
         self.lines[frame_index] = lineno
-        self.frames.append((frame_index, label, lineno))
-        self.persons += persons
-        self.region_frame += [row] * len(regions)
+        self.frame_ints += (frame_index, label == LABEL_ANOMALOUS, len(people), len(regions), len(rows))
+        self.person_ints += persons
         self.values.append(values)
-        self.segments += (4 * len(persons), 4 * len(regions), len(numbers) - n_boxes)
         if len(self.values) == 512:
             self.join()
 
     def join(self):
-        """Append the values of the lines not yet joined to ``parts``, and free those lines' arrays."""
-        values, sizes = np.concatenate(self.values or [np.empty(0)]), np.array(self.segments, int).reshape(-1, 3)
+        """Append the lines not yet joined to the columns, and free their values and integers."""
+        frames = np.array(self.frame_ints, np.int64)
+        sizes = frames.reshape(-1, 5)[:, 2:] * (4, 4, 3)  # each line's box, region and keypoint value counts
+        values = np.concatenate(self.values or [np.empty(0)])
         part = np.repeat(np.tile(np.arange(3, dtype=np.int8), len(sizes)), sizes.ravel())
-        for p, column in enumerate(self.parts):
-            new = values[part == p]
+        joined = (frames, np.array(self.person_ints, np.int64), *(values[part == p] for p in range(3)))
+        for column, new in zip(self.columns, joined):
             column.resize(column.size + new.size, refcheck=False)  # a realloc, in place where the heap allows
             column[column.size - new.size :] = new
-        self.values, self.segments = [], []
+        self.values, self.frame_ints, self.person_ints = [], [], []
 
     def error(self, row, message) -> ValidationError:
-        frame_index, _, line = self.frames[row]
-        return ValidationError(f"{self.path}: line {line} (frame_index {frame_index}): {message}")
+        frame_index = int(self.columns[0][5 * row])
+        return ValidationError(f"{self.path}: line {self.lines[frame_index]} (frame_index {frame_index}): {message}")
 
     def table(self) -> FrameTable:
-        if not self.frames:
+        if not self.lines:
             raise ValidationError(f"{self.path}: dataset contains no frames")
-        frame_index, label, _ = zip(*self.frames)
-        frame_row, track_id, interpolated, counts = zip(*self.persons) if self.persons else ((),) * 4
-        for i, count in enumerate(counts):
-            if count != KEYPOINT_COUNT:
-                shape = f"got shape {(count, 3)} (track {track_id[i]})"
-                raise self.error(frame_row[i], f"expected ({KEYPOINT_COUNT}, 3) keypoints, {shape}")
         self.join()
-        keypoints = self.parts[2].reshape(-1, KEYPOINT_COUNT, 3)
-        for i in np.flatnonzero(np.array(interpolated, bool) != np.isnan(keypoints[:, :, 2]).all(axis=1))[:1]:
+        frame_index, anomalous, persons, regions, _ = self.columns[0].reshape(-1, 5).T
+        track_id, interpolated, counts = self.columns[1].reshape(-1, 3).T
+        frame_row = np.repeat(np.arange(len(frame_index)), persons)
+        for i in np.flatnonzero(counts != KEYPOINT_COUNT)[:1]:
+            shape = f"got shape {(int(counts[i]), 3)} (track {track_id[i]})"
+            raise self.error(frame_row[i], f"expected ({KEYPOINT_COUNT}, 3) keypoints, {shape}")
+        keypoints = self.columns[4].reshape(-1, KEYPOINT_COUNT, 3)
+        for i in np.flatnonzero(interpolated != np.isnan(keypoints[:, :, 2]).all(axis=1))[:1]:
             kind, rule = ("interpolated", "have no") if interpolated[i] else ("non-interpolated", "carry at least one")
             raise self.error(frame_row[i], f"{kind} observation must {rule} keypoint visibility (track {track_id[i]})")
         try:
             return FrameTable(
                 camera_id=self.camera_id,
-                frame_index=np.array(frame_index, dtype=np.int64),
-                anomalous=np.array(label, dtype=object) == LABEL_ANOMALOUS,
-                region_frame=np.array(self.region_frame, dtype=np.int64),
-                regions=self.parts[1].reshape(-1, 4),
-                frame_row=np.array(frame_row, dtype=np.int64),
-                track_id=np.array(track_id, dtype=np.int64),
+                frame_index=frame_index.copy(),
+                anomalous=anomalous == 1,
+                region_frame=np.repeat(np.arange(len(frame_index)), regions),
+                regions=self.columns[3].reshape(-1, 4),
+                frame_row=frame_row,
+                track_id=track_id.copy(),
                 keypoints=keypoints,
-                bbox=self.parts[0].reshape(-1, 4),
+                bbox=self.columns[2].reshape(-1, 4),
             )
         except RowError as exc:
             raise self.error(exc.row, exc) from None
 
 
 def read_frames(path) -> FrameTable:
-    """Parse a JSONL file into one FrameTable, keeping file order, with a traced peak under 3x its columns' bytes."""
+    """Parse a JSONL file into one FrameTable, keeping file order, with a traced peak under 2x its columns' bytes."""
     reader = _Reader(path)
     with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, start=1):

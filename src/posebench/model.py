@@ -20,7 +20,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import InputError, ValidationError
 
 KEYPOINT_COUNT = 17
 
@@ -256,16 +256,16 @@ class SplitSet:
         check_frame_order(self.train)
         check_frame_order(self.test)
         if self.train.camera_id != self.test.camera_id:
-            raise ValidationError(
-                f"train and test camera_id differ: {self.train.camera_id!r} vs {self.test.camera_id!r}"
+            raise InputError(
+                f"train and test camera_id differ: {self.train.camera_id!r} vs {self.test.camera_id!r}", "train", "test"
             )
         if self.train.anomalous.any():
             first = self.train.frame_index[self.train.anomalous][0]
-            raise ValidationError(f"train frame {first} is not labeled normal")
+            raise InputError(f"train frame {first} is not labeled normal", "train")
         train, test = self.train.frame_index, self.test.frame_index
         shared = train[np.searchsorted(test, train, "right") > np.searchsorted(test, train)]
         if shared.size:
-            raise ValidationError(f"train and test share frame indices (e.g. {shared[0]})")
+            raise InputError(f"train and test share frame indices (e.g. {shared[0]})", "train", "test")
 
     @property
     def camera_id(self) -> str:

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError, check_int, is_number
+from .errors import InputError, ValidationError, check_int, is_number
 from .model import FrameTable, SplitSet
 
 TAG_TRAIN_NORMAL = "orig_train_normal"
@@ -142,9 +142,11 @@ def _auto_inject_count(n_train_normal: int, n_test_normal: int, n_test_anoms: in
         total = n_train_normal + moved + inject
         if total > 0 and inject / total < plan.target_train_anomaly_ratio:
             return inject
-    raise ValidationError(
+    raise InputError(
         "no injection count keeps the train anomaly fraction below "
-        f"{plan.target_train_anomaly_ratio} with a balanceable test set"
+        f"{plan.target_train_anomaly_ratio} with a balanceable test set",
+        "train",
+        "test",
     )
 
 
@@ -157,7 +159,7 @@ def slice_stream(stream, k: int) -> list:
     if k < 1:
         raise ValidationError(f"k must be >= 1, got {k}")
     if n < k:
-        raise ValidationError(f"cannot cut {n} frames into {k} non-empty slices")
+        raise InputError(f"cannot cut {n} frames into {k} non-empty slices", "train", "test")
     base, rem = divmod(n, k)
     ends = np.cumsum([0] + [base + 1] * rem + [base] * (k - rem)).tolist()
     return [stream[a:b] for a, b in zip(ends, ends[1:])]
@@ -169,14 +171,14 @@ def rearrange(split: SplitSet, plan: RearrangePlan) -> ContinualSplit:
     anoms = np.flatnonzero(split.test.anomalous)
     norms = np.flatnonzero(~split.test.anomalous)
     if not anoms.size:
-        raise ValidationError("test set has no anomalous frames to rearrange")
+        raise InputError("test set has no anomalous frames to rearrange", "test")
     if not norms.size:
-        raise ValidationError("test set has no normal frames")
+        raise InputError("test set has no normal frames", "test")
 
     if plan.inject_count is not None:
         inject = plan.inject_count
         if inject >= len(anoms):
-            raise ValidationError(f"inject_count {inject} must leave at least one of {len(anoms)} test anomalies")
+            raise InputError(f"inject_count {inject} must leave at least one of {len(anoms)} test anomalies", "test")
     else:
         inject = _auto_inject_count(n_train, len(norms), len(anoms), plan)
 
@@ -188,9 +190,10 @@ def rearrange(split: SplitSet, plan: RearrangePlan) -> ContinualSplit:
 
     kept_target = _kept_normals(len(norms), len(kept_anoms), plan.balance_tolerance)
     if kept_target is None:
-        raise ValidationError(
+        raise InputError(
             f"test set cannot be balanced within tolerance {plan.balance_tolerance}: "
-            f"{len(norms)} normals vs {len(kept_anoms)} anomalies"
+            f"{len(norms)} normals vs {len(kept_anoms)} anomalies",
+            "test",
         )
     keep = np.ones(len(norms), dtype=bool)
     if kept_target != len(norms):
@@ -203,7 +206,7 @@ def rearrange(split: SplitSet, plan: RearrangePlan) -> ContinualSplit:
     stream = np.concatenate([np.arange(n_train), moved + n_train])
     total = len(stream) + len(injected)
     if total == 0:
-        raise ValidationError("training stream would be empty")
+        raise InputError("training stream would be empty", "train", "test")
     if len(injected):
         slots = rng.choice(total, size=len(injected), replace=False)
         base, stream = stream, np.empty(total, dtype=np.int64)
@@ -212,9 +215,10 @@ def rearrange(split: SplitSet, plan: RearrangePlan) -> ContinualSplit:
 
     fraction = len(injected) / len(stream)
     if fraction >= plan.target_train_anomaly_ratio:
-        raise ValidationError(
-            f"train anomaly fraction {fraction:.6f} is not below the target "
-            f"{plan.target_train_anomaly_ratio}"
+        raise InputError(
+            f"train anomaly fraction {fraction:.6f} is not below the target {plan.target_train_anomaly_ratio}",
+            "train",
+            "test",
         )
 
     return ContinualSplit(split, slice_stream(stream, plan.k), test_rows, plan)

@@ -10,6 +10,7 @@ stream at once ("batch training") provides the conventional reference.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
@@ -20,7 +21,7 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from . import report as report_mod
-from .errors import ValidationError, check_int, is_number, json_error
+from .errors import InputError, ValidationError, check_int, is_number, json_error
 from .metrics import AGGREGATORS, HIGHER_IS_BETTER, MetricReport, aggregate_frame_scores, compute_all
 from .model import FrameTable, SplitSet, camera_id_error
 from .preprocess import extract_windows
@@ -38,6 +39,12 @@ def derive_seed(root: int, label: str) -> int:
     check_int("seed", root)
     ss = np.random.SeedSequence([root, zlib.crc32(label.encode("utf-8"))])
     return int(ss.generate_state(1, np.uint32)[0])
+
+
+def hash_config(config: dict) -> str:
+    """The sha256 of ``config`` as compact, key-sorted JSON: a manifest's ``config_hash``."""
+    blob = json.dumps(config, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
 @dataclass(frozen=True)
@@ -109,8 +116,7 @@ class RunConfig:
         return cls(**kwargs)
 
     def config_hash(self) -> str:
-        blob = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+        return hash_config(self.to_dict())
 
 
 @dataclass(frozen=True)
@@ -150,6 +156,17 @@ def summarize_steps(per_step) -> tuple[MetricReport, MetricReport]:
     return average, MetricReport(**best, **counts)
 
 
+@contextlib.contextmanager
+def _inputs(*roles: str):
+    """Raise a data error of the block as an ``InputError`` about the inputs ``roles``, unless it names its own."""
+    try:
+        yield
+    except ValidationError as exc:
+        if isinstance(exc, InputError) or not roles:
+            raise
+        raise InputError(str(exc), *roles) from None
+
+
 def _windows_for(frames, cfg: RunConfig):
     return extract_windows(
         frames,
@@ -160,13 +177,16 @@ def _windows_for(frames, cfg: RunConfig):
     )
 
 
-def evaluate_windows(scorer, test_windows, test: FrameTable, cfg: RunConfig) -> MetricReport:
+def evaluate_windows(scorer, test_windows, test: FrameTable, cfg: RunConfig, *fitted: str) -> MetricReport:
     """Score test windows, fold them onto frames, compute metrics.
 
-    The fold is ``metrics.aggregate_frame_scores``, the one place that maps windows to frame scores.
+    The fold is ``metrics.aggregate_frame_scores``, the one place that maps windows to frame scores. A data error
+    names the inputs ``fitted`` (the scorer's training data) when scoring, and the test set after.
     """
-    scores = scorer.score_batch(test_windows)
-    return compute_all(aggregate_frame_scores(test_windows, scores, test, cfg.aggregator), cfg.fnr_target)
+    with _inputs(*fitted):
+        scores = scorer.score_batch(test_windows)
+    with _inputs("test"):
+        return compute_all(aggregate_frame_scores(test_windows, scores, test, cfg.aggregator), cfg.fnr_target)
 
 
 def run_standard(cfg: RunConfig, split: SplitSet, out_dir=None) -> MetricReport:
@@ -174,17 +194,19 @@ def run_standard(cfg: RunConfig, split: SplitSet, out_dir=None) -> MetricReport:
     if cfg.mode != "standard":
         raise ValidationError(f"run_standard needs mode 'standard', got {cfg.mode!r}")
     if not len(split.train):
-        raise ValidationError("standard run requires a non-empty train dataset")
+        raise InputError("standard run requires a non-empty train dataset", "train")
     if not len(split.test):
-        raise ValidationError("standard run requires a non-empty test dataset")
-    train_windows = _windows_for(split.train, cfg)
-    if not train_windows:
-        raise ValidationError("training data produced zero pose windows")
+        raise InputError("standard run requires a non-empty test dataset", "test")
+    with _inputs("train"):
+        train_windows = _windows_for(split.train, cfg)
+        if not train_windows:
+            raise ValidationError("training data produced zero pose windows")
     scorer = make_scorer(cfg.scorer, seed=derive_seed(cfg.seed, "scorer"), params=cfg.scorer_params)
     scorer.fit(train_windows)
     del train_windows  # freed before the test windows are built
-    test_windows = _windows_for(split.test, cfg)
-    result = evaluate_windows(scorer, test_windows, split.test, cfg)
+    with _inputs("test"):
+        test_windows = _windows_for(split.test, cfg)
+    result = evaluate_windows(scorer, test_windows, split.test, cfg, "train")
     if out_dir is not None:
         report_mod.emit_report([(split.camera_id, result)], out_dir)
     return result
@@ -206,10 +228,10 @@ def run_continual(
     if cfg.mode != "continual":
         raise ValidationError(f"run_continual needs mode 'continual', got {cfg.mode!r}")
     if not len(origin):
-        raise ValidationError("continual run requires a non-empty origin dataset")
+        raise InputError("continual run requires a non-empty origin dataset", "origin")
     origin_normals = origin.take(np.flatnonzero(~origin.anomalous))
     if not len(origin_normals):
-        raise ValidationError("origin dataset has no normal frames to pretrain on")
+        raise InputError("origin dataset has no normal frames to pretrain on", "origin")
 
     cs = rearrange(split, cfg.plan)
     verify(cs)
@@ -217,20 +239,23 @@ def run_continual(
 
     scorer_seed = derive_seed(cfg.seed, "scorer")
     scorer = make_scorer(cfg.scorer, seed=scorer_seed, params=cfg.scorer_params)
-    pretrain_windows = _windows_for(origin_normals, cfg)
-    if not pretrain_windows:
-        raise ValidationError("origin dataset produced zero pretraining windows")
+    with _inputs("origin"):
+        pretrain_windows = _windows_for(origin_normals, cfg)
+        if not pretrain_windows:
+            raise ValidationError("origin dataset produced zero pretraining windows")
     scorer.fit(pretrain_windows)
     del origin_normals, pretrain_windows  # freed before the test windows are built
 
-    test_windows = _windows_for(test, cfg)  # one batch object: each step's scoring scans only what it added
-    baseline = evaluate_windows(scorer, test_windows, test, cfg)
+    with _inputs("test"):
+        test_windows = _windows_for(test, cfg)  # one batch object: each step's scoring scans only what it added
+    baseline = evaluate_windows(scorer, test_windows, test, cfg, "origin")
 
     per_step = []
     expected_seen = scorer.windows_seen
     saved = None  # the last step's checkpoint, which the next one names as its base
     for i, rows in enumerate(cs.slices, start=1):
-        slice_windows = _windows_for(cs.training_frames(rows), cfg)
+        with _inputs("train", "test"):
+            slice_windows = _windows_for(cs.training_frames(rows), cfg)
         scorer.partial_fit(slice_windows)
         expected_seen += len(slice_windows)
         if scorer.windows_seen != expected_seen:
@@ -238,7 +263,7 @@ def run_continual(
                 f"ingestion accounting broken at step {i}: "
                 f"scorer saw {scorer.windows_seen}, expected {expected_seen}"
             )
-        step_report = evaluate_windows(scorer, test_windows, test, cfg)
+        step_report = evaluate_windows(scorer, test_windows, test, cfg)  # it holds more than at the baseline
         per_step.append(step_report)
         if out_dir is not None:
             ckpt_dir = os.path.join(out_dir, "checkpoints")
@@ -250,11 +275,12 @@ def run_continual(
     del scorer  # batch training starts afresh; free the step store before building its own
 
     batch_scorer = make_scorer(cfg.scorer, seed=scorer_seed, params=cfg.scorer_params)
-    batch_windows = _windows_for(cs.training_frames(cs.train_stream), cfg)
-    if not batch_windows:
-        raise ValidationError("training stream produced zero pose windows")
+    with _inputs("train", "test"):
+        batch_windows = _windows_for(cs.training_frames(cs.train_stream), cfg)
+        if not batch_windows:
+            raise ValidationError("training stream produced zero pose windows")
     batch_scorer.fit(batch_windows)
-    batch_report = evaluate_windows(batch_scorer, test_windows, test, cfg)
+    batch_report = evaluate_windows(batch_scorer, test_windows, test, cfg, "train", "test")
 
     step_average, step_best = summarize_steps(per_step)
     result = ContinualResult(

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from posebench import _kernels
 from posebench.io import read_frames
 from posebench.model import FrameTable
 from posebench.preprocess import WindowBatch, extract_windows
@@ -139,6 +140,17 @@ def window_batch(features, start_frame=0):
         start_frame=np.arange(n, dtype=np.int64) * length + start_frame,
         length=length,
     )
+
+
+def dense_windows(matrix):
+    """A dense (n, d) ``matrix`` as n windows of length 1 over its own rows: the kNN kernel's (rows, index) pair."""
+    return matrix, np.arange(len(matrix))[:, None]
+
+
+def dense_knn_mean(stored, queries, k):
+    """Mean distance from each dense query row to its k nearest dense ``stored`` rows, by a fresh kNN kernel scan."""
+    kd = _kernels.knn_k_smallest(*dense_windows(stored), _kernels.knn_queries(*dense_windows(queries)), k)
+    return np.sqrt(kd).mean(axis=1)
 
 
 def working_set_mb(fn):

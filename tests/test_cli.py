@@ -4,6 +4,7 @@ import errno
 import hashlib
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -12,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import posebench
 from posebench import cli, io, runner
@@ -941,3 +944,142 @@ class TestReportCommand:
         code = main(["report", "--results", str(results), "--out", str(tmp_path / "o")])
         assert code == 2
         assert f"{results}: {message}" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def hostile_dir(tmp_path_factory):
+    """A small continual synth (train, test and origin of 100 frames each) and the results.json of a run on it."""
+    out = tmp_path_factory.mktemp("hostile")
+    counts = ["--train-normal", "100", "--test-normal", "60", "--test-anomaly", "40", "--origin-normal", "100"]
+    shape = ["--segment-length", "20", "--boost", "2.5", "--origin-step-sigma", "16", "--origin-jitter-sigma", "8"]
+    assert main(["synth", *counts, *shape, "--out", str(out)]) == 0
+    inputs = [f"--{name}={out / name}.jsonl" for name in ("train", "test", "origin")]
+    assert main(["run-continual", *inputs, "--k", "2", "--out", str(out)]) == 0
+    return out
+
+
+def _lines(path, keep=None, count=None):
+    """The first ``count`` lines of ``path`` (all by default) that ``keep`` accepts (all by default), as bytes."""
+    return b"".join([line for line in Path(path).read_bytes().splitlines(True) if not keep or keep(line)][:count])
+
+
+def _label(label):
+    return lambda line: json.loads(line)["label"] == label
+
+
+class TestInputErrorsNameTheirFiles:
+    """An error about a whole input file names that file, as the reader's errors do; a stream error names train and
+    test."""
+
+    @pytest.mark.parametrize(
+        "subcommand, replaced, message",
+        [
+            ("run-standard", {"test": ("test", _label("normal"))}, "test: auc_roc requires both labels present"),
+            ("rearrange", {"test": ("test", _label("normal"))}, "test: test set has no anomalous frames to rearrange"),
+            ("run-continual", {"test": ("test", _label("normal"))}, "test: test set has no anomalous frames"),
+            ("run-continual", {"test": ("test", _label("anomalous"))}, "test: test set has no normal frames"),
+            ("run-standard", {"train": ("train", None, 10)}, "train: training data produced zero pose windows"),
+            ("run-continual", {"origin": ("origin", None, 10)}, "origin: origin dataset produced zero pretraining"),
+            ("run-continual", {"origin": ("test", _label("anomalous"))}, "origin: origin dataset has no normal frames"),
+            # 5 train frames, and a test set that balances by moving 6 of its 46 normal frames: an 11-frame stream.
+            (
+                "run-continual",
+                {"train": ("train", None, 5), "test": ("test", None, 86)},
+                "train, test: training stream produced zero pose windows",
+            ),
+        ],
+    )
+    def test_error_names_the_file(self, hostile_dir, tmp_path, capsys, subcommand, replaced, message):
+        paths = {name: str(hostile_dir / f"{name}.jsonl") for name in ("train", "test", "origin")}
+        for name, (source, *keep) in replaced.items():
+            paths[name] = str(tmp_path / f"{name}.jsonl")
+            Path(paths[name]).write_bytes(_lines(hostile_dir / f"{source}.jsonl", *keep))
+        argv = [subcommand, "--train", paths["train"], "--test", paths["test"], "--out", str(tmp_path / "out")]
+        if subcommand != "run-standard":
+            argv += ["--k", "2"]
+        if subcommand == "run-continual":
+            argv += ["--origin", paths["origin"]]
+        assert main(argv) == 2
+        names, text = message.split(": ", 1)
+        files = ", ".join(paths[name] for name in names.split(", "))
+        assert capsys.readouterr().err.startswith(f"error: {files}: {text}")
+
+    def test_windowing_error_names_the_file(self, hostile_dir, tmp_path, capsys):
+        # The box passes the reader's checks, but its diagonal overflows, so windowing cannot normalize its pose.
+        train = tmp_path / "train.jsonl"
+        data = (hostile_dir / "train.jsonl").read_bytes()
+        train.write_bytes(re.sub(rb'"bbox":\[[^]]*\]', b'"bbox":[0,0,1.5e308,1.5e308]', data, count=1))
+        argv = ["run-standard", "--train", str(train), "--test", str(hostile_dir / "test.jsonl")]
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 2
+        want = f"error: {train}: cannot normalize pose against a degenerate bounding box\n"
+        assert capsys.readouterr().err == want
+
+
+_TOKENS = (b"1e400", b"NaN", b"Infinity", b"null", b"\x00", b"\xff", b"-1", b"[]", b"{}", b'"')
+_NUMBER = re.compile(rb"-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?")
+
+
+def _mutate(data: bytes, mutations) -> bytes:
+    """``data`` after each (kind, place, size, token) mutation in turn; ``place`` is a byte offset modulo the length."""
+    data = bytearray(data)
+    for kind, place, size, token in mutations:
+        at = place % (len(data) + 1)
+        start = data.rfind(b"\n", 0, at) + 1  # of the line ``at`` falls in
+        if kind == "flip" and data:
+            data[min(at, len(data) - 1)] ^= 1 << size % 8
+        elif kind == "cut":
+            del data[at : at + size]
+        elif kind == "truncate":
+            del data[at:]
+        elif kind == "lines":  # a shorter file of whole lines
+            del data[start:]
+        elif kind == "insert":
+            data[at:at] = token
+        elif kind == "number":  # number ``size`` of the line (1 is its frame_index) becomes the token
+            numbers = list(_NUMBER.finditer(bytes(data[start:]).split(b"\n", 1)[0]))
+            if len(numbers) >= size:
+                a, b = numbers[size - 1].span()
+                data[start + a : start + b] = token
+    return bytes(data)
+
+
+_MUTATION = st.tuples(
+    st.sampled_from(["flip", "cut", "truncate", "lines", "insert", "number"]),
+    st.integers(0, 2**20),
+    st.integers(1, 8),
+    st.sampled_from(_TOKENS),
+)
+# (mutated input, a subcommand that reads it)
+_READS = [(role, cmd) for role in ("train", "test") for cmd in ("stats", "run-standard", "rearrange", "run-continual")]
+_READS += [("origin", "stats"), ("origin", "run-continual"), ("results", "report")]
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    read=st.sampled_from(_READS),
+    mutations=st.lists(_MUTATION, min_size=1, max_size=4),
+    cores=st.integers(1, 3),
+    scorer=st.sampled_from(SCORER_KINDS),
+)
+def test_hostile_input_exits_0_or_2_and_names_the_file(hostile_dir, tmp_path, capsys, monkeypatch, read, mutations,
+                                                       cores, scorer):
+    # With 2 or 3 cores, a file after the first goes through a forked reader.
+    role, subcommand = read
+    name = "results.json" if role == "results" else f"{role}.jsonl"
+    mutated = tmp_path / f"mutated_{name}"
+    mutated.write_bytes(_mutate((hostile_dir / name).read_bytes(), mutations))
+    paths = {key: str(hostile_dir / f"{key}.jsonl") for key in ("train", "test", "origin")}
+    paths[role] = str(mutated)
+    split, out = ["--train", paths["train"], "--test", paths["test"]], ["--out", str(tmp_path / "out")]
+    argv = {
+        "stats": ["stats", *paths.values()],
+        "run-standard": ["run-standard", *split, "--scorer", scorer, *out],
+        "rearrange": ["rearrange", *split, "--k", "2", *out],
+        "run-continual": ["run-continual", *split, "--origin", paths["origin"], "--k", "2", "--scorer", scorer, *out],
+        "report": ["report", "--results", str(mutated), *out],
+    }[subcommand]
+    _cores(monkeypatch, cores)
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code in (0, 2) and "Traceback" not in err, err
+    assert code == 0 or (err.startswith("error: ") and str(mutated) in err), err

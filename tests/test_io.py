@@ -82,14 +82,15 @@ def test_reads_whole_across_joins(tmp_path, n):
     assert read_frames(path) == frames
 
 
-def test_read_working_set_is_under_three_tables(tmp_path):
-    # Each 512 lines' arrays are joined onto the columns and freed, so the file's values are never held twice; a read
-    # that keeps every line's array for one join at the end peaks near 3.9 tables.
+def test_read_working_set_is_under_two_tables(tmp_path):
+    # Every 512 lines, the lines' values and integers are appended to the columns and freed, so the reader holds no
+    # Python row per frame or person and no value twice: 1.93 tables here. A reader that keeps a tuple per frame and
+    # person until the table is built peaks at 2.06 to 2.21, and one that joins every line's array at the end near 3.9.
     frames = generate_normals(2000, seed=0)
     path = tmp_path / "frames.jsonl"
     write_frames(frames, path)
     table_mb = sum(getattr(frames, f.name).nbytes for f in dataclasses.fields(frames)[1:]) / 2**20
-    assert working_set_mb(lambda: read_frames(path)) < 3.0 * table_mb
+    assert working_set_mb(lambda: read_frames(path)) < 2.0 * table_mb
 
 
 def test_interpolated_visibility_roundtrip(tmp_path):

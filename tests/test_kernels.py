@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from posebench import _kernels, stats
-from conftest import working_set_mb
+from conftest import dense_knn_mean, dense_windows, working_set_mb
 
 
 def welford_reference(batch):
@@ -48,8 +48,8 @@ def knn_reference(stored, queries, k):
 
 def dense_k_smallest(stored, queries, k, prior=None):
     """knn_k_smallest with each row of the dense ``stored`` and ``queries`` a window of length 1."""
-    queries = _kernels.knn_queries(*_kernels.row_windows(queries))
-    return _kernels.knn_k_smallest(*_kernels.row_windows(stored), queries, k, prior)
+    queries = _kernels.knn_queries(*dense_windows(queries))
+    return _kernels.knn_k_smallest(*dense_windows(stored), queries, k, prior)
 
 
 @pytest.fixture
@@ -83,7 +83,7 @@ def pose_windows(rng, count, length=24, stride=6, scale=0.1):
 
 class TestKnnKernel:
     def check(self, stored, queries, k):
-        got = _kernels.knn_mean_distance(stored, queries, k)
+        got = dense_knn_mean(stored, queries, k)
         np.testing.assert_array_equal(got, knn_reference(stored, queries, k))
 
     def test_matches_brute_force(self, rng):
@@ -174,7 +174,7 @@ class TestKnnKernel:
     def test_sums_in_ascending_order(self):
         # Summed largest first, 1 + 1.1e-16 + 1.1e-16 rounds to 1; smallest first it does not.
         stored = np.concatenate([[[1.0], [1.1e-16], [1.1e-16]], np.arange(10.0, 30.0)[:, None]])
-        got = _kernels.knn_mean_distance(stored, np.zeros((1, 1)), 3)
+        got = dense_knn_mean(stored, np.zeros((1, 1)), 3)
         assert got[0] == (1.1e-16 + 1.1e-16 + 1.0) / 3 != (1.0 + 1.1e-16 + 1.1e-16) / 3
         self.check(stored, np.zeros((1, 1)), 3)
 
@@ -219,8 +219,8 @@ class TestKnnKernel:
 
 def merged_scan(stored, queries, k, cuts):
     """knn_k_smallest over ``stored`` cut into pieces at ``cuts``, each piece merged with the last result."""
-    rows, index = _kernels.row_windows(stored)
-    queries = _kernels.knn_queries(*_kernels.row_windows(queries))
+    rows, index = dense_windows(stored)
+    queries = _kernels.knn_queries(*dense_windows(queries))
     kd = None
     bounds = [0, *sorted(cuts), len(stored)]
     for lo, hi in zip(bounds, bounds[1:]):
@@ -269,8 +269,8 @@ class TestKnnPrior:
         # into the prior rescores a few pairs per query, and none falls back.
         stored = 1e6 + 1e-3 * rng.normal(size=(60, 16))
         queries = 1e6 + 1e-3 * rng.normal(size=(7, 16))
-        rows, index = _kernels.row_windows(stored)
-        q = _kernels.knn_queries(*_kernels.row_windows(queries))
+        rows, index = dense_windows(stored)
+        q = _kernels.knn_queries(*dense_windows(queries))
         prior = _kernels.knn_k_smallest(rows, index[:30], q, 3)
         rescored.clear()
         got = _kernels.knn_k_smallest(rows, index[30:], q, 3, prior)
@@ -283,8 +283,8 @@ class TestKnnPrior:
         # margins, so no new pair can be left out and each is rescored.
         stored = 1e6 + 1e-3 * rng.normal(size=(60, 16))
         queries = np.concatenate([1e6 + 1e-3 * rng.normal(size=(4, 16)), -1e6 + 1e-3 * rng.normal(size=(3, 16))])
-        rows, index = _kernels.row_windows(stored)
-        q = _kernels.knn_queries(*_kernels.row_windows(queries))
+        rows, index = dense_windows(stored)
+        q = _kernels.knn_queries(*dense_windows(queries))
         prior = _kernels.knn_k_smallest(rows, index[:30], q, 3)
         rescored.clear()
         got = _kernels.knn_k_smallest(rows, index[30:], q, 3, prior)

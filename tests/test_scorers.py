@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import _oracles
-from conftest import make_frame, person, table, window_batch, working_set_mb
+from conftest import dense_knn_mean, make_frame, person, table, window_batch, working_set_mb
 from posebench import _kernels, scorers
 from posebench.errors import ValidationError
 from posebench.preprocess import WindowBatch, extract_windows
@@ -210,7 +210,7 @@ class TestKnnScorer:
         sc.fit(batch)
         assert _stored(sc).tobytes() == want.tobytes()
         assert sc._poses.tobytes() == batch.poses.tobytes()  # rows 0..11, each once
-        assert sc.score_batch(batch).tobytes() == _kernels.knn_mean_distance(want, want, 2).tobytes()
+        assert sc.score_batch(batch).tobytes() == dense_knn_mean(want, want, 2).tobytes()
 
 
 def _stored(sc):
@@ -293,7 +293,7 @@ class TestRepeatedScoring:
             if sc.stored_count < k:
                 continue
             got = sc.score_batch(probe)
-            assert got.tobytes() == _kernels.knn_mean_distance(_stored(sc), queries, k).tobytes()
+            assert got.tobytes() == dense_knn_mean(_stored(sc), queries, k).tobytes()
 
     def test_steps_scan_only_new_rows(self, rng, monkeypatch):
         scanned = _scan_spy(monkeypatch)
@@ -318,7 +318,7 @@ class TestRepeatedScoring:
         probe = window_batch(values)
         assert sc.score_batch(probe).tobytes() == want.tobytes()
         assert scanned == [(3, False)] + [(3, True)] * 12 + [(1, True)]  # 40 stored windows
-        assert want.tobytes() == _kernels.knn_mean_distance(_stored(sc), _queries(probe), 4).tobytes()
+        assert want.tobytes() == dense_knn_mean(_stored(sc), _queries(probe), 4).tobytes()
 
     def test_refit_to_the_same_count_rescans(self, rng, monkeypatch):
         # A cache keyed on the row count alone would keep the first fit's distances.
@@ -330,7 +330,7 @@ class TestRepeatedScoring:
         scanned = _scan_spy(monkeypatch)
         again = sc.score_batch(probe)
         assert scanned == [(12, False)]
-        assert again.tobytes() == _kernels.knn_mean_distance(_stored(sc), _queries(probe), 2).tobytes()
+        assert again.tobytes() == dense_knn_mean(_stored(sc), _queries(probe), 2).tobytes()
         assert again.tobytes() != first.tobytes()
 
     def test_replacement_rescans(self, rng, monkeypatch):
@@ -342,7 +342,7 @@ class TestRepeatedScoring:
         scanned = _scan_spy(monkeypatch)
         got = sc.score_batch(probe)
         assert sc.stored_count == 8 and scanned == [(8, False)]
-        assert got.tobytes() == _kernels.knn_mean_distance(_stored(sc), _queries(probe), 2).tobytes()
+        assert got.tobytes() == dense_knn_mean(_stored(sc), _queries(probe), 2).tobytes()
 
     def test_replacement_past_the_covered_count_scans_incrementally(self, rng, monkeypatch):
         # The scoring covers 3 windows; the next batch fills slots 3..7, then its last window replaces slot 7
@@ -357,13 +357,13 @@ class TestRepeatedScoring:
         scanned = _scan_spy(monkeypatch)
         got = sc.score_batch(probe)
         assert scanned == [(5, True)]
-        assert got.tobytes() == _kernels.knn_mean_distance(_stored(sc), _queries(probe), 2).tobytes()
+        assert got.tobytes() == dense_knn_mean(_stored(sc), _queries(probe), 2).tobytes()
 
     def test_another_batch_is_scanned_afresh(self, rng, monkeypatch):
         sc = KnnScorer(k_nn=2, seed=0)
         sc.fit(windows(rng, 12, length=3))
         a, b = windows(rng, 5, length=3), windows(rng, 5, length=3)
-        want = [_kernels.knn_mean_distance(_stored(sc), _queries(batch), 2).tobytes() for batch in (b, a)]
+        want = [dense_knn_mean(_stored(sc), _queries(batch), 2).tobytes() for batch in (b, a)]
         sc.score_batch(a)
         scanned = _scan_spy(monkeypatch)
         assert [sc.score_batch(b).tobytes(), sc.score_batch(a).tobytes()] == want
