@@ -2,11 +2,11 @@
 
 
 class PosebenchError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package; raised itself, a runtime or program fault (CLI exit code 3)."""
 
 
 class ValidationError(PosebenchError):
-    """Input data or invariant violation (maps to CLI exit code 2)."""
+    """Invalid input data or arguments (maps to CLI exit code 2)."""
 
 
 class InputError(ValidationError):

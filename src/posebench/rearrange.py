@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, ValidationError, check_int, is_number
+from .errors import InputError, PosebenchError, ValidationError, check_int, is_number
 from .model import FrameTable, SplitSet
 
 TAG_TRAIN_NORMAL = "orig_train_normal"
@@ -109,12 +109,12 @@ class ContinualSplit:
         return np.array(TAGS)[np.where(rows < n_train, TAGS.index(TAG_TRAIN_NORMAL), code)]
 
     def training_frames(self, rows: np.ndarray) -> FrameTable:
-        """The frames at ``rows``, raising on the first row that carries a test tag."""
+        """The frames at ``rows``, raising ``PosebenchError`` (a program fault) on the first row with a test tag."""
         tags = self.tags(rows)
         leaked = np.flatnonzero((tags == TAG_TEST_NORMAL) | (tags == TAG_TEST_ANOMALY))
         if leaked.size:
             fi = self.frame_index(rows[leaked[0]])
-            raise ValidationError(f"test leakage: frame {fi} (tag {str(tags[leaked[0]])!r}) must not be trained on")
+            raise PosebenchError(f"test leakage: frame {fi} (tag {str(tags[leaked[0]])!r}) must not be trained on")
         return self.split.train.take(rows, self.split.test)
 
 
@@ -227,22 +227,22 @@ def rearrange(split: SplitSet, plan: RearrangePlan) -> ContinualSplit:
 def verify(cs: ContinualSplit) -> None:
     """Recompute counts and assert every rearrangement invariant.
 
-    Raises ValidationError naming the first violated invariant.
+    Raises ``PosebenchError`` (a program fault, not bad data) naming the first violated invariant.
     """
     plan = cs.plan
     if len(cs.slices) != plan.k:
-        raise ValidationError(f"invariant violated: expected {plan.k} slices, found {len(cs.slices)}")
+        raise PosebenchError(f"invariant violated: expected {plan.k} slices, found {len(cs.slices)}")
     sizes = [len(sl) for sl in cs.slices]
     if min(sizes) == 0:
-        raise ValidationError("invariant violated: empty slice")
+        raise PosebenchError("invariant violated: empty slice")
     if max(sizes) - min(sizes) > 1:
-        raise ValidationError(f"invariant violated: slice sizes differ by more than 1 ({sizes})")
+        raise PosebenchError(f"invariant violated: slice sizes differ by more than 1 ({sizes})")
 
     # Train frames are normal (SplitSet), so the stream's anomalies are its test rows' anomalies.
     n_train, test, stream = len(cs.split.train), cs.split.test, cs.train_stream
     fraction = int(test.anomalous[stream[stream >= n_train] - n_train].sum()) / len(stream)
     if fraction >= plan.target_train_anomaly_ratio:
-        raise ValidationError(
+        raise PosebenchError(
             f"invariant violated: train anomaly fraction {fraction:.6f} >= target "
             f"{plan.target_train_anomaly_ratio}"
         )
@@ -250,9 +250,9 @@ def verify(cs: ContinualSplit) -> None:
     n_test_anom = int(test.anomalous[cs.test_rows].sum())
     n_test_norm = len(cs.test_rows) - n_test_anom
     if n_test_anom == 0 or n_test_norm == 0:
-        raise ValidationError("invariant violated: test set must keep both labels")
+        raise PosebenchError("invariant violated: test set must keep both labels")
     if _imbalance(n_test_norm, n_test_anom) > plan.balance_tolerance:
-        raise ValidationError(
+        raise PosebenchError(
             f"invariant violated: test imbalance {_imbalance(n_test_norm, n_test_anom):.6f} "
             f"exceeds tolerance {plan.balance_tolerance}"
         )
@@ -265,6 +265,6 @@ def verify(cs: ContinualSplit) -> None:
         # test_rows are strictly increasing, so a row placed twice is in the stream.
         where = "training stream and test set" if np.count_nonzero(stream == twice[0]) == 1 else "training stream"
         fi = cs.frame_index(twice[0])
-        raise ValidationError(f"invariant violated: frame {fi} is placed more than once, in the {where}")
+        raise PosebenchError(f"invariant violated: frame {fi} is placed more than once, in the {where}")
     if not placed.all():
-        raise ValidationError(f"invariant violated: stream and test set place {np.count_nonzero(placed)} of {n} rows")
+        raise PosebenchError(f"invariant violated: stream and test set place {np.count_nonzero(placed)} of {n} rows")

@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from . import report as report_mod
-from .errors import InputError, ValidationError, check_int, is_number, json_error
+from .errors import InputError, PosebenchError, ValidationError, check_int, is_number, json_error
 from .metrics import AGGREGATORS, HIGHER_IS_BETTER, MetricReport, aggregate_frame_scores, compute_all
 from .model import FrameTable, SplitSet, camera_id_error
 from .preprocess import extract_windows
@@ -121,27 +121,28 @@ class RunConfig:
 
 @dataclass(frozen=True)
 class ContinualResult:
-    """Baseline, per-step, summary and batch-training reports for one camera."""
+    """Baseline, per-step and batch-training reports for one camera; the step summaries derive from ``per_step``."""
 
     camera_id: str
     baseline: MetricReport
     per_step: tuple[MetricReport, ...]
-    step_average: MetricReport
-    step_best: MetricReport
     batch_training: MetricReport
 
     def __post_init__(self):
         if not self.per_step:
             raise ValidationError("continual result needs at least one step report")
-        tol = 1e-9
-        for name, higher in HIGHER_IS_BETTER.items():
-            sign = 1.0 if higher else -1.0
-            if sign * getattr(self.step_best, name) < sign * getattr(self.step_average, name) - tol:
-                raise ValidationError(f"step_best {name} must dominate step_average")
 
     @property
     def k(self) -> int:
         return len(self.per_step)
+
+    @property
+    def step_average(self) -> MetricReport:
+        return summarize_steps(self.per_step)[0]
+
+    @property
+    def step_best(self) -> MetricReport:
+        return summarize_steps(self.per_step)[1]
 
 
 def summarize_steps(per_step) -> tuple[MetricReport, MetricReport]:
@@ -167,14 +168,25 @@ def _inputs(*roles: str):
         raise InputError(str(exc), *roles) from None
 
 
-def _windows_for(frames, cfg: RunConfig):
-    return extract_windows(
-        frames,
-        length=cfg.window_length,
-        stride=cfg.window_stride,
-        max_gap=cfg.max_gap,
-        smoothing_window=cfg.smoothing_window,
-    )
+def _windows(frames, cfg: RunConfig, *roles: str):
+    """The windows of ``frames``; a data error names the inputs ``roles``."""
+    with _inputs(*roles):
+        return extract_windows(
+            frames,
+            length=cfg.window_length,
+            stride=cfg.window_stride,
+            max_gap=cfg.max_gap,
+            smoothing_window=cfg.smoothing_window,
+        )
+
+
+def _fitted(cfg: RunConfig, windows, empty: str, *roles: str):
+    """A fresh scorer of the run's kind and seed, fitted on ``windows``; with none, an ``InputError(empty, *roles)``."""
+    if not windows:
+        raise InputError(empty, *roles)
+    scorer = make_scorer(cfg.scorer, seed=derive_seed(cfg.seed, "scorer"), params=cfg.scorer_params)
+    scorer.fit(windows)
+    return scorer
 
 
 def evaluate_windows(scorer, test_windows, test: FrameTable, cfg: RunConfig, *fitted: str) -> MetricReport:
@@ -197,15 +209,10 @@ def run_standard(cfg: RunConfig, split: SplitSet, out_dir=None) -> MetricReport:
         raise InputError("standard run requires a non-empty train dataset", "train")
     if not len(split.test):
         raise InputError("standard run requires a non-empty test dataset", "test")
-    with _inputs("train"):
-        train_windows = _windows_for(split.train, cfg)
-        if not train_windows:
-            raise ValidationError("training data produced zero pose windows")
-    scorer = make_scorer(cfg.scorer, seed=derive_seed(cfg.seed, "scorer"), params=cfg.scorer_params)
-    scorer.fit(train_windows)
-    del train_windows  # freed before the test windows are built
-    with _inputs("test"):
-        test_windows = _windows_for(split.test, cfg)
+    scorer = _fitted(  # no name holds the train windows, so they are freed before the test windows are built
+        cfg, _windows(split.train, cfg, "train"), "training data produced zero pose windows", "train"
+    )
+    test_windows = _windows(split.test, cfg, "test")
     result = evaluate_windows(scorer, test_windows, split.test, cfg, "train")
     if out_dir is not None:
         report_mod.emit_report([(split.camera_id, result)], out_dir)
@@ -229,37 +236,29 @@ def run_continual(
         raise ValidationError(f"run_continual needs mode 'continual', got {cfg.mode!r}")
     if not len(origin):
         raise InputError("continual run requires a non-empty origin dataset", "origin")
-    origin_normals = origin.take(np.flatnonzero(~origin.anomalous))
-    if not len(origin_normals):
+    if origin.anomalous.all():
         raise InputError("origin dataset has no normal frames to pretrain on", "origin")
 
     cs = rearrange(split, cfg.plan)
     verify(cs)
     test = split.test.take(cs.test_rows)
 
-    scorer_seed = derive_seed(cfg.seed, "scorer")
-    scorer = make_scorer(cfg.scorer, seed=scorer_seed, params=cfg.scorer_params)
-    with _inputs("origin"):
-        pretrain_windows = _windows_for(origin_normals, cfg)
-        if not pretrain_windows:
-            raise ValidationError("origin dataset produced zero pretraining windows")
-    scorer.fit(pretrain_windows)
-    del origin_normals, pretrain_windows  # freed before the test windows are built
-
-    with _inputs("test"):
-        test_windows = _windows_for(test, cfg)  # one batch object: each step's scoring scans only what it added
+    scorer = _fitted(  # no name holds the origin's normal frames or their windows, so pretraining frees both
+        cfg, _windows(origin.take(np.flatnonzero(~origin.anomalous)), cfg, "origin"),
+        "origin dataset produced zero pretraining windows", "origin",
+    )
+    test_windows = _windows(test, cfg, "test")  # one batch object: each step's scoring scans only what it added
     baseline = evaluate_windows(scorer, test_windows, test, cfg, "origin")
 
     per_step = []
     expected_seen = scorer.windows_seen
     saved = None  # the last step's checkpoint, which the next one names as its base
     for i, rows in enumerate(cs.slices, start=1):
-        with _inputs("train", "test"):
-            slice_windows = _windows_for(cs.training_frames(rows), cfg)
+        slice_windows = _windows(cs.training_frames(rows), cfg, "train", "test")
         scorer.partial_fit(slice_windows)
         expected_seen += len(slice_windows)
         if scorer.windows_seen != expected_seen:
-            raise ValidationError(
+            raise PosebenchError(
                 f"ingestion accounting broken at step {i}: "
                 f"scorer saw {scorer.windows_seen}, expected {expected_seen}"
             )
@@ -274,23 +273,12 @@ def run_continual(
             report_mod.write_step_csv(out_dir, i, split.camera_id, step_report)
     del scorer  # batch training starts afresh; free the step store before building its own
 
-    batch_scorer = make_scorer(cfg.scorer, seed=scorer_seed, params=cfg.scorer_params)
-    with _inputs("train", "test"):
-        batch_windows = _windows_for(cs.training_frames(cs.train_stream), cfg)
-        if not batch_windows:
-            raise ValidationError("training stream produced zero pose windows")
-    batch_scorer.fit(batch_windows)
-    batch_report = evaluate_windows(batch_scorer, test_windows, test, cfg, "train", "test")
-
-    step_average, step_best = summarize_steps(per_step)
-    result = ContinualResult(
-        camera_id=split.camera_id,
-        baseline=baseline,
-        per_step=tuple(per_step),
-        step_average=step_average,
-        step_best=step_best,
-        batch_training=batch_report,
+    batch_scorer = _fitted(  # no name holds the stream's windows, so they are freed before the scoring below
+        cfg, _windows(cs.training_frames(cs.train_stream), cfg, "train", "test"),
+        "training stream produced zero pose windows", "train", "test",
     )
+    batch_report = evaluate_windows(batch_scorer, test_windows, test, cfg, "train", "test")
+    result = ContinualResult(split.camera_id, baseline, tuple(per_step), batch_report)
     if out_dir is not None:
         report_mod.emit_report([result], out_dir)
         save_results(result, os.path.join(out_dir, "results.json"))
@@ -348,14 +336,12 @@ def result_from_dict(raw: dict) -> ContinualResult:
     k = field("k")
     if isinstance(k, bool) or not isinstance(k, int) or k != len(per_step):
         raise ValidationError(f"field 'k' must be the number of per_step reports, {len(per_step)}, got {k!r}")
-    return ContinualResult(
-        camera_id=camera_id,
-        baseline=baseline,
-        per_step=per_step,
-        step_average=rep("step_average", field("step_average")),
-        step_best=rep("step_best", field("step_best")),
-        batch_training=rep("batch_training", field("batch_training")),
-    )
+    written = {name: rep(name, field(name)) for name in ("step_average", "step_best")}
+    result = ContinualResult(camera_id, baseline, per_step, rep("batch_training", field("batch_training")))
+    for name, summary in written.items():  # this program writes them from per_step; a file that differs is refused
+        if summary != getattr(result, name):
+            raise ValidationError(f"field {name!r} differs from the summary of per_step")
+    return result
 
 
 def save_results(result: ContinualResult, path):

@@ -7,7 +7,7 @@ layout itself changes on purpose.
 """
 
 from posebench.metrics import MetricReport
-from posebench.runner import ContinualResult, summarize_steps
+from posebench.runner import ContinualResult
 
 
 def _rep(auc_roc, auc_pr, eer, ten_er, n_pos, n_neg):
@@ -22,13 +22,10 @@ def golden_results():
         _rep(0.7038, 0.4951, 0.34, 0.61, 26093, 26052),
         _rep(0.7957, 0.6234, 0.295, 0.52, 26093, 26052),
     )
-    avg_a, best_a = summarize_steps(steps_a)
     cam_a = ContinualResult(
         camera_id="c0",
         baseline=_rep(0.6125, 0.405, 0.41, 0.72, 26093, 26052),
         per_step=steps_a,
-        step_average=avg_a,
-        step_best=best_a,
         batch_training=_rep(0.8269, 0.6608, 0.27, 0.485, 26093, 26052),
     )
 
@@ -36,13 +33,10 @@ def golden_results():
         _rep(0.5501, 0.31, 0.46, 0.9, 4402, 4391),
         _rep(0.62995, 0.3875, 0.42, 0.815, 4402, 4391),
     )
-    avg_b, best_b = summarize_steps(steps_b)
     cam_b = ContinualResult(
         camera_id="c7",
         baseline=_rep(0.5083, 0.2744, 0.495, 0.955, 4402, 4391),
         per_step=steps_b,
-        step_average=avg_b,
-        step_best=best_b,
         batch_training=_rep(0.7112, 0.4589, 0.38, 0.69, 4402, 4391),
     )
     return [cam_a, cam_b]

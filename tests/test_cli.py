@@ -5,6 +5,7 @@ import hashlib
 import json
 import os
 import re
+import shlex
 import signal
 import subprocess
 import sys
@@ -751,7 +752,7 @@ class TestRunContinualCommand:
         cfg = RunConfig(mode="continual", scorer=scorer, seed=0, plan=plan)
         split = SplitSet(train=load_dataset(synth / "train.jsonl"), test=load_dataset(synth / "test.jsonl"))
         test = split.test.take(rearrange(split, plan).test_rows)
-        test_windows = runner._windows_for(test, cfg)
+        test_windows = runner._windows(test, cfg)
         for i in (1, 2, 3):
             step = out / "checkpoints" / f"step_{i}.ckpt"
             meta, arrays = _oracles.read_checkpoint(step)
@@ -945,6 +946,18 @@ class TestReportCommand:
         assert code == 2
         assert f"{results}: {message}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("metric", ["auc_roc", "auc_pr", "eer", "ten_er"])
+    @pytest.mark.parametrize("name", ["step_average", "step_best"])
+    def test_summary_that_differs_from_per_step_is_data_error(self, tmp_path, capsys, name, metric):
+        # The summaries are written from per_step; a file whose summary says otherwise is refused, not rendered.
+        raw = result_to_dict(golden_results()[0])
+        raw[name][metric] += 0.001
+        results = tmp_path / "results.json"
+        results.write_text(json.dumps(raw))
+        assert main(["report", "--results", str(results), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"error: {results}: field {name!r} differs from the summary of per_step\n"
+        assert not (tmp_path / "o").exists()
+
 
 @pytest.fixture(scope="module")
 def hostile_dir(tmp_path_factory):
@@ -1013,6 +1026,24 @@ class TestInputErrorsNameTheirFiles:
         assert main([*argv, "--out", str(tmp_path / "out")]) == 2
         want = f"error: {train}: cannot normalize pose against a degenerate bounding box\n"
         assert capsys.readouterr().err == want
+
+    def test_test_leakage_is_a_program_fault_and_names_no_file(self, hostile_dir, tmp_path, capsys, monkeypatch):
+        # A rearrangement that puts a test row into the stream is a fault of the program, not of any input file.
+        rearrange = runner.rearrange
+
+        def leaky(split, plan):
+            cs = rearrange(split, plan)
+            cs.slices[-1] = np.append(cs.slices[-1], len(cs.split.train) + cs.test_rows[0])
+            return cs
+
+        monkeypatch.setattr(runner, "rearrange", leaky)
+        monkeypatch.setattr(runner, "verify", lambda cs: None)
+        paths = [str(hostile_dir / f"{name}.jsonl") for name in ("train", "test", "origin")]
+        inputs = [f"--{key}={path}" for key, path in zip(("train", "test", "origin"), paths)]
+        assert main(["run-continual", *inputs, "--k", "2", "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        want = r"error: test leakage: frame \d+ \(tag 'test_(normal|anomaly)'\) must not be trained on\n"
+        assert re.fullmatch(want, err) and not any(path in err for path in paths)
 
 
 _TOKENS = (b"1e400", b"NaN", b"Infinity", b"null", b"\x00", b"\xff", b"-1", b"[]", b"{}", b'"')
@@ -1083,3 +1114,22 @@ def test_hostile_input_exits_0_or_2_and_names_the_file(hostile_dir, tmp_path, ca
     err = capsys.readouterr().err
     assert code in (0, 2) and "Traceback" not in err, err
     assert code == 0 or (err.startswith("error: ") and str(mutated) in err), err
+
+
+def _readme_commands():
+    """Every ``posebench …`` command in README.md's ``sh`` blocks, continuation lines joined, as argv lists."""
+    text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```sh\n(.*?)^```", text, flags=re.MULTILINE | re.DOTALL)
+    lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+    return [shlex.split(line, comments=True)[1:] for line in lines if line.startswith("posebench ")]
+
+
+def test_readme_commands_parse():
+    commands = _readme_commands()
+    assert {argv[0] for argv in commands} >= {"synth", "stats", "run-standard", "run-continual", "report"}
+    parser = cli.build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README command does not parse: posebench {shlex.join(argv)}")

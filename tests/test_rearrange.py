@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from posebench.errors import ValidationError
+from posebench.errors import PosebenchError, ValidationError
 from posebench.model import SplitSet
 from posebench.rearrange import (
     RearrangePlan,
@@ -202,16 +202,19 @@ class TestVerify:
         split = build_split()
         cs = rearrange(split, RearrangePlan(seed=9, inject_count=3))
         cs.slices[0] = np.append(cs.slices[0], cs.slices[1][0])
-        with pytest.raises(ValidationError, match="invariant violated"):
+        with pytest.raises(PosebenchError, match="invariant violated") as excinfo:
             verify(cs)
+        assert excinfo.type is PosebenchError  # a program fault, not a data error
 
     def test_rejects_test_row_dropped_from_test_rows(self):
         # A tolerance of 0.01 keeps 76 normals against 77 anomalies balanced, so only the placement count sees it.
         cs = rearrange(build_split(), RearrangePlan(seed=12, inject_count=3, balance_tolerance=0.01))
         cs.test_rows = np.delete(cs.test_rows, 4)
         n = len(cs.split.train) + len(cs.split.test)
-        with pytest.raises(ValidationError, match=f"invariant violated: stream and test set place {n - 1} of {n} rows"):
+        message = f"invariant violated: stream and test set place {n - 1} of {n} rows"
+        with pytest.raises(PosebenchError, match=message) as excinfo:
             verify(cs)
+        assert excinfo.type is PosebenchError  # a program fault, not a data error
 
     def test_rejects_stream_row_that_is_also_a_test_row(self):
         cs = rearrange(build_split(), RearrangePlan(seed=14, inject_count=3, balance_tolerance=0.01))
@@ -220,8 +223,9 @@ class TestVerify:
         cs.test_rows = np.sort(np.append(cs.test_rows, row - n_train))
         fi = split_column(cs, "frame_index")[row]
         message = f"invariant violated: frame {fi} is placed more than once, in the training stream and test set"
-        with pytest.raises(ValidationError, match=message):
+        with pytest.raises(PosebenchError, match=message) as excinfo:
             verify(cs)
+        assert excinfo.type is PosebenchError  # a program fault, not a data error
 
     def test_rejects_stream_missing_a_row(self):
         # Dropping one normal from the largest slice keeps the slice sizes within one and the
@@ -232,8 +236,9 @@ class TestVerify:
         cs.slices[largest] = np.delete(cs.slices[largest], normal)
         n = len(cs.split.train) + len(cs.split.test)
         message = f"invariant violated: stream and test set place {n - 1} of {n} rows"
-        with pytest.raises(ValidationError, match=message):
+        with pytest.raises(PosebenchError, match=message) as excinfo:
             verify(cs)
+        assert excinfo.type is PosebenchError  # a program fault, not a data error
 
 
 class TestTrainingFrames:
@@ -251,8 +256,9 @@ class TestTrainingFrames:
         row = test_rows[test.anomalous[test_rows] == anomalous][0]
         rows = np.concatenate([cs.slices[0][:10], [row + len(cs.split.train)], cs.slices[0][10:]])
         message = rf"^test leakage: frame {test.frame_index[row]} \(tag '{tag}'\) must not be trained on$"
-        with pytest.raises(ValidationError, match=message):
+        with pytest.raises(PosebenchError, match=message) as excinfo:
             cs.training_frames(rows)
+        assert excinfo.type is PosebenchError  # a program fault, not a data error
 
 
 class TestRearrangeProperty:

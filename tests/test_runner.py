@@ -4,8 +4,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from posebench.errors import ValidationError
+from posebench.errors import PosebenchError, ValidationError
 from posebench.metrics import MetricReport
 from posebench.model import SplitSet
 from posebench import _kernels, runner
@@ -31,6 +33,12 @@ def report(auc_roc=0.8, auc_pr=0.7, eer=0.2, ten_er=0.3):
     return MetricReport(
         auc_roc=auc_roc, auc_pr=auc_pr, eer=eer, ten_er=ten_er, n_pos=10, n_neg=10
     )
+
+
+def metric_reports():
+    """Metric reports as a run computes them: AUCs and error rates in [0, 1], any label counts."""
+    unit, count = st.floats(0.0, 1.0), st.integers(0, 10**6)
+    return st.builds(MetricReport, auc_roc=unit, auc_pr=unit, eer=unit, ten_er=unit, n_pos=count, n_neg=count)
 
 
 def small_split(seed=0):
@@ -100,19 +108,10 @@ class TestSummarize:
         assert best.eer == pytest.approx(0.1)
         assert best.ten_er == pytest.approx(0.2)
 
-    def test_best_dominates_average_enforced(self):
-        steps = (report(auc_roc=0.8), report(auc_roc=0.9))
-        avg, best = summarize_steps(steps)
-        bad_best = report(auc_roc=0.5)
-        with pytest.raises(ValidationError):
-            ContinualResult(
-                camera_id="cam0",
-                baseline=report(),
-                per_step=steps,
-                step_average=avg,
-                step_best=bad_best,
-                batch_training=report(),
-            )
+    def test_result_summaries_derive_from_per_step(self):
+        steps = (report(auc_roc=0.8, eer=0.3), report(auc_roc=0.9, eer=0.1))
+        result = ContinualResult(camera_id="cam0", baseline=report(), per_step=steps, batch_training=report())
+        assert (result.step_average, result.step_best) == summarize_steps(steps)
 
 
 class TestRunStandard:
@@ -144,16 +143,16 @@ class TestRunStandard:
     @pytest.mark.parametrize("scorer", ["gaussian", "knn"])
     def test_train_windows_are_freed_before_the_test_windows_are_built(self, monkeypatch, scorer):
         built = []
-        windows_for = runner._windows_for
+        windows = runner._windows
 
-        def spy(frames, cfg):
+        def spy(frames, cfg, *roles):
             if built:  # the test windows: nothing holds the train batch any more
                 assert built[0]() is None
-            batch = windows_for(frames, cfg)
+            batch = windows(frames, cfg, *roles)
             built.append(weakref.ref(batch))
             return batch
 
-        monkeypatch.setattr(runner, "_windows_for", spy)
+        monkeypatch.setattr(runner, "_windows", spy)
         run_standard(RunConfig(mode="standard", seed=0, scorer=scorer), small_split())
         assert len(built) == 2
 
@@ -249,20 +248,40 @@ class TestRunContinual:
     def test_pretraining_windows_and_frames_are_freed_after_the_fit(self, monkeypatch):
         # The origin's normal frames (here a new table: the origin holds anomalous frames) and their windows.
         origin = generate_split(100, 200, 100, seed=3).test
-        held, windows_for = [], runner._windows_for
+        held, windows = [], runner._windows
 
-        def spy(frames, cfg):
+        def spy(frames, cfg, *roles):
             if held:  # the test windows, built after the pretraining fit
                 assert [ref() for ref in held] == [None, None]
-            batch = windows_for(frames, cfg)
+            batch = windows(frames, cfg, *roles)
             if not held:
                 held.extend((weakref.ref(frames), weakref.ref(batch)))
             return batch
 
-        monkeypatch.setattr(runner, "_windows_for", spy)
+        monkeypatch.setattr(runner, "_windows", spy)
         cfg = RunConfig(mode="continual", seed=0, plan=RearrangePlan(seed=0, k=2))
         run_continual(cfg, small_split(), origin)
         assert len(held) == 2
+
+    def test_batch_training_windows_are_freed_before_its_scoring(self, monkeypatch):
+        last, scored = [], []
+        extract, evaluate = runner.extract_windows, runner.evaluate_windows
+
+        def build(frames, **kwargs):
+            batch = extract(frames, **kwargs)
+            last[:] = [weakref.ref(batch)]
+            return batch
+
+        def score(scorer, test_windows, test, cfg, *fitted):
+            scored.append((fitted, last[0]() is None))
+            return evaluate(scorer, test_windows, test, cfg, *fitted)
+
+        monkeypatch.setattr(runner, "extract_windows", build)
+        monkeypatch.setattr(runner, "evaluate_windows", score)
+        cfg = RunConfig(mode="continual", seed=0, plan=RearrangePlan(seed=1, k=3))
+        run_continual(cfg, small_split(), generate_normals(300, seed=2))
+        # The baseline, three steps, then batch training, by which time nothing holds the stream's windows.
+        assert scored[-1] == (("train", "test"), True) and len(scored) == 5
 
     def test_refuses_to_train_on_a_test_frame(self, monkeypatch):
         rearrange = runner.rearrange
@@ -275,8 +294,10 @@ class TestRunContinual:
         monkeypatch.setattr(runner, "rearrange", leaky)
         monkeypatch.setattr(runner, "verify", lambda cs: None)
         cfg = RunConfig(mode="continual", seed=0, plan=RearrangePlan(seed=1, k=3))
-        with pytest.raises(ValidationError, match=r"test leakage: frame \d+ \(tag 'test_(normal|anomaly)'\)"):
+        message = r"test leakage: frame \d+ \(tag 'test_(normal|anomaly)'\)"
+        with pytest.raises(PosebenchError, match=message) as excinfo:
             run_continual(cfg, small_split(), generate_normals(300, seed=2))
+        assert excinfo.type is PosebenchError  # a program fault, not a data error
 
 
 class TestContinualKnnScoring:
@@ -329,14 +350,8 @@ class TestContinualKnnScoring:
 class TestResultSerialization:
     def build(self):
         steps = (report(auc_roc=0.7), report(auc_roc=0.9))
-        avg, best = summarize_steps(steps)
         return ContinualResult(
-            camera_id="cam0",
-            baseline=report(auc_roc=0.5),
-            per_step=steps,
-            step_average=avg,
-            step_best=best,
-            batch_training=report(auc_roc=0.95),
+            camera_id="cam0", baseline=report(auc_roc=0.5), per_step=steps, batch_training=report(auc_roc=0.95)
         )
 
     def test_roundtrip(self):
@@ -350,6 +365,13 @@ class TestResultSerialization:
         assert load_results(path) == res
         payload = json.loads(path.read_text())
         assert payload["format"] == "posebench-continual-result"
+
+    @settings(deadline=None, max_examples=100)
+    @given(steps=st.lists(metric_reports(), min_size=1, max_size=12), others=st.tuples(metric_reports(), metric_reports()))
+    def test_every_written_result_loads_back(self, steps, others):
+        # No results.json this program writes is refused: its summaries are exactly what its per_step gives.
+        res = ContinualResult("cam0", others[0], tuple(steps), others[1])
+        assert result_from_dict(json.loads(json.dumps(result_to_dict(res)))) == res
 
     def test_bad_format_rejected(self, tmp_path):
         res = self.build()
