@@ -100,6 +100,12 @@ def _plan_flags(args) -> dict:
     return {key: getattr(args, flag) for flag, key, _ in _PLAN_FLAG_KEYS if getattr(args, flag) is not None}
 
 
+_RUNS = {  # mode: (its input roles in read order, what its summary line says it wrote)
+    "standard": (("train", "test"), "report.csv and report.md"),
+    "continual": (("train", "test", "origin"), "report, steps and checkpoints"),
+}
+
+
 def _build_run_config(args, mode: str):
     """Merge defaults < config file < explicit flags into a RunConfig plus data paths."""
     merged = _read_config_file(args.config) if args.config else {}
@@ -131,6 +137,13 @@ def _build_run_config(args, mode: str):
     return RunConfig.from_dict(merged), paths
 
 
+def _read_split(train, test, *later):
+    """The ``SplitSet`` of the files ``train`` and ``test``, then the table of each file of ``later``."""
+    with contextlib.closing(load_datasets(train, test, *later)) as datasets:
+        split = SplitSet(train=next(datasets), test=next(datasets))  # its checks come before a later file's errors
+        return split, *datasets
+
+
 def _cmd_stats(args) -> int:
     rows = []
     iou_rows = []
@@ -143,9 +156,7 @@ def _cmd_stats(args) -> int:
             if args.iou_out:
                 iou_rows.extend((st.camera_id, v) for v in st.max_iou_per_frame)
     if not rows:
-        raise ValidationError(
-            f"no dataset matched camera {args.camera!r}" if args.camera else "no datasets given"
-        )
+        raise ValidationError(f"no dataset matched camera {args.camera!r}")
     print(",".join(STATS_CSV_COLUMNS))
     for st in rows:
         row = st.csv_row()
@@ -160,8 +171,7 @@ def _cmd_stats(args) -> int:
 
 def _cmd_rearrange(args) -> int:
     with _naming({"train": args.train, "test": args.test}):
-        with contextlib.closing(load_datasets(args.train, args.test)) as datasets:
-            split = SplitSet(train=next(datasets), test=next(datasets))
+        [split] = _read_split(args.train, args.test)
         plan = RearrangePlan(seed=derive_seed(args.seed, "rearrange"), **_plan_flags(args))
         cs = rearrange(split, plan)
     verify(cs)
@@ -181,32 +191,17 @@ def _cmd_rearrange(args) -> int:
     return 0
 
 
-def _cmd_run_standard(args) -> int:
-    cfg, paths = _build_run_config(args, "standard")
-    for key in ("train", "test"):
-        if key not in paths:
-            raise ValidationError(f"run-standard requires a {key} dataset (flag --{key} or config)")
+def _cmd_run(args) -> int:
+    cfg, paths = _build_run_config(args, args.mode)
+    roles, wrote = _RUNS[args.mode]
+    for role in roles:
+        if role not in paths:
+            raise ValidationError(f"run-{args.mode} requires a {role} dataset (flag --{role} or config)")
     with _naming(paths):
-        with contextlib.closing(load_datasets(paths["train"], paths["test"])) as datasets:
-            split = SplitSet(train=next(datasets), test=next(datasets))
-        _write_manifest(args.out, "run-standard", cfg.seed, cfg.config_hash())
-        run_standard(cfg, split, out_dir=args.out)
-    print(f"wrote report.csv and report.md to {args.out}", file=sys.stderr)
-    return 0
-
-
-def _cmd_run_continual(args) -> int:
-    cfg, paths = _build_run_config(args, "continual")
-    for key in ("train", "test", "origin"):
-        if key not in paths:
-            raise ValidationError(f"run-continual requires a {key} dataset (flag --{key} or config)")
-    with _naming(paths):
-        with contextlib.closing(load_datasets(paths["train"], paths["test"], paths["origin"])) as datasets:
-            split = SplitSet(train=next(datasets), test=next(datasets))  # its checks come before origin's errors
-            origin = next(datasets)
-        _write_manifest(args.out, "run-continual", cfg.seed, cfg.config_hash())
-        run_continual(cfg, split, origin, out_dir=args.out)
-    print(f"wrote report, steps and checkpoints to {args.out}", file=sys.stderr)
+        split, *rest = _read_split(*(paths[role] for role in roles))
+        _write_manifest(args.out, f"run-{args.mode}", cfg.seed, cfg.config_hash())
+        (run_standard if args.mode == "standard" else run_continual)(cfg, split, *rest, out_dir=args.out)
+    print(f"wrote {wrote} to {args.out}", file=sys.stderr)
     return 0
 
 
@@ -285,13 +280,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run-standard", help="fit on normal train data, evaluate once")
     _add_run_flags(p)
-    p.set_defaults(func=_cmd_run_standard)
+    p.set_defaults(func=_cmd_run, mode="standard")
 
     p = sub.add_parser("run-continual", help="pretrain, rearrange, train slice by slice")
     _add_run_flags(p)
     p.add_argument("--origin", help="origin dataset for pretraining (JSONL)")
     _add_plan_flags(p)
-    p.set_defaults(func=_cmd_run_continual)
+    p.set_defaults(func=_cmd_run, mode="continual")
 
     p = sub.add_parser("report", help="re-render reports from a results.json")
     p.add_argument("--results", required=True)
@@ -328,12 +323,9 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         return args.func(args)
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except PosebenchError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return 2 if isinstance(exc, ValidationError) else 3
     except OSError as exc:  # every read turns its OSError into a ValidationError, so this one is a write
         print(f"error: cannot write {exc.filename or 'output'}: {exc.strerror or exc}", file=sys.stderr)
         return 2

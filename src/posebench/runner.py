@@ -262,6 +262,7 @@ def run_continual(
                 f"ingestion accounting broken at step {i}: "
                 f"scorer saw {scorer.windows_seen}, expected {expected_seen}"
             )
+        del slice_windows  # ingested and counted: free them before the step's scoring and batch training
         step_report = evaluate_windows(scorer, test_windows, test, cfg)  # it holds more than at the baseline
         per_step.append(step_report)
         if out_dir is not None:

@@ -178,8 +178,8 @@ class KnnScorer(AnomalyScorer):
     query's k smallest squared distances (ascending); the stored windows
     they cover; and the store generation. Scoring the same batch
     object again in that generation scans only the windows stored since, and
-    the merged distances equal a fresh scan bit for bit; any other batch,
-    generation or a store smaller than the covered count is scanned afresh.
+    the merged distances equal a fresh scan bit for bit; any other batch or
+    generation is scanned afresh.
     """
 
     kind = "knn"
@@ -234,7 +234,7 @@ class KnnScorer(AnomalyScorer):
         if not len(batch):
             return np.empty(0, dtype=np.float64)
         last = self._scored
-        if last is not None and last[0] is batch and last[4] is self._generation and last[3] <= self.stored_count:
+        if last is not None and last[0] is batch and last[4] is self._generation:
             _, queries, kd, start, _ = last
         else:
             index = batch.rows[:, None] + np.arange(batch.length)
@@ -262,8 +262,8 @@ class KnnScorer(AnomalyScorer):
         fields["rng_state"] = self._rng.bit_generator.state
         if self._index is None:
             return fields, {}
-        index = self._index.astype(np.int32 if len(self._poses) < 2**31 else np.int64)
         last, target = self._last_save, os.path.abspath(path)
+        rows = slots = 0  # a full save
         # Only changes past the last save's slots keep its rows and slots a prefix of the store's.
         if (
             base is not None
@@ -274,8 +274,8 @@ class KnnScorer(AnomalyScorer):
         ):
             _, _, rows, slots, sha256 = last
             fields["base"] = {"name": os.path.basename(last[0]), "rows": rows, "slots": slots, "sha256": sha256}
-            return fields, {"rows": self._poses[rows:], "index": index[slots:]}
-        return fields, {"rows": self._poses, "index": index}
+        index = self._index[slots:].astype(np.int32 if len(self._poses) < 2**31 else np.int64)
+        return fields, {"rows": self._poses[rows:], "index": index}
 
     def _saved(self, path, digest: str):
         if self._index is not None:

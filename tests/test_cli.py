@@ -334,8 +334,8 @@ class TestStats:
         assert lines[1].startswith("synthcam,")
 
     def test_camera_filter_mismatch_errors(self, synth_dir, capsys):
-        assert main(["stats", "--camera", "ghost", str(synth_dir / "train.jsonl")]) == 2
-        capsys.readouterr()
+        assert main(["stats", "--camera", "nope", str(synth_dir / "train.jsonl")]) == 2
+        assert capsys.readouterr() == ("", "error: no dataset matched camera 'nope'\n")
 
     def test_iou_samples_written(self, synth_dir, tmp_path, capsys):
         iou_path = tmp_path / "iou.csv"
@@ -917,6 +917,42 @@ class TestParallelLoad:
             assert main(["stats", *paths]) == 0
             digests.append((_output_digests(out), capsys.readouterr().out))
         assert len(digests[0][0]) == 3 + 3 + 3 * 3 and digests[0] == digests[1] == digests[2]
+
+
+class TestRunCommands:
+    """What both run subcommands share: their inputs, in read order, and a summary line on stderr."""
+
+    @pytest.mark.parametrize(
+        "subcommand, given, missing",
+        [
+            ("run-standard", ("test",), "train"),
+            ("run-standard", ("train",), "test"),
+            ("run-continual", ("test", "origin"), "train"),
+            ("run-continual", ("train", "origin"), "test"),
+            ("run-continual", ("train", "test"), "origin"),
+        ],
+    )
+    def test_missing_input_names_its_role(self, continual_dir, tmp_path, capsys, subcommand, given, missing):
+        out = tmp_path / "out"
+        argv = [subcommand, *(f"--{role}={continual_dir / role}.jsonl" for role in given), "--out", str(out)]
+        assert main(argv) == 2
+        message = f"error: {subcommand} requires a {missing} dataset (flag --{missing} or config)\n"
+        assert capsys.readouterr() == ("", message)
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "subcommand, roles, wrote",
+        [
+            ("run-standard", ("train", "test"), "report.csv and report.md"),
+            ("run-continual", ("train", "test", "origin"), "report, steps and checkpoints"),
+        ],
+    )
+    def test_summary_line(self, continual_dir, tmp_path, capsys, subcommand, roles, wrote):
+        out = tmp_path / "out"
+        argv = [subcommand, *(f"--{role}={continual_dir / role}.jsonl" for role in roles), "--out", str(out)]
+        assert main(argv) == 0
+        assert capsys.readouterr() == ("", f"wrote {wrote} to {out}\n")
+        assert json.loads((out / "manifest.json").read_text())["subcommand"] == subcommand
 
 
 class TestReportCommand:

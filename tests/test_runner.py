@@ -263,6 +263,28 @@ class TestRunContinual:
         run_continual(cfg, small_split(), origin)
         assert len(held) == 2
 
+    @pytest.mark.parametrize("scorer", ["gaussian", "knn"])
+    def test_slice_windows_are_freed_before_batch_training(self, monkeypatch, scorer):
+        built, freed = [], []
+        windows, fitted = runner._windows, runner._fitted
+
+        def build(frames, cfg, *roles):
+            batch = windows(frames, cfg, *roles)
+            if roles == ("train", "test"):  # each slice's windows, then the stream's
+                built.append(weakref.ref(batch))
+            return batch
+
+        def fit(cfg, batch, empty, *roles):
+            if roles == ("train", "test"):  # batch training, on the stream's windows: the slices' are freed
+                freed.extend(ref() is None for ref in built[:-1])
+            return fitted(cfg, batch, empty, *roles)
+
+        monkeypatch.setattr(runner, "_windows", build)
+        monkeypatch.setattr(runner, "_fitted", fit)
+        cfg = RunConfig(mode="continual", seed=0, scorer=scorer, plan=RearrangePlan(seed=1, k=3))
+        run_continual(cfg, small_split(), generate_normals(300, seed=2))
+        assert freed == [True, True, True]
+
     def test_batch_training_windows_are_freed_before_its_scoring(self, monkeypatch):
         last, scored = [], []
         extract, evaluate = runner.extract_windows, runner.evaluate_windows
