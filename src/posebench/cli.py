@@ -21,8 +21,8 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__
-from .errors import InputError, PosebenchError, ValidationError, json_error
-from .io import load_datasets, write_frames
+from .errors import InputError, PosebenchError, ValidationError
+from .io import load_datasets, read_json, write_frames
 from .metrics import AGGREGATORS
 from .model import SplitSet
 from .rearrange import RearrangePlan, rearrange, verify
@@ -42,11 +42,11 @@ def _naming(paths: dict):
         raise ValidationError(f"{', '.join(paths[role] for role in exc.roles)}: {exc}") from None
 
 
-def _write_manifest(out_dir, subcommand: str, seed: int, config_hash: str):
+def _write_manifest(out_dir, subcommand: str, seed: int, config: dict):
     os.makedirs(out_dir, exist_ok=True)
     payload = {
         "tool_version": __version__,
-        "config_hash": config_hash,
+        "config_hash": hash_config(config),
         "seed": seed,
         "started_at": datetime.now(timezone.utc).isoformat(),
         "subcommand": subcommand,
@@ -54,21 +54,6 @@ def _write_manifest(out_dir, subcommand: str, seed: int, config_hash: str):
     with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")
-
-
-def _read_config_file(path) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except OSError as exc:
-        raise ValidationError(f"cannot read config {path}: {exc.strerror or exc}") from None
-    except UnicodeDecodeError as exc:
-        raise ValidationError(f"config {path}: not UTF-8 text ({exc.reason})") from None
-    except (ValueError, RecursionError) as exc:  # also an integer literal past the digit limit
-        raise ValidationError(f"config {path}: malformed JSON: {json_error(exc)}") from None
-    if not isinstance(raw, dict):
-        raise ValidationError(f"config {path} must hold a JSON object")
-    return raw
 
 
 _RUN_FLAGS = (  # (RunConfig key, argparse keyword arguments); the flag is the key with dashes
@@ -95,9 +80,11 @@ def _add_plan_flags(p: argparse.ArgumentParser):
         p.add_argument("--" + flag.replace("_", "-"), dest=flag, type=kind)
 
 
-def _plan_flags(args) -> dict:
-    """The plan keys given as flags; the rest keep RearrangePlan's defaults."""
-    return {key: getattr(args, flag) for flag, key, _ in _PLAN_FLAG_KEYS if getattr(args, flag) is not None}
+def _plan(args, raw: dict, seed) -> dict:
+    """``raw`` with the plan flags given on top and, unless it holds one, a seed derived from ``seed``."""
+    plan = {**raw, **{key: getattr(args, flag) for flag, key, _ in _PLAN_FLAG_KEYS if getattr(args, flag) is not None}}
+    plan.setdefault("seed", derive_seed(seed, "rearrange"))
+    return plan
 
 
 _RUNS = {  # mode: (its input roles in read order, what its summary line says it wrote)
@@ -106,35 +93,35 @@ _RUNS = {  # mode: (its input roles in read order, what its summary line says it
 }
 
 
-def _build_run_config(args, mode: str):
-    """Merge defaults < config file < explicit flags into a RunConfig plus data paths."""
-    merged = _read_config_file(args.config) if args.config else {}
-    paths = {}
-    for key in ("train", "test", "origin"):
-        if key in merged:
-            paths[key] = merged.pop(key)
-            if not (isinstance(paths[key], str) and paths[key]):
-                raise ValidationError(f"{key} must be a non-empty string (a dataset path), got {paths[key]!r}")
-        flag = getattr(args, key, None)
-        if flag is not None:
-            paths[key] = flag
+def _build_run_config(args):
+    """Merge defaults < config file < explicit flags into a RunConfig, plus the paths of the mode's roles in order."""
+    mode, roles, paths = args.mode, _RUNS[args.mode][0], {}
+    merged = read_json(args.config, "config ") if args.config else {}
+    if not isinstance(merged, dict):
+        raise ValidationError(f"config {args.config} must hold a JSON object")
+    for role in roles:
+        if role in merged:
+            paths[role] = merged.pop(role)
+            if not (isinstance(paths[role], str) and paths[role]):
+                raise ValidationError(f"{role} must be a non-empty string (a dataset path), got {paths[role]!r}")
+        if getattr(args, role) is not None:
+            paths[role] = getattr(args, role)
     if "mode" in merged and merged["mode"] != mode:
         raise ValidationError(f"config mode {merged['mode']!r} does not match subcommand {mode!r}")
     merged["mode"] = mode
-    for key, _ in _RUN_FLAGS:
-        value = getattr(args, key)
-        if value is not None:
-            merged[key] = value
+    merged.update({key: getattr(args, key) for key, _ in _RUN_FLAGS if getattr(args, key) is not None})
     if mode == "continual":
         plan = merged.get("plan") or {}
         if not isinstance(plan, dict):
             raise ValidationError(f"plan must be a JSON object, got {plan!r}")
-        plan = {**plan, **_plan_flags(args)}
-        plan.setdefault("seed", derive_seed(merged.get("seed", 0), "rearrange"))
-        merged["plan"] = plan
+        merged["plan"] = _plan(args, plan, merged.get("seed", 0))
     elif "plan" in merged:
         raise ValidationError("plan is read only by run-continual: a standard run has no rearrangement")
-    return RunConfig.from_dict(merged), paths
+    cfg = RunConfig.from_dict(merged)
+    for role in roles:
+        if role not in paths:
+            raise ValidationError(f"run-{mode} requires a {role} dataset (flag --{role} or config)")
+    return cfg, paths
 
 
 def _read_split(train, test, *later):
@@ -172,7 +159,7 @@ def _cmd_stats(args) -> int:
 def _cmd_rearrange(args) -> int:
     with _naming({"train": args.train, "test": args.test}):
         [split] = _read_split(args.train, args.test)
-        plan = RearrangePlan(seed=derive_seed(args.seed, "rearrange"), **_plan_flags(args))
+        plan = RearrangePlan(**_plan(args, {}, args.seed))
         cs = rearrange(split, plan)
     verify(cs)
     os.makedirs(args.out, exist_ok=True)
@@ -186,22 +173,18 @@ def _cmd_rearrange(args) -> int:
         fh.write("frame_index,origin,slice\n")
         for fi, tag, i in zip(cs.frame_index(rows).tolist(), cs.tags(rows).tolist(), slice_of):
             fh.write(f"{fi},{tag},{i}\n")
-    _write_manifest(args.out, "rearrange", args.seed, hash_config({"plan": dataclasses.asdict(plan)}))
+    _write_manifest(args.out, "rearrange", args.seed, {"plan": dataclasses.asdict(plan)})
     print(f"wrote {plan.k} slices, test.jsonl and provenance.csv to {args.out}", file=sys.stderr)
     return 0
 
 
 def _cmd_run(args) -> int:
-    cfg, paths = _build_run_config(args, args.mode)
-    roles, wrote = _RUNS[args.mode]
-    for role in roles:
-        if role not in paths:
-            raise ValidationError(f"run-{args.mode} requires a {role} dataset (flag --{role} or config)")
+    cfg, paths = _build_run_config(args)
     with _naming(paths):
-        split, *rest = _read_split(*(paths[role] for role in roles))
-        _write_manifest(args.out, f"run-{args.mode}", cfg.seed, cfg.config_hash())
+        split, *rest = _read_split(*paths.values())
+        _write_manifest(args.out, f"run-{args.mode}", cfg.seed, cfg.to_dict())
         (run_standard if args.mode == "standard" else run_continual)(cfg, split, *rest, out_dir=args.out)
-    print(f"wrote {wrote} to {args.out}", file=sys.stderr)
+    print(f"wrote {_RUNS[args.mode][1]} to {args.out}", file=sys.stderr)
     return 0
 
 
@@ -209,7 +192,7 @@ def _cmd_report(args) -> int:
     result = load_results(args.results)
     formats = tuple(args.formats.split(","))
     emit_report([result], args.out, formats=formats)
-    _write_manifest(args.out, "report", 0, hash_config({"formats": list(formats)}))
+    _write_manifest(args.out, "report", 0, {"formats": list(formats)})
     return 0
 
 
@@ -245,7 +228,7 @@ def _cmd_synth(args) -> int:
     for name, dataset in datasets.items():
         write_frames(dataset, os.path.join(args.out, f"{name}.jsonl"))
     params = {key: value for key, value in vars(args).items() if key not in ("out", "seed", "func", "subcommand")}
-    _write_manifest(args.out, "synth", args.seed, hash_config({**params, "kinds": list(kinds)}))
+    _write_manifest(args.out, "synth", args.seed, {**params, "kinds": list(kinds)})
     print(f"wrote synthetic datasets to {args.out}", file=sys.stderr)
     return 0
 

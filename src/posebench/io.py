@@ -33,7 +33,8 @@ write (lines are rebuilt from the table). ``write_frames`` writes each line
 with orjson, and with ``json.dumps`` any line that orjson would format
 differently (a float that ``json.dumps`` writes in exponent notation, a
 ``camera_id`` that it escapes), so every line has the bytes of
-``json.dumps`` and floats round-trip exactly.
+``json.dumps`` and floats round-trip exactly. ``read_json`` reads a file
+that holds one JSON document, a config or a results file.
 """
 
 from __future__ import annotations
@@ -241,6 +242,21 @@ def read_frames(path) -> FrameTable:
                 raise ValidationError(f"{reader.path}: line {lineno}: malformed JSON: {json_error(exc)}") from None
             reader.add(obj, lineno, "NaN" in line)
     return reader.table()
+
+
+def read_json(path, what: str = ""):
+    """The JSON value of file ``path``; an error names ``what`` (say ``"config "``), the file and any non-UTF-8 line."""
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+        return json.loads(data.decode("utf-8"))
+    except OSError as exc:
+        raise ValidationError(f"cannot read {what}{path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ValidationError(f"{what}{path}: line {line}: not UTF-8 text ({exc.reason})") from None
+    except (ValueError, RecursionError) as exc:  # also an integer literal past the digit limit
+        raise ValidationError(f"{what}{path}: malformed JSON: {json_error(exc)}") from None
 
 
 def load_dataset(path) -> FrameTable:

@@ -245,6 +245,15 @@ def check_frame_order(table: FrameTable):
         raise ValidationError(f"dataset {table.camera_id!r} must hold frames in strictly increasing frame_index")
 
 
+def check_disjoint(table: FrameTable, test: FrameTable, role: str):
+    """Refuse ``table``, the input ``role``, if it holds a frame of ``test`` (one of its camera and frame_index).
+    ``test`` must be in strictly increasing frame_index."""
+    fi, test_fi = table.frame_index, test.frame_index
+    shared = fi[np.searchsorted(test_fi, fi, "right") > np.searchsorted(test_fi, fi)]
+    if shared.size and table.camera_id == test.camera_id:
+        raise InputError(f"{role} and test share frame indices (e.g. {shared[0]})", role, "test")
+
+
 @dataclass(frozen=True)
 class SplitSet:
     """A standard-protocol split: all-normal train frames plus a mixed test set."""
@@ -262,10 +271,7 @@ class SplitSet:
         if self.train.anomalous.any():
             first = self.train.frame_index[self.train.anomalous][0]
             raise InputError(f"train frame {first} is not labeled normal", "train")
-        train, test = self.train.frame_index, self.test.frame_index
-        shared = train[np.searchsorted(test, train, "right") > np.searchsorted(test, train)]
-        if shared.size:
-            raise InputError(f"train and test share frame indices (e.g. {shared[0]})", "train", "test")
+        check_disjoint(self.train, self.test, "train")
 
     @property
     def camera_id(self) -> str:

@@ -21,9 +21,10 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from . import report as report_mod
-from .errors import InputError, PosebenchError, ValidationError, check_int, is_number, json_error
+from .errors import InputError, PosebenchError, ValidationError, check_int, is_number
+from .io import read_json
 from .metrics import AGGREGATORS, HIGHER_IS_BETTER, MetricReport, aggregate_frame_scores, compute_all
-from .model import FrameTable, SplitSet, camera_id_error
+from .model import FrameTable, SplitSet, camera_id_error, check_disjoint
 from .preprocess import extract_windows
 from .rearrange import ContinualSplit, RearrangePlan, rearrange, verify
 from .scorers import SCORER_KINDS, make_scorer
@@ -227,10 +228,11 @@ def run_continual(
 ) -> tuple[ContinualResult, ContinualSplit]:
     """Pretrain on origin normals, then train slice by slice on the rearranged stream.
 
-    Returns the result plus the rearranged split. Ingested-window accounting
-    is asserted after every slice, and every fit on the stream, batch
-    training included, reads its frames through ``cs.training_frames``,
-    which refuses any row tagged as test data.
+    Returns the result plus the rearranged split. An origin that holds a
+    frame of the test set is refused, and ingested-window accounting is
+    asserted after every slice. Every fit on the stream, batch training
+    included, reads its frames through ``cs.training_frames``, which refuses
+    any row tagged as test data.
     """
     if cfg.mode != "continual":
         raise ValidationError(f"run_continual needs mode 'continual', got {cfg.mode!r}")
@@ -238,6 +240,7 @@ def run_continual(
         raise InputError("continual run requires a non-empty origin dataset", "origin")
     if origin.anomalous.all():
         raise InputError("origin dataset has no normal frames to pretrain on", "origin")
+    check_disjoint(origin, split.test, "origin")  # pretraining is training: no test frame may reach it
 
     cs = rearrange(split, cfg.plan)
     verify(cs)
@@ -352,17 +355,7 @@ def save_results(result: ContinualResult, path):
 
 
 def load_results(path) -> ContinualResult:
-    try:
-        with open(path, "rb") as fh:
-            data = fh.read()
-        raw = json.loads(data.decode("utf-8"))
-    except OSError as exc:
-        raise ValidationError(f"cannot read {path}: {exc.strerror or exc}") from None
-    except UnicodeDecodeError as exc:
-        line = data.count(b"\n", 0, exc.start) + 1
-        raise ValidationError(f"{path}: line {line}: not UTF-8 text ({exc.reason})") from None
-    except (ValueError, RecursionError) as exc:  # also an integer literal past the digit limit
-        raise ValidationError(f"{path}: malformed JSON: {json_error(exc)}") from None
+    raw = read_json(path)
     try:
         return result_from_dict(raw)
     except ValidationError as exc:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import tempfile
@@ -151,6 +152,31 @@ def dense_knn_mean(stored, queries, k):
     """Mean distance from each dense query row to its k nearest dense ``stored`` rows, by a fresh kNN kernel scan."""
     kd = _kernels.knn_k_smallest(*dense_windows(stored), _kernels.knn_queries(*dense_windows(queries)), k)
     return np.sqrt(kd).mean(axis=1)
+
+
+# The checks of rearrange.verify that a rearrangement which rearrange returns never fails.
+INVARIANTS = ("slice count", "empty slice", "stream anomaly fraction", "both test labels", "test imbalance")
+
+
+def break_invariant(cs, invariant):
+    """Damage the ContinualSplit ``cs`` so that the first check of ``verify`` it fails is ``invariant``; its stream
+    must hold an injected anomaly. Returns a pattern of the message after ``invariant violated: ``."""
+    if invariant == "slice count":
+        cs.slices.pop()
+        return rf"expected {cs.plan.k} slices, found {cs.plan.k - 1}"
+    if invariant == "empty slice":
+        cs.slices[-1] = cs.slices[-1][:0]
+        return "empty slice"
+    if invariant == "stream anomaly fraction":
+        cs.plan = dataclasses.replace(cs.plan, target_train_anomaly_ratio=1e-6)
+        return r"train anomaly fraction 0\.\d{6} >= target 1e-06"
+    anomalous = cs.split.test.anomalous[cs.test_rows]
+    if invariant == "both test labels":
+        cs.test_rows = cs.test_rows[~anomalous]
+        return "test set must keep both labels"
+    assert invariant == "test imbalance"
+    cs.test_rows = np.delete(cs.test_rows, np.flatnonzero(anomalous)[0])
+    return rf"test imbalance 0\.\d{{6}} exceeds tolerance {cs.plan.balance_tolerance}"
 
 
 def working_set_mb(fn):

@@ -27,11 +27,11 @@ from posebench.model import SplitSet
 from posebench.rearrange import RearrangePlan, rearrange
 from posebench.report import write_step_csv
 from posebench.runner import RunConfig, derive_seed, evaluate_windows, result_to_dict
-from posebench.scorers import SCORER_KINDS, SCORERS
+from posebench.scorers import SCORER_KINDS, SCORERS, GaussianScorer
 
 import _oracles
 from _golden import golden_results
-from conftest import make_frame, make_obs
+from conftest import INVARIANTS, break_invariant, make_frame, make_obs
 
 
 @pytest.fixture(scope="module")
@@ -72,6 +72,12 @@ def _metric(field, key, value):
     return lambda raw: {**raw, field: {**raw[field], key: value}}
 
 
+_RESULT = result_to_dict(golden_results()[0])
+_SYNTH = ["synth", "--train-normal", "60", "--test-normal", "40", "--test-anomaly", "10"]
+_STANDARD = ["run-standard", "--train", "{d}/train.jsonl", "--test", "{d}/test.jsonl"]
+_CONFIG = ["run-standard", "--config", "{d}/c.json"]
+
+
 class TestExitCodes:
     def test_no_subcommand_is_usage_error(self, capsys):
         assert main([]) == 1
@@ -104,7 +110,7 @@ class TestExitCodes:
         assert main(["report", "--results", str(utf16), "--out", str(tmp_path / "o")]) == 2
         assert f"{utf16}: line 2: not UTF-8" in capsys.readouterr().err
         assert main(["run-standard", "--config", str(utf16), "--out", str(tmp_path / "o")]) == 2
-        assert f"config {utf16}: not UTF-8" in capsys.readouterr().err
+        assert f"config {utf16}: line 2: not UTF-8" in capsys.readouterr().err
         # An integer literal past Python's digit limit is malformed JSON, not a crash.
         huge = tmp_path / "huge.json"
         huge.write_text('{"seed": 1' + "0" * 5000 + "}")
@@ -112,6 +118,45 @@ class TestExitCodes:
         assert f"config {huge}: malformed JSON" in capsys.readouterr().err
         assert main(["report", "--results", str(huge), "--out", str(tmp_path / "o")]) == 2
         assert f"{huge}: malformed JSON" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, files, message",
+        [
+            (_CONFIG, {"c.json": "[1]"}, "config {d}/c.json must hold a JSON object"),
+            (["run-standard", "--config", "{d}/none.json"], {},
+             "cannot read config {d}/none.json: No such file or directory"),
+            (_CONFIG, {"c.json": '{"scorer": "svm"}'},
+             "scorer must be one of ('gaussian', 'knn'), got 'svm'"),
+            (_CONFIG, {"c.json": '{"smoothing_window": 14}'}, "smoothing_window must be odd, got 14"),
+            (_CONFIG, {"c.json": '{"aggregator": "median"}'},
+             "aggregator must be one of ('max', 'mean'), got 'median'"),
+            (_STANDARD, {"train.jsonl": "[1]\n"}, "{d}/train.jsonl: line 1: expected a JSON object, got list"),
+            (_STANDARD, {"train.jsonl": json.dumps(make_frame(0, persons=(1,))) + "\n"},
+             "{d}/train.jsonl: line 1 (frame_index 0): person entry must be an object, got int"),
+            (_STANDARD, {"train.jsonl": json.dumps(make_frame(0)),
+                         "test.jsonl": json.dumps(make_frame(1, camera_id="c9"))},
+             "{d}/train.jsonl, {d}/test.jsonl: train and test camera_id differ: 'cam0' vs 'c9'"),
+            (["report", "--results", "{d}/r.json"], {"r.json": json.dumps({**_RESULT, "version": 2})},
+             "{d}/r.json: unsupported result version 2"),
+            (["report", "--results", "{d}/r.json"], {"r.json": json.dumps({**_RESULT, "per_step": [], "k": 0})},
+             "{d}/r.json: continual result needs at least one step report"),
+            (_SYNTH + ["--origin-normal", "-5"], {}, "origin dataset: n_frames must be >= 1, got -5"),
+            (_SYNTH + ["--persons", "0"], {}, "persons must be >= 1, got 0"),
+            (_SYNTH + ["--segment-length", "0"], {}, "segment_length must be >= 1, got 0"),
+        ],
+        ids=[
+            "config-not-an-object", "config-unreadable", "config-scorer", "config-even-smoothing", "config-aggregator",
+            "line-not-an-object", "person-not-an-object", "cameras-differ", "result-version", "result-without-steps",
+            "synth-origin-normal", "synth-persons", "synth-segment-length",
+        ],
+    )
+    def test_data_error_message(self, tmp_path, capsys, argv, files, message):
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        argv = [arg.format(d=tmp_path) for arg in argv]
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr() == ("", f"error: {message.format(d=tmp_path)}\n")
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("subcommand", ["rearrange", "run-standard", "run-continual", "synth", "report", "stats"])
     def test_output_path_under_a_file_is_data_error(self, synth_dir, tmp_path, capsys, subcommand):
@@ -537,6 +582,14 @@ class TestConfigValues:
         err = capsys.readouterr().err
         assert code == 2, err
         assert "plan is read only by run-continual" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_origin_is_refused_by_run_standard_before_reading(self, tmp_path, capsys):
+        # run-standard reads only train and test, so an origin in its config is an unknown key, not a path to ignore.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"origin": "no.jsonl", "train": "no.jsonl", "test": "no.jsonl"}')
+        assert main(["run-standard", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr() == ("", "error: unknown config keys: ['origin']\n")
         assert not (tmp_path / "out").exists()
 
     def test_plan_without_seed_and_plan_in_standard_mode_are_data_errors(self):
@@ -1030,6 +1083,7 @@ class TestInputErrorsNameTheirFiles:
             ("run-standard", {"train": ("train", None, 10)}, "train: training data produced zero pose windows"),
             ("run-continual", {"origin": ("origin", None, 10)}, "origin: origin dataset produced zero pretraining"),
             ("run-continual", {"origin": ("test", _label("anomalous"))}, "origin: origin dataset has no normal frames"),
+            ("run-continual", {"origin": ("test", _label("normal"))}, "origin, test: origin and test share frame"),
             # 5 train frames, and a test set that balances by moving 6 of its 46 normal frames: an 11-frame stream.
             (
                 "run-continual",
@@ -1080,6 +1134,31 @@ class TestInputErrorsNameTheirFiles:
         err = capsys.readouterr().err
         want = r"error: test leakage: frame \d+ \(tag 'test_(normal|anomaly)'\) must not be trained on\n"
         assert re.fullmatch(want, err) and not any(path in err for path in paths)
+
+
+    @pytest.mark.parametrize("invariant", [*INVARIANTS, "ingestion accounting"])
+    def test_broken_invariant_is_a_program_fault_and_names_no_file(
+        self, hostile_dir, tmp_path, capsys, monkeypatch, invariant
+    ):
+        message = []  # its pattern
+        if invariant == "ingestion accounting":  # a scorer that under-reports the windows it ingests
+            monkeypatch.setattr(GaussianScorer, "windows_seen", property(lambda self: 0))
+            message.append(r"ingestion accounting broken at step 1: scorer saw 0, expected [1-9]\d*")
+        else:
+            rearrange = runner.rearrange
+
+            def damaged(split, plan):
+                cs = rearrange(split, plan)
+                message.append("invariant violated: " + break_invariant(cs, invariant))
+                return cs
+
+            monkeypatch.setattr(runner, "rearrange", damaged)
+        paths = [str(hostile_dir / f"{name}.jsonl") for name in ("train", "test", "origin")]
+        inputs = [f"--{key}={path}" for key, path in zip(("train", "test", "origin"), paths)]
+        assert main(["run-continual", *inputs, "--k", "2", "--inject-count", "1", "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert re.fullmatch(f"error: {message[0]}\n", err), err
+        assert not any(path in err for path in paths)
 
 
 _TOKENS = (b"1e400", b"NaN", b"Infinity", b"null", b"\x00", b"\xff", b"-1", b"[]", b"{}", b'"')
@@ -1169,3 +1248,15 @@ def test_readme_commands_parse():
             parser.parse_args(argv)
         except SystemExit:
             pytest.fail(f"README command does not parse: posebench {shlex.join(argv)}")
+
+
+def test_readme_config_block_is_the_schema():
+    # README "Configuration" lists every key with its default, so a renamed key or a changed default fails here.
+    text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = json.loads(re.search(r"^## Configuration\n.*?^```json\n(.*?)^```", text, re.MULTILINE | re.DOTALL)[1])
+    roles = cli._RUNS["continual"][0]
+    assert set(block) == {f.name for f in dataclasses.fields(RunConfig)} | set(roles)
+    plan = {f.name: f.default for f in dataclasses.fields(RearrangePlan) if f.name != "seed"}
+    assert block.pop("plan") == plan
+    assert all(isinstance(block.pop(role), str) for role in roles)
+    assert block == RunConfig(mode=block["mode"]).to_dict()  # mode has no default; the block's must be valid

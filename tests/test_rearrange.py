@@ -21,7 +21,7 @@ from posebench.rearrange import (
     slice_stream,
     verify,
 )
-from conftest import make_frame, make_obs, table
+from conftest import INVARIANTS, break_invariant, make_frame, make_obs, table
 
 
 def build_split(n_train=400, n_test_normal=120, n_test_anomaly=80):
@@ -237,6 +237,15 @@ class TestVerify:
         n = len(cs.split.train) + len(cs.split.test)
         message = f"invariant violated: stream and test set place {n - 1} of {n} rows"
         with pytest.raises(PosebenchError, match=message) as excinfo:
+            verify(cs)
+        assert excinfo.type is PosebenchError  # a program fault, not a data error
+
+
+    @pytest.mark.parametrize("invariant", INVARIANTS)
+    def test_rejects_a_broken_invariant(self, invariant):
+        cs = rearrange(build_split(), RearrangePlan(seed=17, inject_count=3))
+        message = break_invariant(cs, invariant)
+        with pytest.raises(PosebenchError, match=rf"^invariant violated: {message}$") as excinfo:
             verify(cs)
         assert excinfo.type is PosebenchError  # a program fault, not a data error
 

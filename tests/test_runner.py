@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from posebench.errors import PosebenchError, ValidationError
+from posebench.errors import InputError, PosebenchError, ValidationError
 from posebench.metrics import MetricReport
 from posebench.model import SplitSet
 from posebench import _kernels, runner
@@ -24,7 +24,7 @@ from posebench.runner import (
     save_results,
     summarize_steps,
 )
-from posebench.scorers import KnnScorer
+from posebench.scorers import GaussianScorer, KnnScorer
 from posebench.synthetic import generate_normals, generate_split
 from conftest import make_frame, make_obs, table
 
@@ -228,6 +228,26 @@ class TestRunContinual:
         anomalous_only = table([anomalous])
         with pytest.raises(ValidationError, match="no normal frames to pretrain on"):
             run_continual(cfg, split, anomalous_only, None)
+
+    def test_origin_must_not_hold_a_test_frame(self):
+        # Pretraining is training: an origin of the split's camera that holds a test frame_index is refused.
+        split = small_split()
+        cfg = RunConfig(mode="continual", seed=0, plan=RearrangePlan(seed=1, k=2))
+        origin = split.test.take(np.flatnonzero(~split.test.anomalous)[5:])
+        message = rf"^origin and test share frame indices \(e.g. {origin.frame_index[0]}\)$"
+        with pytest.raises(InputError, match=message) as excinfo:
+            run_continual(cfg, split, origin)
+        assert excinfo.value.roles == ("origin", "test")
+        # The same frame indices under another camera are other frames.
+        run_continual(cfg, split, generate_normals(300, seed=2, start_index=int(split.test.frame_index[0])))
+
+    def test_ingestion_accounting_is_a_program_fault(self, monkeypatch):
+        monkeypatch.setattr(GaussianScorer, "windows_seen", property(lambda self: 0))  # under-reports every slice
+        cfg = RunConfig(mode="continual", seed=0, plan=RearrangePlan(seed=1, k=3))
+        message = r"^ingestion accounting broken at step 1: scorer saw 0, expected [1-9]\d*$"
+        with pytest.raises(PosebenchError, match=message) as excinfo:
+            run_continual(cfg, small_split(), generate_normals(300, seed=2))
+        assert excinfo.type is PosebenchError  # a program fault, not a data error
 
     def test_every_fit_reads_its_frames_through_the_guard(self, monkeypatch):
         guarded = []
