@@ -111,7 +111,7 @@ def _build_run_config(args):
     merged["mode"] = mode
     merged.update({key: getattr(args, key) for key, _ in _RUN_FLAGS if getattr(args, key) is not None})
     if mode == "continual":
-        plan = merged.get("plan") or {}
+        plan = merged.get("plan", {})
         if not isinstance(plan, dict):
             raise ValidationError(f"plan must be a JSON object, got {plan!r}")
         merged["plan"] = _plan(args, plan, merged.get("seed", 0))
@@ -182,8 +182,8 @@ def _cmd_run(args) -> int:
     cfg, paths = _build_run_config(args)
     with _naming(paths):
         split, *rest = _read_split(*paths.values())
-        _write_manifest(args.out, f"run-{args.mode}", cfg.seed, cfg.to_dict())
         (run_standard if args.mode == "standard" else run_continual)(cfg, split, *rest, out_dir=args.out)
+    _write_manifest(args.out, f"run-{args.mode}", cfg.seed, cfg.to_dict())
     print(f"wrote {_RUNS[args.mode][1]} to {args.out}", file=sys.stderr)
     return 0
 

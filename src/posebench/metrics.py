@@ -12,8 +12,10 @@ score >= threshold, so ties are handled as a group:
   descending thresholds.
 - eer: at the threshold minimizing |FPR - FNR|, return (FPR + FNR) / 2;
   ties in the minimizer resolve to the lower returned value.
-- fpr_at_fnr: lowest FPR among operating points with FNR <= target
-  (default 0.10, reported as ten_er).
+- ten_er: lowest FPR among operating points with FNR <= target
+  (default 0.10).
+
+``compute_all`` gives all four from one sort of the series.
 
 The per-frame series comes from one fold, ``aggregate_frame_scores``: each
 window's score goes to the frames it covers that the frame table holds, each
@@ -88,84 +90,37 @@ class MetricReport:
         return asdict(self)
 
 
-def _require_both_classes(series: ScoreSeries, op: str):
-    if series.n_pos == 0 or series.n_neg == 0:
-        raise ValidationError(
-            f"{op} requires both labels present, got {series.n_pos} anomalous / {series.n_neg} normal"
-        )
+def compute_all(series: ScoreSeries, fnr_target: float = 0.10) -> MetricReport:
+    """All four metrics plus counts, from one sweep over the distinct scores in descending order.
 
-
-def _operating_points(series: ScoreSeries):
-    """Cumulative TP and FP counts at each distinct threshold, descending by score."""
-    if not len(series):
-        raise ValidationError("cannot compute operating points of an empty series")
+    Each distinct score is a threshold; tp and fp count the frames at or above it. Twice the ROC area in counts, the
+    sum of fp steps times (tp + tp before), is an integer, divided once by 2 * n_pos * n_neg. The rank statistic is
+    the same rational, so the two round to the same float. FPR - FNR = (fp * n_pos - fn * n_neg) / (n_pos * n_neg),
+    so the EER's argmin and its tie-break (smaller midpoint wins) are decided on integers; float rounding cannot
+    split genuinely tied thresholds.
+    """
+    n_pos, n_neg = series.n_pos, series.n_neg
+    if n_pos == 0 or n_neg == 0:
+        raise ValidationError(f"auc_roc requires both labels present, got {n_pos} anomalous / {n_neg} normal")
+    if not 0.0 <= fnr_target < 1.0:
+        raise ValidationError(f"target FNR must be in [0, 1), got {fnr_target}")
     order = np.argsort(-series.scores, kind="stable")
     s, y = series.scores[order], series.anomalous[order]
     last_of_group = np.flatnonzero(np.r_[s[1:] != s[:-1], True])
-    return np.cumsum(y)[last_of_group], np.cumsum(~y)[last_of_group]
-
-
-def auc_roc(series: ScoreSeries) -> float:
-    """Area under the ROC curve: the trapezoid over grouped thresholds, ties credited one half.
-
-    Twice the area in counts, the sum of fp steps times (tp + tp before), is an integer, divided once by
-    2 * n_pos * n_neg. The rank statistic is the same rational, so the two round to the same float.
-    """
-    _require_both_classes(series, "auc_roc")
-    tp, fp = _operating_points(series)
+    tp, fp = np.cumsum(y)[last_of_group], np.cumsum(~y)[last_of_group]
+    fn = n_pos - tp
     twice = int((np.diff(fp, prepend=0) * (tp + np.r_[0, tp[:-1]])).sum())
-    return twice / (2 * series.n_pos * series.n_neg)
-
-
-def auc_pr(series: ScoreSeries) -> float:
-    """Average precision over descending distinct thresholds."""
-    if series.n_pos == 0:
-        raise ValidationError("auc_pr requires at least one anomalous entry")
-    tp, fp = _operating_points(series)
-    recall = tp / series.n_pos
-    precision = tp / (tp + fp)
-    prev = np.r_[0.0, recall[:-1]]
-    return float(((recall - prev) * precision).sum())
-
-
-def eer(series: ScoreSeries) -> float:
-    """Equal error rate: (FPR + FNR) / 2 where |FPR - FNR| is smallest.
-
-    FPR - FNR = (fp * n_pos - fn * n_neg) / (n_pos * n_neg), so the argmin
-    and its tie-break (smaller midpoint wins) are decided on integers; float
-    rounding cannot split genuinely tied thresholds.
-    """
-    _require_both_classes(series, "eer")
-    tp, fp = _operating_points(series)
-    fn = series.n_pos - tp
-    gap = np.abs(fp * series.n_pos - fn * series.n_neg)
-    candidates = np.flatnonzero(gap == gap.min())
-    mid_numerator = (fp * series.n_pos + fn * series.n_neg)[candidates]
-    return float(mid_numerator.min()) / (2.0 * series.n_pos * series.n_neg)
-
-
-def fpr_at_fnr(series: ScoreSeries, target: float = 0.10) -> float:
-    """Lowest FPR over operating points that keep FNR at or below target."""
-    if not 0.0 <= target < 1.0:
-        raise ValidationError(f"target FNR must be in [0, 1), got {target}")
-    _require_both_classes(series, "fpr_at_fnr")
-    tp, fp = _operating_points(series)
-    fpr = fp / series.n_neg
-    fnr = 1.0 - tp / series.n_pos
-    feasible = fnr <= target
-    # Always non-empty: the lowest threshold flags every frame, giving FNR 0.
-    return float(fpr[feasible].min())
-
-
-def compute_all(series: ScoreSeries, fnr_target: float = 0.10) -> MetricReport:
-    """All four metrics plus counts; equal to calling each metric directly."""
+    recall = tp / n_pos
+    gap = np.abs(fp * n_pos - fn * n_neg)
+    mid_numerator = (fp * n_pos + fn * n_neg)[gap == gap.min()]
+    feasible = 1.0 - recall <= fnr_target  # never empty: the lowest threshold flags every frame, giving FNR 0
     return MetricReport(
-        auc_roc=auc_roc(series),
-        auc_pr=auc_pr(series),
-        eer=eer(series),
-        ten_er=fpr_at_fnr(series, fnr_target),
-        n_pos=series.n_pos,
-        n_neg=series.n_neg,
+        auc_roc=twice / (2 * n_pos * n_neg),
+        auc_pr=float(((recall - np.r_[0.0, recall[:-1]]) * (tp / (tp + fp))).sum()),
+        eer=float(mid_numerator.min()) / (2.0 * n_pos * n_neg),
+        ten_er=float((fp / n_neg)[feasible].min()),
+        n_pos=n_pos,
+        n_neg=n_neg,
     )
 
 

@@ -14,19 +14,10 @@ from .metrics import MetricReport
 
 CSV_COLUMNS = ("camera_id", "context", "auc_roc", "auc_pr", "eer", "ten_er", "n_pos", "n_neg")
 
-_CONTEXT_LABELS = {
-    "standard": "Standard",
-    "baseline": "Baseline",
-    "batch_training": "Batch Training",
-    "step_average": "Step Average",
-    "step_best": "Step Best",
-}
-
 
 def context_label(context: str) -> str:
-    if context.startswith("step_") and context[5:].isdigit():
-        return f"Step {int(context[5:])}"
-    return _CONTEXT_LABELS.get(context, context)
+    """The markdown label of a case: "step_3" is "Step 3", "batch_training" is "Batch Training"."""
+    return context.replace("_", " ").title()
 
 
 def format_cells(report: MetricReport) -> dict[str, str]:
@@ -40,60 +31,36 @@ def format_cells(report: MetricReport) -> dict[str, str]:
     }
 
 
-def csv_line(camera_id: str, context: str, report: MetricReport) -> str:
-    cells = format_cells(report)
-    return ",".join([camera_id, context] + [cells[c] for c in CSV_COLUMNS[2:]])
-
-
 def render_csv(rows) -> str:
     """rows: iterable of (camera_id, context, MetricReport)."""
     lines = [",".join(CSV_COLUMNS)]
     for camera_id, context, report in rows:
-        lines.append(csv_line(camera_id, context, report))
+        cells = {"camera_id": camera_id, "context": context, **format_cells(report)}
+        lines.append(",".join(cells[c] for c in CSV_COLUMNS))
     return "\n".join(lines) + "\n"
 
 
-def continual_rows(result):
-    """Ordered (context, MetricReport) pairs for one continual result."""
-    rows = [("baseline", result.baseline)]
-    for i, rep in enumerate(result.per_step, start=1):
-        rows.append((f"step_{i}", rep))
-    rows.append(("batch_training", result.batch_training))
-    rows.append(("step_average", result.step_average))
-    rows.append(("step_best", result.step_best))
-    return rows
+def cases(result):
+    """A result's camera id, its ordered (context, MetricReport) rows and its step count.
 
-
-def _cases(result):
-    """A result's camera id, its (context, MetricReport) rows and its step count.
-
-    A continual result gives every case and its k; a standard result is a
-    (camera_id, MetricReport) pair, one "standard" row and no steps (None).
+    A continual result gives its baseline, each step, batch training, step average and step best, and its k; a
+    standard result is a (camera_id, MetricReport) pair, one "standard" row and no steps (None).
     """
     if isinstance(result, tuple):
         camera_id, report = result
         return camera_id, [("standard", report)], None
-    return result.camera_id, continual_rows(result), result.k
-
-
-def _markdown_table(rows) -> list[str]:
-    lines = [
-        "| Case | AUC-ROC | AUC-PR | EER | 10ER |",
-        "| --- | --- | --- | --- | --- |",
-    ]
-    for context, report in rows:
-        c = format_cells(report)
-        lines.append(
-            f"| {context_label(context)} | {c['auc_roc']} | {c['auc_pr']} | {c['eer']} | {c['ten_er']} |"
-        )
-    return lines
+    rows = [("baseline", result.baseline)]
+    rows += [(f"step_{i}", rep) for i, rep in enumerate(result.per_step, start=1)]
+    rows += [("batch_training", result.batch_training)]
+    rows += [("step_average", result.step_average), ("step_best", result.step_best)]
+    return result.camera_id, rows, result.k
 
 
 def render_markdown(results) -> str:
-    """The markdown report of a list of results of one protocol (see ``_cases``)."""
+    """The markdown report of a list of results of one protocol (see ``cases``)."""
     lines = []
     for result in results:
-        camera_id, rows, steps = _cases(result)
+        camera_id, rows, steps = cases(result)
         if not lines:
             lines += [f"# {'Standard' if steps is None else 'Continual'} evaluation report", ""]
         head = rows[0][1]
@@ -104,13 +71,25 @@ def render_markdown(results) -> str:
             + ("." if steps is None else f", {steps} training steps.")
         )
         lines.append("")
-        lines.extend(_markdown_table(rows))
+        lines.append("| Case | AUC-ROC | AUC-PR | EER | 10ER |")
+        lines.append("| --- | --- | --- | --- | --- |")
+        for context, report in rows:
+            c = format_cells(report)
+            lines.append(
+                f"| {context_label(context)} | {c['auc_roc']} | {c['auc_pr']} | {c['eer']} | {c['ten_er']} |"
+            )
         lines.append("")
     return "\n".join(lines)
 
 
+def _write(path, text: str) -> str:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    return path
+
+
 def emit_report(results, out_dir, formats=("csv", "markdown")) -> dict[str, str]:
-    """Write report.csv / report.md for a list of results of one protocol (see ``_cases``).
+    """Write report.csv / report.md for a list of results of one protocol (see ``cases``).
 
     Returns a mapping from format name to the written path. Errors on an
     empty result list or an unknown format name.
@@ -124,26 +103,14 @@ def emit_report(results, out_dir, formats=("csv", "markdown")) -> dict[str, str]
     os.makedirs(out_dir, exist_ok=True)
     paths = {}
     if "csv" in formats:
-        rows = []
-        for result in results:
-            camera_id, cases, _ = _cases(result)
-            rows.extend((camera_id, context, rep) for context, rep in cases)
-        path = os.path.join(out_dir, "report.csv")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(render_csv(rows))
-        paths["csv"] = path
+        rows = [(camera_id, *row) for camera_id, case_rows, _ in map(cases, results) for row in case_rows]
+        paths["csv"] = _write(os.path.join(out_dir, "report.csv"), render_csv(rows))
     if "markdown" in formats:
-        path = os.path.join(out_dir, "report.md")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(render_markdown(results))
-        paths["markdown"] = path
+        paths["markdown"] = _write(os.path.join(out_dir, "report.md"), render_markdown(results))
     return paths
 
 
 def write_step_csv(out_dir, step: int, camera_id: str, report: MetricReport) -> str:
     steps_dir = os.path.join(out_dir, "steps")
     os.makedirs(steps_dir, exist_ok=True)
-    path = os.path.join(steps_dir, f"step_{step}.csv")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(render_csv([(camera_id, f"step_{step}", report)]))
-    return path
+    return _write(os.path.join(steps_dir, f"step_{step}.csv"), render_csv([(camera_id, f"step_{step}", report)]))

@@ -16,7 +16,7 @@ import _oracles
 from _golden import golden_results
 from conftest import BOX, every_row, make_obs, pixels, staircase, table, track_table, window_batch
 
-from posebench.metrics import ScoreSeries, auc_pr, auc_roc, compute_all, eer, fpr_at_fnr
+from posebench.metrics import ScoreSeries, compute_all
 from posebench.model import FrameTable, SplitSet
 from posebench.preprocess import extract_windows
 from posebench.rearrange import RearrangePlan, rearrange, verify
@@ -49,22 +49,22 @@ def test_01_metric_oracle_agreement(capsys):
         for trial in range(1000):
             scores, labels = _oracles.random_series(rng)
             series = ScoreSeries(np.arange(len(scores)), scores, labels.astype(bool))
-            got_roc = auc_roc(series)
+            got = compute_all(series, 0.10)
             for name, want in (
                 ("pairwise", _oracles.roc_auc_pairwise(scores, labels)),
                 ("trapezoid", _oracles.roc_auc_trapezoid(scores, labels)),
             ):
-                if abs(got_roc - want) > 1e-9:
-                    problems.append(f"trial {trial}: auc_roc {got_roc} vs {name} {want}")
+                if abs(got.auc_roc - want) > 1e-9:
+                    problems.append(f"trial {trial}: auc_roc {got.auc_roc} vs {name} {want}")
             want_pr = _oracles.average_precision(scores, labels)
-            if abs(auc_pr(series) - want_pr) > 1e-6:
-                problems.append(f"trial {trial}: auc_pr {auc_pr(series)} vs {want_pr}")
+            if abs(got.auc_pr - want_pr) > 1e-6:
+                problems.append(f"trial {trial}: auc_pr {got.auc_pr} vs {want_pr}")
             want_eer = _oracles.eer_scan(scores, labels)
-            if abs(eer(series) - want_eer) > 1e-9:
-                problems.append(f"trial {trial}: eer {eer(series)} vs {want_eer}")
+            if abs(got.eer - want_eer) > 1e-9:
+                problems.append(f"trial {trial}: eer {got.eer} vs {want_eer}")
             want_ten = _oracles.fpr_at_fnr_scan(scores, labels, 0.10)
-            if abs(fpr_at_fnr(series, 0.10) - want_ten) > 1e-9:
-                problems.append(f"trial {trial}: ten_er {fpr_at_fnr(series, 0.10)} vs {want_ten}")
+            if abs(got.ten_er - want_ten) > 1e-9:
+                problems.append(f"trial {trial}: ten_er {got.ten_er} vs {want_ten}")
             if problems:
                 break
         elapsed = time.perf_counter() - t0

@@ -592,6 +592,15 @@ class TestConfigValues:
         assert capsys.readouterr() == ("", "error: unknown config keys: ['origin']\n")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("plan", ["[]", "0", '""', "null", "[1]"])
+    def test_plan_that_is_not_an_object_is_refused_before_reading(self, tmp_path, capsys, plan):
+        # A falsy plan is refused too, not taken for the default plan. The datasets do not exist.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(f'{{"plan": {plan}, "train": "no.jsonl", "test": "no.jsonl", "origin": "no.jsonl"}}')
+        assert main(["run-continual", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr() == ("", f"error: plan must be a JSON object, got {json.loads(plan)!r}\n")
+        assert not (tmp_path / "out").exists()
+
     def test_plan_without_seed_and_plan_in_standard_mode_are_data_errors(self):
         with pytest.raises(ValidationError, match="plan lacks its seed"):
             RunConfig.from_dict({"mode": "continual", "plan": {"k": 3}})
@@ -727,6 +736,8 @@ class TestRunContinualCommand:
         csv_lines = (out / "report.csv").read_text().strip().splitlines()
         # header + baseline + 4 steps + batch + average + best
         assert len(csv_lines) == 1 + 1 + 4 + 3
+        for i in range(1, 5):  # each step's row, rendered into its own file during the run and into the report
+            assert (out / "steps" / f"step_{i}.csv").read_text().splitlines() == [csv_lines[0], csv_lines[1 + i]]
         assert (out / "results.json").exists()
 
         re_out = tmp_path / "reemit"
@@ -1011,12 +1022,13 @@ class TestRunCommands:
 class TestReportCommand:
     def test_unknown_format(self, tmp_path, capsys):
         results = tmp_path / "results.json"
-        results.write_text("{}")
+        results.write_text(json.dumps(result_to_dict(golden_results()[0])))
         code = main(
             ["report", "--results", str(results), "--formats", "pdf", "--out", str(tmp_path / "o")]
         )
-        capsys.readouterr()
         assert code == 2
+        assert capsys.readouterr().err == "error: unknown report format 'pdf'\n"
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize(
         "damage,message",
@@ -1069,6 +1081,22 @@ def _label(label):
     return lambda line: json.loads(line)["label"] == label
 
 
+def _run_replacing(hostile_dir, tmp_path, subcommand, replaced):
+    """Run ``subcommand`` with ``--out tmp_path/out`` on the hostile inputs, each of ``replaced`` (role: (source
+    role, *``_lines`` arguments)) written to ``tmp_path`` first; asserts exit 2 and returns the paths by role."""
+    paths = {name: str(hostile_dir / f"{name}.jsonl") for name in ("train", "test", "origin")}
+    for name, (source, *keep) in replaced.items():
+        paths[name] = str(tmp_path / f"{name}.jsonl")
+        Path(paths[name]).write_bytes(_lines(hostile_dir / f"{source}.jsonl", *keep))
+    argv = [subcommand, "--train", paths["train"], "--test", paths["test"], "--out", str(tmp_path / "out")]
+    if subcommand != "run-standard":
+        argv += ["--k", "2"]
+    if subcommand == "run-continual":
+        argv += ["--origin", paths["origin"]]
+    assert main(argv) == 2
+    return paths
+
+
 class TestInputErrorsNameTheirFiles:
     """An error about a whole input file names that file, as the reader's errors do; a stream error names train and
     test."""
@@ -1093,19 +1121,23 @@ class TestInputErrorsNameTheirFiles:
         ],
     )
     def test_error_names_the_file(self, hostile_dir, tmp_path, capsys, subcommand, replaced, message):
-        paths = {name: str(hostile_dir / f"{name}.jsonl") for name in ("train", "test", "origin")}
-        for name, (source, *keep) in replaced.items():
-            paths[name] = str(tmp_path / f"{name}.jsonl")
-            Path(paths[name]).write_bytes(_lines(hostile_dir / f"{source}.jsonl", *keep))
-        argv = [subcommand, "--train", paths["train"], "--test", paths["test"], "--out", str(tmp_path / "out")]
-        if subcommand != "run-standard":
-            argv += ["--k", "2"]
-        if subcommand == "run-continual":
-            argv += ["--origin", paths["origin"]]
-        assert main(argv) == 2
+        paths = _run_replacing(hostile_dir, tmp_path, subcommand, replaced)
         names, text = message.split(": ", 1)
         files = ", ".join(paths[name] for name in names.split(", "))
         assert capsys.readouterr().err.startswith(f"error: {files}: {text}")
+
+    @pytest.mark.parametrize(
+        "subcommand, replaced",
+        [
+            ("run-standard", {"test": ("test", _label("normal"))}),  # a one-label test set
+            ("run-continual", {"origin": ("test", _label("anomalous"))}),  # an origin with no normal frame
+            ("run-continual", {"origin": ("test", _label("normal"))}),  # an origin that shares test frames
+        ],
+    )
+    def test_refused_run_leaves_no_output(self, hostile_dir, tmp_path, capsys, subcommand, replaced):
+        # The manifest is written after the run, so a run refused after the read leaves no --out behind.
+        _run_replacing(hostile_dir, tmp_path, subcommand, replaced)
+        assert not (tmp_path / "out").exists()
 
     def test_windowing_error_names_the_file(self, hostile_dir, tmp_path, capsys):
         # The box passes the reader's checks, but its diagonal overflows, so windowing cannot normalize its pose.

@@ -8,11 +8,7 @@ from posebench.metrics import (
     MetricReport,
     ScoreSeries,
     aggregate_frame_scores,
-    auc_pr,
-    auc_roc,
     compute_all,
-    eer,
-    fpr_at_fnr,
 )
 from posebench.preprocess import WindowBatch
 from conftest import make_frame, make_obs, table, walking_dataset
@@ -50,16 +46,16 @@ class TestFourPointFixture:
         return series([0.9, 0.8, 0.7, 0.6], [1, 0, 1, 0])
 
     def test_auc_roc(self):
-        assert auc_roc(self.fixture()) == pytest.approx(0.75, abs=1e-12)
+        assert compute_all(self.fixture()).auc_roc == pytest.approx(0.75, abs=1e-12)
 
     def test_auc_pr(self):
-        assert auc_pr(self.fixture()) == pytest.approx(0.8333, abs=1e-4)
+        assert compute_all(self.fixture()).auc_pr == pytest.approx(0.8333, abs=1e-4)
 
     def test_eer(self):
-        assert eer(self.fixture()) == pytest.approx(0.5, abs=1e-12)
+        assert compute_all(self.fixture()).eer == pytest.approx(0.5, abs=1e-12)
 
     def test_ten_er(self):
-        assert fpr_at_fnr(self.fixture(), 0.10) == pytest.approx(0.5, abs=1e-12)
+        assert compute_all(self.fixture(), 0.10).ten_er == pytest.approx(0.5, abs=1e-12)
 
 
 class TestAgainstOracles:
@@ -67,26 +63,26 @@ class TestAgainstOracles:
         for _ in range(300):
             scores, labels = _oracles.random_series(rng)
             s = series(scores, labels)
-            got = auc_roc(s)
+            got = compute_all(s).auc_roc
             assert got == _oracles.roc_auc_pairwise(scores, labels)  # one exact count, divided once
             assert got == pytest.approx(_oracles.roc_auc_trapezoid(scores, labels), abs=1e-9)
 
     def test_pr_matches_oracle(self, rng):
         for _ in range(300):
             scores, labels = _oracles.random_series(rng)
-            got = auc_pr(series(scores, labels))
+            got = compute_all(series(scores, labels)).auc_pr
             assert got == pytest.approx(_oracles.average_precision(scores, labels), abs=1e-6)
 
     def test_eer_matches_scan(self, rng):
         for _ in range(300):
             scores, labels = _oracles.random_series(rng)
-            got = eer(series(scores, labels))
+            got = compute_all(series(scores, labels)).eer
             assert got == pytest.approx(_oracles.eer_scan(scores, labels), abs=1e-9)
 
     def test_ten_er_matches_scan(self, rng):
         for _ in range(300):
             scores, labels = _oracles.random_series(rng)
-            got = fpr_at_fnr(series(scores, labels), 0.10)
+            got = compute_all(series(scores, labels), 0.10).ten_er
             assert got == pytest.approx(_oracles.fpr_at_fnr_scan(scores, labels, 0.10), abs=1e-9)
 
 
@@ -117,27 +113,29 @@ class TestMetricsProperty:
 class TestEdgeBehavior:
     def test_perfect_separation(self):
         s = series([0.9, 0.8, 0.2, 0.1], [1, 1, 0, 0])
-        assert auc_roc(s) == 1.0
-        assert auc_pr(s) == 1.0
-        assert eer(s) == 0.0
-        assert fpr_at_fnr(s, 0.10) == 0.0
+        rep = compute_all(s, 0.10)
+        assert (rep.auc_roc, rep.auc_pr, rep.eer, rep.ten_er) == (1.0, 1.0, 0.0, 0.0)
 
     def test_inverted_separation(self):
         s = series([0.9, 0.8, 0.2, 0.1], [0, 0, 1, 1])
-        assert auc_roc(s) == 0.0
+        assert compute_all(s).auc_roc == 0.0
 
     def test_all_tied_scores(self):
         s = series([0.5, 0.5, 0.5, 0.5], [1, 0, 1, 0])
-        assert auc_roc(s) == pytest.approx(0.5)
+        assert compute_all(s).auc_roc == pytest.approx(0.5)
         assert _oracles.roc_auc_pairwise([0.5] * 4, [1, 0, 1, 0]) == 0.5
 
     def test_single_class_errors(self):
-        s = series([0.1, 0.2], [1, 1])
-        for fn in (auc_roc, eer):
-            with pytest.raises(ValidationError):
-                fn(s)
-        with pytest.raises(ValidationError):
-            fpr_at_fnr(s, 0.10)
+        for labels, counts in (([1, 1], "2 anomalous / 0 normal"), ([0, 0], "0 anomalous / 2 normal")):
+            with pytest.raises(ValidationError, match=f"^auc_roc requires both labels present, got {counts}$"):
+                compute_all(series([0.1, 0.2], labels), 0.10)
+
+    def test_labels_are_checked_before_the_target(self):
+        with pytest.raises(ValidationError, match="^auc_roc requires both labels present"):
+            compute_all(series([0.1, 0.2], [1, 1]), 1.5)
+        for target in (-0.1, 1.0):
+            with pytest.raises(ValidationError, match=rf"^target FNR must be in \[0, 1\), got {target}$"):
+                compute_all(series([0.1, 0.2], [1, 0]), target)
 
     def test_compute_all_report(self):
         rep = compute_all(series([0.9, 0.8, 0.7, 0.6], [1, 0, 1, 0]))

@@ -4,8 +4,8 @@ from posebench.errors import ValidationError
 from posebench.metrics import MetricReport
 from posebench.report import (
     CSV_COLUMNS,
+    cases,
     context_label,
-    csv_line,
     emit_report,
     format_cells,
     render_markdown,
@@ -48,7 +48,7 @@ class TestFormatting:
 
     def test_csv_line_layout(self):
         # CSV keeps machine-readable context keys; markdown applies labels.
-        line = csv_line("cam0", "baseline", report())
+        line = render_csv([("cam0", "baseline", report())]).splitlines()[1]
         parts = line.split(",")
         assert len(parts) == len(CSV_COLUMNS)
         assert parts[0] == "cam0"
@@ -56,9 +56,8 @@ class TestFormatting:
 
 
 def result_rows(res):
-    from posebench.report import continual_rows
-
-    return [(res.camera_id, ctx, rep) for ctx, rep in continual_rows(res)]
+    camera_id, rows, _ = cases(res)
+    return [(camera_id, ctx, rep) for ctx, rep in rows]
 
 
 class TestRenderers:
