@@ -4,7 +4,8 @@ Run directly:
 
     python benchmarks/bench_kernels.py [--repeat 5]
 
-Prints one row per kernel and problem size, named as in the per-layer
+Prints a header line with the BLAS numpy uses and its OpenBLAS thread count
+and timeout, then one row per kernel and problem size, named as in the per-layer
 metrics of perfbench (``kernels.knn_mean_distance``, ``io.read_frames``
 and so on), with the best of ``--repeat`` timings. The
 ``scorers.kinematic_features`` row times one batched call on the test
@@ -47,7 +48,8 @@ windows joins the store and each naming the step before as its base, as
 many-track table: the test table of ``generate_split(3000, 2000, 500,
 seed=3, persons=6)`` with all three anomaly kinds in segments of 20 frames
 (31 tracks), with 30% of its frames dropped at seed 1, so that gaps are both
-filled and left open.
+filled and left open. posebench is imported before numpy, so the kNN rows
+run with the idle-thread timeout that the CLI sets (see ``posebench/__init__``).
 """
 
 from __future__ import annotations
@@ -60,9 +62,11 @@ import tempfile
 import time
 import tracemalloc
 
+import posebench  # noqa: F401 - before numpy: it sets the OpenBLAS thread timeout that numpy reads at load
 import numpy as np
 
 from posebench import _kernels, stats
+from posebench.cli import _blas
 from posebench.io import read_frames, write_frames
 from posebench.preprocess import WindowBatch, extract_windows
 from posebench.rearrange import RearrangePlan, rearrange, verify
@@ -297,6 +301,8 @@ def main() -> int:
     rows += bench_extract_windows(args.seed, args.repeat)
     rows += bench_checkpoint(args.seed, args.repeat)
 
+    threads, timeout = (os.environ.get(name, "unset") for name in ("OPENBLAS_NUM_THREADS", "OPENBLAS_THREAD_TIMEOUT"))
+    print(f"# blas {_blas()}, OPENBLAS_NUM_THREADS={threads}, OPENBLAS_THREAD_TIMEOUT={timeout}")
     print(f"{'kernel':<26} {'size':<14} {'best (ms)':>10}")
     for name, size, seconds, *note in rows:
         print(f"{name:<26} {size:<14} {seconds * 1e3:>10.2f}", *note)

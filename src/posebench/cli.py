@@ -5,7 +5,8 @@ Exit codes: 0 success, 1 usage error, 2 data validation error, 3 runtime
 failure. Results go to files (or stdout for stats); diagnostics go to
 stderr. Every writing subcommand drops a manifest.json with the tool
 version, a hash of the effective configuration (never of a path), the
-seed, a timestamp and the subcommand name.
+seed, a timestamp, the subcommand name and where it ran: the numpy and
+BLAS versions, the OpenBLAS thread settings and the usable core count.
 """
 
 from __future__ import annotations
@@ -42,6 +43,15 @@ def _naming(paths: dict):
         raise ValidationError(f"{', '.join(paths[role] for role in exc.roles)}: {exc}") from None
 
 
+def _blas() -> str:
+    """Name and version of the BLAS numpy was built with; "unknown" where numpy cannot say (before 1.26)."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        return f"{blas['name']} {blas['version']}"
+    except (TypeError, KeyError):
+        return "unknown"
+
+
 def _write_manifest(out_dir, subcommand: str, seed: int, config: dict):
     os.makedirs(out_dir, exist_ok=True)
     payload = {
@@ -50,6 +60,10 @@ def _write_manifest(out_dir, subcommand: str, seed: int, config: dict):
         "seed": seed,
         "started_at": datetime.now(timezone.utc).isoformat(),
         "subcommand": subcommand,
+        "numpy": np.__version__,
+        "blas": _blas(),
+        "blas_env": {name: os.environ.get(name) for name in ("OPENBLAS_NUM_THREADS", "OPENBLAS_THREAD_TIMEOUT")},
+        "cores": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else None,
     }
     with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2)

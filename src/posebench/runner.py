@@ -11,6 +11,7 @@ stream at once ("batch training") provides the conventional reference.
 from __future__ import annotations
 
 import contextlib
+import functools
 import hashlib
 import json
 import os
@@ -137,13 +138,17 @@ class ContinualResult:
     def k(self) -> int:
         return len(self.per_step)
 
+    @functools.cached_property
+    def _summary(self) -> tuple[MetricReport, MetricReport]:
+        return summarize_steps(self.per_step)
+
     @property
     def step_average(self) -> MetricReport:
-        return summarize_steps(self.per_step)[0]
+        return self._summary[0]
 
     @property
     def step_best(self) -> MetricReport:
-        return summarize_steps(self.per_step)[1]
+        return self._summary[1]
 
 
 def summarize_steps(per_step) -> tuple[MetricReport, MetricReport]:

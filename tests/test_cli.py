@@ -657,6 +657,14 @@ class TestRunStandardCommand:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["subcommand"] == "run-standard"
         assert len(manifest["config_hash"]) == 64
+        # Where it ran: what numpy and its BLAS are, the OpenBLAS settings in effect and the cores the reader saw.
+        assert manifest["numpy"] == np.__version__
+        assert isinstance(manifest["blas"], str) and manifest["blas"]
+        assert manifest["blas_env"] == {
+            name: os.environ.get(name) for name in ("OPENBLAS_NUM_THREADS", "OPENBLAS_THREAD_TIMEOUT")
+        }
+        assert manifest["blas_env"]["OPENBLAS_THREAD_TIMEOUT"] is not None  # importing posebench sets it
+        assert manifest["cores"] == (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else None)
 
     def test_config_file_with_flag_override(self, synth_dir, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
@@ -832,13 +840,14 @@ class TestRunContinualCommand:
 
     def test_outputs_do_not_depend_on_blas_threads(self, tmp_path, capsys):
         """The README continual quick-start with ``--scorer knn`` writes the same bytes at
-        ``OPENBLAS_NUM_THREADS=1`` and ``2``: report.csv, report.md, results.json, steps/ and each
-        checkpoint member.
+        ``OPENBLAS_NUM_THREADS=1`` and ``2``, and at ``2`` with ``OPENBLAS_THREAD_TIMEOUT=28``
+        (OpenBLAS's own spin, which posebench's default of 4 replaces): report.csv, report.md,
+        results.json, steps/ and each checkpoint member.
 
         The kNN candidate filter is a BLAS matrix product, whose rounding can depend on how the
         work is split across threads; the exact rescoring must hide that. Each run is its own
-        process, because OpenBLAS reads the variable once, at load. On a 1-core host, or with a
-        BLAS other than OpenBLAS, both runs use one thread and the test proves nothing.
+        process, because OpenBLAS reads both variables once, at load. On a 1-core host, or with a
+        BLAS other than OpenBLAS, every run uses one thread and the test proves nothing.
         """
         data = tmp_path / "data"
         shape = ["--boost", "2.5", "--origin-step-sigma", "16", "--origin-jitter-sigma", "8"]
@@ -848,14 +857,52 @@ class TestRunContinualCommand:
         inputs = [f"--{name}={data / name}.jsonl" for name in ("train", "test", "origin")]
         src = str(Path(posebench.__file__).parents[1])
         digests = []
-        for threads in ("1", "2"):
-            out = tmp_path / f"threads-{threads}"
+        for threads, timeout in (("1", "4"), ("2", "4"), ("2", "28")):
+            out = tmp_path / f"threads-{threads}-timeout-{timeout}"
             argv = [sys.executable, "-m", "posebench.cli", "run-continual", *inputs, "--scorer", "knn"]
-            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": src}
+            env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads, "OPENBLAS_THREAD_TIMEOUT": timeout}
             subprocess.run([*argv, "--seed", "0", "--k", "9", "--out", str(out)], env=env, check=True, timeout=300)
             digests.append(_output_digests(out))
         assert len(digests[0]) == 3 + 9 + 9 * 3  # reports, step CSVs and three members per checkpoint
-        assert digests[0] == digests[1]
+        assert digests[0] == digests[1] == digests[2]
+
+
+# Run in a fresh interpreter: records OPENBLAS_THREAD_TIMEOUT as it is when numpy is first imported.
+_TIMEOUT_AT_NUMPY_IMPORT = """
+import json, os, sys
+seen = []
+
+class Spy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy":
+            seen.append(os.environ.get("OPENBLAS_THREAD_TIMEOUT"))
+
+sys.meta_path.insert(0, Spy())
+import posebench
+print(json.dumps(seen[:1]))
+"""
+
+
+@pytest.mark.parametrize("preset, want", [(None, "4"), ("20", "20")])
+def test_importing_posebench_sets_the_blas_thread_timeout_before_numpy_loads(preset, want):
+    # OpenBLAS reads the timeout once, when numpy loads it: posebench must set it first, and keep a user's own.
+    env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_THREAD_TIMEOUT"}
+    if preset is not None:
+        env["OPENBLAS_THREAD_TIMEOUT"] = preset
+    env["PYTHONPATH"] = str(Path(posebench.__file__).parents[1])
+    run = subprocess.run([sys.executable, "-c", _TIMEOUT_AT_NUMPY_IMPORT], env=env, check=True, timeout=60,
+                         capture_output=True, text=True)
+    assert json.loads(run.stdout) == [want]
+
+
+@pytest.mark.parametrize("exc", [TypeError, KeyError])
+def test_blas_is_unknown_where_numpy_cannot_say(monkeypatch, exc):
+    # numpy before 1.26 has no show_config(mode=...): TypeError; a build without a blas entry: KeyError.
+    def show_config(mode=None):
+        raise exc(mode)
+
+    monkeypatch.setattr(np, "show_config", show_config)
+    assert cli._blas() == "unknown"
 
 
 @pytest.fixture(scope="module")

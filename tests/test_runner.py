@@ -113,6 +113,15 @@ class TestSummarize:
         result = ContinualResult(camera_id="cam0", baseline=report(), per_step=steps, batch_training=report())
         assert (result.step_average, result.step_best) == summarize_steps(steps)
 
+    def test_a_result_summarizes_its_steps_once(self, monkeypatch, tmp_path):
+        # Both reports and results.json read the step average and best; the pair is computed once per result.
+        calls = []
+        monkeypatch.setattr(runner, "summarize_steps", lambda steps: calls.append(1) or summarize_steps(steps))
+        result = ContinualResult("cam0", report(), (report(auc_roc=0.8), report(auc_roc=0.9)), report())
+        runner.report_mod.emit_report([result], tmp_path)
+        save_results(result, tmp_path / "results.json")
+        assert len(calls) == 1
+
 
 class TestRunStandard:
     def test_produces_report(self):
