@@ -146,27 +146,22 @@ def _read_split(train, test, *later):
 
 
 def _cmd_stats(args) -> int:
-    rows = []
-    iou_rows = []
+    rows = []  # (CSV cells, max IoU per frame) of each matching dataset
     with contextlib.closing(load_datasets(*args.datasets)) as datasets:
         for ds in datasets:
-            if args.camera is not None and ds.camera_id != args.camera:
-                continue
-            st = stats_from_frames(ds)
-            rows.append(st)
-            if args.iou_out:
-                iou_rows.extend((st.camera_id, v) for v in st.max_iou_per_frame)
+            if args.camera is None or ds.camera_id == args.camera:
+                rows.append(stats_from_frames(ds))
     if not rows:
         raise ValidationError(f"no dataset matched camera {args.camera!r}")
     print(",".join(STATS_CSV_COLUMNS))
-    for st in rows:
-        row = st.csv_row()
+    for row, _ in rows:
         print(",".join(row[c] for c in STATS_CSV_COLUMNS))
     if args.iou_out:
         with open(args.iou_out, "w", encoding="utf-8") as fh:
             fh.write("camera_id,max_iou\n")
-            for camera_id, v in iou_rows:
-                fh.write(f"{camera_id},{v:.6f}\n")
+            for row, max_iou in rows:
+                for v in max_iou:
+                    fh.write(f"{row['camera_id']},{v:.6f}\n")
     return 0
 
 

@@ -15,12 +15,13 @@ score >= threshold, so ties are handled as a group:
 - ten_er: lowest FPR among operating points with FNR <= target
   (default 0.10).
 
-``compute_all`` gives all four from one sort of the series.
+``compute_all`` gives all four from one sort of the per-frame scores, read
+with the frame table's ``anomalous`` labels.
 
-The per-frame series comes from one fold, ``aggregate_frame_scores``: each
+The per-frame scores come from one fold, ``aggregate_frame_scores``: each
 window's score goes to the frames it covers that the frame table holds, each
 frame takes the max or mean of its windows, and uncovered frames take the
-minimum window score.
+minimum window score. It returns one score per row of the table.
 """
 
 from __future__ import annotations
@@ -40,42 +41,6 @@ HIGHER_IS_BETTER = {"auc_roc": True, "auc_pr": True, "eer": False, "ten_er": Fal
 
 
 @dataclass(frozen=True)
-class ScoreSeries:
-    """Per-frame anomaly scores with ground-truth labels.
-
-    ``anomalous`` is a boolean array aligned with ``frame_index`` and
-    ``scores``; frame indices must be unique and scores finite.
-    """
-
-    frame_index: np.ndarray
-    scores: np.ndarray
-    anomalous: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "frame_index", np.asarray(self.frame_index, dtype=np.int64))
-        object.__setattr__(self, "scores", np.asarray(self.scores, dtype=np.float64))
-        object.__setattr__(self, "anomalous", np.asarray(self.anomalous, dtype=bool))
-        n = self.frame_index.size
-        if self.scores.size != n or self.anomalous.size != n:
-            raise ValidationError("series arrays must have equal length")
-        if n and not np.all(np.isfinite(self.scores)):
-            raise ValidationError("scores must be finite")
-        if (np.diff(np.sort(self.frame_index)) == 0).any():
-            raise ValidationError("frame indices in a series must be unique")
-
-    def __len__(self) -> int:
-        return self.frame_index.size
-
-    @property
-    def n_pos(self) -> int:
-        return int(self.anomalous.sum())
-
-    @property
-    def n_neg(self) -> int:
-        return int(len(self) - self.n_pos)
-
-
-@dataclass(frozen=True)
 class MetricReport:
     """The four headline metrics plus class counts for one evaluation."""
 
@@ -90,8 +55,10 @@ class MetricReport:
         return asdict(self)
 
 
-def compute_all(series: ScoreSeries, fnr_target: float = 0.10) -> MetricReport:
+def compute_all(scores, anomalous, fnr_target: float = 0.10) -> MetricReport:
     """All four metrics plus counts, from one sweep over the distinct scores in descending order.
+
+    ``scores`` holds one finite score per frame and ``anomalous`` the frame's label, in the same order.
 
     Each distinct score is a threshold; tp and fp count the frames at or above it. Twice the ROC area in counts, the
     sum of fp steps times (tp + tp before), is an integer, divided once by 2 * n_pos * n_neg. The rank statistic is
@@ -99,13 +66,19 @@ def compute_all(series: ScoreSeries, fnr_target: float = 0.10) -> MetricReport:
     so the EER's argmin and its tie-break (smaller midpoint wins) are decided on integers; float rounding cannot
     split genuinely tied thresholds.
     """
-    n_pos, n_neg = series.n_pos, series.n_neg
+    scores, anomalous = np.asarray(scores, dtype=np.float64), np.asarray(anomalous, dtype=bool)
+    if scores.size != anomalous.size:
+        raise ValidationError("series arrays must have equal length")
+    if not np.isfinite(scores).all():
+        raise ValidationError("scores must be finite")
+    n_pos = int(anomalous.sum())
+    n_neg = anomalous.size - n_pos
     if n_pos == 0 or n_neg == 0:
         raise ValidationError(f"auc_roc requires both labels present, got {n_pos} anomalous / {n_neg} normal")
     if not 0.0 <= fnr_target < 1.0:
         raise ValidationError(f"target FNR must be in [0, 1), got {fnr_target}")
-    order = np.argsort(-series.scores, kind="stable")
-    s, y = series.scores[order], series.anomalous[order]
+    order = np.argsort(-scores, kind="stable")
+    s, y = scores[order], anomalous[order]
     last_of_group = np.flatnonzero(np.r_[s[1:] != s[:-1], True])
     tp, fp = np.cumsum(y)[last_of_group], np.cumsum(~y)[last_of_group]
     fn = n_pos - tp
@@ -124,8 +97,8 @@ def compute_all(series: ScoreSeries, fnr_target: float = 0.10) -> MetricReport:
     )
 
 
-def aggregate_frame_scores(batch: WindowBatch, scores, table: FrameTable, aggregator: str) -> ScoreSeries:
-    """Fold one score per window onto the frames it covers, producing one labeled score per frame.
+def aggregate_frame_scores(batch: WindowBatch, scores, table: FrameTable, aggregator: str) -> np.ndarray:
+    """Fold one score per window onto the frames it covers, producing one score per frame of ``table``, in row order.
 
     Interpolation may synthesize observations at frame indices missing from
     the evaluation set, so covered frames the table lacks are dropped. Each
@@ -156,4 +129,4 @@ def aggregate_frame_scores(batch: WindowBatch, scores, table: FrameTable, aggreg
         np.add.at(agg, pos, entries)
         agg /= np.maximum(counts, 1)
     agg[counts == 0] = scores.min() if scores.size else 0.0
-    return ScoreSeries(table.frame_index, agg, table.anomalous)
+    return agg

@@ -5,7 +5,7 @@ evaluates once on the mixed test set. The continual protocol pretrains on a
 separate origin dataset, rearranges the target split into an unlabeled
 training stream plus a balanced test set, then ingests the stream slice by
 slice, evaluating after every slice. A fresh scorer fitted on the whole
-stream at once ("batch training") provides the conventional reference.
+stream at once ("batch training"), before pretraining, is the reference.
 """
 
 from __future__ import annotations
@@ -204,7 +204,8 @@ def evaluate_windows(scorer, test_windows, test: FrameTable, cfg: RunConfig, *fi
     with _inputs(*fitted):
         scores = scorer.score_batch(test_windows)
     with _inputs("test"):
-        return compute_all(aggregate_frame_scores(test_windows, scores, test, cfg.aggregator), cfg.fnr_target)
+        frame_scores = aggregate_frame_scores(test_windows, scores, test, cfg.aggregator)
+        return compute_all(frame_scores, test.anomalous, cfg.fnr_target)
 
 
 def run_standard(cfg: RunConfig, split: SplitSet, out_dir=None) -> MetricReport:
@@ -231,13 +232,15 @@ def run_continual(
     origin: FrameTable,
     out_dir=None,
 ) -> tuple[ContinualResult, ContinualSplit]:
-    """Pretrain on origin normals, then train slice by slice on the rearranged stream.
+    """Score the batch-training reference, then pretrain on origin normals and train slice by slice on the stream.
 
-    Returns the result plus the rearranged split. An origin that holds a
-    frame of the test set is refused, and ingested-window accounting is
-    asserted after every slice. Every fit on the stream, batch training
-    included, reads its frames through ``cs.training_frames``, which refuses
-    any row tagged as test data.
+    Returns the result plus the rearranged split. After the test windows, the
+    reference is fitted on the whole stream, scored and freed before
+    pretraining, so a stream with no windows is refused before a step writes
+    a file. An origin that holds a frame of the test set is refused, and
+    ingested-window accounting is asserted after every slice. Every fit on
+    the stream, batch training included, reads its frames through
+    ``cs.training_frames``, which refuses any row tagged as test data.
     """
     if cfg.mode != "continual":
         raise ValidationError(f"run_continual needs mode 'continual', got {cfg.mode!r}")
@@ -251,11 +254,19 @@ def run_continual(
     verify(cs)
     test = split.test.take(cs.test_rows)
 
+    test_windows = _windows(test, cfg, "test")  # one batch object: each step's scoring scans only what it added
+
+    batch_scorer = _fitted(  # no name holds the stream's windows, so they are freed before the scoring below
+        cfg, _windows(cs.training_frames(cs.train_stream), cfg, "train", "test"),
+        "training stream produced zero pose windows", "train", "test",
+    )
+    batch_report = evaluate_windows(batch_scorer, test_windows, test, cfg, "train", "test")
+    del batch_scorer  # the reference is scored; free its store before pretraining builds the step scorer's
+
     scorer = _fitted(  # no name holds the origin's normal frames or their windows, so pretraining frees both
         cfg, _windows(origin.take(np.flatnonzero(~origin.anomalous)), cfg, "origin"),
         "origin dataset produced zero pretraining windows", "origin",
     )
-    test_windows = _windows(test, cfg, "test")  # one batch object: each step's scoring scans only what it added
     baseline = evaluate_windows(scorer, test_windows, test, cfg, "origin")
 
     per_step = []
@@ -270,7 +281,7 @@ def run_continual(
                 f"ingestion accounting broken at step {i}: "
                 f"scorer saw {scorer.windows_seen}, expected {expected_seen}"
             )
-        del slice_windows  # ingested and counted: free them before the step's scoring and batch training
+        del slice_windows  # ingested and counted: free them before the step's scoring
         step_report = evaluate_windows(scorer, test_windows, test, cfg)  # it holds more than at the baseline
         per_step.append(step_report)
         if out_dir is not None:
@@ -280,13 +291,6 @@ def run_continual(
             scorer.save_checkpoint(path, base=saved)
             saved = path
             report_mod.write_step_csv(out_dir, i, split.camera_id, step_report)
-    del scorer  # batch training starts afresh; free the step store before building its own
-
-    batch_scorer = _fitted(  # no name holds the stream's windows, so they are freed before the scoring below
-        cfg, _windows(cs.training_frames(cs.train_stream), cfg, "train", "test"),
-        "training stream produced zero pose windows", "train", "test",
-    )
-    batch_report = evaluate_windows(batch_scorer, test_windows, test, cfg, "train", "test")
     result = ContinualResult(split.camera_id, baseline, tuple(per_step), batch_report)
     if out_dir is not None:
         report_mod.emit_report([result], out_dir)

@@ -1,41 +1,14 @@
-"""Dataset statistics of a frame table: box overlap, crowd density, label balance."""
+"""Dataset statistics of a frame table: box overlap, crowd density, label balance.
+
+``stats_from_frames`` gives a camera's row of the ``stats`` CSV and the per-frame max IoU that ``--iou-out`` writes.
+"""
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ValidationError
 from .model import FrameTable
-
-
-@dataclass(frozen=True)
-class DatasetStats:
-    """Summary counts and overlap statistics for one camera's frames."""
-
-    camera_id: str
-    frame_count: int
-    pose_count: int
-    anomaly_frame_count: int
-    anomaly_fraction: float
-    density_histogram: dict[int, int]
-    max_iou_per_frame: np.ndarray
-
-    def density_encoded(self) -> str:
-        """Histogram as 'persons:frames' pairs, e.g. '0:12;2:88', keys ascending."""
-        return ";".join(f"{k}:{self.density_histogram[k]}" for k in sorted(self.density_histogram))
-
-    def csv_row(self) -> dict[str, str]:
-        return {
-            "camera_id": self.camera_id,
-            "frame_count": str(self.frame_count),
-            "pose_count": str(self.pose_count),
-            "anomaly_frame_count": str(self.anomaly_frame_count),
-            "anomaly_fraction": f"{self.anomaly_fraction:.6f}",
-            "mean_max_iou": f"{float(self.max_iou_per_frame.mean()):.6f}",
-            "density_histogram": self.density_encoded(),
-        }
 
 
 STATS_CSV_COLUMNS = (
@@ -71,19 +44,24 @@ def max_iou_per_group(boxes, offsets):
     return out
 
 
-def stats_from_frames(frames: FrameTable) -> DatasetStats:
-    """Compute DatasetStats over a frame table, per frame in row order."""
+def stats_from_frames(frames: FrameTable) -> tuple[dict[str, str], np.ndarray]:
+    """The CSV cells of a frame table, keyed in ``STATS_CSV_COLUMNS`` order, and its max IoU per frame in row order.
+
+    The density histogram reads as 'persons:frames' pairs, e.g. '0:12;2:88', persons ascending.
+    """
     if not len(frames):
         raise ValidationError("cannot compute statistics of an empty dataset")
     per_frame = np.bincount(frames.frame_row, minlength=len(frames))
-    sizes, counts = np.unique(per_frame, return_counts=True)
+    sizes, counts = np.unique(per_frame, return_counts=True)  # sizes ascending
     anomaly_frames = int(frames.anomalous.sum())
-    return DatasetStats(
-        camera_id=frames.camera_id,
-        frame_count=len(frames),
-        pose_count=len(frames.frame_row),
-        anomaly_frame_count=anomaly_frames,
-        anomaly_fraction=anomaly_frames / len(frames),
-        density_histogram=dict(zip(sizes.tolist(), counts.tolist())),
-        max_iou_per_frame=max_iou_per_group(frames.bbox, np.concatenate([[0], np.cumsum(per_frame)])),
-    )
+    max_iou = max_iou_per_group(frames.bbox, np.concatenate([[0], np.cumsum(per_frame)]))
+    row = {
+        "camera_id": frames.camera_id,
+        "frame_count": str(len(frames)),
+        "pose_count": str(len(frames.frame_row)),
+        "anomaly_frame_count": str(anomaly_frames),
+        "anomaly_fraction": f"{anomaly_frames / len(frames):.6f}",
+        "mean_max_iou": f"{float(max_iou.mean()):.6f}",
+        "density_histogram": ";".join(f"{k}:{v}" for k, v in zip(sizes.tolist(), counts.tolist())),
+    }
+    return row, max_iou

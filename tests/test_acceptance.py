@@ -16,7 +16,7 @@ import _oracles
 from _golden import golden_results
 from conftest import BOX, every_row, make_obs, pixels, staircase, table, track_table, window_batch
 
-from posebench.metrics import ScoreSeries, compute_all
+from posebench.metrics import compute_all
 from posebench.model import FrameTable, SplitSet
 from posebench.preprocess import extract_windows
 from posebench.rearrange import RearrangePlan, rearrange, verify
@@ -48,8 +48,7 @@ def test_01_metric_oracle_agreement(capsys):
         t0 = time.perf_counter()
         for trial in range(1000):
             scores, labels = _oracles.random_series(rng)
-            series = ScoreSeries(np.arange(len(scores)), scores, labels.astype(bool))
-            got = compute_all(series, 0.10)
+            got = compute_all(scores, labels.astype(bool), 0.10)
             for name, want in (
                 ("pairwise", _oracles.roc_auc_pairwise(scores, labels)),
                 ("trapezoid", _oracles.roc_auc_trapezoid(scores, labels)),
@@ -79,12 +78,7 @@ def test_02_four_point_fixture(capsys):
     problems = []
 
     def body():
-        series = ScoreSeries(
-            np.array([0, 1, 2, 3]),
-            np.array([0.9, 0.8, 0.7, 0.6]),
-            np.array([True, False, True, False]),
-        )
-        report = compute_all(series)
+        report = compute_all(np.array([0.9, 0.8, 0.7, 0.6]), np.array([True, False, True, False]))
         if abs(report.auc_roc - 0.75) > 1e-12:
             problems.append(f"auc_roc {report.auc_roc} != 0.75")
         if abs(report.auc_pr - 5.0 / 6.0) > 1e-4:

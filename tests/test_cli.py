@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import dataclasses
 import errno
@@ -1179,6 +1180,7 @@ class TestInputErrorsNameTheirFiles:
             ("run-standard", {"test": ("test", _label("normal"))}),  # a one-label test set
             ("run-continual", {"origin": ("test", _label("anomalous"))}),  # an origin with no normal frame
             ("run-continual", {"origin": ("test", _label("normal"))}),  # an origin that shares test frames
+            ("run-continual", {"train": ("train", None, 5), "test": ("test", None, 86)}),  # a stream with no windows
         ],
     )
     def test_refused_run_leaves_no_output(self, hostile_dir, tmp_path, capsys, subcommand, replaced):
@@ -1339,3 +1341,41 @@ def test_readme_config_block_is_the_schema():
     assert block.pop("plan") == plan
     assert all(isinstance(block.pop(role), str) for role in roles)
     assert block == RunConfig(mode=block["mode"]).to_dict()  # mode has no default; the block's must be valid
+
+
+def _readme_test_references():
+    """Every test file, class or function README.md cites, as ``(file, names)``. A backticked
+    ``test_*.py::Name[::name]`` names its file; in a table cell, an id without one is of the file cited before it."""
+    refs = []
+    for line in (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8").splitlines():
+        row = line.startswith("|")
+        for cell in line.split("|") if row else [line]:
+            file = None
+            for token in re.findall(r"`([^`]+)`", cell):
+                cited = re.fullmatch(r"(?:tests/)?(test_\w+\.py)(?:::(\w+(?:::\w+)?))?", token)
+                if cited:
+                    file, name = cited.groups()
+                elif row and file and re.fullmatch(r"(?:Test|test_)\w+(?:::\w+)?", token):
+                    name = token
+                else:
+                    continue
+                refs.append((file, name.split("::") if name else []))
+    return refs
+
+
+def _defines(path, names):
+    """Whether the file ``path`` defines the class or function ``names[0]``, and in it ``names[1]``, and so on."""
+    body = ast.parse(path.read_text(encoding="utf-8")).body if path.is_file() else None
+    for name in names:
+        found = [n for n in body or () if isinstance(n, (ast.ClassDef, ast.FunctionDef)) and n.name == name]
+        body = found[0].body if found else None
+    return body is not None
+
+
+def test_readme_cites_only_tests_that_exist():
+    # A test renamed or deleted while README.md still cites it as pinning a contract fails here.
+    refs = _readme_test_references()
+    assert any(len(names) == 2 for _, names in refs)  # the parser still finds class::method references
+    tests = Path(__file__).parent
+    missing = ["::".join([file, *names]) for file, names in refs if not _defines(tests / file, names)]
+    assert not missing, f"README.md cites tests that do not exist: {missing}"

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from posebench.errors import ValidationError
 from posebench.metrics import (
     MetricReport,
-    ScoreSeries,
     aggregate_frame_scores,
     compute_all,
 )
@@ -15,74 +14,62 @@ from conftest import make_frame, make_obs, table, walking_dataset
 import _oracles
 
 
-def series(scores, labels):
-    """A series over frames 0..n-1; a truthy label marks the frame anomalous."""
-    return ScoreSeries(np.arange(len(scores)), scores, np.asarray(labels, dtype=bool))
-
-
-class TestScoreSeries:
-    def test_requires_unique_frames(self):
-        with pytest.raises(ValidationError, match="unique"):
-            ScoreSeries([0, 0], [0.1, 0.2], [False, True])
-
-    def test_duplicate_apart_in_input_order_is_refused(self):
-        # The two 2s are not neighbours until the indices are sorted.
-        with pytest.raises(ValidationError, match="^frame indices in a series must be unique$"):
-            ScoreSeries([5, 2, 9, 2], [0.1, 0.2, 0.3, 0.4], [False, True, False, True])
-        assert len(ScoreSeries([5, 2, 9, 3], [0.1, 0.2, 0.3, 0.4], [False, True, False, True])) == 4
+class TestInputChecks:
+    def test_requires_equal_lengths(self):
+        with pytest.raises(ValidationError, match="^series arrays must have equal length$"):
+            compute_all([0.1, 0.2, 0.3], [False, True])
 
     def test_requires_finite_scores(self):
-        with pytest.raises(ValidationError, match="finite"):
-            ScoreSeries([0], [float("nan")], [False])
+        with pytest.raises(ValidationError, match="^scores must be finite$"):
+            compute_all([float("nan"), 0.2], [False, True])
 
     def test_counts(self):
-        s = series([0.1, 0.2, 0.3], [0, 1, 1])
-        assert (s.n_pos, s.n_neg) == (2, 1)
+        rep = compute_all([0.1, 0.2, 0.3], [0, 1, 1])
+        assert (rep.n_pos, rep.n_neg) == (2, 1)
 
 
 class TestFourPointFixture:
     # (0.9, anomalous), (0.8, normal), (0.7, anomalous), (0.6, normal)
     def fixture(self):
-        return series([0.9, 0.8, 0.7, 0.6], [1, 0, 1, 0])
+        return [0.9, 0.8, 0.7, 0.6], [1, 0, 1, 0]
 
     def test_auc_roc(self):
-        assert compute_all(self.fixture()).auc_roc == pytest.approx(0.75, abs=1e-12)
+        assert compute_all(*self.fixture()).auc_roc == pytest.approx(0.75, abs=1e-12)
 
     def test_auc_pr(self):
-        assert compute_all(self.fixture()).auc_pr == pytest.approx(0.8333, abs=1e-4)
+        assert compute_all(*self.fixture()).auc_pr == pytest.approx(0.8333, abs=1e-4)
 
     def test_eer(self):
-        assert compute_all(self.fixture()).eer == pytest.approx(0.5, abs=1e-12)
+        assert compute_all(*self.fixture()).eer == pytest.approx(0.5, abs=1e-12)
 
     def test_ten_er(self):
-        assert compute_all(self.fixture(), 0.10).ten_er == pytest.approx(0.5, abs=1e-12)
+        assert compute_all(*self.fixture(), 0.10).ten_er == pytest.approx(0.5, abs=1e-12)
 
 
 class TestAgainstOracles:
     def test_roc_matches_both_oracles(self, rng):
         for _ in range(300):
             scores, labels = _oracles.random_series(rng)
-            s = series(scores, labels)
-            got = compute_all(s).auc_roc
+            got = compute_all(scores, labels).auc_roc
             assert got == _oracles.roc_auc_pairwise(scores, labels)  # one exact count, divided once
             assert got == pytest.approx(_oracles.roc_auc_trapezoid(scores, labels), abs=1e-9)
 
     def test_pr_matches_oracle(self, rng):
         for _ in range(300):
             scores, labels = _oracles.random_series(rng)
-            got = compute_all(series(scores, labels)).auc_pr
+            got = compute_all(scores, labels).auc_pr
             assert got == pytest.approx(_oracles.average_precision(scores, labels), abs=1e-6)
 
     def test_eer_matches_scan(self, rng):
         for _ in range(300):
             scores, labels = _oracles.random_series(rng)
-            got = compute_all(series(scores, labels)).eer
+            got = compute_all(scores, labels).eer
             assert got == pytest.approx(_oracles.eer_scan(scores, labels), abs=1e-9)
 
     def test_ten_er_matches_scan(self, rng):
         for _ in range(300):
             scores, labels = _oracles.random_series(rng)
-            got = compute_all(series(scores, labels), 0.10).ten_er
+            got = compute_all(scores, labels, 0.10).ten_er
             assert got == pytest.approx(_oracles.fpr_at_fnr_scan(scores, labels, 0.10), abs=1e-9)
 
 
@@ -101,7 +88,7 @@ class TestMetricsProperty:
     @given(case=tied_series())
     def test_compute_all_matches_oracles(self, case):
         scores, labels = case
-        rep = compute_all(series(scores, labels))
+        rep = compute_all(scores, labels)
         assert (rep.n_pos, rep.n_neg) == (sum(labels), len(labels) - sum(labels))
         assert rep.auc_roc == _oracles.roc_auc_pairwise(scores, labels)  # bit for bit: both divide exact counts once
         assert rep.auc_roc == pytest.approx(_oracles.roc_auc_trapezoid(scores, labels), abs=1e-9)
@@ -112,33 +99,30 @@ class TestMetricsProperty:
 
 class TestEdgeBehavior:
     def test_perfect_separation(self):
-        s = series([0.9, 0.8, 0.2, 0.1], [1, 1, 0, 0])
-        rep = compute_all(s, 0.10)
+        rep = compute_all([0.9, 0.8, 0.2, 0.1], [1, 1, 0, 0], 0.10)
         assert (rep.auc_roc, rep.auc_pr, rep.eer, rep.ten_er) == (1.0, 1.0, 0.0, 0.0)
 
     def test_inverted_separation(self):
-        s = series([0.9, 0.8, 0.2, 0.1], [0, 0, 1, 1])
-        assert compute_all(s).auc_roc == 0.0
+        assert compute_all([0.9, 0.8, 0.2, 0.1], [0, 0, 1, 1]).auc_roc == 0.0
 
     def test_all_tied_scores(self):
-        s = series([0.5, 0.5, 0.5, 0.5], [1, 0, 1, 0])
-        assert compute_all(s).auc_roc == pytest.approx(0.5)
+        assert compute_all([0.5, 0.5, 0.5, 0.5], [1, 0, 1, 0]).auc_roc == pytest.approx(0.5)
         assert _oracles.roc_auc_pairwise([0.5] * 4, [1, 0, 1, 0]) == 0.5
 
     def test_single_class_errors(self):
         for labels, counts in (([1, 1], "2 anomalous / 0 normal"), ([0, 0], "0 anomalous / 2 normal")):
             with pytest.raises(ValidationError, match=f"^auc_roc requires both labels present, got {counts}$"):
-                compute_all(series([0.1, 0.2], labels), 0.10)
+                compute_all([0.1, 0.2], labels, 0.10)
 
     def test_labels_are_checked_before_the_target(self):
         with pytest.raises(ValidationError, match="^auc_roc requires both labels present"):
-            compute_all(series([0.1, 0.2], [1, 1]), 1.5)
+            compute_all([0.1, 0.2], [1, 1], 1.5)
         for target in (-0.1, 1.0):
             with pytest.raises(ValidationError, match=rf"^target FNR must be in \[0, 1\), got {target}$"):
-                compute_all(series([0.1, 0.2], [1, 0]), target)
+                compute_all([0.1, 0.2], [1, 0], target)
 
     def test_compute_all_report(self):
-        rep = compute_all(series([0.9, 0.8, 0.7, 0.6], [1, 0, 1, 0]))
+        rep = compute_all([0.9, 0.8, 0.7, 0.6], [1, 0, 1, 0])
         assert isinstance(rep, MetricReport)
         assert rep.n_pos == 2 and rep.n_neg == 2
         d = rep.as_dict()
@@ -168,8 +152,8 @@ class TestAggregation:
         window_scores = [((0, 1, 2), 0.2), ((1, 2, 3), 0.9)]
         s_max = fold(window_scores, ds, "max")
         s_mean = fold(window_scores, ds, "mean")
-        by_frame_max = dict(zip(s_max.frame_index.tolist(), s_max.scores.tolist()))
-        by_frame_mean = dict(zip(s_mean.frame_index.tolist(), s_mean.scores.tolist()))
+        by_frame_max = dict(zip(ds.frame_index.tolist(), s_max.tolist()))
+        by_frame_mean = dict(zip(ds.frame_index.tolist(), s_mean.tolist()))
         assert by_frame_max[1] == pytest.approx(0.9)
         assert by_frame_mean[1] == pytest.approx(0.55)
         assert by_frame_max[0] == pytest.approx(0.2)
@@ -181,7 +165,7 @@ class TestAggregation:
         ds = self.make_dataset(4)
         for agg in ("max", "mean"):
             s = fold([((1, 2), 0.7)], ds, agg)
-            by_frame = dict(zip(s.frame_index.tolist(), s.scores.tolist()))
+            by_frame = dict(zip(ds.frame_index.tolist(), s.tolist()))
             assert by_frame[1] == pytest.approx(0.7)
 
     def test_matches_scan_oracle(self, rng):
@@ -197,29 +181,20 @@ class TestAggregation:
             for agg in ("max", "mean"):
                 got = fold(window_scores, ds, agg)
                 want = _oracles.frame_scores_scan(window_scores, idx, agg)
-                for fi, sc in zip(got.frame_index.tolist(), got.scores.tolist()):
+                for fi, sc in zip(idx, got.tolist()):
                     assert sc == pytest.approx(want[fi], abs=1e-12), (agg, fi)
 
     def test_empty_scores_give_zeros(self):
         ds = self.make_dataset(3)
         s = fold([], ds, "max")
-        assert s.scores.tolist() == [0.0, 0.0, 0.0]
+        assert s.tolist() == [0.0, 0.0, 0.0]
 
     def test_frames_the_dataset_lacks_are_dropped(self):
         # Frames 0-2: frame 3 of the first window is dropped, the second window covers no frame of
         # the dataset, and its score still sets the fill of the uncovered frames 0 and 1.
         ds = self.make_dataset(3)
         for agg in ("max", "mean"):
-            assert fold([((2, 3), 0.5), ((3, 4), 0.2)], ds, agg).scores.tolist() == [0.2, 0.2, 0.5]
-
-    def test_labels_copied_from_dataset(self):
-        frames = (
-            make_frame(0),
-            make_frame(1, label="anomalous", persons=(make_obs(),)),
-        )
-        ds = table(frames)
-        s = fold([((0, 1), 0.4)], ds, "max")
-        assert s.anomalous.tolist() == [False, True]
+            assert fold([((2, 3), 0.5), ((3, 4), 0.2)], ds, agg).tolist() == [0.2, 0.2, 0.5]
 
     @pytest.mark.parametrize("rows", [[1, 0], [0, 0]], ids=["unsorted", "repeated"])
     def test_refuses_a_table_out_of_frame_order(self, rows):
@@ -255,7 +230,7 @@ class TestFoldProperty:
         batch = batch_of([2, 0], 3)
         for aggregator in ("max", "mean"):
             got = aggregate_frame_scores(batch, np.array([0.1, 0.5]), ds, aggregator)
-            assert got.scores.tolist() == [0.5, 0.1]
+            assert got.tolist() == [0.5, 0.1]
 
     @settings(deadline=None, max_examples=80)
     @given(case=folding_case(), aggregator=st.sampled_from(["max", "mean"]))
@@ -266,6 +241,5 @@ class TestFoldProperty:
         covered = [tuple(row) for row in batch.covered_frames().tolist()]
         idx = ds.frame_index.tolist()
         want = _oracles.frame_scores_scan(list(zip(covered, scores.tolist())), idx, aggregator)
-        assert got.frame_index.tolist() == idx
-        assert got.anomalous.tolist() == ds.anomalous.tolist()
-        assert got.scores.tobytes() == np.array([want[fi] for fi in idx], dtype=np.float64).tobytes()
+        assert got.dtype == np.float64
+        assert got.tobytes() == np.array([want[fi] for fi in idx], dtype=np.float64).tobytes()

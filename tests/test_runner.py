@@ -269,50 +269,46 @@ class TestRunContinual:
         monkeypatch.setattr(ContinualSplit, "training_frames", spy)
         cfg = RunConfig(mode="continual", seed=0, plan=RearrangePlan(seed=1, k=3))
         _, cs = run_continual(cfg, small_split(), generate_normals(300, seed=2))
-        # One call per slice, then one for batch training on the whole stream.
+        # One call for batch training on the whole stream, then one per slice.
         assert len(guarded) == 4
-        for rows, want in zip(guarded, [*cs.slices, cs.train_stream]):
+        for rows, want in zip(guarded, [cs.train_stream, *cs.slices]):
             assert np.array_equal(rows, want)
 
     def test_pretraining_windows_and_frames_are_freed_after_the_fit(self, monkeypatch):
         # The origin's normal frames (here a new table: the origin holds anomalous frames) and their windows.
         origin = generate_split(100, 200, 100, seed=3).test
-        held, windows = [], runner._windows
+        held, after, windows = [], [], runner._windows
 
         def spy(frames, cfg, *roles):
-            if held:  # the test windows, built after the pretraining fit
-                assert [ref() for ref in held] == [None, None]
+            if held:  # each slice's windows, built after the pretraining fit
+                after.append([ref() for ref in held])
             batch = windows(frames, cfg, *roles)
-            if not held:
+            if roles == ("origin",):
                 held.extend((weakref.ref(frames), weakref.ref(batch)))
             return batch
 
         monkeypatch.setattr(runner, "_windows", spy)
         cfg = RunConfig(mode="continual", seed=0, plan=RearrangePlan(seed=0, k=2))
         run_continual(cfg, small_split(), origin)
-        assert len(held) == 2
+        assert len(held) == 2 and after == [[None, None], [None, None]]
 
     @pytest.mark.parametrize("scorer", ["gaussian", "knn"])
-    def test_slice_windows_are_freed_before_batch_training(self, monkeypatch, scorer):
+    def test_stream_windows_are_freed_before_the_first_slice_s_are_built(self, monkeypatch, scorer):
         built, freed = [], []
-        windows, fitted = runner._windows, runner._fitted
+        windows = runner._windows
 
         def build(frames, cfg, *roles):
+            if roles == ("train", "test"):  # the stream's windows, then each slice's: the ones built before are freed
+                freed.append([ref() is None for ref in built])
             batch = windows(frames, cfg, *roles)
-            if roles == ("train", "test"):  # each slice's windows, then the stream's
+            if roles == ("train", "test"):
                 built.append(weakref.ref(batch))
             return batch
 
-        def fit(cfg, batch, empty, *roles):
-            if roles == ("train", "test"):  # batch training, on the stream's windows: the slices' are freed
-                freed.extend(ref() is None for ref in built[:-1])
-            return fitted(cfg, batch, empty, *roles)
-
         monkeypatch.setattr(runner, "_windows", build)
-        monkeypatch.setattr(runner, "_fitted", fit)
         cfg = RunConfig(mode="continual", seed=0, scorer=scorer, plan=RearrangePlan(seed=1, k=3))
         run_continual(cfg, small_split(), generate_normals(300, seed=2))
-        assert freed == [True, True, True]
+        assert freed == [[], [True], [True, True], [True, True, True]]
 
     def test_batch_training_windows_are_freed_before_its_scoring(self, monkeypatch):
         last, scored = [], []
@@ -331,8 +327,8 @@ class TestRunContinual:
         monkeypatch.setattr(runner, "evaluate_windows", score)
         cfg = RunConfig(mode="continual", seed=0, plan=RearrangePlan(seed=1, k=3))
         run_continual(cfg, small_split(), generate_normals(300, seed=2))
-        # The baseline, three steps, then batch training, by which time nothing holds the stream's windows.
-        assert scored[-1] == (("train", "test"), True) and len(scored) == 5
+        # Batch training, by which time nothing holds the stream's windows, then the baseline and three steps.
+        assert scored[0] == (("train", "test"), True) and len(scored) == 5
 
     def test_refuses_to_train_on_a_test_frame(self, monkeypatch):
         rearrange = runner.rearrange
@@ -377,17 +373,17 @@ class TestContinualKnnScoring:
 
         monkeypatch.setattr(_kernels, "knn_k_smallest", spy)
         incremental, _ = run_continual(cfg, small_split(), generate_normals(300, seed=2))
-        # The baseline and batch training scan a whole store; each of the 3 steps merges its new rows.
-        assert scans == [False, True, True, True, False]
+        # Batch training and the baseline scan a whole store; each of the 3 steps merges its new rows.
+        assert scans == [False, False, True, True, True]
         assert result_to_dict(incremental) == result_to_dict(fresh)
 
-    def test_step_scorer_is_freed_before_batch_training(self, monkeypatch):
+    def test_batch_training_scorer_is_freed_before_pretraining(self, monkeypatch):
         cfg = self.cfg()
         made = []
         make = runner.make_scorer
 
         def spy(*args, **kwargs):
-            if made:  # the batch-training scorer: the step scorer and what it kept of its last scoring are gone
+            if made:  # the step scorer: the batch-training scorer and what it kept of its scoring are gone
                 assert made[0]() is None
             scorer = make(*args, **kwargs)
             made.append(weakref.ref(scorer))

@@ -56,7 +56,7 @@ class TestFrameMaxIou:
         assert frame_max_iou(frame) == pytest.approx(want)
 
 
-class TestDatasetStats:
+class TestStatsFromFrames:
     def frames(self):
         return (
             make_frame(0, persons=(make_obs(track_id=0),)),
@@ -69,28 +69,27 @@ class TestDatasetStats:
         return stats_from_frames(table(self.frames()))
 
     def test_counts(self):
-        st = self.stats()
-        assert st.frame_count == 4
-        assert st.pose_count == 4
-        assert st.anomaly_frame_count == 1
-        assert st.anomaly_fraction == pytest.approx(0.25)
+        row, _ = self.stats()
+        assert row["frame_count"] == "4"
+        assert row["pose_count"] == "4"
+        assert row["anomaly_frame_count"] == "1"
+        assert row["anomaly_fraction"] == "0.250000"
 
     def test_density_histogram(self):
-        st = self.stats()
-        assert st.density_histogram == {0: 1, 1: 2, 2: 1}
-        assert st.density_encoded() == "0:1;1:2;2:1"
+        row, _ = self.stats()
+        assert row["density_histogram"] == "0:1;1:2;2:1"
 
     def test_max_iou_per_frame(self):
-        st = self.stats()
-        assert st.max_iou_per_frame.shape == (4,)
-        assert st.max_iou_per_frame[0] == 0.0
-        assert st.max_iou_per_frame[1] > 0.0  # overlapping neighbors
+        row, max_iou = self.stats()
+        assert max_iou.shape == (4,)
+        assert max_iou[0] == 0.0
+        assert max_iou[1] > 0.0  # overlapping neighbors
         want = frame_max_iou(self.frames()[1])
-        assert st.max_iou_per_frame[1] == pytest.approx(want)
+        assert max_iou[1] == pytest.approx(want)
+        assert row["mean_max_iou"] == f"{want / 4:.6f}"
 
     def test_csv_row_layout(self):
-        st = self.stats()
-        row = st.csv_row()
+        row, _ = self.stats()
         assert list(row) == list(STATS_CSV_COLUMNS)
         assert row["camera_id"] == "cam0"
         assert row["frame_count"] == "4"
@@ -110,6 +109,7 @@ class TestDatasetStats:
                 for j in range(n)
             )
             frames.append(make_frame(i, persons=persons))
-        st = stats_from_frames(table(frames))
-        for frame, got in zip(frames, st.max_iou_per_frame):
+        _, max_iou = stats_from_frames(table(frames))
+        assert len(max_iou) == len(frames)
+        for frame, got in zip(frames, max_iou):
             assert got == pytest.approx(frame_max_iou(frame), abs=1e-12)
